@@ -71,9 +71,11 @@ def measure(collection, queries, corpus, corpus_ids):
         brute_force_neighbors(corpus, queries, TOP_K, collection.metric)
     ]
     recall = recall_at_k(result.ids, truth, TOP_K)
-    snapshots = [shard.snapshot() for shard in collection.shards]
     brute_rows = sum(
-        int(rows.shape[0]) for s in snapshots for rows in s.brute_vectors
+        view.index.size
+        for shard in collection.shards
+        for view in shard.snapshot(collection.metric)
+        if not view.indexed
     )
     return qps, recall, brute_rows, profile
 

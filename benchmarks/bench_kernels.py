@@ -22,8 +22,7 @@ Two pinned properties of the distance-kernel rework
 The timed floor runs on real wall-clock (min-of-repeats, single process);
 everything else is deterministic.  Results land in ``BENCH_kernels.json``
 via :func:`benchmarks._record.record_bench`, including the measured
-ns/(row*dim) figure that :meth:`repro.vdms.cost_model.CostModel.calibrate_scan`
-accepts.
+ns/(row*dim) figure of the GEMM stage.
 """
 
 from __future__ import annotations

@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Ten subcommands cover the workflows a downstream user needs most often::
+Nine subcommands cover the workflows a downstream user needs most often::
 
     python -m repro.cli evaluate    --dataset glove-small --index-type HNSW
     python -m repro.cli tune        --dataset glove-small --iterations 50 --recall-floor 0.9
@@ -11,7 +11,6 @@ Ten subcommands cover the workflows a downstream user needs most often::
     python -m repro.cli tune-tenants --tenant-config tenants.json --budget 40
     python -m repro.cli recover     --data-dir /var/lib/vdms
     python -m repro.cli loadgen     --url http://127.0.0.1:8421 --qps 50 --duration 5
-    python -m repro.cli profile-scan --rows 20000 --dimension 128 --queries 8
 
 ``evaluate`` replays the workload once for a single configuration, ``tune``
 runs VDTuner and prints the recommended configuration, and ``compare`` runs
@@ -54,11 +53,6 @@ runs one SLO-constrained online tuner per tenant under a shared evaluation
 budget — each recall floor drives constrained acquisition, a declared cost
 budget switches that tenant to the QP$ objective — and exits non-zero if
 any tenant misses its floor.
-
-``profile-scan`` times the exact-scan kernel stage by stage
-(cast/GEMM/select/merge) on synthetic data; the per-(row x dim) GEMM figure
-it prints is what ``CostModel.calibrate_scan`` accepts to re-calibrate
-simulated scan latencies against the measured kernels.
 """
 
 from __future__ import annotations
@@ -378,29 +372,6 @@ def build_parser() -> argparse.ArgumentParser:
     loadgen.add_argument("--seed", type=int, default=0, help="random seed")
     loadgen.add_argument("--json", action="store_true",
                          help="print the report as JSON instead of a table")
-
-    profile_scan = subparsers.add_parser(
-        "profile-scan",
-        help="time the exact-scan kernel stage by stage (cast/GEMM/select/merge)",
-    )
-    profile_scan.add_argument("--rows", type=int, default=20_000,
-                              help="stored vectors in the synthetic segment")
-    profile_scan.add_argument("--dimension", type=int, default=128,
-                              help="vector dimensionality")
-    profile_scan.add_argument("--queries", type=int, default=8,
-                              help="queries per timed scan batch")
-    profile_scan.add_argument("--top-k", type=int, default=10,
-                              help="neighbours selected per query")
-    profile_scan.add_argument("--metric", default="angular",
-                              choices=["angular", "l2", "ip"],
-                              help="distance metric to profile")
-    profile_scan.add_argument("--shards", type=int, default=4,
-                              help="per-shard top-k lists fed to the merge stage")
-    profile_scan.add_argument("--repeats", type=int, default=7,
-                              help="timed repetitions per stage (minimum reported)")
-    profile_scan.add_argument("--seed", type=int, default=0, help="random seed")
-    profile_scan.add_argument("--json", action="store_true",
-                              help="print the timing table as JSON")
     return parser
 
 
@@ -1246,130 +1217,6 @@ def _command_loadgen(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_profile_scan(args: argparse.Namespace) -> int:
-    """Time the exact-scan kernel stage by stage on synthetic data.
-
-    Stages mirror the serving hot path: **cast** (float64 operand + row-norm
-    materialization — paid once per sealed segment, cached afterwards),
-    **gemm** (the blocked multi-query scan over the cached operand),
-    **select** (top-k selection from the distance matrix) and **merge**
-    (heap-merging per-shard top-k lists).  The per-(row x dim) nanosecond
-    figure printed for the GEMM stage is the number
-    :meth:`repro.vdms.cost_model.CostModel.calibrate_scan` accepts.
-    """
-    import time
-
-    import numpy as np
-
-    from repro.vdms.distance import (
-        ScanOperand,
-        pairwise_distances_blocked,
-        prepare_vectors,
-        top_k_select,
-    )
-    from repro.vdms.sharding import merge_topk
-
-    if args.rows < 1 or args.dimension < 1 or args.queries < 1:
-        _fail("--rows, --dimension and --queries must all be >= 1")
-    if args.top_k < 1:
-        _fail(f"--top-k must be >= 1 (got {args.top_k})")
-    if args.repeats < 1:
-        _fail(f"--repeats must be >= 1 (got {args.repeats})")
-    if args.shards < 1:
-        _fail(f"--shards must be >= 1 (got {args.shards})")
-
-    rng = np.random.default_rng(args.seed)
-    vectors = rng.standard_normal((args.rows, args.dimension)).astype(np.float32)
-    queries = rng.standard_normal((args.queries, args.dimension)).astype(np.float32)
-    stored = prepare_vectors(vectors, args.metric)
-    prepared_queries = prepare_vectors(queries, args.metric)
-    top_k = min(args.top_k, args.rows)
-
-    def timed(stage) -> list[float]:
-        samples = []
-        for _ in range(args.repeats):
-            start = time.perf_counter()
-            stage()
-            samples.append(time.perf_counter() - start)
-        return samples
-
-    # cast: what segment seal pays once so steady-state scans never do.
-    cast_samples = timed(
-        lambda: ScanOperand.prepare(stored, args.metric).materialize()
-    )
-    operand = ScanOperand.prepare(stored, args.metric).materialize()
-    gemm_samples = timed(
-        lambda: pairwise_distances_blocked(prepared_queries, operand, args.metric)
-    )
-    distances = pairwise_distances_blocked(prepared_queries, operand, args.metric)
-    select_samples = timed(lambda: top_k_select(distances, top_k))
-    _, ordered = top_k_select(distances, top_k)
-    shard_ids = [
-        rng.integers(0, args.rows, size=ordered.shape).astype(np.int64)
-        for _ in range(args.shards)
-    ]
-    shard_distances = [
-        np.sort(rng.random(ordered.shape).astype(np.float32), axis=1)
-        for _ in range(args.shards)
-    ]
-    merge_samples = timed(lambda: merge_topk(shard_ids, shard_distances, top_k))
-
-    row_dims = args.queries * args.rows * args.dimension
-    stages = [
-        ("cast", cast_samples, "once per sealed segment (cached afterwards)"),
-        ("gemm", gemm_samples, "blocked scan over the cached operand"),
-        ("select", select_samples, f"top-{top_k} from the distance matrix"),
-        ("merge", merge_samples, f"{args.shards}-shard top-k heap merge"),
-    ]
-    report = []
-    for name, samples, note in stages:
-        best = min(samples)
-        report.append(
-            {
-                "stage": name,
-                "min_ms": best * 1e3,
-                "median_ms": float(np.median(samples)) * 1e3,
-                "ns_per_row_dim": (best * 1e9 / row_dims) if name in ("cast", "gemm") else None,
-                "note": note,
-            }
-        )
-    if args.json:
-        print(json.dumps({
-            "rows": args.rows,
-            "dimension": args.dimension,
-            "queries": args.queries,
-            "top_k": top_k,
-            "metric": args.metric,
-            "repeats": args.repeats,
-            "stages": report,
-        }, indent=2, sort_keys=True))
-        return 0
-    rows = [
-        [
-            entry["stage"],
-            f"{entry['min_ms']:.3f}",
-            f"{entry['median_ms']:.3f}",
-            "-" if entry["ns_per_row_dim"] is None else f"{entry['ns_per_row_dim']:.4f}",
-            entry["note"],
-        ]
-        for entry in report
-    ]
-    print(format_table(
-        ["stage", "min ms", "median ms", "ns/(row*dim)", "notes"],
-        rows,
-        title=(
-            f"exact-scan profile: {args.rows} rows x {args.dimension}d, "
-            f"{args.queries} queries, metric={args.metric}"
-        ),
-    ))
-    print(
-        "feed the gemm ns/(row*dim) figure to "
-        "CostModel.calibrate_scan(full_ns_per_row_dim=...) to re-calibrate "
-        "simulated scan latencies"
-    )
-    return 0
-
-
 def main(argv: Sequence[str] | None = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = build_parser()
@@ -1384,7 +1231,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         "tune-tenants": _command_tune_tenants,
         "recover": _command_recover,
         "loadgen": _command_loadgen,
-        "profile-scan": _command_profile_scan,
     }
     return handlers[args.command](args)
 

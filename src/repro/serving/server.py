@@ -643,6 +643,7 @@ class _Handler(BaseHTTPRequestHandler):
         deadline_ms = body.get("deadline_ms")
         if deadline_ms is not None and not float(deadline_ms) > 0:
             raise _HTTPError(400, "'deadline_ms' must be positive")
+        attribute_filter = None
         filter_body = body.get("filter")
         if filter_body is not None:
             if not isinstance(filter_body, dict) or not {"field", "op", "value"} <= set(
@@ -657,14 +658,9 @@ class _Handler(BaseHTTPRequestHandler):
                 )
             except (ValueError, TypeError) as error:
                 raise _HTTPError(400, f"invalid 'filter': {error}") from None
-            request = SearchRequest(queries, top_k, filter=attribute_filter)
-            call = lambda: frontend.backend.search(name, request, use_cache=use_cache)  # noqa: E731
-        else:
-            call = lambda: frontend.backend.search(  # noqa: E731
-                name, queries, top_k, use_cache=use_cache
-            )
+        request = SearchRequest(queries, top_k, filter=attribute_filter)
         result = frontend.execute(
-            call,
+            lambda: frontend.backend.search(name, request, use_cache=use_cache),
             deadline_ms=None if deadline_ms is None else float(deadline_ms),
             tenant=name,
         )

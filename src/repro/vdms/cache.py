@@ -215,8 +215,7 @@ def request_cache_key(request: SearchRequest, system_config=None) -> tuple:
     strategy = request.filter_strategy
     overfetch = request.overfetch_factor
     if system_config is not None:
-        strategy = strategy or system_config.filter_strategy
-        overfetch = overfetch if overfetch is not None else system_config.overfetch_factor
+        strategy, overfetch = request.filter_knobs(system_config)
     return (
         queries_digest(request.queries),
         int(request.top_k),

@@ -4,11 +4,12 @@ A collection owns one or more :class:`~repro.vdms.sharding.Shard` horizontal
 partitions (``SystemConfig.shard_num``), routes inserted rows to shards by id
 (``SystemConfig.routing_policy``), builds one index per sealed segment inside
 each shard, and answers top-K searches with a scatter-gather plan: the query
-batch fans out to every shard (sealed segments through their index, growing
-or delete-invalidated segments by brute force) and the per-shard top-k lists
-are combined by a vectorized heap-merge.  Mutations and search snapshots are
-serialized by a collection lock, so concurrent searches keep computing on a
-consistent state while inserts, flushes and deletes land.
+batch fans out to every shard (every segment through the index that serves
+it — growing or delete-invalidated segments through their own exact FLAT
+index) and the per-shard top-k lists are combined by a vectorized heap-merge.
+Mutations and search snapshots are serialized by a collection lock, so
+concurrent searches keep computing on a consistent state while inserts,
+flushes and deletes land.
 """
 
 from __future__ import annotations
@@ -23,14 +24,7 @@ import numpy as np
 
 from repro.vdms.cache import CachedResult, TieredQueryCache, canonical_filter_key, request_cache_key
 from repro.vdms.cost_model import CollectionProfile
-from repro.vdms.distance import (
-    MASK_DENSE_SCAN_SELECTIVITY,
-    METRICS,
-    ScanOperand,
-    masked_topk,
-    pairwise_distances_blocked,
-    prepare_vectors,
-)
+from repro.vdms.distance import MASK_DENSE_SCAN_SELECTIVITY, METRICS
 from repro.vdms.durability import (
     CheckpointReport,
     DurabilityManager,
@@ -51,7 +45,7 @@ from repro.vdms.request import (
     SegmentPlan,
 )
 from repro.vdms.segment import Segment, SegmentState
-from repro.vdms.sharding import Shard, ShardSnapshot, merge_topk, shard_assignments
+from repro.vdms.sharding import SegmentView, Shard, merge_topk, shard_assignments
 from repro.vdms.system_config import SystemConfig
 
 __all__ = ["Collection", "SearchResult", "STRUCTURAL_PARAMETERS"]
@@ -640,21 +634,13 @@ class Collection:
         return np.zeros(rows, dtype=bool)
 
     def _plan_segment(
-        self,
-        request_filter: AttributeFilter,
-        attributes: Mapping[str, np.ndarray],
-        rows: int,
-        strategy: str,
-        *,
-        indexed: bool,
-        shard_id: int,
-        segment_id: int,
+        self, request_filter: AttributeFilter, view: SegmentView, strategy: str, shard_id: int
     ) -> tuple[np.ndarray, SegmentPlan]:
         """Resolve one segment's allow-mask and filter-execution strategy.
 
         The selectivity estimate is the evaluated mask's match fraction
         (exact for the scalar columns stored here; a real system would
-        sample or keep column statistics).  Brute-forced segments always
+        sample or keep column statistics).  Unindexed segments always
         pre-filter: a masked scan strictly dominates scanning every row and
         dropping.  ``"auto"`` resolves per segment via
         :data:`~repro.vdms.request.AUTO_PRE_FILTER_SELECTIVITY`.
@@ -662,14 +648,15 @@ class Collection:
         Pre-filter masked exact scans additionally resolve a ``scan_mode``:
         below :data:`~repro.vdms.distance.MASK_DENSE_SCAN_SELECTIVITY` the
         allowed rows are gathered before the GEMM (``"select"``), above it
-        the segment's cached operand is scanned densely and disallowed
+        the index's cached operand is scanned densely and disallowed
         columns masked to ``+inf`` (``"dense"``).  Both modes are
         bit-identical; the crossover is purely a throughput decision.
         """
-        mask = self._allow_mask(request_filter, attributes, rows)
+        rows = view.index.size
+        mask = self._allow_mask(request_filter, view.attributes, rows)
         allowed = int(mask.sum())
         selectivity = allowed / rows if rows else 0.0
-        if not indexed:
+        if not view.indexed:
             resolved = "pre"
         elif strategy == "auto":
             resolved = "pre" if selectivity <= AUTO_PRE_FILTER_SELECTIVITY else "post"
@@ -678,71 +665,64 @@ class Collection:
         scan_mode = "dense" if selectivity >= MASK_DENSE_SCAN_SELECTIVITY else "select"
         return mask, SegmentPlan(
             shard_id=shard_id,
-            segment_id=segment_id,
+            segment_id=view.segment_id,
             strategy=resolved,
             selectivity=selectivity,
             allowed_rows=allowed,
             live_rows=rows,
-            indexed=indexed,
+            indexed=view.indexed,
             scan_mode=scan_mode,
         )
 
     def _plan_snapshots(
-        self, request: SearchRequest, snapshots: list[ShardSnapshot]
-    ) -> tuple[SearchPlan, list[tuple[list, list]]]:
+        self, request: SearchRequest, snapshots: list[list[SegmentView]]
+    ) -> tuple[SearchPlan, list[list[tuple[np.ndarray, SegmentPlan]]]]:
         """Build the :class:`SearchPlan` of a filtered request.
 
-        Returns the plan plus, per shard, the pair of per-segment
-        ``(mask, resolved_strategy, scan_mode)`` / ``(mask, scan_mode)``
-        lists aligned with the snapshot's ``indexed`` and brute lists,
-        which the scatter phase executes.
+        Returns the plan plus, per shard, the ``(allow_mask, segment_plan)``
+        pairs aligned with the snapshot's views, which the scatter phase
+        executes.
         """
-        strategy = request.filter_strategy or self.system_config.filter_strategy
-        overfetch = (
-            request.overfetch_factor
-            if request.overfetch_factor is not None
-            else self.system_config.overfetch_factor
-        )
-        segment_plans: list[SegmentPlan] = []
-        shard_masks: list[tuple[list, list]] = []
-        for snapshot in snapshots:
-            indexed_masks: list[tuple[np.ndarray, str, str]] = []
-            brute_masks: list[tuple[np.ndarray, str]] = []
-            for index, attributes, segment_id in zip(
-                snapshot.indexed, snapshot.indexed_attributes, snapshot.indexed_segment_ids
-            ):
-                mask, plan = self._plan_segment(
-                    request.filter, attributes, index.size, strategy,
-                    indexed=True, shard_id=snapshot.shard_id, segment_id=segment_id,
-                )
-                segment_plans.append(plan)
-                indexed_masks.append((mask, plan.strategy, plan.scan_mode))
-            for rows, attributes, segment_id in zip(
-                snapshot.brute_vectors, snapshot.brute_attributes, snapshot.brute_segment_ids
-            ):
-                mask, plan = self._plan_segment(
-                    request.filter, attributes, int(rows.shape[0]), strategy,
-                    indexed=False, shard_id=snapshot.shard_id, segment_id=segment_id,
-                )
-                segment_plans.append(plan)
-                brute_masks.append((mask, plan.scan_mode))
-            shard_masks.append((indexed_masks, brute_masks))
+        strategy, overfetch = request.filter_knobs(self.system_config)
+        shard_plans = [
+            [self._plan_segment(request.filter, view, strategy, shard_id) for view in views]
+            for shard_id, views in enumerate(snapshots)
+        ]
         plan = SearchPlan(
             strategy=strategy,
-            overfetch_factor=float(overfetch),
-            segments=tuple(segment_plans),
+            overfetch_factor=overfetch,
+            segments=tuple(
+                segment_plan for planned in shard_plans for _, segment_plan in planned
+            ),
         )
-        return plan, shard_masks
+        return plan, shard_plans
 
-    def _plan_cache_key(self, request: SearchRequest) -> tuple:
-        """Plan-tier cache key: canonical predicate + resolved strategy knobs."""
-        strategy = request.filter_strategy or self.system_config.filter_strategy
-        overfetch = float(
-            request.overfetch_factor
-            if request.overfetch_factor is not None
-            else self.system_config.overfetch_factor
+    def _planned(
+        self,
+        request: SearchRequest,
+        snapshots: list[list[SegmentView]],
+        version: int,
+        cache: TieredQueryCache | None,
+    ) -> tuple[SearchPlan, list[list[tuple[np.ndarray, SegmentPlan]]], bool]:
+        """The plan and allow-masks of a filtered request, via the plan tier.
+
+        Returns ``(plan, shard_plans, evaluated)``.  ``evaluated`` is
+        ``False`` on a plan-tier hit: the masks were computed from the same
+        version's snapshots (deterministic), so they align segment by
+        segment, and the predicate was not re-evaluated for this request.
+        """
+        if cache is None:
+            return (*self._plan_snapshots(request, snapshots), True)
+        plan_key = (
+            canonical_filter_key(request.filter),
+            *request.filter_knobs(self.system_config),
         )
-        return (canonical_filter_key(request.filter), strategy, overfetch)
+        cached = cache.get_plan(version, plan_key)
+        if cached is not None:
+            return (*cached, False)
+        planned = self._plan_snapshots(request, snapshots)
+        cache.put_plan(version, plan_key, planned)
+        return (*planned, True)
 
     def plan_search(self, request: SearchRequest) -> SearchPlan:
         """Plan (without executing) a filtered request against the live state.
@@ -753,40 +733,26 @@ class Collection:
         plan tier afterwards.
         """
         if request.filter is None:
-            return SearchPlan(
-                strategy=request.filter_strategy or self.system_config.filter_strategy,
-                overfetch_factor=float(
-                    request.overfetch_factor
-                    if request.overfetch_factor is not None
-                    else self.system_config.overfetch_factor
-                ),
-            )
+            strategy, overfetch = request.filter_knobs(self.system_config)
+            return SearchPlan(strategy=strategy, overfetch_factor=overfetch)
         with self._lock:
             version = self._version
             snapshots = [shard.snapshot(self.metric) for shard in self._shards]
-        cache = self._query_cache
-        plan_key = self._plan_cache_key(request) if cache is not None else None
-        if cache is not None:
-            cached = cache.get_plan(version, plan_key)
-            if cached is not None:
-                return cached[0]
-        plan, shard_masks = self._plan_snapshots(request, snapshots)
-        if cache is not None:
-            cache.put_plan(version, plan_key, (plan, shard_masks))
-        return plan
+        return self._planned(request, snapshots, version, self._query_cache)[0]
 
     def _search_snapshot(
         self,
-        snapshot: ShardSnapshot,
+        views: list[SegmentView],
         request: SearchRequest,
-        prepared_queries: np.ndarray,
-        masks: tuple[list, list] | None,
-        overfetch_factor: float,
-        *,
-        charge_filter_scan: bool = True,
+        plan: SearchPlan | None,
+        planned: list[tuple[np.ndarray, SegmentPlan]] | None,
+        charge_filter_scan: bool,
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """Top-K over one shard snapshot: indexed segments, then brute force.
+        """Top-K over one shard snapshot: every segment through its index.
 
+        For a filtered request ``plan`` is its resolved plan and ``planned``
+        the shard's ``(allow_mask, segment_plan)`` pairs, aligned with
+        ``views``; both are ``None`` unfiltered.
         ``charge_filter_scan`` is ``False`` when the allow-masks came from
         the plan tier of the query cache: the predicate was not re-evaluated
         for this request, so no mask-building scan is charged.
@@ -794,75 +760,26 @@ class Collection:
         queries = request.queries
         top_k = request.top_k
         stats = SearchStats(num_queries=queries.shape[0])
-        indexed_masks = (
-            masks[0] if masks is not None else [(None, "pre", None)] * len(snapshot.indexed)
-        )
-        brute_masks = (
-            masks[1] if masks is not None else [(None, None)] * len(snapshot.brute_vectors)
-        )
         candidate_ids: list[np.ndarray] = []
         candidate_distances: list[np.ndarray] = []
-        for index, (mask, strategy, scan_mode) in zip(snapshot.indexed, indexed_masks):
-            if mask is None:
-                ids, distances, segment_stats = index.search(queries, top_k)
+        for position, view in enumerate(views):
+            if planned is None:
+                ids, distances, segment_stats = view.index.search(queries, top_k)
             else:
+                mask, segment_plan = planned[position]
                 if charge_filter_scan:
-                    stats.filter_rows_scanned += index.size
-                ids, distances, segment_stats = index.search(
+                    stats.filter_rows_scanned += view.index.size
+                ids, distances, segment_stats = view.index.search(
                     queries,
                     top_k,
                     allow_mask=mask,
-                    strategy=strategy,
-                    overfetch_factor=overfetch_factor,
-                    scan_mode=scan_mode,
+                    strategy=segment_plan.strategy,
+                    overfetch_factor=plan.overfetch_factor,
+                    scan_mode=segment_plan.scan_mode,
                 )
             stats.merge(segment_stats)
             candidate_ids.append(ids)
             candidate_distances.append(distances)
-        for position, ((rows, row_ids), (mask, scan_mode)) in enumerate(
-            zip(zip(snapshot.brute_vectors, snapshot.brute_ids), brute_masks)
-        ):
-            # The snapshot carries each brute segment's cached scan operand
-            # (float64 cast + row norms computed once per sealed array); a
-            # metric-less snapshot falls back to a transient operand, which
-            # is bit-identical — the cache only changes who pays the cast.
-            operand = (
-                snapshot.brute_operands[position] if snapshot.brute_operands else None
-            )
-            if operand is None:
-                operand = ScanOperand.prepare(
-                    prepare_vectors(rows, self.metric), self.metric
-                )
-            num_rows = int(rows.shape[0])
-            if mask is not None:
-                # Brute-forced segments always pre-filter: only the allowed
-                # rows are scored (the mask evaluation itself is the charged
-                # scan).  ``scan_mode`` picks gather-then-GEMM vs dense
-                # scan + inf-mask; both are bit-identical and both charge
-                # the logical q x allowed work.
-                if charge_filter_scan:
-                    stats.filter_rows_scanned += num_rows
-                allowed = int(np.count_nonzero(mask))
-                stats.segments_searched += int(queries.shape[0])
-                if allowed == 0:
-                    continue
-                positions_, ordered, _ = masked_topk(
-                    prepared_queries, operand, mask, top_k, self.metric,
-                    scan_mode=scan_mode,
-                )
-                stats.distance_evaluations += int(queries.shape[0]) * allowed
-                candidate_ids.append(row_ids[positions_])
-                candidate_distances.append(ordered)
-                continue
-            stats.segments_searched += int(queries.shape[0])
-            if num_rows == 0:
-                continue
-            distances = pairwise_distances_blocked(prepared_queries, operand, self.metric)
-            stats.distance_evaluations += int(queries.shape[0]) * num_rows
-            keep = min(top_k, num_rows)
-            positions_, ordered = VectorIndex._top_k_from_distances(distances, keep)
-            candidate_ids.append(row_ids[positions_])
-            candidate_distances.append(ordered)
         if not candidate_ids:
             empty_shape = (queries.shape[0], 0)
             return np.empty(empty_shape, dtype=np.int64), np.empty(empty_shape), stats
@@ -873,9 +790,9 @@ class Collection:
         """Scatter-gather top-K search across every shard.
 
         ``queries`` is either a plain query array paired with ``top_k``
-        (the back-compat wrapper form) or a full
-        :class:`~repro.vdms.request.SearchRequest` — the query-plan path:
-        an attribute-filtered request is planned per segment from the
+        or a full :class:`~repro.vdms.request.SearchRequest` (everything
+        below this entry point sees the request form only).  An
+        attribute-filtered request is planned per segment from the
         estimated selectivity (pre-filter vs post-filter, see
         :meth:`plan_search`) before the scatter phase executes it.
 
@@ -890,22 +807,15 @@ class Collection:
         lock, so a hit can never straddle a mutation.
 
         The scatter phase runs the query batch against each shard's snapshot
-        (sealed segments through their index, growing and delete-invalidated
-        segments by brute force); the gather phase heap-merges the per-shard
-        top-k lists into the global top-k.  A filter matching fewer than
-        ``top_k`` live rows pads the tail with id ``-1`` / distance ``inf``.
-        Snapshots are taken under the collection lock, so concurrent
-        mutations never tear a search.
+        — every segment through its index, which for a growing or
+        delete-invalidated segment is the segment's own exact FLAT index —
+        and the gather phase heap-merges the per-shard top-k lists into the
+        global top-k.  A filter matching fewer than ``top_k`` live rows pads
+        the tail with id ``-1`` / distance ``inf``.  Snapshots are taken
+        under the collection lock, so concurrent mutations never tear a
+        search.
         """
-        if isinstance(queries, SearchRequest):
-            if top_k is not None:
-                raise ValueError("top_k is carried by the SearchRequest; do not pass both")
-            request = queries
-        else:
-            if top_k is None:
-                raise ValueError("top_k is required when queries is a plain array")
-            request = SearchRequest(queries=queries, top_k=int(top_k))
-
+        request = SearchRequest.coerce(queries, top_k)
         cache = self._query_cache if use_cache else None
         result_key: tuple | None = None
         with self._lock:
@@ -916,48 +826,30 @@ class Collection:
                 if hit is not None:
                     return self._result_from_cache(request, hit)
             snapshots = [shard.snapshot(self.metric) for shard in self._shards]
-            has_index = self.has_index
-        if all(snapshot.is_empty for snapshot in snapshots):
+            unbuilt = not self.has_index and self.num_sealed_segments > 0
+        if not any(snapshots):
             raise IndexNotBuiltError("collection is empty; insert and flush before searching")
-        if any(
-            snapshot.indexed or snapshot.has_unindexed_sealed for snapshot in snapshots
-        ) and not has_index:
+        if unbuilt:
             raise IndexNotBuiltError("no index built; call create_index first")
 
         plan: SearchPlan | None = None
-        shard_masks: list[tuple[list, list]] | None = None
+        shard_plans: list[list[tuple[np.ndarray, SegmentPlan]]] | None = None
         charge_filter_scan = True
-        overfetch = float(
-            request.overfetch_factor
-            if request.overfetch_factor is not None
-            else self.system_config.overfetch_factor
-        )
         if request.filter is not None:
-            if cache is not None:
-                plan_key = self._plan_cache_key(request)
-                cached_plan = cache.get_plan(version, plan_key)
-                if cached_plan is not None:
-                    # The masks were computed from the same version's
-                    # snapshots (deterministic), so they align segment by
-                    # segment; the predicate is not re-evaluated, so the
-                    # mask-building scan is not re-charged.
-                    plan, shard_masks = cached_plan
-                    charge_filter_scan = False
-            if plan is None:
-                plan, shard_masks = self._plan_snapshots(request, snapshots)
-                if cache is not None:
-                    cache.put_plan(version, plan_key, (plan, shard_masks))
-            overfetch = plan.overfetch_factor
+            plan, shard_plans, charge_filter_scan = self._planned(
+                request, snapshots, version, cache
+            )
 
-        prepared_queries = prepare_vectors(request.queries, self.metric)
         shard_stats: list[SearchStats] = []
         shard_ids: list[np.ndarray] = []
         shard_distances: list[np.ndarray] = []
-        for position, snapshot in enumerate(snapshots):
-            masks = shard_masks[position] if shard_masks is not None else None
+        for position, views in enumerate(snapshots):
             ids, distances, stats = self._search_snapshot(
-                snapshot, request, prepared_queries, masks, overfetch,
-                charge_filter_scan=charge_filter_scan,
+                views,
+                request,
+                plan,
+                shard_plans[position] if shard_plans is not None else None,
+                charge_filter_scan,
             )
             shard_stats.append(stats)
             shard_ids.append(ids)
@@ -967,13 +859,7 @@ class Collection:
         total = SearchStats(num_queries=request.queries.shape[0])
         for stats in shard_stats:
             total.merge(stats)
-        filter_stats = None
-        if plan is not None:
-            filter_stats = FilterStats.from_plan(
-                plan,
-                rows_scanned=total.filter_rows_scanned,
-                candidates_dropped=total.filter_candidates_dropped,
-            )
+        filter_stats = FilterStats.from_plan(plan, total) if plan is not None else None
         if cache is not None:
             cache.put_result(
                 version,
@@ -999,7 +885,7 @@ class Collection:
         if hit.plan is not None:
             # The plan describes the memoized execution; no filter work was
             # performed for *this* request, so the counters report zero.
-            filter_stats = FilterStats.from_plan(hit.plan, rows_scanned=0, candidates_dropped=0)
+            filter_stats = FilterStats.from_plan(hit.plan, stats)
         return SearchResult(
             ids=hit.ids.copy(),
             distances=hit.distances.copy(),

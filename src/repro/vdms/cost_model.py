@@ -209,44 +209,6 @@ class CostModel:
             raise ValueError("measured saturation QPS must be positive")
         self.measured_saturation_qps = qps
 
-    def calibrate_scan(
-        self,
-        full_ns_per_row_dim: float | None,
-        *,
-        code_ns_per_row_dim: float | None = None,
-    ) -> None:
-        """Calibrate scoring costs from measured per-row scan timings.
-
-        The kernel benchmark (``benchmarks/bench_kernels.py``) times the real
-        GEMM scan path and reports nanoseconds per (row x dimension) scored —
-        full-precision for the exact kernels, quantized-code for the SQ8 fast
-        path.  Registering those numbers here overrides
-        :data:`FULL_EVAL_US_PER_DIM` / :data:`CODE_EVAL_US_PER_DIM` *on this
-        instance only* (the class constants are the portable defaults every
-        other instance keeps), so simulated latencies track the cached-norm +
-        blocked-GEMM kernels actually serving queries rather than the
-        pre-optimization constants.
-
-        ``full_ns_per_row_dim=None`` clears the calibration — the default,
-        which keeps every simulated trajectory bit-identical to the
-        uncalibrated model (the same contract as
-        :meth:`calibrate_saturation`).
-        """
-        if full_ns_per_row_dim is None and code_ns_per_row_dim is None:
-            for name in ("FULL_EVAL_US_PER_DIM", "CODE_EVAL_US_PER_DIM"):
-                self.__dict__.pop(name, None)
-            return
-        if full_ns_per_row_dim is not None:
-            full = float(full_ns_per_row_dim)
-            if not full > 0.0:
-                raise ValueError("measured scan ns/(row*dim) must be positive")
-            self.FULL_EVAL_US_PER_DIM = full * 1e-3
-        if code_ns_per_row_dim is not None:
-            code = float(code_ns_per_row_dim)
-            if not code > 0.0:
-                raise ValueError("measured code-scan ns/(row*dim) must be positive")
-            self.CODE_EVAL_US_PER_DIM = code * 1e-3
-
     # -- per-query latency -------------------------------------------------------
 
     def query_work_microseconds(self, stats: SearchStats, profile: CollectionProfile) -> dict[str, float]:

@@ -10,7 +10,7 @@ relative costs that drive the paper's trade-offs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -20,7 +20,6 @@ from repro.vdms.distance import (
     ScanOperand,
     masked_topk,
     prepare_vectors,
-    top_k_select,
 )
 from repro.vdms.errors import IndexNotBuiltError
 
@@ -84,6 +83,19 @@ class SearchStats:
         self.filter_rows_scanned += other.filter_rows_scanned
         self.filter_candidates_dropped += other.filter_candidates_dropped
         self.cache_hits += other.cache_hits
+        return self
+
+    def accumulate(self, other: "SearchStats") -> "SearchStats":
+        """Add another *request's* record into this one (in place).
+
+        Unlike :meth:`merge` — the per-segment fold within one request,
+        where ``num_queries`` is the shared batch size — requests carry
+        distinct queries, so every counter sums, ``num_queries`` included.
+        """
+        for counter in fields(self):
+            setattr(
+                self, counter.name, getattr(self, counter.name) + getattr(other, counter.name)
+            )
         return self
 
     def total_work(self) -> int:
@@ -389,24 +401,6 @@ class VectorIndex(ABC):
         self, queries: np.ndarray, top_k: int
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Search pre-processed ``queries``; return positions, distances, stats."""
-
-    # -- helpers ---------------------------------------------------------------
-
-    @staticmethod
-    def _top_k_from_distances(
-        distances: np.ndarray, top_k: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Select the smallest ``top_k`` entries per row of a distance matrix.
-
-        Delegates to :func:`repro.vdms.distance.top_k_select`: equal
-        distances resolve by ascending position, making the selection
-        deterministic for degenerate (duplicate-vector) inputs; since stored
-        rows keep insertion order, position ties are id ties for
-        auto-assigned ids — the contract the shard merge
-        (:func:`repro.vdms.sharding.merge_topk`) builds its cross-shard
-        id tie-breaking on.
-        """
-        return top_k_select(distances, top_k)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         state = "built" if self.is_built else "empty"

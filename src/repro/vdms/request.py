@@ -40,9 +40,13 @@ filter-execution trade-offs instead of a recall cap.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import TYPE_CHECKING, Any, Mapping
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from repro.vdms.index.base import SearchStats
+    from repro.vdms.system_config import SystemConfig
 
 __all__ = [
     "ATTRIBUTE_MISSING",
@@ -212,6 +216,32 @@ class SearchRequest:
         if self.overfetch_factor is not None and float(self.overfetch_factor) < 1.0:
             raise ValueError("overfetch_factor must be >= 1.0")
 
+    @classmethod
+    def coerce(cls, queries: Any, top_k: int | None = None) -> "SearchRequest":
+        """The request behind either public call shape.
+
+        The public entry points accept ``(request)`` or ``(array, top_k)``;
+        everything below them sees only requests.
+        """
+        if isinstance(queries, SearchRequest):
+            if top_k is not None:
+                raise ValueError("top_k is carried by the SearchRequest; do not pass both")
+            return queries
+        if top_k is None:
+            raise ValueError("top_k is required when queries is a plain array")
+        return cls(queries=queries, top_k=top_k)
+
+    def filter_knobs(self, system_config: "SystemConfig") -> tuple[str, float]:
+        """The ``(filter_strategy, overfetch_factor)`` in force for this request.
+
+        The request's own setting where given, the system configuration's
+        otherwise.
+        """
+        overfetch = self.overfetch_factor
+        if overfetch is None:
+            overfetch = system_config.overfetch_factor
+        return self.filter_strategy or system_config.filter_strategy, float(overfetch)
+
     def slice(self, start: int, stop: int) -> "SearchRequest":
         """A request carrying only queries ``[start:stop)`` (same plan knobs)."""
         return SearchRequest(
@@ -346,11 +376,11 @@ class FilterStats:
     selectivity: float = 1.0
 
     @classmethod
-    def from_plan(cls, plan: SearchPlan, *, rows_scanned: int, candidates_dropped: int) -> "FilterStats":
-        """Fold a resolved plan and the executed counters into one record."""
+    def from_plan(cls, plan: SearchPlan, stats: "SearchStats") -> "FilterStats":
+        """Fold a resolved plan and the executed search's counters into one record."""
         return cls(
-            rows_scanned=int(rows_scanned),
-            candidates_dropped=int(candidates_dropped),
+            rows_scanned=int(stats.filter_rows_scanned),
+            candidates_dropped=int(stats.filter_candidates_dropped),
             pre_segments=plan.pre_segments,
             post_segments=plan.post_segments,
             selectivity=plan.mean_selectivity,

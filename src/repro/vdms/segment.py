@@ -32,7 +32,7 @@ from enum import Enum
 
 import numpy as np
 
-from repro.vdms.distance import ScanOperand, prepare_vectors
+from repro.vdms.index.flat import FlatIndex
 from repro.vdms.request import ATTRIBUTE_MISSING
 from repro.vdms.system_config import SystemConfig
 
@@ -144,12 +144,11 @@ class Segment:
     _live_cache: tuple[np.ndarray, np.ndarray, dict[str, np.ndarray]] | None = field(
         default=None, repr=False, compare=False
     )
-    #: Per-metric scan operand over the live vectors (cached float64 cast +
-    #: per-row norms, see :class:`repro.vdms.distance.ScanOperand`), keyed by
-    #: metric and tagged with the live-vector array it was built from so a
-    #: tombstone rewrite (which replaces the live view) invalidates it.
-    _operand_cache: dict[str, tuple[np.ndarray, ScanOperand]] = field(
-        default_factory=dict, repr=False, compare=False
+    #: Exact index over the live rows (see :meth:`exact_index`), tagged with
+    #: the metric and the live-vector array it serves so a rewrite of that
+    #: array (which replaces the live view) invalidates it.
+    _exact_cache: tuple[str, np.ndarray, FlatIndex] | None = field(
+        default=None, repr=False, compare=False
     )
 
     @property
@@ -217,24 +216,25 @@ class Segment:
         """Attribute columns of the live rows (aligned with ``live_ids``)."""
         return self.live_view()[2]
 
-    def scan_operand(self, metric: str) -> ScanOperand:
-        """Cached :class:`~repro.vdms.distance.ScanOperand` over the live rows.
+    def exact_index(self, metric: str) -> FlatIndex:
+        """Cached :class:`~repro.vdms.index.flat.FlatIndex` over the live rows.
 
-        Built lazily per metric and reused across every brute-force scan of
-        the segment, so steady-state scans skip the per-call float64 cast
-        and norm reduction.  The cache entry is keyed on the identity of the
-        live-vector array: tombstone applications and growing-segment
-        rewrites *replace* that array (never mutate it), so a stale operand
-        can never be served.  The heavy cast/norm members materialize on
-        first scan; concurrent first scans race benignly (idempotent).
+        What serves the segment while it has no built index (growing,
+        delete-invalidated, freshly sealed): the search path calls it exactly
+        like a built one.  It is reused across searches, so steady-state
+        scans skip the float64 cast and norm reduction its scan operand
+        caches.  The cache is keyed on the identity of the live-vector
+        array: tombstone applications and growing-segment rewrites *replace*
+        that array (never mutate it), so a stale index can never be served.
+        The heavy cast/norm members materialize on first scan, outside the
+        collection lock; concurrent first scans race benignly (idempotent).
         """
-        vectors = self.live_view()[0]
-        entry = self._operand_cache.get(metric)
-        if entry is None or entry[0] is not vectors:
-            operand = ScanOperand.prepare(prepare_vectors(vectors, metric), metric)
-            self._operand_cache[metric] = (vectors, operand)
-            return operand
-        return entry[1]
+        vectors, ids, _ = self.live_view()
+        cached = self._exact_cache
+        if cached is None or cached[0] != metric or cached[1] is not vectors:
+            cached = (metric, vectors, FlatIndex.over(vectors, ids, metric))
+            self._exact_cache = cached
+        return cached[2]
 
     def freeze_arrays(self) -> None:
         """Mark the physical arrays read-only (sealed segments only).
@@ -268,7 +268,7 @@ class Segment:
         combined = hits if self.tombstones is None else (self.tombstones | hits)
         self.tombstones = combined
         self._live_cache = None
-        self._operand_cache.clear()
+        self._exact_cache = None
         self.live_arrays()  # rebuild the cache eagerly, under the caller's lock
         return newly
 

@@ -34,12 +34,12 @@ import concurrent.futures
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from repro.vdms.distance import ScanOperand
 from repro.vdms.index.base import SearchStats, VectorIndex
+from repro.vdms.request import FilterStats, SearchRequest
 from repro.vdms.segment import SegmentManager, SegmentState
 from repro.vdms.system_config import ROUTING_POLICIES, SystemConfig
 
@@ -49,7 +49,7 @@ __all__ = [
     "shard_assignments",
     "merge_topk",
     "Shard",
-    "ShardSnapshot",
+    "SegmentView",
     "QueryScheduler",
     "ScheduleTrace",
     "simulate_makespan",
@@ -160,51 +160,34 @@ def merge_topk(
     return final_ids, ordered
 
 
-@dataclass
-class ShardSnapshot:
-    """An immutable view of one shard taken under the collection lock.
+class SegmentView(NamedTuple):
+    """One live segment as a search sees it, captured under the collection lock.
 
-    ``indexed`` lists the indexes serving the shard's indexed sealed
-    segments (an index owns a private copy of its rows, so it is
-    self-contained); ``brute_vectors``/``brute_ids`` are consistent
-    ``(rows, ids)`` array pairs of the segments that must be scanned
-    exactly — growing segments plus sealed segments whose index was
-    invalidated by deletes.  ``indexed_attributes``/``brute_attributes``
-    carry each segment's live attribute columns, row-aligned with the
-    index's stored positions (respectively the brute arrays), which is
-    what lets the query planner evaluate attribute filters per segment;
-    ``indexed_segment_ids``/``brute_segment_ids`` name the segments for
-    the plan.  Deletions *replace* segment arrays (and tombstone bitmaps,
-    and the cached live views derived from them) rather than mutating
-    them, so capturing the array references under the lock gives every
+    ``index`` serves the segment: its built per-segment index when it has
+    one (``indexed``), otherwise the segment's cached exact
+    :class:`~repro.vdms.index.flat.FlatIndex` over its live rows — growing
+    segments, sealed segments whose index was invalidated by deletes, and
+    segments sealed since the last build.  Either way the search path only
+    ever calls ``index.search``.  ``attributes`` are the segment's live
+    attribute columns, row-aligned with the index's stored positions (an
+    index is always built over the segment's current live rows — deletes
+    drop it), which is what lets the query planner evaluate attribute
+    filters per segment.
+
+    Deletions *replace* segment arrays (and tombstone bitmaps, and the
+    cached live views and exact indexes derived from them) rather than
+    mutating them, so capturing the references under the lock gives every
     search a coherent state to compute on, however many mutations land
-    while it runs.
-
-    The snapshot is zero-copy: every array here is a direct view of the
-    segment's storage (sealed arrays are frozen read-only at seal time —
-    see :meth:`repro.vdms.segment.Segment.freeze_arrays` — and a debug
-    assert in :meth:`Shard.snapshot` enforces it).  ``brute_operands``
-    carries each brute segment's cached
-    :class:`~repro.vdms.distance.ScanOperand` (parallel to
-    ``brute_vectors``; ``None`` entries when the snapshot was taken without
-    a metric), so steady-state brute scans reuse the float64 cast + norms
-    across queries.
+    while it runs.  The view is zero-copy: an unindexed segment's index
+    scans the segment's own storage (sealed arrays are frozen read-only at
+    seal time — see :meth:`repro.vdms.segment.Segment.freeze_arrays` — and
+    a debug assert in :meth:`Shard.snapshot` enforces it).
     """
 
-    shard_id: int = 0
-    indexed: list[VectorIndex] = field(default_factory=list)
-    brute_vectors: list[np.ndarray] = field(default_factory=list)
-    brute_operands: list[ScanOperand | None] = field(default_factory=list)
-    brute_ids: list[np.ndarray] = field(default_factory=list)
-    indexed_attributes: list[dict[str, np.ndarray]] = field(default_factory=list)
-    brute_attributes: list[dict[str, np.ndarray]] = field(default_factory=list)
-    indexed_segment_ids: list[int] = field(default_factory=list)
-    brute_segment_ids: list[int] = field(default_factory=list)
-    has_unindexed_sealed: bool = False
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.indexed and not self.brute_vectors
+    segment_id: int
+    index: VectorIndex
+    attributes: dict[str, np.ndarray]
+    indexed: bool
 
 
 class Shard:
@@ -262,49 +245,30 @@ class Shard:
 
     # -- reading ----------------------------------------------------------------
 
-    def snapshot(self, metric: str | None = None) -> ShardSnapshot:
-        """Capture the current (segment, index) layout for a lock-free search.
+    def snapshot(self, metric: str) -> list[SegmentView]:
+        """Capture the current per-segment layout for a lock-free search.
 
-        With ``metric`` given, each brute segment's cached scan operand is
-        captured alongside its arrays (a cheap wrapper reference — the heavy
-        cast/norm members materialize lazily on first scan, outside the
-        lock).  The snapshot hands out the segment arrays themselves, never
-        copies; sealed arrays must already be frozen read-only, which the
-        debug assert below enforces.
+        One :class:`SegmentView` per live segment, sealed segments first,
+        then growing.  Nothing heavy runs here: a built index is captured by
+        reference and an unindexed segment hands out its cached exact index
+        (a cheap wrapper over the segment's own arrays, never copies — its
+        cast/norm members materialize on first scan, outside the lock).
+        Sealed arrays must already be frozen read-only, which the debug
+        assert below enforces.
         """
-        snapshot = ShardSnapshot(shard_id=self.shard_id)
-        for segment in self.segments.sealed_segments:
+        views: list[SegmentView] = []
+        for segment in self.segments.sealed_segments + self.segments.growing_segments:
             index = self.indexes.get(segment.segment_id)
-            vectors, ids, attributes = segment.live_view()
+            vectors, _, attributes = segment.live_view()
             assert segment.state is SegmentState.GROWING or not vectors.flags.writeable, (
                 f"sealed segment {segment.segment_id} serves a writable array; "
                 "zero-copy snapshots require frozen sealed storage"
             )
-            if index is None:
-                snapshot.brute_vectors.append(vectors)
-                snapshot.brute_operands.append(
-                    segment.scan_operand(metric) if metric is not None else None
-                )
-                snapshot.brute_ids.append(ids)
-                snapshot.brute_attributes.append(attributes)
-                snapshot.brute_segment_ids.append(segment.segment_id)
-                snapshot.has_unindexed_sealed = True
-            else:
-                # An index is always built over the segment's current live
-                # rows (deletes drop it), so the live attribute columns are
-                # row-aligned with the index's stored positions.
-                snapshot.indexed.append(index)
-                snapshot.indexed_attributes.append(attributes)
-                snapshot.indexed_segment_ids.append(segment.segment_id)
-        for segment in self.segments.growing_segments:
-            snapshot.brute_vectors.append(segment.vectors)
-            snapshot.brute_operands.append(
-                segment.scan_operand(metric) if metric is not None else None
-            )
-            snapshot.brute_ids.append(segment.ids)
-            snapshot.brute_attributes.append(segment.attributes)
-            snapshot.brute_segment_ids.append(segment.segment_id)
-        return snapshot
+            indexed = index is not None
+            if not indexed:
+                index = segment.exact_index(metric)
+            views.append(SegmentView(segment.segment_id, index, attributes, indexed))
+        return views
 
     @property
     def num_rows(self) -> int:
@@ -340,6 +304,16 @@ class ScheduleTrace:
     request_shard_stats: list[list[SearchStats]] = field(default_factory=list)
     served_requests: list[int] = field(default_factory=list)
     wall_seconds: float = 0.0
+
+    def request_stats(self) -> list[SearchStats]:
+        """Each request's counted work: its shard tasks merged into one record."""
+        merged: list[SearchStats] = []
+        for shard_stats in self.request_shard_stats:
+            request_total = SearchStats()
+            for stats in shard_stats:
+                request_total.merge(stats)
+            merged.append(request_total)
+        return merged
 
 
 def simulate_makespan(task_seconds: Sequence[Sequence[float]], workers: int) -> float:
@@ -434,31 +408,19 @@ class QueryScheduler:
 
         ``queries`` is either a plain query array (with ``top_k``) or a
         :class:`~repro.vdms.request.SearchRequest`, whose filter and
-        strategy knobs are pushed down to every per-query request.  With an
-        array, ``search_fn(queries, top_k)`` is called per query; with a
-        request, ``search_fn(request_slice)`` is.  Either way it must
-        return a :class:`~repro.vdms.collection.SearchResult`-like object
-        with ``ids``, ``distances``, ``stats`` and (optionally)
-        ``shard_stats``.
+        strategy knobs are pushed down to every per-query request.  Either
+        way ``search_fn`` is handed one single-query request slice per
+        query and must return a
+        :class:`~repro.vdms.collection.SearchResult`-like object with
+        ``ids``, ``distances``, ``stats`` and (optionally) ``shard_stats``.
         """
         from repro.vdms.collection import SearchResult
-        from repro.vdms.request import SearchRequest
 
-        request: SearchRequest | None = None
-        if isinstance(queries, SearchRequest):
-            request = queries
-            queries = request.queries
-            top_k = request.top_k
-        else:
-            if top_k is None:
-                raise ValueError("top_k is required when queries is a plain array")
-            queries = np.asarray(queries, dtype=np.float32)
-            if queries.ndim == 1:
-                queries = queries[None, :]
-        num_requests = int(queries.shape[0])
+        request = SearchRequest.coerce(queries, top_k)
+        num_requests = int(request.queries.shape[0])
         trace = ScheduleTrace(num_requests=num_requests)
         if num_requests == 0:
-            empty = np.empty((0, int(top_k)), dtype=np.int64)
+            empty = np.empty((0, request.top_k), dtype=np.int64)
             return (
                 SearchResult(ids=empty, distances=empty.astype(np.float64), stats=SearchStats()),
                 trace,
@@ -469,10 +431,7 @@ class QueryScheduler:
         started = time.perf_counter()
 
         def serve(request_id: int):
-            if request is not None:
-                outcome = search_fn(request.slice(request_id, request_id + 1))
-            else:
-                outcome = search_fn(queries[request_id : request_id + 1], top_k)
+            outcome = search_fn(request.slice(request_id, request_id + 1))
             with served_lock:
                 trace.served_requests.append(request_id)
             return request_id, outcome
@@ -492,19 +451,7 @@ class QueryScheduler:
             ids_rows.append(outcome.ids)
             distance_rows.append(outcome.distances)
             stats = outcome.stats
-            # Cross-request accumulation: requests carry distinct queries, so
-            # num_queries adds up (unlike the per-segment merge within one
-            # request, where it is the shared batch size).
-            total.num_queries += stats.num_queries
-            total.distance_evaluations += stats.distance_evaluations
-            total.coarse_evaluations += stats.coarse_evaluations
-            total.code_evaluations += stats.code_evaluations
-            total.reorder_evaluations += stats.reorder_evaluations
-            total.graph_hops += stats.graph_hops
-            total.segments_searched += stats.segments_searched
-            total.filter_rows_scanned += stats.filter_rows_scanned
-            total.filter_candidates_dropped += stats.filter_candidates_dropped
-            total.cache_hits += stats.cache_hits
+            total.accumulate(stats)
             shard_stats = getattr(outcome, "shard_stats", None) or [stats]
             trace.request_shard_stats.append(list(shard_stats))
 
@@ -519,13 +466,7 @@ class QueryScheduler:
         )
         filter_stats = None
         if plan is not None:
-            from repro.vdms.request import FilterStats
-
-            filter_stats = FilterStats.from_plan(
-                plan,
-                rows_scanned=total.filter_rows_scanned,
-                candidates_dropped=total.filter_candidates_dropped,
-            )
+            filter_stats = FilterStats.from_plan(plan, total)
         return (
             SearchResult(
                 ids=ids,

@@ -8,13 +8,16 @@ so the result is deterministic.
 
 Concurrent serving: when the configuration asks for an execution pool
 (``search_threads > 1``), the workload is driven through a
-:class:`~repro.vdms.sharding.QueryScheduler` — real threads issuing one
-request per query against the thread-safe collection — and the reported QPS
-is the *measured* concurrent throughput of that schedule (shard tasks
-event-simulated over the configured worker budget, see
+:class:`~repro.vdms.sharding.QueryScheduler` — one request per query, issued
+from a single thread because the per-request counted work it records is
+thread-count independent — and the reported QPS is the *measured*
+concurrent throughput of that schedule (shard tasks event-simulated over the
+configured worker budget, see
 :meth:`repro.vdms.cost_model.CostModel.concurrent_qps`).  With
 ``search_threads == 1`` the replayer falls back to the plain cost-model
 concurrency multiplier, so serial configurations behave exactly as before.
+The replayer itself starts no threads: index builds and replays both run on
+the calling thread, whatever ``search_threads`` the configuration asks for.
 
 Hybrid filtered replay: a workload carrying an
 :class:`~repro.vdms.request.AttributeFilter` replays *end to end* — the
@@ -195,24 +198,10 @@ class WorkloadReplayer:
         if self.mutations is not None and self.row_ids is None:
             raise ValueError("a mutation plan requires row_ids to translate ground truth")
         self.server = VectorDBServer()
-        self._scheduler: QueryScheduler | None = None
-
-    def _query_scheduler(self, system_config: SystemConfig) -> QueryScheduler:
-        """The replayer's reusable query scheduler for this configuration.
-
-        One replayer evaluates many configurations back to back; rebuilding
-        the scheduler (and its thread pool) per evaluation is churn, so the
-        scheduler is cached and replaced only when ``search_threads``
-        changes between configurations.
-        """
-        threads = max(1, int(system_config.search_threads))
-        scheduler = self._scheduler
-        if scheduler is None or scheduler.num_threads != threads:
-            if scheduler is not None:
-                scheduler.close()
-            scheduler = QueryScheduler(num_threads=threads)
-            self._scheduler = scheduler
-        return scheduler
+        #: Per-request replays run on one thread: results are thread-count
+        #: independent by contract and every reported time is simulated from
+        #: counted work, so a pool would only add wall-clock noise.
+        self._scheduler = QueryScheduler(num_threads=1)
 
     def _ground_truth_ids(self) -> np.ndarray:
         """Ground truth expressed in the ids the collection actually serves."""
@@ -290,7 +279,7 @@ class WorkloadReplayer:
             overfetch_factor=request.overfetch_factor,
         )
 
-        unique_result, unique_trace = self._query_scheduler(system_config).run(
+        unique_result, unique_trace = self._scheduler.run(
             functools.partial(collection.search, use_cache=False), unique_request
         )
 
@@ -319,31 +308,16 @@ class WorkloadReplayer:
                 lru.popitem(last=False)
 
         inverse = np.asarray([key_to_unique[key] for key in keys], dtype=np.int64)
+        trace = ScheduleTrace(
+            num_requests=num_requests, request_shard_stats=stream_shard_stats
+        )
         total = SearchStats()
-        for shard_stats in stream_shard_stats:
-            merged = SearchStats()
-            for stats in shard_stats:
-                merged.merge(stats)
-            # Cross-request accumulation (requests carry distinct queries),
-            # mirroring the scheduler's own aggregation.
-            total.num_queries += merged.num_queries
-            total.distance_evaluations += merged.distance_evaluations
-            total.coarse_evaluations += merged.coarse_evaluations
-            total.code_evaluations += merged.code_evaluations
-            total.reorder_evaluations += merged.reorder_evaluations
-            total.graph_hops += merged.graph_hops
-            total.segments_searched += merged.segments_searched
-            total.filter_rows_scanned += merged.filter_rows_scanned
-            total.filter_candidates_dropped += merged.filter_candidates_dropped
-            total.cache_hits += merged.cache_hits
+        for request_stats in trace.request_stats():
+            total.accumulate(request_stats)
 
         filter_stats = None
         if unique_result.plan is not None:
-            filter_stats = FilterStats.from_plan(
-                unique_result.plan,
-                rows_scanned=total.filter_rows_scanned,
-                candidates_dropped=total.filter_candidates_dropped,
-            )
+            filter_stats = FilterStats.from_plan(unique_result.plan, total)
         from repro.vdms.collection import SearchResult
 
         result = SearchResult(
@@ -352,9 +326,6 @@ class WorkloadReplayer:
             stats=total,
             plan=unique_result.plan,
             filter_stats=filter_stats,
-        )
-        trace = ScheduleTrace(
-            num_requests=num_requests, request_shard_stats=stream_shard_stats
         )
         cache_info = {
             "cache_hits": float(hits),
@@ -374,13 +345,10 @@ class WorkloadReplayer:
         path measures one aggregate, so every query reports the mean.
         """
         if trace is not None and trace.request_shard_stats:
-            samples = []
-            for shard_stats in trace.request_shard_stats:
-                merged = SearchStats()
-                for stats in shard_stats:
-                    merged.merge(stats)
-                latency_us, _ = cost_model.query_latency_microseconds(merged, profile)
-                samples.append(latency_us / 1000.0)
+            samples = [
+                cost_model.query_latency_microseconds(request_stats, profile)[0] / 1000.0
+                for request_stats in trace.request_stats()
+            ]
             return np.asarray(samples, dtype=np.float64)
         return np.full(max(1, num_queries), fallback_latency_us / 1000.0)
 
@@ -408,9 +376,11 @@ class WorkloadReplayer:
 
         index_type = str(configuration.get("index_type", "AUTOINDEX")).rstrip("_")
         params = {k: v for k, v in configuration.items() if k != "index_type"}
-        build_stats = collection.create_index(
-            index_type, params, build_workers=system_config.search_threads
-        )
+        # Built serially, like the per-request replays below: builds are
+        # identical for any worker count and their time is simulated from
+        # the build stats, so a per-evaluation thread pool bought nothing
+        # and made the wall clock depend on where its threads landed.
+        build_stats = collection.create_index(index_type, params)
 
         maintenance_report = None
         if plan is not None:
@@ -442,7 +412,7 @@ class WorkloadReplayer:
             # accounting is what makes the measured QPS reflect them.
             result, trace, cache_info = self._cache_replay(collection, request, system_config)
         elif scheduled:
-            result, trace = self._query_scheduler(system_config).run(collection.search, request)
+            result, trace = self._scheduler.run(collection.search, request)
         else:
             result = collection.search(request)
         recall = recall_at_k(result.ids, truth, self.workload.top_k)

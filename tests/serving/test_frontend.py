@@ -214,12 +214,20 @@ def test_graceful_drain_completes_in_flight_requests():
     lock = threading.Lock()
 
     def client(index):
-        status, _ = request(
-            frontend,
-            "POST",
-            "/collections/c/search",
-            {"queries": [vectors[index].tolist()], "top_k": 5, "use_cache": False},
-        )
+        try:
+            status, _ = request(
+                frontend,
+                "POST",
+                "/collections/c/search",
+                {"queries": [vectors[index].tolist()], "top_k": 5, "use_cache": False},
+            )
+        except ConnectionError:
+            # Reached the port only after the drain closed the listener
+            # (refused), or sat unaccepted in its backlog when it closed
+            # (reset): the same post-drain rejection as a 503, delivered by
+            # the kernel.  A response lost for a request the server *did*
+            # serve would still fail the served-count check below.
+            status = 503
         with lock:
             responses.append(status)
 

@@ -21,6 +21,7 @@ Three guarantees are pinned down:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 
 import numpy as np
@@ -29,6 +30,7 @@ import pytest
 from repro.datasets.registry import load_dataset
 from repro.vdms import Collection, QueryScheduler, SystemConfig
 from repro.vdms.durability import CrashPointFS
+from repro.vdms.index.base import SearchStats
 from repro.workloads.replay import WorkloadReplayer
 
 NUM_VECTORS = 900
@@ -51,6 +53,16 @@ def build_collection(shard_num: int = 4) -> tuple[Collection, np.ndarray]:
     collection.flush()
     collection.create_index("FLAT")
     return collection, queries
+
+
+def test_cross_request_accumulation_sums_every_counter():
+    names = [counter.name for counter in dataclasses.fields(SearchStats)]
+    first = SearchStats(**{name: position + 1 for position, name in enumerate(names)})
+    second = SearchStats(**{name: 100 * (position + 1) for position, name in enumerate(names)})
+    total = SearchStats().accumulate(first).accumulate(second)
+    assert dataclasses.asdict(total) == {
+        name: 101 * (position + 1) for position, name in enumerate(names)
+    }
 
 
 class TestSchedulerDeterminism:
@@ -205,13 +217,13 @@ class TestSnapshotIsolation:
     def test_reconfiguring_search_params_does_not_touch_snapshotted_indexes(self):
         collection, queries = build_collection(shard_num=2)
         collection.create_index("IVF_FLAT", {"nlist": 8, "nprobe": 2})
-        snapshots = [shard.snapshot() for shard in collection.shards]
-        before = [index.nprobe for snapshot in snapshots for index in snapshot.indexed]
+        snapshots = [shard.snapshot(collection.metric) for shard in collection.shards]
+        before = [view.index.nprobe for views in snapshots for view in views if view.indexed]
         # Both reconfiguration paths: explicit update and a cache-hit rebuild
         # with different search-time parameters.
         collection.set_search_params(nprobe=8)
         collection.create_index("IVF_FLAT", {"nlist": 8, "nprobe": 6})
-        after = [index.nprobe for snapshot in snapshots for index in snapshot.indexed]
+        after = [view.index.nprobe for views in snapshots for view in views if view.indexed]
         assert after == before == [2] * len(before), (
             "in-flight snapshot saw a search-time parameter change"
         )

@@ -360,6 +360,33 @@ class TestPlannerBehaviour:
         unindexed = [s for s in plan.segments if not s.indexed]
         assert unindexed and all(s.strategy == "pre" for s in unindexed)
 
+    def test_plan_lists_segments_in_shard_then_segment_order(self):
+        vectors, queries, tags = make_corpus(rows=1500)
+        collection = make_collection(vectors, tags, shard_num=2)
+        # Invalidate the *first* sealed segment of each shard, so an
+        # unindexed segment precedes indexed ones in segment-id order.
+        for shard in collection.shards:
+            collection.delete(shard.segments.sealed_segments[0].ids[:3])
+        plan = collection.plan_search(
+            SearchRequest(
+                queries=queries, top_k=TOP_K,
+                filter=AttributeFilter("tag", "lt", 900),
+                filter_strategy="post",
+            )
+        )
+        expected = [
+            (shard.shard_id, segment.segment_id, segment.segment_id in shard.indexes)
+            for shard in collection.shards
+            for segment in shard.segments.segments
+        ]
+        assert [(s.shard_id, s.segment_id, s.indexed) for s in plan.segments] == expected
+        assert expected == sorted(expected, key=lambda entry: entry[:2])
+        for shard in collection.shards:
+            flags = [indexed for shard_id, _, indexed in expected if shard_id == shard.shard_id]
+            # invalidated, then indexed ..., then the growing tail
+            assert flags[0] is False and flags[-1] is False and any(flags)
+        assert all(s.strategy == ("post" if s.indexed else "pre") for s in plan.segments)
+
     def test_system_config_supplies_strategy_defaults(self):
         vectors, queries, tags = make_corpus()
         collection = make_collection(vectors, tags, filter_strategy="post", overfetch_factor=3.5)

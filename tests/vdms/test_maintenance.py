@@ -276,8 +276,10 @@ class TestServingEquivalence:
         # Identical service, far less counted scan work (FLAT indexes count
         # the same distances, so compare segments brute-forced instead).
         assert np.array_equal(degraded.ids, healed.ids)
-        snapshots = [shard.snapshot() for shard in collection.shards]
-        assert not any(s.has_unindexed_sealed for s in snapshots)
+        for shard in collection.shards:
+            growing = {segment.segment_id for segment in shard.segments.growing_segments}
+            views = shard.snapshot(collection.metric)
+            assert all(view.indexed or view.segment_id in growing for view in views)
 
     def test_incremental_reindex_keeps_untouched_indexes(self):
         vectors, _ = make_corpus()

@@ -33,6 +33,7 @@ from repro.vdms.distance import (
     prepare_vectors,
     top_k_select,
 )
+from repro.vdms.index.flat import FlatIndex
 from repro.vdms.index.ivf_sq8 import IVFSQ8Index
 from repro.vdms.request import AttributeFilter, SearchRequest
 from repro.vdms.sharding import merge_topk
@@ -282,8 +283,8 @@ class TestZeroCopySnapshots:
         collection.insert(vectors, np.arange(150, dtype=np.int64))
         collection.flush()
         shard = collection._shards[0]
-        snapshot = shard.snapshot(collection.metric)
-        assert len(snapshot.brute_operands) == len(snapshot.brute_vectors)
+        views = shard.snapshot(collection.metric)
+        assert len(views) == len(shard.segments.segments)
         sealed = [segment for segment in shard.segments.sealed_segments]
         assert sealed
         for segment in sealed:
@@ -291,6 +292,39 @@ class TestZeroCopySnapshots:
             assert not segment.ids.flags.writeable
             with pytest.raises(ValueError):
                 segment.vectors[0, 0] = 0.0
+
+    def test_unindexed_segments_are_served_through_a_zero_copy_flat_index(self):
+        rng = np.random.default_rng(23)
+        collection = Collection(
+            "views",
+            dimension=8,
+            metric="l2",
+            system_config=SystemConfig(shard_num=1, segment_max_size=8),
+            auto_maintenance=False,
+        )
+        collection.insert(rng.standard_normal((150, 8)).astype(np.float32))
+        collection.flush()
+        shard = collection._shards[0]
+        segments = shard.segments.segments
+        views = shard.snapshot("l2")
+        # Exactly one view per live segment, sealed then growing.
+        assert [view.segment_id for view in views] == [s.segment_id for s in segments]
+        assert len({segment.state for segment in segments}) == 2
+        for view, segment in zip(views, segments):
+            assert not view.indexed
+            assert isinstance(view.index, FlatIndex)
+            assert np.shares_memory(view.index._vectors, segment.vectors)
+        # Cached across snapshots until the live array is replaced.
+        assert shard.snapshot("l2")[0].index is views[0].index
+        victim = segments[0]
+        assert not victim.vectors.flags.writeable
+        collection.delete(victim.ids[:2])
+        replaced = shard.snapshot("l2")[0]
+        assert replaced.segment_id == victim.segment_id
+        assert replaced.index is not views[0].index
+        assert replaced.index.size == victim.num_rows == victim.physical_rows - 2
+        # The snapshot taken before the delete still serves what it captured.
+        assert views[0].index.size == victim.physical_rows
 
     def test_growing_segments_stay_writable(self):
         collection = Collection(
