@@ -45,6 +45,7 @@ from conftest import register_report
 from repro.analysis.reporting import format_table
 from repro.serving import ServingConfig, ServingFrontend, measure_saturation, run_load
 from repro.vdms.server import VectorDBServer
+from repro.vdms.sharding import QueryScheduler
 
 SEED = 7
 #: Sized so one FLAT search costs tens of milliseconds: the service time
@@ -214,13 +215,13 @@ def test_measured_saturation_calibrates_cost_model():
     baseline = _baseline()
     saturation = baseline["saturation_qps"]
     backend = _backend()
-    scheduled, trace = backend.concurrent_search(
-        "bench", np.random.default_rng(SEED + 5).normal(size=(16, DIMENSION)).astype(np.float32),
-        TOP_K,
-    )
-    assert scheduled.ids.shape == (16, TOP_K)
-    profile = backend.get_collection("bench").profile()
+    collection = backend.get_collection("bench")
     workers = backend.system_config.effective_search_workers()
+    queries = np.random.default_rng(SEED + 5).normal(size=(16, DIMENSION)).astype(np.float32)
+    with QueryScheduler(backend.system_config.search_threads) as scheduler:
+        scheduled, trace = scheduler.run(collection.search, queries, TOP_K)
+    assert scheduled.ids.shape == (16, TOP_K)
+    profile = collection.profile()
 
     analytic_qps, _ = backend.cost_model().concurrent_qps(
         trace.request_shard_stats, profile, workers=workers

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import time
 from abc import ABC, abstractmethod
+from dataclasses import replace
 
 import numpy as np
 
@@ -105,8 +106,9 @@ class BaselineTuner(ABC):
         """Run the tuner for ``num_iterations`` evaluations.
 
         ``batch_size`` and ``evaluator`` mirror
-        :meth:`repro.core.tuner.VDTuner.run`: with ``batch_size=q > 1`` the
-        loop calls :meth:`suggest_batch` and evaluates each batch through
+        :meth:`repro.core.tuner.VDTuner.run`: every pass calls
+        :meth:`suggest_batch` (one :meth:`_suggest` when ``batch_size`` is 1)
+        and evaluates the batch through
         :meth:`~repro.workloads.environment.VDMSTuningEnvironment.evaluate_batch`
         (concurrently when a :class:`repro.parallel.BatchEvaluator` is given),
         keeping the total evaluation budget identical.
@@ -116,17 +118,11 @@ class BaselineTuner(ABC):
         while len(self.history) < num_iterations:
             q = min(batch_size, num_iterations - len(self.history))
             started = time.perf_counter()
-            if q == 1 and evaluator is None:
-                batch = [self._suggest(len(self.history) + 1)]
-            else:
-                batch = self.suggest_batch(q)
+            batch = self.suggest_batch(q)
             elapsed = time.perf_counter() - started
             self._recommendation_seconds += elapsed
             self.environment.charge_recommendation_time(elapsed)
-            if q == 1 and evaluator is None:
-                results = [self.environment.evaluate(batch[0])]
-            else:
-                results = self.environment.evaluate_batch(batch, evaluator=evaluator)
+            results = self.environment.evaluate_batch(batch, evaluator=evaluator)
             for configuration, result in zip(batch, results):
                 self._record(configuration, result)
         return TuningReport(
@@ -175,18 +171,7 @@ def make_tuner(
     """
     key = name.lower()
     if key == "vdtuner":
-        settings = settings or VDTunerSettings()
-        if settings.seed != seed:
-            settings = VDTunerSettings(
-                num_iterations=settings.num_iterations,
-                abandon_window=settings.abandon_window,
-                candidate_pool_size=settings.candidate_pool_size,
-                ehvi_samples=settings.ehvi_samples,
-                reference_scale=settings.reference_scale,
-                use_successive_abandon=settings.use_successive_abandon,
-                use_polling_surrogate=settings.use_polling_surrogate,
-                seed=seed,
-            )
+        settings = replace(settings or VDTunerSettings(), seed=seed)
         return VDTuner(environment, settings=settings, objective=objective)
     if key not in TUNER_REGISTRY:
         raise KeyError(f"unknown tuner {name!r}; known: ['vdtuner'] + {sorted(TUNER_REGISTRY)}")

@@ -33,7 +33,7 @@ get back within ``recovery_fraction`` of the phase's best service score
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from typing import Any
 
 import numpy as np
@@ -449,14 +449,10 @@ class OnlineTuner:
     def _episode_settings(self) -> VDTunerSettings:
         template = self.tuner_settings or VDTunerSettings()
         budget = self.settings.retune_budget
-        return VDTunerSettings(
+        return replace(
+            template,
             num_iterations=budget,
             abandon_window=max(3, budget // 3),
-            candidate_pool_size=template.candidate_pool_size,
-            ehvi_samples=template.ehvi_samples,
-            reference_scale=template.reference_scale,
-            use_successive_abandon=template.use_successive_abandon,
-            use_polling_surrogate=template.use_polling_surrogate,
             stale_noise_inflation=self.settings.stale_noise_inflation,
             seed=self.settings.seed + self._episodes,
         )
@@ -597,13 +593,7 @@ class OnlineTuner:
                     q = len(batch)
                 else:
                     batch = tuner.suggest_batch(q)
-                if self.evaluator is not None:
-                    self.evaluator.sync_with(self.environment)
-                    results = self.environment.evaluate_batch(batch, evaluator=self.evaluator)
-                elif q > 1:
-                    results = self.environment.evaluate_batch(batch)
-                else:
-                    results = [self.environment.evaluate(batch[0])]
+                results = self.environment.evaluate_batch(batch, evaluator=self.evaluator)
                 for configuration, result in zip(batch, results):
                     record_step(configuration.to_dict(), result)
                     tuner._record(configuration, result)

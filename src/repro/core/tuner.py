@@ -274,28 +274,6 @@ class VDTuner:
         defaults["index_type"] = index_type
         return self.space.configuration(defaults)
 
-    def _needs_initial_sampling(self) -> bool:
-        """Whether the per-index-type default sweep still has to run.
-
-        A tuner warm-started from a previous run's history (``bootstrap_history``)
-        already knows how every index type behaves, so it skips straight to
-        model-based suggestions instead of re-spending budget on the defaults —
-        this is what makes warm re-tuning after workload drift recover faster
-        than a cold restart.
-        """
-        if len(self._history) > 0:
-            return False
-        return self.bootstrap_history is None or len(self.bootstrap_history) == 0
-
-    def _initial_sampling(self, budget: int) -> None:
-        """Evaluate every index type's default configuration (lines 1-5)."""
-        for index_type in self.index_types:
-            if len(self._history) >= budget:
-                break
-            configuration = self._default_configuration_for(index_type)
-            result = self.environment.evaluate(configuration)
-            self._record(configuration, result)
-
     def suggest_batch(self, q: int = 1) -> list[Configuration]:
         """Suggest ``q`` configurations to evaluate concurrently (q-EHVI batch).
 
@@ -382,40 +360,6 @@ class VDTuner:
                 surrogate = surrogate.fantasized([configuration])
         return batch
 
-    def _tuning_iteration(self, iteration: int) -> Observation:
-        """One pass of the while-loop body (lines 7-22)."""
-        del iteration  # the history length drives the bookkeeping
-        started = time.perf_counter()
-        [configuration] = self.suggest_batch(1)
-        elapsed = time.perf_counter() - started
-        self._recommendation_seconds += elapsed
-        self.environment.charge_recommendation_time(elapsed)
-
-        result = self.environment.evaluate(configuration)
-        return self._record(configuration, result)
-
-    def _run_batched(self, budget: int, batch_size: int, evaluator) -> None:
-        """Batched tuning loop: suggest q points, evaluate them concurrently."""
-        if self._needs_initial_sampling():
-            # The initial per-index-type defaults have no sequential dependency
-            # at all, so the whole phase is one pooled batch: the worker pool
-            # packs the heterogeneous replays far better than fixed-size
-            # chunks would.
-            pending = [self._default_configuration_for(t) for t in self.index_types][:budget]
-            results = self.environment.evaluate_batch(pending, evaluator=evaluator)
-            for configuration, result in zip(pending, results):
-                self._record(configuration, result)
-        while len(self._history) < budget:
-            q = min(batch_size, budget - len(self._history))
-            started = time.perf_counter()
-            batch = self.suggest_batch(q)
-            elapsed = time.perf_counter() - started
-            self._recommendation_seconds += elapsed
-            self.environment.charge_recommendation_time(elapsed)
-            results = self.environment.evaluate_batch(batch, evaluator=evaluator)
-            for configuration, result in zip(batch, results):
-                self._record(configuration, result)
-
     def run(
         self,
         num_iterations: int | None = None,
@@ -425,23 +369,36 @@ class VDTuner:
     ) -> TuningReport:
         """Run the tuning loop and return the report.
 
-        With the default ``batch_size=1`` and no ``evaluator`` this is the
-        paper's strictly sequential Algorithm 1.  With ``batch_size=q > 1``
-        the loop suggests joint q-EHVI batches (:meth:`suggest_batch`) and
-        evaluates each batch concurrently through
+        One loop serves every mode: suggest a batch (:meth:`suggest_batch`),
+        evaluate it through
         :meth:`~repro.workloads.environment.VDMSTuningEnvironment.evaluate_batch`,
-        optionally on a :class:`repro.parallel.BatchEvaluator` worker pool —
-        the total evaluation budget is unchanged, only the wall-clock shrinks.
+        record it.  With the default ``batch_size=1`` and no ``evaluator``
+        every batch holds one configuration — the paper's strictly sequential
+        Algorithm 1.  With ``batch_size=q > 1`` the batches are joint q-EHVI
+        suggestions, optionally evaluated concurrently on a
+        :class:`repro.parallel.BatchEvaluator` worker pool — the total
+        evaluation budget is unchanged, only the wall-clock shrinks.
         """
         budget = int(num_iterations or self.settings.num_iterations)
         batch_size = max(1, int(batch_size))
-        if batch_size == 1 and evaluator is None:
-            if self._needs_initial_sampling():
-                self._initial_sampling(budget)
-            while len(self._history) < budget:
-                self._tuning_iteration(len(self._history) + 1)
-        else:
-            self._run_batched(budget, batch_size, evaluator)
+        pooled = batch_size > 1 or evaluator is not None
+        while len(self._history) < budget:
+            q = batch_size
+            if pooled and len(self._training_history()) == 0:
+                # The per-index-type defaults (lines 1-5) have no sequential
+                # dependency at all, so a pooled run evaluates the whole sweep
+                # as one batch: the worker pool packs the heterogeneous
+                # replays far better than fixed-size chunks would.
+                q = len(self.index_types)
+            q = min(q, budget - len(self._history))
+            started = time.perf_counter()
+            batch = self.suggest_batch(q)
+            elapsed = time.perf_counter() - started
+            self._recommendation_seconds += elapsed
+            self.environment.charge_recommendation_time(elapsed)
+            results = self.environment.evaluate_batch(batch, evaluator=evaluator)
+            for configuration, result in zip(batch, results):
+                self._record(configuration, result)
         return TuningReport(
             history=self._history,
             score_trace=self._policy.score_trace,

@@ -75,7 +75,6 @@ def run_tuner(
     if tuner_name.lower() == "vdtuner" and settings is None:
         settings = scale.vdtuner_settings(num_iterations=iterations, seed=seed)
     tuner = make_tuner(tuner_name, environment, objective=objective, seed=seed, settings=settings)
-    batch_size = max(1, int(batch_size))
     evaluator = None
     if workers > 1:
         from repro.parallel import BatchEvaluator
@@ -84,10 +83,7 @@ def run_tuner(
             environment, num_workers=workers, backend=parallel_backend
         )
     try:
-        if batch_size > 1 or evaluator is not None:
-            report = tuner.run(iterations, batch_size=batch_size, evaluator=evaluator)
-        else:
-            report = tuner.run(iterations)
+        report = tuner.run(iterations, batch_size=batch_size, evaluator=evaluator)
     finally:
         if evaluator is not None:
             evaluator.close()

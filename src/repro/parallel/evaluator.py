@@ -88,12 +88,19 @@ def _process_worker_init(
     )
 
 
+def _isolated_replay(
+    replayer: WorkloadReplayer, values: dict[str, Any]
+) -> EvaluationResult | WorkerFailure:
+    """Replay one configuration; an exception becomes a :class:`WorkerFailure`."""
+    try:
+        return replayer.replay(values)
+    except Exception as error:  # noqa: BLE001 - isolation boundary
+        return WorkerFailure(f"{type(error).__name__}: {error}")
+
+
 def _process_worker_replay(task: tuple[int, dict[str, Any], int]):
     index, values, _task_seed = task
-    try:
-        return index, _WORKER_REPLAYER.replay(values)
-    except Exception as error:  # noqa: BLE001 - isolation boundary
-        return index, WorkerFailure(f"{type(error).__name__}: {error}")
+    return index, _isolated_replay(_WORKER_REPLAYER, values)
 
 
 class BatchEvaluator:
@@ -264,10 +271,13 @@ class BatchEvaluator:
             row_ids=self.row_ids,
         )
 
-    def _in_process_replay(self, values: dict[str, Any]) -> EvaluationResult:
+    def _in_process_replay(
+        self, tasks: list[tuple[int, dict[str, Any], int]]
+    ) -> list[EvaluationResult | WorkerFailure]:
         if self._serial_replayer is None:
             self._serial_replayer = self._make_replayer()
-        return self._serial_replayer.replay(values)
+        replayer = self._serial_replayer
+        return [_isolated_replay(replayer, values) for _index, values, _task_seed in tasks]
 
     def _thread_replay(self, task: tuple[int, dict[str, Any], int]):
         index, values, _task_seed = task
@@ -275,10 +285,7 @@ class BatchEvaluator:
         if replayer is None:
             replayer = self._make_replayer()
             self._thread_local.replayer = replayer
-        try:
-            return index, replayer.replay(values)
-        except Exception as error:  # noqa: BLE001 - isolation boundary
-            return index, WorkerFailure(f"{type(error).__name__}: {error}")
+        return index, _isolated_replay(replayer, values)
 
     def evaluate_many(
         self, configurations: Sequence[Mapping[str, Any]]
@@ -298,20 +305,14 @@ class BatchEvaluator:
         if not tasks:
             return []
 
-        outcomes: list[EvaluationResult | WorkerFailure | None] = [None] * len(tasks)
-        pool = None
-        if len(tasks) > 1:
-            pool = self._ensure_pool()
+        pool = self._ensure_pool() if len(tasks) > 1 else None
         if pool is None:
-            for index, values, _task_seed in tasks:
-                try:
-                    outcomes[index] = self._in_process_replay(values)
-                except Exception as error:  # noqa: BLE001 - isolation boundary
-                    outcomes[index] = WorkerFailure(f"{type(error).__name__}: {error}")
+            outcomes = self._in_process_replay(tasks)
         else:
             worker = (
                 _process_worker_replay if self.backend == "process" else self._thread_replay
             )
+            outcomes = [None] * len(tasks)
             try:
                 for index, outcome in pool.map(worker, tasks):
                     outcomes[index] = outcome
@@ -319,11 +320,7 @@ class BatchEvaluator:
                 # The pool died (e.g. a worker was OOM-killed): recover by
                 # evaluating the batch in-process and rebuild the pool lazily.
                 self._pool = None
-                for index, values, _task_seed in tasks:
-                    try:
-                        outcomes[index] = self._in_process_replay(values)
-                    except Exception as error:  # noqa: BLE001 - isolation boundary
-                        outcomes[index] = WorkerFailure(f"{type(error).__name__}: {error}")
+                outcomes = self._in_process_replay(tasks)
 
         results: list[EvaluationResult] = []
         for (index, values, _task_seed), outcome in zip(tasks, outcomes):

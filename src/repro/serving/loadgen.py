@@ -30,7 +30,7 @@ import queue
 import threading
 import time
 from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, Callable, Iterable, Sequence
 from urllib.parse import urlsplit
 
 import numpy as np
@@ -165,6 +165,180 @@ class _Client:
             self._conn = None
 
 
+def _resolve_dimension(url: str, collection: str) -> int:
+    """Ask the server for a collection's vector dimension."""
+    client = _Client(url)
+    try:
+        status, payload = client.request("GET", f"/collections/{collection}")
+    finally:
+        client.close()
+    if status != 200:
+        raise RuntimeError(
+            f"cannot resolve dimension of collection {collection!r}: "
+            f"HTTP {status} {payload.get('error', '')}"
+        )
+    return int(payload["dimension"])
+
+
+def _search_request(
+    collection: str,
+    query: np.ndarray,
+    *,
+    top_k: int,
+    use_cache: bool,
+    deadline_ms: float | None,
+    filter: dict[str, Any] | None = None,
+) -> tuple[str, dict[str, Any]]:
+    """Path and JSON body of one single-query search."""
+    body: dict[str, Any] = {"queries": [query.tolist()], "top_k": top_k, "use_cache": use_cache}
+    if deadline_ms is not None:
+        body["deadline_ms"] = float(deadline_ms)
+    if filter is not None:
+        body["filter"] = dict(filter)
+    return f"/collections/{collection}/search", body
+
+
+#: Final request outcome per HTTP status; anything else counts as an error.
+_OUTCOME_BY_STATUS = {200: "served", 429: "shed", 504: "expired", 503: "rejected"}
+
+
+class _StreamTally:
+    """What one arrival stream (one tenant's traffic) observed during a run."""
+
+    def __init__(self) -> None:
+        self.counts = {"sent": 0, "served": 0, "shed": 0, "expired": 0, "rejected": 0, "errors": 0}
+        self.latencies: list[float] = []
+        self.lags: list[float] = []
+        self.depth_samples: list[int] = []
+
+    def report(self, offered_qps: float, elapsed: float) -> LoadReport:
+        samples = self.depth_samples
+        return LoadReport(
+            offered_qps=offered_qps,
+            duration_seconds=elapsed,
+            achieved_qps=self.counts["sent"] / elapsed if elapsed > 0 else 0.0,
+            latency_p50_ms=_percentile(self.latencies, 50),
+            latency_p99_ms=_percentile(self.latencies, 99),
+            latency_p999_ms=_percentile(self.latencies, 99.9),
+            dispatch_lag_p99_ms=_percentile(self.lags, 99),
+            queue_depth_mean=float(np.mean(samples)) if samples else 0.0,
+            queue_depth_max=max(samples) if samples else 0,
+            queue_depth_samples=samples,
+            **self.counts,
+        )
+
+
+def _dispatch_open_loop(
+    url: str,
+    schedule: Sequence[tuple[float, int, int]],
+    num_streams: int,
+    request_for: Callable[[int, int], tuple[str, dict[str, Any]]],
+    queue_depths: Callable[[dict], Iterable[tuple[int, int]]],
+    *,
+    sample_stats_every: float | None,
+    max_client_threads: int,
+) -> tuple[list[_StreamTally], float]:
+    """Dispatch a time-ordered arrival schedule open-loop; tally per stream.
+
+    ``schedule`` holds ``(scheduled second, stream, query index)`` arrivals;
+    ``request_for(stream, query index)`` builds each request at dispatch
+    time and ``queue_depths(stats payload)`` yields the ``(stream, depth)``
+    readings one ``/stats`` sample contributes.  Returns one tally per
+    stream and the wall-clock seconds the run took.
+    """
+    # Connections open lazily on first use; a malformed URL raises here, in
+    # the caller's thread, before any worker starts.
+    clients = [_Client(url) for _ in range(max_client_threads)]
+    lock = threading.Lock()
+    tallies = [_StreamTally() for _ in range(num_streams)]
+    stop_sampling = threading.Event()
+
+    def fire(client: _Client, stream: int, query_index: int, scheduled: float) -> None:
+        tally = tallies[stream]
+        path, body = request_for(stream, query_index)
+        dispatched = time.monotonic()
+        try:
+            status, _ = client.request("POST", path, body)
+        except Exception:
+            with lock:
+                tally.counts["errors"] += 1
+            return
+        finished = time.monotonic()
+        with lock:
+            tally.lags.append((dispatched - start - scheduled) * 1000.0)
+            tally.counts[_OUTCOME_BY_STATUS.get(status, "errors")] += 1
+            if status == 200:
+                tally.latencies.append((finished - dispatched) * 1000.0)
+
+    def sample_stats() -> None:
+        client = _Client(url)
+        try:
+            while not stop_sampling.wait(sample_stats_every):
+                try:
+                    status, payload = client.request("GET", "/stats")
+                except Exception:
+                    continue
+                if status == 200:
+                    with lock:
+                        for stream, depth in queue_depths(payload):
+                            tallies[stream].depth_samples.append(depth)
+        finally:
+            client.close()
+
+    sampler = None
+    if sample_stats_every is not None:
+        sampler = threading.Thread(target=sample_stats, name="repro-loadgen-stats", daemon=True)
+        sampler.start()
+
+    # A fixed worker pool with one persistent keep-alive connection per
+    # worker: spawning a thread (and a TCP connection) per request would
+    # cost more than the request itself and poison the latency samples.
+    # The dispatcher below stays open-loop — it enqueues each request at
+    # its scheduled instant regardless of outstanding work; an idle
+    # worker picks it up immediately.
+    work: queue.Queue = queue.Queue()
+
+    def worker_loop(client: _Client) -> None:
+        try:
+            while True:
+                item = work.get()
+                if item is None:
+                    return
+                fire(client, *item)
+        finally:
+            client.close()
+
+    workers = [
+        threading.Thread(
+            target=worker_loop, args=(client,), name=f"repro-loadgen-{slot}", daemon=True
+        )
+        for slot, client in enumerate(clients)
+    ]
+    for thread in workers:
+        thread.start()
+
+    # Workers block on the empty queue, so ``start`` is set before any fires.
+    start = time.monotonic()
+    for scheduled, stream, query_index in schedule:
+        # Open-loop dispatch: sleep until the scheduled instant, never
+        # until the previous response.
+        delay = start + scheduled - time.monotonic()
+        if delay > 0:
+            time.sleep(delay)
+        work.put((stream, query_index, scheduled))
+        with lock:
+            tallies[stream].counts["sent"] += 1
+    for _ in workers:
+        work.put(None)
+    for thread in workers:
+        thread.join(timeout=120.0)
+    elapsed = time.monotonic() - start
+    stop_sampling.set()
+    if sampler is not None:
+        sampler.join(timeout=5.0)
+    return tallies, elapsed
+
+
 class LoadGenerator:
     """Open-loop (Poisson-arrival) load generator for a serving front-end.
 
@@ -229,167 +403,38 @@ class LoadGenerator:
         self.seed = int(seed)
         self.sample_stats_every = sample_stats_every
         self.max_client_threads = int(max_client_threads)
-        self._local = threading.local()
-
-    # -- plumbing -----------------------------------------------------------------
-
-    def _client(self) -> _Client:
-        client = getattr(self._local, "client", None)
-        if client is None:
-            client = _Client(self.url)
-            self._local.client = client
-        return client
-
-    def _resolve_dimension(self) -> int:
-        if self.dimension is not None:
-            return int(self.dimension)
-        status, payload = self._client().request(
-            "GET", f"/collections/{self.collection}"
-        )
-        if status != 200:
-            raise RuntimeError(
-                f"cannot resolve dimension of collection {self.collection!r}: "
-                f"HTTP {status} {payload.get('error', '')}"
-            )
-        self.dimension = int(payload["dimension"])
-        return self.dimension
-
-    # -- the run ------------------------------------------------------------------
 
     def run(self) -> LoadReport:
         """Execute the schedule and aggregate a :class:`LoadReport`."""
-        dimension = self._resolve_dimension()
+        if self.dimension is None:
+            self.dimension = _resolve_dimension(self.url, self.collection)
+        dimension = int(self.dimension)
         rng = np.random.default_rng(self.seed)
         gaps = rng.exponential(1.0 / self.qps, size=max(1, int(self.qps * self.duration_seconds * 2)))
         arrivals = np.cumsum(gaps)
         arrivals = arrivals[arrivals < self.duration_seconds]
         queries = rng.normal(size=(max(1, len(arrivals)), dimension)).astype(np.float32)
 
-        lock = threading.Lock()
-        latencies: list[float] = []
-        lags: list[float] = []
-        counts = {"served": 0, "shed": 0, "expired": 0, "rejected": 0, "errors": 0}
-        depth_samples: list[int] = []
-        stop_sampling = threading.Event()
-
-        def fire(index: int, scheduled: float, start: float) -> None:
-            body = {
-                "queries": [queries[index].tolist()],
-                "top_k": self.top_k,
-                "use_cache": self.use_cache,
-            }
-            if self.deadline_ms is not None:
-                body["deadline_ms"] = float(self.deadline_ms)
-            dispatched = time.monotonic()
-            try:
-                status, _ = self._client().request(
-                    "POST", f"/collections/{self.collection}/search", body
-                )
-            except Exception:
-                with lock:
-                    counts["errors"] += 1
-                return
-            finished = time.monotonic()
-            with lock:
-                lags.append((dispatched - start - scheduled) * 1000.0)
-                if status == 200:
-                    counts["served"] += 1
-                    latencies.append((finished - dispatched) * 1000.0)
-                elif status == 429:
-                    counts["shed"] += 1
-                elif status == 504:
-                    counts["expired"] += 1
-                elif status == 503:
-                    counts["rejected"] += 1
-                else:
-                    counts["errors"] += 1
-
-        def sample_stats() -> None:
-            client = _Client(self.url)
-            try:
-                while not stop_sampling.wait(self.sample_stats_every):
-                    try:
-                        status, payload = client.request("GET", "/stats")
-                    except Exception:
-                        continue
-                    if status == 200:
-                        with lock:
-                            depth_samples.append(int(payload.get("queue_depth", 0)))
-            finally:
-                client.close()
-
-        sampler = None
-        if self.sample_stats_every is not None:
-            sampler = threading.Thread(
-                target=sample_stats, name="repro-loadgen-stats", daemon=True
+        def request_for(_stream: int, index: int) -> tuple[str, dict[str, Any]]:
+            return _search_request(
+                self.collection,
+                queries[index],
+                top_k=self.top_k,
+                use_cache=self.use_cache,
+                deadline_ms=self.deadline_ms,
             )
-            sampler.start()
 
-        # A fixed worker pool with one persistent keep-alive connection per
-        # worker: spawning a thread (and a TCP connection) per request would
-        # cost more than the request itself and poison the latency samples.
-        # The dispatcher below stays open-loop — it enqueues each request at
-        # its scheduled instant regardless of outstanding work; an idle
-        # worker picks it up immediately.
-        work: queue.Queue = queue.Queue()
-        start_box: list[float] = []
-        ready = threading.Event()
-
-        def worker_loop() -> None:
-            ready.wait(30.0)
-            while True:
-                item = work.get()
-                if item is None:
-                    return
-                index, scheduled = item
-                fire(index, scheduled, start_box[0])
-
-        workers = [
-            threading.Thread(target=worker_loop, name=f"repro-loadgen-{slot}", daemon=True)
-            for slot in range(self.max_client_threads)
-        ]
-        for thread in workers:
-            thread.start()
-
-        start = time.monotonic()
-        start_box.append(start)
-        ready.set()
-        sent = 0
-        for index, scheduled in enumerate(arrivals):
-            # Open-loop dispatch: sleep until the scheduled instant, never
-            # until the previous response.
-            delay = start + float(scheduled) - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            work.put((index, float(scheduled)))
-            sent += 1
-        for _ in workers:
-            work.put(None)
-        for thread in workers:
-            thread.join(timeout=120.0)
-        elapsed = time.monotonic() - start
-        stop_sampling.set()
-        if sampler is not None:
-            sampler.join(timeout=5.0)
-
-        return LoadReport(
-            offered_qps=self.qps,
-            duration_seconds=elapsed,
-            sent=sent,
-            served=counts["served"],
-            shed=counts["shed"],
-            expired=counts["expired"],
-            rejected=counts["rejected"],
-            errors=counts["errors"],
-            achieved_qps=sent / elapsed if elapsed > 0 else 0.0,
-            latency_p50_ms=_percentile(latencies, 50),
-            latency_p99_ms=_percentile(latencies, 99),
-            latency_p999_ms=_percentile(latencies, 99.9),
-            dispatch_lag_p99_ms=_percentile(lags, 99),
-            queue_depth_mean=float(np.mean(depth_samples)) if depth_samples else 0.0,
-            queue_depth_max=max(depth_samples) if depth_samples else 0,
-            queue_depth_samples=depth_samples,
+        [tally], elapsed = _dispatch_open_loop(
+            self.url,
+            [(float(scheduled), 0, index) for index, scheduled in enumerate(arrivals)],
+            1,
+            request_for,
+            # One stream: its backlog is the server's global admission queue.
+            lambda payload: [(0, int(payload.get("queue_depth", 0)))],
+            sample_stats_every=self.sample_stats_every,
+            max_client_threads=self.max_client_threads,
         )
+        return tally.report(self.qps, elapsed)
 
 
 def run_load(url: str, collection: str, *, qps: float, duration_seconds: float, **kwargs: Any) -> LoadReport:
@@ -517,27 +562,6 @@ class MultiTenantLoadGenerator:
         self.seed = int(seed)
         self.sample_stats_every = sample_stats_every
         self.max_client_threads = int(max_client_threads)
-        self._local = threading.local()
-
-    def _client(self) -> _Client:
-        client = getattr(self._local, "client", None)
-        if client is None:
-            client = _Client(self.url)
-            self._local.client = client
-        return client
-
-    def _resolve_dimension(self, profile: TenantLoadProfile) -> int:
-        if profile.dimension is not None:
-            return int(profile.dimension)
-        status, payload = self._client().request(
-            "GET", f"/collections/{profile.collection}"
-        )
-        if status != 200:
-            raise RuntimeError(
-                f"cannot resolve dimension of collection {profile.collection!r}: "
-                f"HTTP {status} {payload.get('error', '')}"
-            )
-        return int(payload["dimension"])
 
     def run(self) -> MixedLoadReport:
         """Execute the merged schedule and report per tenant."""
@@ -545,7 +569,9 @@ class MultiTenantLoadGenerator:
         pools: list[np.ndarray] = []
         schedules: list[tuple[float, int, int]] = []  # (arrival, tenant, query index)
         for tenant_index, profile in enumerate(self.profiles):
-            dimension = self._resolve_dimension(profile)
+            dimension = profile.dimension
+            if dimension is None:
+                dimension = _resolve_dimension(self.url, profile.collection)
             pool = rng.normal(size=(profile.query_pool, dimension)).astype(np.float32)
             pools.append(pool)
             gaps = rng.exponential(
@@ -565,143 +591,37 @@ class MultiTenantLoadGenerator:
                 schedules.append((float(arrival), tenant_index, int(pick)))
         schedules.sort()
 
-        lock = threading.Lock()
-        latencies: list[list[float]] = [[] for _ in self.profiles]
-        lags: list[list[float]] = [[] for _ in self.profiles]
-        counts = [
-            {"sent": 0, "served": 0, "shed": 0, "expired": 0, "rejected": 0, "errors": 0}
-            for _ in self.profiles
-        ]
-        depth_samples: list[list[int]] = [[] for _ in self.profiles]
-        stop_sampling = threading.Event()
-
-        def fire(tenant_index: int, query_index: int, scheduled: float, start: float) -> None:
+        def request_for(tenant_index: int, query_index: int) -> tuple[str, dict[str, Any]]:
             profile = self.profiles[tenant_index]
-            body: dict[str, Any] = {
-                "queries": [pools[tenant_index][query_index].tolist()],
-                "top_k": profile.top_k,
-                "use_cache": profile.use_cache,
-            }
-            if profile.deadline_ms is not None:
-                body["deadline_ms"] = float(profile.deadline_ms)
-            if profile.filter is not None:
-                body["filter"] = dict(profile.filter)
-            dispatched = time.monotonic()
-            try:
-                status, _ = self._client().request(
-                    "POST", f"/collections/{profile.collection}/search", body
-                )
-            except Exception:
-                with lock:
-                    counts[tenant_index]["errors"] += 1
-                return
-            finished = time.monotonic()
-            with lock:
-                lags[tenant_index].append((dispatched - start - scheduled) * 1000.0)
-                if status == 200:
-                    counts[tenant_index]["served"] += 1
-                    latencies[tenant_index].append((finished - dispatched) * 1000.0)
-                elif status == 429:
-                    counts[tenant_index]["shed"] += 1
-                elif status == 504:
-                    counts[tenant_index]["expired"] += 1
-                elif status == 503:
-                    counts[tenant_index]["rejected"] += 1
-                else:
-                    counts[tenant_index]["errors"] += 1
-
-        def sample_stats() -> None:
-            client = _Client(self.url)
-            name_to_index = {
-                profile.collection: i for i, profile in enumerate(self.profiles)
-            }
-            try:
-                while not stop_sampling.wait(self.sample_stats_every):
-                    try:
-                        status, payload = client.request("GET", "/stats")
-                    except Exception:
-                        continue
-                    if status != 200:
-                        continue
-                    tenants = payload.get("tenants") or {}
-                    with lock:
-                        for name, index in name_to_index.items():
-                            entry = tenants.get(name)
-                            if entry is not None:
-                                depth_samples[index].append(int(entry.get("queue_depth", 0)))
-            finally:
-                client.close()
-
-        sampler = None
-        if self.sample_stats_every is not None:
-            sampler = threading.Thread(
-                target=sample_stats, name="repro-mixed-loadgen-stats", daemon=True
+            return _search_request(
+                profile.collection,
+                pools[tenant_index][query_index],
+                top_k=profile.top_k,
+                use_cache=profile.use_cache,
+                deadline_ms=profile.deadline_ms,
+                filter=profile.filter,
             )
-            sampler.start()
 
-        work: queue.Queue = queue.Queue()
-        start_box: list[float] = []
-        ready = threading.Event()
+        def queue_depths(payload: dict) -> Iterable[tuple[int, int]]:
+            tenants = payload.get("tenants") or {}
+            for tenant_index, profile in enumerate(self.profiles):
+                entry = tenants.get(profile.collection)
+                if entry is not None:
+                    yield tenant_index, int(entry.get("queue_depth", 0))
 
-        def worker_loop() -> None:
-            ready.wait(30.0)
-            while True:
-                item = work.get()
-                if item is None:
-                    return
-                tenant_index, query_index, scheduled = item
-                fire(tenant_index, query_index, scheduled, start_box[0])
-
-        workers = [
-            threading.Thread(
-                target=worker_loop, name=f"repro-mixed-loadgen-{slot}", daemon=True
-            )
-            for slot in range(self.max_client_threads)
-        ]
-        for thread in workers:
-            thread.start()
-
-        start = time.monotonic()
-        start_box.append(start)
-        ready.set()
-        for scheduled, tenant_index, query_index in schedules:
-            delay = start + scheduled - time.monotonic()
-            if delay > 0:
-                time.sleep(delay)
-            work.put((tenant_index, query_index, scheduled))
-            with lock:
-                counts[tenant_index]["sent"] += 1
-        for _ in workers:
-            work.put(None)
-        for thread in workers:
-            thread.join(timeout=120.0)
-        elapsed = time.monotonic() - start
-        stop_sampling.set()
-        if sampler is not None:
-            sampler.join(timeout=5.0)
-
-        reports: dict[str, LoadReport] = {}
-        for index, profile in enumerate(self.profiles):
-            tenant_counts = counts[index]
-            samples = depth_samples[index]
-            reports[profile.collection] = LoadReport(
-                offered_qps=profile.qps,
-                duration_seconds=elapsed,
-                sent=tenant_counts["sent"],
-                served=tenant_counts["served"],
-                shed=tenant_counts["shed"],
-                expired=tenant_counts["expired"],
-                rejected=tenant_counts["rejected"],
-                errors=tenant_counts["errors"],
-                achieved_qps=tenant_counts["sent"] / elapsed if elapsed > 0 else 0.0,
-                latency_p50_ms=_percentile(latencies[index], 50),
-                latency_p99_ms=_percentile(latencies[index], 99),
-                latency_p999_ms=_percentile(latencies[index], 99.9),
-                dispatch_lag_p99_ms=_percentile(lags[index], 99),
-                queue_depth_mean=float(np.mean(samples)) if samples else 0.0,
-                queue_depth_max=max(samples) if samples else 0,
-                queue_depth_samples=samples,
-            )
+        tallies, elapsed = _dispatch_open_loop(
+            self.url,
+            schedules,
+            len(self.profiles),
+            request_for,
+            queue_depths,
+            sample_stats_every=self.sample_stats_every,
+            max_client_threads=self.max_client_threads,
+        )
+        reports = {
+            profile.collection: tally.report(profile.qps, elapsed)
+            for profile, tally in zip(self.profiles, tallies)
+        }
         return MixedLoadReport(tenants=reports, duration_seconds=elapsed)
 
 
@@ -738,18 +658,7 @@ def measure_saturation(
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    probe = LoadGenerator(
-        url,
-        collection,
-        qps=1.0,  # unused; we only borrow dimension resolution + clients
-        duration_seconds=1.0,
-        dimension=dimension,
-        top_k=top_k,
-        use_cache=use_cache,
-        seed=seed,
-        sample_stats_every=None,
-    )
-    resolved = probe._resolve_dimension()
+    resolved = dimension if dimension is not None else _resolve_dimension(url, collection)
     rng = np.random.default_rng(seed)
     queries = rng.normal(size=(256, resolved)).astype(np.float32)
     served = 0
@@ -759,17 +668,19 @@ def measure_saturation(
     def loop(slot: int) -> None:
         nonlocal served
         client = _Client(url)
-        body_base = {"top_k": top_k, "use_cache": use_cache}
         index = slot
         try:
             while time.monotonic() < deadline:
-                body = dict(body_base)
-                body["queries"] = [queries[index % len(queries)].tolist()]
+                path, body = _search_request(
+                    collection,
+                    queries[index % len(queries)],
+                    top_k=top_k,
+                    use_cache=use_cache,
+                    deadline_ms=None,
+                )
                 index += threads
                 try:
-                    status, _ = client.request(
-                        "POST", f"/collections/{collection}/search", body
-                    )
+                    status, _ = client.request("POST", path, body)
                 except Exception:
                     continue
                 if status == 200:

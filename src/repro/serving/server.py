@@ -26,7 +26,7 @@ Request lifecycle (data plane)::
   :class:`~repro.vdms.server.VectorDBServer`.
 * **drain** — on SIGTERM (or :meth:`ServingFrontend.drain`): stop accepting
   (new requests get 503), finish every admitted request, stop the backend's
-  maintenance workers and the shared query scheduler, stop the listener.
+  maintenance workers, stop the listener.
 
 Endpoints (all bodies and responses are JSON):
 
@@ -292,8 +292,8 @@ class ServingFrontend:
         The sequence is: flip the admission controller into draining (every
         new data-plane request is answered 503 from this instant), wait for
         the admitted backlog and in-flight requests to complete, shut the
-        backend down deterministically (maintenance workers, shared query
-        scheduler), then stop the accept loop and close the socket.  The
+        backend down deterministically (maintenance workers, WAL handles),
+        then stop the accept loop and close the socket.  The
         listener stays up *during* the wait so in-flight clients receive
         their responses.  Returns ``True`` when every admitted request
         completed within the configured drain timeout.  Idempotent.

@@ -33,8 +33,7 @@ This package is the substrate the tuner optimizes.  It provides:
   :class:`CacheBackend` protocol (``cache_policy``, ``cache_capacity``);
 * a :class:`VectorDBServer` facade exposing a Milvus-like client API
   (``create_collection``, ``insert``, ``flush``, ``create_index``,
-  ``search``, ``concurrent_search``, ``drop_index``,
-  ``apply_system_config``);
+  ``search``, ``drop_index``, ``apply_system_config``);
 * a durability tier (:mod:`repro.vdms.durability`): a CRC-framed
   write-ahead log, atomic (write-temp → fsync → rename) persistence of
   sealed segments as numpy files with optional ``np.memmap`` serving,

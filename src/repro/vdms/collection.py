@@ -14,7 +14,6 @@ flushes and deletes land.
 
 from __future__ import annotations
 
-import concurrent.futures
 import copy
 import threading
 from dataclasses import dataclass
@@ -544,8 +543,6 @@ class Collection:
         self,
         index_type: str,
         params: Mapping[str, Any] | None = None,
-        *,
-        build_workers: int | None = None,
     ) -> list[BuildStats]:
         """Build (or rebuild) the index over every sealed segment of every shard.
 
@@ -556,11 +553,6 @@ class Collection:
         params:
             The holistic parameter mapping; only the parameters relevant to
             ``index_type`` are used.
-        build_workers:
-            When greater than 1, per-shard builds run concurrently on a
-            thread pool of this size (the BatchEvaluator-style fan-out:
-            shards are independent, so builds are embarrassingly parallel
-            and the result is identical to a serial build).
 
         Returns
         -------
@@ -575,26 +567,15 @@ class Collection:
         params = dict(params or {})
         signature = self._structural_signature(index_type, params)
 
-        def build_shard(shard: Shard) -> list[BuildStats]:
-            shard.indexes.clear()
-            stats: list[BuildStats] = []
-            for segment in shard.segments.sealed_segments:
-                index = self._build_segment_index(segment, index_type, params, signature)
-                shard.indexes[segment.segment_id] = index
-                segment.state = SegmentState.SEALED
-                stats.append(index.build_stats)
-            return stats
-
+        stats: list[BuildStats] = []
         with self._lock:
-            workers = max(1, int(build_workers or 1))
-            if workers > 1 and len(self._shards) > 1:
-                with concurrent.futures.ThreadPoolExecutor(
-                    max_workers=min(workers, len(self._shards)),
-                    thread_name_prefix="repro-build",
-                ) as pool:
-                    per_shard = list(pool.map(build_shard, self._shards))
-            else:
-                per_shard = [build_shard(shard) for shard in self._shards]
+            for shard in self._shards:
+                shard.indexes.clear()
+                for segment in shard.segments.sealed_segments:
+                    index = self._build_segment_index(segment, index_type, params, signature)
+                    shard.indexes[segment.segment_id] = index
+                    segment.state = SegmentState.SEALED
+                    stats.append(index.build_stats)
             # Logged after the build succeeds (still under the lock): the
             # WAL must only carry index builds that can be replayed, and a
             # failed build leaves neither state nor record behind.
@@ -603,7 +584,7 @@ class Collection:
             self._index_type = index_type
             self._index_params = params
             self._version += 1
-        return [stats for shard_stats in per_shard for stats in shard_stats]
+        return stats
 
     def set_search_params(self, **params: Any) -> None:
         """Update search-time parameters on every per-segment index.

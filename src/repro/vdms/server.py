@@ -10,8 +10,6 @@ expensive build — the tuner still gets charged the simulated build time.
 
 from __future__ import annotations
 
-import functools
-import threading
 from typing import Any, Mapping
 
 import numpy as np
@@ -21,7 +19,6 @@ from repro.vdms.cost_model import CostModel
 from repro.vdms.durability import DurabilityManager, FileSystem, OsFileSystem
 from repro.vdms.errors import CollectionNotFoundError, DurabilityError
 from repro.vdms.index.base import VectorIndex
-from repro.vdms.sharding import QueryScheduler
 from repro.vdms.system_config import SystemConfig
 
 __all__ = ["VectorDBServer"]
@@ -57,8 +54,6 @@ class VectorDBServer:
         self._tenant_configs: dict[str, SystemConfig] = {}
         self._collections: dict[str, Collection] = {}
         self._index_cache: dict[tuple, VectorIndex] = {}
-        self._scheduler: QueryScheduler | None = None
-        self._scheduler_lock = threading.Lock()
         self._measured_saturation_qps: float | None = None
         #: Root of the per-collection data directories, or ``None`` for a
         #: purely in-memory server.  Collections live at ``data_dir/<name>``.
@@ -317,62 +312,21 @@ class VectorDBServer:
         """
         return self.get_collection(name).search(queries, top_k, **kwargs)
 
-    def query_scheduler(self) -> QueryScheduler:
-        """The server's shared query scheduler (built lazily, reused).
-
-        The scheduler owns a real thread pool; building one per call would
-        churn ``search_threads`` threads on every request batch.  It is
-        cached here and rebuilt only when a configuration change alters
-        ``search_threads``.
-        """
-        threads = max(1, int(self._system_config.search_threads))
-        with self._scheduler_lock:
-            scheduler = self._scheduler
-            if scheduler is None or scheduler.num_threads != threads:
-                self._scheduler = QueryScheduler(num_threads=threads)
-                if scheduler is not None:
-                    scheduler.close()
-                scheduler = self._scheduler
-            return scheduler
-
-    def concurrent_search(self, name: str, queries, top_k: int | None = None, **kwargs: Any):
-        """Serve ``queries`` as concurrent per-query requests.
-
-        Drives the collection through the server's shared
-        :class:`~repro.vdms.sharding.QueryScheduler` sized by the system
-        configuration's ``search_threads``: real threads issue one request
-        per query against the thread-safe collection and the results are
-        reassembled in submission order.  Returns ``(result, trace)``; the
-        trace carries the per-request shard work the cost model's
-        :meth:`~repro.vdms.cost_model.CostModel.concurrent_qps` event
-        simulation consumes.  Keyword arguments are forwarded to every
-        per-query :meth:`Collection.search
-        <repro.vdms.collection.Collection.search>` call.
-        """
-        collection = self.get_collection(name)
-        search_fn = collection.search
-        if kwargs:
-            search_fn = functools.partial(collection.search, **kwargs)
-        return self.query_scheduler().run(search_fn, queries, top_k)
-
     # -- lifecycle ----------------------------------------------------------------
 
     def shutdown(self) -> None:
         """Stop every background resource deterministically.
 
-        Stops the maintenance worker of every collection, releases durable
-        collections' WAL handles (their data directories stay recoverable)
-        and closes the shared query scheduler's thread pool.  In-memory
-        collections remain usable afterwards (the scheduler is rebuilt
-        lazily on the next :meth:`concurrent_search`); this is the hook the
-        network serving front-end's graceful drain calls last.
+        Stops the maintenance worker of every collection and releases
+        durable collections' WAL handles (their data directories stay
+        recoverable).  The facade owns no threads of its own: serving
+        concurrency is the :class:`~repro.serving.admission.AdmissionController`
+        pool in front of it.  In-memory collections remain usable afterwards;
+        this is the hook the network serving front-end's graceful drain calls
+        last.
         """
         for collection in self._collections.values():
             collection.close()
-        with self._scheduler_lock:
-            scheduler, self._scheduler = self._scheduler, None
-        if scheduler is not None:
-            scheduler.close()
 
     # -- cache management ----------------------------------------------------------------
 

@@ -364,10 +364,8 @@ class QueryScheduler:
     first concurrent :meth:`run` and reused by every later call — spinning a
     pool up and down per batch costs ``num_threads`` thread creations per
     request batch, pure churn on a serving path.  :meth:`close` shuts the
-    pool down deterministically (long-lived owners such as
-    :class:`~repro.vdms.server.VectorDBServer` call it when the thread count
-    changes); an unclosed scheduler's pool threads exit when the scheduler
-    is garbage-collected, like any abandoned executor.
+    pool down deterministically; an unclosed scheduler's pool threads exit
+    when the scheduler is garbage-collected, like any abandoned executor.
     """
 
     def __init__(self, num_threads: int = 1) -> None:

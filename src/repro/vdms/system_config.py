@@ -17,7 +17,7 @@ realistic range without gigabyte-scale data.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Mapping
 
 from repro.vdms.cache import CACHE_POLICIES
@@ -244,59 +244,13 @@ class SystemConfig:
     @classmethod
     def from_mapping(cls, values: Mapping[str, Any]) -> "SystemConfig":
         """Build a system configuration from any mapping (extra keys ignored)."""
-        kwargs = {}
-        for field_name in (
-            "segment_max_size",
-            "segment_seal_proportion",
-            "graceful_time",
-            "insert_buf_size",
-            "chunk_rows",
-            "query_node_threads",
-            "replica_number",
-            "shard_num",
-            "routing_policy",
-            "search_threads",
-            "compaction_trigger_ratio",
-            "maintenance_mode",
-            "filter_strategy",
-            "overfetch_factor",
-            "cache_policy",
-            "cache_capacity",
-            "durability_mode",
-            "wal_sync_policy",
-        ):
-            if field_name in values:
-                kwargs[field_name] = values[field_name]
-        for float_field in (
-            "segment_seal_proportion",
-            "compaction_trigger_ratio",
-            "overfetch_factor",
-        ):
-            if float_field in kwargs:
-                kwargs[float_field] = float(kwargs[float_field])
-        for string_field in (
-            "routing_policy",
-            "maintenance_mode",
-            "filter_strategy",
-            "cache_policy",
-            "durability_mode",
-            "wal_sync_policy",
-        ):
-            if string_field in kwargs:
-                kwargs[string_field] = str(kwargs[string_field])
-        for integer_field in (
-            "segment_max_size",
-            "graceful_time",
-            "insert_buf_size",
-            "chunk_rows",
-            "query_node_threads",
-            "replica_number",
-            "shard_num",
-            "search_threads",
-            "cache_capacity",
-        ):
-            if integer_field in kwargs:
-                kwargs[integer_field] = int(kwargs[integer_field])
+        # Every field is an int, float or str knob with a default of its own
+        # type, so the default's type is the coercion.
+        kwargs = {
+            field.name: type(field.default)(values[field.name])
+            for field in fields(cls)
+            if field.name in values
+        }
         return cls(**kwargs)
 
     # -- derived quantities ------------------------------------------------------

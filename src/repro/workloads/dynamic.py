@@ -641,10 +641,10 @@ class DynamicTuningEnvironment(VDMSTuningEnvironment):
     """A tuning environment whose workload drifts as evaluations are spent.
 
     The environment advances through the :class:`DynamicWorkload` timeline:
-    the Nth evaluation (1-based, counted across ``evaluate`` and
-    ``evaluate_batch``) runs under the phase active at step N.  A batch is
-    atomic — it is evaluated entirely under the phase active at its first
-    step, matching one concurrent replay round on a worker pool.  At every
+    the Nth evaluation (1-based; ``evaluate`` is a batch of one) runs under
+    the phase active at step N.  A batch is atomic — it is evaluated
+    entirely under the phase active at its first step, matching one
+    concurrent replay round on a worker pool.  At every
     phase boundary the replayer is rebuilt and the result cache flushed
     (:meth:`~repro.workloads.environment.VDMSTuningEnvironment.set_workload`),
     so re-evaluating an old configuration reflects the drifted workload.
@@ -708,11 +708,6 @@ class DynamicTuningEnvironment(VDMSTuningEnvironment):
             row_ids=phase.row_ids,
         )
         self.phase_log.append((target, step))
-
-    def evaluate(self, configuration: Configuration | Mapping[str, Any]) -> EvaluationResult:
-        self._steps += 1
-        self._advance_to_step(self._steps)
-        return super().evaluate(configuration)
 
     def evaluate_batch(
         self,

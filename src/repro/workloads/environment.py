@@ -166,20 +166,13 @@ class VDMSTuningEnvironment:
         )
 
     def evaluate(self, configuration: Configuration | Mapping[str, Any]) -> EvaluationResult:
-        """Evaluate a configuration and record it in the history."""
-        values = dict(configuration)
-        cache_key = self._cache_key(values)
-        cached = self._result_cache.get(cache_key)
-        if cached is None:
-            result = self._replayer.replay(values)
-            if self.noise > 0.0:
-                result = self._with_noise(result)
-            self._result_cache[cache_key] = result
-        else:
-            result = cached
-        self._replay_seconds += result.replay_seconds
-        self._append_record(result)
-        return result
+        """Evaluate a configuration and record it in the history.
+
+        A single evaluation is a batch of one: the cache lookup, replay,
+        noise draw, clock charge and history append all live in
+        :meth:`evaluate_batch`.
+        """
+        return self.evaluate_batch([configuration])[0]
 
     @staticmethod
     def _makespan(replay_seconds: list[float], workers: int) -> float:

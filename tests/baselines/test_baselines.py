@@ -1,5 +1,7 @@
 """Tests for the baseline tuners."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from repro.baselines import (
 )
 from repro.baselines.base import weighted_sum_scores
 from repro.core.history import ObservationHistory
-from repro.core.tuner import VDTuner
+from repro.core.tuner import VDTuner, VDTunerSettings
 from repro.workloads.environment import VDMSTuningEnvironment
 from tests.conftest import make_tiny_dataset
 from tests.core.test_history import make_observation
@@ -36,6 +38,13 @@ class TestRegistry:
         tuner = make_tuner("vdtuner", environment, seed=3)
         assert isinstance(tuner, VDTuner)
         assert tuner.settings.seed == 3
+
+    def test_make_tuner_reseeding_keeps_every_other_setting(self, dataset):
+        environment = VDMSTuningEnvironment(dataset, seed=0)
+        settings = VDTunerSettings(num_iterations=7, stale_noise_inflation=4.0)
+        tuner = make_tuner("vdtuner", environment, seed=3, settings=settings)
+        assert tuner.settings == dataclasses.replace(settings, seed=3)
+        assert tuner.settings.stale_noise_inflation == 4.0
 
     def test_make_tuner_unknown_name(self, dataset):
         environment = VDMSTuningEnvironment(dataset, seed=0)

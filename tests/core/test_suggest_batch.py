@@ -59,7 +59,7 @@ class TestSuggestBatch:
         second.run(10)
 
         suggested = first.suggest_batch(1)[0]
-        observation = second._tuning_iteration(11)
+        observation = second.run(11).history[-1]
         assert suggested.to_dict() == observation.configuration
 
     def test_empty_history_suggests_index_type_defaults(self, dataset):
@@ -91,6 +91,19 @@ class TestSuggestBatch:
         report = tuner.run(batch_size=4)
         initial_types = [o.index_type for o in report.history[: len(tuner.index_types)]]
         assert initial_types == tuner.index_types
+
+
+    def test_pooled_default_sweep_is_one_batch_sequential_is_batches_of_one(self, dataset):
+        def sweep_clocks(**run_options):
+            environment = VDMSTuningEnvironment(dataset, seed=0)
+            tuner = VDTuner(environment, settings=small_settings())
+            tuner.run(len(tuner.index_types), **run_options)
+            return [record.elapsed_replay_seconds for record in environment.history]
+
+        # Not chunked by q: every record carries the one batch's closing clock.
+        assert len(set(sweep_clocks(batch_size=2))) == 1
+        sequential = sweep_clocks()
+        assert sequential == sorted(set(sequential))
 
 
 class TestBaselineSuggestBatch:

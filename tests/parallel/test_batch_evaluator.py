@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures.process import BrokenProcessPool
+
 import numpy as np
 import pytest
 
@@ -89,6 +91,28 @@ class TestBatchEvaluator:
         assert results[1].failed
         assert not results[0].failed
         assert not results[2].failed
+
+    def test_broken_pool_degrades_to_in_process_with_isolation(self, dataset, workload):
+        class BrokenPool:
+            def map(self, worker, tasks):
+                raise BrokenProcessPool("a worker died")
+
+            def shutdown(self, **kwargs):
+                pass
+
+        space = VDMSTuningEnvironment(dataset, workload=workload).space
+        batch = [c.to_dict() for c in sample_batch(space, count=3)]
+        batch[1] = dict(batch[1], index_type="NO_SUCH_INDEX")
+        with BatchEvaluator(dataset, workload=workload, backend="serial") as serial:
+            expected = serial.evaluate_many(batch)
+        with BatchEvaluator(
+            dataset, workload=workload, num_workers=3, backend="process"
+        ) as evaluator:
+            evaluator._pool = BrokenPool()
+            results = evaluator.evaluate_many(batch)
+            assert evaluator._pool is None  # rebuilt lazily by the next batch
+        assert results_signature(results) == results_signature(expected)
+        assert [r.failed for r in results] == [False, True, False]
 
     def test_unknown_backend_rejected(self, dataset):
         with pytest.raises(ValueError):

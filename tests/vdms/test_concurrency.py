@@ -193,26 +193,6 @@ class TestConcurrentDeletes:
         assert not errors
 
 
-class TestParallelIndexBuilds:
-    def test_parallel_build_matches_serial_build(self):
-        rng = np.random.default_rng(5)
-        vectors = rng.normal(size=(600, DIMENSION)).astype(np.float32)
-        queries = rng.normal(size=(8, DIMENSION)).astype(np.float32)
-        results = {}
-        for workers in (1, 4):
-            config = SystemConfig(shard_num=4, segment_max_size=64, insert_buf_size=64)
-            collection = Collection("build", DIMENSION, metric="l2", system_config=config)
-            collection.insert(vectors)
-            collection.flush()
-            stats = collection.create_index(
-                "IVF_FLAT", {"nlist": 8, "nprobe": 8}, build_workers=workers
-            )
-            results[workers] = (collection.search(queries, TOP_K), len(stats))
-        serial, parallel = results[1], results[4]
-        assert serial[1] == parallel[1]  # same number of per-segment builds
-        assert np.array_equal(serial[0].ids, parallel[0].ids)
-
-
 class TestSnapshotIsolation:
     def test_reconfiguring_search_params_does_not_touch_snapshotted_indexes(self):
         collection, queries = build_collection(shard_num=2)

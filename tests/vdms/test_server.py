@@ -7,6 +7,7 @@ import pytest
 
 from repro.vdms.errors import CollectionNotFoundError
 from repro.vdms.server import VectorDBServer
+from repro.vdms.sharding import QueryScheduler
 from repro.vdms.system_config import SystemConfig
 
 
@@ -111,7 +112,8 @@ class TestConcurrentSearch:
         server.flush("c")
         server.create_index("c", "FLAT")
         batch = server.search("c", vectors[:6], 3)
-        concurrent, trace = server.concurrent_search("c", vectors[:6], 3)
+        with QueryScheduler(4) as scheduler:
+            concurrent, trace = scheduler.run(server.get_collection("c").search, vectors[:6], 3)
         assert trace.num_requests == 6
         assert sorted(trace.served_requests) == list(range(6))
         assert np.array_equal(concurrent.ids, batch.ids)
@@ -146,58 +148,6 @@ class TestSearchKwargForwarding:
         bypass = cached_server.search("c", queries, 3, use_cache=False)
         assert bypass.stats.cache_hits == 0  # ...unless the caller opts out
         assert np.array_equal(bypass.ids, hit.ids)
-
-    def test_concurrent_search_forwards_use_cache(self, cached_server, vectors):
-        cached_server.apply_system_config(
-            {"cache_policy": "lru", "cache_capacity": 64, "search_threads": 2}
-        )
-        cached_server.create_collection("c", 8)
-        cached_server.insert("c", vectors)
-        cached_server.flush("c")
-        queries = vectors[:4]
-        cached_server.concurrent_search("c", queries, 3)
-        result, _ = cached_server.concurrent_search("c", queries, 3, use_cache=False)
-        assert result.stats.cache_hits == 0
-
-
-class TestSchedulerReuse:
-    """concurrent_search must reuse one scheduler, not build one per call."""
-
-    def test_scheduler_cached_across_calls(self, vectors):
-        server = VectorDBServer()
-        server.apply_system_config({"search_threads": 2})
-        server.create_collection("c", 8)
-        server.insert("c", vectors)
-        server.flush("c")
-        first = server.query_scheduler()
-        server.concurrent_search("c", vectors[:4], 3)
-        server.concurrent_search("c", vectors[:4], 3)
-        assert server.query_scheduler() is first
-        server.shutdown()
-
-    def test_scheduler_rebuilt_only_on_thread_count_change(self):
-        server = VectorDBServer()
-        server.apply_system_config({"search_threads": 2})
-        scheduler = server.query_scheduler()
-        server.apply_system_config({"search_threads": 2, "nlist": 64})
-        assert server.query_scheduler() is scheduler  # unrelated change: kept
-        server.apply_system_config({"search_threads": 4})
-        rebuilt = server.query_scheduler()
-        assert rebuilt is not scheduler
-        assert rebuilt.num_threads == 4
-        server.shutdown()
-
-    def test_shutdown_closes_scheduler(self):
-        server = VectorDBServer()
-        server.apply_system_config({"search_threads": 2})
-        server.query_scheduler()
-        server.shutdown()
-        alive = [
-            thread
-            for thread in threading.enumerate()
-            if thread.name.startswith("repro-query") and thread.is_alive()
-        ]
-        assert alive == []
 
 
 class TestMaintenanceWorkerLifecycle:

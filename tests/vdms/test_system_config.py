@@ -42,6 +42,14 @@ class TestValidation:
         assert isinstance(config.segment_max_size, int)
         assert config.segment_seal_proportion == 0.5
 
+    def test_from_mapping_coerces_by_field_type(self):
+        config = SystemConfig.from_mapping(
+            {"segment_max_size": "256", "overfetch_factor": 3, "cache_policy": "lru", "nlist": 64}
+        )
+        assert config == SystemConfig(segment_max_size=256, overfetch_factor=3.0, cache_policy="lru")
+        assert isinstance(config.segment_max_size, int)
+        assert isinstance(config.overfetch_factor, float)
+
 
 class TestDerivedQuantities:
     def test_sealed_segment_rows_scale_with_segment_size(self):

@@ -184,6 +184,18 @@ class TestDynamicTuningEnvironment:
         environment.evaluate(environment.default_configuration())
         assert environment.current_phase.index == 1
 
+    def test_evaluate_is_a_one_step_batch(self, dataset):
+        # The drift stepping lives in evaluate_batch only; evaluate inherits
+        # the base class's one-element-batch wrapper.
+        assert "evaluate" not in vars(DynamicTuningEnvironment)
+        dynamic = DynamicWorkload(dataset, [QPSBurstEvent(at_step=2, severity=1.0)], seed=0)
+        environment = DynamicTuningEnvironment(dynamic, seed=0)
+        for step in (1, 2, 3):
+            environment.evaluate(environment.default_configuration())
+            assert environment.steps_taken == step
+            assert environment.num_evaluations == step
+        assert environment.phase_log == [(0, 1), (1, 2)]
+
     def test_steps_counted_across_entry_points(self, dataset):
         dynamic = DynamicWorkload(dataset, [QPSBurstEvent(at_step=4, severity=1.0)], seed=0)
         environment = DynamicTuningEnvironment(dynamic, seed=0)

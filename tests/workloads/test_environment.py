@@ -60,3 +60,12 @@ class TestEvaluation:
         clean = VDMSTuningEnvironment(tiny_dataset, space=milvus_space, noise=0.0, seed=5)
         configuration = default_configuration(milvus_space, index_type="IVF_FLAT")
         assert noisy.evaluate(configuration).qps != clean.evaluate(configuration).qps
+
+    def test_evaluate_is_a_batch_of_one(self, tiny_dataset, milvus_space):
+        single = VDMSTuningEnvironment(tiny_dataset, space=milvus_space, noise=0.3, seed=5)
+        batched = VDMSTuningEnvironment(tiny_dataset, space=milvus_space, noise=0.3, seed=5)
+        for index_type in ("IVF_FLAT", "HNSW", "IVF_FLAT"):  # the repeat is a cache hit
+            configuration = default_configuration(milvus_space, index_type=index_type)
+            assert single.evaluate(configuration) == batched.evaluate_batch([configuration])[0]
+        assert single.elapsed_replay_seconds == batched.elapsed_replay_seconds
+        assert single.history == batched.history
