@@ -455,10 +455,20 @@ class _Handler(BaseHTTPRequestHandler):
         pass  # per-request lines on stderr would drown the load harness
 
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
-        body = json.dumps(payload).encode("utf-8")
+        # ``allow_nan=False``: no route may emit the bare ``Infinity``/``NaN``
+        # literals, which are not JSON (RFC 8259) — a stray one is a 500 here
+        # rather than a body the client's parser rejects.
+        try:
+            body = json.dumps(payload, allow_nan=False).encode("utf-8")
+        except ValueError as error:
+            status = 500
+            body = json.dumps({"error": f"response is not valid JSON: {error}"}).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        # Known stall (ROADMAP 1(a), CHANGES.md PR 17): these are two small
+        # sends on an unbuffered ``wfile``, so Nagle holds the body until the
+        # head is ACKed and a keep-alive client delays that ACK ~40 ms.
         self.end_headers()
         self.wfile.write(body)
 
@@ -664,9 +674,16 @@ class _Handler(BaseHTTPRequestHandler):
             deadline_ms=None if deadline_ms is None else float(deadline_ms),
             tenant=name,
         )
+        distances = result.distances
+        finite = np.isfinite(distances)
+        if not finite.all():
+            # The ``inf`` padding of an under-full row (and the distances of
+            # a NaN query) have no JSON number: encode them as ``null``.
+            distances = distances.astype(object)
+            distances[~finite] = None
         return 200, {
             "ids": result.ids.tolist(),
-            "distances": result.distances.tolist(),
+            "distances": distances.tolist(),
             "num_queries": int(result.stats.num_queries),
             "cache_hits": int(result.stats.cache_hits),
         }

@@ -34,6 +34,7 @@ from repro.vdms.durability import (
 from repro.vdms.errors import DurabilityError, IndexBuildError, IndexNotBuiltError
 from repro.vdms.index import INDEX_REGISTRY, create_index
 from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
+from repro.vdms.index.flat import FlatIndex
 from repro.vdms.maintenance import MaintenanceReport, MaintenanceWorker
 from repro.vdms.request import (
     AUTO_PRE_FILTER_SELECTIVITY,
@@ -729,7 +730,7 @@ class Collection:
         planned: list[tuple[np.ndarray, SegmentPlan]] | None,
         charge_filter_scan: bool,
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """Top-K over one shard snapshot: every segment through its index.
+        """Top-K over one shard snapshot: per segment, FLAT-served runs fused.
 
         For a filtered request ``plan`` is its resolved plan and ``planned``
         the shard's ``(allow_mask, segment_plan)`` pairs, aligned with
@@ -737,13 +738,27 @@ class Collection:
         ``charge_filter_scan`` is ``False`` when the allow-masks came from
         the plan tier of the query cache: the predicate was not re-evaluated
         for this request, so no mask-building scan is charged.
+
+        Every view is searched through its index and the candidate lists
+        merged, except that the FLAT-served views of an unfiltered request
+        are answered run by run (:meth:`_search_run`), each run handing the
+        merge one candidate list — same ids, distances and counted work.
         """
         queries = request.queries
         top_k = request.top_k
         stats = SearchStats(num_queries=queries.shape[0])
         candidate_ids: list[np.ndarray] = []
         candidate_distances: list[np.ndarray] = []
+        runs = FlatIndex.runs(view.index for view in views) if planned is None else []
+        for run in runs:
+            ids, distances, run_stats = self._search_run(run, queries, top_k)
+            stats.merge(run_stats)
+            candidate_ids.append(ids)
+            candidate_distances.append(distances)
+        fused = {id(index) for run in runs for index in run}
         for position, view in enumerate(views):
+            if id(view.index) in fused:
+                continue
             if planned is None:
                 ids, distances, segment_stats = view.index.search(queries, top_k)
             else:
@@ -765,6 +780,33 @@ class Collection:
             empty_shape = (queries.shape[0], 0)
             return np.empty(empty_shape, dtype=np.int64), np.empty(empty_shape), stats
         ids, distances = merge_topk(candidate_ids, candidate_distances, top_k)
+        return ids, distances, stats
+
+    @staticmethod
+    def _search_run(
+        run: list[FlatIndex], queries: np.ndarray, top_k: int
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+        """One candidate list for a run of FLAT-served segments, from one scan.
+
+        Bit-identical to searching each index and merging.  Per-pair
+        distances do not depend on how rows are batched (the kernel's
+        determinism contract), so when a query's ``top_k`` smallest distances
+        over the run form a unique set, every per-segment top-k contains its
+        share of that set and the (distance, id) merge returns exactly it —
+        the fused scan's winners, which the caller's merge re-orders the same
+        way.  When the boundary is tied (duplicate vectors, zero-snapped
+        pairs), the per-segment path keeps tied rows by segment-local
+        position before the merge compares ids, which one select over the
+        whole run cannot reproduce; those queries alone are re-run per
+        segment.  The counted work is the run's either way.
+        """
+        ids, distances, stats, unsettled = FlatIndex.search_run(run, queries, top_k)
+        if unsettled.size:
+            tied = queries[unsettled]
+            segment_ids, segment_distances, _ = zip(*(index.search(tied, top_k) for index in run))
+            ids[unsettled], distances[unsettled] = merge_topk(
+                segment_ids, segment_distances, top_k
+            )
         return ids, distances, stats
 
     def search(self, queries, top_k: int | None = None, *, use_cache: bool = True) -> SearchResult:

@@ -26,10 +26,16 @@ mutations, so the float64 operand view and the per-row squared norms it
 needs are computed once and cached on a :class:`ScanOperand` (built at
 segment seal / index build).  A steady-state scan is then a single GEMM plus
 a broadcast add instead of two casts and an einsum per call.  The query side
-(``O(q*d)``) stays per-call; it is noise next to the ``O(q*n*d)`` GEMM.
+(``O(q*d)``) stays per-call; it is noise next to the ``O(q*n*d)`` GEMM — as
+long as the operand is large.  A shard's FLAT-served segments are many small
+operands, so the blocked-scan kernel takes a *sequence* of them
+(:func:`scan_topk`): the query side, the per-pair finish and the top-k
+select are paid once per run instead of once per segment.
 """
 
 from __future__ import annotations
+
+from typing import Sequence
 
 import numpy as np
 
@@ -42,6 +48,7 @@ __all__ = [
     "pairwise_distances",
     "pairwise_distances_blocked",
     "prepare_vectors",
+    "scan_topk",
     "top_k_select",
 ]
 
@@ -180,6 +187,17 @@ def _as_operand(vectors: np.ndarray | ScanOperand, metric: str) -> ScanOperand:
 
 
 def _prepare_queries(queries: np.ndarray, metric: str) -> np.ndarray:
+    """Query-side pre-processing every kernel applies on entry.
+
+    The callers above the kernels (``VectorIndex.search``,
+    ``FlatIndex.search_run``) hand in queries that :func:`prepare_vectors`
+    has already normalized for ``angular``, so this normalizes them a second
+    time.  The second pass is kept on purpose: re-normalizing a unit-norm
+    float32 row is not an identity (it moves the last ulp of some
+    components), every recorded result — golden traces, the benchmark's
+    exact-repeat quantities, the oracle suites' digests — was computed with
+    it, and dropping it would change distances in their last bit.
+    """
     queries = np.asarray(queries, dtype=np.float32)
     if queries.ndim == 1:
         queries = queries[None, :]
@@ -188,22 +206,48 @@ def _prepare_queries(queries: np.ndarray, metric: str) -> np.ndarray:
     return queries
 
 
-def _distance_tile(
-    queries64: np.ndarray,
-    query_norms: np.ndarray,
-    operand64: np.ndarray,
-    operand_norms: np.ndarray,
+def _finish_tile(
+    products: np.ndarray,
+    query_norms: np.ndarray | None,
+    vector_norms: np.ndarray | None,
     metric: str,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """One float32 distance tile; per-pair arithmetic of the module contract."""
+    """Per-pair finish of the module contract over one tile of GEMM products.
+
+    ``products`` is the float64 ``queries @ vectors.T`` of the tile and is
+    consumed as scratch, ``query_norms`` a ``(q, 1)`` column and
+    ``vector_norms`` a ``(rows,)`` vector of squared norms; the float32
+    distances land in ``out`` (a fresh array when omitted), which is returned.  The arithmetic (``q² − 2qv + v²``,
+    clamp, float32 round, zero-snap) touches each pair on its own, so how
+    many operands' products share the tile never changes a value.
+    """
     if metric == "ip":
-        return (-(queries64 @ operand64.T)).astype(np.float32)
-    vector_norms = operand_norms[None, :]
-    distances = query_norms - 2.0 * (queries64 @ operand64.T) + vector_norms
-    np.maximum(distances, 0.0, out=distances)
-    rounded = distances.astype(np.float32)
-    rounded[distances < _ZERO_SNAP_RELATIVE * (query_norms + vector_norms)] = 0.0
-    return rounded
+        np.negative(products, out=products)
+    else:
+        np.multiply(products, 2.0, out=products)
+        np.subtract(query_norms, products, out=products)
+        np.add(products, vector_norms, out=products)
+        np.maximum(products, 0.0, out=products)
+    if out is None:
+        out = products.astype(np.float32)
+    else:
+        out[...] = products
+    if metric != "ip":
+        out[products < _ZERO_SNAP_RELATIVE * (query_norms + vector_norms)] = 0.0
+    return out
+
+
+def _scan_tile(
+    queries: np.ndarray, operand: ScanOperand, metric: str, out: np.ndarray | None = None
+) -> np.ndarray:
+    """One GEMM, one finish: prepared ``queries`` × every row of ``operand``."""
+    queries64 = queries.astype(np.float64)
+    products = queries64 @ operand.vectors64.T
+    if metric == "ip":
+        return _finish_tile(products, None, None, metric, out)
+    query_norms = np.einsum("ij,ij->i", queries64, queries64)[:, None]
+    return _finish_tile(products, query_norms, operand.norms64, metric, out)
 
 
 def pairwise_distances(
@@ -224,20 +268,88 @@ def pairwise_distances(
     if metric not in METRICS:
         raise ValueError(f"unsupported metric {metric!r}")
     operand = _as_operand(vectors, metric)
-    queries = _prepare_queries(queries, metric)
-    queries64 = queries.astype(np.float64)
-    if metric == "ip":
-        return _distance_tile(queries64, None, operand.vectors64, None, metric)
-    query_norms = np.einsum("ij,ij->i", queries64, queries64)[:, None]
-    return _distance_tile(queries64, query_norms, operand.vectors64, operand.norms64, metric)
+    return _scan_tile(_prepare_queries(queries, metric), operand, metric)
 
 
-#: Default tile shape for :func:`pairwise_distances_blocked`.  Row tiles
-#: bound the float64 scratch of a scan to ``query_block * row_block`` doubles
+#: Default tile shape of the blocked-scan kernel.  Row tiles bound the
+#: float64 scratch of a scan to ``query_block * row_block`` doubles
 #: regardless of segment size; both defaults were picked by sweeping
 #: ``benchmarks/bench_kernels.py`` on the development box.
 DEFAULT_QUERY_BLOCK = 64
 DEFAULT_ROW_BLOCK = 8192
+
+#: Most rows one fused run (:func:`scan_topk` over several operands) may
+#: span.  The run's float32 select buffer is ``query_block`` rows of this
+#: width (64 MiB at the defaults), so it stays bounded however many
+#: FLAT-served segments a shard holds; a longer run is cut into several, each
+#: yielding its own candidate list for the merge.
+MAX_RUN_ROWS = 32 * DEFAULT_ROW_BLOCK
+
+
+def _tile_groups(
+    operands: Sequence[ScanOperand], row_block: int, with_norms: bool
+) -> list[tuple[list[np.ndarray], list[np.ndarray]]]:
+    """Lay the rows of ``operands`` side by side, cut for the blocked scan.
+
+    Every operand is cut into the row tiles a scan of it alone would use
+    (``row_block`` rows, transposed views of its float64 cast); consecutive
+    tiles are then packed into groups of at most ``row_block`` columns.
+    Returns ``(tiles, norms)`` per group, ``norms`` holding each tile's
+    squared row norms (empty for ``ip``).  A large
+    operand yields one-tile groups, a run of small segments a few groups of
+    many tiles.
+    """
+    groups: list[tuple[list[np.ndarray], list[np.ndarray]]] = []
+    width = 0
+    for operand in operands:
+        vectors64 = operand.vectors64
+        norms64 = operand.norms64 if with_norms else None
+        for start in range(0, vectors64.shape[0], row_block):
+            tile = vectors64[start : start + row_block].T
+            if not groups or width + tile.shape[1] > row_block:
+                groups.append(([], []))
+                width = 0
+            tiles, norms = groups[-1]
+            tiles.append(tile)
+            if with_norms:
+                norms.append(norms64[start : start + row_block])
+            width += tile.shape[1]
+    return groups
+
+
+def _scan_block(
+    queries: np.ndarray,
+    groups: list[tuple[list[np.ndarray], list[np.ndarray]]],
+    metric: str,
+    out: np.ndarray,
+) -> None:
+    """The blocked-scan kernel, one query block: ``queries`` × every group's rows.
+
+    ``queries`` are prepared float32 rows, ``groups`` come from
+    :func:`_tile_groups`, ``out`` is the float32 ``(len(queries), Σrows)``
+    destination.  Each tile gets its own GEMM — the shape a scan of its
+    operand alone would issue — into consecutive columns of one float64
+    scratch tile per group, and the per-pair finish runs once per group
+    rather than once per operand: that is what makes a run of small
+    segments cost one scan.  Values are those of :func:`pairwise_distances`
+    pair by pair (module determinism contract).
+    """
+    queries64 = queries.astype(np.float64)
+    query_norms = None
+    if metric != "ip":
+        query_norms = np.einsum("ij,ij->i", queries64, queries64)[:, None]
+    column = 0
+    for tiles, norms in groups:
+        width = sum(tile.shape[1] for tile in tiles)
+        products = np.empty((queries64.shape[0], width), dtype=np.float64)
+        start = 0
+        for tile in tiles:
+            stop = start + tile.shape[1]
+            np.matmul(queries64, tile, out=products[:, start:stop])
+            start = stop
+        vector_norms = np.concatenate(norms) if norms else None
+        _finish_tile(products, query_norms, vector_norms, metric, out[:, column : column + width])
+        column += width
 
 
 def pairwise_distances_blocked(
@@ -256,6 +368,7 @@ def pairwise_distances_blocked(
     the tile it was scored in) while keeping the float64 intermediates to one
     ``(query_block, row_block)`` tile, so large multi-query scans stay in
     cache instead of materializing a ``(q, n)`` float64 scratch matrix.
+    This is the blocked-scan kernel over a single operand.
 
     ``out`` may supply a preallocated float32 ``(q, n)`` destination.
     """
@@ -265,31 +378,61 @@ def pairwise_distances_blocked(
         raise ValueError("block sizes must be positive")
     operand = _as_operand(vectors, metric)
     queries = _prepare_queries(queries, metric)
-    total_queries = queries.shape[0]
-    total_rows = operand.shape[0]
+    shape = (queries.shape[0], operand.shape[0])
     if out is None:
-        out = np.empty((total_queries, total_rows), dtype=np.float32)
-    elif out.shape != (total_queries, total_rows) or out.dtype != np.float32:
+        out = np.empty(shape, dtype=np.float32)
+    elif out.shape != shape or out.dtype != np.float32:
         raise ValueError("out must be a float32 (queries, rows) matrix")
-    operand64 = operand.vectors64
-    operand_norms = None if metric == "ip" else operand.norms64
-    for query_start in range(0, total_queries, query_block):
-        query_stop = min(query_start + query_block, total_queries)
-        queries64 = queries[query_start:query_stop].astype(np.float64)
-        if metric == "ip":
-            query_norms = None
-        else:
-            query_norms = np.einsum("ij,ij->i", queries64, queries64)[:, None]
-        for row_start in range(0, total_rows, row_block):
-            row_stop = min(row_start + row_block, total_rows)
-            out[query_start:query_stop, row_start:row_stop] = _distance_tile(
-                queries64,
-                query_norms,
-                operand64[row_start:row_stop],
-                None if operand_norms is None else operand_norms[row_start:row_stop],
-                metric,
-            )
+    if shape[0] <= query_block and shape[1] <= row_block:
+        # Nothing to block: one tile is the plain scan.  The IVF family scores
+        # one small candidate list per (query, segment) through this call, so
+        # the tile bookkeeping below would be a measurable share of it.
+        return _scan_tile(queries, operand, metric, out)
+    groups = _tile_groups([operand], row_block, metric != "ip")
+    for start in range(0, shape[0], query_block):
+        _scan_block(
+            queries[start : start + query_block], groups, metric, out[start : start + query_block]
+        )
     return out
+
+
+def scan_topk(
+    queries: np.ndarray, operands: Sequence[ScanOperand], top_k: int, metric: str
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact top-k over a run of operands: one blocked scan, one select.
+
+    Returns ``(positions, ordered_distances, settled)``.  ``positions`` index
+    the operands' rows laid side by side in operand order; both arrays are
+    ``(q, min(top_k, Σrows))`` and follow :func:`top_k_select`'s
+    (distance, position) order.  The float32 select buffer is one query
+    block deep, so scratch stays bounded for any batch size.
+
+    ``settled[i]`` says query *i*'s selection is a unique *set*: exactly
+    ``keep`` rows lie at or below its last distance.  Then any way of
+    splitting the rows into operands, selecting per operand and merging
+    returns these same rows.  Where it is ``False`` — the boundary distance
+    is tied with an unselected row, or is not a number — which tied rows a
+    split-and-merge keeps depends on the split, and a caller that must
+    reproduce one (``Collection._search_run``) re-runs that query split.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unsupported metric {metric!r}")
+    queries = _prepare_queries(queries, metric)
+    groups = _tile_groups(operands, DEFAULT_ROW_BLOCK, metric != "ip")
+    total_queries = queries.shape[0]
+    total_rows = sum(operand.shape[0] for operand in operands)
+    keep = min(int(top_k), total_rows)
+    positions = np.empty((total_queries, keep), dtype=np.int64)
+    ordered = np.empty((total_queries, keep), dtype=np.float32)
+    settled = np.empty(total_queries, dtype=bool)
+    buffer = np.empty((min(DEFAULT_QUERY_BLOCK, total_queries), total_rows), dtype=np.float32)
+    for start in range(0, total_queries, DEFAULT_QUERY_BLOCK):
+        rows = slice(start, min(start + DEFAULT_QUERY_BLOCK, total_queries))
+        block = buffer[: rows.stop - start]
+        _scan_block(queries[rows], groups, metric, block)
+        positions[rows], ordered[rows] = top_k_select(block, keep)
+        settled[rows] = (block <= ordered[rows, -1:]).sum(axis=1) == keep
+    return positions, ordered, settled
 
 
 def masked_topk(

@@ -132,6 +132,17 @@ class BuildStats:
     extra: dict[str, Any] = field(default_factory=dict)
 
 
+def pad_to_top_k(
+    ids: np.ndarray, distances: np.ndarray, top_k: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Pad an under-full ``(q, <top_k)`` result to ``top_k`` with ``-1`` / ``inf``."""
+    if ids.shape[1] < top_k:
+        pad_width = top_k - ids.shape[1]
+        ids = np.pad(ids, ((0, 0), (0, pad_width)), constant_values=-1)
+        distances = np.pad(distances, ((0, 0), (0, pad_width)), constant_values=np.inf)
+    return ids.astype(np.int64, copy=False), distances
+
+
 class VectorIndex(ABC):
     """Abstract base class for all ANN indexes.
 
@@ -254,16 +265,7 @@ class VectorIndex(ABC):
         Returns ``(ids, distances, stats)`` where ``ids`` has shape
         ``(q, top_k)``.
         """
-        if not self.is_built:
-            raise IndexNotBuiltError(f"{self.index_type} index has not been built")
-        queries = prepare_vectors(queries, self.metric)
-        if queries.ndim != 2:
-            raise ValueError("queries must be a 2-D array")
-        if queries.shape[1] != self.dimension:
-            raise ValueError("query dimension does not match the index")
-        top_k = int(top_k)
-        if top_k <= 0:
-            raise ValueError("top_k must be positive")
+        queries, top_k = self._checked_request(queries, top_k)
         if allow_mask is None:
             positions, distances, stats = self._search(queries, min(top_k, self.size))
         else:
@@ -289,11 +291,21 @@ class VectorIndex(ABC):
                 )
         stats.num_queries = queries.shape[0]
         ids = np.where(positions >= 0, self._ids[np.clip(positions, 0, self.size - 1)], -1)
-        if ids.shape[1] < top_k:
-            pad_width = top_k - ids.shape[1]
-            ids = np.pad(ids, ((0, 0), (0, pad_width)), constant_values=-1)
-            distances = np.pad(distances, ((0, 0), (0, pad_width)), constant_values=np.inf)
-        return ids.astype(np.int64), distances, stats
+        return (*pad_to_top_k(ids, distances, top_k), stats)
+
+    def _checked_request(self, queries: np.ndarray, top_k: int) -> tuple[np.ndarray, int]:
+        """Validate a search against this index; returns prepared queries and ``top_k``."""
+        if not self.is_built:
+            raise IndexNotBuiltError(f"{self.index_type} index has not been built")
+        queries = prepare_vectors(queries, self.metric)
+        if queries.ndim != 2:
+            raise ValueError("queries must be a 2-D array")
+        if queries.shape[1] != self.dimension:
+            raise ValueError("query dimension does not match the index")
+        top_k = int(top_k)
+        if top_k <= 0:
+            raise ValueError("top_k must be positive")
+        return queries, top_k
 
     # -- filtered execution ------------------------------------------------------
 

@@ -17,20 +17,26 @@ import numpy as np
 import pytest
 
 from repro.serving import ServingConfig, ServingFrontend
+from repro.serving.server import _Handler
 from repro.vdms.server import VectorDBServer
 
 
-def request(frontend, method, path, body=None):
+def raw_request(frontend, method, path, body=None):
+    """One request on a fresh connection: ``(status, body bytes)``."""
     conn = http.client.HTTPConnection("127.0.0.1", frontend.port, timeout=30.0)
     try:
         payload = None if body is None else json.dumps(body)
         headers = {"Content-Type": "application/json"} if payload else {}
         conn.request(method, path, body=payload, headers=headers)
         response = conn.getresponse()
-        raw = response.read()
-        return response.status, json.loads(raw) if raw else {}
+        return response.status, response.read()
     finally:
         conn.close()
+
+
+def request(frontend, method, path, body=None):
+    status, raw = raw_request(frontend, method, path, body)
+    return status, json.loads(raw) if raw else {}
 
 
 @pytest.fixture
@@ -472,3 +478,119 @@ def test_search_accepts_attribute_filter(frontend):
         {"queries": [vectors[3].tolist()],
          "filter": {"field": "parity", "op": "between", "value": 1}},
     )[0] == 400
+
+
+# -- one send per response ------------------------------------------------------------
+
+
+@pytest.fixture
+def socket_writes(monkeypatch):
+    """Byte counts of every write any handler makes to its connection."""
+    writes: list[int] = []
+    setup = _Handler.setup
+
+    def recording_setup(handler):
+        setup(handler)
+        write = handler.wfile.write
+
+        def record(data):
+            writes.append(len(data))
+            return write(data)
+
+        handler.wfile.write = record
+
+    monkeypatch.setattr(_Handler, "setup", recording_setup)
+    return writes
+
+
+@pytest.mark.xfail(
+    strict=True, reason="head and body are still two sends (ROADMAP 1(a); CHANGES.md PR 17)"
+)
+def test_every_response_reaches_the_socket_in_one_write(loaded, socket_writes):
+    """Head and body leave together: two small sends stall ~40 ms on a
+    keep-alive connection (Nagle waits for the client's delayed ACK).
+
+    Strict, so the change that makes it one send has to turn this test on.
+    """
+    frontend, vectors = loaded
+    search = {"queries": [vectors[0].tolist()], "top_k": 5}
+    exchanges = [
+        ("GET", "/healthz", None, 200),
+        ("GET", "/stats", None, 200),
+        ("GET", "/collections/demo", None, 200),
+        ("POST", "/collections/demo/search", search, 200),
+        ("GET", "/nope", None, 404),
+        ("POST", "/collections/demo/search", {}, 400),
+        ("POST", "/collections/ghost/search", search, 404),
+    ]
+    for method, path, body, expected in exchanges:
+        del socket_writes[:]
+        status, payload = request(frontend, method, path, body)
+        assert status == expected
+        assert payload  # the single write carried a body, not just the head
+        assert len(socket_writes) == 1, f"{method} {path}: writes {socket_writes}"
+
+
+def test_multi_megabyte_response_is_delivered_whole(loaded):
+    frontend, vectors = loaded
+    queries = np.tile(vectors, (4, 1))  # 1200 queries x top_k 300: a few MB of JSON
+    conn = http.client.HTTPConnection("127.0.0.1", frontend.port, timeout=60.0)
+    try:
+        conn.request(
+            "POST",
+            "/collections/demo/search",
+            body=json.dumps({"queries": queries.tolist(), "top_k": 300}),
+            headers={"Content-Type": "application/json"},
+        )
+        response = conn.getresponse()
+        raw = response.read()
+    finally:
+        conn.close()
+    assert response.status == 200
+    assert len(raw) == int(response.getheader("Content-Length")) > 2_000_000
+    payload = json.loads(raw)
+    assert len(payload["ids"]) == 1200 and all(len(row) == 300 for row in payload["ids"])
+    assert payload["ids"][7][0] == 7
+
+
+# -- responses are JSON -----------------------------------------------------------------
+
+
+def strict_json(raw: bytes):
+    """Parse like an RFC 8259 parser: ``Infinity``/``NaN`` literals are errors."""
+
+    def reject(literal):
+        raise ValueError(f"non-JSON literal {literal!r} in response")
+
+    return json.loads(raw, parse_constant=reject)
+
+
+def test_under_full_search_response_is_strict_json(loaded):
+    frontend, vectors = loaded
+    reference = frontend.backend.search("demo", vectors[:2], 310, use_cache=False)
+    status, raw = raw_request(
+        frontend, "POST", "/collections/demo/search",
+        {"queries": vectors[:2].tolist(), "top_k": 310, "use_cache": False},
+    )
+    assert status == 200
+    payload = strict_json(raw)
+    # 300 rows, top_k 310: ten padded slots per query, ``-1`` / ``null``.
+    for row in range(2):
+        assert payload["ids"][row] == reference.ids[row].tolist()
+        assert payload["ids"][row][300:] == [-1] * 10
+        assert payload["distances"][row][300:] == [None] * 10
+        assert payload["distances"][row][:300] == reference.distances[row, :300].tolist()
+    # A NaN query has no finite distance at all.
+    status, raw = raw_request(
+        frontend, "POST", "/collections/demo/search",
+        {"queries": [[float("nan")] * 12], "top_k": 3},
+    )
+    assert status == 200
+    assert strict_json(raw)["distances"] == [[None] * 3]
+
+
+def test_no_route_can_emit_a_non_json_body(frontend, monkeypatch):
+    monkeypatch.setattr(frontend, "stats_payload", lambda: {"ratio": float("nan")})
+    status, raw = raw_request(frontend, "GET", "/stats")
+    assert status == 500
+    assert "not valid JSON" in strict_json(raw)["error"]
