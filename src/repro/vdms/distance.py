@@ -30,7 +30,10 @@ a broadcast add instead of two casts and an einsum per call.  The query side
 long as the operand is large.  A shard's FLAT-served segments are many small
 operands, so the blocked-scan kernel takes a *sequence* of them
 (:func:`scan_topk`): the query side, the per-pair finish and the top-k
-select are paid once per run instead of once per segment.
+select are paid once per run instead of once per segment.  A graph search
+is the other small-operand case — a handful of gathered rows per hop, the
+same query every time — and caches the query side instead
+(:class:`QueryOperand`).
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ import numpy as np
 __all__ = [
     "MASK_DENSE_SCAN_SELECTIVITY",
     "METRICS",
+    "QueryOperand",
     "ScanOperand",
     "masked_topk",
     "normalize_rows",
@@ -248,6 +252,45 @@ def _scan_tile(
         return _finish_tile(products, None, None, metric, out)
     query_norms = np.einsum("ij,ij->i", queries64, queries64)[:, None]
     return _finish_tile(products, query_norms, operand.norms64, metric, out)
+
+
+class QueryOperand:
+    """Cached query-side state: the twin of :class:`ScanOperand`.
+
+    A graph search scores one query against a handful of stored rows per hop,
+    hundreds of hops per query.  The query side of those scans never changes,
+    so it is computed here once per batch — :func:`_prepare_queries` (the
+    second ``angular`` normalisation included), the float64 cast and the
+    squared norms, row for row what :func:`_scan_tile` derives from a
+    one-query batch on every call.
+    """
+
+    __slots__ = ("metric", "queries64", "norms64")
+
+    def __init__(self, queries: np.ndarray, metric: str) -> None:
+        if metric not in METRICS:
+            raise ValueError(f"unsupported metric {metric!r}")
+        self.metric = metric
+        self.queries64 = _prepare_queries(queries, metric).astype(np.float64)
+        self.norms64: np.ndarray | None = None
+        if metric != "ip":
+            self.norms64 = np.einsum("ij,ij->i", self.queries64, self.queries64)[:, None]
+
+    def gather_scan(self, row: int, operand: ScanOperand, positions: np.ndarray) -> np.ndarray:
+        """Distances from query ``row`` to ``operand``'s rows at ``positions``.
+
+        One gather of the cached float64 rows and norms, one finish.  The
+        product is the ``(1, d) @ (d, m)`` GEMV with the gathered rows as the
+        transposed right operand that ``pairwise_distances(query,
+        operand.take(positions))`` issues, so the float32 values are that
+        call's bit for bit.
+        """
+        products = self.queries64[row : row + 1] @ operand.vectors64[positions].T
+        if self.norms64 is None:
+            return _finish_tile(products, None, None, self.metric)[0]
+        return _finish_tile(
+            products, self.norms64[row : row + 1], operand.norms64[positions], self.metric
+        )[0]
 
 
 def pairwise_distances(

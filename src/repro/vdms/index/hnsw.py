@@ -21,7 +21,7 @@ import heapq
 
 import numpy as np
 
-from repro.vdms.distance import pairwise_distances
+from repro.vdms.distance import QueryOperand, pairwise_distances
 from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
 from repro.vdms.index.kmeans import kmeans
 
@@ -52,7 +52,9 @@ class HNSWIndex(VectorIndex):
             raise ValueError("hnsw_m must be >= 2")
         if self.ef_construction < 1 or self.ef_search < 1:
             raise ValueError("ef_construction and ef_search must be >= 1")
-        self._layers: list[dict[int, np.ndarray]] = []
+        #: Neighbour arrays per layer.  Every node is in the bottom layer, so
+        #: it is a list indexed by position; the sparse upper layers are dicts.
+        self._layers: list[list[np.ndarray] | dict[int, np.ndarray]] = []
         self._entry_point: int = 0
         self._build_distance_evaluations = 0
 
@@ -67,9 +69,6 @@ class HNSWIndex(VectorIndex):
         members = []
         for level in range(max_level + 1):
             members.append(np.flatnonzero(levels >= level).astype(np.int64))
-        # Guarantee a non-empty top layer (the entry point's layer).
-        if members and members[-1].size == 0:
-            members[-1] = np.array([int(np.argmax(levels))], dtype=np.int64)
         return members
 
     def _layer_graph(self, node_ids: np.ndarray, vectors: np.ndarray, degree: int) -> dict[int, np.ndarray]:
@@ -150,7 +149,10 @@ class HNSWIndex(VectorIndex):
         self._layers = []
         for level, members in enumerate(layer_members):
             degree = 2 * self.hnsw_m if level == 0 else self.hnsw_m
-            self._layers.append(self._layer_graph(members, vectors, degree))
+            graph = self._layer_graph(members, vectors, degree)
+            if level == 0:
+                graph = [graph[node] for node in range(members.size)]
+            self._layers.append(graph)
         top_members = layer_members[-1]
         self._entry_point = int(top_members[0])
         return BuildStats(
@@ -161,93 +163,95 @@ class HNSWIndex(VectorIndex):
 
     # -- search -----------------------------------------------------------------
 
-    def _distance_to(self, query: np.ndarray, positions: np.ndarray) -> np.ndarray:
-        # Per-hop gathers hit the cached operand: the float64 rows/norms are
-        # index-selected instead of re-cast/re-reduced on every expansion.
-        return pairwise_distances(query[None, :], self._operand.take(positions), self.metric)[0]
-
-    def _greedy_descent(self, query: np.ndarray, start: int, layer: dict[int, np.ndarray], stats: SearchStats) -> int:
-        """Greedy walk to a local minimum within one upper layer."""
-        current = start
-        current_distance = float(self._distance_to(query, np.array([current]))[0])
-        stats.coarse_evaluations += 1
-        improved = True
-        while improved:
-            improved = False
-            neighbours = layer.get(current)
-            if neighbours is None or neighbours.size == 0:
-                break
-            distances = self._distance_to(query, neighbours)
-            stats.coarse_evaluations += int(neighbours.size)
-            stats.graph_hops += 1
-            best = int(np.argmin(distances))
-            if distances[best] < current_distance:
-                current = int(neighbours[best])
-                current_distance = float(distances[best])
-                improved = True
-        return current
-
-    def _beam_search(
-        self, query: np.ndarray, start: int, ef: int, top_k: int, stats: SearchStats
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Best-first search of the bottom layer with beam width ``ef``."""
-        layer = self._layers[0]
-        start_distance = float(self._distance_to(query, np.array([start]))[0])
-        stats.distance_evaluations += 1
-        visited = {start}
-        # Candidate min-heap and result max-heap (negated distances).
-        candidates: list[tuple[float, int]] = [(start_distance, start)]
-        results: list[tuple[float, int]] = [(-start_distance, start)]
-        while candidates:
-            distance, node = heapq.heappop(candidates)
-            worst = -results[0][0]
-            if distance > worst and len(results) >= ef:
-                break
-            stats.graph_hops += 1
-            neighbours = layer.get(node)
-            if neighbours is None or neighbours.size == 0:
-                continue
-            fresh = np.array([n for n in neighbours if n not in visited], dtype=np.int64)
-            if fresh.size == 0:
-                continue
-            visited.update(int(n) for n in fresh)
-            distances = self._distance_to(query, fresh)
-            stats.distance_evaluations += int(fresh.size)
-            worst = -results[0][0]
-            for neighbour, neighbour_distance in zip(fresh, distances):
-                neighbour_distance = float(neighbour_distance)
-                if len(results) < ef or neighbour_distance < worst:
-                    heapq.heappush(candidates, (neighbour_distance, int(neighbour)))
-                    heapq.heappush(results, (-neighbour_distance, int(neighbour)))
-                    if len(results) > ef:
-                        heapq.heappop(results)
-                    worst = -results[0][0]
-        ordered = sorted(((-d, node) for d, node in results))
-        keep = ordered[:top_k]
-        positions = np.array([node for _, node in keep], dtype=np.int64)
-        distances = np.array([d for d, _ in keep], dtype=np.float32)
-        return positions, distances
-
     def _search(self, queries: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        stats = SearchStats()
+        """Greedy descent through the upper layers, then a best-first beam
+        search of width ``ef`` on the bottom layer, per query.
+
+        A hop — scoring one node's neighbours — is one gather of cached
+        float64 rows and one finish (:meth:`QueryOperand.gather_scan`); the
+        query side is prepared once for the whole batch.
+        """
         ef = max(self.ef_search, top_k)
         num_queries = queries.shape[0]
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+        prepared = QueryOperand(queries, self.metric)
+        operand = self._operand
+        bottom, upper = self._layers[0], self._layers[:0:-1]
+        # Per-call scratch, never index state: admission workers and
+        # scheduler threads search one index concurrently.  Kept in the
+        # negative so a hop's mask is one gather, not a gather and an invert.
+        unvisited = np.ones(len(bottom), dtype=bool)
+        graph_hops = distance_evaluations = coarse_evaluations = 0
         for query_index in range(num_queries):
-            query = queries[query_index]
-            entry = self._entry_point
-            for level in range(len(self._layers) - 1, 0, -1):
-                entry = self._greedy_descent(query, entry, self._layers[level], stats)
-            found_positions, found_distances = self._beam_search(query, entry, ef, top_k, stats)
-            count = found_positions.size
-            positions[query_index, :count] = found_positions
-            distances[query_index, :count] = found_distances
-        stats.segments_searched = num_queries
+            # Greedy walk to a local minimum within each upper layer.
+            current = self._entry_point
+            for layer in upper:
+                current_distance = float(prepared.gather_scan(query_index, operand, [current])[0])
+                coarse_evaluations += 1
+                while True:
+                    neighbours = layer[current]
+                    if neighbours.size == 0:
+                        break
+                    hop = prepared.gather_scan(query_index, operand, neighbours)
+                    coarse_evaluations += neighbours.size
+                    graph_hops += 1
+                    best = int(np.argmin(hop))
+                    if not hop[best] < current_distance:
+                        break
+                    current = int(neighbours[best])
+                    current_distance = float(hop[best])
+
+            start_distance = float(prepared.gather_scan(query_index, operand, [current])[0])
+            distance_evaluations += 1
+            unvisited.fill(True)
+            unvisited[current] = False
+            # Candidate min-heap and result max-heap (negated distances).
+            candidates: list[tuple[float, int]] = [(start_distance, current)]
+            results: list[tuple[float, int]] = [(-start_distance, current)]
+            while candidates:
+                distance, node = heapq.heappop(candidates)
+                worst = -results[0][0]
+                full = len(results) >= ef
+                if distance > worst and full:
+                    break
+                graph_hops += 1
+                neighbours = bottom[node]
+                fresh = neighbours[unvisited[neighbours]]
+                if fresh.size == 0:
+                    continue
+                unvisited[fresh] = False
+                hop = prepared.gather_scan(query_index, operand, fresh)
+                distance_evaluations += fresh.size
+                if full:
+                    # A full result heap's worst distance never rises within a
+                    # hop, so only neighbours under it now can be admitted
+                    # below; the loop still applies the sequential rule.
+                    admissible = hop < worst
+                    fresh = fresh[admissible]
+                    hop = hop[admissible]
+                for neighbour_distance, neighbour in zip(hop.tolist(), fresh.tolist()):
+                    if len(results) < ef or neighbour_distance < worst:
+                        heapq.heappush(candidates, (neighbour_distance, neighbour))
+                        heapq.heappush(results, (-neighbour_distance, neighbour))
+                        if len(results) > ef:
+                            heapq.heappop(results)
+                        worst = -results[0][0]
+            keep = sorted((-negated, node) for negated, node in results)[:top_k]
+            positions[query_index, : len(keep)] = [node for _, node in keep]
+            distances[query_index, : len(keep)] = [distance for distance, _ in keep]
+        stats = SearchStats(
+            distance_evaluations=distance_evaluations,
+            coarse_evaluations=coarse_evaluations,
+            graph_hops=graph_hops,
+            segments_searched=num_queries,
+        )
         return positions, distances, stats
 
     def memory_bytes(self) -> int:
         if not self._layers:
             return 0
-        edges = sum(adjacent.size for layer in self._layers for adjacent in layer.values())
+        bottom, *upper = self._layers
+        edges = sum(adjacent.size for adjacent in bottom)
+        edges += sum(adjacent.size for layer in upper for adjacent in layer.values())
         return int(edges * 8 + sum(len(layer) for layer in self._layers) * 8)

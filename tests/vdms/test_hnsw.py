@@ -1,10 +1,19 @@
-"""HNSW-specific tests (graph structure and parameter behaviour)."""
+"""HNSW-specific tests (graph structure, parameter behaviour, and the query
+path against the seed's heap-and-set search kept here as the reference)."""
+
+import copy
+import heapq
+import sys
+import threading
+from dataclasses import astuple
 
 import numpy as np
 import pytest
 
 from repro.datasets.ground_truth import brute_force_neighbors, recall_at_k
+from repro.vdms.distance import pairwise_distances
 from repro.vdms.index.autoindex import AutoIndex
+from repro.vdms.index.base import SearchStats
 from repro.vdms.index.hnsw import HNSWIndex
 
 
@@ -33,7 +42,7 @@ class TestGraphStructure:
         m = 6
         index = HNSWIndex(metric="angular", hnsw_m=m, ef_construction=64, ef_search=32, seed=0)
         index.build(vectors)
-        degrees = [len(neighbours) for neighbours in index._layers[0].values()]
+        degrees = [len(neighbours) for neighbours in index._layers[0]]
         assert max(degrees) <= 2 * m
         assert min(degrees) >= 1
 
@@ -41,7 +50,7 @@ class TestGraphStructure:
         vectors, _, _ = corpus
         index = HNSWIndex(metric="angular", hnsw_m=8, ef_construction=64, ef_search=32, seed=0)
         index.build(vectors)
-        bottom = set(index._layers[0])
+        bottom = set(range(len(index._layers[0])))
         for layer in index._layers[1:]:
             assert set(layer) <= bottom
 
@@ -117,3 +126,222 @@ class TestAutoIndex:
         index.set_search_params(ef_search=500, nprobe=500)
         # The delegate keeps its fixed internal configuration.
         assert index._inner.ef_search == 72
+
+
+class SeedSearchHNSW(HNSWIndex):
+    """The seed's query path, kept as the oracle: one ``pairwise_distances``
+    call per hop on a one-query batch, a Python ``set`` of visited nodes, every
+    neighbour pushed through the heaps one at a time.  ``layer[node]`` reads
+    the bottom list and the upper dicts alike."""
+
+    def _distance_to(self, query, positions):
+        return pairwise_distances(query[None, :], self._operand.take(positions), self.metric)[0]
+
+    def _greedy_descent(self, query, start, layer, stats):
+        current = start
+        current_distance = float(self._distance_to(query, np.array([current]))[0])
+        stats.coarse_evaluations += 1
+        improved = True
+        while improved:
+            improved = False
+            neighbours = layer[current]
+            if neighbours.size == 0:
+                break
+            distances = self._distance_to(query, neighbours)
+            stats.coarse_evaluations += int(neighbours.size)
+            stats.graph_hops += 1
+            best = int(np.argmin(distances))
+            if distances[best] < current_distance:
+                current = int(neighbours[best])
+                current_distance = float(distances[best])
+                improved = True
+        return current
+
+    def _beam_search(self, query, start, ef, top_k, stats):
+        layer = self._layers[0]
+        start_distance = float(self._distance_to(query, np.array([start]))[0])
+        stats.distance_evaluations += 1
+        visited = {start}
+        candidates = [(start_distance, start)]
+        results = [(-start_distance, start)]
+        while candidates:
+            distance, node = heapq.heappop(candidates)
+            worst = -results[0][0]
+            if distance > worst and len(results) >= ef:
+                break
+            stats.graph_hops += 1
+            neighbours = layer[node]
+            if neighbours.size == 0:
+                continue
+            fresh = np.array([n for n in neighbours if n not in visited], dtype=np.int64)
+            if fresh.size == 0:
+                continue
+            visited.update(int(n) for n in fresh)
+            distances = self._distance_to(query, fresh)
+            stats.distance_evaluations += int(fresh.size)
+            worst = -results[0][0]
+            for neighbour, neighbour_distance in zip(fresh, distances):
+                neighbour_distance = float(neighbour_distance)
+                if len(results) < ef or neighbour_distance < worst:
+                    heapq.heappush(candidates, (neighbour_distance, int(neighbour)))
+                    heapq.heappush(results, (-neighbour_distance, int(neighbour)))
+                    if len(results) > ef:
+                        heapq.heappop(results)
+                    worst = -results[0][0]
+        keep = sorted((-d, node) for d, node in results)[:top_k]
+        positions = np.array([node for _, node in keep], dtype=np.int64)
+        distances = np.array([d for d, _ in keep], dtype=np.float32)
+        return positions, distances
+
+    def _search(self, queries, top_k):
+        stats = SearchStats()
+        ef = max(self.ef_search, top_k)
+        num_queries = queries.shape[0]
+        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
+        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+        for query_index in range(num_queries):
+            query = queries[query_index]
+            entry = self._entry_point
+            for level in range(len(self._layers) - 1, 0, -1):
+                entry = self._greedy_descent(query, entry, self._layers[level], stats)
+            found_positions, found_distances = self._beam_search(query, entry, ef, top_k, stats)
+            positions[query_index, : found_positions.size] = found_positions
+            distances[query_index, : found_positions.size] = found_distances
+        stats.segments_searched = num_queries
+        return positions, distances, stats
+
+
+def seed_twin(index):
+    """``index``'s built graph and operand, searched by the seed's query path."""
+    twin = copy.copy(index)
+    if isinstance(index, AutoIndex):
+        twin._inner = seed_twin(index._inner)
+    else:
+        twin.__class__ = SeedSearchHNSW
+    return twin
+
+
+def assert_same_search(index, queries, top_k, **search_options):
+    """``index.search`` equals the seed path on ids, distance bytes + dtype, stats."""
+    ids, distances, stats = index.search(queries, top_k, **search_options)
+    seed_ids, seed_distances, seed_stats = seed_twin(index).search(queries, top_k, **search_options)
+    assert np.array_equal(ids, seed_ids)
+    assert distances.dtype == seed_distances.dtype
+    assert distances.tobytes() == seed_distances.tobytes()
+    assert astuple(stats) == astuple(seed_stats)
+    return ids, distances, stats
+
+
+def matrix_corpus(rows, duplicated, dimension=25, seed=3):
+    """Stored rows and nine queries, three of them exactly on stored rows.
+
+    ``duplicated`` copies the first half of the rows over the second and zeroes
+    one row: exact-zero distances, distance ties, a zero norm.  The odd
+    dimension leaves most float64 query rows 8- but not 16-byte aligned.
+    """
+    rng = np.random.default_rng(seed + rows)
+    vectors = rng.normal(size=(rows, dimension)).astype(np.float32)
+    if duplicated:
+        vectors[rows - rows // 2 :] = vectors[: rows // 2]
+        vectors[rows // 3] = 0.0
+    queries = rng.normal(size=(9, dimension)).astype(np.float32)
+    queries[:3] = vectors[rng.integers(0, rows, size=3)]
+    return vectors, queries
+
+
+GRAPH_PARAMETERS = [(2, 1, 1), (4, 64, 8), (16, 128, 64), (48, 256, 200)]
+
+
+class TestSeedEquivalence:
+    """The array-walking query path returns the seed's results bit for bit."""
+
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("rows", [1, 2, 17, 300, 1500])
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    def test_matrix(self, metric, rows, duplicated):
+        # rows 1 and 2: empty / single-entry adjacency; 1500: the
+        # cell-accelerated build branch; (2, 1, 1) with k > 1: ef raised to k.
+        vectors, queries = matrix_corpus(rows, duplicated)
+        for hnsw_m, ef_construction, ef_search in GRAPH_PARAMETERS:
+            index = HNSWIndex(
+                metric=metric, hnsw_m=hnsw_m, ef_construction=ef_construction, ef_search=ef_search
+            )
+            index.build(vectors)
+            layers = [dict(enumerate(index._layers[0])), *index._layers[1:]]  # the seed's form
+            edges = sum(adjacent.size for layer in layers for adjacent in layer.values())
+            assert index.memory_bytes() == edges * 8 + sum(len(layer) for layer in layers) * 8
+            for top_k in (1, 10, 37, rows + 5):
+                assert_same_search(index, queries, top_k)
+
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    def test_post_filter_refill(self, metric):
+        vectors, queries = matrix_corpus(300, True)
+        index = HNSWIndex(metric=metric, hnsw_m=8, ef_construction=64, ef_search=4)
+        index.build(vectors)
+        allow_mask = np.zeros(300, dtype=bool)
+        allow_mask[::11] = True
+        # 28 allowed rows of 300: the first fetch of 10 cannot hold 5 allowed
+        # rows for every query, so the fetch width doubles past ef_search.
+        _, _, stats = assert_same_search(
+            index, queries, 5, allow_mask=allow_mask, strategy="post", overfetch_factor=2.0
+        )
+        assert stats.filter_candidates_dropped > 0
+        single_pass = index.search(queries, 10)[2]
+        assert stats.graph_hops > single_pass.graph_hops
+
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    def test_autoindex(self, metric):
+        vectors, queries = matrix_corpus(300, True)
+        index = AutoIndex(metric=metric)
+        index.build(vectors)
+        for top_k in (1, 10, 100):
+            assert_same_search(index, queries, top_k)
+
+    def test_forced_admission_tie(self):
+        # A hand-wired bottom layer around the query at the origin, ef = 2.
+        # Rows 1, 2, 4, 5 are copies at squared distance 1.  Expanding node 1
+        # with the heap full at worst 4 admits copy 2 (worst drops to 1) and
+        # must then reject copy 4 inside the loop; expanding node 2 with the
+        # heap full at worst 1 must reject copy 5 (a tie with the worst) and
+        # admit node 6.  Both rejections are the strict "<" of the seed.
+        vectors = np.array(
+            [[3, 0], [1, 0], [1, 0], [2, 0], [1, 0], [1, 0], [0.5, 0]], dtype=np.float32
+        )
+        index = HNSWIndex(metric="l2", hnsw_m=2, ef_construction=1, ef_search=2)
+        index.build(vectors)
+        adjacency = [[1, 3], [0, 2, 4], [1, 5, 6], [0], [1], [2], [2]]
+        index._layers = [[np.array(adjacent, dtype=np.int64) for adjacent in adjacency]]
+        index._entry_point = 0
+        ids, distances, stats = assert_same_search(index, np.zeros((1, 2), dtype=np.float32), 2)
+        assert ids.tolist() == [[6, 2]]
+        assert distances.tolist() == [[0.25, 1.0]]
+        assert (stats.graph_hops, stats.distance_evaluations, stats.coarse_evaluations) == (4, 7, 0)
+
+    def test_concurrent_searches_share_no_scratch(self):
+        vectors, _ = matrix_corpus(300, False, dimension=16)
+        index = HNSWIndex(metric="angular", hnsw_m=8, ef_construction=64, ef_search=32)
+        index.build(vectors)
+        rng = np.random.default_rng(17)
+        batches = [rng.normal(size=(12, 16)).astype(np.float32) for _ in range(8)]
+        serial = [index.search(batch, 10) for batch in batches]
+        concurrent = [None] * len(batches)
+
+        def worker(slot):
+            for _ in range(3):
+                concurrent[slot] = index.search(batches[slot], 10)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (ids, distances, stats), got in zip(serial, concurrent):
+            assert np.array_equal(ids, got[0])
+            assert distances.tobytes() == got[1].tobytes()
+            assert astuple(stats) == astuple(got[2])

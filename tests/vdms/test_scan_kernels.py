@@ -8,6 +8,8 @@ the reference kernel (the determinism contract in
 - blocked scans equal the unblocked kernel for every metric across tile
   shapes (including degenerate 1-row tiles);
 - :class:`ScanOperand` caching and gathering (``take``) never change a bit;
+- :class:`QueryOperand` (the query side prepared once for many hops) scores
+  gathered rows with the bits of a one-query kernel call;
 - cached norms survive the segment lifecycle (seal -> tombstone ->
   compaction) with searches bit-identical to a freshly built collection;
 - masked scans agree between gather-then-GEMM and dense-scan-then-mask;
@@ -26,6 +28,7 @@ from repro.vdms.collection import Collection
 from repro.vdms.distance import (
     MASK_DENSE_SCAN_SELECTIVITY,
     METRICS,
+    QueryOperand,
     ScanOperand,
     masked_topk,
     pairwise_distances,
@@ -103,6 +106,28 @@ class TestScanOperand:
             pairwise_distances(queries, gathered, metric),
             pairwise_distances(queries, stored[positions], metric),
         )
+
+
+class TestQueryOperand:
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_gather_scan_matches_one_query_kernel_call(self, metric):
+        # What a graph hop was: one query against operand.take(positions).
+        stored, queries = _corpus(metric)
+        stored[7] = stored[3]
+        stored[11] = 0.0
+        queries[2] = stored[3]
+        operand = ScanOperand.prepare(stored, metric)
+        prepared = QueryOperand(queries, metric)
+        for positions in ([5], np.array([3, 7, 11, 0, 399, 17, 250], dtype=np.int64)):
+            for row in range(queries.shape[0]):
+                hop = prepared.gather_scan(row, operand, positions)
+                reference = pairwise_distances(queries[row][None, :], operand.take(positions), metric)[0]
+                assert hop.dtype == reference.dtype == np.float32
+                assert hop.tobytes() == reference.tobytes()
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError):
+            QueryOperand(np.zeros((1, 4), dtype=np.float32), "cosine")
 
 
 class TestMaskedScanModes:
