@@ -8,7 +8,7 @@ improvement (EI), constrained EI and Monte-Carlo expected hypervolume
 improvement (EHVI / qEHVI).
 """
 
-from repro.bo.kernels import Matern52Kernel, RBFKernel
+from repro.bo.kernels import Matern52Kernel
 from repro.bo.gp import GaussianProcessRegressor
 from repro.bo.sampling import latin_hypercube, uniform_samples
 from repro.bo.pareto import (
@@ -25,7 +25,6 @@ from repro.bo.ehvi import greedy_qehvi_scores, monte_carlo_ehvi, monte_carlo_qeh
 __all__ = [
     "GaussianProcessRegressor",
     "Matern52Kernel",
-    "RBFKernel",
     "batch_hypervolume_2d",
     "expected_improvement",
     "greedy_qehvi_scores",

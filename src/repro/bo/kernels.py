@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Matern52Kernel", "RBFKernel", "cdist_squared"]
+__all__ = ["Matern52Kernel", "cdist_squared"]
 
 
 def cdist_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -28,28 +28,13 @@ class Matern52Kernel:
         self.variance = float(variance)
 
     def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        distances = np.sqrt(cdist_squared(a, b)) / self.lengthscale
-        scaled = np.sqrt(5.0) * distances
+        return self.over_distances(np.sqrt(cdist_squared(a, b)))
+
+    def over_distances(self, distances: np.ndarray) -> np.ndarray:
+        """The kernel over a matrix of Euclidean distances (it is isotropic)."""
+        scaled = np.sqrt(5.0) * (distances / self.lengthscale)
         return self.variance * (1.0 + scaled + scaled**2 / 3.0) * np.exp(-scaled)
 
     def with_parameters(self, lengthscale: float, variance: float) -> "Matern52Kernel":
         """A copy of the kernel with new hyper-parameters."""
         return Matern52Kernel(lengthscale=lengthscale, variance=variance)
-
-
-class RBFKernel:
-    """Squared-exponential kernel (kept for comparison and tests)."""
-
-    def __init__(self, lengthscale: float = 0.3, variance: float = 1.0) -> None:
-        if lengthscale <= 0 or variance <= 0:
-            raise ValueError("lengthscale and variance must be positive")
-        self.lengthscale = float(lengthscale)
-        self.variance = float(variance)
-
-    def __call__(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        squared = cdist_squared(a, b) / (self.lengthscale**2)
-        return self.variance * np.exp(-0.5 * squared)
-
-    def with_parameters(self, lengthscale: float, variance: float) -> "RBFKernel":
-        """A copy of the kernel with new hyper-parameters."""
-        return RBFKernel(lengthscale=lengthscale, variance=variance)

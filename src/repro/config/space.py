@@ -40,7 +40,7 @@ class Configuration(Mapping):
     (16,)
     """
 
-    __slots__ = ("_space", "_values")
+    __slots__ = ("_space", "_values", "_unit")
 
     def __init__(self, space: "ConfigurationSpace", values: Mapping[str, Any]):
         self._space = space
@@ -58,6 +58,16 @@ class Configuration(Mapping):
                 raise ValueError(f"invalid value {value!r} for parameter {name!r}")
             frozen[name] = value
         self._values = frozen
+        #: The unit-hypercube encoding, filled on first use (see ``ConfigurationSpace.encode``).
+        self._unit: np.ndarray | None = None
+
+    def __getstate__(self) -> tuple:
+        return self._space, self._values, self._unit
+
+    def __setstate__(self, state: tuple) -> None:
+        self._space, self._values, self._unit = state
+        if self._unit is not None:
+            self._unit.flags.writeable = False  # a pickled array comes back writeable
 
     @property
     def space(self) -> "ConfigurationSpace":
@@ -95,6 +105,26 @@ class Configuration(Mapping):
         merged.update(updates)
         return Configuration(self._space, merged)
 
+    def replace_units(self, names: Sequence[str], units: Sequence[float]) -> "Configuration":
+        """Return a new configuration with the named parameters decoded from unit coordinates.
+
+        Only those parameters are decoded, validated and encoded; the others
+        keep the values and coordinates they have here.
+        """
+        space = self._space
+        values = dict(self._values)
+        vector = space.encode(self)
+        for name, unit in zip(names, units):
+            parameter = space[name]
+            value = parameter.from_unit(unit)
+            if not parameter.validate(value):
+                raise ValueError(f"invalid value {value!r} for parameter {name!r}")
+            values[name] = value
+            vector[space.index_of(name)] = parameter.to_unit(value)
+        replaced = object.__new__(Configuration)
+        replaced.__setstate__((space, values, vector))
+        return replaced
+
     def to_unit_vector(self) -> np.ndarray:
         """Encode this configuration into the unit hypercube."""
         return self._space.encode(self)
@@ -129,18 +159,21 @@ class ConfigurationSpace:
             self._parameters[parameter.name] = parameter
         if not self._parameters:
             raise ValueError("a configuration space needs at least one parameter")
+        self._names = tuple(self._parameters)
+        self._ordered = tuple(self._parameters.values())
+        self._positions = {name: position for position, name in enumerate(self._names)}
 
     # -- container protocol -------------------------------------------------
 
     @property
-    def names(self) -> list[str]:
+    def names(self) -> tuple[str, ...]:
         """Parameter names in definition order."""
-        return list(self._parameters.keys())
+        return self._names
 
     @property
-    def parameters(self) -> list[Parameter]:
+    def parameters(self) -> tuple[Parameter, ...]:
         """Parameters in definition order."""
-        return list(self._parameters.values())
+        return self._ordered
 
     @property
     def dimension(self) -> int:
@@ -154,7 +187,7 @@ class ConfigurationSpace:
         return self._parameters[name]
 
     def __iter__(self) -> Iterator[Parameter]:
-        return iter(self._parameters.values())
+        return iter(self._ordered)
 
     def __len__(self) -> int:
         return len(self._parameters)
@@ -194,18 +227,29 @@ class ConfigurationSpace:
 
     # -- encodings -----------------------------------------------------------
 
+    def _unit_row(self, configuration: Mapping[str, Any]) -> np.ndarray:
+        """The encoding of ``configuration``; a :class:`Configuration` of this
+        space is immutable, so it is encoded once and keeps the (read-only) row."""
+        own = isinstance(configuration, Configuration) and configuration._space is self
+        if own and configuration._unit is not None:
+            return configuration._unit
+        vector = np.empty(self.dimension, dtype=float)
+        for position, parameter in enumerate(self._ordered):
+            vector[position] = parameter.to_unit(configuration[parameter.name])
+        if own:
+            vector.flags.writeable = False
+            configuration._unit = vector
+        return vector
+
     def encode(self, configuration: Mapping[str, Any]) -> np.ndarray:
         """Encode a configuration (or plain mapping) into ``[0, 1]^d``."""
-        vector = np.empty(self.dimension, dtype=float)
-        for position, parameter in enumerate(self.parameters):
-            vector[position] = parameter.to_unit(configuration[parameter.name])
-        return vector
+        return np.array(self._unit_row(configuration))
 
     def encode_many(self, configurations: Sequence[Mapping[str, Any]]) -> np.ndarray:
         """Encode a sequence of configurations into an ``(n, d)`` array."""
         if not configurations:
             return np.empty((0, self.dimension), dtype=float)
-        return np.vstack([self.encode(c) for c in configurations])
+        return np.vstack([self._unit_row(c) for c in configurations])
 
     def decode(self, vector: np.ndarray) -> Configuration:
         """Decode a point of the unit hypercube into a configuration."""
@@ -216,7 +260,7 @@ class ConfigurationSpace:
             )
         values = {
             parameter.name: parameter.from_unit(float(vector[position]))
-            for position, parameter in enumerate(self.parameters)
+            for position, parameter in enumerate(self._ordered)
         }
         return Configuration(self, values)
 
@@ -241,4 +285,4 @@ class ConfigurationSpace:
 
     def index_of(self, name: str) -> int:
         """Return the position of a parameter within the encoding vector."""
-        return self.names.index(name)
+        return self._positions[name]

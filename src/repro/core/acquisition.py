@@ -74,43 +74,31 @@ class ConfigurationRecommender:
     ) -> list[Configuration]:
         """Build the candidate pool for one polled index type."""
         free_names = self._free_parameter_names(index_type)
-        defaults = {p.name: p.default for p in self.space.parameters}
-        defaults["index_type"] = index_type
+        # Everything outside the polled sub-space stays at its default, so the
+        # defaults are validated and encoded once and a candidate decodes,
+        # validates and encodes its free parameters only.
+        base = self.space.configuration({"index_type": index_type}, complete=False)
 
         pool_size = max(8, int(self.candidate_pool_size))
         num_random = pool_size // 2
         num_local = pool_size - num_random
 
-        candidates: list[Configuration] = []
-
         # Space-filling candidates over the free sub-space.
         if free_names:
             lhs = latin_hypercube(num_random, len(free_names), rng)
-            for row in lhs:
-                values = dict(defaults)
-                for column, name in enumerate(free_names):
-                    values[name] = self.space[name].from_unit(float(row[column]))
-                candidates.append(self.space.configuration(values))
+            candidates = [base.replace_units(free_names, row) for row in lhs]
         else:
-            candidates.append(self.space.configuration(defaults))
+            candidates = [base]
 
         # Local perturbations around the index type's best observations.
         elites = history.non_dominated(index_type)
         if elites and free_names:
-            elite_vectors = self.space.encode_many([o.configuration for o in elites])
             free_positions = [self.space.index_of(name) for name in free_names]
+            elite_units = self.space.encode_many([o.configuration for o in elites])[:, free_positions]
             for sample in range(num_local):
-                base = elite_vectors[sample % elite_vectors.shape[0]].copy()
-                noise = rng.normal(scale=self.perturbation_scale, size=len(free_positions))
-                for offset, position in enumerate(free_positions):
-                    base[position] = float(np.clip(base[position] + noise[offset], 0.0, 1.0))
-                values = self.space.decode(base).to_dict()
-                # Pin the parameters outside the polled sub-space back to defaults.
-                for name in self.space.names:
-                    if name not in free_names and name != "index_type":
-                        values[name] = defaults[name]
-                values["index_type"] = index_type
-                candidates.append(self.space.configuration(values))
+                noise = rng.normal(scale=self.perturbation_scale, size=len(free_names))
+                units = np.clip(elite_units[sample % len(elites)] + noise, 0.0, 1.0)
+                candidates.append(base.replace_units(free_names, units))
         return candidates
 
     # -- acquisition -----------------------------------------------------------------

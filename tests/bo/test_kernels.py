@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bo.kernels import Matern52Kernel, RBFKernel, cdist_squared
+from repro.bo.kernels import Matern52Kernel, cdist_squared
 
 
 class TestCdistSquared:
@@ -20,7 +20,7 @@ class TestCdistSquared:
         assert np.all(cdist_squared(a, a) >= 0)
 
 
-@pytest.mark.parametrize("kernel_class", [Matern52Kernel, RBFKernel])
+@pytest.mark.parametrize("kernel_class", [Matern52Kernel])
 class TestKernelProperties:
     def test_diagonal_equals_variance(self, kernel_class):
         kernel = kernel_class(lengthscale=0.5, variance=2.0)

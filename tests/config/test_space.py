@@ -1,5 +1,7 @@
 """Unit tests for ConfigurationSpace and Configuration."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -22,7 +24,7 @@ def small_space() -> ConfigurationSpace:
 class TestConfigurationSpace:
     def test_dimension_and_names(self, small_space):
         assert small_space.dimension == 3
-        assert small_space.names == ["kind", "count", "ratio"]
+        assert small_space.names == ("kind", "count", "ratio")
 
     def test_duplicate_parameter_names_rejected(self):
         with pytest.raises(ValueError):
@@ -82,7 +84,7 @@ class TestConfigurationSpace:
 
     def test_subspace_preserves_order_and_validates(self, small_space):
         sub = small_space.subspace(["ratio", "count"])
-        assert sub.names == ["ratio", "count"]
+        assert sub.names == ("ratio", "count")
         with pytest.raises(KeyError):
             small_space.subspace(["missing"])
 
@@ -122,3 +124,101 @@ class TestConfiguration:
     def test_missing_parameter_raises(self, small_space):
         with pytest.raises(KeyError):
             Configuration(small_space, {"kind": "a", "count": 3})
+
+
+class TestCachedEncoding:
+    """A configuration is immutable, so it is encoded once (see ``ConfigurationSpace._unit_row``)."""
+
+    def test_encoded_once_and_kept_read_only(self, small_space, rng, monkeypatch):
+        configuration = small_space.sample_configuration(rng)
+        from_scratch = small_space.encode(configuration.to_dict())
+        first = small_space.encode(configuration)
+        assert first.tobytes() == from_scratch.tobytes()
+        assert not configuration._unit.flags.writeable
+        with pytest.raises(ValueError):
+            configuration._unit[0] = 0.5
+
+        def no_second_encoding(self, value):
+            raise AssertionError("the configuration was encoded twice")
+
+        for parameter_class in (CategoricalParameter, IntParameter, FloatParameter):
+            monkeypatch.setattr(parameter_class, "to_unit", no_second_encoding)
+        # What callers get is theirs to write to; the kept row is not touched by it.
+        first[:] = -1.0
+        assert small_space.encode(configuration).tobytes() == from_scratch.tobytes()
+        assert configuration.to_unit_vector().tobytes() == from_scratch.tobytes()
+        many = small_space.encode_many([configuration, configuration])
+        assert many.flags.writeable
+        assert many.tobytes() == from_scratch.tobytes() * 2
+
+    def test_plain_mapping_is_encoded_on_the_spot(self, small_space):
+        values = small_space.default_configuration().to_dict()
+        before = small_space.encode(values)
+        values["count"] = 90
+        after = small_space.encode(values)
+        assert after[1] > before[1]
+        assert after.tobytes() == small_space.encode(small_space.configuration(values)).tobytes()
+
+    def test_not_used_for_another_space(self, small_space):
+        configuration = small_space.configuration({"count": 40}, complete=False)
+        own = small_space.encode(configuration)
+        wider = ConfigurationSpace(
+            [
+                CategoricalParameter("kind", choices=["a", "b", "c"], default="b"),
+                IntParameter("count", low=1, high=1000, default=10),
+                FloatParameter("ratio", low=0.0, high=1.0, default=0.5),
+            ]
+        )
+        assert wider.encode(configuration).tobytes() == wider.encode(configuration.to_dict()).tobytes()
+        assert wider.encode(configuration)[1] < own[1]
+        sub = small_space.subspace(["ratio", "count"])
+        assert sub.encode(configuration).tobytes() == own[[2, 1]].tobytes()
+        assert sub.encode_many([configuration]).shape == (1, 2)
+        # ... and the other spaces did not overwrite what the configuration keeps for its own.
+        assert small_space.encode(configuration).tobytes() == own.tobytes()
+
+    def test_takes_no_part_in_equality_hash_or_repr(self, small_space):
+        encoded = small_space.configuration({"count": 40}, complete=False)
+        small_space.encode(encoded)
+        fresh = small_space.configuration({"count": 40}, complete=False)
+        assert fresh._unit is None
+        assert encoded == fresh and hash(encoded) == hash(fresh) and repr(encoded) == repr(fresh)
+
+    @pytest.mark.parametrize("encoded_first", [False, True])
+    def test_pickle_round_trip(self, small_space, encoded_first):
+        configuration = small_space.configuration({"count": 40, "kind": "c"}, complete=False)
+        expected = small_space.encode(configuration.to_dict())
+        if encoded_first:
+            small_space.encode(configuration)
+        clone = pickle.loads(pickle.dumps(configuration))
+        assert clone == configuration and hash(clone) == hash(configuration)
+        assert (clone._unit is not None) == encoded_first
+        assert clone.space is not small_space
+        assert clone.to_unit_vector().tobytes() == expected.tobytes()
+        assert not clone._unit.flags.writeable
+        assert small_space.encode(clone).tobytes() == expected.tobytes()
+
+    def test_replace_and_decode_carry_their_own_encoding(self, small_space):
+        source = small_space.configuration({"count": 40}, complete=False)
+        small_space.encode(source)
+        replaced = source.replace(count=77)
+        assert small_space.encode(replaced).tobytes() == small_space.encode(replaced.to_dict()).tobytes()
+        assert small_space.encode(replaced)[1] > small_space.encode(source)[1]
+        # decode() snaps the integer and the categorical: the vector given is not the encoding.
+        vector = np.array([0.1, 0.5031, 0.7])
+        decoded = small_space.decode(vector)
+        assert small_space.encode(decoded).tobytes() == small_space.encode(decoded.to_dict()).tobytes()
+        assert small_space.encode(decoded).tobytes() != vector.tobytes()
+
+    def test_replace_units_decodes_only_the_named_parameters(self, small_space):
+        base = small_space.configuration({"kind": "c"}, complete=False)
+        moved = base.replace_units(["ratio", "count"], np.array([0.25, 0.5031]))
+        assert moved == base.replace(ratio=0.25, count=small_space["count"].from_unit(0.5031))
+        assert type(moved["count"]) is int and type(moved["ratio"]) is float
+        assert list(moved) == list(base)
+        assert not moved._unit.flags.writeable
+        assert small_space.encode(moved).tobytes() == small_space.encode(moved.to_dict()).tobytes()
+        assert base["ratio"] == 0.5 and base["count"] == 10
+        assert small_space.encode(base).tobytes() == small_space.encode(base.to_dict()).tobytes()
+        with pytest.raises(KeyError):
+            base.replace_units(["bogus"], [0.5])

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.bo.sampling import latin_hypercube
 from repro.config import build_milvus_space, default_configuration
 from repro.config.milvus_space import SYSTEM_PARAMETERS, parameters_for_index
 from repro.core.acquisition import ConfigurationRecommender
@@ -135,3 +136,114 @@ class TestRecommender:
         recommender = ConfigurationRecommender(space, candidate_pool_size=16)
         free = recommender._free_parameter_names("FLAT")
         assert set(SYSTEM_PARAMETERS) <= set(free)
+
+
+# -- candidate generation against the seed's -------------------------------------------
+
+
+def seed_generate_candidates(recommender, index_type, history, rng):
+    """The seed's ``generate_candidates``, kept as the oracle: every candidate is
+    decoded and validated over all 27 parameters (the local ones twice) and then
+    pinned back to the defaults outside the polled sub-space."""
+    space = recommender.space
+    free_names = recommender._free_parameter_names(index_type)
+    defaults = {p.name: p.default for p in space.parameters}
+    defaults["index_type"] = index_type
+
+    pool_size = max(8, int(recommender.candidate_pool_size))
+    num_random = pool_size // 2
+    num_local = pool_size - num_random
+
+    candidates = []
+    if free_names:
+        lhs = latin_hypercube(num_random, len(free_names), rng)
+        for row in lhs:
+            values = dict(defaults)
+            for column, name in enumerate(free_names):
+                values[name] = space[name].from_unit(float(row[column]))
+            candidates.append(space.configuration(values))
+    else:
+        candidates.append(space.configuration(defaults))
+
+    elites = history.non_dominated(index_type)
+    if elites and free_names:
+        elite_vectors = space.encode_many([o.configuration for o in elites])
+        free_positions = [space.index_of(name) for name in free_names]
+        for sample in range(num_local):
+            base = elite_vectors[sample % elite_vectors.shape[0]].copy()
+            noise = rng.normal(scale=recommender.perturbation_scale, size=len(free_positions))
+            for offset, position in enumerate(free_positions):
+                base[position] = float(np.clip(base[position] + noise[offset], 0.0, 1.0))
+            values = space.decode(base).to_dict()
+            for name in space.names:
+                if name not in free_names and name != "index_type":
+                    values[name] = defaults[name]
+            values["index_type"] = index_type
+            candidates.append(space.configuration(values))
+    return candidates
+
+
+def elite_history(space, index_types, seed=7):
+    """Four observations per index type, on a front (speed falls as recall
+    rises) so each type has several elites, some of them on the cube's faces."""
+    history = ObservationHistory()
+    rng = np.random.default_rng(seed)
+    for index_type in index_types:
+        for rank in range(4):
+            vector = rng.random(space.dimension)
+            vector[rng.integers(0, space.dimension, size=3)] = rank % 2  # exactly 0.0 or 1.0
+            config = space.decode(vector).to_dict()
+            config["index_type"] = index_type
+            history.add(
+                make_observation(
+                    len(history) + 1, index_type, qps=1000.0 - 200.0 * rank, recall=0.6 + 0.1 * rank, config=config
+                )
+            )
+    return history
+
+
+@pytest.mark.parametrize("pool_size", [8, 64, 192])
+@pytest.mark.parametrize("elites", ["none", "own", "others"])
+@pytest.mark.parametrize("index_type", build_milvus_space()["index_type"].choices)
+def test_candidates_equal_seed_candidates(space, index_type, elites, pool_size):
+    others = [t for t in space["index_type"].choices if t != index_type][:3]
+    history = {
+        "none": ObservationHistory(),
+        "own": elite_history(space, [index_type] + others),
+        "others": elite_history(space, others),
+    }[elites]
+    recommender = ConfigurationRecommender(space, candidate_pool_size=pool_size)
+    rng, seed_rng = np.random.default_rng(21), np.random.default_rng(21)
+    candidates = recommender.generate_candidates(index_type, history, rng)
+    expected = seed_generate_candidates(recommender, index_type, history, seed_rng)
+    assert len(candidates) == (pool_size if elites == "own" else pool_size // 2)
+    assert candidates == expected
+    # Same value types in the same order, not only equal values.
+    assert [repr(c.to_dict()) for c in candidates] == [repr(c.to_dict()) for c in expected]
+    assert rng.bit_generator.state == seed_rng.bit_generator.state
+    from_scratch = space.encode_many([c.to_dict() for c in candidates])
+    assert space.encode_many(candidates).tobytes() == from_scratch.tobytes()
+    assert all(not c._unit.flags.writeable for c in candidates)
+
+
+def test_recommend_scores_the_generated_pool_through_predict(space, history, monkeypatch):
+    """``recommend`` reaches its pool and its scores through the two public
+    methods the benchmark's tracer wraps; a private short cut would read 0 there."""
+    recommender = ConfigurationRecommender(space, candidate_pool_size=16, ehvi_samples=8)
+    surrogate = PollingSurrogate(space).fit(history)
+    seen = {}
+    generate, predict = ConfigurationRecommender.generate_candidates, PollingSurrogate.predict
+
+    def traced_generate(self, *args):
+        seen["pool"] = generate(self, *args)
+        return seen["pool"]
+
+    def traced_predict(self, configurations):
+        seen["scored"] = configurations
+        return predict(self, configurations)
+
+    monkeypatch.setattr(ConfigurationRecommender, "generate_candidates", traced_generate)
+    monkeypatch.setattr(PollingSurrogate, "predict", traced_predict)
+    chosen = recommender.recommend(surrogate, history, "HNSW", ObjectiveSpec(), np.random.default_rng(6))
+    assert seen["scored"] is seen["pool"]
+    assert any(chosen is candidate for candidate in seen["pool"])

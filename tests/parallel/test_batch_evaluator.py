@@ -60,13 +60,17 @@ class TestBatchEvaluator:
 
     def test_process_backend_matches_serial(self, dataset, workload):
         space = VDMSTuningEnvironment(dataset, workload=workload).space
-        batch = [c.to_dict() for c in sample_batch(space, count=4)]
+        configurations = sample_batch(space, count=4)
+        batch = [c.to_dict() for c in configurations]
         with BatchEvaluator(dataset, workload=workload, num_workers=1) as serial:
             serial_results = serial.evaluate_many(batch)
+        # The pool is handed the configurations themselves, their encodings
+        # filled in (as a recommender's candidates are): only values cross.
+        space.encode_many(configurations)
         with BatchEvaluator(
             dataset, workload=workload, num_workers=2, backend="process"
         ) as pooled:
-            pooled_results = pooled.evaluate_many(batch)
+            pooled_results = pooled.evaluate_many(configurations)
         assert results_signature(serial_results) == results_signature(pooled_results)
 
     def test_results_preserve_submission_order(self, dataset, workload):
