@@ -5,16 +5,20 @@
 Not a pytest file.  It uses only the public ``Collection`` API, so the same
 file runs on any two checkouts: copy it next to an older one and diff the
 output.  It hashes ids, distances (bytes and dtype), ``stats`` and
-``shard_stats`` of unfiltered searches over {angular, l2, ip} x {1, 3
-shards} x {auto, permuted ids} x {distinct, duplicated rows straddling
-segments} x q in {1, 33, 70} x k in {1, 10, 37, > rows}, on snapshots holding
-built, tombstoned, freshly sealed and growing segments — once per index type
-in ``INDEX_TYPES``: the exact scan and the two graph indexes.  It prints one
+``shard_stats`` of searches over {angular, l2, ip} x {1, 3 shards} x {auto,
+permuted ids} x {distinct, duplicated rows straddling segments} x q in {1, 33,
+70} x k in {1, 10, 37, > rows}, on snapshots holding built, tombstoned,
+freshly sealed and growing segments — once per index type in ``INDEX_TYPES``:
+the exact scan, the two graph indexes and the inverted-file family.  The
+family's cells also hash filtered requests (an ``eq`` filter under
+``filter_strategy`` pre and post) and, at three requests per (q, k), run a
+thinner matrix to keep the script short: ``FAMILY_AXES``.  It prints one
 digest per cell and a ``TOTAL <index type>`` line over each type's cells; a
-change to the scan or graph query path that claims bit-identity (the fused
-scan of a run of FLAT-served segments did, the array-walking HNSW search did)
-must print the same lines as its parent.  ``digest_search_matrix.expected``
-holds them, and CI diffs the output against it.
+change to a query path that claims bit-identity (the fused scan of a run of
+FLAT-served segments did, the array-walking HNSW search did, the
+tile-at-a-time IVF scoring did) must print the same lines as its parent.
+``digest_search_matrix.expected`` holds them, and CI diffs the output against
+it.
 """
 
 import hashlib
@@ -22,12 +26,31 @@ from dataclasses import astuple
 
 import numpy as np
 
-from repro.vdms import Collection, SystemConfig
+from repro.vdms import AttributeFilter, Collection, SearchRequest, SystemConfig
 
 DIMENSION = 16
 ROWS = 710  # 600 indexed, then 110: four freshly sealed segments and a 10-row growing tail
 SEGMENTS = {"segment_max_size": 16, "segment_seal_proportion": 0.1, "insert_buf_size": 16}
-INDEX_TYPES = ("FLAT", "HNSW", "AUTOINDEX")
+#: Index type -> build parameters.  The inverted-file family gets a few lists
+#: per 16-row segment and probes half of them; SCANN's shortlist is shorter
+#: than most candidate lists, so its re-rank sees a real cut.
+IVF = {"nlist": 4, "nprobe": 2}
+INDEX_TYPES = {
+    "FLAT": {},
+    "HNSW": {},
+    "AUTOINDEX": {},
+    "IVF_FLAT": IVF,
+    "IVF_SQ8": IVF,
+    "IVF_PQ": {**IVF, "pq_m": 4, "pq_nbits": 2},
+    "SCANN": {**IVF, "reorder_k": 5},
+}
+#: The inverted-file family: its cells also hash filtered requests.
+FAMILY = ("IVF_FLAT", "IVF_SQ8", "IVF_PQ", "SCANN")
+#: (permuted ids, q, k) per cell.  The family's: q = 70 alone spans two tiles
+#: of queries, and a 16-row segment returns the same rows for k = 37 as 1000.
+AXES = ((False, True), (1, 33, 70), (1, 10, 37, 1000))
+FAMILY_AXES = ((True,), (1, 70), (1, 10, 1000))
+CATEGORIES = 3  # the filtered requests ask for ``cat == 1``: a third of the rows
 
 
 def corpus(duplicates: bool, permuted: bool, seed: int = 11):
@@ -45,41 +68,55 @@ def corpus(duplicates: bool, permuted: bool, seed: int = 11):
 
 def build(index_type: str, metric: str, shards: int, duplicates: bool, permuted: bool):
     vectors, ids = corpus(duplicates, permuted)
+    categories = np.random.default_rng(12).integers(0, CATEGORIES, size=ROWS)
     config = SystemConfig(shard_num=shards, **SEGMENTS)
     collection = Collection("m", DIMENSION, metric=metric, system_config=config,
                             auto_maintenance=False)
-    assigned = collection.insert(vectors[:600], ids=None if ids is None else ids[:600])
+    collection.insert(vectors[:600], ids=None if ids is None else ids[:600],
+                      attributes={"cat": categories[:600]})
     collection.flush()
-    collection.create_index(index_type, {})
+    collection.create_index(index_type, INDEX_TYPES[index_type])
     all_ids = np.arange(600) if ids is None else ids[:600]
     collection.delete(all_ids[100:140])       # tombstoned (delete-invalidated) segments
-    collection.insert(vectors[600:], ids=None if ids is None else ids[600:])
+    collection.insert(vectors[600:], ids=None if ids is None else ids[600:],
+                      attributes={"cat": categories[600:]})
     collection.flush()                         # freshly sealed + growing tail
     return collection, vectors
+
+
+def requests(index_type: str, queries: np.ndarray, top_k: int):
+    """The unfiltered request, and for the inverted-file family the filtered two."""
+    yield SearchRequest(queries, top_k)
+    if index_type in FAMILY:
+        for strategy in ("pre", "post"):
+            yield SearchRequest(queries, top_k, filter=AttributeFilter("cat", "eq", 1),
+                                filter_strategy=strategy)
 
 
 def digest_index_type(index_type: str) -> str:
     rng = np.random.default_rng(5)
     total = hashlib.sha256()
+    id_layouts, batch_sizes, widths = FAMILY_AXES if index_type in FAMILY else AXES
     for metric in ("angular", "l2", "ip"):
         for shards in (1, 3):
-            for permuted in (False, True):
+            for permuted in id_layouts:
                 for duplicates in (False, True):
                     collection, vectors = build(index_type, metric, shards, duplicates, permuted)
                     cell = hashlib.sha256()
-                    for q in (1, 33, 70):
+                    for q in batch_sizes:
                         queries = rng.normal(size=(q, DIMENSION)).astype(np.float32)
                         if duplicates:
                             # Query exactly at stored (duplicated) rows: exact-zero ties.
                             queries[: min(q, 8)] = vectors[:8][: min(q, 8)]
-                        for top_k in (1, 10, 37, 1000):
-                            result = collection.search(queries, top_k)
-                            cell.update(np.ascontiguousarray(result.ids).tobytes())
-                            cell.update(str(result.ids.dtype).encode())
-                            cell.update(np.ascontiguousarray(result.distances).tobytes())
-                            cell.update(str(result.distances.dtype).encode())
-                            cell.update(repr(astuple(result.stats)).encode())
-                            cell.update(repr([astuple(s) for s in result.shard_stats]).encode())
+                        for top_k in widths:
+                            for request in requests(index_type, queries, top_k):
+                                result = collection.search(request)
+                                cell.update(np.ascontiguousarray(result.ids).tobytes())
+                                cell.update(str(result.ids.dtype).encode())
+                                cell.update(np.ascontiguousarray(result.distances).tobytes())
+                                cell.update(str(result.distances.dtype).encode())
+                                cell.update(repr(astuple(result.stats)).encode())
+                                cell.update(repr([astuple(s) for s in result.shard_stats]).encode())
                     digest = cell.hexdigest()
                     total.update(digest.encode())
                     views = [len(shard.snapshot(metric)) for shard in collection.shards]

@@ -517,12 +517,9 @@ class Collection:
         which is what lets a rebuild reconfigure serving without tearing
         searches that still hold the old object.
         """
-        applicable = {
-            k: v for k, v in params.items() if k in VectorIndex.SEARCH_TIME_PARAMETERS
-        }
         configured = copy.copy(index)
         configured.params = dict(index.params)
-        configured.set_search_params(**applicable)
+        configured.set_search_params(**params)
         return configured
 
     def _build_segment_index(
@@ -592,8 +589,10 @@ class Collection:
 
         Indexes are replaced by reconfigured copies rather than mutated, so
         searches holding a snapshot keep serving under the parameters they
-        started with.
+        started with.  An out-of-range value raises ``ValueError`` before any
+        index is replaced, so a rejected call changes nothing.
         """
+        VectorIndex.checked_search_params(**params)
         with self._lock:
             for shard in self._shards:
                 for segment_id, index in list(shard.indexes.items()):

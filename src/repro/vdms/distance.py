@@ -33,12 +33,15 @@ operands, so the blocked-scan kernel takes a *sequence* of them
 select are paid once per run instead of once per segment.  A graph search
 is the other small-operand case — a handful of gathered rows per hop, the
 same query every time — and caches the query side instead
-(:class:`QueryOperand`).
+(:class:`QueryOperand`).  An inverted-file probe is the third: every query of
+a batch against its own few dozen gathered rows.  Its products stay one GEMV
+per query, but the gather and the finish are paid once per tile of queries
+(:meth:`QueryOperand.gather_scan_runs`).
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -254,6 +257,15 @@ def _scan_tile(
     return _finish_tile(products, query_norms, operand.norms64, metric, out)
 
 
+def nonempty_spans(first: int, bounds: np.ndarray) -> Iterator[tuple[int, int, int]]:
+    """``(query, start, stop)`` of the queries of a ragged tile that own rows:
+    query ``first + i`` owns the flat slice ``bounds[i]:bounds[i + 1]``."""
+    spans = bounds.tolist()
+    for query, (start, stop) in enumerate(zip(spans, spans[1:]), first):
+        if stop > start:
+            yield query, start, stop
+
+
 class QueryOperand:
     """Cached query-side state: the twin of :class:`ScanOperand`.
 
@@ -291,6 +303,35 @@ class QueryOperand:
         return _finish_tile(
             products, self.norms64[row : row + 1], operand.norms64[positions], self.metric
         )[0]
+
+    def scan(self, operand: ScanOperand) -> np.ndarray:
+        """:func:`pairwise_distances` of the whole batch against ``operand``,
+        without preparing the queries again."""
+        products = self.queries64 @ operand.vectors64.T
+        if self.norms64 is None:
+            return _finish_tile(products, None, None, self.metric)
+        return _finish_tile(products, self.norms64, operand.norms64, self.metric)
+
+    def gather_scan_runs(
+        self, first: int, bounds: np.ndarray, operand: ScanOperand, positions: np.ndarray
+    ) -> np.ndarray:
+        """:meth:`gather_scan` of consecutive queries, over one gather.
+
+        Query ``first + i`` is scored against ``operand``'s rows at
+        ``positions[bounds[i]:bounds[i + 1]]``; the distances come back flat.
+        Each query's product is the GEMV :meth:`gather_scan` issues, so the
+        values are that call's bit for bit; the per-pair finish runs once.
+        """
+        if bounds.shape[0] == 2:
+            return self.gather_scan(first, operand, positions)
+        gathered = operand.vectors64[positions]
+        products = np.empty((1, positions.shape[0]), dtype=np.float64)
+        for row, start, stop in nonempty_spans(first, bounds):
+            np.matmul(self.queries64[row : row + 1], gathered[start:stop].T, out=products[:, start:stop])
+        if self.norms64 is None:
+            return _finish_tile(products, None, None, self.metric)[0]
+        query_norms = np.repeat(self.norms64[first : first + bounds.shape[0] - 1, 0], np.diff(bounds))
+        return _finish_tile(products, query_norms, operand.norms64[positions], self.metric)[0]
 
 
 def pairwise_distances(

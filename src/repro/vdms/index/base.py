@@ -384,17 +384,29 @@ class VectorIndex(ABC):
     #: Parameters that can change between searches without rebuilding.
     SEARCH_TIME_PARAMETERS: tuple[str, ...] = ("nprobe", "ef_search", "reorder_k")
 
+    @classmethod
+    def checked_search_params(cls, **params: Any) -> dict[str, int]:
+        """The search-time parameters among ``params`` as ints; each is a
+        count, so ``>= 1``.  Constructors and ``set_search_params`` validate here."""
+        checked = {k: int(v) for k, v in params.items() if k in cls.SEARCH_TIME_PARAMETERS}
+        for name, value in checked.items():
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
+        return checked
+
     def set_search_params(self, **params: Any) -> None:
         """Update search-time parameters (``nprobe``, ``ef_search``, ``reorder_k``).
 
         Only parameters the concrete index type actually exposes are applied;
         the rest are ignored, matching the holistic-configuration semantics.
-        Build-time (structural) parameters cannot be changed this way.
+        Build-time (structural) parameters cannot be changed this way.  Every
+        value is validated before any is applied (``ValueError`` below 1), so
+        a rejected call changes nothing.
         """
-        for name, value in params.items():
-            if name in self.SEARCH_TIME_PARAMETERS and hasattr(self, name):
-                setattr(self, name, int(value))
-                self.params[name] = int(value)
+        for name, value in self.checked_search_params(**params).items():
+            if hasattr(self, name):
+                setattr(self, name, value)
+                self.params[name] = value
 
     # -- memory accounting ----------------------------------------------------
 

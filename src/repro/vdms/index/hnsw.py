@@ -46,12 +46,12 @@ class HNSWIndex(VectorIndex):
         super().__init__(metric=metric, hnsw_m=hnsw_m, ef_construction=ef_construction, ef_search=ef_search, **params)
         self.hnsw_m = int(hnsw_m)
         self.ef_construction = int(ef_construction)
-        self.ef_search = int(ef_search)
         self.seed = int(seed)
         if self.hnsw_m < 2:
             raise ValueError("hnsw_m must be >= 2")
-        if self.ef_construction < 1 or self.ef_search < 1:
-            raise ValueError("ef_construction and ef_search must be >= 1")
+        if self.ef_construction < 1:
+            raise ValueError("ef_construction must be >= 1")
+        self.ef_search = self.checked_search_params(ef_search=ef_search)["ef_search"]
         #: Neighbour arrays per layer.  Every node is in the bottom layer, so
         #: it is a list indexed by position; the sparse upper layers are dicts.
         self._layers: list[list[np.ndarray] | dict[int, np.ndarray]] = []

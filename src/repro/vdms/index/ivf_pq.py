@@ -12,8 +12,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.vdms.distance import QueryOperand, nonempty_spans
 from repro.vdms.index.base import BuildStats, SearchStats
-from repro.vdms.index.ivf_flat import IVFFlatIndex
+from repro.vdms.index.ivf_flat import IVFFlatIndex, TileScorer, partition_select
 from repro.vdms.index.kmeans import kmeans
 
 __all__ = ["IVFPQIndex"]
@@ -23,6 +24,7 @@ class IVFPQIndex(IVFFlatIndex):
     """Inverted-file index with product-quantized residual-free codes."""
 
     index_type = "IVF_PQ"
+    _select = staticmethod(partition_select)
 
     def __init__(
         self,
@@ -84,10 +86,6 @@ class IVFPQIndex(IVFFlatIndex):
 
     # -- search ---------------------------------------------------------------
 
-    def _adc_tables(self, query: np.ndarray) -> np.ndarray:
-        """Build the per-sub-space lookup tables for one query."""
-        return self._adc_tables_batch(query[None, :])[0]
-
     def _adc_tables_batch(self, queries: np.ndarray) -> np.ndarray:
         """Build ADC tables for a whole query batch in one pass.
 
@@ -104,35 +102,24 @@ class IVFPQIndex(IVFFlatIndex):
             tables[:, sub] = np.einsum("qij,qij->qi", diff, diff)
         return tables
 
-    def _score_candidates(
-        self,
-        queries: np.ndarray,
-        candidates: list[np.ndarray],
-        top_k: int,
-        stats: SearchStats,
-    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """Score per-query candidate lists with ADC table lookups."""
-        num_queries = queries.shape[0]
-        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
-        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+    def _tile_scorer(
+        self, queries: np.ndarray, query_side: QueryOperand, stats: SearchStats
+    ) -> TileScorer:
+        """ADC scores of a tile's candidates: sums of table lookups."""
         m, codewords, _ = self._codebooks.shape
-        subspace_index = np.arange(m)
-        batch_tables = self._adc_tables_batch(queries)
-        for query_index, candidate_positions in enumerate(candidates):
-            if candidate_positions.size == 0:
-                continue
-            tables = batch_tables[query_index]
-            stats.coarse_evaluations += m * codewords
-            candidate_codes = self._codes[candidate_positions]
-            scores = tables[subspace_index[None, :], candidate_codes].sum(axis=1)
-            stats.code_evaluations += int(candidate_positions.size)
-            keep = min(top_k, candidate_positions.size)
-            order = np.argpartition(scores, keep - 1)[:keep] if keep < scores.size else np.arange(scores.size)
-            order = order[np.argsort(scores[order])]
-            positions[query_index, :keep] = candidate_positions[order]
-            distances[query_index, :keep] = scores[order]
-        stats.segments_searched = num_queries
-        return positions, distances, stats
+        tables = self._adc_tables_batch(queries)
+        subspace_index = np.arange(m)[None, :]
+
+        def score_tile(first: int, bounds: np.ndarray, rows: np.ndarray):
+            stats.code_evaluations += rows.shape[0]
+            codes = self._codes[rows]
+            scores = np.empty(rows.shape[0], dtype=np.float32)
+            for query, start, stop in nonempty_spans(first, bounds):
+                stats.coarse_evaluations += m * codewords
+                scores[start:stop] = tables[query][subspace_index, codes[start:stop]].sum(axis=1)
+            return scores, rows, bounds
+
+        return score_tile
 
     def memory_bytes(self) -> int:
         base = super().memory_bytes()

@@ -29,9 +29,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vdms.distance import pairwise_distances
+from repro.vdms.distance import QueryOperand, nonempty_spans, pairwise_distances
 from repro.vdms.index.base import BuildStats, SearchStats
-from repro.vdms.index.ivf_flat import IVFFlatIndex
+from repro.vdms.index.ivf_flat import IVFFlatIndex, TileScorer, partition_select
 
 __all__ = ["IVFSQ8Index"]
 
@@ -43,6 +43,7 @@ class IVFSQ8Index(IVFFlatIndex):
     """Inverted-file index scoring probed lists on 8-bit scalar-quantized codes."""
 
     index_type = "IVF_SQ8"
+    _select = staticmethod(partition_select)
 
     def __init__(
         self,
@@ -107,71 +108,69 @@ class IVFSQ8Index(IVFFlatIndex):
         """Reconstruct approximate vectors for the given positions."""
         return self._codes[positions].astype(np.float32) / 255.0 * self._scales + self._minimums
 
-    def _fast_candidate_scores(
-        self, query: np.ndarray, candidate_positions: np.ndarray
-    ) -> np.ndarray | None:
-        """Quantized fast-path scores for one query, or ``None`` when off.
+    def _fast_scores(
+        self, query: np.ndarray, codes: np.ndarray, inverse: np.ndarray, norms: np.ndarray
+    ) -> np.ndarray:
+        """Quantized fast-path scores of one query against gathered code rows.
 
-        Float32 throughout: one GEMV over the gathered code rows (int8
-        values in float32 lanes, or the float16 decoded shadow) plus the
-        precomputed decoded-row norm corrections.  Recall-identical to the
-        decode + float64-kernel path, not bit-identical.
+        Float32 throughout: one GEMV over the code rows (int8 values in
+        float32 lanes, or the float16 decoded shadow) plus the decoded-row
+        norm corrections (``inverse`` and, per metric, ``norms``, gathered
+        like ``codes``).  Recall-identical to the decode + float64-kernel
+        path, not bit-identical.
         """
-        if self.fast_scan == "off":
-            return None
-        query = np.asarray(query, dtype=np.float32)
         if self.metric == "angular":
             # Mirror the kernel's internal re-normalization of the query.
             norm = float(np.linalg.norm(query))
             query = query / np.float32(norm if norm != 0.0 else 1.0)
         if self.fast_scan == "int8":
-            dots = self._codes_f32[candidate_positions] @ (query * self._code_scales)
+            dots = codes @ (query * self._code_scales)
             dots += np.float32(query @ self._minimums)
         else:
-            dots = self._decoded16[candidate_positions].astype(np.float32) @ query
+            dots = codes @ query
         if self.metric == "ip":
             return -dots
         query_norm = np.float32(query @ query)
         if self.metric == "angular":
-            inverse = self._decoded_inv_norms[candidate_positions]
-            scores = query_norm + self._unit_norms_sq[candidate_positions] - 2.0 * dots * inverse
+            scores = query_norm + norms - 2.0 * dots * inverse
         else:
-            scores = query_norm - 2.0 * dots + self._decoded_norms[candidate_positions]
-        return np.maximum(scores, 0.0, out=scores).astype(np.float32, copy=False)
+            scores = query_norm - 2.0 * dots + norms
+        return np.maximum(scores, 0.0, out=scores)
 
-    def _approximate_scores(
-        self, query_row: np.ndarray, candidate_positions: np.ndarray
-    ) -> np.ndarray:
-        """Code-domain scores for one query row (fast path or decode fallback)."""
-        scores = self._fast_candidate_scores(query_row, candidate_positions)
-        if scores is None:
-            decoded = self._decode(candidate_positions)
-            scores = pairwise_distances(query_row[None, :], decoded, self.metric)[0]
-        return scores
+    def _tile_scorer(
+        self, queries: np.ndarray, query_side: QueryOperand, stats: SearchStats
+    ) -> TileScorer:
+        """Scores of a tile's candidates on the 8-bit codes.
 
-    def _score_candidates(
-        self,
-        queries: np.ndarray,
-        candidates: list[np.ndarray],
-        top_k: int,
-        stats: SearchStats,
-    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """Score per-query candidate lists on the 8-bit codes."""
-        num_queries = queries.shape[0]
-        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
-        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
-        for query_index, candidate_positions in enumerate(candidates):
-            if candidate_positions.size == 0:
-                continue
-            scores = self._approximate_scores(queries[query_index], candidate_positions)
-            stats.code_evaluations += int(candidate_positions.size)
-            keep = min(top_k, candidate_positions.size)
-            order = np.argpartition(scores, keep - 1)[:keep] if keep < scores.size else np.arange(scores.size)
-            order = order[np.argsort(scores[order])]
-            positions[query_index, :keep] = candidate_positions[order]
-            distances[query_index, :keep] = scores[order]
-        stats.segments_searched = num_queries
-        return positions, distances, stats
+        Everything the scoring reads per candidate is gathered once per tile;
+        the product stays one call per query over its slice of the gather,
+        because float32 accumulation depends on the call's shape.
+        """
+
+        def score_tile(first: int, bounds: np.ndarray, rows: np.ndarray):
+            stats.code_evaluations += rows.shape[0]
+            scores = np.empty(rows.shape[0], dtype=np.float32)
+            if self.fast_scan == "off":
+                decoded = self._decode(rows)
+                for query, start, stop in nonempty_spans(first, bounds):
+                    scores[start:stop] = pairwise_distances(
+                        queries[query : query + 1], decoded[start:stop], self.metric
+                    )[0]
+                return scores, rows, bounds
+            if self.fast_scan == "int8":
+                codes = self._codes_f32[rows]
+            else:
+                codes = self._decoded16[rows].astype(np.float32)
+            inverse = self._decoded_inv_norms[rows]
+            norms = (self._unit_norms_sq if self.metric == "angular" else self._decoded_norms)[rows]
+            for query, start, stop in nonempty_spans(first, bounds):
+                span = slice(start, stop)
+                scores[span] = self._fast_scores(
+                    queries[query], codes[span], inverse[span], norms[span]
+                )
+            return scores, rows, bounds
+
+        return score_tile
 
     def memory_bytes(self) -> int:
         base = super().memory_bytes()

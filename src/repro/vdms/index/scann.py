@@ -17,8 +17,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.vdms.distance import pairwise_distances
+from repro.vdms.distance import QueryOperand, nonempty_spans
 from repro.vdms.index.base import BuildStats, SearchStats
+from repro.vdms.index.ivf_flat import TileScorer
 from repro.vdms.index.ivf_sq8 import IVFSQ8Index
 
 __all__ = ["ScannIndex"]
@@ -40,50 +41,35 @@ class ScannIndex(IVFSQ8Index):
         **params,
     ) -> None:
         super().__init__(metric=metric, nlist=nlist, nprobe=nprobe, seed=seed, **params)
-        self.reorder_k = int(reorder_k)
-        if self.reorder_k < 1:
-            raise ValueError("reorder_k must be >= 1")
+        self.reorder_k = self.checked_search_params(reorder_k=reorder_k)["reorder_k"]
 
     def _build(self, vectors: np.ndarray) -> BuildStats:
         stats = super()._build(vectors)
         stats.extra["quantizer"] = "scann-sq8"
         return stats
 
-    def _score_candidates(
-        self,
-        queries: np.ndarray,
-        candidates: list[np.ndarray],
-        top_k: int,
-        stats: SearchStats,
-    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """Quantized scoring of the candidate lists plus exact re-ranking."""
-        num_queries = queries.shape[0]
-        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
-        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
-        for query_index, candidate_positions in enumerate(candidates):
-            if candidate_positions.size == 0:
-                continue
-            query = queries[query_index : query_index + 1]
-            approximate = self._approximate_scores(queries[query_index], candidate_positions)
-            stats.code_evaluations += int(candidate_positions.size)
+    def _tile_scorer(
+        self, queries: np.ndarray, query_side: QueryOperand, stats: SearchStats
+    ) -> TileScorer:
+        """Quantized scores of a tile's candidates, then exact distances of
+        each query's best ``reorder_k`` of them."""
+        score_codes = super()._tile_scorer(queries, query_side, stats)
 
-            shortlist_size = min(self.reorder_k, candidate_positions.size)
-            if shortlist_size < approximate.size:
-                shortlist = np.argpartition(approximate, shortlist_size - 1)[:shortlist_size]
-            else:
-                shortlist = np.arange(approximate.size)
-            shortlist_positions = candidate_positions[shortlist]
+        def score_tile(first: int, bounds: np.ndarray, rows: np.ndarray):
+            approximate, _, _ = score_codes(first, bounds, rows)
+            shortlists = []
+            for _, start, stop in nonempty_spans(first, bounds):
+                shortlist = rows[start:stop]
+                if self.reorder_k < shortlist.size:
+                    best = np.argpartition(approximate[start:stop], self.reorder_k - 1)
+                    shortlist = shortlist[best[: self.reorder_k]]
+                shortlists.append(shortlist)
             # Exact re-rank stays on the bit-exact float64 kernel, served
-            # from the cached operand (gathered casts/norms, same values).
-            exact = pairwise_distances(
-                query, self._operand.take(shortlist_positions), self.metric
-            )[0]
-            stats.reorder_evaluations += int(shortlist_positions.size)
+            # from the cached operand: one gather of the tile's shortlists.
+            rows = np.concatenate(shortlists)
+            counts = np.minimum(np.diff(bounds), self.reorder_k)
+            bounds = np.concatenate(([0], np.cumsum(counts)))
+            stats.reorder_evaluations += rows.shape[0]
+            return query_side.gather_scan_runs(first, bounds, self._operand, rows), rows, bounds
 
-            keep = min(top_k, shortlist_positions.size)
-            order = np.argpartition(exact, keep - 1)[:keep] if keep < exact.size else np.arange(exact.size)
-            order = order[np.argsort(exact[order])]
-            positions[query_index, :keep] = shortlist_positions[order]
-            distances[query_index, :keep] = exact[order]
-        stats.segments_searched = num_queries
-        return positions, distances, stats
+        return score_tile

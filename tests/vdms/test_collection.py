@@ -119,6 +119,31 @@ class TestSearch:
         wide = collection.search(queries, 5).stats.total_work()
         assert wide > narrow
 
+    @pytest.mark.parametrize(
+        "index_type, name",
+        [("IVF_FLAT", "nprobe"), ("SCANN", "nprobe"), ("SCANN", "reorder_k"), ("HNSW", "ef_search")],
+    )
+    def test_rejected_search_params_change_nothing(self, corpus, index_type, name):
+        _, queries, _ = corpus
+        collection = loaded_collection(corpus)
+        collection.create_index(index_type, {"nlist": 32, "nprobe": 4})
+        indexes = [dict(shard.indexes) for shard in collection.shards]
+        before = collection.search(queries, 5)
+        state = (collection._version, dict(collection._index_params))
+        for value in (0, -4):
+            with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+                collection.set_search_params(
+                    **{"nprobe": 2, "ef_search": 9, "reorder_k": 7, name: value}
+                )
+        assert (collection._version, collection._index_params) == state
+        for shard, kept in zip(collection.shards, indexes):
+            assert shard.indexes.keys() == kept.keys()
+            assert all(shard.indexes[segment] is kept[segment] for segment in kept)
+        after = collection.search(queries, 5)
+        assert np.array_equal(after.ids, before.ids)
+        assert np.array_equal(after.distances, before.distances)
+        assert (after.ids[:, 0] >= 0).all()
+
 
 class TestDelete:
     def test_delete_removes_rows(self, corpus):

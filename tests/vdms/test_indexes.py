@@ -237,3 +237,25 @@ class TestSearchTimeParameters:
         index.set_search_params(nprobe=16, reorder_k=100)
         after = index.search(queries, 5)[2].total_work()
         assert after > before
+
+    @pytest.mark.parametrize(
+        "index_type, name",
+        [("IVF_FLAT", "nprobe"), ("SCANN", "nprobe"), ("SCANN", "reorder_k"), ("HNSW", "ef_search")],
+    )
+    @pytest.mark.parametrize("value", [0, -4])
+    def test_set_search_params_applies_the_constructor_bounds(self, corpus, index_type, name, value):
+        # The constructor's message, and a rejected call changes nothing —
+        # not even the valid parameter passed beside the invalid one.
+        vectors, queries, _ = corpus
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            create_index(index_type, **{name: value})
+        index = create_index(index_type, nlist=32, seed=0)
+        index.build(vectors)
+        other = "nprobe" if name != "nprobe" else "ef_search"
+        before = (dict(index.params), getattr(index, name), index.search(queries, 5))
+        with pytest.raises(ValueError, match=f"{name} must be >= 1"):
+            index.set_search_params(**{other: 3, name: value})
+        assert (index.params, getattr(index, name)) == before[:2]
+        ids, distances, _ = index.search(queries, 5)
+        assert np.array_equal(ids, before[2][0]) and np.array_equal(distances, before[2][1])
+        assert (ids[:, 0] >= 0).all()

@@ -1,0 +1,439 @@
+"""The inverted-file family's query path against the seed's, kept here as the
+reference: one Python list of candidate arrays per batch, one gather, one
+kernel call and one select per (query, segment)."""
+
+import copy
+import sys
+import threading
+from dataclasses import astuple
+
+import numpy as np
+import pytest
+
+from repro.vdms import distance
+from repro.vdms.distance import pairwise_distances, pairwise_distances_blocked
+from repro.vdms.index import create_index
+from repro.vdms.index.base import SearchStats
+from repro.vdms.index.ivf_flat import IVFFlatIndex
+from repro.vdms.index.ivf_pq import IVFPQIndex
+from repro.vdms.index.ivf_sq8 import IVFSQ8Index
+from repro.vdms.index.kmeans import kmeans
+from repro.vdms.index.scann import ScannIndex
+
+
+class SeedIVFFlat(IVFFlatIndex):
+    """The seed's probe and full-precision scoring loop (``_lists`` is the
+    seed's list of per-cluster position arrays, filled in by ``seed_twin``)."""
+
+    def _probed_candidates(self, queries, nprobe):
+        coarse = pairwise_distances(queries, self._centroid_operand, self.metric)
+        nprobe = max(1, min(nprobe, self._centroids.shape[0]))
+        probed = np.argpartition(coarse, nprobe - 1, axis=1)[:, :nprobe]
+        stats = SearchStats(coarse_evaluations=int(queries.shape[0]) * self._centroids.shape[0])
+        candidates = []
+        for row in probed:
+            lists = [self._lists[list_id] for list_id in row if self._lists[list_id].size]
+            if lists:
+                candidates.append(np.concatenate(lists))
+            else:
+                candidates.append(np.empty(0, dtype=np.int64))
+        return candidates, stats
+
+    def _score_candidates(self, queries, candidates, top_k, stats):
+        num_queries = queries.shape[0]
+        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
+        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+        for query_index, candidate_positions in enumerate(candidates):
+            if candidate_positions.size == 0:
+                continue
+            query = queries[query_index : query_index + 1]
+            scores = pairwise_distances_blocked(
+                query, self._operand.take(candidate_positions), self.metric
+            )[0]
+            stats.distance_evaluations += int(candidate_positions.size)
+            keep = min(top_k, candidate_positions.size)
+            order = np.lexsort((candidate_positions, scores))[:keep]
+            positions[query_index, :keep] = candidate_positions[order]
+            distances[query_index, :keep] = scores[order]
+        stats.segments_searched = num_queries
+        return positions, distances, stats
+
+    def _search(self, queries, top_k):
+        candidates, stats = self._probed_candidates(queries, self.nprobe)
+        return self._score_candidates(queries, candidates, top_k, stats)
+
+    def _search_filtered(self, queries, top_k, allow_mask, scan_mode=None):
+        candidates, stats = self._probed_candidates(queries, self.nprobe)
+        filtered = [
+            candidate_positions[allow_mask[candidate_positions]]
+            for candidate_positions in candidates
+        ]
+        return self._score_candidates(queries, filtered, top_k, stats)
+
+
+class SeedIVFSQ8(SeedIVFFlat, IVFSQ8Index):
+    def _fast_candidate_scores(self, query, candidate_positions):
+        if self.fast_scan == "off":
+            return None
+        query = np.asarray(query, dtype=np.float32)
+        if self.metric == "angular":
+            norm = float(np.linalg.norm(query))
+            query = query / np.float32(norm if norm != 0.0 else 1.0)
+        if self.fast_scan == "int8":
+            dots = self._codes_f32[candidate_positions] @ (query * self._code_scales)
+            dots += np.float32(query @ self._minimums)
+        else:
+            dots = self._decoded16[candidate_positions].astype(np.float32) @ query
+        if self.metric == "ip":
+            return -dots
+        query_norm = np.float32(query @ query)
+        if self.metric == "angular":
+            inverse = self._decoded_inv_norms[candidate_positions]
+            scores = query_norm + self._unit_norms_sq[candidate_positions] - 2.0 * dots * inverse
+        else:
+            scores = query_norm - 2.0 * dots + self._decoded_norms[candidate_positions]
+        return np.maximum(scores, 0.0, out=scores).astype(np.float32, copy=False)
+
+    def _approximate_scores(self, query_row, candidate_positions):
+        scores = self._fast_candidate_scores(query_row, candidate_positions)
+        if scores is None:
+            decoded = self._decode(candidate_positions)
+            scores = pairwise_distances(query_row[None, :], decoded, self.metric)[0]
+        return scores
+
+    def _score_candidates(self, queries, candidates, top_k, stats):
+        num_queries = queries.shape[0]
+        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
+        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+        for query_index, candidate_positions in enumerate(candidates):
+            if candidate_positions.size == 0:
+                continue
+            scores = self._approximate_scores(queries[query_index], candidate_positions)
+            stats.code_evaluations += int(candidate_positions.size)
+            keep = min(top_k, candidate_positions.size)
+            order = np.argpartition(scores, keep - 1)[:keep] if keep < scores.size else np.arange(scores.size)
+            order = order[np.argsort(scores[order])]
+            positions[query_index, :keep] = candidate_positions[order]
+            distances[query_index, :keep] = scores[order]
+        stats.segments_searched = num_queries
+        return positions, distances, stats
+
+
+class SeedIVFPQ(SeedIVFFlat, IVFPQIndex):
+    def _score_candidates(self, queries, candidates, top_k, stats):
+        num_queries = queries.shape[0]
+        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
+        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+        m, codewords, _ = self._codebooks.shape
+        subspace_index = np.arange(m)
+        batch_tables = self._adc_tables_batch(queries)
+        for query_index, candidate_positions in enumerate(candidates):
+            if candidate_positions.size == 0:
+                continue
+            tables = batch_tables[query_index]
+            stats.coarse_evaluations += m * codewords
+            candidate_codes = self._codes[candidate_positions]
+            scores = tables[subspace_index[None, :], candidate_codes].sum(axis=1)
+            stats.code_evaluations += int(candidate_positions.size)
+            keep = min(top_k, candidate_positions.size)
+            order = np.argpartition(scores, keep - 1)[:keep] if keep < scores.size else np.arange(scores.size)
+            order = order[np.argsort(scores[order])]
+            positions[query_index, :keep] = candidate_positions[order]
+            distances[query_index, :keep] = scores[order]
+        stats.segments_searched = num_queries
+        return positions, distances, stats
+
+
+class SeedScann(SeedIVFSQ8, ScannIndex):
+    def _score_candidates(self, queries, candidates, top_k, stats):
+        num_queries = queries.shape[0]
+        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
+        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+        for query_index, candidate_positions in enumerate(candidates):
+            if candidate_positions.size == 0:
+                continue
+            query = queries[query_index : query_index + 1]
+            approximate = self._approximate_scores(queries[query_index], candidate_positions)
+            stats.code_evaluations += int(candidate_positions.size)
+            shortlist_size = min(self.reorder_k, candidate_positions.size)
+            if shortlist_size < approximate.size:
+                shortlist = np.argpartition(approximate, shortlist_size - 1)[:shortlist_size]
+            else:
+                shortlist = np.arange(approximate.size)
+            shortlist_positions = candidate_positions[shortlist]
+            exact = pairwise_distances(
+                query, self._operand.take(shortlist_positions), self.metric
+            )[0]
+            stats.reorder_evaluations += int(shortlist_positions.size)
+            keep = min(top_k, shortlist_positions.size)
+            order = np.argpartition(exact, keep - 1)[:keep] if keep < exact.size else np.arange(exact.size)
+            order = order[np.argsort(exact[order])]
+            positions[query_index, :keep] = shortlist_positions[order]
+            distances[query_index, :keep] = exact[order]
+        stats.segments_searched = num_queries
+        return positions, distances, stats
+
+
+SEED_CLASSES = {
+    "IVF_FLAT": SeedIVFFlat,
+    "IVF_SQ8": SeedIVFSQ8,
+    "IVF_PQ": SeedIVFPQ,
+    "SCANN": SeedScann,
+}
+
+
+def seed_lists(index):
+    """The seed's per-cluster lists, cut from the cluster-major order array."""
+    ends = index._list_ends
+    return [
+        index._list_order[stop - size : stop] for size, stop in zip(index._list_sizes, ends)
+    ]
+
+
+def seed_twin(index):
+    """``index``'s built structures, searched by the seed's query path."""
+    twin = copy.copy(index)
+    twin.__class__ = SEED_CLASSES[index.index_type]
+    twin._lists = seed_lists(index)
+    return twin
+
+
+def seed_search(index, queries, top_k, **search_options):
+    ids, distances, stats = seed_twin(index).search(queries, top_k, **search_options)
+    return ids, distances, astuple(stats)
+
+
+def assert_same_search(index, queries, top_k, seed_result=None, **search_options):
+    """``index.search`` equals the seed path on ids, distance bytes + dtype, stats."""
+    ids, distances, stats = index.search(queries, top_k, **search_options)
+    seed_ids, seed_distances, seed_stats = seed_result or seed_search(
+        index, queries, top_k, **search_options
+    )
+    assert np.array_equal(ids, seed_ids)
+    assert distances.dtype == seed_distances.dtype
+    assert distances.tobytes() == seed_distances.tobytes()
+    assert astuple(stats) == seed_stats
+    return ids, distances, stats
+
+
+ROWS = 240
+
+
+def matrix_corpus(dimension, seed=7):
+    """Stored rows with duplicates and a zero row, and 37 queries of which the
+    first five sit exactly on stored (duplicated) rows: exact-zero distances,
+    distance ties between candidates of different lists' order, a zero norm."""
+    rng = np.random.default_rng(seed + dimension)
+    vectors = rng.normal(size=(ROWS, dimension)).astype(np.float32)
+    vectors[ROWS - 60 :] = vectors[:60]
+    vectors[ROWS // 3] = 0.0
+    queries = rng.normal(size=(37, dimension)).astype(np.float32)
+    queries[:5] = vectors[[0, 1, 2, ROWS // 3, 200]]
+    return vectors, queries
+
+
+def masks():
+    rng = np.random.default_rng(41)
+    sparse = np.zeros(ROWS, dtype=bool)
+    sparse[rng.choice(ROWS, size=ROWS // 10, replace=False)] = True
+    return {
+        "none": None,
+        "sparse": sparse,
+        "dense": rng.random(ROWS) < 0.9,
+        "empty": np.zeros(ROWS, dtype=bool),
+    }
+
+
+#: (index type, build parameters) of every variant the family ships.
+VARIANTS = [
+    ("IVF_FLAT", {}),
+    ("IVF_SQ8", {"fast_scan": "int8"}),
+    ("IVF_SQ8", {"fast_scan": "float16"}),
+    ("IVF_SQ8", {"fast_scan": "off"}),
+    ("IVF_PQ", {"pq_m": 4, "pq_nbits": 4}),
+    ("SCANN", {"reorder_k": 12}),  # below most candidate counts
+    ("SCANN", {"reorder_k": 500}),  # above every candidate count
+]
+VARIANT_IDS = [
+    "-".join([index_type, *map(str, params.values())]) for index_type, params in VARIANTS
+]
+NLIST = 12
+
+
+def check_matrix(index, queries, seed_results):
+    """Every (nprobe, q, k, mask, strategy) cell of one built index.
+
+    ``seed_results`` keeps the seed path's answer per cell: it does not depend
+    on the tile size, so the small-tile runs of the matrix reuse it.
+    """
+    for nprobe in (1, 4, NLIST):
+        index.set_search_params(nprobe=nprobe)
+        for num_queries in (1, 8, 37):
+            batch = queries[:num_queries]
+            for top_k in (1, 10, ROWS + 5):
+                for mask_name, allow_mask in masks().items():
+                    for strategy in ("pre", "post") if allow_mask is not None else ("pre",):
+                        options = {}
+                        if allow_mask is not None:
+                            options = {"allow_mask": allow_mask, "strategy": strategy}
+                        cell = (nprobe, num_queries, top_k, mask_name, strategy)
+                        if cell not in seed_results:
+                            seed_results[cell] = seed_search(index, batch, top_k, **options)
+                        assert_same_search(index, batch, top_k, seed_results[cell], **options)
+
+
+@pytest.fixture(scope="module")
+def built():
+    """Built indexes and their seed answers, shared between the tile-size runs."""
+    cache = {}
+
+    def build(variant, metric, dimension):
+        key = (VARIANT_IDS[VARIANTS.index(variant)], metric, dimension)
+        if key not in cache:
+            index_type, params = variant
+            vectors, _ = matrix_corpus(dimension)
+            index = create_index(index_type, metric=metric, nlist=NLIST, nprobe=4, **params)
+            index.build(vectors)
+            cache[key] = (index, {})
+        return cache[key]
+
+    return build
+
+
+class TestSeedEquivalence:
+    """Tile-at-a-time scoring returns the seed's results bit for bit."""
+
+    @pytest.mark.parametrize("dimension", [7, 16], ids=["odd", "even"])
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
+    def test_matrix(self, built, variant, metric, dimension):
+        index, seed_results = built(variant, metric, dimension)
+        check_matrix(index, matrix_corpus(dimension)[1], seed_results)
+
+    @pytest.mark.parametrize("row_block, query_block", [(1, 64), (7, 64), (64, 64), (8192, 3)])
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
+    def test_matrix_in_small_tiles(
+        self, built, monkeypatch, variant, metric, row_block, query_block
+    ):
+        # Row block 1: every query its own tile, each larger than the bound;
+        # 7 and 64: several queries per tile, tiles cut where a query would
+        # overflow, and (sparse / empty masks) boundaries falling on empty
+        # queries; query block 3: tiles cut by their query count.
+        # The odd dimension only: where a tile is cut does not depend on d,
+        # and odd rows are the ones a slice of a gather leaves misaligned.
+        monkeypatch.setattr("repro.vdms.index.ivf_flat.DEFAULT_ROW_BLOCK", row_block)
+        monkeypatch.setattr("repro.vdms.index.ivf_flat.DEFAULT_QUERY_BLOCK", query_block)
+        index, seed_results = built(variant, metric, 7)
+        check_matrix(index, matrix_corpus(7)[1], seed_results)
+
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
+    def test_wide_rows_and_many_lists(self, variant, metric):
+        # d = 100 (the kernels' unrolled GEMV paths), lists of one or two
+        # rows, and empty lists among the probed ones.
+        index_type, params = variant
+        rng = np.random.default_rng(3)
+        vectors = rng.normal(size=(ROWS, 100)).astype(np.float32)
+        vectors[100:140] = vectors[:40]
+        queries = rng.normal(size=(9, 100)).astype(np.float32)
+        queries[:2] = vectors[:2]
+        index = create_index(index_type, metric=metric, nlist=200, nprobe=7, **params)
+        index.build(vectors)
+        # k-means re-seeds empty clusters, so empty some lists by hand: each
+        # list at a multiple of three hands its rows to the next one.
+        sizes = index._list_sizes.copy()
+        sizes[3::3] += sizes[2:-1:3]
+        sizes[2:-1:3] = 0
+        index._list_sizes = sizes
+        assert index._list_order.size == sizes.sum() and np.count_nonzero(sizes == 0) > 50
+        sparse = masks()["sparse"]
+        for top_k in (1, 10, ROWS + 5):
+            assert_same_search(index, queries, top_k)
+            assert_same_search(index, queries, top_k, allow_mask=sparse, strategy="pre")
+            assert_same_search(index, queries, top_k, allow_mask=sparse, strategy="post")
+
+    def test_nan_distances_order_last(self):
+        # A query with a NaN component: every distance is NaN, and the select
+        # must return what ``lexsort`` returned — ascending stored position.
+        vectors, queries = matrix_corpus(8)
+        queries = queries[:4].copy()
+        queries[1, 3] = np.nan
+        for metric in ("l2", "ip"):
+            index = IVFFlatIndex(metric=metric, nlist=NLIST, nprobe=4)
+            index.build(vectors)
+            for top_k in (1, 10, ROWS + 5):
+                _, distances, _ = assert_same_search(index, queries, top_k)
+            assert np.isnan(distances[1]).any()
+
+    def test_empty_batch(self):
+        vectors, queries = matrix_corpus(8)
+        index = IVFFlatIndex(metric="l2", nlist=NLIST, nprobe=4)
+        index.build(vectors)
+        ids, distances, stats = assert_same_search(index, queries[:0], 5)
+        assert ids.shape == distances.shape == (0, 5)
+        assert stats.total_work() == 0
+
+
+class TestInvertedLists:
+    @pytest.mark.parametrize("nlist", [1, 12, 500])
+    def test_argsort_lists_equal_flatnonzero_lists(self, nlist):
+        vectors, _ = matrix_corpus(16)
+        index = IVFFlatIndex(metric="angular", nlist=nlist, nprobe=4, seed=5)
+        index.build(vectors)
+        clustering = kmeans(index._vectors, min(nlist, ROWS), seed=5)
+        lists = seed_lists(index)
+        assert len(lists) == clustering.centroids.shape[0]
+        for list_id, positions in enumerate(lists):
+            expected = np.flatnonzero(clustering.assignments == list_id).astype(np.int64)
+            assert positions.dtype == expected.dtype
+            assert np.array_equal(positions, expected)
+        assert index.memory_bytes() == index._centroids.size * 4 + ROWS * 8
+
+
+class TestConcurrency:
+    @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
+    def test_concurrent_searches_share_no_scratch(self, monkeypatch, variant):
+        # Admission workers share one index object: two tiles in flight on
+        # different threads must not see each other's scratch.
+        monkeypatch.setattr("repro.vdms.index.ivf_flat.DEFAULT_ROW_BLOCK", 64)
+        index_type, params = variant
+        vectors, _ = matrix_corpus(16)
+        index = create_index(index_type, metric="angular", nlist=NLIST, nprobe=4, **params)
+        index.build(vectors)
+        before = dict(vars(index))
+        rng = np.random.default_rng(17)
+        batches = [rng.normal(size=(5 + slot, 16)).astype(np.float32) for slot in range(6)]
+        serial = [index.search(batch, 10) for batch in batches]
+        concurrent = [None] * len(batches)
+
+        def worker(slot):
+            for _ in range(5):
+                concurrent[slot] = index.search(batches[slot], 10)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (ids, distances, stats), got in zip(serial, concurrent):
+            assert np.array_equal(ids, got[0])
+            assert distances.tobytes() == got[1].tobytes()
+            assert astuple(stats) == astuple(got[2])
+        # No attribute is written on the index object during a search.
+        after = vars(index)
+        assert after.keys() == before.keys()
+        assert all(after[name] is before[name] for name in before)
+
+
+def test_the_tile_bounds_are_the_blocked_kernels():
+    from repro.vdms.index import ivf_flat
+
+    assert ivf_flat.DEFAULT_ROW_BLOCK is distance.DEFAULT_ROW_BLOCK
+    assert ivf_flat.DEFAULT_QUERY_BLOCK is distance.DEFAULT_QUERY_BLOCK
