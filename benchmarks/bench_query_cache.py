@@ -73,9 +73,9 @@ def test_cache_speedup_on_zipfian_traffic():
     hit_ratio = on.breakdown.get("cache_hit_ratio", 0.0)
 
     table = format_table(
-        ["cache", "QPS", "recall", "hit ratio", "hits", "misses", "unique"],
+        ["cache", "QPS", "recall", "hit ratio", "hits", "misses"],
         [
-            ["none", round(off.qps, 1), round(off.recall, 4), "-", "-", "-", "-"],
+            ["none", round(off.qps, 1), round(off.recall, 4), "-", "-", "-"],
             [
                 "lru",
                 round(on.qps, 1),
@@ -83,7 +83,6 @@ def test_cache_speedup_on_zipfian_traffic():
                 round(hit_ratio, 4),
                 int(on.breakdown.get("cache_hits", 0)),
                 int(on.breakdown.get("cache_misses", 0)),
-                int(on.breakdown.get("cache_unique_requests", 0)),
             ],
         ],
         title=(

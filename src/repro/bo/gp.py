@@ -270,55 +270,3 @@ class GaussianProcessRegressor:
             mean=mean * self._y_std + self._y_mean,
             std=std * self._y_std,
         )
-
-    def predict_covariance(self, X: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Posterior mean and full covariance matrix at ``X`` (original units).
-
-        Unlike :meth:`predict` this keeps the cross-covariances between the
-        query points.  The shipped q-EHVI estimators follow the repository's
-        Monte-Carlo convention of independent marginals (as
-        :func:`repro.bo.ehvi.monte_carlo_ehvi` does); this method is the
-        substrate for covariance-aware batch acquisitions that sample
-        coherent outcomes for a whole candidate batch via
-        :meth:`sample_joint`.
-        """
-        if not self.is_fitted:
-            raise RuntimeError("the GP has not been fitted")
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        cross = self.kernel(X, self._X)
-        mean = cross @ self._alpha
-        solved = linalg.solve_triangular(self._cholesky, cross.T, lower=True)
-        covariance = self.kernel(X, X) - solved.T @ solved
-        covariance = 0.5 * (covariance + covariance.T)
-        covariance[np.diag_indices_from(covariance)] = np.maximum(
-            np.diag(covariance), 1e-12
-        )
-        return mean * self._y_std + self._y_mean, covariance * self._y_std**2
-
-    def sample(self, X: np.ndarray, num_samples: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw marginal posterior samples at ``X``; shape ``(num_samples, len(X))``.
-
-        Samples are drawn independently per point (marginals only), which is
-        what the Monte-Carlo EHVI estimator uses.
-        """
-        prediction = self.predict(X)
-        draws = rng.normal(size=(int(num_samples), prediction.mean.shape[0]))
-        return prediction.mean[None, :] + draws * prediction.std[None, :]
-
-    def sample_joint(self, X: np.ndarray, num_samples: int, rng: np.random.Generator) -> np.ndarray:
-        """Draw correlated joint posterior samples at ``X``.
-
-        Returns an array of shape ``(num_samples, len(X))`` whose rows are
-        draws from the full multivariate posterior (one Cholesky
-        factorization amortized over all samples).  The shipped q-EHVI
-        estimators use independent marginals (:meth:`sample`); this is the
-        correlated alternative for batch acquisitions that need coherent
-        outcomes across nearby points.
-        """
-        mean, covariance = self.predict_covariance(X)
-        jitter = 1e-10 * float(np.trace(covariance)) / max(1, covariance.shape[0])
-        factor = linalg.cholesky(
-            covariance + max(jitter, 1e-12) * np.eye(covariance.shape[0]), lower=True
-        )
-        draws = rng.normal(size=(int(num_samples), mean.shape[0]))
-        return mean[None, :] + draws @ factor.T

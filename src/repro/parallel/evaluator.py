@@ -12,11 +12,9 @@ the q configurations concurrently, one per worker.  Design points:
   each worker exactly once (pool initializer) and treated as read-only.
 
 * **Deterministic results.**  Results are returned in submission order and
-  every task carries a seed derived from ``(base seed, task index)``, never
-  from worker identity or scheduling — so a batch evaluated on 1 worker is
-  bit-identical to the same batch on N workers.  (The simulated replayer is
-  itself deterministic; the per-task seed future-proofs stochastic
-  replayers.)
+  the simulated replayer is itself deterministic — nothing depends on worker
+  identity or scheduling — so a batch evaluated on 1 worker is bit-identical
+  to the same batch on N workers.
 
 * **Failure isolation.**  A worker exception is converted into a failed
   :class:`~repro.workloads.replay.EvaluationResult` for that configuration
@@ -98,9 +96,8 @@ def _isolated_replay(
         return WorkerFailure(f"{type(error).__name__}: {error}")
 
 
-def _process_worker_replay(task: tuple[int, dict[str, Any], int]):
-    index, values, _task_seed = task
-    return index, _isolated_replay(_WORKER_REPLAYER, values)
+def _process_worker_replay(values: dict[str, Any]) -> EvaluationResult | WorkerFailure:
+    return _isolated_replay(_WORKER_REPLAYER, values)
 
 
 class BatchEvaluator:
@@ -118,8 +115,6 @@ class BatchEvaluator:
         ``"process"`` (default; real CPU parallelism), ``"thread"`` (lower
         startup cost, shares the interpreter) or ``"serial"`` (no pool at
         all — the reference backend the tests compare against).
-    seed:
-        Base seed for the per-task seed derivation.
 
     Examples
     --------
@@ -137,7 +132,6 @@ class BatchEvaluator:
         workload: SearchWorkload | None = None,
         num_workers: int = 1,
         backend: str = "process",
-        seed: int = 0,
         use_query_scheduler: bool = True,
         mutations=None,
         row_ids=None,
@@ -152,12 +146,10 @@ class BatchEvaluator:
         # single worker as far as the makespan clock accounting goes.
         self.num_workers = 1 if backend == "serial" else max(1, int(num_workers))
         self.backend = backend if self.num_workers > 1 else "serial"
-        self.seed = int(seed)
         self.use_query_scheduler = bool(use_query_scheduler)
         self._pool: concurrent.futures.Executor | None = None
         self._serial_replayer: WorkloadReplayer | None = None
         self._thread_local = threading.local()
-        self._tasks_dispatched = 0
 
     @classmethod
     def from_environment(
@@ -272,36 +264,31 @@ class BatchEvaluator:
         )
 
     def _in_process_replay(
-        self, tasks: list[tuple[int, dict[str, Any], int]]
+        self, tasks: list[dict[str, Any]]
     ) -> list[EvaluationResult | WorkerFailure]:
         if self._serial_replayer is None:
             self._serial_replayer = self._make_replayer()
         replayer = self._serial_replayer
-        return [_isolated_replay(replayer, values) for _index, values, _task_seed in tasks]
+        return [_isolated_replay(replayer, values) for values in tasks]
 
-    def _thread_replay(self, task: tuple[int, dict[str, Any], int]):
-        index, values, _task_seed = task
+    def _thread_replay(self, values: dict[str, Any]) -> EvaluationResult | WorkerFailure:
         replayer = getattr(self._thread_local, "replayer", None)
         if replayer is None:
             replayer = self._make_replayer()
             self._thread_local.replayer = replayer
-        return index, _isolated_replay(replayer, values)
+        return _isolated_replay(replayer, values)
 
     def evaluate_many(
         self, configurations: Sequence[Mapping[str, Any]]
     ) -> list[EvaluationResult]:
         """Replay every configuration and return results in submission order.
 
-        Workers run concurrently (per the backend); ordering, seeding and
-        failure handling follow the determinism guarantees in the module
-        docstring.  Each worker exception yields a failed result for that
-        slot instead of propagating.
+        Workers run concurrently (per the backend); ordering and failure
+        handling follow the guarantees in the module docstring.  Each worker
+        exception yields a failed result for that slot instead of
+        propagating.
         """
-        tasks = []
-        for offset, configuration in enumerate(configurations):
-            task_seed = self.seed + self._tasks_dispatched + offset
-            tasks.append((offset, dict(configuration), task_seed))
-        self._tasks_dispatched += len(tasks)
+        tasks = [dict(configuration) for configuration in configurations]
         if not tasks:
             return []
 
@@ -312,10 +299,9 @@ class BatchEvaluator:
             worker = (
                 _process_worker_replay if self.backend == "process" else self._thread_replay
             )
-            outcomes = [None] * len(tasks)
             try:
-                for index, outcome in pool.map(worker, tasks):
-                    outcomes[index] = outcome
+                # ``map`` yields in submission order, whichever worker finishes first.
+                outcomes = list(pool.map(worker, tasks))
             except concurrent.futures.process.BrokenProcessPool:
                 # The pool died (e.g. a worker was OOM-killed): recover by
                 # evaluating the batch in-process and rebuild the pool lazily.
@@ -323,7 +309,7 @@ class BatchEvaluator:
                 outcomes = self._in_process_replay(tasks)
 
         results: list[EvaluationResult] = []
-        for (index, values, _task_seed), outcome in zip(tasks, outcomes):
+        for values, outcome in zip(tasks, outcomes):
             if isinstance(outcome, WorkerFailure):
                 results.append(_failed_result(values, str(outcome)))
             else:

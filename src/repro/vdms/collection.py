@@ -824,9 +824,9 @@ class Collection:
         charges only ``cache_hits`` work; a plan-tier hit reuses the
         predicate's allow-masks without re-scanning the attribute columns.
         ``use_cache=False`` bypasses both tiers for this call (the oracle
-        suite and the replayer's deterministic accounting use it).  The
-        version is captured and the lookup performed under the collection
-        lock, so a hit can never straddle a mutation.
+        suite and the serving front-end's ``use_cache`` request field use
+        it).  The version is captured and the lookup performed under the
+        collection lock, so a hit can never straddle a mutation.
 
         The scatter phase runs the query batch against each shard's snapshot
         — every segment through its index, which for a growing or

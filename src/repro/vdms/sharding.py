@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import concurrent.futures
 import threading
-import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -295,15 +294,12 @@ class ScheduleTrace:
     cost model's event simulation turns into a measured concurrent QPS.
     ``served_requests`` records the request ids in the order worker threads
     actually completed them (appended at service time, so lost or duplicated
-    requests show up here).  ``wall_seconds`` is the real elapsed time of the
-    (thread-pool) run; it is reported for context only and deliberately kept
-    out of every deterministic result.
+    requests show up here).
     """
 
     num_requests: int
     request_shard_stats: list[list[SearchStats]] = field(default_factory=list)
     served_requests: list[int] = field(default_factory=list)
-    wall_seconds: float = 0.0
 
     def request_stats(self) -> list[SearchStats]:
         """Each request's counted work: its shard tasks merged into one record."""
@@ -426,7 +422,6 @@ class QueryScheduler:
 
         outcomes: list[Any] = [None] * num_requests
         served_lock = threading.Lock()
-        started = time.perf_counter()
 
         def serve(request_id: int):
             outcome = search_fn(request.slice(request_id, request_id + 1))
@@ -440,7 +435,6 @@ class QueryScheduler:
         else:
             for request_id, outcome in self._executor().map(serve, range(num_requests)):
                 outcomes[request_id] = outcome
-        trace.wall_seconds = time.perf_counter() - started
 
         total = SearchStats()
         ids_rows: list[np.ndarray] = []

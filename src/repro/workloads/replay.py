@@ -19,6 +19,17 @@ concurrency multiplier, so serial configurations behave exactly as before.
 The replayer itself starts no threads: index builds and replays both run on
 the calling thread, whatever ``search_threads`` the configuration asks for.
 
+Cached replay: a configuration with ``cache_policy != "none"`` takes the same
+per-request path whatever its ``search_threads``, with the collection's own
+:class:`~repro.vdms.cache.TieredQueryCache` on — hits, evicted entries that
+re-miss and re-pay, and the plan tier charging a predicate's mask-building
+scan once are whatever :meth:`repro.vdms.collection.Collection.search` does,
+so the tuner optimises the cache the server runs.  Which of two identical
+requests computes and which hits is racy only between threads; the requests
+are issued one at a time in stream order, so the hit pattern — and with it
+every measured quantity — is a function of the stream alone.  The hit/miss
+counts in the breakdown are the fresh replay collection's own cache counters.
+
 Hybrid filtered replay: a workload carrying an
 :class:`~repro.vdms.request.AttributeFilter` replays *end to end* — the
 dataset's attribute columns are inserted with the vectors, every search is a
@@ -42,20 +53,16 @@ avoid it — which is exactly what makes the maintenance knobs tunable.
 
 from __future__ import annotations
 
-import functools
-from collections import OrderedDict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Any, Mapping
 
 import numpy as np
 
 from repro.datasets.dataset import Dataset
 from repro.datasets.ground_truth import recall_at_k
-from repro.vdms.cache import request_cache_key
-from repro.vdms.index.base import SearchStats
-from repro.vdms.request import FilterStats, SearchRequest
+from repro.vdms.request import SearchRequest
 from repro.vdms.server import VectorDBServer
-from repro.vdms.sharding import QueryScheduler, ScheduleTrace
+from repro.vdms.sharding import QueryScheduler
 from repro.vdms.system_config import SystemConfig
 from repro.workloads.workload import SearchWorkload
 
@@ -184,14 +191,12 @@ class WorkloadReplayer:
         dataset: Dataset,
         workload: SearchWorkload | None = None,
         *,
-        collection_name: str = "tuning",
         use_query_scheduler: bool = True,
         mutations: MutationPlan | None = None,
         row_ids: np.ndarray | None = None,
     ) -> None:
         self.dataset = dataset
         self.workload = workload or SearchWorkload.from_dataset(dataset)
-        self.collection_name = collection_name
         self.use_query_scheduler = bool(use_query_scheduler)
         self.mutations = mutations
         self.row_ids = None if row_ids is None else np.asarray(row_ids, dtype=np.int64)
@@ -228,113 +233,6 @@ class WorkloadReplayer:
             filter=self.workload.filter,
         )
 
-    def _cache_replay(
-        self, collection, request: SearchRequest, system_config: SystemConfig
-    ):
-        """Replay a request stream against a cache-enabled collection,
-        deterministically.
-
-        The *live* cache hit pattern of a threaded run is racy (which of two
-        concurrent identical requests computes and which hits depends on
-        timing), which would make replay stats — and therefore the tuner's
-        observations and the golden trace — nondeterministic.  The replayer
-        therefore measures the cache the same way the cost model measures
-        time: by deterministic simulation over exact counted work.
-
-        1. The stream is deduplicated by canonical cache key and every
-           *unique* request is executed once through the query scheduler
-           with the cache bypassed, so each unique request's counted work is
-           exact and thread-count independent.
-        2. The LRU result tier is simulated over the full stream at
-           ``cache_capacity``: a hit charges one ``cache_hits`` unit; a miss
-           charges its unique request's real counted work (evicted entries
-           genuinely re-miss and re-pay, exactly like the live cache).
-        3. The plan tier is simulated alongside: only the first executed
-           miss pays the predicate's mask-building scan — every later miss
-           reuses the memoized plan, so its ``filter_rows_scanned`` is
-           stripped (what :meth:`repro.vdms.collection.Collection.search`
-           does on a plan-tier hit).
-
-        Returns ``(result, trace, cache_info)``: the full-stream result
-        (ids/distances gathered from the unique executions — bit-identical
-        to serving every request, cached or not), a schedule trace carrying
-        the synthesized per-request shard stats for the event-driven QPS
-        simulation, and the hit/miss accounting.
-        """
-        num_requests = int(request.queries.shape[0])
-        keys: list[tuple] = []
-        key_to_unique: dict[tuple, int] = {}
-        unique_positions: list[int] = []
-        for position in range(num_requests):
-            key = request_cache_key(request.slice(position, position + 1), system_config)
-            keys.append(key)
-            if key not in key_to_unique:
-                key_to_unique[key] = len(unique_positions)
-                unique_positions.append(position)
-        unique_request = SearchRequest(
-            queries=request.queries[np.asarray(unique_positions, dtype=np.int64)],
-            top_k=request.top_k,
-            filter=request.filter,
-            filter_strategy=request.filter_strategy,
-            overfetch_factor=request.overfetch_factor,
-        )
-
-        unique_result, unique_trace = self._scheduler.run(
-            functools.partial(collection.search, use_cache=False), unique_request
-        )
-
-        filtered = request.filter is not None
-        capacity = max(1, int(system_config.cache_capacity))
-        lru: OrderedDict[tuple, bool] = OrderedDict()
-        stream_shard_stats: list[list[SearchStats]] = []
-        hits = 0
-        plan_charged = False
-        for key in keys:
-            if key in lru:
-                lru.move_to_end(key)
-                hits += 1
-                stream_shard_stats.append([SearchStats(num_queries=1, cache_hits=1)])
-                continue
-            shard_stats = list(unique_trace.request_shard_stats[key_to_unique[key]])
-            if filtered:
-                if plan_charged:
-                    shard_stats = [
-                        replace(stats, filter_rows_scanned=0) for stats in shard_stats
-                    ]
-                plan_charged = True
-            stream_shard_stats.append(shard_stats)
-            lru[key] = True
-            while len(lru) > capacity:
-                lru.popitem(last=False)
-
-        inverse = np.asarray([key_to_unique[key] for key in keys], dtype=np.int64)
-        trace = ScheduleTrace(
-            num_requests=num_requests, request_shard_stats=stream_shard_stats
-        )
-        total = SearchStats()
-        for request_stats in trace.request_stats():
-            total.accumulate(request_stats)
-
-        filter_stats = None
-        if unique_result.plan is not None:
-            filter_stats = FilterStats.from_plan(unique_result.plan, total)
-        from repro.vdms.collection import SearchResult
-
-        result = SearchResult(
-            ids=unique_result.ids[inverse],
-            distances=unique_result.distances[inverse],
-            stats=total,
-            plan=unique_result.plan,
-            filter_stats=filter_stats,
-        )
-        cache_info = {
-            "cache_hits": float(hits),
-            "cache_misses": float(num_requests - hits),
-            "cache_hit_ratio": hits / num_requests if num_requests else 0.0,
-            "cache_unique_requests": float(len(unique_positions)),
-        }
-        return result, trace, cache_info
-
     def _latency_samples_ms(
         self, cost_model, profile, trace, fallback_latency_us: float, num_queries: int
     ) -> np.ndarray:
@@ -360,7 +258,7 @@ class WorkloadReplayer:
         # replayer invokes exactly one deterministic pass itself (below), so
         # replays are rerun-stable even for "background" mode.
         collection = self.server.create_collection(
-            self.collection_name,
+            "tuning",
             self.dataset.dimension,
             metric=self.dataset.metric,
             auto_maintenance=False,
@@ -405,13 +303,10 @@ class WorkloadReplayer:
         cache_on = system_config.cache_policy != "none"
         scheduled = self.use_query_scheduler and system_config.search_threads > 1
         trace = None
-        cache_info: dict[str, float] | None = None
-        if cache_on:
-            # Cache-enabled replay always takes the per-request path, even
-            # for serial configurations: hits are per request, so per-request
+        if cache_on or scheduled:
+            # A cache-enabled replay takes the per-request path even for
+            # serial configurations: hits are per request, so per-request
             # accounting is what makes the measured QPS reflect them.
-            result, trace, cache_info = self._cache_replay(collection, request, system_config)
-        elif scheduled:
             result, trace = self._scheduler.run(collection.search, request)
         else:
             result = collection.search(request)
@@ -448,8 +343,13 @@ class WorkloadReplayer:
             breakdown["scheduler_workers"] = float(workers)
             breakdown["scheduled_requests"] = float(trace.num_requests)
             breakdown["schedule_makespan_seconds"] = float(makespan)
-        if cache_info is not None:
-            breakdown.update(cache_info)
+        if cache_on:
+            # The replay collection is created per replay, so its cache's
+            # counters start at zero and cover exactly this request stream.
+            cache_stats = collection.query_cache.stats
+            breakdown["cache_hits"] = float(cache_stats.result_hits)
+            breakdown["cache_misses"] = float(cache_stats.result_misses)
+            breakdown["cache_hit_ratio"] = cache_stats.result_hit_ratio
 
         # Per-query latency samples: the replayer surfaces p50/p99 alongside
         # the mean, so tail behaviour (one slow filtered segment, one

@@ -59,14 +59,6 @@ class TestFantasizedGP:
         with pytest.raises(RuntimeError):
             GaussianProcessRegressor().fantasized(np.zeros((1, 2)), np.zeros(1))
 
-    def test_joint_sampling_respects_marginals(self, fitted_gp, rng):
-        gp, _ = fitted_gp
-        queries = rng.random((5, 4))
-        samples = gp.sample_joint(queries, 4000, rng)
-        prediction = gp.predict(queries)
-        assert np.allclose(samples.mean(axis=0), prediction.mean, atol=0.05)
-        assert np.allclose(samples.std(axis=0), prediction.std, atol=0.05)
-
 
 class TestJointHypervolume:
     def test_batch_hypervolume_matches_scalar(self, rng):

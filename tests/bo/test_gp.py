@@ -80,21 +80,6 @@ class TestFit:
         assert prediction.mean[0] == pytest.approx(2.0, abs=1e-3)
 
 
-class TestSampling:
-    def test_sample_shape(self, fitted_gp):
-        gp, X, _ = fitted_gp
-        rng = np.random.default_rng(3)
-        samples = gp.sample(X[:7], num_samples=5, rng=rng)
-        assert samples.shape == (5, 7)
-
-    def test_samples_centred_on_mean(self, fitted_gp):
-        gp, X, _ = fitted_gp
-        rng = np.random.default_rng(4)
-        samples = gp.sample(X[:3], num_samples=2000, rng=rng)
-        prediction = gp.predict(X[:3])
-        assert np.allclose(samples.mean(axis=0), prediction.mean, atol=0.05)
-
-
 # -- the per-fit objective against the seed's per-call one ---------------------------
 
 

@@ -50,10 +50,10 @@ class TestBatchEvaluator:
     def test_one_worker_vs_many_workers_identical(self, dataset, workload):
         space = VDMSTuningEnvironment(dataset, workload=workload).space
         batch = [c.to_dict() for c in sample_batch(space, count=5)]
-        with BatchEvaluator(dataset, workload=workload, num_workers=1, seed=3) as serial:
+        with BatchEvaluator(dataset, workload=workload, num_workers=1) as serial:
             serial_results = serial.evaluate_many(batch)
         with BatchEvaluator(
-            dataset, workload=workload, num_workers=4, backend="thread", seed=3
+            dataset, workload=workload, num_workers=4, backend="thread"
         ) as pooled:
             pooled_results = pooled.evaluate_many(batch)
         assert results_signature(serial_results) == results_signature(pooled_results)
