@@ -36,7 +36,8 @@ same query every time — and caches the query side instead
 (:class:`QueryOperand`).  An inverted-file probe is the third: every query of
 a batch against its own few dozen gathered rows.  Its products stay one GEMV
 per query, but the gather and the finish are paid once per tile of queries
-(:meth:`QueryOperand.gather_scan_runs`).
+(:meth:`QueryOperand.gather_scan_runs`) — and so is a round of graph walks,
+one hop of every query of a block.
 """
 
 from __future__ import annotations
@@ -297,7 +298,7 @@ class QueryOperand:
         operand.take(positions))`` issues, so the float32 values are that
         call's bit for bit.
         """
-        products = self.queries64[row : row + 1] @ operand.vectors64[positions].T
+        products = self.queries64[row : row + 1] @ operand.vectors64.take(positions, axis=0).T
         if self.norms64 is None:
             return _finish_tile(products, None, None, self.metric)[0]
         return _finish_tile(
@@ -313,24 +314,30 @@ class QueryOperand:
         return _finish_tile(products, self.norms64, operand.norms64, self.metric)
 
     def gather_scan_runs(
-        self, first: int, bounds: np.ndarray, operand: ScanOperand, positions: np.ndarray
+        self, rows: Sequence[int], counts: Sequence[int], operand: ScanOperand, positions: np.ndarray
     ) -> np.ndarray:
-        """:meth:`gather_scan` of consecutive queries, over one gather.
+        """:meth:`gather_scan` of several queries, over one gather.
 
-        Query ``first + i`` is scored against ``operand``'s rows at
-        ``positions[bounds[i]:bounds[i + 1]]``; the distances come back flat.
-        Each query's product is the GEMV :meth:`gather_scan` issues, so the
-        values are that call's bit for bit; the per-pair finish runs once.
+        ``positions`` holds the queries' runs end to end: query ``rows[i]`` is
+        scored against ``operand``'s rows at the next ``counts[i]`` of them,
+        and the distances come back flat.  Each query's product is the GEMV
+        :meth:`gather_scan` issues, so the values are that call's bit for bit;
+        the per-pair finish runs once.  The queries need not be consecutive:
+        an inverted-file tile passes a ``range``, a round of graph walks the
+        queries still walking.
         """
-        if bounds.shape[0] == 2:
-            return self.gather_scan(first, operand, positions)
-        gathered = operand.vectors64[positions]
+        if len(rows) == 1:
+            return self.gather_scan(rows[0], operand, positions)
+        gathered = operand.vectors64.take(positions, axis=0)
         products = np.empty((1, positions.shape[0]), dtype=np.float64)
-        for row, start, stop in nonempty_spans(first, bounds):
-            np.matmul(self.queries64[row : row + 1], gathered[start:stop].T, out=products[:, start:stop])
+        stop = 0
+        for row, count in zip(rows, counts):
+            start, stop = stop, stop + count
+            if count:
+                np.matmul(self.queries64[row : row + 1], gathered[start:stop].T, out=products[:, start:stop])
         if self.norms64 is None:
             return _finish_tile(products, None, None, self.metric)[0]
-        query_norms = np.repeat(self.norms64[first : first + bounds.shape[0] - 1, 0], np.diff(bounds))
+        query_norms = np.repeat(self.norms64[rows, 0], counts)
         return _finish_tile(products, query_norms, operand.norms64[positions], self.metric)[0]
 
 

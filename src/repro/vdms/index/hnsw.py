@@ -4,24 +4,29 @@ The query path is the standard HNSW algorithm: greedy descent through the
 upper layers followed by a best-first beam search of width ``ef_search`` on
 the bottom layer.  Recall and cost therefore respond to ``hnsw_m`` (graph
 degree), ``ef_construction`` (neighbour quality at build time) and
-``ef_search`` (beam width) exactly as in the real system.
+``ef_search`` (beam width) exactly as in the real system.  Walks are
+independent per query, so the queries of a block walk in rounds and a round's
+hops are scored as one tile: one gather and one finish instead of one per hop.
 
 Construction uses a cell-accelerated neighbour selection instead of the
 incremental insert of the original paper: nodes of a layer are grouped with
 k-means and each node picks its ``M`` nearest neighbours from its own and the
 adjacent cells, with the candidate-pool size growing with
-``ef_construction``.  This keeps index builds vectorized (milliseconds at the
-scales used here) while producing graphs whose recall improves with ``M`` and
-``ef_construction`` — the property the tuner exploits.
+``ef_construction``; the graph is then made symmetric and pruned back to the
+degree cap.  Every step is an array pass over a cell or over the layer's edge
+list — the only per-node work left is the one partition that orders a pruned
+node's neighbours — so a thousand rows build in tens of milliseconds, while
+the graphs' recall improves with ``M`` and ``ef_construction``: the property
+the tuner exploits.
 """
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush, heapreplace
 
 import numpy as np
 
-from repro.vdms.distance import QueryOperand, pairwise_distances
+from repro.vdms.distance import DEFAULT_QUERY_BLOCK, QueryOperand, pairwise_distances
 from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
 from repro.vdms.index.kmeans import kmeans
 
@@ -72,20 +77,26 @@ class HNSWIndex(VectorIndex):
         return members
 
     def _layer_graph(self, node_ids: np.ndarray, vectors: np.ndarray, degree: int) -> dict[int, np.ndarray]:
-        """Build the neighbour lists of one layer via cell-accelerated selection."""
+        """Build the neighbour lists of one layer via cell-accelerated selection.
+
+        ``node_ids`` ascend (:meth:`_select_layer_nodes`), so a node's position
+        in the layer orders like its id.  Everything up to the prune works on
+        positions, a few array passes per layer; the result maps node id to an
+        array that owns its memory, in ``node_ids`` order.
+        """
         count = node_ids.size
         if count <= 1:
             return {int(node): np.empty(0, dtype=np.int64) for node in node_ids}
         points = vectors[node_ids]
         degree = max(1, min(degree, count - 1))
 
-        pool_lists: list[np.ndarray]
+        # Selection: every node picks its nearest ``degree`` as (owner, other) edges.
         if count <= max(256, 4 * degree):
             distances = pairwise_distances(points, points, self.metric)
             self._build_distance_evaluations += count * count
             np.fill_diagonal(distances, np.inf)
-            order = np.argsort(distances, axis=1)[:, :degree]
-            neighbours = {int(node_ids[i]): node_ids[order[i]] for i in range(count)}
+            owners = np.repeat(np.arange(count), degree)
+            others = np.argsort(distances, axis=1)[:, :degree].ravel()
         else:
             cells = max(4, count // 48)
             clustering = kmeans(points, cells, seed=self.seed + 7, max_iterations=6)
@@ -96,51 +107,64 @@ class HNSWIndex(VectorIndex):
             centroid_distances = pairwise_distances(clustering.centroids, clustering.centroids, self.metric)
             np.fill_diagonal(centroid_distances, np.inf)
             nearest_cells = np.argsort(centroid_distances, axis=1)[:, :probe]
-            members = [np.flatnonzero(clustering.assignments == c) for c in range(clustering.centroids.shape[0])]
-            neighbours = {}
-            for cell, cell_members in enumerate(members):
-                if cell_members.size == 0:
-                    continue
-                pool = [cell_members]
-                pool.extend(members[other] for other in nearest_cells[cell] if members[other].size)
-                pool_positions = np.concatenate(pool)
-                block = pairwise_distances(points[cell_members], points[pool_positions], self.metric)
+            # Each cell's members in ascending position: one stable sort.
+            cell_sizes = np.bincount(clustering.assignments, minlength=clustering.centroids.shape[0])
+            members = np.split(np.argsort(clustering.assignments, kind="stable"), np.cumsum(cell_sizes)[:-1])
+            owner_runs, other_runs = [], []
+            for cell_members, adjacent in zip(members, nearest_cells):
+                pool_positions = np.concatenate([cell_members, *(members[other] for other in adjacent)])
                 self._build_distance_evaluations += cell_members.size * pool_positions.size
-                for row, position in enumerate(cell_members):
-                    scores = block[row]
-                    # Exclude the node itself from its own neighbour list.
-                    self_mask = pool_positions == position
-                    scores = np.where(self_mask, np.inf, scores)
-                    keep = min(degree, pool_positions.size - 1)
-                    if keep <= 0:
-                        neighbours[int(node_ids[position])] = np.empty(0, dtype=np.int64)
-                        continue
-                    best = np.argpartition(scores, keep - 1)[:keep]
-                    best = best[np.argsort(scores[best])]
-                    neighbours[int(node_ids[position])] = node_ids[pool_positions[best]]
+                keep = min(degree, pool_positions.size - 1)
+                if cell_members.size == 0 or keep <= 0:
+                    continue
+                block = pairwise_distances(points[cell_members], points[pool_positions], self.metric)
+                # Exclude the node itself from its own neighbour list (a probe
+                # of every cell puts the cell's own members in the pool twice).
+                block[cell_members[:, None] == pool_positions] = np.inf
+                # Row by row the 1-D partition and sort of that node's scores.
+                best = np.argpartition(block, keep - 1, axis=1)[:, :keep]
+                ranked = np.argsort(np.take_along_axis(block, best, axis=1), axis=1)
+                owner_runs.append(np.repeat(cell_members, keep))
+                other_runs.append(pool_positions[np.take_along_axis(best, ranked, axis=1)].ravel())
+            owners, others = np.concatenate(owner_runs), np.concatenate(other_runs)
 
-        # Make the graph symmetric, then prune back to the degree cap keeping
-        # the closest neighbours (the same policy as HNSW's neighbour pruning).
-        inverse: dict[int, list[int]] = {int(node): [] for node in node_ids}
-        for node, adjacent in neighbours.items():
-            for other in adjacent:
-                inverse[int(other)].append(int(node))
-        pruned: dict[int, np.ndarray] = {}
-        node_position = {int(node): i for i, node in enumerate(node_ids)}
-        for node in node_ids:
-            node = int(node)
-            merged = np.unique(np.concatenate([neighbours.get(node, np.empty(0, dtype=np.int64)),
-                                               np.asarray(inverse[node], dtype=np.int64)]))
-            merged = merged[merged != node]
-            if merged.size > degree:
-                scores = pairwise_distances(
-                    points[node_position[node]][None, :], vectors[merged], self.metric
-                )[0]
-                self._build_distance_evaluations += merged.size
-                best = np.argpartition(scores, degree - 1)[:degree]
-                merged = merged[best]
-            pruned[node] = merged.astype(np.int64)
-        return pruned
+        # Make the graph symmetric: every edge and its reverse as one sorted,
+        # de-duplicated key per (owner, other), so each owner's neighbours come
+        # out ascending.  A pool short of non-self rows selects the node itself.
+        proper = owners != others
+        owners, others = owners[proper], others[proper]
+        keys = np.sort(np.concatenate((owners * count + others, others * count + owners)))
+        distinct = np.ones(keys.size, dtype=bool)
+        distinct[1:] = keys[1:] != keys[:-1]
+        owners, others = np.divmod(keys[distinct], count)
+        merged = node_ids[others]
+        sizes = np.bincount(owners, minlength=count)
+        spans = np.concatenate(([0], np.cumsum(sizes))).tolist()
+        adjacency = [merged[start:stop] for start, stop in zip(spans, spans[1:])]
+
+        # Prune back to the degree cap keeping the closest neighbours (the
+        # same policy as HNSW's neighbour pruning).  Only the nodes over the
+        # cap are scored, a tile of them per gather; the partition stays one
+        # 1-D call per node on exactly its scores, because its output order
+        # is the adjacency order and padding would change it.
+        crowded = sizes > degree
+        self._build_distance_evaluations += int(sizes[crowded].sum())
+        over_cap = np.flatnonzero(crowded).tolist()
+        for first in range(0, len(over_cap), DEFAULT_QUERY_BLOCK):
+            tile = over_cap[first : first + DEFAULT_QUERY_BLOCK]
+            runs = [adjacency[position] for position in tile]
+            counts = [run.size for run in runs]
+            scores = QueryOperand(points[tile], self.metric).gather_scan_runs(
+                range(len(tile)), counts, self._operand, np.concatenate(runs)
+            )
+            stop = 0
+            for position, run, size in zip(tile, runs, counts):
+                start, stop = stop, stop + size
+                adjacency[position] = run[scores[start:stop].argpartition(degree - 1)[:degree]]
+        # Every array owns its memory: a view would keep the layer's flat one alive.
+        for position in np.flatnonzero(~crowded).tolist():
+            adjacency[position] = adjacency[position].copy()
+        return dict(zip(node_ids.tolist(), adjacency))
 
     def _build(self, vectors: np.ndarray) -> BuildStats:
         rng = np.random.default_rng(self.seed)
@@ -165,88 +189,135 @@ class HNSWIndex(VectorIndex):
 
     def _search(self, queries: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Greedy descent through the upper layers, then a best-first beam
-        search of width ``ef`` on the bottom layer, per query.
+        search of width ``ef`` on the bottom layer, a block of queries at a time.
 
-        A hop — scoring one node's neighbours — is one gather of cached
-        float64 rows and one finish (:meth:`QueryOperand.gather_scan`); the
-        query side is prepared once for the whole batch.
+        The walks of a block advance in rounds: every query still walking
+        offers the rows it has to score next, one gather of cached float64
+        rows and one finish score them all
+        (:meth:`QueryOperand.gather_scan_runs`), and each query reads its own
+        slice.  Walks never read each other's state, so a query's hops,
+        admissions and results are the ones it has alone.
         """
         ef = max(self.ef_search, top_k)
         num_queries = queries.shape[0]
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
-        prepared = QueryOperand(queries, self.metric)
-        operand = self._operand
-        bottom, upper = self._layers[0], self._layers[:0:-1]
+        stats = SearchStats(segments_searched=num_queries)
         # Per-call scratch, never index state: admission workers and
         # scheduler threads search one index concurrently.  Kept in the
         # negative so a hop's mask is one gather, not a gather and an invert.
-        unvisited = np.ones(len(bottom), dtype=bool)
-        graph_hops = distance_evaluations = coarse_evaluations = 0
-        for query_index in range(num_queries):
-            # Greedy walk to a local minimum within each upper layer.
-            current = self._entry_point
-            for layer in upper:
-                current_distance = float(prepared.gather_scan(query_index, operand, [current])[0])
-                coarse_evaluations += 1
-                while True:
-                    neighbours = layer[current]
-                    if neighbours.size == 0:
-                        break
-                    hop = prepared.gather_scan(query_index, operand, neighbours)
-                    coarse_evaluations += neighbours.size
-                    graph_hops += 1
-                    best = int(np.argmin(hop))
-                    if not hop[best] < current_distance:
-                        break
-                    current = int(neighbours[best])
-                    current_distance = float(hop[best])
-
-            start_distance = float(prepared.gather_scan(query_index, operand, [current])[0])
-            distance_evaluations += 1
-            unvisited.fill(True)
-            unvisited[current] = False
-            # Candidate min-heap and result max-heap (negated distances).
-            candidates: list[tuple[float, int]] = [(start_distance, current)]
-            results: list[tuple[float, int]] = [(-start_distance, current)]
-            while candidates:
-                distance, node = heapq.heappop(candidates)
-                worst = -results[0][0]
-                full = len(results) >= ef
-                if distance > worst and full:
-                    break
-                graph_hops += 1
-                neighbours = bottom[node]
-                fresh = neighbours[unvisited[neighbours]]
-                if fresh.size == 0:
-                    continue
-                unvisited[fresh] = False
-                hop = prepared.gather_scan(query_index, operand, fresh)
-                distance_evaluations += fresh.size
-                if full:
-                    # A full result heap's worst distance never rises within a
-                    # hop, so only neighbours under it now can be admitted
-                    # below; the loop still applies the sequential rule.
-                    admissible = hop < worst
-                    fresh = fresh[admissible]
-                    hop = hop[admissible]
-                for neighbour_distance, neighbour in zip(hop.tolist(), fresh.tolist()):
-                    if len(results) < ef or neighbour_distance < worst:
-                        heapq.heappush(candidates, (neighbour_distance, neighbour))
-                        heapq.heappush(results, (-neighbour_distance, neighbour))
-                        if len(results) > ef:
-                            heapq.heappop(results)
-                        worst = -results[0][0]
-            keep = sorted((-negated, node) for negated, node in results)[:top_k]
-            positions[query_index, : len(keep)] = [node for _, node in keep]
-            distances[query_index, : len(keep)] = [distance for distance, _ in keep]
-        stats = SearchStats(
-            distance_evaluations=distance_evaluations,
-            coarse_evaluations=coarse_evaluations,
-            graph_hops=graph_hops,
-            segments_searched=num_queries,
-        )
+        unvisited = np.empty((min(num_queries, DEFAULT_QUERY_BLOCK), len(self._layers[0])), dtype=bool)
+        for first in range(0, num_queries, DEFAULT_QUERY_BLOCK):
+            prepared = QueryOperand(queries[first : first + DEFAULT_QUERY_BLOCK], self.metric)
+            starts = self._descend(prepared, stats)
+            found = self._beam(prepared, starts, ef, unvisited[: len(starts)], stats)
+            for query, results in enumerate(found, first):
+                keep = sorted((-negated, node) for negated, node in results)[:top_k]
+                positions[query, : len(keep)] = [node for _, node in keep]
+                distances[query, : len(keep)] = [distance for distance, _ in keep]
         return positions, distances, stats
+
+    def _descend(self, prepared: QueryOperand, stats: SearchStats) -> list[int]:
+        """Greedy walk of every query of a block to a local minimum within
+        each upper layer; returns where each one enters the bottom layer."""
+        operand = self._operand
+        everyone = range(prepared.queries64.shape[0])
+        current = [self._entry_point] * len(everyone)
+        for layer in self._layers[:0:-1]:
+            nearest = prepared.gather_scan_runs(everyone, [1] * len(everyone), operand, np.array(current)).tolist()
+            stats.coarse_evaluations += len(everyone)
+            moved = everyone
+            while moved:
+                # A round: one hop of every query that moved in the last one
+                # and stands on a node with neighbours.
+                owners = [query for query in moved if layer[current[query]].size]
+                if not owners:
+                    break
+                parts = [layer[current[query]] for query in owners]
+                scores = prepared.gather_scan_runs(
+                    owners, [part.size for part in parts], operand, np.concatenate(parts)
+                )
+                stats.coarse_evaluations += scores.size
+                stats.graph_hops += len(owners)
+                moved, stop = [], 0
+                for query, part in zip(owners, parts):
+                    start, stop = stop, stop + part.size
+                    hop = scores[start:stop]
+                    best = int(hop.argmin())
+                    if hop[best] < nearest[query]:
+                        current[query] = int(part[best])
+                        nearest[query] = float(hop[best])
+                        moved.append(query)
+        return current
+
+    def _beam(
+        self, prepared: QueryOperand, starts: list[int], ef: int, unvisited: np.ndarray, stats: SearchStats
+    ) -> list[list[tuple[float, int]]]:
+        """Best-first search of the bottom layer from ``starts``, one walk per
+        query of the block; returns each query's result heap (negated
+        distances).  ``unvisited`` is the block's ``(queries, rows)`` scratch."""
+        operand = self._operand
+        bottom = self._layers[0]
+        unvisited.fill(True)
+        # Per query: candidate min-heap, result max-heap, its row of the
+        # scratch, and how many rows it has yet to visit.
+        walks = []
+        for unvisited_row, start in zip(unvisited, starts):
+            unvisited_row[start] = False
+            walks.append([[], [], unvisited_row, len(bottom) - 1])
+        owners = list(range(len(starts)))
+        parts = [np.array([start]) for start in starts]
+        graph_hops = distance_evaluations = 0
+        while owners:
+            if len(owners) == 1:
+                # A round of one walk is that walk's own scan.
+                nodes = parts[0]
+                scores = prepared.gather_scan(owners[0], operand, nodes).tolist()
+            else:
+                nodes = np.concatenate(parts)
+                scores = prepared.gather_scan_runs(owners, [part.size for part in parts], operand, nodes).tolist()
+            nodes = nodes.tolist()
+            distance_evaluations += len(nodes)
+            walking, fresh_parts, stop = [], [], 0
+            for query, part in zip(owners, parts):
+                start, stop = stop, stop + part.size
+                walk = walks[query]
+                candidates, results, unvisited_row, unseen = walk
+                worst = -results[0][0] if results else None
+                # The sequential admission rule, in adjacency order: an
+                # under-full heap takes every neighbour, a full one only a
+                # neighbour strictly under its worst.
+                for distance, node in zip(scores[start:stop], nodes[start:stop]):
+                    if len(results) < ef:
+                        heappush(candidates, (distance, node))
+                        heappush(results, (-distance, node))
+                        worst = -results[0][0]
+                    elif distance < worst:
+                        heappush(candidates, (distance, node))
+                        heapreplace(results, (-distance, node))
+                        worst = -results[0][0]
+                # Expand candidates up to the first with unvisited neighbours:
+                # a hop that scores nothing costs no round, and once every row
+                # is visited it costs no look at the adjacency either.
+                while candidates:
+                    distance, node = heappop(candidates)
+                    if distance > worst and len(results) >= ef:
+                        break
+                    graph_hops += 1
+                    if not unseen:
+                        continue
+                    neighbours = bottom[node]
+                    fresh = neighbours[unvisited_row[neighbours]]
+                    if fresh.size:
+                        unvisited_row[fresh] = False
+                        walk[3] = unseen - fresh.size
+                        walking.append(query)
+                        fresh_parts.append(fresh)
+                        break
+            owners, parts = walking, fresh_parts
+        stats.graph_hops += graph_hops
+        stats.distance_evaluations += distance_evaluations
+        return [walk[1] for walk in walks]
 
     def memory_bytes(self) -> int:
         if not self._layers:

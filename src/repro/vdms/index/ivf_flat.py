@@ -204,7 +204,8 @@ class IVFFlatIndex(VectorIndex):
 
         def score_tile(first: int, bounds: np.ndarray, rows: np.ndarray):
             stats.distance_evaluations += rows.shape[0]
-            return query_side.gather_scan_runs(first, bounds, self._operand, rows), rows, bounds
+            owners, counts = range(first, first + bounds.shape[0] - 1), np.diff(bounds).tolist()
+            return query_side.gather_scan_runs(owners, counts, self._operand, rows), rows, bounds
 
         return score_tile
 

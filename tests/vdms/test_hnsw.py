@@ -1,5 +1,6 @@
 """HNSW-specific tests (graph structure, parameter behaviour, and the query
-path against the seed's heap-and-set search kept here as the reference)."""
+path and the graph build against the seed's per-query search and per-node
+build, both kept here as the references)."""
 
 import copy
 import heapq
@@ -15,6 +16,7 @@ from repro.vdms.distance import pairwise_distances
 from repro.vdms.index.autoindex import AutoIndex
 from repro.vdms.index.base import SearchStats
 from repro.vdms.index.hnsw import HNSWIndex
+from repro.vdms.index.kmeans import kmeans
 
 
 @pytest.fixture(scope="module")
@@ -221,6 +223,83 @@ def seed_twin(index):
     return twin
 
 
+class SeedBuildHNSW(HNSWIndex):
+    """The seed's graph build, kept as the oracle: a Python loop per node for
+    the selection, a double loop and one ``np.unique`` per node for the
+    symmetrisation, one one-query ``pairwise_distances`` call per pruned node."""
+
+    def _layer_graph(self, node_ids: np.ndarray, vectors: np.ndarray, degree: int) -> dict[int, np.ndarray]:
+        """Build the neighbour lists of one layer via cell-accelerated selection."""
+        count = node_ids.size
+        if count <= 1:
+            return {int(node): np.empty(0, dtype=np.int64) for node in node_ids}
+        points = vectors[node_ids]
+        degree = max(1, min(degree, count - 1))
+
+        pool_lists: list[np.ndarray]
+        if count <= max(256, 4 * degree):
+            distances = pairwise_distances(points, points, self.metric)
+            self._build_distance_evaluations += count * count
+            np.fill_diagonal(distances, np.inf)
+            order = np.argsort(distances, axis=1)[:, :degree]
+            neighbours = {int(node_ids[i]): node_ids[order[i]] for i in range(count)}
+        else:
+            cells = max(4, count // 48)
+            clustering = kmeans(points, cells, seed=self.seed + 7, max_iterations=6)
+            self._build_distance_evaluations += clustering.distance_evaluations
+            # Larger ef_construction widens the candidate pool by probing more
+            # adjacent cells, which improves neighbour quality.
+            probe = 1 + min(cells - 1, self.ef_construction // 64)
+            centroid_distances = pairwise_distances(clustering.centroids, clustering.centroids, self.metric)
+            np.fill_diagonal(centroid_distances, np.inf)
+            nearest_cells = np.argsort(centroid_distances, axis=1)[:, :probe]
+            members = [np.flatnonzero(clustering.assignments == c) for c in range(clustering.centroids.shape[0])]
+            neighbours = {}
+            for cell, cell_members in enumerate(members):
+                if cell_members.size == 0:
+                    continue
+                pool = [cell_members]
+                pool.extend(members[other] for other in nearest_cells[cell] if members[other].size)
+                pool_positions = np.concatenate(pool)
+                block = pairwise_distances(points[cell_members], points[pool_positions], self.metric)
+                self._build_distance_evaluations += cell_members.size * pool_positions.size
+                for row, position in enumerate(cell_members):
+                    scores = block[row]
+                    # Exclude the node itself from its own neighbour list.
+                    self_mask = pool_positions == position
+                    scores = np.where(self_mask, np.inf, scores)
+                    keep = min(degree, pool_positions.size - 1)
+                    if keep <= 0:
+                        neighbours[int(node_ids[position])] = np.empty(0, dtype=np.int64)
+                        continue
+                    best = np.argpartition(scores, keep - 1)[:keep]
+                    best = best[np.argsort(scores[best])]
+                    neighbours[int(node_ids[position])] = node_ids[pool_positions[best]]
+
+        # Make the graph symmetric, then prune back to the degree cap keeping
+        # the closest neighbours (the same policy as HNSW's neighbour pruning).
+        inverse: dict[int, list[int]] = {int(node): [] for node in node_ids}
+        for node, adjacent in neighbours.items():
+            for other in adjacent:
+                inverse[int(other)].append(int(node))
+        pruned: dict[int, np.ndarray] = {}
+        node_position = {int(node): i for i, node in enumerate(node_ids)}
+        for node in node_ids:
+            node = int(node)
+            merged = np.unique(np.concatenate([neighbours.get(node, np.empty(0, dtype=np.int64)),
+                                               np.asarray(inverse[node], dtype=np.int64)]))
+            merged = merged[merged != node]
+            if merged.size > degree:
+                scores = pairwise_distances(
+                    points[node_position[node]][None, :], vectors[merged], self.metric
+                )[0]
+                self._build_distance_evaluations += merged.size
+                best = np.argpartition(scores, degree - 1)[:degree]
+                merged = merged[best]
+            pruned[node] = merged.astype(np.int64)
+        return pruned
+
+
 def assert_same_search(index, queries, top_k, **search_options):
     """``index.search`` equals the seed path on ids, distance bytes + dtype, stats."""
     ids, distances, stats = index.search(queries, top_k, **search_options)
@@ -250,6 +329,19 @@ def matrix_corpus(rows, duplicated, dimension=25, seed=3):
 
 
 GRAPH_PARAMETERS = [(2, 1, 1), (4, 64, 8), (16, 128, 64), (48, 256, 200)]
+
+
+def forced_tie_index():
+    """A hand-wired one-layer graph around a query at the origin, ef = 2."""
+    vectors = np.array(
+        [[3, 0], [1, 0], [1, 0], [2, 0], [1, 0], [1, 0], [0.5, 0]], dtype=np.float32
+    )
+    index = HNSWIndex(metric="l2", hnsw_m=2, ef_construction=1, ef_search=2)
+    index.build(vectors)
+    adjacency = [[1, 3], [0, 2, 4], [1, 5, 6], [0], [1], [2], [2]]
+    index._layers = [[np.array(adjacent, dtype=np.int64) for adjacent in adjacency]]
+    index._entry_point = 0
+    return index, np.zeros(2, dtype=np.float32)
 
 
 class TestSeedEquivalence:
@@ -304,18 +396,61 @@ class TestSeedEquivalence:
         # must then reject copy 4 inside the loop; expanding node 2 with the
         # heap full at worst 1 must reject copy 5 (a tie with the worst) and
         # admit node 6.  Both rejections are the strict "<" of the seed.
-        vectors = np.array(
-            [[3, 0], [1, 0], [1, 0], [2, 0], [1, 0], [1, 0], [0.5, 0]], dtype=np.float32
-        )
-        index = HNSWIndex(metric="l2", hnsw_m=2, ef_construction=1, ef_search=2)
-        index.build(vectors)
-        adjacency = [[1, 3], [0, 2, 4], [1, 5, 6], [0], [1], [2], [2]]
-        index._layers = [[np.array(adjacent, dtype=np.int64) for adjacent in adjacency]]
-        index._entry_point = 0
-        ids, distances, stats = assert_same_search(index, np.zeros((1, 2), dtype=np.float32), 2)
+        index, origin = forced_tie_index()
+        ids, distances, stats = assert_same_search(index, origin[None, :], 2)
         assert ids.tolist() == [[6, 2]]
         assert distances.tolist() == [[0.25, 1.0]]
         assert (stats.graph_hops, stats.distance_evaluations, stats.coarse_evaluations) == (4, 7, 0)
+
+    def test_forced_admission_tie_inside_a_batch(self):
+        # The same hand-wired graph, the origin as the third query of five: its
+        # walk shares every round's tile with four others and must still admit
+        # and reject exactly as it does alone.
+        index, origin = forced_tie_index()
+        rng = np.random.default_rng(5)
+        batch = rng.normal(scale=2.0, size=(5, 2)).astype(np.float32)
+        batch[2] = origin
+        ids, distances, stats = assert_same_search(index, batch, 2)
+        assert ids[2].tolist() == [6, 2]
+        assert distances[2].tolist() == [0.25, 1.0]
+        others = seed_twin(index).search(np.delete(batch, 2, axis=0), 2)[2]
+        assert stats.graph_hops - others.graph_hops == 4
+        assert stats.distance_evaluations - others.distance_evaluations == 7
+
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    def test_batch_sizes_across_blocks(self, metric):
+        # One graph; batches below, at and above the 64-query block, the last
+        # spanning three blocks with a short tail.  Every batch is a prefix of
+        # the same queries, so a row's result may not depend on the batch.
+        vectors, _ = matrix_corpus(700, True)
+        queries = np.random.default_rng(41).normal(size=(130, 25)).astype(np.float32)
+        queries[::7] = vectors[:19]
+        index = HNSWIndex(metric=metric, hnsw_m=8, ef_construction=64, ef_search=24)
+        index.build(vectors)
+        whole_ids, whole_distances, _ = assert_same_search(index, queries, 10)
+        for q in (1, 2, 63, 64, 65):
+            ids, distances, _ = assert_same_search(index, queries[:q], 10)
+            assert np.array_equal(ids, whole_ids[:q])
+            assert distances.tobytes() == whole_distances[:q].tobytes()
+
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    @pytest.mark.parametrize("ef_search", [3, 400])
+    def test_walks_of_very_different_lengths(self, metric, ef_search):
+        # Queries sitting on stored rows beside far-away ones: the walks of a
+        # block stop in very different rounds, so late rounds hold one or two
+        # queries.  ef_search 400 >= rows: every walk exhausts the graph.
+        vectors, _ = matrix_corpus(300, True)
+        rng = np.random.default_rng(43)
+        queries = np.empty((24, 25), dtype=np.float32)
+        queries[::2] = vectors[rng.integers(0, 300, size=12)]
+        queries[1::2] = 40.0 * rng.normal(size=(12, 25))
+        index = HNSWIndex(metric=metric, hnsw_m=6, ef_construction=64, ef_search=ef_search)
+        index.build(vectors)
+        for top_k in (1, 10):
+            _, _, stats = assert_same_search(index, queries, top_k)
+        if ef_search >= 300:
+            # Exhausted: every node a walk scored it also expanded.
+            assert stats.graph_hops >= stats.distance_evaluations > 24 * 200
 
     def test_concurrent_searches_share_no_scratch(self):
         vectors, _ = matrix_corpus(300, False, dimension=16)
@@ -345,3 +480,77 @@ class TestSeedEquivalence:
             assert np.array_equal(ids, got[0])
             assert distances.tobytes() == got[1].tobytes()
             assert astuple(stats) == astuple(got[2])
+
+
+#: (hnsw_m, ef_construction): degree 1 at two rows; a probe of one cell; the
+#: defaults; a cap of 96 that keeps 300 rows on the all-pairs branch; a probe of
+#: every cell at 300 rows (the cell's own members twice in its pool).
+BUILD_PARAMETERS = [(2, 1), (4, 64), (16, 128), (48, 256), (24, 361)]
+
+
+def graph_of(index):
+    """The HNSW graph an index searches (AUTOINDEX keeps one inside)."""
+    return index._inner if isinstance(index, AutoIndex) else index
+
+
+def seed_built(index):
+    """``index``, unbuilt, with the seed's build making its graph."""
+    graph_of(index).__class__ = SeedBuildHNSW
+    return index
+
+
+def assert_same_graph(index, seed):
+    """Layer count, key order, every neighbour array, entry point, accounting."""
+    graph, seed_graph = graph_of(index), graph_of(seed)
+    assert isinstance(graph._layers[0], list)
+    layers, seed_layers = (
+        [dict(enumerate(built._layers[0])), *built._layers[1:]] for built in (graph, seed_graph)
+    )
+    assert len(layers) == len(seed_layers)
+    for layer, seed_layer in zip(layers, seed_layers):
+        assert list(layer) == list(seed_layer)  # the upper layers' key order
+        for adjacent, seed_adjacent in zip(layer.values(), seed_layer.values()):
+            assert adjacent.dtype == seed_adjacent.dtype == np.int64
+            assert adjacent.tolist() == seed_adjacent.tolist()  # values and order
+            assert adjacent.base is None  # owns its memory
+    assert graph._entry_point == seed_graph._entry_point
+    assert astuple(index.build_stats) == astuple(seed.build_stats)
+    assert index.memory_bytes() == seed.memory_bytes()
+
+
+def cell_accelerated_levels(graph):
+    """Levels of a built graph large enough for the cell-accelerated branch."""
+    levels = set()
+    for level, layer in enumerate(graph._layers):
+        degree = max(1, min(2 * graph.hnsw_m if level == 0 else graph.hnsw_m, len(layer) - 1))
+        if len(layer) > max(256, 4 * degree):
+            levels.add(level)
+    return levels
+
+
+class TestSeedBuildEquivalence:
+    """The array-at-a-time graph build makes the seed's graph, array for array."""
+
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["distinct", "duplicated"])
+    @pytest.mark.parametrize("rows", [1, 2, 17, 300, 700, 1500, 3000])
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    def test_matrix(self, metric, rows, duplicated):
+        vectors, _ = matrix_corpus(rows, duplicated)
+        cases = [
+            (HNSWIndex, {"hnsw_m": hnsw_m, "ef_construction": ef_construction})
+            for hnsw_m, ef_construction in BUILD_PARAMETERS
+        ]
+        cases.append((AutoIndex, {}))
+        reached = set()
+        for index_type, parameters in cases:
+            index = index_type(metric=metric, **parameters)
+            seed = seed_built(index_type(metric=metric, **parameters))
+            index.build(vectors)
+            seed.build(vectors)
+            assert_same_graph(index, seed)
+            reached |= cell_accelerated_levels(graph_of(index))
+        # The matrix is only an oracle for the branch it reaches: the bottom
+        # layer from 300 rows up, an upper layer (hnsw_m 2 keeps half the
+        # nodes per level) from 700.
+        assert (0 in reached) == (rows >= 300)
+        assert (1 in reached) == (rows >= 700)

@@ -11,6 +11,7 @@ from repro.vdms.index.hnsw import HNSWIndex
 from repro.vdms.index.ivf_flat import IVFFlatIndex
 from repro.vdms.index.ivf_pq import IVFPQIndex
 from repro.vdms.index.ivf_sq8 import IVFSQ8Index
+from repro.vdms.index.kmeans import kmeans
 from repro.vdms.index.scann import ScannIndex
 
 ALL_INDEX_TYPES = tuple(INDEX_REGISTRY)
@@ -259,3 +260,16 @@ class TestSearchTimeParameters:
         ids, distances, _ = index.search(queries, 5)
         assert np.array_equal(ids, before[2][0]) and np.array_equal(distances, before[2][1])
         assert (ids[:, 0] >= 0).all()
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="kmeans() always stops after one Lloyd iteration: previous_inertia starts at inf, so "
+    "the first convergence test is inf <= 1e-4 * inf.  Known and pinned, not fixed: the fix "
+    "moves every IVF / SCANN / PQ / HNSW build and with it every recorded digest and golden "
+    "trace.  The PR that fixes it must turn this test on.",
+)
+def test_kmeans_runs_past_the_first_lloyd_iteration(corpus):
+    vectors, _, _ = corpus
+    # 16 k-means++ seeds over ten well-separated blobs do not converge in one step.
+    assert kmeans(vectors, 16, seed=0).iterations > 1
