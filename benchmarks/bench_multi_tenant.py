@@ -78,16 +78,25 @@ _state: dict = {}
 
 
 def _backend() -> VectorDBServer:
-    """Two identical FLAT collections big enough to cost real work."""
+    """Two equally sized FLAT collections over different vectors, each big
+    enough to cost real work; every tenant must be served its own rows."""
     if "backend" not in _state:
         backend = VectorDBServer()
         rng = np.random.default_rng(SEED)
+        probes = {}
         for name in (QUIET, BURST):
             vectors = rng.normal(size=(CORPUS_ROWS, DIMENSION)).astype(np.float32)
             collection = backend.create_collection(name, DIMENSION, auto_maintenance=False)
             collection.insert(vectors)
             collection.flush()
             collection.create_index("FLAT", {})
+            probes[name] = vectors[CORPUS_ROWS // 2]
+        for name, probe in probes.items():
+            own = backend.search(name, probe[None, :], 1)
+            assert own.ids[0, 0] == CORPUS_ROWS // 2 and abs(own.distances[0, 0]) < 1e-6, (
+                f"tenant {name!r} is not served its own vectors: a stored row's top-1 is "
+                f"id {own.ids[0, 0]} at distance {own.distances[0, 0]:.3f}"
+            )
         _state["backend"] = backend
     return _state["backend"]
 

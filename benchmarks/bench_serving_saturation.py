@@ -23,8 +23,8 @@ load generator and pins the three behaviours admission control exists for:
 
 The saturation point is *measured* (closed-loop probe) rather than assumed,
 so the benchmark adapts to however fast the host machine is; it finishes by
-feeding the measured saturation into the cost model's calibration hook and
-checking the analytic concurrent-QPS is capped by reality.
+recording the cost model's analytic concurrent QPS beside the measured
+saturation (measured beside, not fed back: ROADMAP item 2 fits the model).
 
 Latencies here are wall-clock (real sockets, real threads, the load
 generator sharing one interpreter with the server), so they are judged
@@ -265,20 +265,13 @@ def test_measured_saturation_calibrates_cost_model():
     assert scheduled.ids.shape == (16, TOP_K)
     profile = collection.profile()
 
-    analytic_qps, _ = backend.cost_model().concurrent_qps(
+    analytic_qps, makespan = backend.cost_model().concurrent_qps(
         trace.request_shard_stats, profile, workers=workers
     )
-    backend.calibrate_saturation(saturation)
-    calibrated_qps, calibrated_makespan = backend.cost_model().concurrent_qps(
-        trace.request_shard_stats, profile, workers=workers
-    )
-    # The analytic schedule may be optimistic; the measured ceiling wins.
-    assert calibrated_qps == min(analytic_qps, saturation)
-    assert calibrated_qps <= saturation
-    assert calibrated_qps * calibrated_makespan == pytest.approx(
-        len(trace.request_shard_stats)
-    )
-    baseline["calibration"] = {"analytic": analytic_qps, "calibrated": calibrated_qps}
+    assert analytic_qps * makespan == pytest.approx(len(trace.request_shard_stats))
+    # Recorded side by side, not asserted against each other: how far the
+    # analytic schedule is from the served system is the evidence.
+    baseline["calibration"] = {"analytic": analytic_qps, "measured_saturation": saturation}
 
 
 def test_zz_report():
@@ -314,17 +307,10 @@ def test_zz_report():
     ]
     if "calibration" in baseline:
         calibration = baseline["calibration"]
-        if calibration["calibrated"] < calibration["analytic"]:
-            lines.append(
-                f"cost-model calibration: analytic {calibration['analytic']:.1f} qps "
-                f"capped at measured saturation {calibration['calibrated']:.1f} qps"
-            )
-        else:
-            lines.append(
-                f"cost-model calibration: analytic {calibration['analytic']:.1f} qps "
-                f"already below the measured saturation "
-                f"({baseline['saturation_qps']:.1f} qps); ceiling registered, no cap"
-            )
+        lines.append(
+            f"cost model: analytic concurrent {calibration['analytic']:.1f} qps beside "
+            f"measured saturation {calibration['measured_saturation']:.1f} qps"
+        )
     if "drain" in baseline:
         stats = baseline["drain"]["stats"]
         lines.append(

@@ -17,7 +17,7 @@ from __future__ import annotations
 import copy
 import threading
 from dataclasses import dataclass
-from typing import Any, Mapping, MutableMapping
+from typing import Any, Mapping
 
 import numpy as np
 
@@ -48,20 +48,7 @@ from repro.vdms.segment import Segment, SegmentState
 from repro.vdms.sharding import SegmentView, Shard, merge_topk, shard_assignments
 from repro.vdms.system_config import SystemConfig
 
-__all__ = ["Collection", "SearchResult", "STRUCTURAL_PARAMETERS"]
-
-#: Build-time (structural) parameters per index type: changing one of these
-#: requires rebuilding the index, while the remaining Table I parameters are
-#: search-time only.
-STRUCTURAL_PARAMETERS: dict[str, tuple[str, ...]] = {
-    "FLAT": (),
-    "IVF_FLAT": ("nlist",),
-    "IVF_SQ8": ("nlist",),
-    "IVF_PQ": ("nlist", "pq_m", "pq_nbits"),
-    "HNSW": ("hnsw_m", "ef_construction"),
-    "SCANN": ("nlist",),
-    "AUTOINDEX": (),
-}
+__all__ = ["Collection", "SearchResult"]
 
 
 @dataclass
@@ -116,7 +103,6 @@ class Collection:
         metric: str = "angular",
         system_config: SystemConfig | None = None,
         *,
-        index_cache: MutableMapping[tuple, VectorIndex] | None = None,
         auto_maintenance: bool = True,
         data_dir: str | None = None,
         filesystem: FileSystem | None = None,
@@ -137,7 +123,6 @@ class Collection:
         ]
         self._index_type: str | None = None
         self._index_params: dict[str, Any] = {}
-        self._index_cache = index_cache
         self._next_auto_id = 0
         self._lock = threading.RLock()
         #: Monotonic mutation counter: every mutation path bumps it under
@@ -321,7 +306,7 @@ class Collection:
            build — gets its per-segment index rebuilt over its live rows.
 
         A full-collection rebuild never happens: untouched segments keep
-        their indexes (and their build-cache entries).  Returns a
+        their indexes.  Returns a
         :class:`~repro.vdms.maintenance.MaintenanceReport` the cost model
         can charge (:meth:`repro.vdms.cost_model.CostModel.maintenance_seconds`).
         """
@@ -329,9 +314,6 @@ class Collection:
         with self._lock:
             index_type = self._index_type
             params = dict(self._index_params)
-            signature = (
-                self._structural_signature(index_type, params) if index_type else ()
-            )
             for shard in self._shards:
                 result = shard.segments.compact()
                 for segment_id in result.dropped_segment_ids:
@@ -345,7 +327,7 @@ class Collection:
                 for segment in shard.segments.sealed_segments:
                     if segment.segment_id in shard.indexes:
                         continue
-                    index = self._build_segment_index(segment, index_type, params, signature)
+                    index = self._build_segment_index(segment, index_type, params)
                     shard.indexes[segment.segment_id] = index
                     segment.state = SegmentState.SEALED
                     report.segments_reindexed += 1
@@ -422,7 +404,6 @@ class Collection:
         data_dir: str,
         *,
         filesystem: FileSystem | None = None,
-        index_cache: MutableMapping[tuple, VectorIndex] | None = None,
         auto_maintenance: bool = True,
         mmap_vectors: bool = False,
     ) -> "Collection":
@@ -441,7 +422,6 @@ class Collection:
         collection, report = recover_collection(
             data_dir,
             filesystem=filesystem,
-            index_cache=index_cache,
             auto_maintenance=auto_maintenance,
             mmap_vectors=mmap_vectors,
         )
@@ -487,34 +467,15 @@ class Collection:
             self._index_params = {}
             self._version += 1
 
-    def _structural_signature(self, index_type: str, params: Mapping[str, Any]) -> tuple:
-        names = STRUCTURAL_PARAMETERS[index_type]
-        return tuple((name, int(params[name])) for name in names if name in params)
-
-    @staticmethod
-    def _segment_fingerprint(segment: Segment) -> tuple:
-        # Sharding can hand two segments the same (first, last, count) triple
-        # with different membership (e.g. the same id span hash- vs
-        # range-partitioned), so the fingerprint also folds in cheap
-        # content hashes of the (live) id set.
-        ids = segment.live_ids
-        return (
-            int(ids[0]),
-            int(ids[-1]),
-            int(ids.shape[0]),
-            int(ids.sum()),
-            int(np.bitwise_xor.reduce(ids)),
-        )
-
     @staticmethod
     def _with_search_params(index: VectorIndex, params: Mapping[str, Any]) -> VectorIndex:
         """A copy of ``index`` with search-time parameters applied.
 
-        Index objects are shared — by the build cache across collections and
-        by in-flight search snapshots within one — so search-time parameters
-        are never mutated in place: a shallow copy shares the (read-only)
-        index structures while keeping the scalar search knobs private,
-        which is what lets a rebuild reconfigure serving without tearing
+        An index object is shared by the in-flight search snapshots that
+        captured it, so search-time parameters are never mutated in place: a
+        shallow copy shares the (read-only) index structures while keeping
+        the scalar search knobs private, which is what lets
+        :meth:`set_search_params` reconfigure serving without tearing
         searches that still hold the old object.
         """
         configured = copy.copy(index)
@@ -523,19 +484,12 @@ class Collection:
         return configured
 
     def _build_segment_index(
-        self, segment: Segment, index_type: str, params: dict[str, Any], signature: tuple
+        self, segment: Segment, index_type: str, params: dict[str, Any]
     ) -> VectorIndex:
-        cache_key = (self.metric, self._segment_fingerprint(segment), index_type, signature)
-        index: VectorIndex | None = None
-        if self._index_cache is not None:
-            index = self._index_cache.get(cache_key)
-        if index is None:
-            vectors, ids = segment.live_arrays()
-            index = create_index(index_type, metric=self.metric, **params)
-            index.build(vectors, ids)
-            if self._index_cache is not None:
-                self._index_cache[cache_key] = index
-        return self._with_search_params(index, params)
+        vectors, ids = segment.live_arrays()
+        index = create_index(index_type, metric=self.metric, **params)
+        index.build(vectors, ids)
+        return index
 
     def create_index(
         self,
@@ -555,22 +509,19 @@ class Collection:
         Returns
         -------
         list of BuildStats
-            One entry per sealed segment, in (shard, segment) order
-            (possibly served from the shared build cache, in which case the
-            stats describe the original build — the real system re-does the
-            work either way, which is what the cost model charges for).
+            One entry per sealed segment, in (shard, segment) order: the
+            stats of the builds this call made.
         """
         if index_type not in INDEX_REGISTRY:
             raise IndexBuildError(f"unknown index type {index_type!r}")
         params = dict(params or {})
-        signature = self._structural_signature(index_type, params)
 
         stats: list[BuildStats] = []
         with self._lock:
             for shard in self._shards:
                 shard.indexes.clear()
                 for segment in shard.segments.sealed_segments:
-                    index = self._build_segment_index(segment, index_type, params, signature)
+                    index = self._build_segment_index(segment, index_type, params)
                     shard.indexes[segment.segment_id] = index
                     segment.state = SegmentState.SEALED
                     stats.append(index.build_stats)

@@ -177,37 +177,8 @@ class CostModel:
     #: Simulated replay timeout in seconds (the paper uses 15 minutes).
     REPLAY_TIMEOUT_SECONDS = 900.0
 
-    def __init__(
-        self,
-        system_config: SystemConfig,
-        *,
-        measured_saturation_qps: float | None = None,
-    ) -> None:
+    def __init__(self, system_config: SystemConfig) -> None:
         self.system_config = system_config
-        self.measured_saturation_qps = (
-            None if measured_saturation_qps is None else float(measured_saturation_qps)
-        )
-
-    def calibrate_saturation(self, qps: float | None) -> None:
-        """Calibrate the concurrency model with a measured saturation QPS.
-
-        The serving front-end's open-loop load harness
-        (:mod:`repro.serving.loadgen`) measures the throughput at which the
-        *real* request path — HTTP parsing, admission queueing, execution —
-        saturates.  Registering that number here caps
-        :meth:`concurrent_qps`: however favourably the deterministic event
-        simulation schedules shard tasks, the model never reports a
-        concurrent throughput the served system could not demonstrate.
-        ``None`` clears the calibration (the default, which keeps every
-        simulated trajectory bit-identical to the uncalibrated model).
-        """
-        if qps is None:
-            self.measured_saturation_qps = None
-            return
-        qps = float(qps)
-        if not qps > 0.0:
-            raise ValueError("measured saturation QPS must be positive")
-        self.measured_saturation_qps = qps
 
     # -- per-query latency -------------------------------------------------------
 
@@ -362,12 +333,6 @@ class CostModel:
         effective-concurrency multiplier with an actual schedule: requests
         pipeline across workers, shard tasks of one request overlap, and the
         throughput is requests divided by the simulated makespan.
-
-        When a measured saturation has been registered
-        (:meth:`calibrate_saturation`), the returned QPS is capped at it —
-        the simulation may schedule optimistically, but the serving path's
-        demonstrated ceiling wins — and the makespan is stretched to match,
-        so ``requests / makespan == qps`` stays an invariant either way.
         """
         from repro.vdms.sharding import simulate_makespan
 
@@ -380,12 +345,7 @@ class CostModel:
         makespan = simulate_makespan(task_seconds, workers)
         if makespan <= 0.0:
             return float("inf"), 0.0
-        qps = len(request_shard_stats) / makespan
-        ceiling = self.measured_saturation_qps
-        if ceiling is not None and qps > ceiling:
-            qps = ceiling
-            makespan = len(request_shard_stats) / ceiling
-        return qps, makespan
+        return len(request_shard_stats) / makespan, makespan
 
     def memory_gib(self, profile: CollectionProfile) -> float:
         """Simulated resident memory in GiB."""

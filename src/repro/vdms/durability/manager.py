@@ -424,7 +424,6 @@ def recover_collection(
     data_dir: str,
     *,
     filesystem: FileSystem | None = None,
-    index_cache: Any = None,
     auto_maintenance: bool = True,
     mmap_vectors: bool = False,
 ) -> tuple["Collection", RecoveryReport]:
@@ -485,7 +484,6 @@ def recover_collection(
         int(identity["dimension"]),
         identity["metric"],
         system_config,
-        index_cache=index_cache,
         auto_maintenance=False,
     )
 

@@ -1,11 +1,10 @@
 """Milvus-like server facade.
 
 :class:`VectorDBServer` is the entry point applications use: it manages named
-collections, applies system configurations (which, as in the real system,
-requires reloading collections because segment layout depends on them), and
-maintains a process-wide index build cache so that re-evaluating a
-configuration whose structural parameters were seen before does not redo the
-expensive build — the tuner still gets charged the simulated build time.
+collections and applies system configurations (which, as in the real system,
+requires reloading collections because segment layout depends on them).
+Collections share nothing: a built index belongs to the segment it was built
+from and is reachable only through its collection.
 """
 
 from __future__ import annotations
@@ -18,7 +17,6 @@ from repro.vdms.collection import Collection
 from repro.vdms.cost_model import CostModel
 from repro.vdms.durability import DurabilityManager, FileSystem, OsFileSystem
 from repro.vdms.errors import CollectionNotFoundError, DurabilityError
-from repro.vdms.index.base import VectorIndex
 from repro.vdms.system_config import SystemConfig
 
 __all__ = ["VectorDBServer"]
@@ -53,8 +51,6 @@ class VectorDBServer:
         #: the server-wide default.  Keyed by collection (tenant) name.
         self._tenant_configs: dict[str, SystemConfig] = {}
         self._collections: dict[str, Collection] = {}
-        self._index_cache: dict[tuple, VectorIndex] = {}
-        self._measured_saturation_qps: float | None = None
         #: Root of the per-collection data directories, or ``None`` for a
         #: purely in-memory server.  Collections live at ``data_dir/<name>``.
         self.data_dir = str(data_dir) if data_dir is not None else None
@@ -140,36 +136,9 @@ class VectorDBServer:
                 collection.close()
 
     def cost_model(self, tenant: str | None = None) -> CostModel:
-        """A cost model bound to a tenant's (or the default) configuration.
-
-        A measured serving saturation registered via
-        :meth:`calibrate_saturation` is carried into every model built here,
-        so the event-driven ``concurrent_qps`` simulation stays capped by
-        what the real request path demonstrated.
-        """
+        """A cost model bound to a tenant's (or the default) configuration."""
         config = self._system_config if tenant is None else self.system_config_for(tenant)
-        return CostModel(
-            config,
-            measured_saturation_qps=self._measured_saturation_qps,
-        )
-
-    def calibrate_saturation(self, qps: float | None) -> None:
-        """Register the measured saturation throughput of the serving path.
-
-        ``qps`` is what an open-loop load sweep against the network
-        front-end (:mod:`repro.serving`) measured as the saturation
-        throughput of this server's request path.  Cost models built by
-        :meth:`cost_model` afterwards cap their
-        :meth:`~repro.vdms.cost_model.CostModel.concurrent_qps` estimate at
-        this value; ``None`` clears the calibration.
-        """
-        if qps is None:
-            self._measured_saturation_qps = None
-            return
-        qps = float(qps)
-        if not qps > 0.0:
-            raise ValueError("measured saturation QPS must be positive")
-        self._measured_saturation_qps = qps
+        return CostModel(config)
 
     # -- collection management -----------------------------------------------------
 
@@ -203,7 +172,6 @@ class VectorDBServer:
             dimension,
             metric=metric,
             system_config=self.system_config_for(name),
-            index_cache=self._index_cache,
             auto_maintenance=auto_maintenance,
             data_dir=collection_dir,
             filesystem=self._fs if collection_dir is not None else None,
@@ -226,7 +194,6 @@ class VectorDBServer:
         collection = Collection.recover(
             self._fs.join(self.data_dir, name),
             filesystem=self._fs,
-            index_cache=self._index_cache,
         )
         replaced = self._collections.get(name)
         if replaced is not None:
@@ -327,13 +294,3 @@ class VectorDBServer:
         """
         for collection in self._collections.values():
             collection.close()
-
-    # -- cache management ----------------------------------------------------------------
-
-    def clear_index_cache(self) -> None:
-        """Drop the shared index build cache (frees memory between experiments)."""
-        self._index_cache.clear()
-
-    def index_cache_size(self) -> int:
-        """Number of cached per-segment index builds."""
-        return len(self._index_cache)

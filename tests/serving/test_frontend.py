@@ -103,6 +103,34 @@ def test_full_collection_lifecycle(loaded):
     assert request(frontend, "GET", "/collections")[1] == {"collections": []}
 
 
+def test_tenants_filled_without_ids_each_find_their_own_rows(frontend):
+    """Auto-assigned ids coincide across tenants; what they serve must not."""
+    # Small sealed segments, so the rows are served by built indexes.
+    frontend.backend.apply_system_config(
+        {"segment_max_size": 1, "segment_seal_proportion": 0.05, "insert_buf_size": 1}
+    )
+    corpora = {
+        name: np.random.default_rng(seed).normal(size=(120, 12)).astype(np.float32)
+        for name, seed in (("quiet", 1), ("burst", 2))
+    }
+    for name, vectors in corpora.items():
+        base = f"/collections/{name}"
+        assert request(frontend, "POST", "/collections", {"name": name, "dimension": 12})[0] == 200
+        assert request(frontend, "POST", f"{base}/insert", {"vectors": vectors.tolist()})[0] == 200
+        assert request(frontend, "POST", f"{base}/flush", {})[0] == 200
+        assert request(frontend, "POST", f"{base}/index", {"index_type": "FLAT"})[0] == 200
+    for name, vectors in corpora.items():
+        status, payload = request(
+            frontend,
+            "POST",
+            f"/collections/{name}/search",
+            {"queries": vectors[[3, 77]].tolist(), "top_k": 1},
+        )
+        assert status == 200
+        assert payload["ids"] == [[3], [77]]
+        assert np.allclose(payload["distances"], 0.0, atol=1e-6)
+
+
 def test_search_respects_use_cache_flag(frontend):
     backend = frontend.backend
     backend.apply_system_config({"cache_policy": "lru", "cache_capacity": 32})

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.ground_truth import brute_force_neighbors, recall_at_k
-from repro.vdms.collection import Collection, STRUCTURAL_PARAMETERS
+from repro.vdms.collection import Collection
 from repro.vdms.errors import IndexBuildError, IndexNotBuiltError
 from repro.vdms.system_config import SystemConfig
 
@@ -212,25 +212,6 @@ class TestDelete:
             collection.search(np.zeros((1, 16), dtype=np.float32), 3)
 
 
-class TestIndexCache:
-    def test_cache_reused_for_same_structural_params(self, corpus):
-        cache = {}
-        first = loaded_collection(corpus, index_cache=cache)
-        first.create_index("IVF_FLAT", {"nlist": 32, "nprobe": 4})
-        size_after_first = len(cache)
-        second = loaded_collection(corpus, index_cache=cache)
-        second.create_index("IVF_FLAT", {"nlist": 32, "nprobe": 16})
-        assert len(cache) == size_after_first  # nprobe is search-time only
-
-    def test_cache_grows_for_new_structural_params(self, corpus):
-        cache = {}
-        collection = loaded_collection(corpus, index_cache=cache)
-        collection.create_index("IVF_FLAT", {"nlist": 32, "nprobe": 4})
-        first_size = len(cache)
-        collection.create_index("IVF_FLAT", {"nlist": 64, "nprobe": 4})
-        assert len(cache) > first_size
-
-
 class TestProfile:
     def test_profile_reflects_collection_state(self, corpus):
         collection = loaded_collection(corpus)
@@ -241,8 +222,3 @@ class TestProfile:
         assert profile.sealed_segments == collection.num_sealed_segments
         assert profile.index_bytes == collection.index_bytes()
         assert profile.raw_bytes > 0
-
-    def test_structural_parameters_cover_all_index_types(self):
-        assert set(STRUCTURAL_PARAMETERS) == {
-            "FLAT", "IVF_FLAT", "IVF_SQ8", "IVF_PQ", "HNSW", "SCANN", "AUTOINDEX",
-        }

@@ -103,37 +103,6 @@ class TestLatencyAndThroughput:
         assert latency_mid <= latency_large
 
 
-class TestSaturationCalibration:
-    def _simulated_qps(self, model):
-        stats, profile = make_stats(num_queries=1), make_profile()
-        return model.concurrent_qps([[stats]] * 8, profile, workers=4)
-
-    def test_measured_saturation_caps_concurrent_qps(self):
-        model = CostModel(SystemConfig())
-        qps, _ = self._simulated_qps(model)
-        ceiling = qps / 2
-        model.calibrate_saturation(ceiling)
-        capped_qps, capped_makespan = self._simulated_qps(model)
-        assert capped_qps == pytest.approx(ceiling)
-        # The makespan stretches so requests / makespan == qps stays true.
-        assert capped_qps == pytest.approx(8 / capped_makespan)
-
-    def test_ceiling_above_simulation_changes_nothing(self):
-        model = CostModel(SystemConfig())
-        qps, makespan = self._simulated_qps(model)
-        model.calibrate_saturation(qps * 10)
-        assert self._simulated_qps(model) == (qps, makespan)
-
-    def test_calibration_validation_and_reset(self):
-        model = CostModel(SystemConfig())
-        with pytest.raises(ValueError):
-            model.calibrate_saturation(-1.0)
-        model.calibrate_saturation(100.0)
-        model.calibrate_saturation(None)
-        assert model.measured_saturation_qps is None
-        assert CostModel(SystemConfig(), measured_saturation_qps=50.0).measured_saturation_qps == 50.0
-
-
 class TestMemoryAndBuild:
     def test_memory_grows_with_replicas(self):
         one = CostModel(SystemConfig(replica_number=1))

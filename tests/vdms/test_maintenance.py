@@ -1,6 +1,6 @@
 """Maintenance subsystem tests: tombstones, compaction, incremental re-indexing.
 
-Three families of guarantees are pinned down:
+Four families of guarantees are pinned down:
 
 * **Correctness of the storage primitives** — tombstoned deletes never
   resurrect or double-count rows (delete→insert→delete round trips,
@@ -14,16 +14,24 @@ Three families of guarantees are pinned down:
 * **Policy plumbing** — ``maintenance_mode`` and
   ``compaction_trigger_ratio`` drive when compaction and incremental
   re-indexing actually run, and the cost model charges them.
+* **Lifetime** — an index that maintenance, a rebuild or a drop replaced is
+  freed: a served collection holds one index per indexed segment, not one
+  per build ever made.
 """
 
 from __future__ import annotations
+
+import gc
+import weakref
+from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vdms import Collection, CostModel, MaintenanceReport, SystemConfig
+from repro.vdms import Collection, CostModel, MaintenanceReport, SystemConfig, VectorDBServer
+from repro.vdms.index import INDEX_REGISTRY, FlatIndex, IVFFlatIndex
 from repro.vdms.segment import SegmentManager, SegmentState
 
 #: At this dimension the 64 MB / 0.25 segment config seals ~170-row
@@ -342,6 +350,83 @@ class TestMaintenanceModes:
         collection.delete(np.arange(0, 200, dtype=np.int64))
         assert unindexed_sealed_segments(collection)
         assert collection.maintenance_worker is None
+
+
+def index_census() -> Counter:
+    """Every index object alive in the process, counted by concrete type."""
+    gc.collect()
+    index_types = set(INDEX_REGISTRY.values())
+    return Counter(type(obj) for obj in gc.get_objects() if type(obj) in index_types)
+
+
+def built_indexes(collection):
+    return [index for shard in collection.shards for index in shard.indexes.values()]
+
+
+def reachable_indexes(collection) -> Counter:
+    """What a collection is entitled to hold: one built index per indexed
+    segment, plus the exact FLAT view a segment caches once it was searched
+    (or recovered) unindexed."""
+    return Counter(
+        {
+            IVFFlatIndex: len(built_indexes(collection)),
+            FlatIndex: sum(
+                segment._exact_cache is not None
+                for shard in collection.shards
+                for segment in shard.segments.segments
+            ),
+        }
+    )
+
+
+class TestIndexLifetime:
+    """Nothing outlives its segment on a server-owned collection under churn."""
+
+    def test_replaced_indexes_are_freed(self):
+        baseline = index_census()
+        vectors, queries = make_corpus()
+        server = VectorDBServer(
+            SystemConfig(
+                shard_num=2,
+                maintenance_mode="inline",
+                compaction_trigger_ratio=0.05,
+                **SEGMENT_CONFIG,
+            )
+        )
+        collection = server.create_collection("churn", DIMENSION, "l2")
+        collection.insert(vectors[:800])
+        collection.flush()
+        params = {"nlist": 8, "nprobe": 4}
+        collection.create_index("IVF_FLAT", params)
+
+        seen = [weakref.ref(index) for index in built_indexes(collection)]
+        first_generation = len(seen)
+        assert first_generation >= 4
+        for cycle in range(3):
+            start = 800 + 100 * cycle
+            collection.insert(vectors[start : start + 100])
+            collection.flush()
+            # Touches every sealed segment: each index is invalidated and the
+            # inline pass rebuilds it.
+            collection.delete(np.arange(cycle, start, 9, dtype=np.int64))
+            assert not unindexed_sealed_segments(collection)
+            collection.search(queries, TOP_K)
+            seen.extend(weakref.ref(index) for index in built_indexes(collection))
+
+        gc.collect()
+        current = {id(index) for index in built_indexes(collection)}
+        survivors = [ref for ref in seen if ref() is not None]
+        assert all(id(ref()) in current for ref in survivors)
+        assert len(seen) - len(survivors) >= first_generation
+        assert index_census() - baseline == reachable_indexes(collection)
+
+        collection.create_index("IVF_FLAT", {"nlist": 4, "nprobe": 4})
+        collection.create_index("IVF_FLAT", params)
+        assert index_census() - baseline == reachable_indexes(collection)
+
+        server.drop_collection("churn")
+        del collection
+        assert index_census() - baseline == Counter()
 
 
 class TestCostModelCharges:

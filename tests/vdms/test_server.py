@@ -5,6 +5,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.vdms.collection import Collection
 from repro.vdms.errors import CollectionNotFoundError
 from repro.vdms.server import VectorDBServer
 from repro.vdms.sharding import QueryScheduler
@@ -67,26 +68,6 @@ class TestSystemConfig:
         server.apply_system_config({"query_node_threads": 8})
         assert server.cost_model().system_config.query_node_threads == 8
 
-    def test_calibrate_saturation_feeds_cost_model(self):
-        server = VectorDBServer()
-        assert server.cost_model().measured_saturation_qps is None
-        server.calibrate_saturation(120.0)
-        assert server.cost_model().measured_saturation_qps == 120.0
-        server.calibrate_saturation(None)  # clearing restores the analytic model
-        assert server.cost_model().measured_saturation_qps is None
-        with pytest.raises(ValueError):
-            server.calibrate_saturation(0.0)
-
-    def test_index_cache_shared_and_clearable(self, vectors):
-        server = VectorDBServer()
-        server.create_collection("c", 8)
-        server.insert("c", vectors)
-        server.flush("c")
-        server.create_index("c", "IVF_FLAT", {"nlist": 16, "nprobe": 8})
-        assert server.index_cache_size() >= 0
-        server.clear_index_cache()
-        assert server.index_cache_size() == 0
-
     def test_new_collections_after_config_change_use_new_config(self, vectors):
         server = VectorDBServer()
         server.apply_system_config({"segment_max_size": 64, "segment_seal_proportion": 0.2})
@@ -99,6 +80,89 @@ class TestSystemConfig:
         collection.insert(vectors)
         collection.flush()
         assert collection.num_sealed_segments <= many_segments
+
+
+#: 8-row sealed segments at d = 8: many small segments whose auto-assigned
+#: id runs coincide between collections.
+SMALL_SEGMENTS = {"segment_max_size": 1, "segment_seal_proportion": 0.05, "insert_buf_size": 1}
+
+INDEX_PARAMS = {
+    "FLAT": {},
+    "IVF_FLAT": {"nlist": 4, "nprobe": 4},
+    "HNSW": {"hnsw_m": 8, "ef_construction": 32, "ef_search": 32},
+}
+
+
+def _corpus(seed, rows=96, dimension=8):
+    return np.random.default_rng(seed).normal(size=(rows, dimension)).astype(np.float32)
+
+
+def _fill(collection, rows, index_type, params):
+    collection.insert(rows)  # auto-assigned ids: 0 .. len(rows) - 1 in every collection
+    collection.flush()
+    collection.create_index(index_type, params)
+    return collection
+
+
+def _assert_serves_like_bare_collection(served, rows, index_type):
+    """``served`` answers exactly like a bare ``Collection`` over the same rows."""
+    bare = _fill(
+        Collection("bare", served.dimension, served.metric, served.system_config),
+        rows,
+        index_type,
+        INDEX_PARAMS[index_type],
+    )
+    queries = rows[::7]
+    result, expected = served.search(queries, 3), bare.search(queries, 3)
+    assert np.array_equal(result.ids, expected.ids)
+    assert result.distances.tobytes() == expected.distances.tobytes()
+    # A stored row finds itself (the probed lists / beam cover an 8-row segment).
+    assert np.array_equal(result.ids[:, 0], np.arange(rows.shape[0])[::7])
+    assert np.allclose(result.distances[:, 0], 0.0, atol=1e-6)
+
+
+class TestTenantIsolation:
+    """Collections of one server share nothing — not even a coinciding id run."""
+
+    @pytest.fixture()
+    def server(self):
+        server = VectorDBServer()
+        server.apply_system_config(SMALL_SEGMENTS)
+        yield server
+        server.shutdown()
+
+    @staticmethod
+    def _load(server, name, rows, metric, index_type):
+        collection = server.create_collection(name, rows.shape[1], metric)
+        return _fill(collection, rows, index_type, INDEX_PARAMS[index_type])
+
+    @pytest.mark.parametrize("metric", ["l2", "angular"])
+    @pytest.mark.parametrize("index_type", sorted(INDEX_PARAMS))
+    @pytest.mark.parametrize(
+        "other", [_corpus(2), _corpus(2, rows=48, dimension=16)], ids=["d8", "d16"]
+    )
+    def test_same_ids_different_vectors(self, server, other, index_type, metric):
+        corpora = {"a": _corpus(1), "b": other}
+        for name, rows in corpora.items():
+            self._load(server, name, rows, metric, index_type)
+        assert server.get_collection("a").num_sealed_segments >= 10
+        for name, rows in corpora.items():
+            _assert_serves_like_bare_collection(server.get_collection(name), rows, index_type)
+
+    def test_replaced_collection_serves_the_new_vectors(self, server):
+        self._load(server, "c", _corpus(1), "l2", "IVF_FLAT")
+        replacement = _corpus(2)
+        self._load(server, "c", replacement, "l2", "IVF_FLAT")
+        _assert_serves_like_bare_collection(server.get_collection("c"), replacement, "IVF_FLAT")
+
+    def test_rebuild_applies_every_build_parameter(self, server):
+        collection = server.create_collection("c", 8, "l2")
+        _fill(collection, _corpus(1), "IVF_SQ8", {"nlist": 4, "nprobe": 4, "fast_scan": "int8"})
+        server.create_index("c", "IVF_SQ8", {"nlist": 4, "nprobe": 4, "fast_scan": "float16"})
+        indexes = [index for shard in collection.shards for index in shard.indexes.values()]
+        assert indexes
+        assert all(index.fast_scan == "float16" for index in indexes)
+        assert all(index._decoded16 is not None for index in indexes)
 
 
 class TestConcurrentSearch:
