@@ -12,13 +12,17 @@ freshly sealed and growing segments — once per index type in ``INDEX_TYPES``:
 the exact scan, the two graph indexes and the inverted-file family.  The
 family's cells also hash filtered requests (an ``eq`` filter under
 ``filter_strategy`` pre and post) and, at three requests per (q, k), run a
-thinner matrix to keep the script short: ``FAMILY_AXES``.  It prints one
-digest per cell and a ``TOTAL <index type>`` line over each type's cells; a
-change to a query path that claims bit-identity (the fused scan of a run of
+thinner matrix to keep the script short: ``FAMILY_AXES``, permuted ids only.
+``AUTO_ID_TYPES`` are then hashed once more with auto-assigned ids — for
+IVF_FLAT, whose segments break ties by stored position, that is the layout
+where position and id tie-breaks coincide — in a section of their own after
+every other line, so adding it moved no earlier line.  It prints one digest
+per cell and a ``TOTAL <index type>`` line over each type's cells; a change
+to a query path that claims bit-identity (the fused scan of a run of
 FLAT-served segments did, the array-walking HNSW search did, the
-tile-at-a-time IVF scoring did) must print the same lines as its parent.
-``digest_search_matrix.expected`` holds them, and CI diffs the output against
-it.
+tile-at-a-time IVF scoring did, the fused run of IVF_FLAT segments did) must
+print the same lines as its parent.  ``digest_search_matrix.expected`` holds
+them, and CI diffs the output against it.
 """
 
 import hashlib
@@ -50,6 +54,8 @@ FAMILY = ("IVF_FLAT", "IVF_SQ8", "IVF_PQ", "SCANN")
 #: of queries, and a 16-row segment returns the same rows for k = 37 as 1000.
 AXES = ((False, True), (1, 33, 70), (1, 10, 37, 1000))
 FAMILY_AXES = ((True,), (1, 70), (1, 10, 1000))
+#: Family members hashed again with auto-assigned ids, after everything else.
+AUTO_ID_TYPES = ("IVF_FLAT",)
 CATEGORIES = 3  # the filtered requests ask for ``cat == 1``: a third of the rows
 
 
@@ -93,10 +99,12 @@ def requests(index_type: str, queries: np.ndarray, top_k: int):
                                 filter_strategy=strategy)
 
 
-def digest_index_type(index_type: str) -> str:
+def digest_index_type(index_type: str, auto_ids: bool = False) -> str:
     rng = np.random.default_rng(5)
     total = hashlib.sha256()
     id_layouts, batch_sizes, widths = FAMILY_AXES if index_type in FAMILY else AXES
+    if auto_ids:
+        id_layouts = (False,)
     for metric in ("angular", "l2", "ip"):
         for shards in (1, 3):
             for permuted in id_layouts:
@@ -128,6 +136,8 @@ def digest_index_type(index_type: str) -> str:
 def main() -> None:
     for index_type in INDEX_TYPES:
         print("TOTAL", index_type, digest_index_type(index_type))
+    for index_type in AUTO_ID_TYPES:
+        print("TOTAL", index_type, "auto-ids", digest_index_type(index_type, auto_ids=True))
 
 
 if __name__ == "__main__":

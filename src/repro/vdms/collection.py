@@ -35,6 +35,7 @@ from repro.vdms.errors import DurabilityError, IndexBuildError, IndexNotBuiltErr
 from repro.vdms.index import INDEX_REGISTRY, create_index
 from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
 from repro.vdms.index.flat import FlatIndex
+from repro.vdms.index.ivf_flat import IVFFlatIndex
 from repro.vdms.maintenance import MaintenanceReport, MaintenanceWorker
 from repro.vdms.request import (
     AUTO_PRE_FILTER_SELECTIVITY,
@@ -680,7 +681,7 @@ class Collection:
         planned: list[tuple[np.ndarray, SegmentPlan]] | None,
         charge_filter_scan: bool,
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """Top-K over one shard snapshot: per segment, FLAT-served runs fused.
+        """Top-K over one shard snapshot: per segment, FLAT and IVF_FLAT runs fused.
 
         For a filtered request ``plan`` is its resolved plan and ``planned``
         the shard's ``(allow_mask, segment_plan)`` pairs, aligned with
@@ -690,31 +691,52 @@ class Collection:
         for this request, so no mask-building scan is charged.
 
         Every view is searched through its index and the candidate lists
-        merged, except that the FLAT-served views of an unfiltered request
-        are answered run by run (:meth:`_search_run`), each run handing the
-        merge one candidate list — same ids, distances and counted work.
+        merged, except for runs (:meth:`_search_run`), each of which hands the
+        merge one candidate list — same ids, distances and counted work:
+
+        * unfiltered, the FLAT-served views (``FlatIndex.runs``) and the
+          views whose index is exactly an ``IVFFlatIndex``
+          (``IVFFlatIndex.runs``);
+        * filtered, the IVF_FLAT views planned ``pre`` whose mask allows a
+          row.  A view planned ``post`` keeps its own search, and so does an
+          all-false one: its padding is float64 ``inf``, which sets the merge
+          dtype.  FLAT-served views of a filtered request stay per segment.
+
+        The quantized IVF types, HNSW and a lone index keep their own search.
         """
         queries = request.queries
         top_k = request.top_k
         stats = SearchStats(num_queries=queries.shape[0])
         candidate_ids: list[np.ndarray] = []
         candidate_distances: list[np.ndarray] = []
-        runs = FlatIndex.runs(view.index for view in views) if planned is None else []
-        for run in runs:
-            ids, distances, run_stats = self._search_run(run, queries, top_k)
+        if planned is None:
+            indexes = [view.index for view in views]
+            runs = [(run, None) for run in FlatIndex.runs(indexes) + IVFFlatIndex.runs(indexes)]
+        else:
+            masks = {
+                id(view.index): mask
+                for view, (mask, segment_plan) in zip(views, planned)
+                if segment_plan.strategy == "pre" and segment_plan.allowed_rows
+            }
+            runs = [
+                (run, [masks[id(index)] for index in run])
+                for run in IVFFlatIndex.runs(view.index for view in views if id(view.index) in masks)
+            ]
+        for run, run_masks in runs:
+            ids, distances, run_stats = self._search_run(run, queries, top_k, run_masks)
             stats.merge(run_stats)
             candidate_ids.append(ids)
             candidate_distances.append(distances)
-        fused = {id(index) for run in runs for index in run}
+        fused = {id(index) for run, _ in runs for index in run}
         for position, view in enumerate(views):
+            if planned is not None and charge_filter_scan:
+                stats.filter_rows_scanned += view.index.size
             if id(view.index) in fused:
                 continue
             if planned is None:
                 ids, distances, segment_stats = view.index.search(queries, top_k)
             else:
                 mask, segment_plan = planned[position]
-                if charge_filter_scan:
-                    stats.filter_rows_scanned += view.index.size
                 ids, distances, segment_stats = view.index.search(
                     queries,
                     top_k,
@@ -734,26 +756,40 @@ class Collection:
 
     @staticmethod
     def _search_run(
-        run: list[FlatIndex], queries: np.ndarray, top_k: int
+        run: list[FlatIndex] | list[IVFFlatIndex],
+        queries: np.ndarray,
+        top_k: int,
+        masks: list[np.ndarray] | None = None,
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """One candidate list for a run of FLAT-served segments, from one scan.
+        """One candidate list for a run of FLAT-served or IVF_FLAT segments.
 
-        Bit-identical to searching each index and merging.  Per-pair
-        distances do not depend on how rows are batched (the kernel's
-        determinism contract), so when a query's ``top_k`` smallest distances
-        over the run form a unique set, every per-segment top-k contains its
-        share of that set and the (distance, id) merge returns exactly it —
-        the fused scan's winners, which the caller's merge re-orders the same
-        way.  When the boundary is tied (duplicate vectors, zero-snapped
-        pairs), the per-segment path keeps tied rows by segment-local
-        position before the merge compares ids, which one select over the
-        whole run cannot reproduce; those queries alone are re-run per
-        segment.  The counted work is the run's either way.
+        ``queries`` are the request's raw rows; ``masks`` (IVF_FLAT runs
+        only) are the views' pre-filter allow-masks.  Bit-identical to
+        searching each index and merging.  Per-pair distances do not depend
+        on how rows are batched (the kernel's determinism contract; an
+        IVF_FLAT run even issues the same products), so when a query's
+        ``top_k`` smallest distances over the run form a unique set, every
+        per-segment top-k contains its share of that set and the (distance,
+        id) merge returns exactly it — the run's winners, which the caller's
+        merge re-orders the same way.  When the boundary is tied (duplicate
+        vectors, zero-snapped pairs) or not a number, the per-segment path
+        keeps tied rows by segment-local position before the merge compares
+        ids, which one select over the whole run cannot reproduce; those
+        queries alone are re-run per segment, from the raw rows (``search``
+        prepares them itself; preparing them twice would move ``angular``
+        bits).  The counted work is the run's either way.
         """
-        ids, distances, stats, unsettled = FlatIndex.search_run(run, queries, top_k)
+        if masks is None:
+            ids, distances, stats, unsettled = run[0].search_run(run, queries, top_k)
+            options = [{}] * len(run)
+        else:
+            ids, distances, stats, unsettled = run[0].search_run(run, queries, top_k, masks)
+            options = [{"allow_mask": mask} for mask in masks]
         if unsettled.size:
             tied = queries[unsettled]
-            segment_ids, segment_distances, _ = zip(*(index.search(tied, top_k) for index in run))
+            segment_ids, segment_distances, _ = zip(
+                *(index.search(tied, top_k, **option) for index, option in zip(run, options))
+            )
             ids[unsettled], distances[unsettled] = merge_topk(
                 segment_ids, segment_distances, top_k
             )

@@ -37,12 +37,17 @@ same query every time — and caches the query side instead
 a batch against its own few dozen gathered rows.  Its products stay one GEMV
 per query, but the gather and the finish are paid once per tile of queries
 (:meth:`QueryOperand.gather_scan_runs`) — and so is a round of graph walks,
-one hop of every query of a block.
+one hop of every query of a block.  A shard's IVF_FLAT segments go one step
+further: each segment's GEMVs land side by side per query
+(:meth:`QueryOperand.gather_products`) and one finish
+(:meth:`QueryOperand.finish_runs`) and one select serve the whole run, with
+every product still the call its own segment search issues.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import accumulate
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -197,10 +202,10 @@ def _as_operand(vectors: np.ndarray | ScanOperand, metric: str) -> ScanOperand:
 def _prepare_queries(queries: np.ndarray, metric: str) -> np.ndarray:
     """Query-side pre-processing every kernel applies on entry.
 
-    The callers above the kernels (``VectorIndex.search``,
-    ``FlatIndex.search_run``) hand in queries that :func:`prepare_vectors`
-    has already normalized for ``angular``, so this normalizes them a second
-    time.  The second pass is kept on purpose: re-normalizing a unit-norm
+    The callers above the kernels (``VectorIndex.search``, the
+    ``search_run`` of ``FlatIndex`` and ``IVFFlatIndex``) hand in queries
+    that :func:`prepare_vectors` has already normalized for ``angular``, so
+    this normalizes them a second time.  The second pass is kept on purpose: re-normalizing a unit-norm
     float32 row is not an identity (it moves the last ulp of some
     components), every recorded result — golden traces, the benchmark's
     exact-repeat quantities, the oracle suites' digests — was computed with
@@ -328,17 +333,54 @@ class QueryOperand:
         """
         if len(rows) == 1:
             return self.gather_scan(rows[0], operand, positions)
-        gathered = operand.vectors64.take(positions, axis=0)
         products = np.empty((1, positions.shape[0]), dtype=np.float64)
+        self.gather_products(rows, counts, operand, positions, products, accumulate(counts, initial=0))
+        vector_norms = None if self.norms64 is None else operand.norms64[positions]
+        return self.finish_runs(products, rows, counts, vector_norms)
+
+    def gather_products(
+        self,
+        rows: Sequence[int],
+        counts: Sequence[int],
+        operand: ScanOperand,
+        positions: np.ndarray,
+        out: np.ndarray,
+        starts: Iterable[int],
+    ) -> None:
+        """The GEMVs of :meth:`gather_scan_runs`, written where the caller wants them.
+
+        One gather of ``operand``'s cached float64 rows at ``positions``, then
+        query ``rows[i]``'s product over the next ``counts[i]`` of them — the
+        call :meth:`gather_scan` issues — into ``out[0, starts[i]:starts[i] +
+        counts[i]]``.  A fused run of inverted-file segments lays each query's
+        products from every segment side by side and finishes them once.
+        """
+        gathered = operand.vectors64.take(positions, axis=0)
         stop = 0
-        for row, count in zip(rows, counts):
-            start, stop = stop, stop + count
+        for row, count, start in zip(rows, counts, starts):
+            begin, stop = stop, stop + count
             if count:
-                np.matmul(self.queries64[row : row + 1], gathered[start:stop].T, out=products[:, start:stop])
+                np.matmul(
+                    self.queries64[row : row + 1], gathered[begin:stop].T, out=out[:, start : start + count]
+                )
+
+    def finish_runs(
+        self,
+        products: np.ndarray,
+        rows: Sequence[int],
+        counts: Sequence[int],
+        vector_norms: np.ndarray | None,
+    ) -> np.ndarray:
+        """Flat float32 distances from ``(1, n)`` products laid out query by query.
+
+        Query ``rows[i]`` owns the next ``counts[i]`` products, whose stored
+        rows have the squared norms ``vector_norms`` (unused for ``ip``).  One
+        per-pair finish; ``products`` is consumed as scratch.
+        """
         if self.norms64 is None:
             return _finish_tile(products, None, None, self.metric)[0]
         query_norms = np.repeat(self.norms64[rows, 0], counts)
-        return _finish_tile(products, query_norms, operand.norms64[positions], self.metric)[0]
+        return _finish_tile(products, query_norms, vector_norms, self.metric)[0]
 
 
 def pairwise_distances(

@@ -8,13 +8,16 @@ The lists are one cluster-major array of stored positions, a probe yields the
 candidates of the whole batch as one flat array, and they are scored a *tile*
 of consecutive whole queries at a time, so a segment search pays its gather,
 its finish and its select per tile, not per query.  This class drives the
-tiles for the whole family; a subclass supplies how a tile is scored.
+tiles for the whole family; a subclass supplies how a tile is scored.  Several
+IVF_FLAT segments of a shard are also searched as one *run*
+(:meth:`IVFFlatIndex.search_run`): a tile then unites every segment's
+candidates of its queries under one finish and one select.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -95,6 +98,80 @@ def partition_select(
         distances[query, :keep] = found[order]
 
 
+def _whole_query_tiles(spans: list[int], max_rows: int, max_queries: int) -> Iterator[tuple[int, int]]:
+    """Consecutive tiles ``(first, stop)`` of whole queries, query ``i`` owning
+    candidates ``spans[i]:spans[i + 1]``: as many as fit ``max_rows``
+    candidates — at least one, at most ``max_queries``."""
+    first = 0
+    while first < len(spans) - 1:
+        fit = bisect_right(spans, spans[first] + max_rows, first) - 1
+        stop = min(max(first + 1, fit), first + max_queries)
+        yield first, stop
+        first = stop
+
+
+def _score_run_tile(
+    query_side: QueryOperand,
+    first: int,
+    run: Sequence["IVFFlatIndex"],
+    offsets: Sequence[int],
+    lists: Sequence[tuple[np.ndarray, np.ndarray]],
+    tile_bounds: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One tile of a fused run: every index's candidates of queries ``first, first + 1, …``.
+
+    ``lists[j]`` is index ``j``'s ``(candidates, bounds)`` for the block and
+    ``tile_bounds[j]`` the slice of its bounds the tile covers.  Returns
+    ``(scores, rows, cuts)`` for the select: query ``first + i`` owns
+    ``[cuts[i]:cuts[i + 1]]``, its candidates from index 0, then index 1, …,
+    ``rows`` holding run positions.  An index's rows are gathered at most
+    ``DEFAULT_ROW_BLOCK`` at a time (more only for one query that has more)
+    and each (index, query) product is the GEMV that index's own search
+    issues, so the float64 products are its bit for bit.
+    """
+    counts = np.diff(tile_bounds, axis=1)
+    per_query = counts.sum(axis=0)
+    cuts = np.concatenate(([0], np.cumsum(per_query)))
+    # Index j's candidates of query i begin after query i's from the indexes before j.
+    starts = cuts[:-1] + np.cumsum(counts, axis=0) - counts
+    products = np.empty((1, cuts[-1]), dtype=np.float64)
+    rows = np.empty(cuts[-1], dtype=np.int64)
+    vector_norms = None if query_side.norms64 is None else np.empty(cuts[-1])
+    owners = range(first, first + counts.shape[1])
+    for index, offset, (candidates, _), index_bounds, index_counts, index_starts in zip(
+        run, offsets, lists, tile_bounds, counts, starts
+    ):
+        begin, end = index_bounds[0], index_bounds[-1]
+        if begin == end:
+            continue
+        positions = candidates[begin:end]
+        # Each query's slice of ``positions`` moves to its place in the tile.
+        place = np.repeat(index_starts - (index_bounds[:-1] - begin), index_counts)
+        place += np.arange(end - begin)
+        rows[place] = positions + offset
+        if vector_norms is not None:
+            vector_norms[place] = index._operand.norms64[positions]
+        spans = (index_bounds - begin).tolist()
+        query_counts, query_starts = index_counts.tolist(), index_starts.tolist()
+        for low, high in _whole_query_tiles(spans, DEFAULT_ROW_BLOCK, len(query_counts)):
+            query_side.gather_products(
+                owners[low:high], query_counts[low:high], index._operand,
+                positions[spans[low] : spans[high]], products, query_starts[low:high],
+            )
+    return query_side.finish_runs(products, owners, per_query, vector_norms), rows, cuts
+
+
+def _settled(scores: np.ndarray, cuts: np.ndarray, distances: np.ndarray, top_k: int) -> np.ndarray:
+    """Per query of a tile, whether its selection is a unique set: exactly
+    ``min(top_k, candidates)`` of its scores lie at or below the last distance
+    selected (a NaN boundary counts none)."""
+    counts = np.diff(cuts)
+    keep = np.minimum(counts, top_k)
+    last = distances[np.arange(counts.shape[0]), np.maximum(keep, 1) - 1]
+    owner = np.repeat(np.arange(counts.shape[0]), counts)
+    return np.bincount(owner[scores <= last[owner]], minlength=counts.shape[0]) == keep
+
+
 class IVFFlatIndex(VectorIndex):
     """Inverted-file index scanning probed lists at full precision."""
 
@@ -136,20 +213,27 @@ class IVFFlatIndex(VectorIndex):
 
     # -- search ---------------------------------------------------------------
 
-    def _probed_candidates(
-        self, query_side: QueryOperand, allow_mask: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """The batch's candidate positions from the probed lists, flat.
+    def _probe(self, query_side: QueryOperand) -> np.ndarray:
+        """The lists each query of the batch probes: ``(q, nprobe)`` list ids.
 
-        Returns ``(candidates, bounds, stats)``: query ``i`` owns
+        One coarse scan of the whole batch against the centroids, charged as
+        ``q × nlist`` coarse evaluations by the caller.
+        """
+        coarse = query_side.scan(self._centroid_operand)
+        nprobe = max(1, min(self.nprobe, coarse.shape[1]))
+        return np.argpartition(coarse, nprobe - 1, axis=1)[:, :nprobe]
+
+    def _probed_candidates(
+        self, probed: np.ndarray, allow_mask: np.ndarray | None
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The candidate positions of ``probed``'s lists (a :meth:`_probe` result), flat.
+
+        Returns ``(candidates, bounds)``: row ``i`` of ``probed`` owns
         ``candidates[bounds[i]:bounds[i + 1]]``, in probe order and ascending
         position within a list; with an ``allow_mask``, the allowed ones only.
         """
-        coarse = query_side.scan(self._centroid_operand)
-        num_queries, nlist = coarse.shape
-        nprobe = max(1, min(self.nprobe, nlist))
-        probed = np.argpartition(coarse, nprobe - 1, axis=1)[:, :nprobe].ravel()
-        stats = SearchStats(coarse_evaluations=num_queries * nlist)
+        nprobe = probed.shape[1]
+        probed = probed.ravel()
         sizes = self._list_sizes[probed]
         ends = np.cumsum(sizes)
         bounds = np.concatenate(([0], ends[nprobe - 1 :: nprobe]))
@@ -161,7 +245,7 @@ class IVFFlatIndex(VectorIndex):
             allowed = allow_mask[candidates]
             candidates = candidates[allowed]
             bounds = np.concatenate(([0], np.cumsum(allowed)))[bounds]
-        return candidates, bounds, stats
+        return candidates, bounds
 
     def _search(
         self, queries: np.ndarray, top_k: int, allow_mask: np.ndarray | None = None
@@ -169,24 +253,20 @@ class IVFFlatIndex(VectorIndex):
         """Probe, then score the candidates a tile of whole queries at a time."""
         num_queries = queries.shape[0]
         query_side = QueryOperand(queries, self.metric)
-        candidates, bounds, stats = self._probed_candidates(query_side, allow_mask)
+        candidates, bounds = self._probed_candidates(self._probe(query_side), allow_mask)
+        stats = SearchStats(coarse_evaluations=num_queries * self._centroid_operand.shape[0])
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
         score_tile = self._tile_scorer(queries, query_side, stats)
         spans = bounds.tolist()
-        first = 0
-        while first < num_queries:
-            # As many whole queries as fit DEFAULT_ROW_BLOCK candidate rows —
-            # at least one, at most DEFAULT_QUERY_BLOCK — so a tile's scratch
-            # stays within the blocked kernel's bound for any batch.
-            fit = bisect_right(spans, spans[first] + DEFAULT_ROW_BLOCK, first) - 1
-            stop = min(max(first + 1, fit), first + DEFAULT_QUERY_BLOCK)
+        # The blocked kernel's two bounds: a tile's scratch stays within the
+        # kernel's for any batch.
+        for first, stop in _whole_query_tiles(spans, DEFAULT_ROW_BLOCK, DEFAULT_QUERY_BLOCK):
             if spans[stop] > spans[first]:
                 scores, rows, cuts = score_tile(
                     first, bounds[first : stop + 1] - spans[first], candidates[spans[first] : spans[stop]]
                 )
                 self._select(scores, rows, cuts, top_k, positions[first:stop], distances[first:stop])
-            first = stop
         stats.segments_searched = num_queries
         return positions, distances, stats
 
@@ -220,6 +300,85 @@ class IVFFlatIndex(VectorIndex):
         coarse quantizer still prunes the search to ``nprobe`` lists.
         """
         return self._search(queries, top_k, allow_mask)
+
+    # -- runs: a shard's IVF_FLAT segments answered as one --------------------
+
+    @staticmethod
+    def runs(indexes: Iterable[VectorIndex]) -> list[list["IVFFlatIndex"]]:
+        """The run of IVF_FLAT indexes among ``indexes`` worth one fused search.
+
+        Only an index that is exactly an :class:`IVFFlatIndex` qualifies: the
+        quantized subclasses' products and selects depend on the arrays they
+        are handed (see :func:`partition_select`), so they stay per segment.
+        A run needs at least two indexes — a lone one is served by its own
+        :meth:`search` — and no row cap: its scratch is bounded per tile.
+        """
+        run = [index for index in indexes if type(index) is IVFFlatIndex]
+        return [run] if len(run) > 1 else []
+
+    @staticmethod
+    def search_run(
+        run: Sequence["IVFFlatIndex"],
+        queries: np.ndarray,
+        top_k: int,
+        masks: Sequence[np.ndarray] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats, np.ndarray]:
+        """Top-k over a run of IVF_FLAT indexes of one metric, as one candidate list.
+
+        Returns ``(ids, distances, stats, unsettled)`` like
+        :meth:`repro.vdms.index.flat.FlatIndex.search_run`; ``masks``, one
+        allow-mask per index and each allowing some row, makes it the
+        pre-filtered search.  The queries are prepared once and each index
+        probes the whole batch with its own ``nprobe`` — the coarse scan its
+        own search makes.  Then, per block of ``DEFAULT_QUERY_BLOCK``
+        queries, each index lists its candidates, and a tile of whole queries
+        (at least one, at most ``4 × DEFAULT_ROW_BLOCK`` candidates over the
+        run) is scored as one union: one finish and one select in (distance,
+        run position) order, the run position being an index's offset in the
+        run plus the stored position.  ``stats`` charges exactly what
+        searching each index would have.
+
+        ``unsettled`` lists the queries whose boundary distance is tied or not
+        a number (see :func:`~repro.vdms.distance.scan_topk`): their rows here
+        are a valid top-k, but not necessarily the one a per-index search +
+        merge keeps.
+        """
+        queries, top_k = run[0]._checked_request(queries, top_k)
+        num_queries = int(queries.shape[0])
+        query_side = QueryOperand(queries, run[0].metric)
+        if masks is None:
+            masks = [None] * len(run)
+        # Copied: a probe is a view of the whole (q, nlist) partition.
+        probes = [np.ascontiguousarray(index._probe(query_side)) for index in run]
+        offsets = np.cumsum([0] + [index.size for index in run])[:-1].tolist()
+        stats = SearchStats(
+            num_queries=num_queries,
+            coarse_evaluations=num_queries * sum(index._centroid_operand.shape[0] for index in run),
+            segments_searched=num_queries * len(run),
+        )
+        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
+        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+        settled = np.ones(num_queries, dtype=bool)
+        for block in range(0, num_queries, DEFAULT_QUERY_BLOCK):
+            lists = [
+                index._probed_candidates(probed[block : block + DEFAULT_QUERY_BLOCK], mask)
+                for index, probed, mask in zip(run, probes, masks)
+            ]
+            bounds = np.stack([list_bounds for _, list_bounds in lists])
+            # Each index's bounds count from 0, so their sum is the union's.
+            spans = bounds.sum(axis=0).tolist()
+            for first, stop in _whole_query_tiles(spans, 4 * DEFAULT_ROW_BLOCK, DEFAULT_QUERY_BLOCK):
+                if spans[stop] > spans[first]:
+                    tile = slice(block + first, block + stop)
+                    scores, rows, cuts = _score_run_tile(
+                        query_side, tile.start, run, offsets, lists, bounds[:, first : stop + 1]
+                    )
+                    stats.distance_evaluations += rows.shape[0]
+                    lexicographic_select(scores, rows, cuts, top_k, positions[tile], distances[tile])
+                    settled[tile] = _settled(scores, cuts, distances[tile], top_k)
+        ids = np.concatenate([index._ids for index in run])[positions]
+        ids[positions < 0] = -1
+        return ids, distances, stats, np.flatnonzero(~settled)
 
     def memory_bytes(self) -> int:
         if self._centroids is None:

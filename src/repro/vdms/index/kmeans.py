@@ -41,24 +41,35 @@ class KMeansResult:
 
 
 def _plus_plus_init(vectors: np.ndarray, k: int, rng: np.random.Generator) -> tuple[np.ndarray, int]:
-    """k-means++ seeding; returns the seeds and the distance evaluations spent."""
+    """k-means++ seeding; returns the seeds and the distance evaluations spent.
+
+    A pick is ``rng.choice(n, p=closest / total)`` spelled out — the same
+    cumulative sum, renormalisation and one ``rng.random()`` draw searched
+    with ``side="right"`` — without its per-call validation, so the seeds and
+    the generator's later draws are ``choice``'s.  Like ``choice`` with NaN
+    probabilities, a non-finite ``total`` raises ``ValueError``.
+    """
     n = vectors.shape[0]
-    evaluations = 0
-    first = int(rng.integers(0, n))
-    centroids = [vectors[first]]
+    centroids = np.empty((k, vectors.shape[1]), dtype=vectors.dtype)
+    centroids[0] = vectors[int(rng.integers(0, n))]
     closest = np.full(n, np.inf, dtype=np.float64)
-    for _ in range(1, k):
-        diff = vectors - centroids[-1]
-        distances = np.einsum("ij,ij->i", diff, diff)
-        evaluations += n
+    diff = np.empty_like(vectors)
+    distances = np.empty(n, dtype=vectors.dtype)
+    for seeded in range(1, k):
+        np.subtract(vectors, centroids[seeded - 1], out=diff)
+        np.einsum("ij,ij->i", diff, diff, out=distances)
         np.minimum(closest, distances, out=closest)
         total = float(closest.sum())
         if total <= 0.0:
             pick = int(rng.integers(0, n))
+        elif not np.isfinite(total):
+            raise ValueError("k-means++ seeding met a non-finite distance")
         else:
-            pick = int(rng.choice(n, p=closest / total))
-        centroids.append(vectors[pick])
-    return np.vstack(centroids), evaluations
+            cdf = (closest / total).cumsum()
+            cdf /= cdf[-1]
+            pick = int(cdf.searchsorted(rng.random(), side="right"))
+        centroids[seeded] = vectors[pick]
+    return centroids, (k - 1) * n
 
 
 def kmeans(

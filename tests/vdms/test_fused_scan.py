@@ -13,7 +13,8 @@ which is also exactly what the tie fallback runs:
   segments;
 - a tie at the selection boundary that straddles segments is answered by
   the per-segment fallback, with the per-segment path's tie-break;
-- IVF-indexed views keep the per-segment loop beside a fused run;
+- quantized IVF views keep the per-segment loop beside a fused run (runs of
+  IVF_FLAT views are pinned in ``tests/vdms/test_ivf.py``);
 - a filtered request never enters the fused scan;
 - the kernel underneath (``scan_topk`` over a sequence of operands) equals
   per-operand scans laid side by side, across scratch-tile boundaries.
@@ -204,6 +205,8 @@ def test_boundary_tie_is_answered_by_the_per_segment_fallback(
 
 
 def test_ivf_views_keep_the_per_segment_loop_beside_a_fused_run(monkeypatch):
+    # A quantized IVF type: IVF_FLAT views fuse into a run of their own
+    # (tests/vdms/test_ivf.py::TestRuns), the quantized three never do.
     rng = np.random.default_rng(2)
     vectors = rng.normal(size=(ROWS, DIMENSION)).astype(np.float32)
     collection = Collection(
@@ -212,7 +215,7 @@ def test_ivf_views_keep_the_per_segment_loop_beside_a_fused_run(monkeypatch):
     )
     collection.insert(vectors[:500])
     collection.flush()
-    collection.create_index("IVF_FLAT", {"nlist": 4, "nprobe": 2})
+    collection.create_index("IVF_SQ8", {"nlist": 4, "nprobe": 2})
     collection.insert(vectors[500:540])
     collection.flush()  # one freshly sealed, unindexed segment + a growing tail
     views = collection.shards[0].snapshot("angular")
@@ -231,7 +234,7 @@ def test_ivf_views_keep_the_per_segment_loop_beside_a_fused_run(monkeypatch):
     queries = rng.normal(size=(9, DIMENSION)).astype(np.float32)
     result = collection.search(queries, 10)
     monkeypatch.undo()
-    assert searched == ["IVF_FLAT"] * (len(views) - 2)  # the FLAT pair went fused
+    assert searched == ["IVF_SQ8"] * (len(views) - 2)  # the FLAT pair went fused
     assert result.stats.segments_searched == 9 * len(views)
     for top_k in (1, 10, ROWS):
         assert_same_as_reference(collection, queries, top_k)

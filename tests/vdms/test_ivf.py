@@ -1,6 +1,7 @@
 """The inverted-file family's query path against the seed's, kept here as the
 reference: one Python list of candidate arrays per batch, one gather, one
-kernel call and one select per (query, segment)."""
+kernel call and one select per (query, segment).  And a shard's run of
+IVF_FLAT segments, answered as one, against searching each and merging."""
 
 import copy
 import sys
@@ -10,15 +11,22 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.vdms import distance
-from repro.vdms.distance import pairwise_distances, pairwise_distances_blocked
-from repro.vdms.index import create_index
+from repro.vdms import Collection, SearchRequest, distance
+from repro.vdms.distance import (
+    DEFAULT_QUERY_BLOCK,
+    pairwise_distances,
+    pairwise_distances_blocked,
+)
+from repro.vdms.index import FlatIndex, create_index
+from repro.vdms.index import ivf_flat
 from repro.vdms.index.base import SearchStats
 from repro.vdms.index.ivf_flat import IVFFlatIndex
 from repro.vdms.index.ivf_pq import IVFPQIndex
 from repro.vdms.index.ivf_sq8 import IVFSQ8Index
 from repro.vdms.index.kmeans import kmeans
 from repro.vdms.index.scann import ScannIndex
+from repro.vdms.request import SearchPlan, SegmentPlan
+from repro.vdms.sharding import SegmentView, merge_topk
 
 
 class SeedIVFFlat(IVFFlatIndex):
@@ -391,7 +399,264 @@ class TestInvertedLists:
         assert index.memory_bytes() == index._centroids.size * 4 + ROWS * 8
 
 
+RUN_DIMENSION = 7
+#: Row indexes of the queries placed exactly on a stored row that later
+#: segments copy: exact-zero distances tied across segments.
+ON_COPIED_ROWS = (0, 3, 5)
+
+
+def build_run(metric, segments, duplicates=True, seed=0):
+    """``segments`` built IVF_FLAT indexes of 12-39 rows under distinct
+    permuted ids, each probing its own number of its four lists; with
+    ``duplicates``, a fifth of the later segments' rows copy first-segment rows."""
+    rng = np.random.default_rng([seed, segments])
+    sizes = rng.integers(12, 40, size=segments)
+    ends = np.cumsum(sizes)
+    vectors = rng.normal(size=(ends[-1], RUN_DIMENSION)).astype(np.float32)
+    if duplicates:
+        last = ends[-1] - len(ON_COPIED_ROWS)
+        targets = rng.choice(np.arange(sizes[0], last), size=(ends[-1] - sizes[0]) // 5, replace=False)
+        vectors[targets] = vectors[rng.integers(0, sizes[0], size=targets.size)]
+        vectors[last:] = vectors[list(ON_COPIED_ROWS)]
+    ids = rng.permutation(ends[-1] * 3)[: ends[-1]]
+    run = []
+    for segment, (start, stop) in enumerate(zip(ends - sizes, ends)):
+        index = IVFFlatIndex(metric=metric, nlist=4, nprobe=1 + segment % 4, seed=segment)
+        index.build(vectors[start:stop], ids[start:stop])
+        run.append(index)
+    return run, vectors
+
+
+def run_queries(vectors, num_queries, seed=3):
+    """Queries on copied stored rows first, then a NaN query, then random ones."""
+    rng = np.random.default_rng([seed, num_queries])
+    queries = rng.normal(size=(num_queries, RUN_DIMENSION)).astype(np.float32)
+    on_rows = min(num_queries, len(ON_COPIED_ROWS))
+    queries[:on_rows] = vectors[list(ON_COPIED_ROWS[:on_rows])]
+    if num_queries > on_rows:
+        queries[on_rows, 2] = np.nan
+    return queries
+
+
+def run_masks(run, layout, seed=5):
+    """``(masks, strategies)`` of the views, or ``(None, None)`` unfiltered.
+
+    A run of more than two views also gets one all-false view and one
+    planned ``post``: both keep their own search beside the run."""
+    if layout == "none":
+        return None, None
+    rng = np.random.default_rng([seed, len(run)])
+    share = {"10%": 0.1, "90%": 0.9}[layout]
+    masks = [rng.random(index.size) < share for index in run]
+    for mask in masks:
+        mask[rng.integers(mask.size)] = True
+    strategies = ["pre"] * len(run)
+    if len(run) > 2:
+        masks[1][:] = False
+        strategies[3] = "post"
+    return masks, strategies
+
+
+def snapshot_search(run, queries, top_k, masks=None, strategies=None):
+    """``Collection._search_snapshot`` over one view per index of ``run``."""
+    collection = Collection("run", RUN_DIMENSION, metric=run[0].metric, auto_maintenance=False)
+    views = [SegmentView(number, index, {}, True) for number, index in enumerate(run)]
+    plan = planned = None
+    if masks is not None:
+        plan = SearchPlan(strategy="auto", overfetch_factor=2.0)
+        planned = [
+            (mask, SegmentPlan(0, number, strategy, mask.mean(), int(mask.sum()), mask.size, True))
+            for number, (mask, strategy) in enumerate(zip(masks, strategies))
+        ]
+    return collection._search_snapshot(views, SearchRequest(queries, top_k), plan, planned, True)
+
+
+def per_index_search(run, queries, top_k, masks=None, strategies=None):
+    """The per-segment path spelled out: each index's search, then one merge."""
+    stats = SearchStats(num_queries=queries.shape[0])
+    lists = []
+    for number, index in enumerate(run):
+        options = {}
+        if masks is not None:
+            stats.filter_rows_scanned += index.size
+            options = {"allow_mask": masks[number], "strategy": strategies[number]}
+        ids, distances, index_stats = index.search(queries, top_k, **options)
+        stats.merge(index_stats)
+        lists.append((ids, distances))
+    ids, distances = merge_topk([ids for ids, _ in lists], [distances for _, distances in lists], top_k)
+    return ids, distances, stats
+
+
+def assert_same_as_per_index(run, queries, top_k, masks=None, strategies=None):
+    """Equal ids, distance bytes and dtype, and stats, once the shard's list
+    goes through the collection's merge over shards, as every answer does.
+    (That merge is where a NaN distance, which a shard lists under id -1 —
+    as NaN when merged per segment, as inf when merged within the run's tie
+    fallback first — becomes inf on both paths.)"""
+    ids, distances, stats = snapshot_search(run, queries, top_k, masks, strategies)
+    ids, distances = merge_topk([ids], [distances], top_k)
+    expected_ids, expected_distances, expected_stats = per_index_search(
+        run, queries, top_k, masks, strategies
+    )
+    expected_ids, expected_distances = merge_topk([expected_ids], [expected_distances], top_k)
+    assert np.array_equal(ids, expected_ids)
+    assert distances.dtype == expected_distances.dtype
+    assert distances.tobytes() == expected_distances.tobytes()
+    assert astuple(stats) == astuple(expected_stats)
+
+
+class CountingSearch:
+    """Counts ``IVFFlatIndex.search`` calls (the tie fallback's) and fused runs."""
+
+    def __init__(self, monkeypatch):
+        self.searched = []
+        self.runs = []
+        search, search_run = IVFFlatIndex.search, IVFFlatIndex.search_run
+
+        def counting_search(index, queries, top_k, **options):
+            self.searched.append(int(np.asarray(queries).shape[0]))
+            return search(index, queries, top_k, **options)
+
+        def counting_search_run(run, queries, top_k, masks=None):
+            self.runs.append(len(run))
+            return search_run(run, queries, top_k, masks)
+
+        monkeypatch.setattr(IVFFlatIndex, "search", counting_search)
+        monkeypatch.setattr(IVFFlatIndex, "search_run", staticmethod(counting_search_run))
+
+
+class TestRuns:
+    """A run of IVF_FLAT views is one candidate list — and nobody can tell."""
+
+    @pytest.mark.parametrize("masks", ["none", "10%", "90%"])
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    @pytest.mark.parametrize("segments", [2, 5, 24])
+    def test_run_equals_per_index_search_and_merge(self, monkeypatch, segments, metric, masks):
+        run, vectors = build_run(metric, segments)
+        allow, strategies = run_masks(run, masks)
+        for num_queries in (1, 8, 70):  # 70 spans two query blocks
+            queries = run_queries(vectors, num_queries)
+            for top_k in (1, 10, sum(index.size for index in run) + 5):
+                assert_same_as_per_index(run, queries, top_k, allow, strategies)
+        # The same cells went through a run, and the tie fallback was reached
+        # (the NaN query's boundary is never settled).
+        counting = CountingSearch(monkeypatch)
+        for top_k in (1, 10):
+            snapshot_search(run, run_queries(vectors, 8), top_k, allow, strategies)
+        own = 2 if allow is not None and segments > 2 else 0  # all-false + post
+        assert counting.runs == [segments - own] * 2
+        assert counting.searched.count(8) == 2 * own
+        fallback = [size for size in counting.searched if size != 8]
+        assert len(fallback) >= 2 * (segments - own) and max(fallback) < 8
+
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    @pytest.mark.parametrize("row_block", [1, 7, 64])
+    def test_tiles_cut_below_the_union_bound(self, monkeypatch, metric, row_block):
+        # The union bound (4 x DEFAULT_ROW_BLOCK) and each index's gather bound
+        # (DEFAULT_ROW_BLOCK) patched down: tiles of one query, of a few, and
+        # an index's rows gathered in several pieces.
+        monkeypatch.setattr("repro.vdms.index.ivf_flat.DEFAULT_ROW_BLOCK", row_block)
+        tiles = []
+        score_run_tile = ivf_flat._score_run_tile
+
+        def counting_score_run_tile(query_side, first, *args):
+            scored = score_run_tile(query_side, first, *args)
+            tiles.append(scored[2].shape[0] - 1)
+            return scored
+
+        monkeypatch.setattr(ivf_flat, "_score_run_tile", counting_score_run_tile)
+        gathers = []
+        gather_products = distance.QueryOperand.gather_products
+
+        def recording_gather_products(query_side, rows, counts, operand, positions, *args):
+            gathers.append((len(rows), positions.shape[0]))
+            return gather_products(query_side, rows, counts, operand, positions, *args)
+
+        monkeypatch.setattr(distance.QueryOperand, "gather_products", recording_gather_products)
+        run, vectors = build_run(metric, 5)
+        queries = run_queries(vectors, 70)
+        searches = 0
+        for layout in ("none", "90%"):
+            allow, strategies = run_masks(run, layout)
+            for top_k in (1, 10, 500):
+                assert_same_as_per_index(run, queries, top_k, allow, strategies)
+                searches += 1
+        # More tiles than the two query blocks of each search.
+        assert len(tiles) > 2 * searches and max(tiles) < DEFAULT_QUERY_BLOCK
+        if row_block == 1:
+            assert max(tiles) == 1
+        # An index's gather exceeds the row block only for a query that alone does.
+        assert all(size <= row_block or queries == 1 for queries, size in gathers)
+        if row_block == 64:
+            assert max(queries for queries, _ in gathers) > 1
+
+    def test_a_tie_across_segments_is_rerun_per_segment(self, monkeypatch):
+        run, vectors = build_run("l2", 5)
+        for index in run:
+            index.set_search_params(nprobe=4)  # every list: both copies are candidates
+        queries = run_queries(vectors, 6)
+        counting = CountingSearch(monkeypatch)
+        ids, distances, _ = snapshot_search(run, queries, 1)
+        # The three queries on copied rows and the NaN query, once per index.
+        assert sorted(counting.searched) == [4] * len(run)
+        assert (distances[:3] == 0).all()
+        monkeypatch.undo()
+        assert_same_as_per_index(run, queries, 1)
+
+    def test_only_exact_ivf_flat_indexes_form_a_run(self):
+        run, _ = build_run("l2", 3)
+        sq8 = create_index("IVF_SQ8", metric="l2", nlist=4)
+        sq8.build(np.ones((8, RUN_DIMENSION), dtype=np.float32))
+        flat = FlatIndex(metric="l2")
+        flat.build(np.ones((8, RUN_DIMENSION), dtype=np.float32))
+        assert IVFFlatIndex.runs([run[0], sq8, flat, run[1], run[2]]) == [run]
+        assert IVFFlatIndex.runs([run[0], sq8, flat]) == []
+
+    def test_empty_batch(self):
+        run, _ = build_run("l2", 3)
+        ids, distances, stats, unsettled = IVFFlatIndex.search_run(
+            run, np.empty((0, RUN_DIMENSION), dtype=np.float32), 5
+        )
+        assert ids.shape == distances.shape == (0, 5) and unsettled.size == 0
+        assert stats.total_work() == 0
+
+
 class TestConcurrency:
+    def test_a_run_writes_nothing_on_its_indexes(self, monkeypatch):
+        monkeypatch.setattr("repro.vdms.index.ivf_flat.DEFAULT_ROW_BLOCK", 16)
+        run, vectors = build_run("angular", 6)
+        before = [dict(vars(index)) for index in run]
+        allow, _ = run_masks(run, "90%")
+        allow[1][0] = True  # every view allows a row: all six are in the run
+        batches = [run_queries(vectors, 5 + slot, seed=slot) for slot in range(6)]
+        serial = [IVFFlatIndex.search_run(run, batch, 10, allow) for batch in batches]
+        concurrent = [None] * len(batches)
+
+        def worker(slot):
+            for _ in range(5):
+                concurrent[slot] = IVFFlatIndex.search_run(run, batches[slot], 10, allow)
+
+        threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(batches))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        for (ids, distances, stats, unsettled), got in zip(serial, concurrent):
+            assert np.array_equal(ids, got[0])
+            assert distances.tobytes() == got[1].tobytes()
+            assert astuple(stats) == astuple(got[2])
+            assert np.array_equal(unsettled, got[3])
+        for index, attributes in zip(run, before):
+            after = vars(index)
+            assert after.keys() == attributes.keys()
+            assert all(after[name] is attributes[name] for name in attributes)
+
     @pytest.mark.parametrize("variant", VARIANTS, ids=VARIANT_IDS)
     def test_concurrent_searches_share_no_scratch(self, monkeypatch, variant):
         # Admission workers share one index object: two tiles in flight on

@@ -30,7 +30,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.vdms import Collection, CostModel, MaintenanceReport, SystemConfig, VectorDBServer
+from repro.vdms import (
+    AttributeFilter,
+    Collection,
+    CostModel,
+    MaintenanceReport,
+    SearchRequest,
+    SystemConfig,
+    VectorDBServer,
+)
 from repro.vdms.index import INDEX_REGISTRY, FlatIndex, IVFFlatIndex
 from repro.vdms.segment import SegmentManager, SegmentState
 
@@ -427,6 +435,50 @@ class TestIndexLifetime:
         server.drop_collection("churn")
         del collection
         assert index_census() - baseline == Counter()
+
+    def test_searches_free_replaced_indexes_without_the_collector(self):
+        # The census above, with the cyclic collector off.  A search that left
+        # its indexes in a reference cycle (a recursive closure over a run,
+        # say) would keep every index churn replaces alive until the collector
+        # happened to run; reference counting alone must free them.
+        baseline = index_census()
+        vectors, queries = make_corpus()
+        categories = np.arange(vectors.shape[0]) % 4
+        filtered = SearchRequest(
+            queries, TOP_K, filter=AttributeFilter("cat", "eq", 1), filter_strategy="pre"
+        )
+        server = VectorDBServer(
+            SystemConfig(
+                shard_num=2,
+                maintenance_mode="inline",
+                compaction_trigger_ratio=0.05,
+                **SEGMENT_CONFIG,
+            )
+        )
+        gc.disable()
+        try:
+            collection = server.create_collection("churn", DIMENSION, "l2")
+            collection.insert(vectors[:800], attributes={"cat": categories[:800]})
+            collection.flush()
+            collection.create_index("IVF_FLAT", {"nlist": 8, "nprobe": 4})
+            for cycle in range(3):
+                # Every shard's IVF_FLAT segments are answered as one run.
+                assert all(IVFFlatIndex.runs(shard.indexes.values()) for shard in collection.shards)
+                collection.search(queries, TOP_K)
+                collection.search(filtered)
+                start = 800 + 100 * cycle
+                rows = slice(start, start + 100)
+                collection.insert(vectors[rows], attributes={"cat": categories[rows]})
+                collection.flush()
+                collection.delete(np.arange(cycle, start, 9, dtype=np.int64))
+            collection.search(queries, TOP_K)
+            collection.search(filtered)
+            uncollected = Counter(
+                type(obj) for obj in gc.get_objects() if type(obj) in set(INDEX_REGISTRY.values())
+            )
+            assert uncollected - baseline == reachable_indexes(collection)
+        finally:
+            gc.enable()
 
 
 class TestCostModelCharges:
