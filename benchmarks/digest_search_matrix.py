@@ -16,11 +16,16 @@ thinner matrix to keep the script short: ``FAMILY_AXES``, permuted ids only.
 ``AUTO_ID_TYPES`` are then hashed once more with auto-assigned ids — for
 IVF_FLAT, whose segments break ties by stored position, that is the layout
 where position and id tie-breaks coincide — in a section of their own after
-every other line, so adding it moved no earlier line.  It prints one digest
+every other line, so adding it moved no earlier line.  A last section,
+``FILTERED_TYPES`` over ``FAMILY_AXES``, hashes filtered requests of the types
+the family's cells leave out (``cat == 1`` under pre, post and auto) and a
+filter no row matches (``cat == CATEGORIES``: every view all-false, answered
+by float64 padding) for all seven types.  It prints one digest
 per cell and a ``TOTAL <index type>`` line over each type's cells; a change
 to a query path that claims bit-identity (the fused scan of a run of
 FLAT-served segments did, the array-walking HNSW search did, the
-tile-at-a-time IVF scoring did, the fused run of IVF_FLAT segments did) must
+tile-at-a-time IVF scoring did, the fused run of IVF_FLAT segments did, one
+``search_run`` per index type did) must
 print the same lines as its parent.  ``digest_search_matrix.expected`` holds
 them, and CI diffs the output against it.
 """
@@ -57,6 +62,9 @@ FAMILY_AXES = ((True,), (1, 70), (1, 10, 1000))
 #: Family members hashed again with auto-assigned ids, after everything else.
 AUTO_ID_TYPES = ("IVF_FLAT",)
 CATEGORIES = 3  # the filtered requests ask for ``cat == 1``: a third of the rows
+#: Types whose ``cat == 1`` requests the last section hashes (the family's
+#: cells above hash theirs); its no-match filter covers every type.
+FILTERED_TYPES = ("FLAT", "HNSW", "AUTOINDEX")
 
 
 def corpus(duplicates: bool, permuted: bool, seed: int = 11):
@@ -99,10 +107,22 @@ def requests(index_type: str, queries: np.ndarray, top_k: int):
                                 filter_strategy=strategy)
 
 
-def digest_index_type(index_type: str, auto_ids: bool = False) -> str:
+def filtered_requests(index_type: str, queries: np.ndarray, top_k: int):
+    """The last section's requests: ``cat == 1`` under every strategy for
+    ``FILTERED_TYPES``, then, for every type, a filter no row matches."""
+    if index_type in FILTERED_TYPES:
+        for strategy in ("pre", "post", "auto"):
+            yield SearchRequest(queries, top_k, filter=AttributeFilter("cat", "eq", 1),
+                                filter_strategy=strategy)
+    yield SearchRequest(queries, top_k, filter=AttributeFilter("cat", "eq", CATEGORIES))
+
+
+def digest_index_type(index_type: str, auto_ids: bool = False, filtered: bool = False) -> str:
     rng = np.random.default_rng(5)
     total = hashlib.sha256()
-    id_layouts, batch_sizes, widths = FAMILY_AXES if index_type in FAMILY else AXES
+    thin = index_type in FAMILY or filtered
+    id_layouts, batch_sizes, widths = FAMILY_AXES if thin else AXES
+    cell_requests = filtered_requests if filtered else requests
     if auto_ids:
         id_layouts = (False,)
     for metric in ("angular", "l2", "ip"):
@@ -117,7 +137,7 @@ def digest_index_type(index_type: str, auto_ids: bool = False) -> str:
                             # Query exactly at stored (duplicated) rows: exact-zero ties.
                             queries[: min(q, 8)] = vectors[:8][: min(q, 8)]
                         for top_k in widths:
-                            for request in requests(index_type, queries, top_k):
+                            for request in cell_requests(index_type, queries, top_k):
                                 result = collection.search(request)
                                 cell.update(np.ascontiguousarray(result.ids).tobytes())
                                 cell.update(str(result.ids.dtype).encode())
@@ -138,6 +158,8 @@ def main() -> None:
         print("TOTAL", index_type, digest_index_type(index_type))
     for index_type in AUTO_ID_TYPES:
         print("TOTAL", index_type, "auto-ids", digest_index_type(index_type, auto_ids=True))
+    for index_type in INDEX_TYPES:
+        print("TOTAL", index_type, "filtered", digest_index_type(index_type, filtered=True))
 
 
 if __name__ == "__main__":

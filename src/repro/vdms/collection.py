@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.vdms.cache import CachedResult, TieredQueryCache, canonical_filter_key, request_cache_key
 from repro.vdms.cost_model import CollectionProfile
-from repro.vdms.distance import MASK_DENSE_SCAN_SELECTIVITY, METRICS
+from repro.vdms.distance import METRICS, masked_scan_mode
 from repro.vdms.durability import (
     CheckpointReport,
     DurabilityManager,
@@ -34,8 +34,6 @@ from repro.vdms.durability import (
 from repro.vdms.errors import DurabilityError, IndexBuildError, IndexNotBuiltError
 from repro.vdms.index import INDEX_REGISTRY, create_index
 from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
-from repro.vdms.index.flat import FlatIndex
-from repro.vdms.index.ivf_flat import IVFFlatIndex
 from repro.vdms.maintenance import MaintenanceReport, MaintenanceWorker
 from repro.vdms.request import (
     AUTO_PRE_FILTER_SELECTIVITY,
@@ -578,12 +576,9 @@ class Collection:
         dropping.  ``"auto"`` resolves per segment via
         :data:`~repro.vdms.request.AUTO_PRE_FILTER_SELECTIVITY`.
 
-        Pre-filter masked exact scans additionally resolve a ``scan_mode``:
-        below :data:`~repro.vdms.distance.MASK_DENSE_SCAN_SELECTIVITY` the
-        allowed rows are gathered before the GEMM (``"select"``), above it
-        the index's cached operand is scanned densely and disallowed
-        columns masked to ``+inf`` (``"dense"``).  Both modes are
-        bit-identical; the crossover is purely a throughput decision.
+        The plan also explains how a pre-filter masked exact scan applies
+        the mask (``scan_mode``, :func:`~repro.vdms.distance.masked_scan_mode`):
+        the scan decides it from the same mask.
         """
         rows = view.index.size
         mask = self._allow_mask(request_filter, view.attributes, rows)
@@ -595,7 +590,6 @@ class Collection:
             resolved = "pre" if selectivity <= AUTO_PRE_FILTER_SELECTIVITY else "post"
         else:
             resolved = strategy
-        scan_mode = "dense" if selectivity >= MASK_DENSE_SCAN_SELECTIVITY else "select"
         return mask, SegmentPlan(
             shard_id=shard_id,
             segment_id=view.segment_id,
@@ -604,7 +598,7 @@ class Collection:
             allowed_rows=allowed,
             live_rows=rows,
             indexed=view.indexed,
-            scan_mode=scan_mode,
+            scan_mode=masked_scan_mode(allowed, rows),
         )
 
     def _plan_snapshots(
@@ -681,7 +675,7 @@ class Collection:
         planned: list[tuple[np.ndarray, SegmentPlan]] | None,
         charge_filter_scan: bool,
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """Top-K over one shard snapshot: per segment, FLAT and IVF_FLAT runs fused.
+        """Top-K over one shard snapshot: one ``search_run`` per index type.
 
         For a filtered request ``plan`` is its resolved plan and ``planned``
         the shard's ``(allow_mask, segment_plan)`` pairs, aligned with
@@ -690,110 +684,42 @@ class Collection:
         the plan tier of the query cache: the predicate was not re-evaluated
         for this request, so no mask-building scan is charged.
 
-        Every view is searched through its index and the candidate lists
-        merged, except for runs (:meth:`_search_run`), each of which hands the
-        merge one candidate list — same ids, distances and counted work:
-
-        * unfiltered, the FLAT-served views (``FlatIndex.runs``) and the
-          views whose index is exactly an ``IVFFlatIndex``
-          (``IVFFlatIndex.runs``);
-        * filtered, the IVF_FLAT views planned ``pre`` whose mask allows a
-          row.  A view planned ``post`` keeps its own search, and so does an
-          all-false one: its padding is float64 ``inf``, which sets the merge
-          dtype.  FLAT-served views of a filtered request stay per segment.
-
-        The quantized IVF types, HNSW and a lone index keep their own search.
+        The views are grouped by the concrete type of their index, in order
+        of first appearance, and each group is answered by its type's
+        :meth:`~repro.vdms.index.base.VectorIndex.search_run` — each member's
+        search and a merge, or the type's fused form, with the same ids,
+        distances and counted work.  A filtered member carries its own
+        allow-mask and planned strategy.  The groups' lists are merged once.
         """
         queries = request.queries
         top_k = request.top_k
         stats = SearchStats(num_queries=queries.shape[0])
-        candidate_ids: list[np.ndarray] = []
-        candidate_distances: list[np.ndarray] = []
-        if planned is None:
-            indexes = [view.index for view in views]
-            runs = [(run, None) for run in FlatIndex.runs(indexes) + IVFFlatIndex.runs(indexes)]
-        else:
-            masks = {
-                id(view.index): mask
-                for view, (mask, segment_plan) in zip(views, planned)
-                if segment_plan.strategy == "pre" and segment_plan.allowed_rows
-            }
-            runs = [
-                (run, [masks[id(index)] for index in run])
-                for run in IVFFlatIndex.runs(view.index for view in views if id(view.index) in masks)
-            ]
-        for run, run_masks in runs:
-            ids, distances, run_stats = self._search_run(run, queries, top_k, run_masks)
-            stats.merge(run_stats)
-            candidate_ids.append(ids)
-            candidate_distances.append(distances)
-        fused = {id(index) for run, _ in runs for index in run}
+        groups: dict[type, tuple[list[VectorIndex], list[dict[str, Any]]]] = {}
         for position, view in enumerate(views):
-            if planned is not None and charge_filter_scan:
-                stats.filter_rows_scanned += view.index.size
-            if id(view.index) in fused:
-                continue
-            if planned is None:
-                ids, distances, segment_stats = view.index.search(queries, top_k)
-            else:
+            run, options = groups.setdefault(type(view.index), ([], []))
+            run.append(view.index)
+            if planned is not None:
                 mask, segment_plan = planned[position]
-                ids, distances, segment_stats = view.index.search(
-                    queries,
-                    top_k,
-                    allow_mask=mask,
-                    strategy=segment_plan.strategy,
-                    overfetch_factor=plan.overfetch_factor,
-                    scan_mode=segment_plan.scan_mode,
+                options.append(
+                    {
+                        "allow_mask": mask,
+                        "strategy": segment_plan.strategy,
+                        "overfetch_factor": plan.overfetch_factor,
+                    }
                 )
-            stats.merge(segment_stats)
-            candidate_ids.append(ids)
-            candidate_distances.append(distances)
-        if not candidate_ids:
+                if charge_filter_scan:
+                    stats.filter_rows_scanned += view.index.size
+        if not groups:
             empty_shape = (queries.shape[0], 0)
             return np.empty(empty_shape, dtype=np.int64), np.empty(empty_shape), stats
-        ids, distances = merge_topk(candidate_ids, candidate_distances, top_k)
-        return ids, distances, stats
-
-    @staticmethod
-    def _search_run(
-        run: list[FlatIndex] | list[IVFFlatIndex],
-        queries: np.ndarray,
-        top_k: int,
-        masks: list[np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
-        """One candidate list for a run of FLAT-served or IVF_FLAT segments.
-
-        ``queries`` are the request's raw rows; ``masks`` (IVF_FLAT runs
-        only) are the views' pre-filter allow-masks.  Bit-identical to
-        searching each index and merging.  Per-pair distances do not depend
-        on how rows are batched (the kernel's determinism contract; an
-        IVF_FLAT run even issues the same products), so when a query's
-        ``top_k`` smallest distances over the run form a unique set, every
-        per-segment top-k contains its share of that set and the (distance,
-        id) merge returns exactly it — the run's winners, which the caller's
-        merge re-orders the same way.  When the boundary is tied (duplicate
-        vectors, zero-snapped pairs) or not a number, the per-segment path
-        keeps tied rows by segment-local position before the merge compares
-        ids, which one select over the whole run cannot reproduce; those
-        queries alone are re-run per segment, from the raw rows (``search``
-        prepares them itself; preparing them twice would move ``angular``
-        bits).  The counted work is the run's either way.
-        """
-        if masks is None:
-            ids, distances, stats, unsettled = run[0].search_run(run, queries, top_k)
-            options = [{}] * len(run)
-        else:
-            ids, distances, stats, unsettled = run[0].search_run(run, queries, top_k, masks)
-            options = [{"allow_mask": mask} for mask in masks]
-        if unsettled.size:
-            tied = queries[unsettled]
-            segment_ids, segment_distances, _ = zip(
-                *(index.search(tied, top_k, **option) for index, option in zip(run, options))
-            )
-            ids[unsettled], distances[unsettled] = merge_topk(
-                segment_ids, segment_distances, top_k
-            )
-        return ids, distances, stats
+        results = [
+            index_type.search_run(run, queries, top_k, None if planned is None else options)
+            for index_type, (run, options) in groups.items()
+        ]
+        found_ids, found_distances, run_stats = zip(*results)
+        for part in run_stats:
+            stats.merge(part)
+        return (*merge_topk(found_ids, found_distances, top_k), stats)
 
     def search(self, queries, top_k: int | None = None, *, use_cache: bool = True) -> SearchResult:
         """Scatter-gather top-K search across every shard.

@@ -56,6 +56,7 @@ __all__ = [
     "METRICS",
     "QueryOperand",
     "ScanOperand",
+    "masked_scan_mode",
     "masked_topk",
     "normalize_rows",
     "pairwise_distances",
@@ -73,10 +74,19 @@ METRICS: tuple[str, ...] = ("l2", "ip", "angular")
 #: full-matrix GEMM over the cached operand with disallowed columns masked
 #: to ``+inf`` afterwards.  Gathering rows costs a copy per scan and forfeits
 #: the cached float64 view; once most rows pass the filter the dense scan is
-#: cheaper despite scoring rows the mask will discard.  Planners thread this
-#: through :class:`repro.vdms.request.SearchPlan` so the decision is visible
-#: in plan explanations.
+#: cheaper despite scoring rows the mask will discard.  The decision is
+#: :func:`masked_scan_mode`'s.
 MASK_DENSE_SCAN_SELECTIVITY = 0.5
+
+
+def masked_scan_mode(allowed: int, rows: int) -> str:
+    """How a masked scan allowing ``allowed`` of ``rows`` rows applies its mask.
+
+    ``"dense"`` at or above :data:`MASK_DENSE_SCAN_SELECTIVITY`, else
+    ``"select"``.  :func:`masked_topk` decides with it, and the planner
+    records the same decision in ``SegmentPlan.scan_mode`` to explain it.
+    """
+    return "dense" if rows and allowed / rows >= MASK_DENSE_SCAN_SELECTIVITY else "select"
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -202,7 +212,7 @@ def _as_operand(vectors: np.ndarray | ScanOperand, metric: str) -> ScanOperand:
 def _prepare_queries(queries: np.ndarray, metric: str) -> np.ndarray:
     """Query-side pre-processing every kernel applies on entry.
 
-    The callers above the kernels (``VectorIndex.search``, the
+    The callers above the kernels (``VectorIndex.search``, the fused
     ``search_run`` of ``FlatIndex`` and ``IVFFlatIndex``) hand in queries
     that :func:`prepare_vectors` has already normalized for ``angular``, so
     this normalizes them a second time.  The second pass is kept on purpose: re-normalizing a unit-norm
@@ -546,7 +556,9 @@ def scan_topk(
     returns these same rows.  Where it is ``False`` — the boundary distance
     is tied with an unselected row, or is not a number — which tied rows a
     split-and-merge keeps depends on the split, and a caller that must
-    reproduce one (``Collection._search_run``) re-runs that query split.
+    reproduce one (a fused ``search_run``, see
+    :meth:`repro.vdms.index.base.VectorIndex.search_run`) re-runs that query
+    split.
     """
     if metric not in METRICS:
         raise ValueError(f"unsupported metric {metric!r}")
@@ -576,7 +588,6 @@ def masked_topk(
     metric: str,
     *,
     scan_mode: str | None = None,
-    dense_crossover: float = MASK_DENSE_SCAN_SELECTIVITY,
 ) -> tuple[np.ndarray, np.ndarray, str]:
     """Masked exact scan: top-k among the rows ``allow_mask`` permits.
 
@@ -588,8 +599,8 @@ def masked_topk(
     and ``allowed_positions`` ascend, so position tie-breaks coincide —
     and the chosen mode is returned for stats/plan explanation.
 
-    ``scan_mode`` forces ``"select"``/``"dense"`` (planners thread the
-    decision through ``SearchPlan``); ``None`` decides from the mask.
+    ``scan_mode`` forces ``"select"``/``"dense"``; ``None`` decides from
+    the mask (:func:`masked_scan_mode`).
     """
     operand = _as_operand(operand, metric)
     allow_mask = np.asarray(allow_mask, dtype=bool)
@@ -599,8 +610,7 @@ def masked_topk(
         empty = np.empty((queries.shape[0], 0))
         return empty.astype(np.int64), empty.astype(np.float32), "select"
     if scan_mode is None:
-        selectivity = allowed_positions.size / max(1, allow_mask.size)
-        scan_mode = "dense" if selectivity >= dense_crossover else "select"
+        scan_mode = masked_scan_mode(allowed_positions.size, allow_mask.size)
     if scan_mode == "select":
         distances = pairwise_distances(queries, operand.take(allowed_positions), metric)
         local_positions, ordered = top_k_select(distances, top_k)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field, fields
-from typing import Any
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
@@ -143,6 +143,26 @@ def pad_to_top_k(
     return ids.astype(np.int64, copy=False), distances
 
 
+def merge_results(
+    results: Sequence[tuple[np.ndarray, np.ndarray, SearchStats]], top_k: int
+) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+    """One ``(ids, distances, stats)`` result from several over disjoint rows.
+
+    A single result is returned as it is; several are merged by
+    :func:`~repro.vdms.sharding.merge_topk` and their counted work folded.
+    """
+    if len(results) == 1:
+        return results[0]
+    # Imported here: the sharding module imports this one.
+    from repro.vdms.sharding import merge_topk
+
+    found_ids, found_distances, parts = zip(*results)
+    stats = SearchStats()
+    for part in parts:
+        stats.merge(part)
+    return (*merge_topk(found_ids, found_distances, top_k), stats)
+
+
 class VectorIndex(ABC):
     """Abstract base class for all ANN indexes.
 
@@ -228,7 +248,6 @@ class VectorIndex(ABC):
         allow_mask: np.ndarray | None = None,
         strategy: str = "pre",
         overfetch_factor: float = 2.0,
-        scan_mode: str | None = None,
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Search the index, optionally restricted to an allowed-row mask.
 
@@ -253,14 +272,6 @@ class VectorIndex(ABC):
             the index is exhausted.
         overfetch_factor:
             Initial over-fetch multiplier of the ``"post"`` strategy.
-        scan_mode:
-            Masked-exact-scan mode for ``"pre"`` execution: ``"select"``
-            gathers the allowed rows before the GEMM, ``"dense"`` scans the
-            cached operand and masks afterwards.  ``None`` (default) decides
-            from the mask's selectivity; planners thread the resolved mode
-            through :class:`repro.vdms.request.SegmentPlan`.  Ignored by
-            index types whose filtered candidate generation does not use the
-            masked exact scan (the IVF family).
 
         Returns ``(ids, distances, stats)`` where ``ids`` has shape
         ``(q, top_k)``.
@@ -282,9 +293,7 @@ class VectorIndex(ABC):
                 distances = np.full((queries.shape[0], top_k), np.inf)
                 stats = SearchStats(segments_searched=int(queries.shape[0]))
             elif strategy == "pre":
-                positions, distances, stats = self._search_filtered(
-                    queries, top_k, allow_mask, scan_mode=scan_mode
-                )
+                positions, distances, stats = self._search_filtered(queries, top_k, allow_mask)
             else:
                 positions, distances, stats = self._search_postfiltered(
                     queries, top_k, allow_mask, overfetch_factor
@@ -307,21 +316,57 @@ class VectorIndex(ABC):
             raise ValueError("top_k must be positive")
         return queries, top_k
 
+    # -- runs: a shard's segments of one index type, answered together ----------
+
+    @classmethod
+    def search_run(
+        cls,
+        run: Sequence["VectorIndex"],
+        queries: np.ndarray,
+        top_k: int,
+        options: Sequence[Mapping[str, Any]] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+        """Top-k over a *run* of indexes: one shard's segments of one index type.
+
+        ``queries`` are raw rows; ``options`` holds one :meth:`search` keyword
+        dict per member (``allow_mask``, ``strategy``, ``overfetch_factor``),
+        ``None`` searches unfiltered.  Returns ``(ids, distances, stats)``
+        like :meth:`search`, over all the run's rows.  Here each member is
+        searched and the lists merged (a run of one is its member's search);
+        an index type with a fused form overrides this and hands back here
+        whatever it does not fuse.
+
+        A fused form must be bit-identical to this.  Per-pair distances do
+        not depend on how rows are batched (the kernel's determinism
+        contract), so when a query's ``top_k`` smallest distances over the run
+        form a unique set, every member's top-k contains its share of that
+        set and the (distance, id) merge returns exactly it — what one select
+        over the whole run returns.  When the boundary is tied (duplicate
+        vectors, zero-snapped pairs) or not a number, each member keeps tied
+        rows by its own stored position before the merge compares ids, which
+        one select over the whole run cannot reproduce; a fused form re-runs
+        those queries alone through this method, from the raw rows
+        (:meth:`search` prepares them itself; preparing them twice would move
+        ``angular`` bits).  The counted work stays the fused form's.
+        """
+        if options is None:
+            options = [{}] * len(run)
+        return merge_results(
+            [index.search(queries, top_k, **option) for index, option in zip(run, options)], top_k
+        )
+
     # -- filtered execution ------------------------------------------------------
 
     def _search_filtered(
-        self,
-        queries: np.ndarray,
-        top_k: int,
-        allow_mask: np.ndarray,
-        scan_mode: str | None = None,
+        self, queries: np.ndarray, top_k: int, allow_mask: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Pre-filter execution: a masked exact scan over the allowed rows.
 
         Delegates to :func:`repro.vdms.distance.masked_topk`: below the
-        selectivity crossover the allowed rows are gathered before the GEMM,
-        above it the scan goes dense over the cached operand (bit-identical
-        either way).  Charged work is one full-precision distance per
+        selectivity crossover (:func:`~repro.vdms.distance.masked_scan_mode`,
+        the decision the planner explains) the allowed rows are gathered
+        before the GEMM, above it the scan goes dense over the cached operand
+        (bit-identical either way).  Charged work is one full-precision distance per
         (query, allowed row) in both modes — the dense mode's extra scored
         rows are an implementation detail of the same logical masked scan,
         not extra logical work, so counted-work accounting stays independent
@@ -329,9 +374,7 @@ class VectorIndex(ABC):
         filtered directly (the IVF family) override this with a cheaper
         filtered candidate scan.
         """
-        positions, ordered, _ = masked_topk(
-            queries, self._operand, allow_mask, top_k, self.metric, scan_mode=scan_mode
-        )
+        positions, ordered, _ = masked_topk(queries, self._operand, allow_mask, top_k, self.metric)
         stats = SearchStats(
             distance_evaluations=int(queries.shape[0]) * int(np.count_nonzero(allow_mask)),
             segments_searched=int(queries.shape[0]),

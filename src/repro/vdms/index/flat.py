@@ -6,12 +6,12 @@ Recall is always 1.0; search cost grows linearly with the collection size.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
 from repro.vdms.distance import MAX_RUN_ROWS, ScanOperand, prepare_vectors, scan_topk
-from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex, pad_to_top_k
+from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex, merge_results, pad_to_top_k
 
 __all__ = ["FlatIndex"]
 
@@ -56,58 +56,72 @@ class FlatIndex(VectorIndex):
 
     # -- runs: several FLAT-served segments answered by one scan ----------------
 
-    @staticmethod
-    def runs(indexes: Iterable[VectorIndex]) -> list[list["FlatIndex"]]:
-        """The runs of FLAT-served indexes among ``indexes`` worth one fused scan.
-
-        Only an index that is exactly a :class:`FlatIndex` qualifies — built
-        FLAT segments and the :meth:`over` indexes serving growing, freshly
-        sealed and delete-invalidated ones.  A run spans at most
-        :data:`~repro.vdms.distance.MAX_RUN_ROWS` rows (it is cut there) and
-        at least two indexes: a lone index is served by its own
-        :meth:`search`, the same kernel over one operand.
-        """
-        runs: list[list[FlatIndex]] = [[]]
-        rows = 0
-        for index in indexes:
-            if type(index) is not FlatIndex:
-                continue
-            if runs[-1] and rows + index.size > MAX_RUN_ROWS:
-                runs.append([])
-                rows = 0
-            runs[-1].append(index)
-            rows += index.size
-        return [run for run in runs if len(run) > 1]
-
-    @staticmethod
+    @classmethod
     def search_run(
-        run: Sequence["FlatIndex"], queries: np.ndarray, top_k: int
-    ) -> tuple[np.ndarray, np.ndarray, SearchStats, np.ndarray]:
-        """Unfiltered top-k over a run of indexes of one metric in one fused scan.
+        cls,
+        run: Sequence[VectorIndex],
+        queries: np.ndarray,
+        top_k: int,
+        options: Sequence[Mapping[str, Any]] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+        """Unfiltered, the run's rows in as few fused scans as the row cap allows.
 
-        Returns ``(ids, distances, stats, unsettled)`` shaped like
-        :meth:`search`'s result over all the run's rows.  Queries are
-        prepared, cast and normed once, one blocked scan fills one float32
-        row per query across every segment, one ``top_k_select`` picks the
-        winners.  ``stats`` charges exactly what searching each index would
-        have: ``q × Σrows`` distance evaluations, ``q × len(run)`` segments.
-
-        ``unsettled`` lists the queries whose boundary distance is tied (see
-        :func:`~repro.vdms.distance.scan_topk`): their rows here are a valid
-        top-k, but not necessarily the one a per-index search + merge keeps.
+        See :meth:`VectorIndex.search_run`.  Only a run of exact
+        :class:`FlatIndex` members is fused — built FLAT segments and the
+        :meth:`over` indexes serving growing, freshly sealed and
+        delete-invalidated ones — and only unfiltered; a filtered run goes to
+        the base.  The run is cut into pieces of at most
+        :data:`~repro.vdms.distance.MAX_RUN_ROWS` rows, each piece answered by
+        :meth:`_scan_piece`, and the pieces' lists merged.
         """
-        queries, top_k = run[0]._checked_request(queries, top_k)
+        if cls is not FlatIndex or options is not None:
+            return super().search_run(run, queries, top_k, options)
+        pieces: list[list[FlatIndex]] = [[]]
+        rows = 0
+        for index in run:
+            if pieces[-1] and rows + index.size > MAX_RUN_ROWS:
+                pieces.append([])
+                rows = 0
+            pieces[-1].append(index)
+            rows += index.size
+        return merge_results([cls._scan_piece(piece, queries, top_k) for piece in pieces], top_k)
+
+    @staticmethod
+    def _scan_piece(
+        piece: Sequence["FlatIndex"], queries: np.ndarray, top_k: int
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+        """Unfiltered top-k over a piece of a run in one fused scan.
+
+        A piece of one index is its :meth:`search`, the same kernel over one
+        operand.  Otherwise queries are prepared, cast and normed once, one
+        blocked scan fills one float32 row per query across every segment,
+        one ``top_k_select`` picks the winners.  ``stats`` charges exactly
+        what searching each index would have: ``q × Σrows`` distance
+        evaluations, ``q × len(piece)`` segments.  A query whose boundary
+        distance is tied (see :func:`~repro.vdms.distance.scan_topk`) is
+        re-run through the base :meth:`VectorIndex.search_run`.
+        """
+        if len(piece) == 1:
+            return piece[0].search(queries, top_k)
+        prepared, top_k = piece[0]._checked_request(queries, top_k)
         positions, distances, settled = scan_topk(
-            queries, [index._operand for index in run], top_k, run[0].metric
+            prepared, [index._operand for index in piece], top_k, piece[0].metric
         )
-        ids = np.concatenate([index._ids for index in run])[positions]
-        num_queries = int(queries.shape[0])
+        ids, distances = pad_to_top_k(
+            np.concatenate([index._ids for index in piece])[positions], distances, top_k
+        )
+        num_queries = int(prepared.shape[0])
         stats = SearchStats(
             num_queries=num_queries,
-            distance_evaluations=num_queries * sum(index.size for index in run),
-            segments_searched=num_queries * len(run),
+            distance_evaluations=num_queries * sum(index.size for index in piece),
+            segments_searched=num_queries * len(piece),
         )
-        return (*pad_to_top_k(ids, distances, top_k), stats, np.flatnonzero(~settled))
+        unsettled = np.flatnonzero(~settled)
+        if unsettled.size:
+            ids[unsettled], distances[unsettled], _ = VectorIndex.search_run(
+                piece, queries[unsettled], top_k
+            )
+        return ids, distances, stats
 
     def memory_bytes(self) -> int:
         # The flat index stores nothing beyond the raw vectors.

@@ -8,16 +8,17 @@ The lists are one cluster-major array of stored positions, a probe yields the
 candidates of the whole batch as one flat array, and they are scored a *tile*
 of consecutive whole queries at a time, so a segment search pays its gather,
 its finish and its select per tile, not per query.  This class drives the
-tiles for the whole family; a subclass supplies how a tile is scored.  Several
-IVF_FLAT segments of a shard are also searched as one *run*
-(:meth:`IVFFlatIndex.search_run`): a tile then unites every segment's
+tiles for the whole family; a subclass supplies how a tile is scored.  A
+shard's IVF_FLAT segments are also searched as one *run*
+(:meth:`IVFFlatIndex.search_run`, this type's override of the protocol every
+index type answers a shard through): a tile then unites every segment's
 candidates of its queries under one finish and one select.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from repro.vdms.distance import (
     ScanOperand,
     nonempty_spans,
 )
-from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
+from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex, merge_results
 from repro.vdms.index.kmeans import kmeans
 
 __all__ = ["IVFFlatIndex"]
@@ -290,7 +291,7 @@ class IVFFlatIndex(VectorIndex):
         return score_tile
 
     def _search_filtered(
-        self, queries: np.ndarray, top_k: int, allow_mask: np.ndarray, scan_mode: str | None = None
+        self, queries: np.ndarray, top_k: int, allow_mask: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Pre-filter via filtered candidate generation.
 
@@ -303,51 +304,69 @@ class IVFFlatIndex(VectorIndex):
 
     # -- runs: a shard's IVF_FLAT segments answered as one --------------------
 
-    @staticmethod
-    def runs(indexes: Iterable[VectorIndex]) -> list[list["IVFFlatIndex"]]:
-        """The run of IVF_FLAT indexes among ``indexes`` worth one fused search.
-
-        Only an index that is exactly an :class:`IVFFlatIndex` qualifies: the
-        quantized subclasses' products and selects depend on the arrays they
-        are handed (see :func:`partition_select`), so they stay per segment.
-        A run needs at least two indexes — a lone one is served by its own
-        :meth:`search` — and no row cap: its scratch is bounded per tile.
-        """
-        run = [index for index in indexes if type(index) is IVFFlatIndex]
-        return [run] if len(run) > 1 else []
-
-    @staticmethod
+    @classmethod
     def search_run(
+        cls,
+        run: Sequence[VectorIndex],
+        queries: np.ndarray,
+        top_k: int,
+        options: Sequence[Mapping[str, Any]] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+        """The run's unfiltered and allowing pre-filtered members as one candidate list.
+
+        See :meth:`VectorIndex.search_run`.  Only a run of exact
+        :class:`IVFFlatIndex` members is fused: the quantized subclasses'
+        products and selects depend on the arrays they are handed (see
+        :func:`partition_select`), so they inherit this method and go to the
+        base.  Of an IVF_FLAT run, the members searched unfiltered or ``pre``
+        with a mask allowing some row are fused by :meth:`_fuse` when there
+        are at least two of them.  A member planned ``post`` goes to the base,
+        and so does an all-false one: its padding is float64 ``inf``, which
+        sets the merge dtype.  The two lists are merged.
+        """
+        if options is None:
+            options = [{}] * len(run)
+        fusable = [
+            option.get("allow_mask") is None
+            or (option.get("strategy", "pre") == "pre" and option["allow_mask"].any())
+            for option in options
+        ]
+        if cls is not IVFFlatIndex or sum(fusable) < 2:
+            return super().search_run(run, queries, top_k, options)
+        fused = [number for number, fuse in enumerate(fusable) if fuse]
+        rest = [number for number, fuse in enumerate(fusable) if not fuse]
+        results = [cls._fuse([run[n] for n in fused], queries, top_k, [options[n] for n in fused])]
+        if rest:
+            rest_run, rest_options = [run[n] for n in rest], [options[n] for n in rest]
+            results.append(super().search_run(rest_run, queries, top_k, rest_options))
+        return merge_results(results, top_k)
+
+    @staticmethod
+    def _fuse(
         run: Sequence["IVFFlatIndex"],
         queries: np.ndarray,
         top_k: int,
-        masks: Sequence[np.ndarray] | None = None,
-    ) -> tuple[np.ndarray, np.ndarray, SearchStats, np.ndarray]:
+        options: Sequence[Mapping[str, Any]],
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Top-k over a run of IVF_FLAT indexes of one metric, as one candidate list.
 
-        Returns ``(ids, distances, stats, unsettled)`` like
-        :meth:`repro.vdms.index.flat.FlatIndex.search_run`; ``masks``, one
-        allow-mask per index and each allowing some row, makes it the
-        pre-filtered search.  The queries are prepared once and each index
-        probes the whole batch with its own ``nprobe`` — the coarse scan its
-        own search makes.  Then, per block of ``DEFAULT_QUERY_BLOCK``
-        queries, each index lists its candidates, and a tile of whole queries
-        (at least one, at most ``4 × DEFAULT_ROW_BLOCK`` candidates over the
-        run) is scored as one union: one finish and one select in (distance,
-        run position) order, the run position being an index's offset in the
-        run plus the stored position.  ``stats`` charges exactly what
-        searching each index would have.
-
-        ``unsettled`` lists the queries whose boundary distance is tied or not
-        a number (see :func:`~repro.vdms.distance.scan_topk`): their rows here
-        are a valid top-k, but not necessarily the one a per-index search +
-        merge keeps.
+        ``options`` carry each index's allow-mask (``None`` unfiltered).  The
+        queries are prepared once and each index probes the whole batch with
+        its own ``nprobe`` — the coarse scan its own search makes.  Then, per
+        block of ``DEFAULT_QUERY_BLOCK`` queries, each index lists its
+        candidates, and a tile of whole queries (at least one, at most
+        ``4 × DEFAULT_ROW_BLOCK`` candidates over the run) is scored as one
+        union: one finish and one select in (distance, run position) order,
+        the run position being an index's offset in the run plus the stored
+        position.  ``stats`` charges exactly what searching each index would
+        have.  A query whose boundary distance is tied or not a number (see
+        :func:`~repro.vdms.distance.scan_topk`) is re-run through the base
+        :meth:`VectorIndex.search_run`.
         """
-        queries, top_k = run[0]._checked_request(queries, top_k)
-        num_queries = int(queries.shape[0])
-        query_side = QueryOperand(queries, run[0].metric)
-        if masks is None:
-            masks = [None] * len(run)
+        prepared, top_k = run[0]._checked_request(queries, top_k)
+        num_queries = int(prepared.shape[0])
+        query_side = QueryOperand(prepared, run[0].metric)
+        masks = [option.get("allow_mask") for option in options]
         # Copied: a probe is a view of the whole (q, nlist) partition.
         probes = [np.ascontiguousarray(index._probe(query_side)) for index in run]
         offsets = np.cumsum([0] + [index.size for index in run])[:-1].tolist()
@@ -378,7 +397,12 @@ class IVFFlatIndex(VectorIndex):
                     settled[tile] = _settled(scores, cuts, distances[tile], top_k)
         ids = np.concatenate([index._ids for index in run])[positions]
         ids[positions < 0] = -1
-        return ids, distances, stats, np.flatnonzero(~settled)
+        unsettled = np.flatnonzero(~settled)
+        if unsettled.size:
+            ids[unsettled], distances[unsettled], _ = VectorIndex.search_run(
+                run, queries[unsettled], top_k, options
+            )
+        return ids, distances, stats
 
     def memory_bytes(self) -> int:
         if self._centroids is None:

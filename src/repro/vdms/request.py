@@ -51,7 +51,6 @@ if TYPE_CHECKING:
 __all__ = [
     "ATTRIBUTE_MISSING",
     "AUTO_PRE_FILTER_SELECTIVITY",
-    "MASK_DENSE_SCAN_SELECTIVITY",
     "FILTER_STRATEGIES",
     "AttributeFilter",
     "SearchRequest",
@@ -75,13 +74,6 @@ FILTER_STRATEGIES: tuple[str, ...] = ("auto", "pre", "post")
 #: through most of the segment anyway.  Above it the index's sub-linear
 #: candidate generation wins and dropping a few candidates is cheap.
 AUTO_PRE_FILTER_SELECTIVITY = 0.2
-
-# Crossover above which a pre-filter masked exact scan goes dense (scan the
-# cached operand, mask to +inf) instead of gathering the allowed rows first.
-# Defined by the kernel layer; re-exported here because the planner resolves
-# it per segment into SegmentPlan.scan_mode and threads the threshold
-# through SearchPlan for explanation.
-from repro.vdms.distance import MASK_DENSE_SCAN_SELECTIVITY  # noqa: E402
 
 #: Comparison operators accepted by :class:`AttributeFilter`.
 _FILTER_OPS: tuple[str, ...] = ("eq", "ne", "lt", "le", "gt", "ge", "in", "range")
@@ -278,9 +270,10 @@ class SegmentPlan:
         How a ``"pre"`` masked exact scan applies the mask: ``"select"``
         gathers the allowed rows (``np.flatnonzero`` + index-select) before
         the GEMM, ``"dense"`` scans the segment's cached operand and masks
-        the disallowed columns to ``+inf`` afterwards.  Resolved from the
-        selectivity against :data:`MASK_DENSE_SCAN_SELECTIVITY`; both modes
-        are bit-identical, this is purely a throughput decision.
+        the disallowed columns to ``+inf`` afterwards.  The plan's
+        explanation of the decision the scan itself makes
+        (:func:`repro.vdms.distance.masked_scan_mode`); both modes are
+        bit-identical, this is purely a throughput decision.
     """
 
     shard_id: int
@@ -307,25 +300,11 @@ class SearchPlan:
     segments:
         One :class:`SegmentPlan` per live segment, in (shard, segment)
         order.
-    dense_crossover:
-        The mask-selectivity threshold at which pre-filter masked scans
-        switch from index-select to a dense scan over the cached operand
-        (see :class:`SegmentPlan`'s ``scan_mode``).
     """
 
     strategy: str
     overfetch_factor: float
     segments: tuple[SegmentPlan, ...] = ()
-    dense_crossover: float = MASK_DENSE_SCAN_SELECTIVITY
-
-    @property
-    def dense_scan_segments(self) -> int:
-        """Pre-filter segments planned for a dense masked scan."""
-        return sum(
-            1
-            for segment in self.segments
-            if segment.strategy == "pre" and segment.scan_mode == "dense"
-        )
 
     @property
     def pre_segments(self) -> int:

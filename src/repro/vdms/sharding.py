@@ -166,8 +166,8 @@ class SegmentView(NamedTuple):
     one (``indexed``), otherwise the segment's cached exact
     :class:`~repro.vdms.index.flat.FlatIndex` over its live rows — growing
     segments, sealed segments whose index was invalidated by deletes, and
-    segments sealed since the last build.  Either way the search path only
-    ever calls ``index.search``.  ``attributes`` are the segment's live
+    segments sealed since the last build.  Either way the search path reaches
+    it through its type's ``search_run``.  ``attributes`` are the segment's live
     attribute columns, row-aligned with the index's stored positions (an
     index is always built over the segment's current live rows — deletes
     drop it), which is what lets the query planner evaluate attribute

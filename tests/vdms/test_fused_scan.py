@@ -1,7 +1,8 @@
 """A run of FLAT-served segments is one scan — and nobody can tell.
 
-``Collection._search_snapshot`` answers the FLAT-served views of an
-unfiltered request with one fused scan per run instead of one search per
+``Collection._search_snapshot`` hands a shard's FLAT-served views to
+``FlatIndex.search_run``, which answers an unfiltered request with one fused
+scan per piece of at most ``MAX_RUN_ROWS`` rows instead of one search per
 segment.  The contract is bit-identity with the per-segment path, so every
 test here compares against a reference assembled *in the test* from
 ``view.index.search`` + ``merge_topk`` — the per-segment path spelled out,
@@ -14,7 +15,8 @@ which is also exactly what the tie fallback runs:
 - a tie at the selection boundary that straddles segments is answered by
   the per-segment fallback, with the per-segment path's tie-break;
 - quantized IVF views keep the per-segment loop beside a fused run (runs of
-  IVF_FLAT views are pinned in ``tests/vdms/test_ivf.py``);
+  IVF_FLAT views are pinned in ``tests/vdms/test_ivf.py``, the protocol over
+  every index type in ``tests/vdms/test_search_run.py``);
 - a filtered request never enters the fused scan;
 - the kernel underneath (``scan_topk`` over a sequence of operands) equals
   per-operand scans laid side by side, across scratch-tile boundaries.
@@ -31,6 +33,7 @@ from repro.vdms import AttributeFilter, Collection, SearchRequest, SystemConfig
 from repro.vdms.distance import (
     DEFAULT_QUERY_BLOCK,
     DEFAULT_ROW_BLOCK,
+    MAX_RUN_ROWS,
     METRICS,
     ScanOperand,
     pairwise_distances,
@@ -71,6 +74,25 @@ def per_segment_reference(collection: Collection, queries: np.ndarray, top_k: in
     for stats in shard_stats:
         total.merge(stats)
     return ids, distances, total, shard_stats
+
+
+def assert_one_piece(views) -> None:
+    """Every view is FLAT-served and one fused scan covers them all."""
+    assert all(type(view.index) is FlatIndex for view in views)
+    assert sum(view.index.size for view in views) <= MAX_RUN_ROWS
+
+
+def recording_pieces(monkeypatch) -> list[list[int]]:
+    """Records the sizes of the indexes of every piece ``FlatIndex`` scans."""
+    pieces: list[list[int]] = []
+    scan_piece = FlatIndex._scan_piece
+
+    def recording_scan_piece(piece, queries, top_k):
+        pieces.append([index.size for index in piece])
+        return scan_piece(piece, queries, top_k)
+
+    monkeypatch.setattr(FlatIndex, "_scan_piece", staticmethod(recording_scan_piece))
+    return pieces
 
 
 def assert_same_as_reference(collection: Collection, queries: np.ndarray, top_k: int, label=""):
@@ -122,7 +144,8 @@ def test_fused_runs_are_bit_identical_to_the_per_segment_path(
     assert any(shard.segments.growing_segments for shard in collection.shards), "no growing tail"
     for shard in collection.shards:
         views = shard.snapshot(metric)
-        assert sum(map(len, FlatIndex.runs(view.index for view in views))) == len(views) > 2
+        assert len(views) > 2
+        assert_one_piece(views)
 
     rng = np.random.default_rng(5)
     for q in (1, 33, DEFAULT_QUERY_BLOCK + 6):
@@ -154,7 +177,7 @@ def tied_collection(ids_by_segment: list[list[int]]) -> tuple[Collection, np.nda
     collection.flush()
     collection.create_index("FLAT", {})
     views = collection.shards[0].snapshot("l2")
-    assert [len(run) for run in FlatIndex.runs(view.index for view in views)] == [len(views)]
+    assert_one_piece(views)
     assert len(views) >= len(ids_by_segment)
     return collection, target
 
@@ -222,7 +245,6 @@ def test_ivf_views_keep_the_per_segment_loop_beside_a_fused_run(monkeypatch):
     flat_served = [view for view in views if type(view.index) is FlatIndex]
     assert len(flat_served) == 2 and not any(view.indexed for view in flat_served)
     assert len(views) - len(flat_served) >= 10
-    assert [len(run) for run in FlatIndex.runs(view.index for view in views)] == [2]
 
     searched: list[str] = []
     for cls in {type(view.index) for view in views}:
@@ -250,14 +272,7 @@ def test_filtered_request_never_takes_the_fused_path(monkeypatch):
     collection.insert(vectors, attributes={"parity": (np.arange(400) % 2).astype(np.int64)})
     collection.flush()
     collection.create_index("FLAT", {})
-    fused_calls: list[int] = []
-    search_run = FlatIndex.search_run
-
-    def counting_search_run(run, queries, top_k):
-        fused_calls.append(len(run))
-        return search_run(run, queries, top_k)
-
-    monkeypatch.setattr(FlatIndex, "search_run", staticmethod(counting_search_run))
+    fused_calls = recording_pieces(monkeypatch)
     queries = rng.normal(size=(4, DIMENSION)).astype(np.float32)
     for strategy in ("pre", "post", "auto"):
         request = SearchRequest(
@@ -267,21 +282,24 @@ def test_filtered_request_never_takes_the_fused_path(monkeypatch):
         assert (result.ids % 2 == 1).all()
     assert fused_calls == []
     collection.search(queries, 5)  # the control: unfiltered, the same snapshot does fuse
-    assert len(fused_calls) == 1 and fused_calls[0] > 2
+    assert len(fused_calls) == 1 and len(fused_calls[0]) > 2
 
 
 def test_a_run_is_cut_at_the_row_cap(monkeypatch):
     collection, _ = mixed_state_collection("l2", 1, True, True)
     views = collection.shards[0].snapshot("l2")
     queries = np.random.default_rng(6).normal(size=(7, DIMENSION)).astype(np.float32)
-    # 25-row segments: a cap of 60 pairs them up (13 runs cover every view), a
-    # cap of 40 leaves each full segment to its own search beside two short runs.
+    # 25-row segments: a cap of 60 pairs them up (13 fused pieces cover every
+    # view), a cap of 40 leaves each full segment to its own search beside two
+    # short fused pieces.
     for cap, every_view_fused in ((60, True), (40, False)):
         monkeypatch.setattr("repro.vdms.index.flat.MAX_RUN_ROWS", cap)
-        runs = FlatIndex.runs(view.index for view in views)
-        assert len(runs) > 1
-        assert all(len(run) > 1 and sum(index.size for index in run) <= cap for run in runs)
-        assert (sum(map(len, runs)) == len(views)) is every_view_fused
+        pieces = recording_pieces(monkeypatch)
+        collection.search(queries, 10, use_cache=False)
+        assert len(pieces) > 1 and sum(map(len, pieces)) == len(views)
+        assert all(len(piece) == 1 or sum(piece) <= cap for piece in pieces)
+        assert sum(len(piece) > 1 for piece in pieces) > 1
+        assert all(len(piece) > 1 for piece in pieces) is every_view_fused
         for top_k in (1, 10, ROWS):
             assert_same_as_reference(collection, queries, top_k, f"cap={cap} k={top_k}")
 

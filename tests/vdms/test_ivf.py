@@ -70,7 +70,7 @@ class SeedIVFFlat(IVFFlatIndex):
         candidates, stats = self._probed_candidates(queries, self.nprobe)
         return self._score_candidates(queries, candidates, top_k, stats)
 
-    def _search_filtered(self, queries, top_k, allow_mask, scan_mode=None):
+    def _search_filtered(self, queries, top_k, allow_mask):
         candidates, stats = self._probed_candidates(queries, self.nprobe)
         filtered = [
             candidate_positions[allow_mask[candidate_positions]]
@@ -511,18 +511,18 @@ class CountingSearch:
     def __init__(self, monkeypatch):
         self.searched = []
         self.runs = []
-        search, search_run = IVFFlatIndex.search, IVFFlatIndex.search_run
+        search, fuse = IVFFlatIndex.search, IVFFlatIndex._fuse
 
         def counting_search(index, queries, top_k, **options):
             self.searched.append(int(np.asarray(queries).shape[0]))
             return search(index, queries, top_k, **options)
 
-        def counting_search_run(run, queries, top_k, masks=None):
+        def counting_fuse(run, *args):
             self.runs.append(len(run))
-            return search_run(run, queries, top_k, masks)
+            return fuse(run, *args)
 
         monkeypatch.setattr(IVFFlatIndex, "search", counting_search)
-        monkeypatch.setattr(IVFFlatIndex, "search_run", staticmethod(counting_search_run))
+        monkeypatch.setattr(IVFFlatIndex, "_fuse", staticmethod(counting_fuse))
 
 
 class TestRuns:
@@ -603,21 +603,31 @@ class TestRuns:
         monkeypatch.undo()
         assert_same_as_per_index(run, queries, 1)
 
-    def test_only_exact_ivf_flat_indexes_form_a_run(self):
-        run, _ = build_run("l2", 3)
-        sq8 = create_index("IVF_SQ8", metric="l2", nlist=4)
-        sq8.build(np.ones((8, RUN_DIMENSION), dtype=np.float32))
-        flat = FlatIndex(metric="l2")
-        flat.build(np.ones((8, RUN_DIMENSION), dtype=np.float32))
-        assert IVFFlatIndex.runs([run[0], sq8, flat, run[1], run[2]]) == [run]
-        assert IVFFlatIndex.runs([run[0], sq8, flat]) == []
+    def test_only_exact_ivf_flat_indexes_form_a_run(self, monkeypatch):
+        run, vectors = build_run("l2", 3)
+        others = []
+        for number, index in enumerate(
+            [create_index("IVF_SQ8", metric="l2", nlist=4), FlatIndex(metric="l2"),
+             create_index("IVF_SQ8", metric="l2", nlist=4)]
+        ):
+            index.build(vectors[number * 8 : number * 8 + 8], np.arange(8) + 1000 * (number + 1))
+            others.append(index)
+        mixed = [run[0], others[0], others[1], run[1], others[2], run[2]]
+        queries = run_queries(vectors, 8)
+        counting = CountingSearch(monkeypatch)
+        snapshot_search(mixed, queries, 10)
+        snapshot_search([run[0], others[0], others[1]], queries, 10)
+        IVFSQ8Index.search_run([others[0], others[2]], queries, 10)
+        assert counting.runs == [3]
+        monkeypatch.undo()
+        assert_same_as_per_index(mixed, queries, 10)
 
     def test_empty_batch(self):
         run, _ = build_run("l2", 3)
-        ids, distances, stats, unsettled = IVFFlatIndex.search_run(
+        ids, distances, stats = IVFFlatIndex.search_run(
             run, np.empty((0, RUN_DIMENSION), dtype=np.float32), 5
         )
-        assert ids.shape == distances.shape == (0, 5) and unsettled.size == 0
+        assert ids.shape == distances.shape == (0, 5)
         assert stats.total_work() == 0
 
 
@@ -628,13 +638,14 @@ class TestConcurrency:
         before = [dict(vars(index)) for index in run]
         allow, _ = run_masks(run, "90%")
         allow[1][0] = True  # every view allows a row: all six are in the run
+        options = [{"allow_mask": mask} for mask in allow]
         batches = [run_queries(vectors, 5 + slot, seed=slot) for slot in range(6)]
-        serial = [IVFFlatIndex.search_run(run, batch, 10, allow) for batch in batches]
+        serial = [IVFFlatIndex.search_run(run, batch, 10, options) for batch in batches]
         concurrent = [None] * len(batches)
 
         def worker(slot):
             for _ in range(5):
-                concurrent[slot] = IVFFlatIndex.search_run(run, batches[slot], 10, allow)
+                concurrent[slot] = IVFFlatIndex.search_run(run, batches[slot], 10, options)
 
         threads = [threading.Thread(target=worker, args=(slot,)) for slot in range(len(batches))]
         interval = sys.getswitchinterval()
@@ -647,11 +658,10 @@ class TestConcurrency:
         finally:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
-        for (ids, distances, stats, unsettled), got in zip(serial, concurrent):
+        for (ids, distances, stats), got in zip(serial, concurrent):
             assert np.array_equal(ids, got[0])
             assert distances.tobytes() == got[1].tobytes()
             assert astuple(stats) == astuple(got[2])
-            assert np.array_equal(unsettled, got[3])
         for index, attributes in zip(run, before):
             after = vars(index)
             assert after.keys() == attributes.keys()

@@ -293,6 +293,25 @@ class TestOperandLifecycle:
             returned = result.ids[result.ids >= 0]
             assert np.isin(returned, matching).all()
 
+    def test_planned_scan_mode_is_the_mode_the_scan_takes(self):
+        rng = np.random.default_rng(19)
+        vectors = rng.standard_normal((300, 16)).astype(np.float32)
+        colors = rng.integers(0, 3, 300)
+        queries = rng.standard_normal((3, 16)).astype(np.float32)
+        collection = _build_collection("l2", vectors, np.arange(300, dtype=np.int64), colors)
+        collection.insert(vectors[:40], np.arange(300, 340), attributes={"color": colors[:40]})
+        snapshots = [shard.snapshot("l2") for shard in collection.shards]
+        modes = set()
+        for op, value in (("eq", 1), ("ge", 1), ("ge", 0), ("lt", 2), ("eq", 7)):
+            request = SearchRequest(queries, 5, filter=AttributeFilter("color", op, value))
+            _, shard_plans = collection._plan_snapshots(request, snapshots)
+            for views, planned in zip(snapshots, shard_plans):
+                for view, (mask, segment_plan) in zip(views, planned):
+                    _, _, mode = masked_topk(queries, view.index._operand, mask, 5, "l2")
+                    assert segment_plan.scan_mode == mode
+                    modes.add(mode)
+        assert modes == {"select", "dense"}
+
 
 class TestZeroCopySnapshots:
     def test_sealed_snapshot_arrays_are_frozen_views(self):
