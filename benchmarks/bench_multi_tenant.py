@@ -12,17 +12,11 @@ headline claims:
    its requests are shed.  The per-tenant admission ledgers balance exactly
    and sum to the controller-wide ledger.
 
-2. **FIFO demonstrably does not.**  The same mixed load against a deep
-   single FIFO queue (the pre-multi-tenant architecture) lets the burst
-   backlog stand in front of every quiet request: the quiet tenant's p99
-   blows past several multiples of its alone p99 (and past the fair-mode
-   bound), which is exactly the failure mode the refactor removes.
-
-3. **Multi-tenancy is invisible to results.**  Concurrent multi-tenant
+2. **Multi-tenancy is invisible to results.**  Concurrent multi-tenant
    traffic returns bit-identical ids and distances to the same searches
    served sequentially by a single-tenant front-end over the same data.
 
-4. **SLO-constrained tuning converges per tenant.**  A
+3. **SLO-constrained tuning converges per tenant.**  A
    :class:`~repro.core.multi_tenant.MultiTenantTuner` over two tenants with
    different recall floors (the paper's user-specific recall preference,
    via recall-constrained acquisition) elects for every tenant an incumbent
@@ -156,7 +150,6 @@ def test_fair_scheduling_isolates_quiet_tenant_from_10x_burst():
         ServingConfig(
             queue_depth=queue_depth,
             workers=WORKERS,
-            scheduling="fair",
             tenants=(TenantSpec(QUIET, weight=1.0), TenantSpec(BURST, weight=1.0)),
         ),
     ).start()
@@ -201,38 +194,6 @@ def test_fair_scheduling_isolates_quiet_tenant_from_10x_burst():
         )
 
 
-def test_fifo_lets_burst_tenant_poison_quiet_tail():
-    baseline = _baseline()
-    # The pre-multi-tenant architecture: one deep FIFO queue shared by all.
-    frontend = ServingFrontend(
-        _backend(),
-        ServingConfig(queue_depth=256, workers=WORKERS, scheduling="fifo"),
-    ).start()
-    try:
-        mixed = run_mixed_load(
-            frontend.url, _profiles(baseline), duration_seconds=5.0, seed=SEED + 2,
-            max_client_threads=96,
-        )
-    finally:
-        frontend.drain()
-    quiet = mixed.tenants[QUIET]
-    _state["fifo"] = {"mixed": mixed}
-
-    assert quiet.errors == 0
-    # Every quiet request waits behind the burst backlog: the tail is not
-    # bounded by any factor of the alone p99 — 3x is already far beyond the
-    # fair-mode pin, and in practice this measures tens of x.
-    floor = 3.0 * baseline["alone_p99_ms"]
-    assert quiet.latency_p99_ms > floor, (
-        f"FIFO quiet p99 {quiet.latency_p99_ms:.1f}ms unexpectedly under "
-        f"{floor:.1f}ms — the burst backlog should have poisoned it"
-    )
-    fair_quiet = _state["fair"]["mixed"].tenants[QUIET]
-    assert quiet.latency_p99_ms > fair_quiet.latency_p99_ms, (
-        "FIFO quiet p99 should exceed the fair-scheduling quiet p99"
-    )
-
-
 def test_multi_tenant_serving_bit_identical_to_single_tenant():
     backend = _backend()
     rng = np.random.default_rng(SEED + 3)
@@ -268,7 +229,6 @@ def test_multi_tenant_serving_bit_identical_to_single_tenant():
         ServingConfig(
             queue_depth=64,
             workers=2,
-            scheduling="fair",
             tenants=(TenantSpec(QUIET), TenantSpec(BURST)),
         ),
     ).start()
@@ -311,9 +271,8 @@ def test_slo_constrained_tuning_reaches_every_tenant_floor():
     floors = {"strict": 0.95, "relaxed": 0.80}
     specs = [
         TenantTunerSpec(
-            name=name,
+            tenant=TenantSpec(name, slo=TenantSLO(recall_floor=floor)),
             environment=VDMSTuningEnvironment(dataset, seed=SEED + index),
-            slo=TenantSLO(recall_floor=floor),
             settings=OnlineTunerSettings(total_steps=10, retune_budget=6, seed=SEED + index),
         )
         for index, (name, floor) in enumerate(floors.items())
@@ -363,10 +322,8 @@ def test_zz_report():
         "alone_p99_ms": round(baseline["alone_p99_ms"], 3),
         "pinned_degradation_factor": FAIR_DEGRADATION_FACTOR,
     }
-    for mode in ("fair", "fifo"):
-        if mode not in _state:
-            continue
-        mixed = _state[mode]["mixed"]
+    if "fair" in _state:
+        mixed = _state["fair"]["mixed"]
         for name in (QUIET, BURST):
             report = mixed.tenants[name]
             ratio = (
@@ -375,16 +332,16 @@ def test_zz_report():
             )
             rows.append(
                 [
-                    f"{mode} + 10x burst", name, round(report.offered_qps, 1),
+                    "fair + 10x burst", name, round(report.offered_qps, 1),
                     report.served, report.shed,
                     round(report.latency_p50_ms, 1), round(report.latency_p99_ms, 1),
                     f"{ratio:.2f}x",
                 ]
             )
-        summary[mode] = {
+        summary["fair"] = {
             name: mixed.tenants[name].to_dict() for name in (QUIET, BURST)
         }
-        summary[mode]["quiet_p99_vs_alone"] = round(
+        summary["fair"]["quiet_p99_vs_alone"] = round(
             mixed.tenants[QUIET].latency_p99_ms / baseline["alone_p99_ms"], 3
         )
     lines = [

@@ -47,12 +47,11 @@ what each collection's WAL and checkpoint rebuilt.
 
 ``serve --tenant-config FILE`` makes the server multi-tenant: each tenant
 (= collection) gets its own bounded queue drained by weighted-fair (stride)
-scheduling (``--scheduling fifo`` replays the old shared queue), its own
-SLO and optionally its own ``SystemConfig`` override.  ``tune-tenants``
-runs one SLO-constrained online tuner per tenant under a shared evaluation
-budget — each recall floor drives constrained acquisition, a declared cost
-budget switches that tenant to the QP$ objective — and exits non-zero if
-any tenant misses its floor.
+scheduling, its own SLO and optionally its own ``SystemConfig`` override.
+``tune-tenants`` runs one SLO-constrained online tuner per tenant under a
+shared evaluation budget — each recall floor drives constrained
+acquisition, a declared cost budget switches that tenant to the QP$
+objective — and exits non-zero if any tenant misses its floor.
 """
 
 from __future__ import annotations
@@ -71,7 +70,6 @@ from repro.config import build_milvus_space, default_configuration
 from repro.config.milvus_space import INDEX_TYPES
 from repro.core import ObjectiveSpec, VDTuner, VDTunerSettings
 from repro.datasets import DATASET_NAMES
-from repro.serving.admission import SCHEDULING_POLICIES
 from repro.vdms.errors import DurabilityError, InvalidConfigurationError
 from repro.vdms.system_config import SystemConfig
 from repro.workloads import VDMSTuningEnvironment
@@ -297,10 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
                        choices=["off", "wal", "wal+checkpoint"],
                        help="durability tier used with --data-dir (default: "
                        "wal+checkpoint when --data-dir is given)")
-    serve.add_argument("--scheduling", default="fair", choices=list(SCHEDULING_POLICIES),
-                       help="admission scheduling policy: 'fair' drains per-tenant "
-                       "bounded queues by weighted-fair (stride) scheduling; 'fifo' "
-                       "replays the single shared queue in arrival order")
     serve.add_argument("--tenant-config", default=None, metavar="FILE",
                        help="JSON tenant-config file: per-tenant fair-scheduling "
                        "weight, queue depth, SLO (recall floor / p99 target / cost "
@@ -899,7 +893,6 @@ def _command_serve(args: argparse.Namespace) -> int:
                 default_deadline_ms=args.default_deadline_ms,
                 drain_timeout_seconds=args.drain_timeout,
                 data_dir=args.data_dir,
-                scheduling=args.scheduling,
                 tenants=tenants,
             ),
         )
@@ -952,8 +945,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         )
     print(
         f"serving on {frontend.url} "
-        f"(queue_depth={args.queue_depth}, workers={args.serve_workers}, "
-        f"scheduling={args.scheduling}); "
+        f"(queue_depth={args.queue_depth}, workers={args.serve_workers}); "
         "SIGTERM/SIGINT drains gracefully",
         flush=True,
     )
@@ -1008,16 +1000,14 @@ def _command_tune_tenants(args: argparse.Namespace) -> int:
     dataset = load_dataset(args.dataset)
     specs = [
         TenantTunerSpec(
-            name=spec.name,
+            tenant=spec,
             environment=VDMSTuningEnvironment(dataset, seed=args.seed + index),
-            slo=spec.slo,
-            weight=spec.weight,
-            tuner=args.tuner,
             settings=OnlineTunerSettings(
                 total_steps=args.steps,
                 retune_budget=args.retune_budget,
                 seed=args.seed + index,
             ),
+            tuner=args.tuner,
         )
         for index, spec in enumerate(tenant_specs.values())
     ]

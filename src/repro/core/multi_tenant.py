@@ -9,17 +9,19 @@ scheduling.
 
 :class:`MultiTenantTuner` runs one :class:`~repro.core.online.OnlineTuner`
 (with its own :class:`~repro.core.drift.CusumDriftDetector`) per tenant and
-interleaves their ``iterate()`` generators by stride scheduling:
+interleaves their ``iterate()`` generators through the same
+:class:`~repro.serving.tenancy.StrideScheduler` the serving queue uses:
 
-* each tenant carries a *pass* value advanced by ``1 / weight`` per
-  evaluation it receives, and the scheduler always steps the eligible
-  tenant with the smallest pass;
+* each tenant is charged ``1 / weight`` per evaluation it receives, and the
+  scheduler always steps the eligible tenant with the smallest pass;
 * a tenant whose SLO is already attained (its serving-mode incumbent
   measurement meets the recall floor and, when set, the p99 latency target)
-  is de-prioritized — its pass advances ``attained_penalty`` times faster —
-  so the shared budget concentrates on tenants still out of contract;
+  is de-prioritized — it is charged ``attained_penalty`` times more — so
+  the shared budget concentrates on tenants still out of contract;
 * a tenant whose loop finishes (its ``total_steps`` are spent) leaves the
-  rotation.
+  rotation;
+* no tuning batch is larger than what is left of the shared budget, so the
+  budget is a hard ceiling.
 
 Each tenant's objective comes from its SLO via
 :meth:`~repro.serving.tenancy.TenantSLO.objective`: the recall floor
@@ -32,12 +34,12 @@ product surface.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterator
 
 from repro.core.objectives import ObjectiveSpec
 from repro.core.online import OnlineReport, OnlineTuner, OnlineTunerSettings, StepRecord
-from repro.serving.tenancy import TenantSLO
+from repro.serving.tenancy import StrideScheduler, TenantSpec
 from repro.workloads.environment import VDMSTuningEnvironment
 
 __all__ = ["MultiTenantReport", "MultiTenantTuner", "TenantTunerSpec"]
@@ -49,46 +51,35 @@ class TenantTunerSpec:
 
     Attributes
     ----------
-    name:
-        Tenant (collection) name.
+    tenant:
+        The tenant's :class:`~repro.serving.tenancy.TenantSpec`: its name,
+        its weight (share of the joint evaluation budget relative to other
+        tenants) and its SLO, whose recall floor becomes the tuner's
+        constrained acquisition and whose cost budget selects the QP$
+        objective.
     environment:
         The tenant's replayed-workload environment — typically a
         :class:`~repro.workloads.dynamic.DynamicTuningEnvironment` so its
         drift detector has something to detect.
-    slo:
-        The tenant's SLO; its recall floor becomes the tuner's constrained
-        acquisition and its cost budget selects the QP$ objective.
-    weight:
-        Share of the joint evaluation budget relative to other tenants.
+    settings:
+        The tenant's :class:`~repro.core.online.OnlineTunerSettings`.
     tuner:
         Registry name of the per-episode tuner (``"vdtuner"`` default).
-    settings:
-        Per-tenant :class:`~repro.core.online.OnlineTunerSettings`;
-        ``None`` uses the :class:`MultiTenantTuner`'s default settings.
     """
 
-    name: str
+    tenant: TenantSpec
     environment: VDMSTuningEnvironment
-    slo: TenantSLO = field(default_factory=TenantSLO)
-    weight: float = 1.0
+    settings: OnlineTunerSettings
     tuner: str = "vdtuner"
-    settings: OnlineTunerSettings | None = None
-
-    def __post_init__(self) -> None:
-        if not self.name:
-            raise ValueError("tenant name must be non-empty")
-        if not float(self.weight) > 0.0:
-            raise ValueError("tenant weight must be positive")
 
 
 class _TenantLoop:
-    """One tenant's tuner, its generator and its scheduling state."""
+    """One tenant's tuner, its generator and its ledger."""
 
     def __init__(self, spec: TenantTunerSpec, tuner: OnlineTuner) -> None:
         self.spec = spec
         self.tuner = tuner
         self.generator: Iterator[list[StepRecord]] = tuner.iterate()
-        self.pass_value = 0.0
         self.evaluations = 0
         self.exhausted = False
         self.last_serve_record: StepRecord | None = None
@@ -99,7 +90,7 @@ class _TenantLoop:
         record = self.last_serve_record
         if record is None or record.failed:
             return False
-        return self.spec.slo.attained_by(record.recall, record.latency_p99_ms)
+        return self.spec.tenant.slo.attained_by(record.recall, record.latency_p99_ms)
 
 
 @dataclass
@@ -160,9 +151,6 @@ class MultiTenantTuner:
         Shared evaluation budget across all tenants; ``None`` lets every
         tenant run its own ``total_steps`` to completion (the budget is then
         their sum).
-    settings:
-        Default :class:`~repro.core.online.OnlineTunerSettings` for tenants
-        whose spec does not carry its own.
     attained_penalty:
         How much faster an SLO-attained tenant's pass advances (i.e. how
         strongly the scheduler redirects budget to tenants still out of
@@ -172,13 +160,12 @@ class MultiTenantTuner:
     --------
     >>> from repro import load_dataset, OnlineTunerSettings
     >>> from repro.core.multi_tenant import MultiTenantTuner, TenantTunerSpec
-    >>> from repro.serving.tenancy import TenantSLO
+    >>> from repro.serving.tenancy import TenantSLO, TenantSpec
     >>> from repro.workloads.environment import VDMSTuningEnvironment
     >>> dataset = load_dataset("glove-small")
     >>> spec = TenantTunerSpec(
-    ...     name="docs",
+    ...     tenant=TenantSpec("docs", slo=TenantSLO(recall_floor=0.5)),
     ...     environment=VDMSTuningEnvironment(dataset, seed=0),
-    ...     slo=TenantSLO(recall_floor=0.5),
     ...     settings=OnlineTunerSettings(total_steps=4, retune_budget=3, seed=0),
     ... )
     >>> report = MultiTenantTuner([spec]).run()
@@ -191,12 +178,11 @@ class MultiTenantTuner:
         specs: list[TenantTunerSpec],
         *,
         budget: int | None = None,
-        settings: OnlineTunerSettings | None = None,
         attained_penalty: float = 4.0,
     ) -> None:
         if not specs:
             raise ValueError("at least one tenant spec is required")
-        names = [spec.name for spec in specs]
+        names = [spec.tenant.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError("tenant names must be unique")
         if budget is not None and int(budget) < 1:
@@ -204,24 +190,22 @@ class MultiTenantTuner:
         if not float(attained_penalty) >= 1.0:
             raise ValueError("attained_penalty must be >= 1.0")
         self.specs = list(specs)
-        self.default_settings = settings or OnlineTunerSettings()
         self.attained_penalty = float(attained_penalty)
+        self._scheduler = StrideScheduler()
         self._loops: dict[str, _TenantLoop] = {}
         for spec in self.specs:
-            tenant_settings = spec.settings or self.default_settings
             tuner = OnlineTuner(
                 spec.environment,
                 tuner=spec.tuner,
-                settings=tenant_settings,
-                objective=spec.slo.objective(),
+                settings=spec.settings,
+                objective=spec.tenant.slo.objective(),
             )
-            self._loops[spec.name] = _TenantLoop(spec, tuner)
+            self._loops[spec.tenant.name] = _TenantLoop(spec, tuner)
+            self._scheduler.set_weight(spec.tenant.name, spec.tenant.weight)
         self.budget = (
             int(budget)
             if budget is not None
-            else sum(
-                (spec.settings or self.default_settings).total_steps for spec in self.specs
-            )
+            else sum(spec.settings.total_steps for spec in self.specs)
         )
         self.budget_used = 0
 
@@ -231,32 +215,22 @@ class MultiTenantTuner:
         """The objective a tenant's loop runs under (from its SLO)."""
         return self._loops[name].tuner.objective
 
-    def _pick(self) -> _TenantLoop | None:
-        """The eligible tenant with the smallest stride pass (name tie-break)."""
-        best: _TenantLoop | None = None
-        best_key: tuple[float, str] | None = None
-        for name in sorted(self._loops):
-            loop = self._loops[name]
-            if loop.exhausted:
-                continue
-            key = (loop.pass_value, name)
-            if best_key is None or key < best_key:
-                best_key = key
-                best = loop
-        return best
-
     def step(self) -> list[StepRecord]:
         """Advance the scheduled tenant's loop by one batch.
 
         Returns the fresh records (empty when every loop is exhausted or
-        the budget is spent).  Charges the shared budget by the number of
-        evaluations the batch actually performed.
+        the budget is spent).  The batch is capped at what is left of the
+        shared budget, which is charged by the evaluations it performed.
         """
         if self.budget_used >= self.budget:
             return []
-        loop = self._pick()
-        if loop is None:
+        name = self._scheduler.pick(
+            name for name, loop in self._loops.items() if not loop.exhausted
+        )
+        if name is None:
             return []
+        loop = self._loops[name]
+        loop.tuner._batch_cap = self.budget - self.budget_used
         try:
             batch = next(loop.generator)
         except StopIteration:
@@ -268,11 +242,11 @@ class MultiTenantTuner:
         for record in batch:
             if record.mode == "serve":
                 loop.last_serve_record = record
-        # Stride accounting: the pass advances per evaluation received, and
-        # an SLO-attained tenant pays a premium so the remaining budget
+        # Stride accounting: the tenant is charged per evaluation received,
+        # and an SLO-attained tenant pays a premium so the remaining budget
         # flows to tenants still missing their contract.
         rate = self.attained_penalty if loop.attained else 1.0
-        loop.pass_value += rate * max(1, cost) / float(loop.spec.weight)
+        self._scheduler.charge(name, rate * max(1, cost))
         return batch
 
     def run(self) -> MultiTenantReport:

@@ -436,6 +436,9 @@ class OnlineTuner:
         self.tuner_settings = tuner_settings
         self.evaluator = evaluator
         self._episodes = 0
+        #: Upper bound on the next tuning batch (``None``: none), set by a
+        #: scheduler that shares one evaluation budget among several loops.
+        self._batch_cap: int | None = None
         #: The configuration most recently elected for serving (``None``
         #: until the first tuning episode completes).
         self.incumbent: dict[str, Any] | None = None
@@ -528,7 +531,8 @@ class OnlineTuner:
         state lives on the instance, so :meth:`build_report` is valid at any
         yield point — this is what lets a multi-tenant scheduler interleave
         many tenants' loops step by step under one shared evaluation budget
-        (:class:`repro.core.multi_tenant.MultiTenantTuner`).
+        (:class:`repro.core.multi_tenant.MultiTenantTuner`), capping each
+        tuning batch at what is left of that budget.
         """
         settings = self.settings
         detector = CusumDriftDetector(
@@ -584,6 +588,8 @@ class OnlineTuner:
             produced_from = len(records)
             if mode == "tune":
                 q = min(settings.batch_size, tune_remaining, settings.total_steps - step)
+                if self._batch_cap is not None:
+                    q = min(q, self._batch_cap)
                 if revalidation:
                     # Warm re-tune opener: re-measure the stale Pareto
                     # configurations under the drifted workload before asking

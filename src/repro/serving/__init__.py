@@ -22,7 +22,6 @@ into a multi-tenant network service with explicit overload behaviour:
 
 from repro.serving.admission import (
     DEFAULT_TENANT,
-    SCHEDULING_POLICIES,
     AdmissionController,
     AdmissionError,
     AdmissionSnapshot,
@@ -55,7 +54,6 @@ __all__ = [
     "MixedLoadReport",
     "MultiTenantLoadGenerator",
     "QueueFullError",
-    "SCHEDULING_POLICIES",
     "ServerDrainingError",
     "ServingConfig",
     "ServingFrontend",

@@ -10,17 +10,16 @@ HTTP layer so they are unit-testable with plain callables:
 * **Bounded queues** — each tenant owns a bounded queue; a submission
   against a full queue is *shed* immediately (:class:`QueueFullError`,
   surfaced as HTTP 429).  Shedding costs microseconds, so the server stays
-  responsive precisely when it is overloaded.  Under the ``"fifo"`` policy
-  the bound is global (the pre-multi-tenant behavior); under ``"fair"`` each
-  tenant is bounded independently, so one tenant's backlog cannot consume
-  another tenant's queue slots.
-* **Weighted-fair scheduling** — workers drain the tenant queues by stride
-  scheduling: each tenant carries a *pass* value advanced by
-  ``1 / weight`` per dequeue, and workers always pick the backlogged tenant
-  with the smallest pass.  A tenant with weight 2 receives twice the service
-  of a tenant with weight 1 while both are backlogged; an idle tenant's pass
-  is re-synchronized on re-arrival so sleeping never accumulates credit.
-  With a single tenant the dequeue order is exactly FIFO.
+  responsive precisely when it is overloaded.  Each tenant is bounded
+  independently, so one tenant's backlog cannot consume another tenant's
+  queue slots.
+* **Weighted-fair scheduling** — workers drain the tenant queues through a
+  :class:`~repro.serving.tenancy.StrideScheduler`: each dequeue charges the
+  tenant ``1 / weight``, and workers always pick the backlogged tenant with
+  the smallest pass.  A tenant with weight 2 receives twice the service of
+  a tenant with weight 1 while both are backlogged; an idle tenant rejoins
+  at the current virtual time, so sleeping never accumulates credit.  With
+  a single tenant the dequeue order is exactly FIFO.
 * **Per-request deadlines** — a request may carry an absolute deadline
   (``time.monotonic()`` domain).  Workers check it when they *dequeue* the
   request: if the deadline passed while the request waited, executing it
@@ -53,6 +52,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Callable
 
+from repro.serving.tenancy import StrideScheduler
+
 __all__ = [
     "AdmissionController",
     "AdmissionError",
@@ -60,16 +61,12 @@ __all__ = [
     "DEFAULT_TENANT",
     "DeadlineExceededError",
     "QueueFullError",
-    "SCHEDULING_POLICIES",
     "ServerDrainingError",
     "TenantEvictedError",
 ]
 
 #: Tenant requests are attributed to when the caller does not name one.
 DEFAULT_TENANT = "__default__"
-
-#: Recognized worker-pool scheduling policies.
-SCHEDULING_POLICIES = ("fair", "fifo")
 
 
 class AdmissionError(RuntimeError):
@@ -159,14 +156,11 @@ class AdmissionSnapshot:
 
 
 class _TenantState:
-    """One tenant's queue, stride-scheduling state and admission ledger."""
+    """One tenant's bounded queue and admission ledger."""
 
     __slots__ = (
-        "name",
-        "weight",
         "queue_depth",
         "jobs",
-        "pass_value",
         "admitted",
         "shed",
         "rejected",
@@ -178,12 +172,9 @@ class _TenantState:
         "max_queue_depth",
     )
 
-    def __init__(self, name: str, weight: float, queue_depth: int) -> None:
-        self.name = name
-        self.weight = weight
+    def __init__(self, queue_depth: int) -> None:
         self.queue_depth = queue_depth
         self.jobs: deque = deque()
-        self.pass_value = 0.0
         self.admitted = 0
         self.shed = 0
         self.rejected = 0
@@ -198,11 +189,8 @@ class _TenantState:
 class AdmissionController:
     """Per-tenant bounded queues drained by a weighted-fair worker pool.
 
-    ``policy`` selects how the shared workers pick the next request:
-    ``"fair"`` (the default) is stride scheduling over the per-tenant
-    queues — with a single tenant it degenerates to exact FIFO — while
-    ``"fifo"`` replays the pre-multi-tenant behavior: one global arrival
-    order, one global queue bound, no isolation.
+    The shared workers pick the next request by stride scheduling over the
+    per-tenant queues; with a single tenant that is exact FIFO.
 
     Examples
     --------
@@ -219,26 +207,18 @@ class AdmissionController:
         *,
         queue_depth: int = 64,
         workers: int = 2,
-        policy: str = "fair",
-        thread_name_prefix: str = "repro-serve",
     ) -> None:
         if int(queue_depth) < 1:
             raise ValueError("queue_depth must be >= 1")
         if int(workers) < 1:
             raise ValueError("workers must be >= 1")
-        if policy not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"unknown scheduling policy {policy!r}; expected one of {SCHEDULING_POLICIES}"
-            )
         self.queue_depth = int(queue_depth)
         self.workers = int(workers)
-        self.policy = policy
         self._tenants: dict[str, _TenantState] = {}
+        self._scheduler = StrideScheduler()
         self._lock = threading.Lock()
         self._idle = threading.Condition(self._lock)
         self._work = threading.Condition(self._lock)
-        self._arrival_seq = 0
-        self._global_pass = 0.0
         self._total_queued = 0
         self._in_flight = 0
         self._max_queue_depth = 0
@@ -248,7 +228,7 @@ class AdmissionController:
         self._threads = [
             threading.Thread(
                 target=self._worker_loop,
-                name=f"{thread_name_prefix}-{slot}",
+                name=f"repro-serve-{slot}",
                 daemon=True,
             )
             for slot in range(self.workers)
@@ -270,20 +250,17 @@ class AdmissionController:
         Unknown tenants are registered implicitly (weight 1, controller
         queue depth) on first submission, so registration is only needed to
         set non-default limits.  Updating an existing tenant keeps its
-        ledger and any queued work.
+        ledger, any queued work and its scheduling pass.
         """
-        weight = float(weight)
-        if not weight > 0.0:
-            raise ValueError("tenant weight must be positive")
         depth = self.queue_depth if queue_depth is None else int(queue_depth)
         if depth < 1:
             raise ValueError("tenant queue_depth must be >= 1")
         with self._lock:
+            self._scheduler.set_weight(name, weight)
             state = self._tenants.get(name)
             if state is None:
-                self._tenants[name] = _TenantState(name, weight, depth)
+                self._tenants[name] = _TenantState(depth)
             else:
-                state.weight = weight
                 state.queue_depth = depth
 
     def tenant_names(self) -> list[str]:
@@ -294,7 +271,8 @@ class AdmissionController:
     def _tenant_locked(self, name: str) -> _TenantState:
         state = self._tenants.get(name)
         if state is None:
-            state = _TenantState(name, 1.0, self.queue_depth)
+            self._scheduler.set_weight(name, 1.0)
+            state = _TenantState(self.queue_depth)
             self._tenants[name] = state
         return state
 
@@ -321,29 +299,22 @@ class AdmissionController:
         :class:`TenantEvictedError` if the tenant was evicted first.
         """
         future: concurrent.futures.Future = concurrent.futures.Future()
+        name = tenant if tenant is not None else DEFAULT_TENANT
         with self._lock:
-            state = self._tenant_locked(tenant if tenant is not None else DEFAULT_TENANT)
+            state = self._tenant_locked(name)
             if self._draining:
                 state.rejected += 1
                 raise ServerDrainingError("server is draining; not accepting new requests")
-            if self.policy == "fifo":
-                full = self._total_queued >= self.queue_depth
-                capacity = self.queue_depth
-            else:
-                full = len(state.jobs) >= state.queue_depth
-                capacity = state.queue_depth
-            if full:
+            if len(state.jobs) >= state.queue_depth:
                 state.shed += 1
                 raise QueueFullError(
-                    f"request queue is full ({capacity} waiting); request shed"
+                    f"request queue is full ({state.queue_depth} waiting); request shed"
                 )
             if not state.jobs:
                 # A tenant returning from idle must not spend credit it
-                # accumulated while asleep: re-sync its pass to the global
-                # virtual time so fairness is measured from *now*.
-                state.pass_value = max(state.pass_value, self._global_pass)
-            self._arrival_seq += 1
-            state.jobs.append((self._arrival_seq, fn, args, kwargs, deadline, future))
+                # accumulated while asleep: fairness is measured from *now*.
+                self._scheduler.rejoin(name)
+            state.jobs.append((fn, args, kwargs, deadline, future))
             state.admitted += 1
             state.in_flight += 1
             self._in_flight += 1
@@ -403,32 +374,25 @@ class AdmissionController:
     def tenant_stats(self, name: str) -> AdmissionSnapshot:
         """One tenant's admission ledger (a zero ledger for unknown tenants)."""
         with self._lock:
-            state = self._tenants.get(name)
-            if state is None:
-                state = _TenantState(name, 1.0, self.queue_depth)
+            state = self._tenants.get(name) or _TenantState(self.queue_depth)
             return self._snapshot_locked(state)
+
+    def _payload_locked(self, name: str) -> dict[str, Any]:
+        state = self._tenants.get(name) or _TenantState(self.queue_depth)
+        payload = self._snapshot_locked(state).to_dict()
+        payload["weight"] = self._scheduler.weights.get(name, 1.0)
+        payload["queue_capacity"] = state.queue_depth
+        return payload
 
     def tenant_payload(self, name: str) -> dict[str, Any]:
         """One tenant's ledger plus its scheduling parameters, as a dict."""
         with self._lock:
-            state = self._tenants.get(name)
-            if state is None:
-                state = _TenantState(name, 1.0, self.queue_depth)
-            payload = self._snapshot_locked(state).to_dict()
-            payload["weight"] = state.weight
-            payload["queue_capacity"] = state.queue_depth
-            return payload
+            return self._payload_locked(name)
 
     def all_tenant_payloads(self) -> dict[str, dict[str, Any]]:
         """Every tenant's :meth:`tenant_payload`, keyed by tenant name."""
         with self._lock:
-            result = {}
-            for name, state in sorted(self._tenants.items()):
-                payload = self._snapshot_locked(state).to_dict()
-                payload["weight"] = state.weight
-                payload["queue_capacity"] = state.queue_depth
-                result[name] = payload
-            return result
+            return {name: self._payload_locked(name) for name in sorted(self._tenants)}
 
     # -- eviction -----------------------------------------------------------------
 
@@ -455,7 +419,7 @@ class AdmissionController:
             self._total_queued -= count
             if self._in_flight == 0:
                 self._idle.notify_all()
-        for _seq, _fn, _args, _kwargs, _deadline, future in evicted:
+        for _fn, _args, _kwargs, _deadline, future in evicted:
             future.set_exception(TenantEvictedError(message))
         return count
 
@@ -500,34 +464,14 @@ class AdmissionController:
     # -- workers ------------------------------------------------------------------
 
     def _pop_next_locked(self) -> tuple | None:
-        """Pick the next job per the scheduling policy (caller holds the lock)."""
-        best: _TenantState | None = None
-        if self.policy == "fifo":
-            best_seq = None
-            for state in self._tenants.values():
-                if not state.jobs:
-                    continue
-                seq = state.jobs[0][0]
-                if best_seq is None or seq < best_seq:
-                    best_seq = seq
-                    best = state
-        else:
-            best_key = None
-            for state in self._tenants.values():
-                if not state.jobs:
-                    continue
-                key = (state.pass_value, state.name)
-                if best_key is None or key < best_key:
-                    best_key = key
-                    best = state
-            if best is not None:
-                self._global_pass = best.pass_value
-                best.pass_value += 1.0 / best.weight
-        if best is None:
+        """Pick the next job by stride scheduling (caller holds the lock)."""
+        name = self._scheduler.pick(name for name, state in self._tenants.items() if state.jobs)
+        if name is None:
             return None
-        job = best.jobs.popleft()
+        self._scheduler.charge(name)
+        state = self._tenants[name]
         self._total_queued -= 1
-        return (*job[1:], best)
+        return (*state.jobs.popleft(), state)
 
     def _finish(self, outcome: str, state: _TenantState) -> None:
         with self._lock:

@@ -78,7 +78,6 @@ from typing import Any, Callable
 import numpy as np
 
 from repro.serving.admission import (
-    SCHEDULING_POLICIES,
     AdmissionController,
     DeadlineExceededError,
     QueueFullError,
@@ -122,11 +121,6 @@ class ServingConfig:
         the frontend builds a durable ``VectorDBServer`` over it and
         :meth:`ServingFrontend.start` recovers every collection found
         there before accepting traffic.
-    scheduling:
-        Worker-pool scheduling policy over the per-tenant queues:
-        ``"fair"`` (weighted stride scheduling — the default; identical to
-        FIFO while only one tenant is active) or ``"fifo"`` (one global
-        arrival order and one global queue bound, no isolation).
     tenants:
         Declared :class:`~repro.serving.tenancy.TenantSpec` entries, e.g.
         from ``serve --tenant-config``.  Each registers its weight and
@@ -143,15 +137,9 @@ class ServingConfig:
     default_deadline_ms: float | None = None
     drain_timeout_seconds: float = 30.0
     data_dir: str | None = None
-    scheduling: str = "fair"
     tenants: tuple[TenantSpec, ...] = ()
 
     def __post_init__(self) -> None:
-        if self.scheduling not in SCHEDULING_POLICIES:
-            raise ValueError(
-                f"scheduling must be one of {SCHEDULING_POLICIES}, "
-                f"not {self.scheduling!r}"
-            )
         if not isinstance(self.tenants, tuple):
             object.__setattr__(self, "tenants", tuple(self.tenants))
         for spec in self.tenants:
@@ -218,7 +206,6 @@ class ServingFrontend:
         self.admission = AdmissionController(
             queue_depth=self.config.queue_depth,
             workers=self.config.workers,
-            policy=self.config.scheduling,
         )
         #: Declared tenant specs by name (implicit tenants are not listed).
         self.tenants: dict[str, TenantSpec] = {}
@@ -388,7 +375,6 @@ class ServingFrontend:
         payload["collections"] = self.backend.list_collections()
         payload["queue_capacity"] = self.config.queue_depth
         payload["workers"] = self.config.workers
-        payload["scheduling"] = self.config.scheduling
         payload["tenants"] = self.admission.all_tenant_payloads()
         return payload
 

@@ -29,13 +29,59 @@ queries-per-dollar when the tenant declares a cost budget.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
-from typing import Any, Mapping
+from numbers import Integral
+from typing import Any, Iterable, Mapping
 
 from repro.core.objectives import ObjectiveSpec
 from repro.vdms.system_config import SystemConfig
 
-__all__ = ["TenantSLO", "TenantSpec", "load_tenant_config", "parse_tenant_config"]
+__all__ = [
+    "StrideScheduler",
+    "TenantSLO",
+    "TenantSpec",
+    "load_tenant_config",
+    "parse_tenant_config",
+]
+
+
+class StrideScheduler:
+    """Weighted stride scheduling: which named tenant goes next.
+
+    Each name carries a weight and a *pass*.  :meth:`pick` chooses the
+    smallest ``(pass, name)`` and :meth:`charge` advances the chosen pass by
+    ``cost / weight``, so a weight-2 tenant is served twice as often as a
+    weight-1 tenant while both compete.  The virtual time is the pass of the
+    last charged name; :meth:`rejoin` lifts a returning name to it, so time
+    spent idle banks no credit.  Not thread-safe: callers serialize access.
+    """
+
+    def __init__(self) -> None:
+        self.weights: dict[str, float] = {}
+        self.passes: dict[str, float] = {}
+        self.virtual_time = 0.0
+
+    def set_weight(self, name: str, weight: float) -> None:
+        """Set a name's weight, which must be finite and > 0; its pass is kept."""
+        weight = float(weight)
+        if not 0.0 < weight < math.inf:
+            raise ValueError(f"tenant {name!r}: weight must be finite and > 0, not {weight!r}")
+        self.weights[name] = weight
+        self.passes.setdefault(name, 0.0)
+
+    def pick(self, names: Iterable[str]) -> str | None:
+        """The name with the smallest ``(pass, name)``, or ``None`` for no names."""
+        return min(names, key=lambda name: (self.passes[name], name), default=None)
+
+    def charge(self, name: str, cost: float = 1.0) -> None:
+        """Move the virtual time to ``name``'s pass, then add ``cost / weight``."""
+        self.virtual_time = self.passes[name]
+        self.passes[name] += cost / self.weights[name]
+
+    def rejoin(self, name: str) -> None:
+        """Lift a returning name's pass to the virtual time (no banked credit)."""
+        self.passes[name] = max(self.passes[name], self.virtual_time)
 
 
 @dataclass(frozen=True)
@@ -130,7 +176,8 @@ class TenantSpec:
 
     ``system_config`` of ``None`` means the tenant inherits the server-wide
     default configuration; ``queue_depth`` of ``None`` inherits the
-    controller's bound.
+    controller's bound.  ``weight`` must be finite and > 0 (the
+    :class:`StrideScheduler` rule) and ``queue_depth`` an integer >= 1.
     """
 
     name: str
@@ -142,10 +189,13 @@ class TenantSpec:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("tenant name must be non-empty")
-        if not float(self.weight) > 0.0:
-            raise ValueError("tenant weight must be positive")
-        if self.queue_depth is not None and int(self.queue_depth) < 1:
-            raise ValueError("tenant queue_depth must be >= 1 when set")
+        # The scheduler owns the one weight rule; a throwaway one applies it.
+        StrideScheduler().set_weight(self.name, self.weight)
+        depth = self.queue_depth
+        if depth is not None and not (isinstance(depth, Integral) and depth >= 1):
+            raise ValueError(
+                f"tenant {self.name!r}: queue_depth must be an integer >= 1, not {depth!r}"
+            )
 
     @classmethod
     def from_mapping(cls, name: str, mapping: Mapping[str, Any]) -> "TenantSpec":
@@ -164,19 +214,17 @@ class TenantSpec:
                 raise ValueError(f"tenant {name!r}: 'system_config' must be a mapping")
             system_config = SystemConfig.from_mapping(config_mapping)
         try:
-            return cls(
-                name=name,
-                weight=float(mapping.get("weight", 1.0)),
-                queue_depth=(
-                    int(mapping["queue_depth"])
-                    if mapping.get("queue_depth") is not None
-                    else None
-                ),
-                slo=TenantSLO.from_mapping(slo_mapping),
-                system_config=system_config,
-            )
+            weight = float(mapping.get("weight", 1.0))
+            slo = TenantSLO.from_mapping(slo_mapping)
         except ValueError as error:
             raise ValueError(f"tenant {name!r}: {error}") from None
+        return cls(
+            name=name,
+            weight=weight,
+            queue_depth=mapping.get("queue_depth"),
+            slo=slo,
+            system_config=system_config,
+        )
 
 
 def parse_tenant_config(payload: Mapping[str, Any]) -> dict[str, TenantSpec]:

@@ -6,7 +6,7 @@ import pytest
 
 from repro.core.multi_tenant import MultiTenantTuner, TenantTunerSpec
 from repro.core.online import OnlineTuner, OnlineTunerSettings
-from repro.serving.tenancy import TenantSLO
+from repro.serving.tenancy import TenantSLO, TenantSpec
 from repro.workloads.environment import VDMSTuningEnvironment
 from tests.conftest import make_tiny_dataset
 
@@ -24,12 +24,21 @@ def settings(**overrides):
 
 def spec(dataset, name, *, slo=None, weight=1.0, seed=0, **setting_overrides):
     return TenantTunerSpec(
-        name=name,
+        tenant=TenantSpec(name, weight=weight, slo=slo or TenantSLO()),
         environment=VDMSTuningEnvironment(dataset, seed=seed),
-        slo=slo or TenantSLO(),
-        weight=weight,
         settings=settings(seed=seed, **setting_overrides),
     )
+
+
+def served_order(tuner):
+    """The tenant each ``step()`` served, until the tuner stops."""
+    order = []
+    before = {name: 0 for name in tuner.build_report().evaluations}
+    while tuner.step():
+        after = tuner.build_report().evaluations
+        order += [name for name in after if after[name] != before[name]]
+        before = after
+    return order
 
 
 class TestValidation:
@@ -92,6 +101,33 @@ class TestScheduling:
         assert report.budget_total == 7
         assert report.budget_used <= 7
         assert sum(report.evaluations.values()) == report.budget_used
+
+    def test_tuning_batches_never_overrun_the_shared_budget(self, dataset):
+        overrides = dict(total_steps=8, retune_budget=6, batch_size=4)
+        tuner = MultiTenantTuner(
+            [spec(dataset, "a", seed=0, **overrides), spec(dataset, "b", seed=1, **overrides)],
+            budget=7,
+        )
+        report = tuner.run()
+        assert report.budget_total == 7
+        assert report.budget_used <= report.budget_total
+        assert sum(report.evaluations.values()) == report.budget_used
+
+    def test_stride_order_is_pinned(self, dataset):
+        """The exact tenant sequence for weights 3:1:1 with one attaining
+        tenant ("light" has no floor; the others can never attain)."""
+        never = TenantSLO(recall_floor=0.1, p99_latency_ms=1e-9)
+        tuner = MultiTenantTuner(
+            [
+                spec(dataset, "heavy", weight=3.0, slo=never, seed=0, total_steps=8),
+                spec(dataset, "light", weight=1.0, seed=1, total_steps=8),
+                spec(dataset, "other", weight=1.0, slo=never, seed=2, total_steps=8),
+            ],
+            attained_penalty=4.0,
+        )
+        order = "".join(name[0] for name in served_order(tuner))
+        assert order == "hlohhhlohhhlohloooololll"
+        assert tuner.build_report().attained == {"heavy": False, "light": True, "other": False}
 
     def test_weight_steers_the_shared_budget(self, dataset):
         tuner = MultiTenantTuner(

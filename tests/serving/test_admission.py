@@ -132,15 +132,11 @@ def test_drain_is_idempotent():
 
 
 def test_drain_stops_worker_threads():
-    controller = AdmissionController(queue_depth=4, workers=3, thread_name_prefix="repro-serve-x")
+    controller = AdmissionController(queue_depth=4, workers=3)
     controller.submit(lambda: None).result(timeout=5.0)
     controller.drain(timeout=5.0)
-    alive = [
-        thread.name
-        for thread in threading.enumerate()
-        if thread.name.startswith("repro-serve-x")
-    ]
-    assert alive == []
+    assert len(controller._threads) == 3
+    assert not any(thread.is_alive() for thread in controller._threads)
 
 
 def test_stats_counters_are_consistent(controller):
@@ -165,16 +161,13 @@ def _record_order(controller, tenant, label, order, lock):
     return controller.submit(job, tenant=tenant)
 
 
-def test_policy_validation():
-    with pytest.raises(ValueError):
-        AdmissionController(policy="priority")
-
-
 def test_register_tenant_validation(controller):
     with pytest.raises(ValueError):
         controller.register_tenant("a", weight=0.0)
     with pytest.raises(ValueError):
         controller.register_tenant("a", weight=-1.0)
+    with pytest.raises(ValueError, match="tenant 'a'"):
+        controller.register_tenant("a", weight=float("inf"))
     with pytest.raises(ValueError):
         controller.register_tenant("a", queue_depth=0)
 
@@ -275,49 +268,6 @@ def test_fair_policy_bounds_queues_per_tenant():
             future.result(timeout=5.0)
     finally:
         controller.drain(timeout=5.0)
-
-
-def test_fifo_policy_bounds_the_queue_globally():
-    controller = AdmissionController(queue_depth=2, workers=1, policy="fifo")
-    try:
-        gate = threading.Event()
-        blocker = _block_worker(controller, gate)
-        held = [
-            controller.submit(lambda: None, tenant="a"),
-            controller.submit(lambda: None, tenant="b"),
-        ]
-        # Global bound reached: tenant "c" is shed by a and b's backlog —
-        # exactly the cross-tenant interference the fair policy removes.
-        with pytest.raises(QueueFullError):
-            controller.submit(lambda: None, tenant="c")
-        assert controller.tenant_stats("c").shed == 1
-        gate.set()
-        blocker.result(timeout=5.0)
-        for future in held:
-            future.result(timeout=5.0)
-    finally:
-        controller.drain(timeout=5.0)
-
-
-def test_fifo_policy_serves_in_arrival_order_across_tenants():
-    controller = AdmissionController(queue_depth=16, workers=1, policy="fifo")
-    order: list[str] = []
-    lock = threading.Lock()
-    try:
-        gate = threading.Event()
-        blocker = _block_worker(controller, gate)
-        labels = ["a", "b", "a", "c", "b", "a"]
-        futures = [
-            _record_order(controller, label, f"{label}{i}", order, lock)
-            for i, label in enumerate(labels)
-        ]
-        gate.set()
-        blocker.result(timeout=5.0)
-        for future in futures:
-            future.result(timeout=5.0)
-    finally:
-        controller.drain(timeout=5.0)
-    assert order == ["a0", "b1", "a2", "c3", "b4", "a5"]
 
 
 def test_fail_tenant_evicts_queued_requests_only():

@@ -314,11 +314,9 @@ def test_config_validation():
 # -- multi-tenancy ------------------------------------------------------------------
 
 
-def test_config_validates_scheduling_and_tenants():
+def test_config_validates_tenants():
     from repro.serving import TenantSpec
 
-    with pytest.raises(ValueError):
-        ServingConfig(scheduling="priority")
     with pytest.raises(ValueError):
         ServingConfig(tenants=("not-a-spec",))
     config = ServingConfig(tenants=[TenantSpec("a")])  # lists are coerced
@@ -340,7 +338,6 @@ def test_tenant_specs_register_weights_and_overrides():
     with ServingFrontend(config=config) as frontend:
         status, payload = request(frontend, "GET", "/stats")
         assert status == 200
-        assert payload["scheduling"] == "fair"
         tenants = payload["tenants"]
         assert tenants["fast"]["weight"] == 4.0
         assert tenants["fast"]["queue_capacity"] == 2

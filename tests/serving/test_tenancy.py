@@ -13,12 +13,69 @@ from repro.serving.loadgen import (
     TenantLoadProfile,
 )
 from repro.serving.tenancy import (
+    StrideScheduler,
     TenantSLO,
     TenantSpec,
     load_tenant_config,
     parse_tenant_config,
 )
 from repro.vdms.system_config import SystemConfig
+
+
+class TestStrideScheduler:
+    def serve(self, scheduler, names, count):
+        order = []
+        for _ in range(count):
+            name = scheduler.pick(names)
+            scheduler.charge(name)
+            order.append(name)
+        return order
+
+    def test_weights_two_to_one_interleave_exactly(self):
+        scheduler = StrideScheduler()
+        scheduler.set_weight("a", 2.0)
+        scheduler.set_weight("b", 1.0)
+        assert self.serve(scheduler, ["a", "b"], 6) == ["a", "b", "a", "a", "b", "a"]
+
+    def test_ties_break_by_name(self):
+        scheduler = StrideScheduler()
+        for name in ("c", "a", "b"):
+            scheduler.set_weight(name, 1.0)
+        assert self.serve(scheduler, ["c", "b", "a"], 3) == ["a", "b", "c"]
+        assert scheduler.pick([]) is None
+
+    def test_rejoin_banks_no_credit(self):
+        scheduler = StrideScheduler()
+        scheduler.set_weight("busy", 1.0)
+        scheduler.set_weight("sleeper", 1.0)
+        self.serve(scheduler, ["busy"], 10)  # the sleeper is idle meanwhile
+        scheduler.rejoin("sleeper")
+        # Back at the current virtual time, the sleeper alternates with busy
+        # instead of taking ten turns in a row.
+        assert self.serve(scheduler, ["busy", "sleeper"], 4) == [
+            "sleeper", "busy", "sleeper", "busy",
+        ]
+
+    def test_charge_scales_by_cost_over_weight(self):
+        scheduler = StrideScheduler()
+        scheduler.set_weight("a", 4.0)
+        scheduler.charge("a", 2.0)
+        assert scheduler.passes["a"] == 0.5
+        assert scheduler.virtual_time == 0.0
+
+    @pytest.mark.parametrize("weight", [0.0, -1.0, float("inf"), float("nan")])
+    def test_rejects_non_finite_or_non_positive_weights(self, weight):
+        scheduler = StrideScheduler()
+        with pytest.raises(ValueError, match="tenant 'a'"):
+            scheduler.set_weight("a", weight)
+        assert scheduler.weights == {}
+
+    def test_set_weight_keeps_the_pass(self):
+        scheduler = StrideScheduler()
+        scheduler.set_weight("a", 1.0)
+        scheduler.charge("a")
+        scheduler.set_weight("a", 2.0)
+        assert scheduler.passes["a"] == 1.0
 
 
 class TestTenantSLO:
@@ -90,6 +147,22 @@ class TestTenantSpec:
     def test_rejects_bad_fields(self, kwargs):
         with pytest.raises(ValueError):
             TenantSpec(**kwargs)
+
+    def test_rejects_an_infinite_weight(self):
+        # An infinite weight makes every charge 0: the tenant would starve
+        # every other tenant.
+        specs = json.loads('{"a": {"weight": Infinity}}')
+        with pytest.raises(ValueError, match="tenant 'a'.*weight"):
+            parse_tenant_config(specs)
+
+    def test_rejects_an_infinite_queue_depth(self):
+        specs = json.loads('{"a": {"queue_depth": Infinity}}')
+        with pytest.raises(ValueError, match="tenant 'a'.*queue_depth"):
+            parse_tenant_config(specs)
+
+    def test_rejects_a_fractional_queue_depth(self):
+        with pytest.raises(ValueError, match="tenant 'a'.*queue_depth"):
+            parse_tenant_config({"a": {"queue_depth": 2.7}})
 
     def test_from_mapping_builds_the_full_spec(self):
         spec = TenantSpec.from_mapping(

@@ -659,12 +659,7 @@ class TestMultiTenantCommands:
 
     def test_serve_tenant_defaults(self):
         args = build_parser().parse_args(["serve"])
-        assert args.scheduling == "fair"
         assert args.tenant_config is None
-
-    def test_serve_rejects_unknown_scheduling_policy(self):
-        with pytest.raises(SystemExit):
-            build_parser().parse_args(["serve", "--scheduling", "lifo"])
 
     def test_tune_tenants_parser_defaults(self, tmp_path):
         config = self.tenant_config(tmp_path, {"a": {}})
@@ -702,6 +697,13 @@ class TestMultiTenantCommands:
         )
         message = self.exit_message(["serve", "--tenant-config", config])
         assert "recall_floor" in message
+
+    @pytest.mark.parametrize("field", ["weight", "queue_depth"])
+    def test_serve_rejects_infinite_tenant_fields(self, tmp_path, field):
+        # Python's json parses the bare token Infinity.
+        config = self.tenant_config(tmp_path, '{"a": {"%s": Infinity}}' % field)
+        message = self.exit_message(["serve", "--tenant-config", config])
+        assert "'a'" in message and field in message
 
     def test_tune_tenants_rejects_bad_flags(self, tmp_path):
         config = self.tenant_config(tmp_path, {"a": {}})
