@@ -20,12 +20,20 @@ every other line, so adding it moved no earlier line.  A last section,
 ``FILTERED_TYPES`` over ``FAMILY_AXES``, hashes filtered requests of the types
 the family's cells leave out (``cat == 1`` under pre, post and auto) and a
 filter no row matches (``cat == CATEGORIES``: every view all-false, answered
-by float64 padding) for all seven types.  It prints one digest
+by float64 padding) for all seven types.  A section after that,
+``TOTAL IVF_FLAT shard runs``, hashes the shape a served read meets: two
+shards of 20 full IVF_FLAT segments of ``RUN_SEGMENT_ROWS`` rows each
+(``nlist=16``, ``nprobe=4``, ``angular``), one more sealed segment per shard —
+in one shard smaller than ``nlist`` —, a growing tail, copied rows across
+segments, and ``q = 8``, ``top_k = 10`` requests unfiltered and
+``cat == c`` (about a tenth of the rows), before and after a delete
+tombstones rows.  It prints one digest
 per cell and a ``TOTAL <index type>`` line over each type's cells; a change
 to a query path that claims bit-identity (the fused scan of a run of
 FLAT-served segments did, the array-walking HNSW search did, the
 tile-at-a-time IVF scoring did, the fused run of IVF_FLAT segments did, one
-``search_run`` per index type did) must
+``search_run`` per index type did, a run's one probe, listing and placement
+per shard did) must
 print the same lines as its parent.  ``digest_search_matrix.expected`` holds
 them, and CI diffs the output against it.
 """
@@ -153,6 +161,59 @@ def digest_index_type(index_type: str, auto_ids: bool = False, filtered: bool = 
     return total.hexdigest()
 
 
+#: The shard-runs section: 2 shards of 20 full 512-row segments, one partial
+#: sealed segment each (6 rows in one shard: fewer than ``nlist``) and a
+#: 256-row growing tail; ``SystemConfig.sealed_segment_rows`` is 512 at 64
+#: dimensions and the insert buffer holds 256 rows.
+RUN_DIMENSION = 64
+RUN_ROWS = 21_060
+RUN_SEGMENT_ROWS = 512
+RUN_CONFIG = {"shard_num": 2, "segment_max_size": 512, "segment_seal_proportion": 0.25,
+              "insert_buf_size": 128}
+RUN_CATEGORIES = 10
+
+
+def digest_shard_runs() -> str:
+    """The ``TOTAL IVF_FLAT shard runs`` section (see the module docstring)."""
+    rng = np.random.default_rng(23)
+    vectors = rng.normal(size=(RUN_ROWS, RUN_DIMENSION)).astype(np.float32)
+    # Copies of 40 early rows scattered over later segments: ties across segments.
+    sources = np.arange(40)
+    vectors[rng.choice(np.arange(RUN_SEGMENT_ROWS * 4, RUN_ROWS), size=40, replace=False)] = vectors[sources]
+    categories = rng.integers(0, RUN_CATEGORIES, size=RUN_ROWS)
+    collection = Collection("runs", RUN_DIMENSION, metric="angular",
+                            system_config=SystemConfig(**RUN_CONFIG), auto_maintenance=False)
+    collection.insert(vectors, attributes={"cat": categories})
+    collection.flush()
+    collection.create_index("IVF_FLAT", {"nlist": 16, "nprobe": 4})
+    total = hashlib.sha256()
+    for phase in ("fresh", "tombstoned"):
+        if phase == "tombstoned":
+            collection.delete(np.arange(0, 1536, 3))  # the first segments of each shard
+        cell = hashlib.sha256()
+        for batch in range(6):
+            queries = rng.normal(size=(8, RUN_DIMENSION)).astype(np.float32)
+            queries[:3] = vectors[sources[3 * batch : 3 * batch + 3]]  # on copied rows
+            cell_requests = [SearchRequest(queries, 10)] + [
+                SearchRequest(queries, 10, filter=AttributeFilter("cat", "eq", batch % RUN_CATEGORIES),
+                              filter_strategy=strategy)
+                for strategy in ("pre", "auto")
+            ]
+            for request in cell_requests:
+                result = collection.search(request)
+                cell.update(np.ascontiguousarray(result.ids).tobytes())
+                cell.update(str(result.ids.dtype).encode())
+                cell.update(np.ascontiguousarray(result.distances).tobytes())
+                cell.update(str(result.distances.dtype).encode())
+                cell.update(repr(astuple(result.stats)).encode())
+                cell.update(repr([astuple(s) for s in result.shard_stats]).encode())
+        digest = cell.hexdigest()
+        total.update(digest.encode())
+        views = [len(shard.snapshot("angular")) for shard in collection.shards]
+        print(f"angular  shards=2 {phase} views={views} {digest[:16]}")
+    return total.hexdigest()
+
+
 def main() -> None:
     for index_type in INDEX_TYPES:
         print("TOTAL", index_type, digest_index_type(index_type))
@@ -160,6 +221,7 @@ def main() -> None:
         print("TOTAL", index_type, "auto-ids", digest_index_type(index_type, auto_ids=True))
     for index_type in INDEX_TYPES:
         print("TOTAL", index_type, "filtered", digest_index_type(index_type, filtered=True))
+    print("TOTAL IVF_FLAT shard runs", digest_shard_runs())
 
 
 if __name__ == "__main__":

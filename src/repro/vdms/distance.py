@@ -38,10 +38,12 @@ a batch against its own few dozen gathered rows.  Its products stay one GEMV
 per query, but the gather and the finish are paid once per tile of queries
 (:meth:`QueryOperand.gather_scan_runs`) — and so is a round of graph walks,
 one hop of every query of a block.  A shard's IVF_FLAT segments go one step
-further: each segment's GEMVs land side by side per query
-(:meth:`QueryOperand.gather_products`) and one finish
-(:meth:`QueryOperand.finish_runs`) and one select serve the whole run, with
-every product still the call its own segment search issues.
+further: their coarse GEMMs land side by side under one finish
+(:meth:`QueryOperand.scan` over a sequence of operands), each segment's
+GEMVs land side by side per query (:meth:`QueryOperand.gather_products`),
+and one finish (:meth:`QueryOperand.finish_runs`) and one select serve the
+whole run.  Every product is still the call its own segment search issues:
+what a run pays per segment is that segment's gather and its GEMVs.
 """
 
 from __future__ import annotations
@@ -320,13 +322,25 @@ class QueryOperand:
             products, self.norms64[row : row + 1], operand.norms64[positions], self.metric
         )[0]
 
-    def scan(self, operand: ScanOperand) -> np.ndarray:
-        """:func:`pairwise_distances` of the whole batch against ``operand``,
-        without preparing the queries again."""
-        products = self.queries64 @ operand.vectors64.T
+    def scan(self, operands: Sequence[ScanOperand]) -> np.ndarray:
+        """:func:`pairwise_distances` of the whole batch against each of
+        ``operands``, side by side in one ``(q, Σ rows)`` array, without
+        preparing the queries again.
+
+        Each operand's GEMM keeps its own shape and writes into its own
+        columns, so its products are the ones a scan of it alone computes;
+        the per-pair finish runs once over all of them.
+        """
+        products = np.empty((self.queries64.shape[0], sum(operand.shape[0] for operand in operands)))
+        start = 0
+        for operand in operands:
+            stop = start + operand.shape[0]
+            np.matmul(self.queries64, operand.vectors64.T, out=products[:, start:stop])
+            start = stop
         if self.norms64 is None:
             return _finish_tile(products, None, None, self.metric)
-        return _finish_tile(products, self.norms64, operand.norms64, self.metric)
+        vector_norms = np.concatenate([operand.norms64 for operand in operands])
+        return _finish_tile(products, self.norms64, vector_norms, self.metric)
 
     def gather_scan_runs(
         self, rows: Sequence[int], counts: Sequence[int], operand: ScanOperand, positions: np.ndarray

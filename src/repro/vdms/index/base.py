@@ -280,12 +280,7 @@ class VectorIndex(ABC):
         if allow_mask is None:
             positions, distances, stats = self._search(queries, min(top_k, self.size))
         else:
-            allow_mask = np.asarray(allow_mask, dtype=bool)
-            if allow_mask.shape != (self.size,):
-                raise ValueError(
-                    f"allow_mask must cover every stored row (expected shape "
-                    f"({self.size},), got {allow_mask.shape})"
-                )
+            allow_mask = self._checked_mask(allow_mask)
             if strategy not in ("pre", "post"):
                 raise ValueError(f"strategy must be 'pre' or 'post', got {strategy!r}")
             if not allow_mask.any():
@@ -315,6 +310,16 @@ class VectorIndex(ABC):
         if top_k <= 0:
             raise ValueError("top_k must be positive")
         return queries, top_k
+
+    def _checked_mask(self, allow_mask: np.ndarray) -> np.ndarray:
+        """``allow_mask`` as the boolean mask over every stored row a search reads."""
+        allow_mask = np.asarray(allow_mask, dtype=bool)
+        if allow_mask.shape != (self.size,):
+            raise ValueError(
+                f"allow_mask must cover every stored row (expected shape "
+                f"({self.size},), got {allow_mask.shape})"
+            )
+        return allow_mask
 
     # -- runs: a shard's segments of one index type, answered together ----------
 

@@ -18,6 +18,7 @@ candidates of its queries under one finish and one select.
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import groupby
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
 import numpy as np
@@ -111,55 +112,74 @@ def _whole_query_tiles(spans: list[int], max_rows: int, max_queries: int) -> Ite
         first = stop
 
 
-def _score_run_tile(
-    query_side: QueryOperand,
-    first: int,
-    run: Sequence["IVFFlatIndex"],
-    offsets: Sequence[int],
-    lists: Sequence[tuple[np.ndarray, np.ndarray]],
-    tile_bounds: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One tile of a fused run: every index's candidates of queries ``first, first + 1, …``.
+def _probe(run: Sequence["IVFFlatIndex"], query_side: QueryOperand) -> list[np.ndarray]:
+    """The lists each query of the batch probes in each index of ``run``.
 
-    ``lists[j]`` is index ``j``'s ``(candidates, bounds)`` for the block and
-    ``tile_bounds[j]`` the slice of its bounds the tile covers.  Returns
-    ``(scores, rows, cuts)`` for the select: query ``first + i`` owns
-    ``[cuts[i]:cuts[i + 1]]``, its candidates from index 0, then index 1, …,
-    ``rows`` holding run positions.  An index's rows are gathered at most
-    ``DEFAULT_ROW_BLOCK`` at a time (more only for one query that has more)
-    and each (index, query) product is the GEMV that index's own search
-    issues, so the float64 products are its bit for bit.
+    One coarse scan of the whole batch against every index's centroids —
+    each index's GEMM the one its own search makes, one finish for all —,
+    then one ``argpartition`` per stretch of consecutive indexes sharing
+    ``nlist`` and ``nprobe``.  It partitions each index's row of coarse
+    distances on its own, so every index probes the lists its own search
+    picks.  Returns one ``(indexes, q, nprobe)`` array per stretch, list ids
+    shifted past the lists of the indexes before (*run* list ids).  The
+    caller charges ``q × Σ nlist`` coarse evaluations.
     """
-    counts = np.diff(tile_bounds, axis=1)
-    per_query = counts.sum(axis=0)
-    cuts = np.concatenate(([0], np.cumsum(per_query)))
-    # Index j's candidates of query i begin after query i's from the indexes before j.
-    starts = cuts[:-1] + np.cumsum(counts, axis=0) - counts
-    products = np.empty((1, cuts[-1]), dtype=np.float64)
-    rows = np.empty(cuts[-1], dtype=np.int64)
-    vector_norms = None if query_side.norms64 is None else np.empty(cuts[-1])
-    owners = range(first, first + counts.shape[1])
-    for index, offset, (candidates, _), index_bounds, index_counts, index_starts in zip(
-        run, offsets, lists, tile_bounds, counts, starts
-    ):
-        begin, end = index_bounds[0], index_bounds[-1]
-        if begin == end:
-            continue
-        positions = candidates[begin:end]
-        # Each query's slice of ``positions`` moves to its place in the tile.
-        place = np.repeat(index_starts - (index_bounds[:-1] - begin), index_counts)
-        place += np.arange(end - begin)
-        rows[place] = positions + offset
-        if vector_norms is not None:
-            vector_norms[place] = index._operand.norms64[positions]
-        spans = (index_bounds - begin).tolist()
-        query_counts, query_starts = index_counts.tolist(), index_starts.tolist()
-        for low, high in _whole_query_tiles(spans, DEFAULT_ROW_BLOCK, len(query_counts)):
-            query_side.gather_products(
-                owners[low:high], query_counts[low:high], index._operand,
-                positions[spans[low] : spans[high]], products, query_starts[low:high],
-            )
-    return query_side.finish_runs(products, owners, per_query, vector_norms), rows, cuts
+    operands = [index._centroid_operand for index in run]
+    coarse = query_side.scan(operands)
+    shapes = [
+        (operand.shape[0], max(1, min(index.nprobe, operand.shape[0])))
+        for index, operand in zip(run, operands)
+    ]
+    probes, start = [], 0
+    for (nlist, nprobe), stretch in groupby(shapes):
+        members = len(list(stretch))
+        stop = start + nlist * members
+        lists = coarse[:, start:stop].reshape(coarse.shape[0], members, nlist)
+        probed = np.argpartition(lists, nprobe - 1, axis=2)[:, :, :nprobe]
+        probes.append(probed.transpose(1, 0, 2) + np.arange(start, stop, nlist)[:, None, None])
+        start = stop
+    return probes
+
+
+def _probed_candidates(
+    run: Sequence["IVFFlatIndex"], probes: Sequence[np.ndarray], masks: Sequence[np.ndarray | None]
+) -> tuple[np.ndarray, np.ndarray]:
+    """The candidates of ``probes`` (a :func:`_probe` result), flat.
+
+    Returns ``(rows, bounds)``: with ``q`` queries, the pair of index ``j``
+    and query ``i`` owns ``rows[bounds[j * q + i]:bounds[j * q + i + 1]]``,
+    in probe order and ascending position within a list, ``rows`` holding
+    run positions (the index's offset in the run plus the stored position).
+    ``masks[j]`` is index ``j``'s boolean allow-mask; with one, only its
+    allowed rows are listed.  The run's lists are laid end to end for the
+    call; nothing is kept.
+    """
+    index_sizes = [index.size for index in run]
+    list_sizes = np.concatenate([index._list_sizes for index in run])
+    order = np.concatenate([index._list_order for index in run])
+    order += np.repeat(np.cumsum([0] + index_sizes[:-1]), index_sizes)
+    allow = None
+    if any(mask is not None for mask in masks):
+        allow = np.concatenate(
+            [np.ones(size, bool) if mask is None else mask for size, mask in zip(index_sizes, masks)]
+        )
+    lists = np.concatenate([probed.ravel() for probed in probes])
+    sizes = list_sizes[lists]
+    ends = np.cumsum(sizes)
+    # Where each (index, query) pair's last probed list ends.
+    nprobes = [probed.shape[2] for probed in probes]
+    pairs = [probed.shape[0] * probed.shape[1] for probed in probes]
+    bounds = np.concatenate(([0], ends[np.cumsum(np.repeat(nprobes, pairs)) - 1]))
+    # Ragged arange: the probed lists laid end to end, list r's last slot
+    # (ends[r] - 1) reading the order array at its own last slot (an index's
+    # lists cover its rows, so the run's lists end where the sizes sum up).
+    shift = np.repeat(np.cumsum(list_sizes)[lists] - ends, sizes)
+    rows = order[np.arange(bounds[-1]) + shift]
+    if allow is not None:
+        allowed = allow[rows]
+        rows = rows[allowed]
+        bounds = np.concatenate(([0], np.cumsum(allowed)))[bounds]
+    return rows, bounds
 
 
 def _settled(scores: np.ndarray, cuts: np.ndarray, distances: np.ndarray, top_k: int) -> np.ndarray:
@@ -189,11 +209,10 @@ class IVFFlatIndex(VectorIndex):
         self.nprobe = self.checked_search_params(nprobe=nprobe)["nprobe"]
         self._centroids: np.ndarray | None = None
         self._centroid_operand: ScanOperand | None = None
-        #: Stored positions in (list, ascending position) order, each list's
-        #: length, and where each list ends in the order array.
+        #: Stored positions in (list, ascending position) order, and each
+        #: list's length.
         self._list_order: np.ndarray | None = None
         self._list_sizes: np.ndarray | None = None
-        self._list_ends: np.ndarray | None = None
 
     # -- build ----------------------------------------------------------------
 
@@ -205,7 +224,6 @@ class IVFFlatIndex(VectorIndex):
         nlist = clustering.centroids.shape[0]
         self._list_order = np.argsort(clustering.assignments, kind="stable").astype(np.int64)
         self._list_sizes = np.bincount(clustering.assignments, minlength=nlist).astype(np.int64)
-        self._list_ends = np.cumsum(self._list_sizes)
         return BuildStats(
             distance_evaluations=clustering.distance_evaluations,
             training_iterations=clustering.iterations,
@@ -214,47 +232,13 @@ class IVFFlatIndex(VectorIndex):
 
     # -- search ---------------------------------------------------------------
 
-    def _probe(self, query_side: QueryOperand) -> np.ndarray:
-        """The lists each query of the batch probes: ``(q, nprobe)`` list ids.
-
-        One coarse scan of the whole batch against the centroids, charged as
-        ``q × nlist`` coarse evaluations by the caller.
-        """
-        coarse = query_side.scan(self._centroid_operand)
-        nprobe = max(1, min(self.nprobe, coarse.shape[1]))
-        return np.argpartition(coarse, nprobe - 1, axis=1)[:, :nprobe]
-
-    def _probed_candidates(
-        self, probed: np.ndarray, allow_mask: np.ndarray | None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """The candidate positions of ``probed``'s lists (a :meth:`_probe` result), flat.
-
-        Returns ``(candidates, bounds)``: row ``i`` of ``probed`` owns
-        ``candidates[bounds[i]:bounds[i + 1]]``, in probe order and ascending
-        position within a list; with an ``allow_mask``, the allowed ones only.
-        """
-        nprobe = probed.shape[1]
-        probed = probed.ravel()
-        sizes = self._list_sizes[probed]
-        ends = np.cumsum(sizes)
-        bounds = np.concatenate(([0], ends[nprobe - 1 :: nprobe]))
-        # Ragged arange: the probed lists laid end to end, list r's last slot
-        # (ends[r] - 1) reading the order array at its own last slot.
-        shift = np.repeat(self._list_ends[probed] - ends, sizes)
-        candidates = self._list_order[np.arange(bounds[-1]) + shift]
-        if allow_mask is not None:
-            allowed = allow_mask[candidates]
-            candidates = candidates[allowed]
-            bounds = np.concatenate(([0], np.cumsum(allowed)))[bounds]
-        return candidates, bounds
-
     def _search(
         self, queries: np.ndarray, top_k: int, allow_mask: np.ndarray | None = None
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Probe, then score the candidates a tile of whole queries at a time."""
         num_queries = queries.shape[0]
         query_side = QueryOperand(queries, self.metric)
-        candidates, bounds = self._probed_candidates(self._probe(query_side), allow_mask)
+        candidates, bounds = _probed_candidates([self], _probe([self], query_side), [allow_mask])
         stats = SearchStats(coarse_evaluations=num_queries * self._centroid_operand.shape[0])
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
@@ -326,6 +310,13 @@ class IVFFlatIndex(VectorIndex):
         """
         if options is None:
             options = [{}] * len(run)
+        # Coerced and checked as each member's own search would, once, here:
+        # the fused form reads the masks directly.
+        options = [
+            option if option.get("allow_mask") is None
+            else {**option, "allow_mask": index._checked_mask(option["allow_mask"])}
+            for index, option in zip(run, options)
+        ]
         fusable = [
             option.get("allow_mask") is None
             or (option.get("strategy", "pre") == "pre" and option["allow_mask"].any())
@@ -350,15 +341,20 @@ class IVFFlatIndex(VectorIndex):
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Top-k over a run of IVF_FLAT indexes of one metric, as one candidate list.
 
-        ``options`` carry each index's allow-mask (``None`` unfiltered).  The
-        queries are prepared once and each index probes the whole batch with
-        its own ``nprobe`` — the coarse scan its own search makes.  Then, per
-        block of ``DEFAULT_QUERY_BLOCK`` queries, each index lists its
-        candidates, and a tile of whole queries (at least one, at most
-        ``4 × DEFAULT_ROW_BLOCK`` candidates over the run) is scored as one
-        union: one finish and one select in (distance, run position) order,
-        the run position being an index's offset in the run plus the stored
-        position.  ``stats`` charges exactly what searching each index would
+        ``options`` carry each index's boolean allow-mask (``None``
+        unfiltered).  The queries are prepared once and probed once
+        (:func:`_probe`).  Then, per block of ``DEFAULT_QUERY_BLOCK``
+        queries, one listing gives every index's candidates of every query
+        (:func:`_probed_candidates`, index-major) and one permutation lays
+        them out query-major: query ``i``'s candidates from index 0, then
+        index 1, …, the rows as run positions (an index's offset in the run
+        plus the stored position).  A tile of whole queries (at least one,
+        at most ``4 × DEFAULT_ROW_BLOCK`` candidates) is scored with one
+        finish and one select in (distance, run position) order.  What stays
+        per index is what bit-identity needs: its rows gathered (at most
+        ``DEFAULT_ROW_BLOCK`` at a time, more only for one query that has
+        more) and each query's GEMV, the call that index's own search
+        issues.  ``stats`` charges exactly what searching each index would
         have.  A query whose boundary distance is tied or not a number (see
         :func:`~repro.vdms.distance.scan_topk`) is re-run through the base
         :meth:`VectorIndex.search_run`.
@@ -367,9 +363,11 @@ class IVFFlatIndex(VectorIndex):
         num_queries = int(prepared.shape[0])
         query_side = QueryOperand(prepared, run[0].metric)
         masks = [option.get("allow_mask") for option in options]
-        # Copied: a probe is a view of the whole (q, nlist) partition.
-        probes = [np.ascontiguousarray(index._probe(query_side)) for index in run]
-        offsets = np.cumsum([0] + [index.size for index in run])[:-1].tolist()
+        probes = _probe(run, query_side)
+        offsets = np.cumsum([0] + [index.size for index in run[:-1]])
+        norms = None
+        if query_side.norms64 is not None:
+            norms = np.concatenate([index._operand.norms64 for index in run])
         stats = SearchStats(
             num_queries=num_queries,
             coarse_evaluations=num_queries * sum(index._centroid_operand.shape[0] for index in run),
@@ -379,22 +377,44 @@ class IVFFlatIndex(VectorIndex):
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
         settled = np.ones(num_queries, dtype=bool)
         for block in range(0, num_queries, DEFAULT_QUERY_BLOCK):
-            lists = [
-                index._probed_candidates(probed[block : block + DEFAULT_QUERY_BLOCK], mask)
-                for index, probed, mask in zip(run, probes, masks)
-            ]
-            bounds = np.stack([list_bounds for _, list_bounds in lists])
-            # Each index's bounds count from 0, so their sum is the union's.
-            spans = bounds.sum(axis=0).tolist()
+            block_probes = [probed[:, block : block + DEFAULT_QUERY_BLOCK] for probed in probes]
+            width = block_probes[0].shape[1]
+            rows, bounds = _probed_candidates(run, block_probes, masks)
+            counts = np.diff(bounds).reshape(len(run), width)
+            # Each index's gather reads its own stored positions.
+            stored = rows - np.repeat(offsets, counts.sum(axis=1))
+            cuts = np.concatenate(([0], np.cumsum(counts.sum(axis=0))))
+            # Index j's candidates of query i begin after query i's from the indexes before j.
+            starts = cuts[:-1] + np.cumsum(counts, axis=0) - counts
+            place = np.repeat(starts.ravel() - bounds[:-1], counts.ravel()) + np.arange(bounds[-1])
+            placed = np.empty_like(rows)
+            placed[place] = rows
+            spans, edges = cuts.tolist(), bounds.tolist()
             for first, stop in _whole_query_tiles(spans, 4 * DEFAULT_ROW_BLOCK, DEFAULT_QUERY_BLOCK):
-                if spans[stop] > spans[first]:
-                    tile = slice(block + first, block + stop)
-                    scores, rows, cuts = _score_run_tile(
-                        query_side, tile.start, run, offsets, lists, bounds[:, first : stop + 1]
-                    )
-                    stats.distance_evaluations += rows.shape[0]
-                    lexicographic_select(scores, rows, cuts, top_k, positions[tile], distances[tile])
-                    settled[tile] = _settled(scores, cuts, distances[tile], top_k)
+                begin, end = spans[first], spans[stop]
+                if end == begin:
+                    continue
+                owners = range(block + first, block + stop)
+                products = np.empty((1, end - begin), dtype=np.float64)
+                tile_counts = counts[:, first:stop].tolist()
+                tile_starts = (starts[:, first:stop] - begin).tolist()
+                for number, index in enumerate(run):
+                    index_spans = edges[number * width + first : number * width + stop + 1]
+                    if index_spans[-1] == index_spans[0]:
+                        continue
+                    index_counts, index_starts = tile_counts[number], tile_starts[number]
+                    for head, tail in _whole_query_tiles(index_spans, DEFAULT_ROW_BLOCK, stop - first):
+                        query_side.gather_products(
+                            owners[head:tail], index_counts[head:tail], index._operand,
+                            stored[index_spans[head] : index_spans[tail]], products, index_starts[head:tail],
+                        )
+                tile = slice(block + first, block + stop)
+                tile_cuts, tile_rows = cuts[first : stop + 1] - begin, placed[begin:end]
+                vector_norms = None if norms is None else norms[tile_rows]
+                scores = query_side.finish_runs(products, owners, np.diff(tile_cuts), vector_norms)
+                stats.distance_evaluations += end - begin
+                lexicographic_select(scores, tile_rows, tile_cuts, top_k, positions[tile], distances[tile])
+                settled[tile] = _settled(scores, tile_cuts, distances[tile], top_k)
         ids = np.concatenate([index._ids for index in run])[positions]
         ids[positions < 0] = -1
         unsettled = np.flatnonzero(~settled)

@@ -192,7 +192,7 @@ SEED_CLASSES = {
 
 def seed_lists(index):
     """The seed's per-cluster lists, cut from the cluster-major order array."""
-    ends = index._list_ends
+    ends = np.cumsum(index._list_sizes)
     return [
         index._list_order[stop - size : stop] for size, stop in zip(index._list_sizes, ends)
     ]
@@ -556,15 +556,16 @@ class TestRuns:
         # (DEFAULT_ROW_BLOCK) patched down: tiles of one query, of a few, and
         # an index's rows gathered in several pieces.
         monkeypatch.setattr("repro.vdms.index.ivf_flat.DEFAULT_ROW_BLOCK", row_block)
+        # A fused tile is one select (an index's own search selects through
+        # ``_select``, bound on the class): its cuts count the tile's queries.
         tiles = []
-        score_run_tile = ivf_flat._score_run_tile
+        select = ivf_flat.lexicographic_select
 
-        def counting_score_run_tile(query_side, first, *args):
-            scored = score_run_tile(query_side, first, *args)
-            tiles.append(scored[2].shape[0] - 1)
-            return scored
+        def counting_select(scores, rows, cuts, *args):
+            tiles.append(cuts.shape[0] - 1)
+            return select(scores, rows, cuts, *args)
 
-        monkeypatch.setattr(ivf_flat, "_score_run_tile", counting_score_run_tile)
+        monkeypatch.setattr(ivf_flat, "lexicographic_select", counting_select)
         gathers = []
         gather_products = distance.QueryOperand.gather_products
 
@@ -621,6 +622,97 @@ class TestRuns:
         assert counting.runs == [3]
         monkeypatch.undo()
         assert_same_as_per_index(mixed, queries, 10)
+
+    @pytest.mark.parametrize("masks", ["none", "10%", "90%"])
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    def test_indexes_of_different_effective_nlist(self, monkeypatch, metric, masks):
+        # (rows, nlist, nprobe): three indexes hold fewer rows than their nlist.
+        shapes = [(3, 4, 2), (25, 8, 3), (40, 2, 1), (7, 16, 5), (30, 4, 4), (12, 6, 6)]
+        rng = np.random.default_rng(41)
+        vectors = rng.normal(size=(sum(rows for rows, _, _ in shapes), RUN_DIMENSION)).astype(np.float32)
+        ids = rng.permutation(vectors.shape[0] * 3)[: vectors.shape[0]]
+        run, start = [], 0
+        for segment, (rows, nlist, nprobe) in enumerate(shapes):
+            index = IVFFlatIndex(metric=metric, nlist=nlist, nprobe=nprobe, seed=segment)
+            index.build(vectors[start : start + rows], ids[start : start + rows])
+            run.append(index)
+            start += rows
+        assert [index._centroid_operand.shape[0] for index in run] == [3, 8, 2, 7, 4, 6]
+        allow, strategies = run_masks(run, masks)
+        for num_queries in (1, 8, 70):
+            queries = run_queries(vectors, num_queries)
+            for top_k in (1, 10, vectors.shape[0] + 5):
+                assert_same_as_per_index(run, queries, top_k, allow, strategies)
+        counting = CountingSearch(monkeypatch)
+        snapshot_search(run, run_queries(vectors, 8), 10, allow, strategies)
+        assert counting.runs == [len(run) - (2 if allow is not None else 0)]
+
+    def test_an_index_whose_probed_lists_are_all_masked_out(self, monkeypatch):
+        run, vectors = build_run("l2", 5, duplicates=False)
+        rng = np.random.default_rng(8)
+        masks = [rng.random(index.size) < 0.9 for index in run]
+        # Index 2 probes one list and allows only the rows of its list 0:
+        # the queries that probe another list get nothing from it.
+        sparse = run[2]
+        sparse.set_search_params(nprobe=1)
+        masks[2][:] = False
+        masks[2][sparse._list_order[: sparse._list_sizes[0]]] = True
+        queries = rng.normal(size=(40, RUN_DIMENSION)).astype(np.float32)
+        alone, _, _ = sparse.search(queries, 10, allow_mask=masks[2])
+        empty = (alone == -1).all(axis=1)
+        assert empty.any() and not empty.all()
+        for top_k in (1, 10, 200):
+            assert_same_as_per_index(run, queries, top_k, masks, ["pre"] * len(run))
+        counting = CountingSearch(monkeypatch)
+        snapshot_search(run, queries, 10, masks, ["pre"] * len(run))
+        assert counting.runs == [len(run)]
+
+    @pytest.mark.parametrize("row_block", [7, None])
+    @pytest.mark.parametrize("segments", [2, 24])
+    def test_a_run_finishes_once_to_probe_and_once_per_tile(self, monkeypatch, segments, row_block):
+        # However many indexes a run holds: one finish of every index's
+        # coarse products, then one finish (and one select) per tile.
+        if row_block is not None:
+            monkeypatch.setattr("repro.vdms.index.ivf_flat.DEFAULT_ROW_BLOCK", row_block)
+        run, vectors = build_run("angular", segments, duplicates=False)
+        queries = np.random.default_rng(4).normal(size=(8, RUN_DIMENSION)).astype(np.float32)
+        counting = CountingSearch(monkeypatch)
+        finishes, tiles = [], []
+        finish_tile, select = distance._finish_tile, ivf_flat.lexicographic_select
+
+        def counting_finish(*args, **kwargs):
+            finishes.append(1)
+            return finish_tile(*args, **kwargs)
+
+        def counting_select(*args):
+            tiles.append(1)
+            return select(*args)
+
+        monkeypatch.setattr(distance, "_finish_tile", counting_finish)
+        monkeypatch.setattr(ivf_flat, "lexicographic_select", counting_select)
+        IVFFlatIndex.search_run(run, queries, 10)
+        assert counting.runs == [segments] and counting.searched == []  # no tie fallback
+        assert len(finishes) == 1 + len(tiles)
+        assert len(tiles) == 1 if row_block is None else len(tiles) > 1
+
+    def test_a_mask_search_rejects_is_rejected_by_the_run(self):
+        # No ties and no NaN: nothing reaches the per-index fallback.
+        run, _ = build_run("l2", 3, duplicates=False)
+        queries = np.random.default_rng(6).normal(size=(8, RUN_DIMENSION)).astype(np.float32)
+        options = [{"allow_mask": np.ones(index.size, dtype=bool)} for index in run]
+        options[1] = {"allow_mask": np.ones(run[1].size + 5, dtype=bool)}
+        with pytest.raises(ValueError, match="allow_mask must cover every stored row"):
+            run[1].search(queries, 10, **options[1])
+        with pytest.raises(ValueError, match="allow_mask must cover every stored row"):
+            IVFFlatIndex.search_run(run, queries, 10, options)
+
+    def test_an_integer_mask_is_read_as_its_boolean_cast(self):
+        run, vectors = build_run("l2", 3)
+        masks = [(np.arange(index.size) % 5 == 0).astype(np.int64) for index in run]
+        for num_queries in (1, 8):
+            queries = run_queries(vectors, num_queries)
+            for top_k in (1, 10):
+                assert_same_as_per_index(run, queries, top_k, masks, ["pre"] * len(run))
 
     def test_empty_batch(self):
         run, _ = build_run("l2", 3)
