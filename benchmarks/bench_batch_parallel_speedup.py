@@ -64,9 +64,7 @@ def _run_batch_parallel():
     environment = VDMSTuningEnvironment(DATASET, seed=SEED)
     started = time.perf_counter()
     tuner = VDTuner(environment, settings=_settings())
-    with BatchEvaluator.from_environment(
-        environment, num_workers=NUM_WORKERS, backend="process"
-    ) as evaluator:
+    with BatchEvaluator.from_environment(environment, num_workers=NUM_WORKERS) as evaluator:
         report = tuner.run(batch_size=BATCH_SIZE, evaluator=evaluator)
     wall = time.perf_counter() - started
     return environment, report, wall

@@ -15,8 +15,8 @@ the interdependence the tuning space now lets VDTuner discover).
 
 Asserts the acceptance criterion of the sharded engine: >= 2x measured
 search throughput at 4 shards + 4 threads over the 1-shard serial baseline,
-with recall at parity.  Real wall-clock seconds of the thread-pool replay
-are reported for context only (this harness may run on a single core; the
+with recall at parity.  Real wall-clock seconds of the replay are reported
+for context only (this harness may run on a single core; the
 simulated schedule is the machine-independent measure).
 """
 

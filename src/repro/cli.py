@@ -24,15 +24,16 @@ the drift via CUSUM on the served metrics and re-tunes warm-started
 
 ``evaluate`` accepts ``--shards S --routing-policy hash|range
 --search-threads T`` to serve the replay through the sharded scatter-gather
-engine and the concurrent query scheduler (measured concurrent QPS), e.g.::
+engine and the per-request query scheduler, whose shard tasks are
+event-simulated over T workers (measured concurrent QPS), e.g.::
 
     python -m repro.cli evaluate --dataset glove-small --index-type IVF_FLAT \
         --shards 4 --search-threads 4 --set segment_max_size=125
 
 ``tune``, ``compare`` and ``tune-online`` accept ``--batch-size Q --workers N``
 to switch the tuners to the batch-parallel engine: joint q-EHVI suggestion
-batches evaluated concurrently on a worker pool (see :mod:`repro.parallel`),
-e.g.::
+batches evaluated concurrently on a pool of N worker processes (see
+:mod:`repro.parallel`; ``--workers 1`` evaluates in-process), e.g.::
 
     python -m repro.cli tune --dataset glove-small --iterations 48 --batch-size 4 --workers 4
 
@@ -104,15 +105,9 @@ def build_parser() -> argparse.ArgumentParser:
             type=int,
             default=1,
             metavar="N",
-            help="evaluate each batch on N parallel workers, each with its own "
-            "VDMS server over a shared read-only dataset (default 1: in-process); "
+            help="evaluate each batch on a pool of N worker processes, each with its "
+            "own VDMS server over a shared read-only dataset (default 1: in-process); "
             "results are deterministic and identical for any worker count",
-        )
-        sub.add_argument(
-            "--parallel-backend",
-            default="process",
-            choices=["process", "thread", "serial"],
-            help="worker-pool backend for --workers > 1 (default: process)",
         )
 
     evaluate = subparsers.add_parser("evaluate", help="replay the workload for one configuration")
@@ -608,14 +603,12 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 
 def _make_evaluator(args: argparse.Namespace, environment: VDMSTuningEnvironment):
-    """Build the worker-pool evaluator requested by --workers (or None)."""
+    """Build the process-pool evaluator requested by --workers (or None)."""
     if getattr(args, "workers", 1) <= 1:
         return None
     from repro.parallel import BatchEvaluator
 
-    return BatchEvaluator.from_environment(
-        environment, num_workers=args.workers, backend=args.parallel_backend
-    )
+    return BatchEvaluator.from_environment(environment, num_workers=args.workers)
 
 
 def _command_tune(args: argparse.Namespace) -> int:

@@ -55,15 +55,13 @@ def run_tuner(
     dataset_scale: float = 1.0,
     batch_size: int = 1,
     workers: int = 1,
-    parallel_backend: str = "process",
 ) -> TunerRun:
     """Run one tuner on one dataset and collect the standard artefacts.
 
     ``batch_size`` switches the tuner to joint q-EHVI batch suggestions and
     ``workers`` evaluates each batch on a :class:`repro.parallel.BatchEvaluator`
-    worker pool (``parallel_backend`` selects process/thread/serial workers).
-    The evaluation budget is the same in all modes; only the wall-clock and
-    the replay-clock accounting change.
+    process pool.  The evaluation budget is the same in all modes; only the
+    wall-clock and the replay-clock accounting change.
     """
     scale = scale or current_scale()
     iterations = int(iterations or scale.tuning_iterations)
@@ -79,9 +77,7 @@ def run_tuner(
     if workers > 1:
         from repro.parallel import BatchEvaluator
 
-        evaluator = BatchEvaluator.from_environment(
-            environment, num_workers=workers, backend=parallel_backend
-        )
+        evaluator = BatchEvaluator.from_environment(environment, num_workers=workers)
     try:
         report = tuner.run(iterations, batch_size=batch_size, evaluator=evaluator)
     finally:

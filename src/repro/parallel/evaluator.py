@@ -1,9 +1,9 @@
-"""Concurrent evaluation of configuration batches on a worker pool.
+"""Concurrent evaluation of configuration batches on a process pool.
 
 :class:`BatchEvaluator` is the evaluation half of the batch-parallel tuning
 engine: the tuner suggests a joint q-EHVI batch
 (:meth:`repro.core.tuner.VDTuner.suggest_batch`) and the evaluator replays
-the q configurations concurrently, one per worker.  Design points:
+the q configurations concurrently, one per worker process.  Design points:
 
 * **Per-worker server.**  Every worker owns a private
   :class:`~repro.vdms.server.VectorDBServer` (inside its
@@ -25,7 +25,6 @@ the q configurations concurrently, one per worker.  Design points:
 from __future__ import annotations
 
 import concurrent.futures
-import threading
 from typing import Any, Mapping, Sequence
 
 from repro.datasets.dataset import Dataset
@@ -33,9 +32,6 @@ from repro.workloads.replay import EvaluationResult, WorkloadReplayer
 from repro.workloads.workload import SearchWorkload
 
 __all__ = ["BatchEvaluator", "WorkerFailure"]
-
-#: Supported pool backends.
-_BACKENDS = ("serial", "thread", "process")
 
 
 class WorkerFailure(Exception):
@@ -101,7 +97,7 @@ def _process_worker_replay(values: dict[str, Any]) -> EvaluationResult | WorkerF
 
 
 class BatchEvaluator:
-    """Evaluates batches of configurations concurrently on a worker pool.
+    """Evaluates batches of configurations concurrently on a process pool.
 
     Parameters
     ----------
@@ -110,11 +106,8 @@ class BatchEvaluator:
     workload:
         The search workload; defaults to the dataset's standard workload.
     num_workers:
-        Pool size.  ``1`` short-circuits to in-process evaluation.
-    backend:
-        ``"process"`` (default; real CPU parallelism), ``"thread"`` (lower
-        startup cost, shares the interpreter) or ``"serial"`` (no pool at
-        all — the reference backend the tests compare against).
+        Process-pool size.  ``1`` evaluates in-process, one configuration
+        at a time — the reference the tests compare the pool against.
 
     Examples
     --------
@@ -131,25 +124,18 @@ class BatchEvaluator:
         *,
         workload: SearchWorkload | None = None,
         num_workers: int = 1,
-        backend: str = "process",
         use_query_scheduler: bool = True,
         mutations=None,
         row_ids=None,
     ) -> None:
-        if backend not in _BACKENDS:
-            raise ValueError(f"unknown backend {backend!r}; expected one of {_BACKENDS}")
         self.dataset = dataset
         self.workload = workload or SearchWorkload.from_dataset(dataset)
         self.mutations = mutations
         self.row_ids = row_ids
-        # The serial backend runs one replay at a time, so it is also a
-        # single worker as far as the makespan clock accounting goes.
-        self.num_workers = 1 if backend == "serial" else max(1, int(num_workers))
-        self.backend = backend if self.num_workers > 1 else "serial"
+        self.num_workers = max(1, int(num_workers))
         self.use_query_scheduler = bool(use_query_scheduler)
-        self._pool: concurrent.futures.Executor | None = None
+        self._pool: concurrent.futures.ProcessPoolExecutor | None = None
         self._serial_replayer: WorkloadReplayer | None = None
-        self._thread_local = threading.local()
 
     @classmethod
     def from_environment(
@@ -157,14 +143,12 @@ class BatchEvaluator:
         environment,
         *,
         num_workers: int = 1,
-        backend: str = "process",
     ) -> "BatchEvaluator":
         """Build an evaluator sharing an environment's dataset and workload."""
         return cls(
             environment.dataset,
             workload=environment.workload,
             num_workers=num_workers,
-            backend=backend,
             use_query_scheduler=getattr(environment, "use_query_scheduler", True),
             mutations=getattr(environment, "mutations", None),
             row_ids=getattr(environment, "row_ids", None),
@@ -172,27 +156,21 @@ class BatchEvaluator:
 
     # -- lifecycle ---------------------------------------------------------------------
 
-    def _ensure_pool(self) -> concurrent.futures.Executor | None:
-        if self.backend == "serial":
+    def _ensure_pool(self) -> concurrent.futures.ProcessPoolExecutor | None:
+        if self.num_workers == 1:
             return None
         if self._pool is None:
-            if self.backend == "process":
-                self._pool = concurrent.futures.ProcessPoolExecutor(
-                    max_workers=self.num_workers,
-                    initializer=_process_worker_init,
-                    initargs=(
-                        self.dataset,
-                        self.workload,
-                        self.use_query_scheduler,
-                        self.mutations,
-                        self.row_ids,
-                    ),
-                )
-            else:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.num_workers,
-                    thread_name_prefix="repro-eval",
-                )
+            self._pool = concurrent.futures.ProcessPoolExecutor(
+                max_workers=self.num_workers,
+                initializer=_process_worker_init,
+                initargs=(
+                    self.dataset,
+                    self.workload,
+                    self.use_query_scheduler,
+                    self.mutations,
+                    self.row_ids,
+                ),
+            )
         return self._pool
 
     def close(self) -> None:
@@ -230,7 +208,6 @@ class BatchEvaluator:
         self.mutations = mutations
         self.row_ids = row_ids
         self._serial_replayer = None
-        self._thread_local = threading.local()
 
     def sync_with(self, environment) -> None:
         """Adopt an environment's current dataset/workload if they changed.
@@ -254,36 +231,26 @@ class BatchEvaluator:
 
     # -- evaluation ---------------------------------------------------------------------
 
-    def _make_replayer(self) -> WorkloadReplayer:
-        return WorkloadReplayer(
-            self.dataset,
-            self.workload,
-            use_query_scheduler=self.use_query_scheduler,
-            mutations=self.mutations,
-            row_ids=self.row_ids,
-        )
-
     def _in_process_replay(
         self, tasks: list[dict[str, Any]]
     ) -> list[EvaluationResult | WorkerFailure]:
         if self._serial_replayer is None:
-            self._serial_replayer = self._make_replayer()
+            self._serial_replayer = WorkloadReplayer(
+                self.dataset,
+                self.workload,
+                use_query_scheduler=self.use_query_scheduler,
+                mutations=self.mutations,
+                row_ids=self.row_ids,
+            )
         replayer = self._serial_replayer
         return [_isolated_replay(replayer, values) for values in tasks]
-
-    def _thread_replay(self, values: dict[str, Any]) -> EvaluationResult | WorkerFailure:
-        replayer = getattr(self._thread_local, "replayer", None)
-        if replayer is None:
-            replayer = self._make_replayer()
-            self._thread_local.replayer = replayer
-        return _isolated_replay(replayer, values)
 
     def evaluate_many(
         self, configurations: Sequence[Mapping[str, Any]]
     ) -> list[EvaluationResult]:
         """Replay every configuration and return results in submission order.
 
-        Workers run concurrently (per the backend); ordering and failure
+        Worker processes run concurrently; ordering and failure
         handling follow the guarantees in the module docstring.  Each worker
         exception yields a failed result for that slot instead of
         propagating.
@@ -296,12 +263,9 @@ class BatchEvaluator:
         if pool is None:
             outcomes = self._in_process_replay(tasks)
         else:
-            worker = (
-                _process_worker_replay if self.backend == "process" else self._thread_replay
-            )
             try:
                 # ``map`` yields in submission order, whichever worker finishes first.
-                outcomes = list(pool.map(worker, tasks))
+                outcomes = list(pool.map(_process_worker_replay, tasks))
             except concurrent.futures.process.BrokenProcessPool:
                 # The pool died (e.g. a worker was OOM-killed): recover by
                 # evaluating the batch in-process and rebuild the pool lazily.

@@ -18,8 +18,9 @@ This package is the substrate the tuner optimizes.  It provides:
   configuration into search speed (QPS), latency and memory usage;
 * a sharded serving engine (:mod:`repro.vdms.sharding`): hash- or
   range-partitioned shards inside every collection, a scatter-gather query
-  planner with a vectorized top-k heap-merge, and a thread-pool
-  :class:`QueryScheduler` that drives true concurrent request traffic;
+  planner with a vectorized top-k heap-merge, and a per-request
+  :class:`QueryScheduler` whose shard-task trace feeds the measured
+  concurrent QPS;
 * a hybrid filtered-search layer (:mod:`repro.vdms.request`): scalar
   attribute columns stored alongside the vectors, a
   :class:`SearchRequest`/:class:`SearchPlan` query-plan abstraction, and

@@ -203,8 +203,8 @@ class HNSWIndex(VectorIndex):
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
         stats = SearchStats(segments_searched=num_queries)
-        # Per-call scratch, never index state: admission workers and
-        # scheduler threads search one index concurrently.  Kept in the
+        # Per-call scratch, never index state: admission workers and any
+        # other caller threads search one index concurrently.  Kept in the
         # negative so a hop's mask is one gather, not a gather and an invert.
         unvisited = np.empty((min(num_queries, DEFAULT_QUERY_BLOCK), len(self._layers[0])), dtype=bool)
         for first in range(0, num_queries, DEFAULT_QUERY_BLOCK):

@@ -16,22 +16,21 @@ scatter-gather serving engine:
   argpartition/argsort pass, with ``-1``-padded (invalid) entries pushed to
   the tail.  The merge is exact, so sharded search over exact indexes is
   identical to an unsharded scan (the property the oracle suite pins down).
-* :class:`QueryScheduler` — a thread pool that drives *true concurrent
-  traffic*: the workload's query batch is split into individual requests,
-  executed concurrently against the (thread-safe) collection, and
-  reassembled in submission order so results are deterministic for any
-  thread count.  Timing stays in the simulated domain: the scheduler records
-  each request's per-shard counted work and
+* :class:`QueryScheduler` — the per-request splitter of the serving path:
+  the workload's query batch is split into individual requests, each served
+  by the (thread-safe) collection in submission order, and the results are
+  reassembled into one batch answer.  Timing stays in the simulated domain:
+  the scheduler records each request's per-shard counted work and
   :meth:`repro.vdms.cost_model.CostModel.concurrent_qps` replays those shard
   tasks through a deterministic event simulation over the configured worker
   budget — measured concurrency scheduling instead of the cost model's flat
-  concurrency multiplier.
+  concurrency multiplier.  Real concurrent traffic comes from the callers'
+  own threads (the serving front-end's admission workers, or the stress
+  suite's searcher threads), never from a pool inside the scheduler.
 """
 
 from __future__ import annotations
 
-import concurrent.futures
-import threading
 from dataclasses import dataclass, field
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -292,14 +291,10 @@ class ScheduleTrace:
     ``request_shard_stats`` holds, per request in submission order, the
     counted work of each shard task of that request — the raw material the
     cost model's event simulation turns into a measured concurrent QPS.
-    ``served_requests`` records the request ids in the order worker threads
-    actually completed them (appended at service time, so lost or duplicated
-    requests show up here).
     """
 
     num_requests: int
     request_shard_stats: list[list[SearchStats]] = field(default_factory=list)
-    served_requests: list[int] = field(default_factory=list)
 
     def request_stats(self) -> list[SearchStats]:
         """Each request's counted work: its shard tasks merged into one record."""
@@ -332,14 +327,14 @@ def simulate_makespan(task_seconds: Sequence[Sequence[float]], workers: int) -> 
 
 
 class QueryScheduler:
-    """Drives a query batch as individual concurrent requests.
+    """Drives a query batch as individual requests.
 
     The scheduler is the serving half of the scatter-gather engine: it
-    splits a workload's query batch into per-query requests, executes them
-    on a thread pool of ``num_threads`` (real threads, real locks — this is
-    the code path the concurrency stress suite hammers) and reassembles the
-    per-request results in submission order, so the merged result is
-    bit-identical for any thread count.
+    splits a workload's query batch into per-query requests, serves them
+    one after another and reassembles the per-request results in
+    submission order.  It owns no threads: concurrency is the callers' —
+    any number of threads may call :meth:`run` on the same collection at
+    once, which is the code path the concurrency stress suite hammers.
 
     Examples
     --------
@@ -350,47 +345,11 @@ class QueryScheduler:
     >>> _ = collection.insert(np.random.default_rng(0).normal(size=(64, 8)))
     >>> _ = collection.flush()
     >>> _ = collection.create_index("FLAT")
-    >>> scheduler = QueryScheduler(num_threads=4)
-    >>> result, trace = scheduler.run(collection.search, np.zeros((6, 8), dtype=np.float32), top_k=3)
+    >>> result, trace = QueryScheduler().run(
+    ...     collection.search, np.zeros((6, 8), dtype=np.float32), top_k=3)
     >>> result.ids.shape, trace.num_requests
     ((6, 3), 6)
-    >>> scheduler.close()
-
-    The scheduler owns one persistent thread pool, created lazily on the
-    first concurrent :meth:`run` and reused by every later call — spinning a
-    pool up and down per batch costs ``num_threads`` thread creations per
-    request batch, pure churn on a serving path.  :meth:`close` shuts the
-    pool down deterministically; an unclosed scheduler's pool threads exit
-    when the scheduler is garbage-collected, like any abandoned executor.
     """
-
-    def __init__(self, num_threads: int = 1) -> None:
-        self.num_threads = max(1, int(num_threads))
-        self._pool: concurrent.futures.ThreadPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-
-    def _executor(self) -> concurrent.futures.ThreadPoolExecutor:
-        """The persistent pool, created on first use."""
-        with self._pool_lock:
-            if self._pool is None:
-                self._pool = concurrent.futures.ThreadPoolExecutor(
-                    max_workers=self.num_threads,
-                    thread_name_prefix="repro-query",
-                )
-            return self._pool
-
-    def close(self) -> None:
-        """Shut the thread pool down (idempotent; pool rebuilds on next run)."""
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=True)
-
-    def __enter__(self) -> "QueryScheduler":
-        return self
-
-    def __exit__(self, *exc_info: Any) -> None:
-        self.close()
 
     def run(
         self,
@@ -414,27 +373,19 @@ class QueryScheduler:
         num_requests = int(request.queries.shape[0])
         trace = ScheduleTrace(num_requests=num_requests)
         if num_requests == 0:
-            empty = np.empty((0, request.top_k), dtype=np.int64)
             return (
-                SearchResult(ids=empty, distances=empty.astype(np.float64), stats=SearchStats()),
+                SearchResult(
+                    ids=np.empty((0, request.top_k), dtype=np.int64),
+                    distances=np.empty((0, request.top_k), dtype=np.float32),
+                    stats=SearchStats(),
+                ),
                 trace,
             )
 
-        outcomes: list[Any] = [None] * num_requests
-        served_lock = threading.Lock()
-
-        def serve(request_id: int):
-            outcome = search_fn(request.slice(request_id, request_id + 1))
-            with served_lock:
-                trace.served_requests.append(request_id)
-            return request_id, outcome
-
-        if self.num_threads == 1 or num_requests <= 1:
-            for request_id in range(num_requests):
-                outcomes[request_id] = serve(request_id)[1]
-        else:
-            for request_id, outcome in self._executor().map(serve, range(num_requests)):
-                outcomes[request_id] = outcome
+        outcomes = [
+            search_fn(request.slice(request_id, request_id + 1))
+            for request_id in range(num_requests)
+        ]
 
         total = SearchStats()
         ids_rows: list[np.ndarray] = []

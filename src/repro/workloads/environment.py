@@ -82,8 +82,9 @@ class VDMSTuningEnvironment:
         self.space = space or build_milvus_space()
         self.noise = float(noise)
         # Whether replays of search_threads > 1 configurations drive the
-        # workload through the concurrent QueryScheduler (measured QPS) or
-        # always use the serial batch search + analytic concurrency model.
+        # workload through the per-request QueryScheduler (measured QPS from
+        # event-simulated shard tasks) or always use the batch search +
+        # analytic concurrency model.
         self.use_query_scheduler = bool(use_query_scheduler)
         self._rng = np.random.default_rng(seed)
         self._mutations = None

@@ -9,8 +9,7 @@ so the result is deterministic.
 Concurrent serving: when the configuration asks for an execution pool
 (``search_threads > 1``), the workload is driven through a
 :class:`~repro.vdms.sharding.QueryScheduler` — one request per query, issued
-from a single thread because the per-request counted work it records is
-thread-count independent — and the reported QPS is the *measured*
+in order on the calling thread — and the reported QPS is the *measured*
 concurrent throughput of that schedule (shard tasks event-simulated over the
 configured worker budget, see
 :meth:`repro.vdms.cost_model.CostModel.concurrent_qps`).  With
@@ -203,10 +202,7 @@ class WorkloadReplayer:
         if self.mutations is not None and self.row_ids is None:
             raise ValueError("a mutation plan requires row_ids to translate ground truth")
         self.server = VectorDBServer()
-        #: Per-request replays run on one thread: results are thread-count
-        #: independent by contract and every reported time is simulated from
-        #: counted work, so a pool would only add wall-clock noise.
-        self._scheduler = QueryScheduler(num_threads=1)
+        self._scheduler = QueryScheduler()
 
     def _ground_truth_ids(self) -> np.ndarray:
         """Ground truth expressed in the ids the collection actually serves."""

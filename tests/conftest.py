@@ -7,6 +7,9 @@ second per evaluation.
 
 from __future__ import annotations
 
+import threading
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,7 @@ from repro.config import build_milvus_space
 from repro.datasets.dataset import Dataset, DatasetSpec
 from repro.datasets.ground_truth import brute_force_neighbors
 from repro.datasets.synthetic import make_clustered_vectors
+from repro.vdms.sharding import QueryScheduler
 from repro.workloads.environment import VDMSTuningEnvironment
 from repro.workloads.workload import SearchWorkload
 
@@ -59,6 +63,23 @@ def make_tiny_dataset(
         seed=seed,
     )
     return Dataset(spec=spec, vectors=vectors, queries=queries, ground_truth=ground_truth)
+
+
+def run_searchers(search_fn, queries, top_k=None, *, searchers: int):
+    """``searchers`` concurrent ``QueryScheduler().run`` calls, one per thread.
+
+    A barrier holds every searcher until all of them have started, so the
+    calls are in flight at once.  Returns each searcher's ``(result, trace)``
+    and re-raises the first searcher exception.
+    """
+    barrier = threading.Barrier(searchers)
+
+    def search(_slot: int):
+        barrier.wait(timeout=30)
+        return QueryScheduler().run(search_fn, queries, top_k)
+
+    with ThreadPoolExecutor(max_workers=searchers) as pool:
+        return list(pool.map(search, range(searchers)))
 
 
 @pytest.fixture(scope="session")

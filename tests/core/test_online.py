@@ -216,9 +216,7 @@ class TestOnlineTunerDrift:
             dataset, [QPSBurstEvent(at_step=12, severity=1.0)], seed=0
         )
         environment = DynamicTuningEnvironment(dynamic, seed=0)
-        evaluator = BatchEvaluator.from_environment(
-            environment, num_workers=2, backend="thread"
-        )
+        evaluator = BatchEvaluator.from_environment(environment, num_workers=2)
         settings = online_settings(total_steps=24, retune_budget=8, batch_size=4)
         try:
             report = OnlineTuner(environment, settings=settings, evaluator=evaluator).run()

@@ -75,9 +75,7 @@ class TestSuggestBatch:
     def test_batched_run_completes_budget_and_matches_report_shape(self, dataset):
         environment = VDMSTuningEnvironment(dataset, seed=0)
         tuner = VDTuner(environment, settings=small_settings(iterations=14))
-        with BatchEvaluator.from_environment(
-            environment, num_workers=2, backend="thread"
-        ) as evaluator:
+        with BatchEvaluator.from_environment(environment, num_workers=2) as evaluator:
             report = tuner.run(batch_size=4, evaluator=evaluator)
         assert len(report.history) == 14
         assert environment.num_evaluations == 14

@@ -52,13 +52,11 @@ class TestBatchEvaluator:
         batch = [c.to_dict() for c in sample_batch(space, count=5)]
         with BatchEvaluator(dataset, workload=workload, num_workers=1) as serial:
             serial_results = serial.evaluate_many(batch)
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=4, backend="thread"
-        ) as pooled:
+        with BatchEvaluator(dataset, workload=workload, num_workers=4) as pooled:
             pooled_results = pooled.evaluate_many(batch)
         assert results_signature(serial_results) == results_signature(pooled_results)
 
-    def test_process_backend_matches_serial(self, dataset, workload):
+    def test_pool_matches_serial_on_encoded_configurations(self, dataset, workload):
         space = VDMSTuningEnvironment(dataset, workload=workload).space
         configurations = sample_batch(space, count=4)
         batch = [c.to_dict() for c in configurations]
@@ -67,18 +65,14 @@ class TestBatchEvaluator:
         # The pool is handed the configurations themselves, their encodings
         # filled in (as a recommender's candidates are): only values cross.
         space.encode_many(configurations)
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=2, backend="process"
-        ) as pooled:
+        with BatchEvaluator(dataset, workload=workload, num_workers=2) as pooled:
             pooled_results = pooled.evaluate_many(configurations)
         assert results_signature(serial_results) == results_signature(pooled_results)
 
     def test_results_preserve_submission_order(self, dataset, workload):
         space = VDMSTuningEnvironment(dataset, workload=workload).space
         batch = [c.to_dict() for c in sample_batch(space, count=6, seed=9)]
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=3, backend="thread"
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=3) as evaluator:
             results = evaluator.evaluate_many(batch)
         for values, result in zip(batch, results):
             assert result.configuration["index_type"] == values["index_type"]
@@ -87,9 +81,7 @@ class TestBatchEvaluator:
         space = VDMSTuningEnvironment(dataset, workload=workload).space
         batch = [c.to_dict() for c in sample_batch(space, count=3)]
         batch[1] = dict(batch[1], index_type="NO_SUCH_INDEX")
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=3, backend="thread"
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=3) as evaluator:
             results = evaluator.evaluate_many(batch)
         assert len(results) == 3
         assert results[1].failed
@@ -107,24 +99,34 @@ class TestBatchEvaluator:
         space = VDMSTuningEnvironment(dataset, workload=workload).space
         batch = [c.to_dict() for c in sample_batch(space, count=3)]
         batch[1] = dict(batch[1], index_type="NO_SUCH_INDEX")
-        with BatchEvaluator(dataset, workload=workload, backend="serial") as serial:
+        with BatchEvaluator(dataset, workload=workload, num_workers=1) as serial:
             expected = serial.evaluate_many(batch)
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=3, backend="process"
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=3) as evaluator:
             evaluator._pool = BrokenPool()
             results = evaluator.evaluate_many(batch)
             assert evaluator._pool is None  # rebuilt lazily by the next batch
         assert results_signature(results) == results_signature(expected)
         assert [r.failed for r in results] == [False, True, False]
 
-    def test_unknown_backend_rejected(self, dataset):
-        with pytest.raises(ValueError):
-            BatchEvaluator(dataset, backend="gpu")
-
     def test_empty_batch(self, dataset, workload):
         with BatchEvaluator(dataset, workload=workload, num_workers=2) as evaluator:
             assert evaluator.evaluate_many([]) == []
+
+    def test_one_worker_replays_in_process(self, dataset, workload):
+        space = VDMSTuningEnvironment(dataset, workload=workload).space
+        batch = [c.to_dict() for c in sample_batch(space, count=2)]
+        with BatchEvaluator(dataset, workload=workload, num_workers=1) as evaluator:
+            results = evaluator.evaluate_many(batch)
+            assert evaluator._pool is None
+        assert len(results) == 2 and not any(r.failed for r in results)
+
+    def test_no_backend_option(self, dataset, workload):
+        # One executor per plane: the pool size is the only choice left.
+        with pytest.raises(TypeError):
+            BatchEvaluator(dataset, workload=workload, backend="thread")
+        environment = VDMSTuningEnvironment(dataset, workload=workload)
+        with pytest.raises(TypeError):
+            BatchEvaluator.from_environment(environment, num_workers=2, backend="process")
 
 
 class TestMakespanAccounting:
@@ -132,40 +134,32 @@ class TestMakespanAccounting:
 
     With at least as many workers as batch members every replay gets its own
     worker, so the simulated wall-clock of the batch must equal the slowest
-    member — for every pool backend, including batches containing failures.
+    member — including batches containing failures.
     """
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_makespan_equals_max_member_cost(self, dataset, workload, backend):
+    def test_makespan_equals_max_member_cost(self, dataset, workload):
         environment = VDMSTuningEnvironment(dataset, workload=workload, seed=0)
         batch = sample_batch(environment.space, count=4)
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=len(batch), backend=backend
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=len(batch)) as evaluator:
             results = environment.evaluate_batch(batch, evaluator=evaluator)
         costs = [result.replay_seconds for result in results]
         assert environment.elapsed_replay_seconds == pytest.approx(max(costs))
         assert environment.elapsed_replay_seconds < sum(costs)
 
-    def test_serial_backend_charges_the_sum(self, dataset, workload):
+    def test_one_worker_charges_the_sum(self, dataset, workload):
         environment = VDMSTuningEnvironment(dataset, workload=workload, seed=0)
         batch = sample_batch(environment.space, count=4)
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=4, backend="serial"
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=1) as evaluator:
             results = environment.evaluate_batch(batch, evaluator=evaluator)
         # One worker replays one at a time: the batch costs the plain sum.
         costs = [result.replay_seconds for result in results]
         assert environment.elapsed_replay_seconds == pytest.approx(sum(costs))
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
-    def test_makespan_with_failure_isolation(self, dataset, workload, backend):
+    def test_makespan_with_failure_isolation(self, dataset, workload):
         environment = VDMSTuningEnvironment(dataset, workload=workload, seed=0)
         batch = [c.to_dict() for c in sample_batch(environment.space, count=4)]
         batch[2] = dict(batch[2], index_type="NO_SUCH_INDEX")
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=len(batch), backend=backend
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=len(batch)) as evaluator:
             results = environment.evaluate_batch(batch, evaluator=evaluator)
         assert results[2].failed and results[2].replay_seconds == 0.0
         costs = [result.replay_seconds for result in results]
@@ -177,9 +171,7 @@ class TestMakespanAccounting:
     def test_fewer_workers_lie_between_max_and_sum(self, dataset, workload):
         environment = VDMSTuningEnvironment(dataset, workload=workload, seed=0)
         batch = sample_batch(environment.space, count=5)
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=2, backend="thread"
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=2) as evaluator:
             results = environment.evaluate_batch(batch, evaluator=evaluator)
         costs = [result.replay_seconds for result in results]
         assert environment.elapsed_replay_seconds >= max(costs)
@@ -188,7 +180,7 @@ class TestMakespanAccounting:
 
 class TestWorkloadSwitching:
     def test_update_workload_resets_pool_state(self, dataset, workload):
-        evaluator = BatchEvaluator(dataset, workload=workload, num_workers=2, backend="thread")
+        evaluator = BatchEvaluator(dataset, workload=workload, num_workers=2)
         try:
             environment = VDMSTuningEnvironment(dataset, workload=workload)
             batch = [
@@ -208,7 +200,7 @@ class TestWorkloadSwitching:
             evaluator.close()
 
     def test_update_workload_with_same_objects_is_a_noop(self, dataset, workload):
-        evaluator = BatchEvaluator(dataset, workload=workload, num_workers=2, backend="thread")
+        evaluator = BatchEvaluator(dataset, workload=workload, num_workers=2)
         try:
             pool_before = evaluator._pool
             evaluator.update_workload(dataset, workload)
@@ -218,7 +210,7 @@ class TestWorkloadSwitching:
 
     def test_sync_with_adopts_environment_state(self, dataset, workload):
         environment = VDMSTuningEnvironment(dataset, workload=workload, seed=0)
-        evaluator = BatchEvaluator.from_environment(environment, num_workers=2, backend="thread")
+        evaluator = BatchEvaluator.from_environment(environment, num_workers=2)
         try:
             import dataclasses
 
@@ -253,9 +245,7 @@ class TestEnvironmentBatchEvaluation:
         batch = sample_batch(batch_env.space, count=4)
         serial_env = VDMSTuningEnvironment(dataset, workload=workload, seed=0)
         serial_env.evaluate_batch(batch)
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=4, backend="thread"
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=4) as evaluator:
             results = batch_env.evaluate_batch(batch, evaluator=evaluator)
         # Concurrent replay: the batch costs at most the serial sum and at
         # least the slowest single replay.
@@ -269,9 +259,7 @@ class TestEnvironmentBatchEvaluation:
         env_a = VDMSTuningEnvironment(dataset, workload=workload, seed=11, noise=0.1)
         env_b = VDMSTuningEnvironment(dataset, workload=workload, seed=11, noise=0.1)
         batch = sample_batch(env_a.space, count=4)
-        with BatchEvaluator(
-            dataset, workload=workload, num_workers=4, backend="thread"
-        ) as evaluator:
+        with BatchEvaluator(dataset, workload=workload, num_workers=4) as evaluator:
             results_pooled = env_a.evaluate_batch(batch, evaluator=evaluator)
         results_serial = env_b.evaluate_batch(batch)
         assert results_signature(results_pooled) == results_signature(results_serial)

@@ -151,8 +151,6 @@ class TestBatchParallelFlags:
                 "4",
                 "--workers",
                 "2",
-                "--parallel-backend",
-                "thread",
                 "--json",
             ]
         )
@@ -183,8 +181,6 @@ class TestBatchParallelFlags:
                 "2",
                 "--workers",
                 "2",
-                "--parallel-backend",
-                "thread",
             ]
         )
         assert exit_code == 0
@@ -273,8 +269,6 @@ class TestTuneOnlineCommand:
                 "2",
                 "--workers",
                 "2",
-                "--parallel-backend",
-                "thread",
                 "--json",
             ]
         )
@@ -423,6 +417,16 @@ class TestFlagValidation:
             ["tune", "--dataset", "glove-small", "--iterations", "2", "--workers", "0"]
         )
         assert "--workers" in message
+
+    def test_tune_rejects_the_parallel_backend_flag(self, capsys):
+        # The process pool is the one tuning executor: no backend to pick.
+        with pytest.raises(SystemExit) as excinfo:
+            main(
+                ["tune", "--dataset", "glove-small", "--iterations", "2",
+                 "--workers", "2", "--parallel-backend", "thread"]
+            )
+        assert excinfo.value.code == 2
+        assert "unrecognized arguments: --parallel-backend thread" in capsys.readouterr().err
 
     def test_valid_drift_step_inside_budget_still_runs(self, capsys):
         assert main([

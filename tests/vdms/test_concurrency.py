@@ -1,14 +1,15 @@
 """Concurrency stress suite for the sharded serving engine.
 
-Three guarantees are pinned down:
+The scheduler owns no threads, so every test brings its own: searcher
+threads that each call ``QueryScheduler().run`` against one shared
+collection.  Four guarantees are pinned down:
 
 * **No lost or duplicated queries** — the scheduler serves exactly one
-  request per query, for any thread count.
-* **Deterministic results** — replaying the same workload at
-  ``search_threads in {1, 4, 8}`` yields bit-identical served ids (real
-  thread scheduling may interleave arbitrarily; reassembly in submission
-  order must hide that completely), and the replayer's full evaluation
-  result is rerun-stable.
+  request per query, however many searchers run at once.
+* **Deterministic results** — concurrent searchers all serve the answer a
+  lone searcher serves (real thread scheduling may interleave arbitrarily;
+  snapshots and per-call scratch must hide that completely), and a replay
+  at ``search_threads in {1, 4, 8}`` is rerun-stable with one recall.
 * **Thread-safe mutation** — ``Collection.delete`` racing against in-flight
   scheduled searches never corrupts a result: every response is a coherent
   snapshot (valid ids, correct shape), and once the deletes have landed a
@@ -32,13 +33,14 @@ from repro.vdms import Collection, QueryScheduler, SystemConfig
 from repro.vdms.durability import CrashPointFS
 from repro.vdms.index.base import SearchStats
 from repro.workloads.replay import WorkloadReplayer
+from tests.conftest import run_searchers
 
 NUM_VECTORS = 900
 NUM_QUERIES = 48
 DIMENSION = 16
 TOP_K = 10
 
-THREAD_COUNTS = (1, 4, 8)
+SEARCH_THREADS = (1, 4, 8)
 
 
 def build_collection(shard_num: int = 4) -> tuple[Collection, np.ndarray]:
@@ -65,29 +67,32 @@ def test_cross_request_accumulation_sums_every_counter():
     }
 
 
+def assert_one_answer(outcomes):
+    """All searchers served the same ids and distances; returns that answer."""
+    first = outcomes[0][0]
+    for searcher, (result, _) in enumerate(outcomes):
+        assert np.array_equal(result.ids, first.ids), f"searcher {searcher} diverged"
+        assert np.array_equal(result.distances, first.distances)
+    return first
+
+
 class TestSchedulerDeterminism:
     def test_no_lost_or_duplicated_queries(self):
         collection, queries = build_collection()
-        for threads in THREAD_COUNTS:
-            result, trace = QueryScheduler(num_threads=threads).run(
-                collection.search, queries, TOP_K
-            )
+        for result, trace in run_searchers(collection.search, queries, TOP_K, searchers=8):
             assert trace.num_requests == NUM_QUERIES
-            assert sorted(trace.served_requests) == list(range(NUM_QUERIES))
             assert len(trace.request_shard_stats) == NUM_QUERIES
             assert result.ids.shape == (NUM_QUERIES, TOP_K)
             assert result.stats.num_queries == NUM_QUERIES
 
-    def test_results_identical_across_thread_counts(self):
+    def test_concurrent_searchers_match_a_lone_searcher(self):
         collection, queries = build_collection()
-        outputs = {
-            threads: QueryScheduler(num_threads=threads).run(collection.search, queries, TOP_K)[0]
-            for threads in THREAD_COUNTS
-        }
-        baseline = outputs[THREAD_COUNTS[0]]
-        for threads, result in outputs.items():
-            assert np.array_equal(result.ids, baseline.ids), f"{threads} threads diverged"
-            assert np.array_equal(result.distances, baseline.distances)
+        alone, _ = QueryScheduler().run(collection.search, queries, TOP_K)
+        answer = assert_one_answer(
+            run_searchers(collection.search, queries, TOP_K, searchers=8)
+        )
+        assert np.array_equal(answer.ids, alone.ids)
+        assert np.array_equal(answer.distances, alone.distances)
 
     def test_replay_is_deterministic_for_every_thread_count(self):
         dataset = load_dataset("glove-small")
@@ -101,7 +106,7 @@ class TestSchedulerDeterminism:
             "shard_num": 4,
         }
         recalls = {}
-        for threads in THREAD_COUNTS:
+        for threads in SEARCH_THREADS:
             configured = dict(params, search_threads=threads)
             first = replayer.replay(configured)
             second = replayer.replay(configured)
@@ -121,18 +126,17 @@ class TestConcurrentDeletes:
         stop = threading.Event()
 
         def hammer() -> None:
-            scheduler = QueryScheduler(num_threads=4)
             try:
                 while not stop.is_set():
-                    result, trace = scheduler.run(collection.search, queries, TOP_K)
+                    result, trace = QueryScheduler().run(collection.search, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
-                    assert sorted(trace.served_requests) == list(range(NUM_QUERIES))
+                    assert len(trace.request_shard_stats) == trace.num_requests == NUM_QUERIES
                     valid = (result.ids >= -1) & (result.ids < NUM_VECTORS)
                     assert valid.all(), "search served an id outside the inserted universe"
             except Exception as error:  # noqa: BLE001 - surfaced after join
                 errors.append(error)
 
-        searchers = [threading.Thread(target=hammer) for _ in range(2)]
+        searchers = [threading.Thread(target=hammer) for _ in range(8)]
         for thread in searchers:
             thread.start()
         try:
@@ -157,15 +161,20 @@ class TestConcurrentDeletes:
 
     def test_mutations_between_scheduled_batches_stay_coherent(self):
         collection, queries = build_collection(shard_num=2)
-        scheduler = QueryScheduler(num_threads=4)
-        before, _ = scheduler.run(collection.search, queries, TOP_K)
+
+        def scheduled():
+            return assert_one_answer(
+                run_searchers(collection.search, queries, TOP_K, searchers=4)
+            )
+
+        before = scheduled()
         held_out = before.ids[0, 0]
         collection.delete(np.array([held_out]))
-        after, _ = scheduler.run(collection.search, queries, TOP_K)
+        after = scheduled()
         assert not (after.ids == held_out).any()
         # Re-indexing restores fully indexed serving with the same contract.
         collection.create_index("FLAT")
-        reindexed, _ = scheduler.run(collection.search, queries, TOP_K)
+        reindexed = scheduled()
         assert np.array_equal(reindexed.ids, after.ids)
 
     def test_concurrent_searches_do_not_deadlock_with_reindex(self):
@@ -184,10 +193,9 @@ class TestConcurrentDeletes:
 
         rebuilder = threading.Thread(target=reindex)
         rebuilder.start()
-        scheduler = QueryScheduler(num_threads=4)
         while not done.is_set():
-            result, _ = scheduler.run(collection.search, queries, TOP_K)
-            assert result.ids.shape == (NUM_QUERIES, TOP_K)
+            for result, _ in run_searchers(collection.search, queries, TOP_K, searchers=4):
+                assert result.ids.shape == (NUM_QUERIES, TOP_K)
         rebuilder.join(timeout=30)
         assert not rebuilder.is_alive()
         assert not errors
@@ -231,12 +239,11 @@ class TestMaintenanceConcurrency:
         stop = threading.Event()
 
         def hammer() -> None:
-            scheduler = QueryScheduler(num_threads=4)
             try:
                 while not stop.is_set():
-                    result, trace = scheduler.run(collection.search, queries, TOP_K)
+                    result, trace = QueryScheduler().run(collection.search, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
-                    assert sorted(trace.served_requests) == list(range(NUM_QUERIES))
+                    assert len(trace.request_shard_stats) == trace.num_requests == NUM_QUERIES
                     valid = (result.ids >= -1) & (result.ids < NUM_VECTORS)
                     assert valid.all(), "search served an id outside the inserted universe"
             except Exception as error:  # noqa: BLE001 - surfaced after join
@@ -249,7 +256,7 @@ class TestMaintenanceConcurrency:
             except Exception as error:  # noqa: BLE001 - surfaced after join
                 errors.append(error)
 
-        searchers = [threading.Thread(target=hammer) for _ in range(2)]
+        searchers = [threading.Thread(target=hammer) for _ in range(8)]
         maintainer = threading.Thread(target=maintain)
         for thread in searchers:
             thread.start()
@@ -296,12 +303,11 @@ class TestMaintenanceConcurrency:
         stop = threading.Event()
 
         def hammer() -> None:
-            scheduler = QueryScheduler(num_threads=4)
             try:
                 while not stop.is_set():
                     with deleted_lock:
                         gone_before = np.fromiter(confirmed_deleted, dtype=np.int64)
-                    result, _ = scheduler.run(collection.search, queries, TOP_K)
+                    result, _ = QueryScheduler().run(collection.search, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
                     # Rows whose delete completed BEFORE this search began
                     # must never be served — cached or not.  (Rows deleted
@@ -326,7 +332,7 @@ class TestMaintenanceConcurrency:
             except Exception as error:  # noqa: BLE001 - surfaced after join
                 errors.append(error)
 
-        searchers = [threading.Thread(target=hammer) for _ in range(2)]
+        searchers = [threading.Thread(target=hammer) for _ in range(8)]
         reader = threading.Thread(target=version_reader)
         for thread in searchers:
             thread.start()
@@ -369,20 +375,21 @@ class TestMaintenanceConcurrency:
         collection.insert(vectors)
         collection.flush()
         collection.create_index("FLAT")
-        scheduler = QueryScheduler(num_threads=4)
         try:
             for start in range(0, 300, 60):
                 collection.delete(np.arange(start, start + 60, dtype=np.int64))
-                result, _ = scheduler.run(collection.search, queries, TOP_K)
-                assert result.ids.shape == (NUM_QUERIES, TOP_K)
+                for result, _ in run_searchers(
+                    collection.search, queries, TOP_K, searchers=4
+                ):
+                    assert result.ids.shape == (NUM_QUERIES, TOP_K)
             worker = collection.maintenance_worker
             assert worker is not None
             worker.join_idle(timeout=10.0)
             for shard in collection.shards:
                 for segment in shard.segments.sealed_segments:
                     assert segment.segment_id in shard.indexes
-            final, _ = scheduler.run(collection.search, queries, TOP_K)
-            assert not np.isin(final.ids, np.arange(300)).any()
+            for final, _ in run_searchers(collection.search, queries, TOP_K, searchers=4):
+                assert not np.isin(final.ids, np.arange(300)).any()
         finally:
             collection.stop_maintenance()
 
@@ -434,12 +441,11 @@ class TestDurabilityConcurrency:
         stop = threading.Event()
 
         def hammer() -> None:
-            scheduler = QueryScheduler(num_threads=4)
             try:
                 while not stop.is_set():
-                    result, trace = scheduler.run(collection.search, queries, TOP_K)
+                    result, trace = QueryScheduler().run(collection.search, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
-                    assert sorted(trace.served_requests) == list(range(NUM_QUERIES))
+                    assert len(trace.request_shard_stats) == trace.num_requests == NUM_QUERIES
             except Exception as error:  # noqa: BLE001 - surfaced after join
                 errors.append(error)
 
@@ -478,7 +484,7 @@ class TestDurabilityConcurrency:
             except Exception as error:  # noqa: BLE001 - surfaced after join
                 errors.append(error)
 
-        searchers = [threading.Thread(target=hammer) for _ in range(2)]
+        searchers = [threading.Thread(target=hammer) for _ in range(8)]
         reader = threading.Thread(target=version_reader)
         mutators = [
             threading.Thread(target=mutate, args=(0, NUM_VECTORS)),
@@ -523,18 +529,17 @@ class TestDurabilityConcurrency:
                 errors.append(error)
 
         def hammer() -> None:
-            scheduler = QueryScheduler(num_threads=2)
             try:
                 while not stop.is_set():
-                    result, _ = scheduler.run(collection.search, queries, TOP_K)
+                    result, _ = QueryScheduler().run(collection.search, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
             except Exception as error:  # noqa: BLE001 - surfaced after join
                 errors.append(error)
 
         runner = threading.Thread(target=checkpointer)
-        searcher = threading.Thread(target=hammer)
-        runner.start()
-        searcher.start()
+        searchers = [threading.Thread(target=hammer) for _ in range(2)]
+        for thread in [runner] + searchers:
+            thread.start()
         acked: set[int] = set(range(NUM_VECTORS))
         rng = np.random.default_rng(41)
         try:
@@ -550,7 +555,7 @@ class TestDurabilityConcurrency:
                 acked.difference_update(victims.tolist())
         finally:
             stop.set()
-            for thread in (runner, searcher):
+            for thread in [runner] + searchers:
                 thread.join(timeout=60)
         assert not errors, f"checkpoint race failed: {errors[0]!r}"
         assert checkpoints_done > 0

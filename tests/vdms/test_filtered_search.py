@@ -33,7 +33,7 @@ from repro.vdms import (
     SystemConfig,
 )
 from repro.vdms.request import AUTO_PRE_FILTER_SELECTIVITY, FilterStats, SearchPlan
-from repro.vdms.sharding import QueryScheduler
+from tests.conftest import run_searchers
 
 DIMENSION = 16
 NUM_VECTORS = 600
@@ -299,17 +299,16 @@ class TestUnderFullSemantics:
             queries=queries, top_k=TOP_K, filter=AttributeFilter("tag", "lt", 120)
         )
         batch = collection.search(request)
-        scheduled, trace = QueryScheduler(num_threads=4).run(collection.search, request)
-        assert np.array_equal(scheduled.ids, batch.ids)
-        assert trace.num_requests == NUM_QUERIES
-        assert sorted(trace.served_requests) == list(range(NUM_QUERIES))
-        assert scheduled.filter_stats is not None
-        # Per-query requests each evaluate the filter masks themselves, so
-        # the scheduled path scans the predicate once per request instead of
-        # once per batch — real per-request serving cost, not an error.
-        assert scheduled.stats.filter_rows_scanned == (
-            NUM_QUERIES * batch.stats.filter_rows_scanned
-        )
+        for scheduled, trace in run_searchers(collection.search, request, searchers=4):
+            assert np.array_equal(scheduled.ids, batch.ids)
+            assert trace.num_requests == len(trace.request_shard_stats) == NUM_QUERIES
+            assert scheduled.filter_stats is not None
+            # Per-query requests each evaluate the filter masks themselves, so
+            # the scheduled path scans the predicate once per request instead
+            # of once per batch — real per-request serving cost, not an error.
+            assert scheduled.stats.filter_rows_scanned == (
+                NUM_QUERIES * batch.stats.filter_rows_scanned
+            )
 
 
 class TestPlannerBehaviour:

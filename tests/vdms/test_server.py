@@ -8,8 +8,8 @@ import pytest
 from repro.vdms.collection import Collection
 from repro.vdms.errors import CollectionNotFoundError
 from repro.vdms.server import VectorDBServer
-from repro.vdms.sharding import QueryScheduler
 from repro.vdms.system_config import SystemConfig
+from tests.conftest import run_searchers
 
 
 def _live_maintenance_threads():
@@ -176,13 +176,13 @@ class TestConcurrentSearch:
         server.flush("c")
         server.create_index("c", "FLAT")
         batch = server.search("c", vectors[:6], 3)
-        with QueryScheduler(4) as scheduler:
-            concurrent, trace = scheduler.run(server.get_collection("c").search, vectors[:6], 3)
-        assert trace.num_requests == 6
-        assert sorted(trace.served_requests) == list(range(6))
-        assert np.array_equal(concurrent.ids, batch.ids)
-        # Per-request shard tasks feed the cost model's event simulation.
-        assert all(len(stats) == 2 for stats in trace.request_shard_stats)
+        for concurrent, trace in run_searchers(
+            server.get_collection("c").search, vectors[:6], 3, searchers=4
+        ):
+            assert trace.num_requests == len(trace.request_shard_stats) == 6
+            assert np.array_equal(concurrent.ids, batch.ids)
+            # Per-request shard tasks feed the cost model's event simulation.
+            assert all(len(stats) == 2 for stats in trace.request_shard_stats)
         qps, makespan = server.cost_model().concurrent_qps(
             trace.request_shard_stats,
             server.get_collection("c").profile(),

@@ -10,14 +10,18 @@ straight argsort oracle, plus invariance to the order shards report in.
 
 from __future__ import annotations
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.vdms import Collection, SystemConfig
 from repro.vdms.sharding import (
     RANGE_BLOCK_ROWS,
     ROUTING_POLICIES,
+    QueryScheduler,
     merge_topk,
     shard_assignments,
     simulate_makespan,
@@ -211,3 +215,41 @@ class TestMakespanSimulation:
         num_tasks = sum(len(request) for request in tasks)
         longest = max(max(request) for request in tasks)
         assert simulate_makespan(tasks, num_tasks) == pytest.approx(longest)
+
+
+class TestQueryScheduler:
+    def test_zero_query_request_keeps_the_search_dtypes(self):
+        collection = Collection("empty", 8, metric="l2", system_config=SystemConfig(shard_num=2))
+        collection.insert(np.random.default_rng(3).normal(size=(32, 8)).astype(np.float32))
+        collection.flush()
+        collection.create_index("FLAT")
+        empty, trace = QueryScheduler().run(
+            collection.search, np.empty((0, 8), dtype=np.float32), top_k=3
+        )
+        direct = collection.search(np.empty((0, 8), dtype=np.float32), 3)
+        assert trace.num_requests == 0 and trace.request_shard_stats == []
+        assert empty.ids.shape == empty.distances.shape == (0, 3)
+        assert empty.ids.dtype == direct.ids.dtype == np.int64
+        assert empty.distances.dtype == direct.distances.dtype == np.float32
+
+    def test_requests_run_in_order_on_the_calling_thread(self):
+        collection = Collection("serial", 8, metric="l2", system_config=SystemConfig(shard_num=2))
+        rng = np.random.default_rng(4)
+        collection.insert(rng.normal(size=(64, 8)).astype(np.float32))
+        collection.flush()
+        collection.create_index("FLAT")
+        queries = rng.normal(size=(5, 8)).astype(np.float32)
+        served = []
+
+        def search(request):
+            served.append((threading.get_ident(), request.queries.copy()))
+            return collection.search(request)
+
+        result, trace = QueryScheduler().run(search, queries, top_k=4)
+        assert [ident for ident, _ in served] == [threading.get_ident()] * 5
+        assert [q.shape for _, q in served] == [(1, 8)] * 5
+        np.testing.assert_array_equal(np.concatenate([q for _, q in served]), queries)
+        direct = collection.search(queries, 4)
+        assert trace.num_requests == len(trace.request_shard_stats) == 5
+        np.testing.assert_array_equal(result.ids, direct.ids)
+        np.testing.assert_array_equal(result.distances, direct.distances)
