@@ -260,7 +260,7 @@ def test_measured_saturation_calibrates_cost_model():
     collection = backend.get_collection("bench")
     workers = backend.system_config.effective_search_workers()
     queries = np.random.default_rng(SEED + 5).normal(size=(16, DIMENSION)).astype(np.float32)
-    scheduled, trace = QueryScheduler().run(collection.search, queries, TOP_K)
+    scheduled, trace = QueryScheduler().run(collection.search_many, queries, TOP_K)
     assert scheduled.ids.shape == (16, TOP_K)
     profile = collection.profile()
 

@@ -19,7 +19,8 @@ This package is the substrate the tuner optimizes.  It provides:
 * a sharded serving engine (:mod:`repro.vdms.sharding`): hash- or
   range-partitioned shards inside every collection, a scatter-gather query
   planner with a vectorized top-k heap-merge, and a per-request
-  :class:`QueryScheduler` whose shard-task trace feeds the measured
+  :class:`QueryScheduler` — its requests answered by one batched
+  ``Collection.search_many`` — whose shard-task trace feeds the measured
   concurrent QPS;
 * a hybrid filtered-search layer (:mod:`repro.vdms.request`): scalar
   attribute columns stored alongside the vectors, a

@@ -27,7 +27,8 @@ mutation/cache oracle suite (``tests/vdms/test_cache_oracle.py``) pins down.
 Backends are pluggable through the :class:`CacheBackend` protocol (the
 pattern of SNIPPETS.md's cachetools resource layer): the in-process
 :class:`LRUCacheBackend` ships now, and a distributed backend (Redis-style)
-only needs ``get``/``put``/``clear``/``__len__`` over hashable keys.
+only needs ``get``/``put``/``discard``/``clear``/``__len__`` over hashable
+keys.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ __all__ = [
     "CacheStats",
     "CachedResult",
     "LRUCacheBackend",
+    "PendingResult",
     "TieredQueryCache",
     "canonical_filter_key",
     "make_backend",
@@ -67,7 +69,8 @@ class CacheBackend(Protocol):
     Implementations must be safe for concurrent ``get``/``put`` from the
     serving threads (the in-process backend uses its own lock; a remote
     backend's client library typically is already).  Keys are hashable
-    tuples; values are opaque.  ``get`` returns ``None`` on a miss —
+    tuples; values are opaque but kept by reference: a search stores a
+    :class:`PendingResult` and completes it in place.  ``get`` returns ``None`` on a miss —
     ``None`` is never a legal cached value.
     """
 
@@ -77,6 +80,10 @@ class CacheBackend(Protocol):
 
     def put(self, key: Hashable, value: Any) -> None:
         """Store ``value`` under ``key``, evicting per policy if full."""
+        ...
+
+    def discard(self, key: Hashable, value: Any) -> None:
+        """Drop ``key`` if it still holds ``value`` (the same object)."""
         ...
 
     def clear(self) -> None:
@@ -122,6 +129,11 @@ class LRUCacheBackend:
             while len(self._entries) > self.capacity:
                 self._entries.popitem(last=False)
                 self.evictions += 1
+
+    def discard(self, key: Hashable, value: Any) -> None:
+        with self._lock:
+            if self._entries.get(key) is value:
+                del self._entries[key]
 
     def clear(self) -> None:
         with self._lock:
@@ -258,6 +270,25 @@ class CachedResult:
     plan: Any | None = None
 
 
+class PendingResult:
+    """A result-tier entry whose search is still running.
+
+    A search call stores one the moment its lookup misses — where a loop of
+    single searches stores the finished result — so the tier's recency order
+    and evictions are that loop's, and fills ``result`` in place once the
+    call's batch is answered (an entry evicted meanwhile is filled harmlessly
+    and stays gone).  Until then only ``owner``, the storing call, is served
+    from it: another call's lookup counts a miss and searches itself, as two
+    racing identical requests do.
+    """
+
+    __slots__ = ("owner", "result")
+
+    def __init__(self, owner: object) -> None:
+        self.owner = owner
+        self.result: CachedResult | None = None
+
+
 class TieredQueryCache:
     """The result tier plus the plan tier of one collection.
 
@@ -279,9 +310,21 @@ class TieredQueryCache:
 
     # -- result tier ---------------------------------------------------------------
 
-    def get_result(self, version: int, key: tuple) -> CachedResult | None:
-        """Look up a result entry at ``version``; counts the hit or miss."""
+    def get_result(
+        self, version: int, key: tuple, owner: object = None
+    ) -> CachedResult | PendingResult | None:
+        """Look up a result entry at ``version``; counts the hit or miss.
+
+        A filled :class:`PendingResult` reads as its result; an unfilled one
+        is a hit only for its ``owner`` (which gets the entry itself to read
+        once filled) and a miss for everyone else.
+        """
         value = self._results.get((int(version),) + key)
+        if isinstance(value, PendingResult):
+            if value.result is not None:
+                value = value.result
+            elif value.owner is not owner:
+                value = None
         with self._stats_lock:
             if value is None:
                 self.stats.result_misses += 1
@@ -289,9 +332,13 @@ class TieredQueryCache:
                 self.stats.result_hits += 1
         return value
 
-    def put_result(self, version: int, key: tuple, value: CachedResult) -> None:
-        """Store a result entry computed at ``version``."""
+    def put_result(self, version: int, key: tuple, value: CachedResult | PendingResult) -> None:
+        """Store a result entry computed (or being computed) at ``version``."""
         self._results.put((int(version),) + key, value)
+
+    def discard_result(self, version: int, key: tuple, value: PendingResult) -> None:
+        """Drop an entry a failed search stored, unless it was replaced since."""
+        self._results.discard((int(version),) + key, value)
 
     # -- plan tier -----------------------------------------------------------------
 

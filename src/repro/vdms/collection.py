@@ -7,9 +7,11 @@ each shard, and answers top-K searches with a scatter-gather plan: the query
 batch fans out to every shard (every segment through the index that serves
 it — growing or delete-invalidated segments through their own exact FLAT
 index) and the per-shard top-k lists are combined by a vectorized heap-merge.
-Mutations and search snapshots are serialized by a collection lock, so
-concurrent searches keep computing on a consistent state while inserts,
-flushes and deletes land.
+Several requests (:meth:`Collection.search_many`) share one scatter-gather
+and are split back into the results each would get alone, query cache
+included; a single search is a call of one.  Mutations and search snapshots
+are serialized by a collection lock, so concurrent searches keep computing
+on a consistent state while inserts, flushes and deletes land.
 """
 
 from __future__ import annotations
@@ -17,11 +19,17 @@ from __future__ import annotations
 import copy
 import threading
 from dataclasses import dataclass
-from typing import Any, Mapping
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.vdms.cache import CachedResult, TieredQueryCache, canonical_filter_key, request_cache_key
+from repro.vdms.cache import (
+    CachedResult,
+    PendingResult,
+    TieredQueryCache,
+    canonical_filter_key,
+    request_cache_key,
+)
 from repro.vdms.cost_model import CollectionProfile
 from repro.vdms.distance import METRICS, masked_scan_mode
 from repro.vdms.durability import (
@@ -64,7 +72,8 @@ class SearchResult:
     distances:
         Corresponding metric values (smaller is better).
     stats:
-        Aggregate counted work across all shards and segments.
+        Counted work across all shards and segments, one row per query
+        (:class:`~repro.vdms.index.base.SearchStats`).
     shard_stats:
         Per-shard counted work of the scatter phase, in shard order (one
         entry per shard, including empty shards, which still cost a
@@ -670,19 +679,16 @@ class Collection:
     def _search_snapshot(
         self,
         views: list[SegmentView],
-        request: SearchRequest,
+        queries: np.ndarray,
+        top_k: int,
         plan: SearchPlan | None,
         planned: list[tuple[np.ndarray, SegmentPlan]] | None,
-        charge_filter_scan: bool,
     ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Top-K over one shard snapshot: one ``search_run`` per index type.
 
-        For a filtered request ``plan`` is its resolved plan and ``planned``
+        For a filtered batch ``plan`` is its resolved plan and ``planned``
         the shard's ``(allow_mask, segment_plan)`` pairs, aligned with
         ``views``; both are ``None`` unfiltered.
-        ``charge_filter_scan`` is ``False`` when the allow-masks came from
-        the plan tier of the query cache: the predicate was not re-evaluated
-        for this request, so no mask-building scan is charged.
 
         The views are grouped by the concrete type of their index, in order
         of first appearance, and each group is answered by its type's
@@ -690,10 +696,10 @@ class Collection:
         search and a merge, or the type's fused form, with the same ids,
         distances and counted work.  A filtered member carries its own
         allow-mask and planned strategy.  The groups' lists are merged once.
+        The stats hold each query's scanning work; the mask-building scan is
+        a request's, charged by :meth:`search_many`.
         """
-        queries = request.queries
-        top_k = request.top_k
-        stats = SearchStats(num_queries=queries.shape[0])
+        stats = SearchStats(queries.shape[0])
         groups: dict[type, tuple[list[VectorIndex], list[dict[str, Any]]]] = {}
         for position, view in enumerate(views):
             run, options = groups.setdefault(type(view.index), ([], []))
@@ -707,8 +713,6 @@ class Collection:
                         "overfetch_factor": plan.overfetch_factor,
                     }
                 )
-                if charge_filter_scan:
-                    stats.filter_rows_scanned += view.index.size
         if not groups:
             empty_shape = (queries.shape[0], 0)
             return np.empty(empty_shape, dtype=np.int64), np.empty(empty_shape), stats
@@ -726,96 +730,171 @@ class Collection:
 
         ``queries`` is either a plain query array paired with ``top_k``
         or a full :class:`~repro.vdms.request.SearchRequest` (everything
-        below this entry point sees the request form only).  An
-        attribute-filtered request is planned per segment from the
-        estimated selectivity (pre-filter vs post-filter, see
-        :meth:`plan_search`) before the scatter phase executes it.
-
-        With ``cache_policy`` enabled, the tiered query cache is consulted
-        first: a result-tier hit returns the memoized payload (copied, and
-        bit-identical to a fresh search at the same collection version) and
-        charges only ``cache_hits`` work; a plan-tier hit reuses the
-        predicate's allow-masks without re-scanning the attribute columns.
-        ``use_cache=False`` bypasses both tiers for this call (the oracle
-        suite and the serving front-end's ``use_cache`` request field use
-        it).  The version is captured and the lookup performed under the
-        collection lock, so a hit can never straddle a mutation.
-
-        The scatter phase runs the query batch against each shard's snapshot
-        — every segment through its index, which for a growing or
-        delete-invalidated segment is the segment's own exact FLAT index —
-        and the gather phase heap-merges the per-shard top-k lists into the
-        global top-k.  A filter matching fewer than ``top_k`` live rows pads
-        the tail with id ``-1`` / distance ``inf``.  Snapshots are taken
-        under the collection lock, so concurrent mutations never tear a
-        search.
+        below this entry point sees the request form only).  This is
+        ``search_many([request])[0]``: see :meth:`search_many` for the
+        cache, the plan and the scatter-gather.
         """
         request = SearchRequest.coerce(queries, top_k)
+        return self.search_many([request], use_cache=use_cache)[0]
+
+    def search_many(
+        self, requests: Sequence[SearchRequest], *, use_cache: bool = True
+    ) -> list[SearchResult]:
+        """One result per request, each exactly what searching it alone returns.
+
+        Every request's query dimension is checked first, so a rejected call
+        counts no cache lookup.  Then one version and one snapshot serve the
+        whole call.  An attribute-filtered request is planned per segment
+        from the estimated selectivity (pre-filter vs post-filter, see
+        :meth:`plan_search`).
+
+        With ``cache_policy`` enabled, the tiered query cache is looked up in
+        request order, under the collection lock (so a hit can never straddle
+        a mutation).  A result-tier hit returns the memoized payload (copied,
+        and bit-identical to a fresh search at the same version) and charges
+        only ``cache_hits`` work.  A miss stores a
+        :class:`~repro.vdms.cache.PendingResult` at once, where a loop of
+        single searches would store its result: a later duplicate in the call
+        hits it, and one evicted meanwhile misses again and re-pays — every
+        counter, eviction and hit is the loop's.  The misses' plan-tier
+        lookups follow in the same order; a plan-tier hit reuses the
+        predicate's allow-masks, and only the request that evaluated them
+        pays the mask-building scan (``filter_rows_scanned``, on its first
+        query).  ``use_cache=False`` bypasses both tiers (the oracle suite and
+        the serving front-end's ``use_cache`` request field use it).
+
+        The misses are answered by one scatter-gather per distinct
+        (``top_k``, filter) — one for a replayed workload: their rows fan out
+        to every shard (every segment through its index, which for a growing
+        or delete-invalidated segment is the segment's own exact FLAT index),
+        the per-shard top-k lists are heap-merged, and the rows, per-query
+        stats and ``shard_stats`` are split back per request before the
+        pending entries are filled.  A filter matching fewer than ``top_k``
+        live rows pads the tail with id ``-1`` / distance ``inf``.  A call
+        that raises leaves no pending entry behind.
+        """
+        requests = list(requests)
+        for request in requests:
+            if request.queries.ndim != 2 or request.queries.shape[1] != self.dimension:
+                raise ValueError(f"expected queries of dimension {self.dimension}")
         cache = self._query_cache if use_cache else None
-        result_key: tuple | None = None
+        results: list[SearchResult | None] = [None] * len(requests)
+        call = object()
+        stored: list[tuple[int, tuple, PendingResult]] = []
+        waiting: list[tuple[int, PendingResult]] = []
         with self._lock:
             version = self._version
-            if cache is not None:
-                result_key = request_cache_key(request, self.system_config)
-                hit = cache.get_result(version, result_key)
-                if hit is not None:
-                    return self._result_from_cache(request, hit)
-            snapshots = [shard.snapshot(self.metric) for shard in self._shards]
-            unbuilt = not self.has_index and self.num_sealed_segments > 0
-        if not any(snapshots):
-            raise IndexNotBuiltError("collection is empty; insert and flush before searching")
-        if unbuilt:
-            raise IndexNotBuiltError("no index built; call create_index first")
-
-        plan: SearchPlan | None = None
-        shard_plans: list[list[tuple[np.ndarray, SegmentPlan]]] | None = None
-        charge_filter_scan = True
-        if request.filter is not None:
-            plan, shard_plans, charge_filter_scan = self._planned(
-                request, snapshots, version, cache
+            if cache is None:
+                misses = list(range(len(requests)))
+            else:
+                misses = []
+                for position, request in enumerate(requests):
+                    key = request_cache_key(request, self.system_config)
+                    hit = cache.get_result(version, key, owner=call)
+                    if isinstance(hit, PendingResult):
+                        waiting.append((position, hit))
+                    elif hit is not None:
+                        results[position] = self._result_from_cache(request, hit)
+                    else:
+                        entry = PendingResult(call)
+                        cache.put_result(version, key, entry)
+                        stored.append((position, key, entry))
+                        misses.append(position)
+            if misses:
+                snapshots = [shard.snapshot(self.metric) for shard in self._shards]
+                unbuilt = not self.has_index and self.num_sealed_segments > 0
+        try:
+            if misses:
+                if not any(snapshots):
+                    raise IndexNotBuiltError(
+                        "collection is empty; insert and flush before searching"
+                    )
+                if unbuilt:
+                    raise IndexNotBuiltError("no index built; call create_index first")
+                self._scatter_gather(requests, misses, snapshots, version, cache, results)
+        except BaseException:
+            for _, key, entry in stored:
+                cache.discard_result(version, key, entry)
+            raise
+        for position, _, entry in stored:
+            result = results[position]
+            entry.result = CachedResult(
+                ids=result.ids.copy(), distances=result.distances.copy(), plan=result.plan
             )
+        for position, entry in waiting:
+            results[position] = self._result_from_cache(requests[position], entry.result)
+        return results
 
-        shard_stats: list[SearchStats] = []
-        shard_ids: list[np.ndarray] = []
-        shard_distances: list[np.ndarray] = []
-        for position, views in enumerate(snapshots):
-            ids, distances, stats = self._search_snapshot(
-                views,
-                request,
-                plan,
-                shard_plans[position] if shard_plans is not None else None,
-                charge_filter_scan,
-            )
-            shard_stats.append(stats)
-            shard_ids.append(ids)
-            shard_distances.append(distances)
+    def _scatter_gather(
+        self,
+        requests: list[SearchRequest],
+        misses: list[int],
+        snapshots: list[list[SegmentView]],
+        version: int,
+        cache: TieredQueryCache | None,
+        results: list[SearchResult | None],
+    ) -> None:
+        """Answer ``requests[misses]`` into ``results``: planned in request
+        order, then one scatter-gather per distinct (``top_k``, filter).
 
-        merged_ids, merged_distances = merge_topk(shard_ids, shard_distances, request.top_k)
-        total = SearchStats(num_queries=request.queries.shape[0])
-        for stats in shard_stats:
-            total.merge(stats)
-        filter_stats = FilterStats.from_plan(plan, total) if plan is not None else None
-        if cache is not None:
-            cache.put_result(
-                version,
-                result_key,
-                CachedResult(
-                    ids=merged_ids.copy(), distances=merged_distances.copy(), plan=plan
-                ),
+        A request without queries is answered apart from the others: the
+        dtypes of an empty answer are the ones its own search gives.  It has
+        no query to charge its mask-building scan to, so it records none.
+        """
+        plans: dict[int, tuple[SearchPlan, list, bool]] = {}
+        batches: dict[tuple, list[int]] = {}
+        for position in misses:
+            request = requests[position]
+            filter_key = None
+            if request.filter is not None:
+                plans[position] = self._planned(request, snapshots, version, cache)
+                filter_key = (
+                    canonical_filter_key(request.filter),
+                    *request.filter_knobs(self.system_config),
+                )
+            empty = request.queries.shape[0] == 0
+            batches.setdefault((request.top_k, filter_key, empty), []).append(position)
+        # The rows a request's mask-building scan evaluates, per shard.
+        scan_rows = [sum(view.index.size for view in views) for views in snapshots] if plans else []
+        for (top_k, _, _), members in batches.items():
+            # Equal predicates plan equal masks, so the first member's serve all.
+            plan, shard_plans, _ = plans.get(members[0], (None, [None] * len(snapshots), False))
+            queries = requests[members[0]].queries
+            if len(members) > 1:
+                queries = np.concatenate([requests[position].queries for position in members])
+            shard_ids, shard_distances, shard_stats = zip(
+                *(
+                    self._search_snapshot(views, queries, top_k, plan, planned)
+                    for views, planned in zip(snapshots, shard_plans)
+                )
             )
-        return SearchResult(
-            ids=merged_ids,
-            distances=merged_distances,
-            stats=total,
-            shard_stats=shard_stats,
-            plan=plan,
-            filter_stats=filter_stats,
-        )
+            merged_ids, merged_distances = merge_topk(shard_ids, shard_distances, top_k)
+            stop = 0
+            for position in members:
+                start, stop = stop, stop + requests[position].queries.shape[0]
+                request_plan, _, evaluated = plans.get(position, (None, None, False))
+                request_shard_stats = [stats.slice(start, stop) for stats in shard_stats]
+                if evaluated and stop > start:
+                    for stats, rows in zip(request_shard_stats, scan_rows):
+                        stats.add("filter_rows_scanned", rows, 0)
+                total = SearchStats(stop - start)
+                for stats in request_shard_stats:
+                    total.merge(stats)
+                results[position] = SearchResult(
+                    ids=merged_ids[start:stop],
+                    distances=merged_distances[start:stop],
+                    stats=total,
+                    shard_stats=request_shard_stats,
+                    plan=request_plan,
+                    filter_stats=(
+                        FilterStats.from_plan(request_plan, total) if request_plan is not None else None
+                    ),
+                )
 
     def _result_from_cache(self, request: SearchRequest, hit: CachedResult) -> SearchResult:
         """Materialize a result-tier hit: copied arrays, cache-hit-only work."""
         num_queries = int(request.queries.shape[0])
-        stats = SearchStats(num_queries=num_queries, cache_hits=num_queries)
+        stats = SearchStats(num_queries, cache_hits=1)
         filter_stats = None
         if hit.plan is not None:
             # The plan describes the memoized execution; no filter work was

@@ -10,7 +10,7 @@ relative costs that drive the paper's trade-offs.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import Any, Mapping, Sequence
 
 import numpy as np
@@ -23,17 +23,41 @@ from repro.vdms.distance import (
 )
 from repro.vdms.errors import IndexNotBuiltError
 
-__all__ = ["SearchStats", "BuildStats", "VectorIndex"]
+__all__ = ["COUNTERS", "SearchStats", "BuildStats", "VectorIndex"]
 
 
-@dataclass
+#: The counters of a :class:`SearchStats` record, in field order after ``num_queries``.
+COUNTERS: tuple[str, ...] = (
+    "distance_evaluations",
+    "coarse_evaluations",
+    "code_evaluations",
+    "reorder_evaluations",
+    "graph_hops",
+    "segments_searched",
+    "filter_rows_scanned",
+    "filter_candidates_dropped",
+    "cache_hits",
+)
+_COLUMN = {name: column for column, name in enumerate(COUNTERS)}
+
+
+@dataclass(init=False, eq=False)
 class SearchStats:
-    """Counted work performed while answering a batch of queries.
+    """Counted work performed while answering a batch of queries, per query.
+
+    The record is ``per_query``, an int64 array with one row per query and
+    one column per counter: row ``i`` is what query ``i`` cost, exactly what
+    searching that query alone records, whatever batch it was answered in —
+    which is what lets one batched search be split back into per-request
+    records.  Work a request pays once (its mask-building scan) is charged
+    to its first query.  The fields read as the batch's totals: the values
+    the cost model, :class:`~repro.vdms.request.FilterStats` and
+    ``dataclasses.astuple`` see.
 
     Attributes
     ----------
     num_queries:
-        Number of queries in the batch.
+        Number of queries in the batch (rows of ``per_query``).
     distance_evaluations:
         Full-precision distance computations (cost ~ vector dimension).
     coarse_evaluations:
@@ -60,43 +84,54 @@ class SearchStats:
         cached query contributes no scanning counters, only this one.
     """
 
-    num_queries: int = 0
-    distance_evaluations: int = 0
-    coarse_evaluations: int = 0
-    code_evaluations: int = 0
-    reorder_evaluations: int = 0
-    graph_hops: int = 0
-    segments_searched: int = 0
-    filter_rows_scanned: int = 0
-    filter_candidates_dropped: int = 0
-    cache_hits: int = 0
+    num_queries: int
+    distance_evaluations: int
+    coarse_evaluations: int
+    code_evaluations: int
+    reorder_evaluations: int
+    graph_hops: int
+    segments_searched: int
+    filter_rows_scanned: int
+    filter_candidates_dropped: int
+    cache_hits: int
+
+    def __init__(self, num_queries: int = 0, **counters: Any) -> None:
+        """``num_queries`` zero rows, then ``counters`` by name: what every
+        query costs, or one value per query."""
+        self.per_query = np.zeros((int(num_queries), len(COUNTERS)), dtype=np.int64)
+        for name, amounts in counters.items():
+            self.per_query[:, _COLUMN[name]] = amounts
+
+    @classmethod
+    def from_rows(cls, per_query: np.ndarray) -> "SearchStats":
+        """A record owning ``per_query`` (shape ``(q, len(COUNTERS))``)."""
+        stats = cls.__new__(cls)
+        stats.per_query = per_query
+        return stats
+
+    def add(self, name: str, amounts: Any, queries: Any = slice(None)) -> None:
+        """Charge ``amounts`` of counter ``name`` to the distinct rows ``queries``."""
+        self.per_query[queries, _COLUMN[name]] += amounts
 
     def merge(self, other: "SearchStats") -> "SearchStats":
-        """Accumulate another stats record into this one (in place)."""
-        self.num_queries = max(self.num_queries, other.num_queries)
-        self.distance_evaluations += other.distance_evaluations
-        self.coarse_evaluations += other.coarse_evaluations
-        self.code_evaluations += other.code_evaluations
-        self.reorder_evaluations += other.reorder_evaluations
-        self.graph_hops += other.graph_hops
-        self.segments_searched += other.segments_searched
-        self.filter_rows_scanned += other.filter_rows_scanned
-        self.filter_candidates_dropped += other.filter_candidates_dropped
-        self.cache_hits += other.cache_hits
+        """Add another record of the same queries into this one (in place):
+        the per-segment fold within one request."""
+        self.per_query += other.per_query
         return self
 
     def accumulate(self, other: "SearchStats") -> "SearchStats":
-        """Add another *request's* record into this one (in place).
+        """Append another *request's* record to this one (in place).
 
-        Unlike :meth:`merge` — the per-segment fold within one request,
-        where ``num_queries`` is the shared batch size — requests carry
-        distinct queries, so every counter sums, ``num_queries`` included.
+        Unlike :meth:`merge` — the per-segment fold over the same queries —
+        requests carry distinct queries, so the other record's rows join
+        this one's and every total sums, ``num_queries`` included.
         """
-        for counter in fields(self):
-            setattr(
-                self, counter.name, getattr(self, counter.name) + getattr(other, counter.name)
-            )
+        self.per_query = np.concatenate((self.per_query, other.per_query))
         return self
+
+    def slice(self, start: int, stop: int) -> "SearchStats":
+        """A record of queries ``[start:stop)`` only (copied)."""
+        return SearchStats.from_rows(self.per_query[start:stop].copy())
 
     def total_work(self) -> int:
         """Total number of elementary scoring operations (all kinds)."""
@@ -106,6 +141,26 @@ class SearchStats:
             + self.code_evaluations
             + self.reorder_evaluations
         )
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, SearchStats):
+            return NotImplemented
+        return self.per_query.shape == other.per_query.shape and bool(
+            (self.per_query == other.per_query).all()
+        )
+
+
+def _total(column: int) -> property:
+    # A Python-int sum: a record is mostly one request's few rows, which a
+    # NumPy reduction would cost several times more to add up.
+    return property(lambda stats: sum(stats.per_query[:, column].tolist()))
+
+
+# The fields read as totals over the rows: ``dataclasses.fields`` keeps the
+# declared order, and ``astuple``/``repr`` read each field through these.
+SearchStats.num_queries = property(lambda stats: len(stats.per_query))
+for _column, _name in enumerate(COUNTERS):
+    setattr(SearchStats, _name, _total(_column))
 
 
 @dataclass
@@ -157,7 +212,7 @@ def merge_results(
     from repro.vdms.sharding import merge_topk
 
     found_ids, found_distances, parts = zip(*results)
-    stats = SearchStats()
+    stats = SearchStats(parts[0].num_queries)
     for part in parts:
         stats.merge(part)
     return (*merge_topk(found_ids, found_distances, top_k), stats)
@@ -274,7 +329,8 @@ class VectorIndex(ABC):
             Initial over-fetch multiplier of the ``"post"`` strategy.
 
         Returns ``(ids, distances, stats)`` where ``ids`` has shape
-        ``(q, top_k)``.
+        ``(q, top_k)`` and ``stats`` holds one row per query: each query's
+        counted work is what it costs searched alone.
         """
         queries, top_k = self._checked_request(queries, top_k)
         if allow_mask is None:
@@ -286,14 +342,13 @@ class VectorIndex(ABC):
             if not allow_mask.any():
                 positions = np.full((queries.shape[0], top_k), -1, dtype=np.int64)
                 distances = np.full((queries.shape[0], top_k), np.inf)
-                stats = SearchStats(segments_searched=int(queries.shape[0]))
+                stats = SearchStats(queries.shape[0], segments_searched=1)
             elif strategy == "pre":
                 positions, distances, stats = self._search_filtered(queries, top_k, allow_mask)
             else:
                 positions, distances, stats = self._search_postfiltered(
                     queries, top_k, allow_mask, overfetch_factor
                 )
-        stats.num_queries = queries.shape[0]
         ids = np.where(positions >= 0, self._ids[np.clip(positions, 0, self.size - 1)], -1)
         return (*pad_to_top_k(ids, distances, top_k), stats)
 
@@ -381,8 +436,7 @@ class VectorIndex(ABC):
         """
         positions, ordered, _ = masked_topk(queries, self._operand, allow_mask, top_k, self.metric)
         stats = SearchStats(
-            distance_evaluations=int(queries.shape[0]) * int(np.count_nonzero(allow_mask)),
-            segments_searched=int(queries.shape[0]),
+            queries.shape[0], distance_evaluations=np.count_nonzero(allow_mask), segments_searched=1
         )
         return positions, ordered, stats
 
@@ -396,10 +450,11 @@ class VectorIndex(ABC):
         for the next pass; a query completes when it has ``top_k`` allowed
         rows or a pass has fetched the whole index.  All the work of every
         pass is charged — the refill waste is exactly what makes
-        post-filtering expensive at low selectivity.
+        post-filtering expensive at low selectivity.  A query is charged the
+        passes it took part in, which are the passes it takes alone.
         """
         num_queries = int(queries.shape[0])
-        stats = SearchStats()
+        stats = SearchStats(num_queries)
         fetch = min(
             self.size, max(top_k, int(np.ceil(top_k * max(1.0, float(overfetch_factor)))))
         )
@@ -408,10 +463,10 @@ class VectorIndex(ABC):
         pending = np.arange(num_queries)
         while pending.size:
             positions, distances, pass_stats = self._search(queries[pending], fetch)
-            stats.merge(pass_stats)
+            stats.per_query[pending] += pass_stats.per_query
             valid = positions >= 0
             allowed = valid & allow_mask[np.clip(positions, 0, self.size - 1)]
-            stats.filter_candidates_dropped += int((valid & ~allowed).sum())
+            stats.add("filter_candidates_dropped", (valid & ~allowed).sum(axis=1), pending)
             exhausted = fetch >= self.size
             still_pending: list[int] = []
             for row, query_index in enumerate(pending):

@@ -48,10 +48,7 @@ class FlatIndex(VectorIndex):
         # The blocked-scan kernel over this index's one operand: bit-identical
         # to the naive scan (module determinism contract), tile-bounded scratch.
         positions, ordered, _ = scan_topk(queries, [self._operand], top_k, self.metric)
-        stats = SearchStats(
-            distance_evaluations=int(queries.shape[0]) * self.size,
-            segments_searched=int(queries.shape[0]),
-        )
+        stats = SearchStats(queries.shape[0], distance_evaluations=self.size, segments_searched=1)
         return positions, ordered, stats
 
     # -- runs: several FLAT-served segments answered by one scan ----------------
@@ -96,8 +93,8 @@ class FlatIndex(VectorIndex):
         operand.  Otherwise queries are prepared, cast and normed once, one
         blocked scan fills one float32 row per query across every segment,
         one ``top_k_select`` picks the winners.  ``stats`` charges exactly
-        what searching each index would have: ``q × Σrows`` distance
-        evaluations, ``q × len(piece)`` segments.  A query whose boundary
+        what searching each index would have: per query ``Σrows`` distance
+        evaluations and ``len(piece)`` segments.  A query whose boundary
         distance is tied (see :func:`~repro.vdms.distance.scan_topk`) is
         re-run through the base :meth:`VectorIndex.search_run`.
         """
@@ -110,11 +107,10 @@ class FlatIndex(VectorIndex):
         ids, distances = pad_to_top_k(
             np.concatenate([index._ids for index in piece])[positions], distances, top_k
         )
-        num_queries = int(prepared.shape[0])
         stats = SearchStats(
-            num_queries=num_queries,
-            distance_evaluations=num_queries * sum(index.size for index in piece),
-            segments_searched=num_queries * len(piece),
+            prepared.shape[0],
+            distance_evaluations=sum(index.size for index in piece),
+            segments_searched=len(piece),
         )
         unsettled = np.flatnonzero(~settled)
         if unsettled.size:

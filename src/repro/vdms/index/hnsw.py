@@ -196,21 +196,24 @@ class HNSWIndex(VectorIndex):
         rows and one finish score them all
         (:meth:`QueryOperand.gather_scan_runs`), and each query reads its own
         slice.  Walks never read each other's state, so a query's hops,
-        admissions and results are the ones it has alone.
+        admissions, results and counted work (its row of ``stats``) are the
+        ones it has alone.
         """
         ef = max(self.ef_search, top_k)
         num_queries = queries.shape[0]
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
-        stats = SearchStats(segments_searched=num_queries)
+        stats = SearchStats(num_queries, segments_searched=1)
         # Per-call scratch, never index state: admission workers and any
         # other caller threads search one index concurrently.  Kept in the
         # negative so a hop's mask is one gather, not a gather and an invert.
         unvisited = np.empty((min(num_queries, DEFAULT_QUERY_BLOCK), len(self._layers[0])), dtype=bool)
         for first in range(0, num_queries, DEFAULT_QUERY_BLOCK):
             prepared = QueryOperand(queries[first : first + DEFAULT_QUERY_BLOCK], self.metric)
-            starts = self._descend(prepared, stats)
-            found = self._beam(prepared, starts, ef, unvisited[: len(starts)], stats)
+            # A view: the block's walks charge their rows of ``stats``.
+            block = SearchStats.from_rows(stats.per_query[first : first + DEFAULT_QUERY_BLOCK])
+            starts = self._descend(prepared, block)
+            found = self._beam(prepared, starts, ef, unvisited[: len(starts)], block)
             for query, results in enumerate(found, first):
                 keep = sorted((-negated, node) for negated, node in results)[:top_k]
                 positions[query, : len(keep)] = [node for _, node in keep]
@@ -225,7 +228,7 @@ class HNSWIndex(VectorIndex):
         current = [self._entry_point] * len(everyone)
         for layer in self._layers[:0:-1]:
             nearest = prepared.gather_scan_runs(everyone, [1] * len(everyone), operand, np.array(current)).tolist()
-            stats.coarse_evaluations += len(everyone)
+            stats.add("coarse_evaluations", 1)
             moved = everyone
             while moved:
                 # A round: one hop of every query that moved in the last one
@@ -234,11 +237,10 @@ class HNSWIndex(VectorIndex):
                 if not owners:
                     break
                 parts = [layer[current[query]] for query in owners]
-                scores = prepared.gather_scan_runs(
-                    owners, [part.size for part in parts], operand, np.concatenate(parts)
-                )
-                stats.coarse_evaluations += scores.size
-                stats.graph_hops += len(owners)
+                sizes = [part.size for part in parts]
+                scores = prepared.gather_scan_runs(owners, sizes, operand, np.concatenate(parts))
+                stats.add("coarse_evaluations", sizes, owners)
+                stats.add("graph_hops", 1, owners)
                 moved, stop = [], 0
                 for query, part in zip(owners, parts):
                     start, stop = stop, stop + part.size
@@ -255,7 +257,9 @@ class HNSWIndex(VectorIndex):
     ) -> list[list[tuple[float, int]]]:
         """Best-first search of the bottom layer from ``starts``, one walk per
         query of the block; returns each query's result heap (negated
-        distances).  ``unvisited`` is the block's ``(queries, rows)`` scratch."""
+        distances).  ``unvisited`` is the block's ``(queries, rows)`` scratch.
+        Each walk's hops and evaluations are counted per round and charged to
+        its row of ``stats`` at the end."""
         operand = self._operand
         bottom = self._layers[0]
         unvisited.fill(True)
@@ -267,7 +271,8 @@ class HNSWIndex(VectorIndex):
             walks.append([[], [], unvisited_row, len(bottom) - 1])
         owners = list(range(len(starts)))
         parts = [np.array([start]) for start in starts]
-        graph_hops = distance_evaluations = 0
+        graph_hops = [0] * len(starts)
+        distance_evaluations = [0] * len(starts)
         while owners:
             if len(owners) == 1:
                 # A round of one walk is that walk's own scan.
@@ -277,10 +282,10 @@ class HNSWIndex(VectorIndex):
                 nodes = np.concatenate(parts)
                 scores = prepared.gather_scan_runs(owners, [part.size for part in parts], operand, nodes).tolist()
             nodes = nodes.tolist()
-            distance_evaluations += len(nodes)
             walking, fresh_parts, stop = [], [], 0
             for query, part in zip(owners, parts):
                 start, stop = stop, stop + part.size
+                distance_evaluations[query] += part.size
                 walk = walks[query]
                 candidates, results, unvisited_row, unseen = walk
                 worst = -results[0][0] if results else None
@@ -299,11 +304,12 @@ class HNSWIndex(VectorIndex):
                 # Expand candidates up to the first with unvisited neighbours:
                 # a hop that scores nothing costs no round, and once every row
                 # is visited it costs no look at the adjacency either.
+                hops = 0
                 while candidates:
                     distance, node = heappop(candidates)
                     if distance > worst and len(results) >= ef:
                         break
-                    graph_hops += 1
+                    hops += 1
                     if not unseen:
                         continue
                     neighbours = bottom[node]
@@ -314,9 +320,10 @@ class HNSWIndex(VectorIndex):
                         walking.append(query)
                         fresh_parts.append(fresh)
                         break
+                graph_hops[query] += hops
             owners, parts = walking, fresh_parts
-        stats.graph_hops += graph_hops
-        stats.distance_evaluations += distance_evaluations
+        stats.add("graph_hops", graph_hops)
+        stats.add("distance_evaluations", distance_evaluations)
         return [walk[1] for walk in walks]
 
     def memory_bytes(self) -> int:

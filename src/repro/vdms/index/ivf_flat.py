@@ -239,7 +239,9 @@ class IVFFlatIndex(VectorIndex):
         num_queries = queries.shape[0]
         query_side = QueryOperand(queries, self.metric)
         candidates, bounds = _probed_candidates([self], _probe([self], query_side), [allow_mask])
-        stats = SearchStats(coarse_evaluations=num_queries * self._centroid_operand.shape[0])
+        stats = SearchStats(
+            num_queries, coarse_evaluations=self._centroid_operand.shape[0], segments_searched=1
+        )
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
         score_tile = self._tile_scorer(queries, query_side, stats)
@@ -252,7 +254,6 @@ class IVFFlatIndex(VectorIndex):
                     first, bounds[first : stop + 1] - spans[first], candidates[spans[first] : spans[stop]]
                 )
                 self._select(scores, rows, cuts, top_k, positions[first:stop], distances[first:stop])
-        stats.segments_searched = num_queries
         return positions, distances, stats
 
     def _tile_scorer(
@@ -262,15 +263,16 @@ class IVFFlatIndex(VectorIndex):
 
         The returned ``score_tile(first, bounds, rows)`` scores the candidates
         ``rows`` of consecutive queries — query ``first + i`` owns
-        ``rows[bounds[i]:bounds[i + 1]]`` —, charges the work to ``stats`` and
-        returns ``(scores, rows, bounds)`` for ``_select``: its own arguments,
+        ``rows[bounds[i]:bounds[i + 1]]`` —, charges each query's work to its
+        row of ``stats`` and returns ``(scores, rows, bounds)`` for ``_select``: its own arguments,
         or a shortlist of them.  Here: full-precision distances.
         """
 
         def score_tile(first: int, bounds: np.ndarray, rows: np.ndarray):
-            stats.distance_evaluations += rows.shape[0]
-            owners, counts = range(first, first + bounds.shape[0] - 1), np.diff(bounds).tolist()
-            return query_side.gather_scan_runs(owners, counts, self._operand, rows), rows, bounds
+            counts = np.diff(bounds)
+            stats.add("distance_evaluations", counts, slice(first, first + counts.shape[0]))
+            owners = range(first, first + counts.shape[0])
+            return query_side.gather_scan_runs(owners, counts.tolist(), self._operand, rows), rows, bounds
 
         return score_tile
 
@@ -354,8 +356,8 @@ class IVFFlatIndex(VectorIndex):
         per index is what bit-identity needs: its rows gathered (at most
         ``DEFAULT_ROW_BLOCK`` at a time, more only for one query that has
         more) and each query's GEMV, the call that index's own search
-        issues.  ``stats`` charges exactly what searching each index would
-        have.  A query whose boundary distance is tied or not a number (see
+        issues.  ``stats`` charges each query exactly what searching
+        each index for it would have.  A query whose boundary distance is tied or not a number (see
         :func:`~repro.vdms.distance.scan_topk`) is re-run through the base
         :meth:`VectorIndex.search_run`.
         """
@@ -369,9 +371,9 @@ class IVFFlatIndex(VectorIndex):
         if query_side.norms64 is not None:
             norms = np.concatenate([index._operand.norms64 for index in run])
         stats = SearchStats(
-            num_queries=num_queries,
-            coarse_evaluations=num_queries * sum(index._centroid_operand.shape[0] for index in run),
-            segments_searched=num_queries * len(run),
+            num_queries,
+            coarse_evaluations=sum(index._centroid_operand.shape[0] for index in run),
+            segments_searched=len(run),
         )
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
@@ -411,8 +413,9 @@ class IVFFlatIndex(VectorIndex):
                 tile = slice(block + first, block + stop)
                 tile_cuts, tile_rows = cuts[first : stop + 1] - begin, placed[begin:end]
                 vector_norms = None if norms is None else norms[tile_rows]
-                scores = query_side.finish_runs(products, owners, np.diff(tile_cuts), vector_norms)
-                stats.distance_evaluations += end - begin
+                query_counts = np.diff(tile_cuts)
+                scores = query_side.finish_runs(products, owners, query_counts, vector_norms)
+                stats.add("distance_evaluations", query_counts, tile)
                 lexicographic_select(scores, tile_rows, tile_cuts, top_k, positions[tile], distances[tile])
                 settled[tile] = _settled(scores, tile_cuts, distances[tile], top_k)
         ids = np.concatenate([index._ids for index in run])[positions]

@@ -111,11 +111,14 @@ class IVFPQIndex(IVFFlatIndex):
         subspace_index = np.arange(m)[None, :]
 
         def score_tile(first: int, bounds: np.ndarray, rows: np.ndarray):
-            stats.code_evaluations += rows.shape[0]
+            counts = np.diff(bounds)
+            tile = slice(first, first + counts.shape[0])
+            stats.add("code_evaluations", counts, tile)
+            # A query with candidates reads its whole table set.
+            stats.add("coarse_evaluations", m * codewords * (counts > 0), tile)
             codes = self._codes[rows]
             scores = np.empty(rows.shape[0], dtype=np.float32)
             for query, start, stop in nonempty_spans(first, bounds):
-                stats.coarse_evaluations += m * codewords
                 scores[start:stop] = tables[query][subspace_index, codes[start:stop]].sum(axis=1)
             return scores, rows, bounds
 

@@ -148,7 +148,8 @@ class IVFSQ8Index(IVFFlatIndex):
         """
 
         def score_tile(first: int, bounds: np.ndarray, rows: np.ndarray):
-            stats.code_evaluations += rows.shape[0]
+            counts = np.diff(bounds)
+            stats.add("code_evaluations", counts, slice(first, first + counts.shape[0]))
             scores = np.empty(rows.shape[0], dtype=np.float32)
             if self.fast_scan == "off":
                 decoded = self._decode(rows)

@@ -69,8 +69,8 @@ class ScannIndex(IVFSQ8Index):
             rows = np.concatenate(shortlists)
             counts = np.minimum(np.diff(bounds), self.reorder_k)
             bounds = np.concatenate(([0], np.cumsum(counts)))
-            stats.reorder_evaluations += rows.shape[0]
             owners = range(first, first + counts.shape[0])
+            stats.add("reorder_evaluations", counts, slice(first, first + counts.shape[0]))
             return query_side.gather_scan_runs(owners, counts.tolist(), self._operand, rows), rows, bounds
 
         return score_tile

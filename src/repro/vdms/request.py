@@ -162,7 +162,8 @@ class SearchRequest:
     Attributes
     ----------
     queries:
-        Query vectors, shape ``(q, d)`` (a single vector is promoted).
+        Query vectors, shape ``(q, d)`` (a single vector is promoted; any
+        other shape raises ``ValueError``).
     top_k:
         Requested result width per query.
     filter:
@@ -197,6 +198,10 @@ class SearchRequest:
         queries = np.asarray(self.queries, dtype=np.float32)
         if queries.ndim == 1:
             queries = queries[None, :]
+        if queries.ndim != 2:
+            raise ValueError(
+                f"queries must be one vector or a 2-D array, got {queries.ndim} dimensions"
+            )
         object.__setattr__(self, "queries", queries)
         object.__setattr__(self, "top_k", int(self.top_k))
         if self.top_k <= 0:

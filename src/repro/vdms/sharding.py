@@ -17,9 +17,11 @@ scatter-gather serving engine:
   the tail.  The merge is exact, so sharded search over exact indexes is
   identical to an unsharded scan (the property the oracle suite pins down).
 * :class:`QueryScheduler` — the per-request splitter of the serving path:
-  the workload's query batch is split into individual requests, each served
-  by the (thread-safe) collection in submission order, and the results are
-  reassembled into one batch answer.  Timing stays in the simulated domain:
+  the workload's query batch is split into individual single-query requests,
+  handed to the (thread-safe) collection's ``search_many`` in one call —
+  which answers them, cache hits and misses in submission order, with one
+  batched scatter-gather — and the per-request results are reassembled into
+  one batch answer.  Timing stays in the simulated domain:
   the scheduler records each request's per-shard counted work and
   :meth:`repro.vdms.cost_model.CostModel.concurrent_qps` replays those shard
   tasks through a deterministic event simulation over the configured worker
@@ -300,7 +302,7 @@ class ScheduleTrace:
         """Each request's counted work: its shard tasks merged into one record."""
         merged: list[SearchStats] = []
         for shard_stats in self.request_shard_stats:
-            request_total = SearchStats()
+            request_total = SearchStats(shard_stats[0].num_queries)
             for stats in shard_stats:
                 request_total.merge(stats)
             merged.append(request_total)
@@ -330,8 +332,10 @@ class QueryScheduler:
     """Drives a query batch as individual requests.
 
     The scheduler is the serving half of the scatter-gather engine: it
-    splits a workload's query batch into per-query requests, serves them
-    one after another and reassembles the per-request results in
+    splits a workload's query batch into per-query requests, hands them to
+    the collection's ``search_many`` at once — one batched scatter-gather
+    whose per-request results, cache counters and counted work are those of
+    serving the requests one after another — and reassembles the results in
     submission order.  It owns no threads: concurrency is the callers' —
     any number of threads may call :meth:`run` on the same collection at
     once, which is the code path the concurrency stress suite hammers.
@@ -346,14 +350,14 @@ class QueryScheduler:
     >>> _ = collection.flush()
     >>> _ = collection.create_index("FLAT")
     >>> result, trace = QueryScheduler().run(
-    ...     collection.search, np.zeros((6, 8), dtype=np.float32), top_k=3)
+    ...     collection.search_many, np.zeros((6, 8), dtype=np.float32), top_k=3)
     >>> result.ids.shape, trace.num_requests
     ((6, 3), 6)
     """
 
     def run(
         self,
-        search_fn: Callable[..., Any],
+        search_many: Callable[[list[SearchRequest]], Sequence[Any]],
         queries,
         top_k: int | None = None,
     ):
@@ -362,10 +366,12 @@ class QueryScheduler:
         ``queries`` is either a plain query array (with ``top_k``) or a
         :class:`~repro.vdms.request.SearchRequest`, whose filter and
         strategy knobs are pushed down to every per-query request.  Either
-        way ``search_fn`` is handed one single-query request slice per
-        query and must return a
-        :class:`~repro.vdms.collection.SearchResult`-like object with
-        ``ids``, ``distances``, ``stats`` and (optionally) ``shard_stats``.
+        way ``search_many`` — a collection's
+        :meth:`~repro.vdms.collection.Collection.search_many` — is handed
+        the single-query request slices in one call and must return one
+        :class:`~repro.vdms.collection.SearchResult`-like object per
+        request, with ``ids``, ``distances``, ``stats`` and (optionally)
+        ``shard_stats``.
         """
         from repro.vdms.collection import SearchResult
 
@@ -382,10 +388,9 @@ class QueryScheduler:
                 trace,
             )
 
-        outcomes = [
-            search_fn(request.slice(request_id, request_id + 1))
-            for request_id in range(num_requests)
-        ]
+        outcomes = search_many(
+            [request.slice(request_id, request_id + 1) for request_id in range(num_requests)]
+        )
 
         total = SearchStats()
         ids_rows: list[np.ndarray] = []

@@ -8,8 +8,9 @@ so the result is deterministic.
 
 Concurrent serving: when the configuration asks for an execution pool
 (``search_threads > 1``), the workload is driven through a
-:class:`~repro.vdms.sharding.QueryScheduler` — one request per query, issued
-in order on the calling thread — and the reported QPS is the *measured*
+:class:`~repro.vdms.sharding.QueryScheduler` — one request per query, all
+handed to the collection's ``search_many`` in one call on the calling
+thread — and the reported QPS is the *measured*
 concurrent throughput of that schedule (shard tasks event-simulated over the
 configured worker budget, see
 :meth:`repro.vdms.cost_model.CostModel.concurrent_qps`).  With
@@ -22,12 +23,17 @@ Cached replay: a configuration with ``cache_policy != "none"`` takes the same
 per-request path whatever its ``search_threads``, with the collection's own
 :class:`~repro.vdms.cache.TieredQueryCache` on — hits, evicted entries that
 re-miss and re-pay, and the plan tier charging a predicate's mask-building
-scan once are whatever :meth:`repro.vdms.collection.Collection.search` does,
-so the tuner optimises the cache the server runs.  Which of two identical
-requests computes and which hits is racy only between threads; the requests
-are issued one at a time in stream order, so the hit pattern — and with it
-every measured quantity — is a function of the stream alone.  The hit/miss
-counts in the breakdown are the fresh replay collection's own cache counters.
+scan once are whatever :meth:`repro.vdms.collection.Collection.search_many`
+does, so the tuner optimises the cache the server runs.  The replay is one
+batched scatter-gather: ``search_many`` looks the requests up in stream
+order, storing a pending entry at each miss, answers the misses in one
+batch and splits every request's result, counted work and shard stats back
+out, so each is what serving the requests one at a time in stream order
+gives.  Which of two identical requests computes and which hits is racy
+only between threads, and a replay is one call on one thread, so the hit
+pattern — and with it every measured quantity — is a function of the
+stream alone.  The hit/miss counts in the
+breakdown are the fresh replay collection's own cache counters.
 
 Hybrid filtered replay: a workload carrying an
 :class:`~repro.vdms.request.AttributeFilter` replays *end to end* — the
@@ -303,7 +309,7 @@ class WorkloadReplayer:
             # A cache-enabled replay takes the per-request path even for
             # serial configurations: hits are per request, so per-request
             # accounting is what makes the measured QPS reflect them.
-            result, trace = self._scheduler.run(collection.search, request)
+            result, trace = self._scheduler.run(collection.search_many, request)
         else:
             result = collection.search(request)
         recall = recall_at_k(result.ids, truth, self.workload.top_k)

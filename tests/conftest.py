@@ -65,7 +65,7 @@ def make_tiny_dataset(
     return Dataset(spec=spec, vectors=vectors, queries=queries, ground_truth=ground_truth)
 
 
-def run_searchers(search_fn, queries, top_k=None, *, searchers: int):
+def run_searchers(search_many, queries, top_k=None, *, searchers: int):
     """``searchers`` concurrent ``QueryScheduler().run`` calls, one per thread.
 
     A barrier holds every searcher until all of them have started, so the
@@ -76,7 +76,7 @@ def run_searchers(search_fn, queries, top_k=None, *, searchers: int):
 
     def search(_slot: int):
         barrier.wait(timeout=30)
-        return QueryScheduler().run(search_fn, queries, top_k)
+        return QueryScheduler().run(search_many, queries, top_k)
 
     with ThreadPoolExecutor(max_workers=searchers) as pool:
         return list(pool.map(search, range(searchers)))

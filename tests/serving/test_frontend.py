@@ -149,6 +149,25 @@ def test_search_respects_use_cache_flag(frontend):
     assert bypass["cache_hits"] == 0
 
 
+def test_a_rejected_search_is_not_a_cache_miss(frontend):
+    frontend.backend.apply_system_config({"cache_policy": "lru", "cache_capacity": 8})
+    vectors = np.random.default_rng(4).normal(size=(40, 8))
+    request(frontend, "POST", "/collections", {"name": "c", "dimension": 8})
+    request(frontend, "POST", "/collections/c/insert", {"vectors": vectors.tolist()})
+    request(frontend, "POST", "/collections/c/flush", {})
+    for width in (3, 5, 9):
+        body = {"queries": [[0.5] * width]}
+        assert request(frontend, "POST", "/collections/c/search", body)[0] == 400
+    status, payload = request(frontend, "GET", "/collections/c/stats")
+    assert status == 200
+    assert (payload["cache"]["result_misses"], payload["cache"]["result_hit_ratio"]) == (0, 0.0)
+    body = {"queries": [vectors[0].tolist()], "top_k": 2}
+    request(frontend, "POST", "/collections/c/search", body)
+    request(frontend, "POST", "/collections/c/search", body)
+    cache = request(frontend, "GET", "/collections/c/stats")[1]["cache"]
+    assert (cache["result_hits"], cache["result_misses"], cache["result_hit_ratio"]) == (1, 1, 0.5)
+
+
 def test_error_status_codes(frontend):
     assert request(frontend, "GET", "/nope")[0] == 404
     assert request(frontend, "GET", "/collections/ghost")[0] == 404

@@ -177,6 +177,16 @@ class TestLRUCacheBackend:
         backend.clear()
         assert len(backend) == 0
 
+    def test_discard_drops_only_the_value_it_names(self):
+        backend = LRUCacheBackend(2)
+        first, second = object(), object()
+        backend.put("a", first)
+        backend.discard("a", second)  # replaced since: kept
+        assert backend.get("a") is first
+        backend.discard("a", first)
+        backend.discard("gone", first)
+        assert backend.get("a") is None and len(backend) == 0 and backend.evictions == 0
+
     def test_none_is_not_cacheable(self):
         backend = LRUCacheBackend(2)
         with pytest.raises(ValueError):

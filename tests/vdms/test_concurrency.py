@@ -31,7 +31,7 @@ import pytest
 from repro.datasets.registry import load_dataset
 from repro.vdms import Collection, QueryScheduler, SystemConfig
 from repro.vdms.durability import CrashPointFS
-from repro.vdms.index.base import SearchStats
+from repro.vdms.index.base import COUNTERS, SearchStats
 from repro.workloads.replay import WorkloadReplayer
 from tests.conftest import run_searchers
 
@@ -58,13 +58,16 @@ def build_collection(shard_num: int = 4) -> tuple[Collection, np.ndarray]:
 
 
 def test_cross_request_accumulation_sums_every_counter():
-    names = [counter.name for counter in dataclasses.fields(SearchStats)]
-    first = SearchStats(**{name: position + 1 for position, name in enumerate(names)})
-    second = SearchStats(**{name: 100 * (position + 1) for position, name in enumerate(names)})
+    first = SearchStats(1, **{name: position + 1 for position, name in enumerate(COUNTERS)})
+    second = SearchStats(2, **{name: 100 * (position + 1) for position, name in enumerate(COUNTERS)})
     total = SearchStats().accumulate(first).accumulate(second)
     assert dataclasses.asdict(total) == {
-        name: 101 * (position + 1) for position, name in enumerate(names)
+        "num_queries": 3,
+        **{name: 201 * (position + 1) for position, name in enumerate(COUNTERS)},
     }
+    np.testing.assert_array_equal(
+        total.per_query, np.concatenate([first.per_query, second.per_query])
+    )
 
 
 def assert_one_answer(outcomes):
@@ -79,7 +82,7 @@ def assert_one_answer(outcomes):
 class TestSchedulerDeterminism:
     def test_no_lost_or_duplicated_queries(self):
         collection, queries = build_collection()
-        for result, trace in run_searchers(collection.search, queries, TOP_K, searchers=8):
+        for result, trace in run_searchers(collection.search_many, queries, TOP_K, searchers=8):
             assert trace.num_requests == NUM_QUERIES
             assert len(trace.request_shard_stats) == NUM_QUERIES
             assert result.ids.shape == (NUM_QUERIES, TOP_K)
@@ -87,9 +90,9 @@ class TestSchedulerDeterminism:
 
     def test_concurrent_searchers_match_a_lone_searcher(self):
         collection, queries = build_collection()
-        alone, _ = QueryScheduler().run(collection.search, queries, TOP_K)
+        alone, _ = QueryScheduler().run(collection.search_many, queries, TOP_K)
         answer = assert_one_answer(
-            run_searchers(collection.search, queries, TOP_K, searchers=8)
+            run_searchers(collection.search_many, queries, TOP_K, searchers=8)
         )
         assert np.array_equal(answer.ids, alone.ids)
         assert np.array_equal(answer.distances, alone.distances)
@@ -128,7 +131,7 @@ class TestConcurrentDeletes:
         def hammer() -> None:
             try:
                 while not stop.is_set():
-                    result, trace = QueryScheduler().run(collection.search, queries, TOP_K)
+                    result, trace = QueryScheduler().run(collection.search_many, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
                     assert len(trace.request_shard_stats) == trace.num_requests == NUM_QUERIES
                     valid = (result.ids >= -1) & (result.ids < NUM_VECTORS)
@@ -164,7 +167,7 @@ class TestConcurrentDeletes:
 
         def scheduled():
             return assert_one_answer(
-                run_searchers(collection.search, queries, TOP_K, searchers=4)
+                run_searchers(collection.search_many, queries, TOP_K, searchers=4)
             )
 
         before = scheduled()
@@ -194,7 +197,7 @@ class TestConcurrentDeletes:
         rebuilder = threading.Thread(target=reindex)
         rebuilder.start()
         while not done.is_set():
-            for result, _ in run_searchers(collection.search, queries, TOP_K, searchers=4):
+            for result, _ in run_searchers(collection.search_many, queries, TOP_K, searchers=4):
                 assert result.ids.shape == (NUM_QUERIES, TOP_K)
         rebuilder.join(timeout=30)
         assert not rebuilder.is_alive()
@@ -241,7 +244,7 @@ class TestMaintenanceConcurrency:
         def hammer() -> None:
             try:
                 while not stop.is_set():
-                    result, trace = QueryScheduler().run(collection.search, queries, TOP_K)
+                    result, trace = QueryScheduler().run(collection.search_many, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
                     assert len(trace.request_shard_stats) == trace.num_requests == NUM_QUERIES
                     valid = (result.ids >= -1) & (result.ids < NUM_VECTORS)
@@ -307,7 +310,7 @@ class TestMaintenanceConcurrency:
                 while not stop.is_set():
                     with deleted_lock:
                         gone_before = np.fromiter(confirmed_deleted, dtype=np.int64)
-                    result, _ = QueryScheduler().run(collection.search, queries, TOP_K)
+                    result, _ = QueryScheduler().run(collection.search_many, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
                     # Rows whose delete completed BEFORE this search began
                     # must never be served — cached or not.  (Rows deleted
@@ -379,7 +382,7 @@ class TestMaintenanceConcurrency:
             for start in range(0, 300, 60):
                 collection.delete(np.arange(start, start + 60, dtype=np.int64))
                 for result, _ in run_searchers(
-                    collection.search, queries, TOP_K, searchers=4
+                    collection.search_many, queries, TOP_K, searchers=4
                 ):
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
             worker = collection.maintenance_worker
@@ -388,7 +391,7 @@ class TestMaintenanceConcurrency:
             for shard in collection.shards:
                 for segment in shard.segments.sealed_segments:
                     assert segment.segment_id in shard.indexes
-            for final, _ in run_searchers(collection.search, queries, TOP_K, searchers=4):
+            for final, _ in run_searchers(collection.search_many, queries, TOP_K, searchers=4):
                 assert not np.isin(final.ids, np.arange(300)).any()
         finally:
             collection.stop_maintenance()
@@ -443,7 +446,7 @@ class TestDurabilityConcurrency:
         def hammer() -> None:
             try:
                 while not stop.is_set():
-                    result, trace = QueryScheduler().run(collection.search, queries, TOP_K)
+                    result, trace = QueryScheduler().run(collection.search_many, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
                     assert len(trace.request_shard_stats) == trace.num_requests == NUM_QUERIES
             except Exception as error:  # noqa: BLE001 - surfaced after join
@@ -531,7 +534,7 @@ class TestDurabilityConcurrency:
         def hammer() -> None:
             try:
                 while not stop.is_set():
-                    result, _ = QueryScheduler().run(collection.search, queries, TOP_K)
+                    result, _ = QueryScheduler().run(collection.search_many, queries, TOP_K)
                     assert result.ids.shape == (NUM_QUERIES, TOP_K)
             except Exception as error:  # noqa: BLE001 - surfaced after join
                 errors.append(error)

@@ -21,8 +21,8 @@ def make_profile(**overrides):
 
 
 def make_stats(**overrides):
-    values = dict(
-        num_queries=50,
+    """A 50-query record from batch totals, spread evenly over the queries."""
+    totals = dict(
         distance_evaluations=50 * 600,
         coarse_evaluations=50 * 128,
         code_evaluations=0,
@@ -30,8 +30,8 @@ def make_stats(**overrides):
         graph_hops=0,
         segments_searched=50 * 4,
     )
-    values.update(overrides)
-    return SearchStats(**values)
+    totals.update(overrides)
+    return SearchStats(50, **{name: total // 50 for name, total in totals.items()})
 
 
 class TestLatencyAndThroughput:

@@ -299,7 +299,7 @@ class TestUnderFullSemantics:
             queries=queries, top_k=TOP_K, filter=AttributeFilter("tag", "lt", 120)
         )
         batch = collection.search(request)
-        for scheduled, trace in run_searchers(collection.search, request, searchers=4):
+        for scheduled, trace in run_searchers(collection.search_many, request, searchers=4):
             assert np.array_equal(scheduled.ids, batch.ids)
             assert trace.num_requests == len(trace.request_shard_stats) == NUM_QUERIES
             assert scheduled.filter_stats is not None

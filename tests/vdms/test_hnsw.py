@@ -134,7 +134,8 @@ class SeedSearchHNSW(HNSWIndex):
     """The seed's query path, kept as the oracle: one ``pairwise_distances``
     call per hop on a one-query batch, a Python ``set`` of visited nodes, every
     neighbour pushed through the heaps one at a time.  ``layer[node]`` reads
-    the bottom list and the upper dicts alike."""
+    the bottom list and the upper dicts alike.  Each query counts its work
+    in its own one-row record."""
 
     def _distance_to(self, query, positions):
         return pairwise_distances(query[None, :], self._operand.take(positions), self.metric)[0]
@@ -142,7 +143,7 @@ class SeedSearchHNSW(HNSWIndex):
     def _greedy_descent(self, query, start, layer, stats):
         current = start
         current_distance = float(self._distance_to(query, np.array([current]))[0])
-        stats.coarse_evaluations += 1
+        stats.add("coarse_evaluations", 1)
         improved = True
         while improved:
             improved = False
@@ -150,8 +151,8 @@ class SeedSearchHNSW(HNSWIndex):
             if neighbours.size == 0:
                 break
             distances = self._distance_to(query, neighbours)
-            stats.coarse_evaluations += int(neighbours.size)
-            stats.graph_hops += 1
+            stats.add("coarse_evaluations", neighbours.size)
+            stats.add("graph_hops", 1)
             best = int(np.argmin(distances))
             if distances[best] < current_distance:
                 current = int(neighbours[best])
@@ -162,7 +163,7 @@ class SeedSearchHNSW(HNSWIndex):
     def _beam_search(self, query, start, ef, top_k, stats):
         layer = self._layers[0]
         start_distance = float(self._distance_to(query, np.array([start]))[0])
-        stats.distance_evaluations += 1
+        stats.add("distance_evaluations", 1)
         visited = {start}
         candidates = [(start_distance, start)]
         results = [(-start_distance, start)]
@@ -171,7 +172,7 @@ class SeedSearchHNSW(HNSWIndex):
             worst = -results[0][0]
             if distance > worst and len(results) >= ef:
                 break
-            stats.graph_hops += 1
+            stats.add("graph_hops", 1)
             neighbours = layer[node]
             if neighbours.size == 0:
                 continue
@@ -180,7 +181,7 @@ class SeedSearchHNSW(HNSWIndex):
                 continue
             visited.update(int(n) for n in fresh)
             distances = self._distance_to(query, fresh)
-            stats.distance_evaluations += int(fresh.size)
+            stats.add("distance_evaluations", fresh.size)
             worst = -results[0][0]
             for neighbour, neighbour_distance in zip(fresh, distances):
                 neighbour_distance = float(neighbour_distance)
@@ -203,13 +204,14 @@ class SeedSearchHNSW(HNSWIndex):
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
         for query_index in range(num_queries):
             query = queries[query_index]
+            query_stats = SearchStats(1, segments_searched=1)
             entry = self._entry_point
             for level in range(len(self._layers) - 1, 0, -1):
-                entry = self._greedy_descent(query, entry, self._layers[level], stats)
-            found_positions, found_distances = self._beam_search(query, entry, ef, top_k, stats)
+                entry = self._greedy_descent(query, entry, self._layers[level], query_stats)
+            found_positions, found_distances = self._beam_search(query, entry, ef, top_k, query_stats)
             positions[query_index, : found_positions.size] = found_positions
             distances[query_index, : found_positions.size] = found_distances
-        stats.segments_searched = num_queries
+            stats.accumulate(query_stats)
         return positions, distances, stats
 
 
@@ -307,7 +309,7 @@ def assert_same_search(index, queries, top_k, **search_options):
     assert np.array_equal(ids, seed_ids)
     assert distances.dtype == seed_distances.dtype
     assert distances.tobytes() == seed_distances.tobytes()
-    assert astuple(stats) == astuple(seed_stats)
+    assert stats == seed_stats
     return ids, distances, stats
 
 

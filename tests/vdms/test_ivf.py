@@ -11,7 +11,7 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.vdms import Collection, SearchRequest, distance
+from repro.vdms import Collection, distance
 from repro.vdms.distance import (
     DEFAULT_QUERY_BLOCK,
     pairwise_distances,
@@ -31,13 +31,14 @@ from repro.vdms.sharding import SegmentView, merge_topk
 
 class SeedIVFFlat(IVFFlatIndex):
     """The seed's probe and full-precision scoring loop (``_lists`` is the
-    seed's list of per-cluster position arrays, filled in by ``seed_twin``)."""
+    seed's list of per-cluster position arrays, filled in by ``seed_twin``),
+    charging each query's work to its own row of the stats."""
 
     def _probed_candidates(self, queries, nprobe):
         coarse = pairwise_distances(queries, self._centroid_operand, self.metric)
         nprobe = max(1, min(nprobe, self._centroids.shape[0]))
         probed = np.argpartition(coarse, nprobe - 1, axis=1)[:, :nprobe]
-        stats = SearchStats(coarse_evaluations=int(queries.shape[0]) * self._centroids.shape[0])
+        stats = SearchStats(queries.shape[0], coarse_evaluations=self._centroids.shape[0])
         candidates = []
         for row in probed:
             lists = [self._lists[list_id] for list_id in row if self._lists[list_id].size]
@@ -58,12 +59,12 @@ class SeedIVFFlat(IVFFlatIndex):
             scores = pairwise_distances_blocked(
                 query, self._operand.take(candidate_positions), self.metric
             )[0]
-            stats.distance_evaluations += int(candidate_positions.size)
+            stats.add("distance_evaluations", candidate_positions.size, query_index)
             keep = min(top_k, candidate_positions.size)
             order = np.lexsort((candidate_positions, scores))[:keep]
             positions[query_index, :keep] = candidate_positions[order]
             distances[query_index, :keep] = scores[order]
-        stats.segments_searched = num_queries
+        stats.add("segments_searched", 1)
         return positions, distances, stats
 
     def _search(self, queries, top_k):
@@ -117,13 +118,13 @@ class SeedIVFSQ8(SeedIVFFlat, IVFSQ8Index):
             if candidate_positions.size == 0:
                 continue
             scores = self._approximate_scores(queries[query_index], candidate_positions)
-            stats.code_evaluations += int(candidate_positions.size)
+            stats.add("code_evaluations", candidate_positions.size, query_index)
             keep = min(top_k, candidate_positions.size)
             order = np.argpartition(scores, keep - 1)[:keep] if keep < scores.size else np.arange(scores.size)
             order = order[np.argsort(scores[order])]
             positions[query_index, :keep] = candidate_positions[order]
             distances[query_index, :keep] = scores[order]
-        stats.segments_searched = num_queries
+        stats.add("segments_searched", 1)
         return positions, distances, stats
 
 
@@ -139,16 +140,16 @@ class SeedIVFPQ(SeedIVFFlat, IVFPQIndex):
             if candidate_positions.size == 0:
                 continue
             tables = batch_tables[query_index]
-            stats.coarse_evaluations += m * codewords
+            stats.add("coarse_evaluations", m * codewords, query_index)
             candidate_codes = self._codes[candidate_positions]
             scores = tables[subspace_index[None, :], candidate_codes].sum(axis=1)
-            stats.code_evaluations += int(candidate_positions.size)
+            stats.add("code_evaluations", candidate_positions.size, query_index)
             keep = min(top_k, candidate_positions.size)
             order = np.argpartition(scores, keep - 1)[:keep] if keep < scores.size else np.arange(scores.size)
             order = order[np.argsort(scores[order])]
             positions[query_index, :keep] = candidate_positions[order]
             distances[query_index, :keep] = scores[order]
-        stats.segments_searched = num_queries
+        stats.add("segments_searched", 1)
         return positions, distances, stats
 
 
@@ -162,7 +163,7 @@ class SeedScann(SeedIVFSQ8, ScannIndex):
                 continue
             query = queries[query_index : query_index + 1]
             approximate = self._approximate_scores(queries[query_index], candidate_positions)
-            stats.code_evaluations += int(candidate_positions.size)
+            stats.add("code_evaluations", candidate_positions.size, query_index)
             shortlist_size = min(self.reorder_k, candidate_positions.size)
             if shortlist_size < approximate.size:
                 shortlist = np.argpartition(approximate, shortlist_size - 1)[:shortlist_size]
@@ -172,13 +173,13 @@ class SeedScann(SeedIVFSQ8, ScannIndex):
             exact = pairwise_distances(
                 query, self._operand.take(shortlist_positions), self.metric
             )[0]
-            stats.reorder_evaluations += int(shortlist_positions.size)
+            stats.add("reorder_evaluations", shortlist_positions.size, query_index)
             keep = min(top_k, shortlist_positions.size)
             order = np.argpartition(exact, keep - 1)[:keep] if keep < exact.size else np.arange(exact.size)
             order = order[np.argsort(exact[order])]
             positions[query_index, :keep] = shortlist_positions[order]
             distances[query_index, :keep] = exact[order]
-        stats.segments_searched = num_queries
+        stats.add("segments_searched", 1)
         return positions, distances, stats
 
 
@@ -207,8 +208,7 @@ def seed_twin(index):
 
 
 def seed_search(index, queries, top_k, **search_options):
-    ids, distances, stats = seed_twin(index).search(queries, top_k, **search_options)
-    return ids, distances, astuple(stats)
+    return seed_twin(index).search(queries, top_k, **search_options)
 
 
 def assert_same_search(index, queries, top_k, seed_result=None, **search_options):
@@ -220,7 +220,7 @@ def assert_same_search(index, queries, top_k, seed_result=None, **search_options
     assert np.array_equal(ids, seed_ids)
     assert distances.dtype == seed_distances.dtype
     assert distances.tobytes() == seed_distances.tobytes()
-    assert astuple(stats) == seed_stats
+    assert stats == seed_stats
     return ids, distances, stats
 
 
@@ -468,7 +468,7 @@ def snapshot_search(run, queries, top_k, masks=None, strategies=None):
             (mask, SegmentPlan(0, number, strategy, mask.mean(), int(mask.sum()), mask.size, True))
             for number, (mask, strategy) in enumerate(zip(masks, strategies))
         ]
-    return collection._search_snapshot(views, SearchRequest(queries, top_k), plan, planned, True)
+    return collection._search_snapshot(views, queries, top_k, plan, planned)
 
 
 def per_index_search(run, queries, top_k, masks=None, strategies=None):
@@ -478,7 +478,6 @@ def per_index_search(run, queries, top_k, masks=None, strategies=None):
     for number, index in enumerate(run):
         options = {}
         if masks is not None:
-            stats.filter_rows_scanned += index.size
             options = {"allow_mask": masks[number], "strategy": strategies[number]}
         ids, distances, index_stats = index.search(queries, top_k, **options)
         stats.merge(index_stats)

@@ -12,7 +12,11 @@ that nobody can tell it from the per-segment path:
   dtype, and counted work;
 - a snapshot mixing index types makes exactly one ``search_run`` call per
   concrete type, in order of first appearance, and still equals the
-  per-segment path.
+  per-segment path;
+- counted work is per query: for each type, unfiltered, pre, post, auto and
+  all-false, in a run of one and a fused run, row ``i`` of a batch's stats
+  equals query ``i`` searched alone (a tied query included), and the rows
+  sum to the totals.
 """
 
 from __future__ import annotations
@@ -22,10 +26,10 @@ from dataclasses import astuple
 import numpy as np
 import pytest
 
-from repro.vdms import Collection, SearchRequest
+from repro.vdms import Collection
 from repro.vdms.index import INDEX_REGISTRY, create_index
-from repro.vdms.index.base import SearchStats
-from repro.vdms.request import SearchPlan, SegmentPlan
+from repro.vdms.index.base import COUNTERS, SearchStats
+from repro.vdms.request import AUTO_PRE_FILTER_SELECTIVITY, SearchPlan, SegmentPlan
 from repro.vdms.sharding import SegmentView, merge_topk
 
 DIMENSION = 8
@@ -143,7 +147,7 @@ def snapshot_search(run, queries, top_k, options=None):
             )
             for number, (index, option) in enumerate(zip(run, options))
         ]
-    return collection._search_snapshot(views, SearchRequest(queries, top_k), plan, planned, True)
+    return collection._search_snapshot(views, queries, top_k, plan, planned)
 
 
 def counting_search_run(monkeypatch, classes):
@@ -185,6 +189,70 @@ def test_a_mixed_snapshot_makes_one_call_per_index_type(monkeypatch, filtered):
     assert calls == [("IVF_SQ8", 2), ("IVF_FLAT", 5), ("FLAT", 3), ("HNSW", 1)]
     monkeypatch.undo()
     expected_ids, expected_distances, expected_stats = per_member(mixed, queries, 10, options)
-    if filtered:
-        expected_stats.filter_rows_scanned = sum(index.size for index in mixed)
     assert_same(got, (expected_ids, expected_distances, expected_stats), 10)
+
+
+# -- per-query counted work ------------------------------------------------------
+
+#: How a run's members are searched: unfiltered, every member pre or post, each
+#: member's strategy resolved by selectivity as the ``auto`` planner does, or
+#: every mask all-false.
+STRATEGIES = ("unfiltered", "pre", "post", "auto", "all-false")
+
+
+def tied_run(index_type, members, seed=0):
+    """``members`` indexes of 14-29 rows; a shared vector is stored twice in each."""
+    rng = np.random.default_rng([seed, members, len(index_type)])
+    shared = rng.normal(size=DIMENSION).astype(np.float32)
+    run = []
+    for number in range(members):
+        vectors = rng.normal(size=(int(rng.integers(14, 30)), DIMENSION)).astype(np.float32)
+        vectors[:2] = shared
+        index = create_index(index_type, metric="l2", **INDEX_PARAMS[index_type])
+        index.build(vectors, 1000 * number + np.arange(vectors.shape[0]))
+        run.append(index)
+    queries = rng.normal(size=(5, DIMENSION)).astype(np.float32)
+    queries[2] = shared  # tied: its nearest distance is held by two rows of each member
+    queries[4] = -4 * shared  # far from the shared rows: probes other lists
+    return run, queries
+
+
+def strategy_options(run, strategy, seed=7):
+    """One :meth:`VectorIndex.search` option dict per member, ``None`` unfiltered."""
+    if strategy == "unfiltered":
+        return None
+    rng = np.random.default_rng([seed, len(run)])
+    options = []
+    for number, index in enumerate(run):
+        share = (0.1, 0.6, 0.3)[number % 3]
+        mask = rng.random(index.size) < share
+        mask[:2] = True
+        if number == 0:
+            # Only the shared rows: a query probing other lists finds nothing.
+            mask[2:] = False
+        if strategy == "all-false":
+            mask[:] = False
+        resolved = strategy
+        if strategy == "auto":
+            resolved = "pre" if mask.mean() <= AUTO_PRE_FILTER_SELECTIVITY else "post"
+        elif strategy == "all-false":
+            resolved = "pre"
+        options.append({"allow_mask": mask, "strategy": resolved, "overfetch_factor": 2.0})
+    return options
+
+
+@pytest.mark.parametrize("members", (1, 3), ids=("run-of-one", "fused-run"))
+@pytest.mark.parametrize("strategy", STRATEGIES)
+@pytest.mark.parametrize("index_type", sorted(INDEX_PARAMS))
+def test_each_query_counts_what_it_costs_searched_alone(index_type, strategy, members):
+    run, queries = tied_run(index_type, members)
+    options = strategy_options(run, strategy)
+    for top_k in (1, 4):
+        _, _, stats = type(run[0]).search_run(run, queries, top_k, options)
+        assert stats.num_queries == queries.shape[0]
+        totals = np.zeros(len(COUNTERS), dtype=np.int64)
+        for query in range(queries.shape[0]):
+            _, _, alone = type(run[0]).search_run(run, queries[query : query + 1], top_k, options)
+            assert stats.slice(query, query + 1) == alone, (query, alone)
+            totals += alone.per_query[0]
+        assert astuple(stats) == (queries.shape[0], *totals.tolist())

@@ -177,7 +177,7 @@ class TestConcurrentSearch:
         server.create_index("c", "FLAT")
         batch = server.search("c", vectors[:6], 3)
         for concurrent, trace in run_searchers(
-            server.get_collection("c").search, vectors[:6], 3, searchers=4
+            server.get_collection("c").search_many, vectors[:6], 3, searchers=4
         ):
             assert trace.num_requests == len(trace.request_shard_stats) == 6
             assert np.array_equal(concurrent.ids, batch.ids)

@@ -224,7 +224,7 @@ class TestQueryScheduler:
         collection.flush()
         collection.create_index("FLAT")
         empty, trace = QueryScheduler().run(
-            collection.search, np.empty((0, 8), dtype=np.float32), top_k=3
+            collection.search_many, np.empty((0, 8), dtype=np.float32), top_k=3
         )
         direct = collection.search(np.empty((0, 8), dtype=np.float32), 3)
         assert trace.num_requests == 0 and trace.request_shard_stats == []
@@ -241,14 +241,15 @@ class TestQueryScheduler:
         queries = rng.normal(size=(5, 8)).astype(np.float32)
         served = []
 
-        def search(request):
-            served.append((threading.get_ident(), request.queries.copy()))
-            return collection.search(request)
+        def search_many(requests):
+            served.append((threading.get_ident(), [request.queries.copy() for request in requests]))
+            return collection.search_many(requests)
 
-        result, trace = QueryScheduler().run(search, queries, top_k=4)
-        assert [ident for ident, _ in served] == [threading.get_ident()] * 5
-        assert [q.shape for _, q in served] == [(1, 8)] * 5
-        np.testing.assert_array_equal(np.concatenate([q for _, q in served]), queries)
+        result, trace = QueryScheduler().run(search_many, queries, top_k=4)
+        # One call on the calling thread, handed the five single-query requests in order.
+        assert [ident for ident, _ in served] == [threading.get_ident()]
+        assert [q.shape for q in served[0][1]] == [(1, 8)] * 5
+        np.testing.assert_array_equal(np.concatenate(served[0][1]), queries)
         direct = collection.search(queries, 4)
         assert trace.num_requests == len(trace.request_shard_stats) == 5
         np.testing.assert_array_equal(result.ids, direct.ids)
