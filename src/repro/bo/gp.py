@@ -2,30 +2,165 @@
 
 A compact, dependency-light GP: Matern 5/2 kernel, observation noise, output
 standardization, and maximum-marginal-likelihood hyper-parameter fitting via
-a small multi-start grid + Nelder-Mead refinement.  At tuning scale (tens of
-observations, dimension 27) one likelihood evaluation is a 36 x 36 Cholesky,
-but a fit makes ~512 of them, so what an evaluation does besides its linear
-algebra decides what a recommendation costs: with the distance matrix
-re-derived and SciPy's checked wrappers crossed on every evaluation, the
-recommendation step was 59 % of the median tuning iteration on glove-small,
-three quarters of it this fit.  So the objective is built once per fit over
-everything that depends on the data alone, the inputs are checked finite
-once, in :meth:`GaussianProcessRegressor.fit`, and an evaluation calls LAPACK
-directly — the same arithmetic in the same order, hence the same fit.
+three Nelder-Mead starts.  At tuning scale (tens of observations, dimension
+27) one likelihood evaluation is a 36 x 36 Cholesky, but a fit makes ~512 of
+them, so what an evaluation does besides its linear algebra decides what a
+recommendation costs.  Three things keep a fit at its linear algebra:
+
+* the objective is built once per fit over everything that depends on the
+  data alone, the inputs are checked finite once, in
+  :meth:`GaussianProcessRegressor.fit`, and an evaluation calls LAPACK
+  directly;
+* the optimizer is :func:`_nelder_mead`, a generator port of SciPy's
+  unbounded Nelder-Mead that yields each point it wants evaluated, so the
+  caller decides when to evaluate it;
+* the three starts advance in lockstep (:func:`_minimize_in_lockstep`): each
+  round evaluates one pending point per start as one stacked likelihood, the
+  elementwise kernel work done once over a ``(k, n, n)`` stack and only the
+  factorisation per start.
+
+Every element of the stack is computed by the same expression as a lone
+evaluation and the port keeps SciPy's arithmetic term for term, so each start
+visits the points SciPy visits and the fit returns the same hyper-parameters.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+import math
+from collections.abc import Callable, Generator, Sequence
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-from scipy import linalg, optimize
+from scipy import linalg
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from repro.bo.kernels import Matern52Kernel, cdist_squared
+from repro.bo.kernels import Matern52Kernel, cdist_squared, matern52
 
 __all__ = ["GaussianProcessRegressor", "GPPrediction"]
+
+
+class NelderMeadResult(NamedTuple):
+    """Where a Nelder-Mead search ended: the best vertex, its value, the
+    iterations it ran and the evaluations it asked for (SciPy's ``x``,
+    ``fun``, ``nit`` and ``nfev``)."""
+
+    x: np.ndarray
+    fun: float
+    nit: int
+    nfev: int
+
+
+def _nelder_mead(
+    x0: Sequence[float], *, maxiter: int, xatol: float, fatol: float
+) -> Generator[tuple[float, ...], float, NelderMeadResult]:
+    """Nelder-Mead as a generator: it yields each point and is sent its value.
+
+    A line-for-line port of SciPy 1.17.1's ``_minimize_neldermead`` without
+    bounds, adaptive parameters or an evaluation limit: the same initial
+    simplex (each coordinate x 1.05, or 0.00025 where it is zero), the same
+    reflection, expansion, contraction and shrink terms with the same
+    association, and ``np.argsort`` for the vertex order, so tied values
+    break as SciPy's do.  The vertices are tuples of floats: every operation
+    on them is one IEEE operation per coordinate, as in SciPy's arrays.
+    Returns (as ``StopIteration.value``) what ``scipy.optimize.minimize``
+    reports as ``x``, ``fun``, ``nit`` and ``nfev``.
+    """
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = tuple(float(value) for value in x0)
+    n = len(x0)
+    simplex = [x0]
+    for k in range(n):
+        vertex = list(x0)
+        vertex[k] = (1 + 0.05) * vertex[k] if vertex[k] != 0 else 0.00025
+        simplex.append(tuple(vertex))
+    values = []
+    for vertex in simplex:
+        values.append((yield vertex))
+    evaluations = n + 1
+
+    def ordered(simplex, values):
+        order = np.array(values).argsort().tolist()  # what np.argsort(values) does
+        return [simplex[i] for i in order], [values[i] for i in order]
+
+    # SciPy sorts the first simplex twice (a second sort may move ties).
+    simplex, values = ordered(*ordered(simplex, values))
+    iterations = 1
+    while iterations < maxiter:
+        best, worst = simplex[0], simplex[-1]
+        if all(abs(a - b) <= xatol for vertex in simplex[1:] for a, b in zip(vertex, best)) and all(
+            abs(values[0] - value) <= fatol for value in values[1:]
+        ):
+            break
+        xbar = tuple(sum(column[1:], column[0]) / n for column in zip(*simplex[:-1]))
+        reflected = tuple((1 + rho) * c - rho * w for c, w in zip(xbar, worst))
+        f_reflected = yield reflected
+        evaluations += 1
+        shrink = False
+        if f_reflected < values[0]:
+            expanded = tuple((1 + rho * chi) * c - rho * chi * w for c, w in zip(xbar, worst))
+            f_expanded = yield expanded
+            evaluations += 1
+            if f_expanded < f_reflected:
+                simplex[-1], values[-1] = expanded, f_expanded
+            else:
+                simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-2]:
+            simplex[-1], values[-1] = reflected, f_reflected
+        elif f_reflected < values[-1]:
+            contracted = tuple((1 + psi * rho) * c - psi * rho * w for c, w in zip(xbar, worst))
+            f_contracted = yield contracted
+            evaluations += 1
+            if f_contracted <= f_reflected:
+                simplex[-1], values[-1] = contracted, f_contracted
+            else:
+                shrink = True
+        else:
+            inside = tuple((1 - psi) * c + psi * w for c, w in zip(xbar, worst))
+            f_inside = yield inside
+            evaluations += 1
+            if f_inside < values[-1]:
+                simplex[-1], values[-1] = inside, f_inside
+            else:
+                shrink = True
+        if shrink:
+            for j in range(1, n + 1):
+                simplex[j] = tuple(b + sigma * (v - b) for v, b in zip(simplex[j], simplex[0]))
+                values[j] = yield simplex[j]
+                evaluations += 1
+        iterations += 1
+        simplex, values = ordered(simplex, values)
+    return NelderMeadResult(np.array(simplex[0]), float(np.min(values)), iterations, evaluations)
+
+
+def _minimize_in_lockstep(
+    objective: Callable[[np.ndarray], np.ndarray],
+    starts: Sequence[Sequence[float]],
+    *,
+    maxiter: int,
+    xatol: float,
+    fatol: float,
+) -> list[NelderMeadResult]:
+    """One Nelder-Mead search per start, advanced together.
+
+    ``objective`` maps a ``(k, d)`` stack of points to their ``k`` values.
+    Each round stacks the one point every unfinished search is waiting on
+    and evaluates them in one call; a search that stops drops out of the
+    stack.  Each search is the one it would be alone, because a value depends
+    on its point only.
+    """
+    searches = [_nelder_mead(start, maxiter=maxiter, xatol=xatol, fatol=fatol) for start in starts]
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    results: list[NelderMeadResult | None] = [None] * len(searches)
+    while pending:
+        values = objective(np.array(list(pending.values())))
+        for i, value in zip(list(pending), values):
+            try:
+                pending[i] = searches[i].send(float(value))
+            except StopIteration as stop:
+                del pending[i]
+                results[i] = stop.value
+    return results
 
 
 @dataclass(frozen=True)
@@ -42,7 +177,8 @@ class GaussianProcessRegressor:
     Parameters
     ----------
     noise:
-        Initial observation-noise variance (in standardized output units).
+        Initial observation-noise variance (in standardized output units); a
+        finite, positive number.
     optimize_hyperparameters:
         If true (default), lengthscale, signal variance and noise are fitted
         by maximizing the log marginal likelihood every time :meth:`fit` is
@@ -58,6 +194,8 @@ class GaussianProcessRegressor:
         optimize_hyperparameters: bool = True,
         seed: int = 0,
     ) -> None:
+        if not (math.isfinite(noise) and noise > 0):
+            raise ValueError(f"noise must be finite and positive, got {noise!r}")
         self.noise = float(noise)
         self.optimize_hyperparameters = bool(optimize_hyperparameters)
         self.seed = int(seed)
@@ -92,13 +230,16 @@ class GaussianProcessRegressor:
 
     def _marginal_likelihood_objective(
         self, X: np.ndarray, y: np.ndarray, noise_scale: np.ndarray | None = None
-    ) -> Callable[[np.ndarray], float]:
-        """The negative log marginal likelihood of ``(X, y)`` as a function of the log hyper-parameters.
+    ) -> Callable[[np.ndarray], np.ndarray]:
+        """The negative log marginal likelihood of ``(X, y)`` over a stack of log hyper-parameters.
 
         Everything that depends on the data alone — the distance matrix (the
         kernel is isotropic), the noise weights, the bounds, the constant —
-        is computed here, once per fit; an evaluation is then the Matern
-        form, one ``potrf`` and one ``potrs`` (GPML Alg. 2.1).
+        is computed here, once per fit.  The objective maps a ``(k, 3)``
+        stack (a single point is a stack of one) to its ``k`` values: clip,
+        ``exp``, the Matern form and the diagonal add run once over a
+        ``(k, n, n)`` stack, then each start gets one ``potrf`` and one
+        ``potrs`` (GPML Alg. 2.1).
         """
         n = X.shape[0]
         root = np.sqrt(cdist_squared(X, X))
@@ -106,16 +247,21 @@ class GaussianProcessRegressor:
         lower, upper = np.array(self._LOG_BOUNDS).T
         constant = 0.5 * n * np.log(2.0 * np.pi)
 
-        def objective(log_params: np.ndarray) -> float:
-            lengthscale, variance, noise = np.exp(np.clip(log_params, lower, upper))
-            covariance = self.kernel.with_parameters(lengthscale, variance).over_distances(root)
-            covariance.reshape(-1)[:: n + 1] += noise * scale + 1e-9  # the diagonal, in place
-            chol, info = dpotrf(covariance, lower=True)
-            if info > 0:  # not positive definite
-                return 1e12
-            alpha, _ = dpotrs(chol, y, lower=True)
-            log_determinant = 2.0 * np.log(chol.diagonal()).sum()
-            return float(0.5 * float(y @ alpha) + 0.5 * log_determinant + constant)
+        def objective(log_params: np.ndarray) -> np.ndarray:
+            params = np.exp(np.clip(log_params, lower, upper))
+            lengthscale, variance, noise = params.T[:, :, None, None]
+            covariances = matern52(root, lengthscale, variance)
+            covariances.reshape(len(params), -1)[:, :: n + 1] += noise[:, 0] * scale + 1e-9  # the diagonals
+            values = np.empty(len(params))
+            for i, covariance in enumerate(covariances):
+                chol, info = dpotrf(covariance, lower=True)
+                if info > 0:  # not positive definite
+                    values[i] = 1e12
+                    continue
+                alpha, _ = dpotrs(chol, y, lower=True)
+                log_determinant = 2.0 * np.log(chol.diagonal()).sum()
+                values[i] = 0.5 * float(y @ alpha) + 0.5 * log_determinant + constant
+            return values
 
         return objective
 
@@ -137,13 +283,7 @@ class GaussianProcessRegressor:
         objective = self._marginal_likelihood_objective(X, y, noise_scale)
         best_value = np.inf
         best_params = starts[0]
-        for start in starts:
-            result = optimize.minimize(
-                objective,
-                start,
-                method="Nelder-Mead",
-                options={"maxiter": 120, "xatol": 1e-3, "fatol": 1e-3},
-            )
+        for result in _minimize_in_lockstep(objective, starts, maxiter=120, xatol=1e-3, fatol=1e-3):
             if result.fun < best_value:
                 best_value = float(result.fun)
                 best_params = result.x

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Matern52Kernel", "cdist_squared"]
+__all__ = ["Matern52Kernel", "cdist_squared", "matern52"]
 
 
 def cdist_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -16,6 +16,27 @@ def cdist_squared(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     squared = a_norm - 2.0 * (a @ b.T) + b_norm
     np.maximum(squared, 0.0, out=squared)
     return squared
+
+
+def matern52(distances: np.ndarray, lengthscale, variance) -> np.ndarray:
+    """The Matern 5/2 form over Euclidean distances.
+
+    ``lengthscale`` and ``variance`` are floats, or arrays that broadcast
+    against ``distances`` — shape ``(k, 1, 1)`` over a stack of ``k`` copies
+    gives ``k`` kernels, each element the value the float form gives it.
+    """
+    # variance * (1 + s + s**2 / 3) * exp(-s) with s = sqrt(5) * (d / l), each
+    # product and sum computed in place (IEEE + and * commute, so every
+    # element is the value of that expression).
+    scaled = distances / lengthscale
+    scaled *= np.sqrt(5.0)
+    form = scaled * scaled
+    form /= 3.0
+    form += scaled + 1.0
+    form *= variance
+    np.negative(scaled, out=scaled)
+    form *= np.exp(scaled, out=scaled)
+    return form
 
 
 class Matern52Kernel:
@@ -32,8 +53,7 @@ class Matern52Kernel:
 
     def over_distances(self, distances: np.ndarray) -> np.ndarray:
         """The kernel over a matrix of Euclidean distances (it is isotropic)."""
-        scaled = np.sqrt(5.0) * (distances / self.lengthscale)
-        return self.variance * (1.0 + scaled + scaled**2 / 3.0) * np.exp(-scaled)
+        return matern52(distances, self.lengthscale, self.variance)
 
     def with_parameters(self, lengthscale: float, variance: float) -> "Matern52Kernel":
         """A copy of the kernel with new hyper-parameters."""

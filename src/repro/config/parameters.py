@@ -25,6 +25,28 @@ __all__ = [
 ]
 
 
+def _unit_interval(units: np.ndarray) -> np.ndarray:
+    """``min(1.0, max(0.0, u))`` per element, as ``from_unit`` clamps (NaN to 0.0)."""
+    return np.minimum(1.0, np.fmax(0.0, np.asarray(units, dtype=float)))
+
+
+def _snap_interval(units: np.ndarray, low, high, log_scale: bool, *, integral: bool) -> np.ndarray:
+    """``snap_units`` of a (log-)interval parameter: its ``from_unit`` then
+    ``to_unit`` over many units, each expression as the scalar methods write
+    it.  ``round`` and ``np.rint`` both round half to even; the logarithmic
+    transforms run per value through ``math``."""
+    units = _unit_interval(units)
+    if log_scale:
+        log_low, log_span = math.log(low), math.log(high) - math.log(low)
+        values = np.array([math.exp(log_low + unit * log_span) for unit in units.tolist()], dtype=float)
+    else:
+        values = low + units * (high - low)
+    values = np.clip(np.rint(values) if integral else values, low, high)
+    if log_scale:
+        return np.array([(math.log(value) - log_low) / log_span for value in values.tolist()], dtype=float)
+    return (values - low) / (high - low)
+
+
 class Parameter(ABC):
     """Abstract base class for a single tunable parameter."""
 
@@ -50,6 +72,16 @@ class Parameter(ABC):
     @abstractmethod
     def from_unit(self, unit: float) -> Any:
         """Map a ``[0, 1]`` coordinate back to a legal value."""
+
+    def snap_units(self, units: np.ndarray) -> np.ndarray:
+        """The coordinates of the values that ``units`` decode to.
+
+        Equal, bit for bit, to ``[to_unit(from_unit(u)) for u in units]``.
+        Subclasses vectorise the IEEE-exact transforms (clip, round, floor,
+        ``+ - * /``); logarithmic ones stay ``math.exp``/``math.log`` per value,
+        because a vectorised transcendental may differ in the last place.
+        """
+        return np.array([self.to_unit(self.from_unit(unit)) for unit in units], dtype=float)
 
     def grid(self, resolution: int) -> list[Any]:
         """Return up to ``resolution`` representative values spanning the range."""
@@ -129,6 +161,9 @@ class FloatParameter(Parameter):
             return float(math.exp(math.log(self.low) + unit * (math.log(self.high) - math.log(self.low))))
         return float(self.low + unit * (self.high - self.low))
 
+    def snap_units(self, units: np.ndarray) -> np.ndarray:
+        return _snap_interval(units, self.low, self.high, self.log_scale, integral=False)
+
 
 @dataclass(repr=False)
 class IntParameter(Parameter):
@@ -186,6 +221,9 @@ class IntParameter(Parameter):
             raw = self.low + unit * (self.high - self.low)
         return int(min(self.high, max(self.low, int(round(raw)))))
 
+    def snap_units(self, units: np.ndarray) -> np.ndarray:
+        return _snap_interval(units, self.low, self.high, self.log_scale, integral=True)
+
 
 @dataclass(repr=False)
 class CategoricalParameter(Parameter):
@@ -241,6 +279,11 @@ class CategoricalParameter(Parameter):
         unit = min(1.0, max(0.0, float(unit)))
         idx = min(len(self.choices) - 1, int(unit * len(self.choices)))
         return self.choices[idx]
+
+    def snap_units(self, units: np.ndarray) -> np.ndarray:
+        count = len(self.choices)
+        positions = np.minimum(count - 1, np.floor(_unit_interval(units) * count))
+        return (positions + 0.5) / count
 
     def grid(self, resolution: int) -> list[Any]:
         return list(self.choices)

@@ -13,7 +13,9 @@ highest utility:
 The acquisition is maximized over a finite candidate pool: Latin-hypercube
 samples of the relevant sub-space plus Gaussian perturbations of the index
 type's best observed configurations — the usual derivative-free approach for
-mixed discrete/continuous spaces.
+mixed discrete/continuous spaces.  The pool is one array (:class:`CandidatePool`):
+it is scored as a matrix, and only the rows the recommender inspects are
+decoded into configurations.
 """
 
 from __future__ import annotations
@@ -31,7 +33,38 @@ from repro.core.history import ObservationHistory
 from repro.core.objectives import ObjectiveSpec
 from repro.core.surrogate import PollingSurrogate
 
-__all__ = ["ConfigurationRecommender"]
+__all__ = ["CandidatePool", "ConfigurationRecommender"]
+
+
+@dataclass(frozen=True)
+class CandidatePool:
+    """The candidates of one recommendation, as arrays.
+
+    Attributes
+    ----------
+    base:
+        The polled index type's default configuration.
+    free_names:
+        The parameters a candidate varies; every other one keeps its value
+        in ``base``.
+    raw:
+        One row of free-parameter unit coordinates per candidate, as drawn.
+    encoded:
+        The GP encoding of every candidate: ``base``'s row with the free
+        columns snapped to the coordinates of the values they decode to.
+    """
+
+    base: Configuration
+    free_names: tuple[str, ...]
+    raw: np.ndarray
+    encoded: np.ndarray
+
+    def __len__(self) -> int:
+        return self.raw.shape[0]
+
+    def configuration(self, position: int) -> Configuration:
+        """Candidate ``position`` decoded; its encoding is row ``position`` of ``encoded``."""
+        return self.base.replace_units(self.free_names, self.raw[position])
 
 
 @dataclass
@@ -71,12 +104,13 @@ class ConfigurationRecommender:
         index_type: str,
         history: ObservationHistory,
         rng: np.random.Generator,
-    ) -> list[Configuration]:
+    ) -> CandidatePool:
         """Build the candidate pool for one polled index type."""
         free_names = self._free_parameter_names(index_type)
+        free_positions = [self.space.index_of(name) for name in free_names]
         # Everything outside the polled sub-space stays at its default, so the
-        # defaults are validated and encoded once and a candidate decodes,
-        # validates and encodes its free parameters only.
+        # defaults are validated and encoded once and a candidate varies its
+        # free columns only.
         base = self.space.configuration({"index_type": index_type}, complete=False)
 
         pool_size = max(8, int(self.candidate_pool_size))
@@ -84,22 +118,20 @@ class ConfigurationRecommender:
         num_local = pool_size - num_random
 
         # Space-filling candidates over the free sub-space.
-        if free_names:
-            lhs = latin_hypercube(num_random, len(free_names), rng)
-            candidates = [base.replace_units(free_names, row) for row in lhs]
-        else:
-            candidates = [base]
+        raw = latin_hypercube(num_random, len(free_names), rng) if free_names else np.empty((1, 0))
 
         # Local perturbations around the index type's best observations.
         elites = history.non_dominated(index_type)
         if elites and free_names:
-            free_positions = [self.space.index_of(name) for name in free_names]
             elite_units = self.space.encode_many([o.configuration for o in elites])[:, free_positions]
-            for sample in range(num_local):
-                noise = rng.normal(scale=self.perturbation_scale, size=len(free_names))
-                units = np.clip(elite_units[sample % len(elites)] + noise, 0.0, 1.0)
-                candidates.append(base.replace_units(free_names, units))
-        return candidates
+            noise = rng.normal(scale=self.perturbation_scale, size=(num_local, len(free_names)))
+            local = np.clip(elite_units[np.arange(num_local) % len(elites)] + noise, 0.0, 1.0)
+            raw = np.vstack([raw, local])
+
+        encoded = np.repeat(self.space.encode(base)[None, :], raw.shape[0], axis=0)
+        for column, (name, position) in enumerate(zip(free_names, free_positions)):
+            encoded[:, position] = self.space[name].snap_units(raw[:, column])
+        return CandidatePool(base, tuple(free_names), raw, encoded)
 
     # -- acquisition -----------------------------------------------------------------
 
@@ -118,8 +150,8 @@ class ConfigurationRecommender:
         ``exclude`` lists configurations that must not be suggested again —
         the batch built so far during sequential-greedy q-EHVI selection.
         """
-        candidates = self.generate_candidates(index_type, history, rng)
-        prediction = surrogate.predict(candidates)
+        pool = self.generate_candidates(index_type, history, rng)
+        prediction = surrogate.predict(pool.encoded)
         if objective.constrained:
             scores = self._constrained_scores(surrogate, history, index_type, objective, prediction)
         else:
@@ -127,17 +159,15 @@ class ConfigurationRecommender:
 
         excluded = set(exclude or [])
         order = np.argsort(-scores)
+        observed = []  # candidates not excluded but already in the history, best first
         for position in order:
-            candidate = candidates[int(position)]
+            candidate = pool.configuration(int(position))
             if candidate in excluded:
                 continue
             if not history.contains_configuration(candidate.to_dict()):
                 return candidate
-        for position in order:
-            candidate = candidates[int(position)]
-            if candidate not in excluded:
-                return candidate
-        return candidates[int(order[0])]
+            observed.append(candidate)
+        return observed[0] if observed else pool.configuration(int(order[0]))
 
     def _ehvi_scores(
         self,

@@ -23,6 +23,7 @@ run's history, cost-aware objectives (Section V-E), and the ablation switches
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field
 from typing import Any
@@ -54,11 +55,13 @@ class VDTunerSettings:
         Consecutive worst-ranked iterations before an index type is abandoned
         (the paper uses 10).
     candidate_pool_size:
-        Candidates scored per recommendation.
+        Candidates scored per recommendation, at least 1.  The recommender
+        scores no fewer than 8: a smaller pool is raised to 8.
     ehvi_samples:
-        Monte-Carlo samples for the EHVI estimator.
+        Monte-Carlo samples for the EHVI estimator, at least 1.
     reference_scale:
-        Reference-point scale of Eq. 4 (0.5 in the paper).
+        Reference-point scale of Eq. 4 (0.5 in the paper); finite and
+        positive, since the reference point must lie below the observations.
     use_successive_abandon:
         Ablation switch: ``False`` falls back to plain round robin.
     use_polling_surrogate:
@@ -101,6 +104,12 @@ class VDTunerSettings:
             raise ValueError("abandon_window must be >= 1")
         if self.stale_noise_inflation < 1.0:
             raise ValueError("stale_noise_inflation must be >= 1")
+        if self.candidate_pool_size < 1:
+            raise ValueError("candidate_pool_size must be >= 1")
+        if self.ehvi_samples < 1:
+            raise ValueError("ehvi_samples must be >= 1")
+        if not (math.isfinite(self.reference_scale) and self.reference_scale > 0):
+            raise ValueError("reference_scale must be finite and positive")
 
 
 @dataclass

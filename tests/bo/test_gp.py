@@ -183,13 +183,18 @@ def test_objective_equals_seed_objective(n, d, duplicated, stale):
     gp = GaussianProcessRegressor()
     objective = gp._marginal_likelihood_objective(X, y, noise_scale)
     seed = SeedFitRegressor()
-    for log_params in log_parameter_vectors():
-        value = objective(log_params)
-        assert type(value) is float
-        assert value == seed._negative_log_marginal_likelihood(log_params, X, y, noise_scale)
+    vectors = log_parameter_vectors()
+    expected = [seed._negative_log_marginal_likelihood(v, X, y, noise_scale) for v in vectors]
+    # A stack of one per vector, and all 17 vectors as one stack.
+    for log_params, value in zip(vectors, expected):
+        alone = objective(log_params[None, :])
+        assert alone.dtype == np.float64 and alone.shape == (1,)
+        assert float(alone[0]) == value
+    stacked = objective(vectors)
+    assert stacked.dtype == np.float64 and stacked.shape == (len(vectors),)
+    assert stacked.tolist() == expected
     # The objective is a function of its argument alone: a second pass repeats the first.
-    first = log_parameter_vectors()[0]
-    assert objective(first) == objective(first.copy())
+    assert objective(vectors.copy()).tobytes() == stacked.tobytes()
 
 
 def assert_same_fit(gp, seed, X_test):
@@ -258,8 +263,14 @@ class TestFitInputs:
 
         monkeypatch.setattr(gp_module, "dpotrf", failing_potrf)
         gp = GaussianProcessRegressor(seed=1)
-        assert gp._marginal_likelihood_objective(X, y)(np.zeros(3)) == 1e12
+        assert gp._marginal_likelihood_objective(X, y)(np.zeros((1, 3))).tolist() == [1e12]
         gp.fit(X, y)
         assert len(calls) > 3 and all(calls)
         assert gp.is_fitted
         assert np.isfinite(gp.predict(X).mean).all()
+
+
+@pytest.mark.parametrize("noise", [np.nan, np.inf, -np.inf, -1.0, 0.0])
+def test_noise_must_be_finite_and_positive(noise):
+    with pytest.raises(ValueError, match="noise must be finite and positive"):
+        GaussianProcessRegressor(noise=noise)

@@ -88,11 +88,16 @@ class TestNativeSurrogate:
         assert surrogate.normalize_threshold("HNSW", 0.9) == pytest.approx(0.9)
 
 
+def decoded(pool):
+    """Every candidate of a pool, decoded."""
+    return [pool.configuration(position) for position in range(len(pool))]
+
+
 class TestRecommender:
     def test_candidates_fix_index_type_and_defaults(self, space, history):
         recommender = ConfigurationRecommender(space, candidate_pool_size=32)
         rng = np.random.default_rng(1)
-        candidates = recommender.generate_candidates("HNSW", history, rng)
+        candidates = decoded(recommender.generate_candidates("HNSW", history, rng))
         assert len(candidates) >= 16
         free = set(parameters_for_index("HNSW"))
         for candidate in candidates:
@@ -104,7 +109,7 @@ class TestRecommender:
     def test_candidates_vary_free_parameters(self, space, history):
         recommender = ConfigurationRecommender(space, candidate_pool_size=32)
         rng = np.random.default_rng(2)
-        candidates = recommender.generate_candidates("IVF_FLAT", history, rng)
+        candidates = decoded(recommender.generate_candidates("IVF_FLAT", history, rng))
         nlists = {c["nlist"] for c in candidates}
         seal_proportions = {c["segment_seal_proportion"] for c in candidates}
         assert len(nlists) > 3
@@ -214,14 +219,16 @@ def test_candidates_equal_seed_candidates(space, index_type, elites, pool_size):
     }[elites]
     recommender = ConfigurationRecommender(space, candidate_pool_size=pool_size)
     rng, seed_rng = np.random.default_rng(21), np.random.default_rng(21)
-    candidates = recommender.generate_candidates(index_type, history, rng)
+    pool = recommender.generate_candidates(index_type, history, rng)
+    candidates = decoded(pool)
     expected = seed_generate_candidates(recommender, index_type, history, seed_rng)
-    assert len(candidates) == (pool_size if elites == "own" else pool_size // 2)
+    assert len(pool) == (pool_size if elites == "own" else pool_size // 2)
     assert candidates == expected
     # Same value types in the same order, not only equal values.
     assert [repr(c.to_dict()) for c in candidates] == [repr(c.to_dict()) for c in expected]
     assert rng.bit_generator.state == seed_rng.bit_generator.state
-    from_scratch = space.encode_many([c.to_dict() for c in candidates])
+    from_scratch = space.encode_many([c.to_dict() for c in expected])
+    assert pool.encoded.tobytes() == from_scratch.tobytes()
     assert space.encode_many(candidates).tobytes() == from_scratch.tobytes()
     assert all(not c._unit.flags.writeable for c in candidates)
 
@@ -245,5 +252,52 @@ def test_recommend_scores_the_generated_pool_through_predict(space, history, mon
     monkeypatch.setattr(ConfigurationRecommender, "generate_candidates", traced_generate)
     monkeypatch.setattr(PollingSurrogate, "predict", traced_predict)
     chosen = recommender.recommend(surrogate, history, "HNSW", ObjectiveSpec(), np.random.default_rng(6))
-    assert seen["scored"] is seen["pool"]
-    assert any(chosen is candidate for candidate in seen["pool"])
+    assert seen["scored"] is seen["pool"].encoded
+    assert chosen in decoded(seen["pool"])
+    assert any(chosen.to_unit_vector().tobytes() == row.tobytes() for row in seen["pool"].encoded)
+
+
+def seed_recommend(recommender, surrogate, history, index_type, objective, rng, exclude=None):
+    """The seed's ``recommend``, kept as the oracle: it scores a list of
+    configurations and walks it in score order."""
+    candidates = seed_generate_candidates(recommender, index_type, history, rng)
+    prediction = surrogate.predict(candidates)
+    if objective.constrained:
+        scores = recommender._constrained_scores(surrogate, history, index_type, objective, prediction)
+    else:
+        scores = recommender._ehvi_scores(surrogate, index_type, prediction, rng)
+    excluded = set(exclude or [])
+    order = np.argsort(-scores)
+    for position in order:
+        candidate = candidates[int(position)]
+        if candidate in excluded:
+            continue
+        if not history.contains_configuration(candidate.to_dict()):
+            return candidate
+    for position in order:
+        candidate = candidates[int(position)]
+        if candidate not in excluded:
+            return candidate
+    return candidates[int(order[0])]
+
+
+@pytest.mark.parametrize("observed", ["fresh", "all-observed"])
+@pytest.mark.parametrize("constrained", [False, True], ids=["ehvi", "constrained"])
+@pytest.mark.parametrize("index_type", ["FLAT", "HNSW", "IVF_PQ", "SCANN"])
+def test_recommend_equals_seed_recommend(space, index_type, constrained, observed, monkeypatch):
+    history = elite_history(space, [index_type, "IVF_FLAT"])
+    surrogate = PollingSurrogate(space, constrained=constrained).fit(history)
+    if observed == "all-observed":  # every candidate already evaluated: the fallback walk
+        monkeypatch.setattr(history, "contains_configuration", lambda values: True)
+    objective = ObjectiveSpec(recall_constraint=0.7) if constrained else ObjectiveSpec()
+    recommender = ConfigurationRecommender(space, candidate_pool_size=32, ehvi_samples=16)
+    rng, seed_rng = np.random.default_rng(8), np.random.default_rng(8)
+    exclude = []
+    for _ in range(3):  # each pick is excluded from the next, as a batch is built
+        chosen = recommender.recommend(surrogate, history, index_type, objective, rng, exclude=exclude)
+        expected = seed_recommend(recommender, surrogate, history, index_type, objective, seed_rng, exclude)
+        assert chosen == expected
+        assert repr(chosen.to_dict()) == repr(expected.to_dict())
+        assert chosen.to_unit_vector().tobytes() == expected.to_unit_vector().tobytes()
+        assert rng.bit_generator.state == seed_rng.bit_generator.state
+        exclude.append(chosen)

@@ -39,6 +39,27 @@ class TestSettings:
         with pytest.raises(ValueError):
             VDTunerSettings(abandon_window=0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("candidate_pool_size", 0),
+            ("candidate_pool_size", -5),
+            ("ehvi_samples", 0),
+            ("ehvi_samples", -1),
+            ("reference_scale", 0.0),
+            ("reference_scale", -1.0),
+            ("reference_scale", float("nan")),
+            ("reference_scale", float("inf")),
+        ],
+    )
+    def test_settings_the_loop_cannot_honour_are_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be"):
+            VDTunerSettings(**{field: value})
+
+    def test_smallest_honoured_settings_are_accepted(self):
+        settings = VDTunerSettings(candidate_pool_size=1, ehvi_samples=1, reference_scale=1e-6)
+        assert (settings.candidate_pool_size, settings.ehvi_samples) == (1, 1)
+
 
 class TestAlgorithmStructure:
     def test_runs_requested_number_of_iterations(self, completed_run):
