@@ -69,6 +69,7 @@ load generator (:mod:`repro.serving.loadgen`) relies on.
 from __future__ import annotations
 
 import json
+import sys
 import threading
 import time
 from dataclasses import dataclass
@@ -452,6 +453,8 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))
+        if self.close_connection:
+            self.send_header("Connection", "close")
         # Known stall (ROADMAP 1(a), CHANGES.md PR 17): these are two small
         # sends on an unbuffered ``wfile``, so Nagle holds the body until the
         # head is ACKed and a keep-alive client delays that ACK ~40 ms.
@@ -459,7 +462,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
     def _read_json(self) -> dict[str, Any]:
-        length = int(self.headers.get("Content-Length") or 0)
+        header = self.headers.get("Content-Length") or "0"
+        try:
+            length = int(header)
+        except ValueError:
+            length = -1
+        if not 0 <= length <= sys.maxsize:
+            # The body's end is unknown: answer, then close, so no byte of it
+            # is ever parsed as the next request.
+            self.close_connection = True
+            raise _HTTPError(400, f"invalid Content-Length {header!r}")
         if length == 0:
             return {}
         raw = self.rfile.read(length)

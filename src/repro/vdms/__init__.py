@@ -31,8 +31,8 @@ This package is the substrate the tuner optimizes.  It provides:
   tier memoizing whole search answers and a plan tier memoizing the
   planner's selectivity estimation, keyed on canonical request hashes plus
   a per-collection monotonic version counter every mutation bumps —
-  staleness is impossible by construction — behind a pluggable
-  :class:`CacheBackend` protocol (``cache_policy``, ``cache_capacity``);
+  staleness is impossible by construction — each tier one in-process
+  :class:`LRUCacheBackend` (``cache_policy``, ``cache_capacity``);
 * a :class:`VectorDBServer` facade exposing a Milvus-like client API
   (``create_collection``, ``insert``, ``flush``, ``create_index``,
   ``search``, ``drop_index``, ``apply_system_config``);
@@ -47,7 +47,6 @@ This package is the substrate the tuner optimizes.  It provides:
 
 from repro.vdms.cache import (
     CACHE_POLICIES,
-    CacheBackend,
     CachedResult,
     CacheStats,
     LRUCacheBackend,
@@ -118,7 +117,6 @@ __all__ = [
     "AttributeFilter",
     "BuildStats",
     "CACHE_POLICIES",
-    "CacheBackend",
     "CacheStats",
     "CachedResult",
     "Collection",

@@ -24,11 +24,7 @@ older versions become unreachable garbage that LRU eviction reclaims.  No
 entry is ever served across a mutation — the invariant the interleaved
 mutation/cache oracle suite (``tests/vdms/test_cache_oracle.py``) pins down.
 
-Backends are pluggable through the :class:`CacheBackend` protocol (the
-pattern of SNIPPETS.md's cachetools resource layer): the in-process
-:class:`LRUCacheBackend` ships now, and a distributed backend (Redis-style)
-only needs ``get``/``put``/``discard``/``clear``/``__len__`` over hashable
-keys.
+Each tier is one in-process :class:`LRUCacheBackend`.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ import hashlib
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Any, Hashable, Protocol, runtime_checkable
+from typing import Any, Hashable
 
 import numpy as np
 
@@ -45,14 +41,12 @@ from repro.vdms.request import AttributeFilter, SearchRequest
 
 __all__ = [
     "CACHE_POLICIES",
-    "CacheBackend",
     "CacheStats",
     "CachedResult",
     "LRUCacheBackend",
     "PendingResult",
     "TieredQueryCache",
     "canonical_filter_key",
-    "make_backend",
     "request_cache_key",
 ]
 
@@ -62,46 +56,16 @@ __all__ = [
 CACHE_POLICIES: tuple[str, ...] = ("none", "lru")
 
 
-@runtime_checkable
-class CacheBackend(Protocol):
-    """The storage contract of one cache tier.
-
-    Implementations must be safe for concurrent ``get``/``put`` from the
-    serving threads (the in-process backend uses its own lock; a remote
-    backend's client library typically is already).  Keys are hashable
-    tuples; values are opaque but kept by reference: a search stores a
-    :class:`PendingResult` and completes it in place.  ``get`` returns ``None`` on a miss —
-    ``None`` is never a legal cached value.
-    """
-
-    def get(self, key: Hashable) -> Any | None:
-        """Return the cached value, or ``None`` on a miss."""
-        ...
-
-    def put(self, key: Hashable, value: Any) -> None:
-        """Store ``value`` under ``key``, evicting per policy if full."""
-        ...
-
-    def discard(self, key: Hashable, value: Any) -> None:
-        """Drop ``key`` if it still holds ``value`` (the same object)."""
-        ...
-
-    def clear(self) -> None:
-        """Drop every entry."""
-        ...
-
-    def __len__(self) -> int:
-        """Number of live entries."""
-        ...
-
-
 class LRUCacheBackend:
     """In-process least-recently-used backend with a fixed entry capacity.
 
     A ``get`` refreshes recency; a ``put`` over capacity evicts the least
     recently used entry.  All operations take the backend's own lock, so
     concurrent serving threads never tear the recency list — the collection
-    lock is *not* held around cache traffic on the read path.
+    lock is *not* held around cache traffic on the read path.  Values are
+    kept by reference (a search stores a :class:`PendingResult` and completes
+    it in place); ``get`` returns ``None`` on a miss, so ``None`` is never a
+    legal value.
     """
 
     def __init__(self, capacity: int) -> None:
@@ -135,32 +99,12 @@ class LRUCacheBackend:
             if self._entries.get(key) is value:
                 del self._entries[key]
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
     def __len__(self) -> int:
         with self._lock:
             return len(self._entries)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return f"LRUCacheBackend(entries={len(self)}, capacity={self.capacity})"
-
-
-#: Registry of cache backend factories by policy name (``"none"`` excluded:
-#: it means "no cache object at all", not an empty backend).
-CACHE_BACKENDS: dict[str, type] = {"lru": LRUCacheBackend}
-
-
-def make_backend(policy: str, capacity: int) -> CacheBackend:
-    """Instantiate the backend for ``policy`` (one of :data:`CACHE_BACKENDS`)."""
-    try:
-        factory = CACHE_BACKENDS[policy]
-    except KeyError:
-        raise ValueError(
-            f"unknown cache policy {policy!r}; expected one of {tuple(CACHE_BACKENDS)}"
-        ) from None
-    return factory(capacity)
 
 
 # -- canonical keys ------------------------------------------------------------------
@@ -295,16 +239,15 @@ class TieredQueryCache:
     Every key is prefixed with the collection version the entry was computed
     at, so lookups — always issued at the *current* version, read under the
     collection lock — can never observe a pre-mutation entry.  The two tiers
-    share the policy and capacity but not storage: result entries (arrays)
-    and plan entries (masks) have very different sizes and hit patterns, and
-    one tier churning must not evict the other.
+    share the capacity but not storage: result entries (arrays) and plan
+    entries (masks) have very different sizes and hit patterns, and one tier
+    churning must not evict the other.
     """
 
-    def __init__(self, policy: str, capacity: int) -> None:
-        self.policy = str(policy)
+    def __init__(self, capacity: int) -> None:
         self.capacity = int(capacity)
-        self._results = make_backend(self.policy, self.capacity)
-        self._plans = make_backend(self.policy, self.capacity)
+        self._results = LRUCacheBackend(self.capacity)
+        self._plans = LRUCacheBackend(self.capacity)
         self._stats_lock = threading.Lock()
         self.stats = CacheStats()
 
@@ -358,16 +301,11 @@ class TieredQueryCache:
 
     # -- management ----------------------------------------------------------------
 
-    def clear(self) -> None:
-        """Drop both tiers (the version protocol makes this optional)."""
-        self._results.clear()
-        self._plans.clear()
-
     def __len__(self) -> int:
         return len(self._results) + len(self._plans)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
-            f"TieredQueryCache(policy={self.policy!r}, capacity={self.capacity}, "
+            f"TieredQueryCache(capacity={self.capacity}, "
             f"results={len(self._results)}, plans={len(self._plans)})"
         )

@@ -86,10 +86,6 @@ class SearchResult:
         Aggregate :class:`~repro.vdms.request.FilterStats` of a filtered
         request — rows scanned building allow-masks, candidates dropped by
         post-filtering, per-strategy segment counts (``None`` unfiltered).
-    latencies_ms:
-        Per-query simulated latency samples, shape ``(q,)``; populated by
-        the workload replayer (which owns the cost model), ``None`` for
-        raw collection searches.
     """
 
     ids: np.ndarray
@@ -98,7 +94,6 @@ class SearchResult:
     shard_stats: list[SearchStats] | None = None
     plan: SearchPlan | None = None
     filter_stats: FilterStats | None = None
-    latencies_ms: np.ndarray | None = None
 
 
 class Collection:
@@ -139,9 +134,7 @@ class Collection:
         self._version = 0
         self._query_cache: TieredQueryCache | None = None
         if self.system_config.cache_policy != "none":
-            self._query_cache = TieredQueryCache(
-                self.system_config.cache_policy, self.system_config.cache_capacity
-            )
+            self._query_cache = TieredQueryCache(self.system_config.cache_capacity)
         #: Whether ``maintenance_mode`` triggers maintenance automatically on
         #: mutations.  The workload replayer disables this and invokes one
         #: deterministic pass itself, so replays stay rerun-stable.

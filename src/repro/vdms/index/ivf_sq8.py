@@ -5,38 +5,24 @@ Probed lists are scored on the codes, which is cheaper per vector than full
 precision and introduces a small, real quantization error — the source of
 IVF_SQ8's recall gap relative to IVF_FLAT.
 
-Scoring ships two quantized fast-scan variants plus the legacy decode path:
-
-``fast_scan="int8"`` (default)
-    Scores candidates *directly on the int8 codes* with a float32 correction
-    step: for the affine decoder ``dec_i = C_i * s' + m`` the distance
-    expands to ``||q||^2 - 2((q*s')·C_i + q·m) + ||dec_i||^2``, so one
-    float32 GEMV over the gathered code rows plus precomputed decoded-row
-    norms replaces decode + float64 cast + GEMM.  Recall-identical (gated by
-    the masked-oracle recall harness), not bit-identical: the correction
-    accumulates in float32.
-
-``fast_scan="float16"``
-    Scans a half-precision decoded shadow (2 bytes/dim gathered instead of
-    4) with the same float32 correction — the bandwidth-lean variant.
-
-``fast_scan="off"``
-    The pre-kernel-push path: decode candidates to float32, score through
-    the bit-exact float64 kernel.
+Candidates are scored *directly on the int8 codes* with a float32
+correction step: for the affine decoder ``dec_i = C_i * s' + m`` the
+distance expands to ``||q||^2 - 2((q*s')·C_i + q·m) + ||dec_i||^2``, so one
+float32 GEMV over the gathered code rows plus precomputed decoded-row norms
+stands in for decode + float64 cast + GEMM.  Recall-identical to decoding
+the candidates (gated against a decode oracle in the tests), not
+bit-identical: the correction accumulates in float32.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from repro.vdms.distance import QueryOperand, nonempty_spans, pairwise_distances
+from repro.vdms.distance import QueryOperand, nonempty_spans
 from repro.vdms.index.base import BuildStats, SearchStats
 from repro.vdms.index.ivf_flat import IVFFlatIndex, TileScorer, partition_select
 
 __all__ = ["IVFSQ8Index"]
-
-#: Accepted ``fast_scan`` modes.
-FAST_SCAN_MODES = ("int8", "float16", "off")
 
 
 class IVFSQ8Index(IVFFlatIndex):
@@ -52,24 +38,13 @@ class IVFSQ8Index(IVFFlatIndex):
         nlist: int = 128,
         nprobe: int = 16,
         seed: int = 0,
-        fast_scan: str | bool = "int8",
         **params,
     ) -> None:
-        if fast_scan is True:
-            fast_scan = "int8"
-        elif fast_scan is False:
-            fast_scan = "off"
-        if fast_scan not in FAST_SCAN_MODES:
-            raise ValueError(f"fast_scan must be one of {FAST_SCAN_MODES}, got {fast_scan!r}")
-        super().__init__(
-            metric=metric, nlist=nlist, nprobe=nprobe, seed=seed, fast_scan=fast_scan, **params
-        )
-        self.fast_scan = fast_scan
+        super().__init__(metric=metric, nlist=nlist, nprobe=nprobe, seed=seed, **params)
         self._codes: np.ndarray | None = None
         self._minimums: np.ndarray | None = None
         self._scales: np.ndarray | None = None
         self._codes_f32: np.ndarray | None = None
-        self._decoded16: np.ndarray | None = None
         self._code_scales: np.ndarray | None = None
         self._decoded_norms: np.ndarray | None = None
         self._decoded_inv_norms: np.ndarray | None = None
@@ -85,7 +60,7 @@ class IVFSQ8Index(IVFFlatIndex):
         self._codes = codes
         self._minimums = minimums.astype(np.float32)
         self._scales = scales
-        # Fast-scan scaffolding, built once per index build.  ``_codes_f32``
+        # Scoring scaffolding, built once per index build.  ``_codes_f32``
         # holds the integer code values in float32 lanes purely so the GEMV
         # runs in BLAS — it stands in for the fused int8 SIMD kernel a real
         # system would ship, so the simulated memory model keeps charging
@@ -99,35 +74,24 @@ class IVFSQ8Index(IVFFlatIndex):
         decoded_norms[decoded_norms == 0.0] = 1.0
         self._decoded_inv_norms = (1.0 / decoded_norms).astype(np.float32)
         self._unit_norms_sq = self._decoded_norms * self._decoded_inv_norms**2
-        self._decoded16 = decoded.astype(np.float16) if self.fast_scan == "float16" else None
         stats.extra["quantizer"] = "sq8"
-        stats.extra["fast_scan"] = self.fast_scan
         return stats
 
-    def _decode(self, positions: np.ndarray) -> np.ndarray:
-        """Reconstruct approximate vectors for the given positions."""
-        return self._codes[positions].astype(np.float32) / 255.0 * self._scales + self._minimums
-
-    def _fast_scores(
+    def _code_scores(
         self, query: np.ndarray, codes: np.ndarray, inverse: np.ndarray, norms: np.ndarray
     ) -> np.ndarray:
-        """Quantized fast-path scores of one query against gathered code rows.
+        """Scores of one query against gathered code rows.
 
         Float32 throughout: one GEMV over the code rows (int8 values in
-        float32 lanes, or the float16 decoded shadow) plus the decoded-row
-        norm corrections (``inverse`` and, per metric, ``norms``, gathered
-        like ``codes``).  Recall-identical to the decode + float64-kernel
-        path, not bit-identical.
+        float32 lanes) plus the decoded-row norm corrections (``inverse``
+        and, per metric, ``norms``, gathered like ``codes``).
         """
         if self.metric == "angular":
             # Mirror the kernel's internal re-normalization of the query.
             norm = float(np.linalg.norm(query))
             query = query / np.float32(norm if norm != 0.0 else 1.0)
-        if self.fast_scan == "int8":
-            dots = codes @ (query * self._code_scales)
-            dots += np.float32(query @ self._minimums)
-        else:
-            dots = codes @ query
+        dots = codes @ (query * self._code_scales)
+        dots += np.float32(query @ self._minimums)
         if self.metric == "ip":
             return -dots
         query_norm = np.float32(query @ query)
@@ -151,22 +115,12 @@ class IVFSQ8Index(IVFFlatIndex):
             counts = np.diff(bounds)
             stats.add("code_evaluations", counts, slice(first, first + counts.shape[0]))
             scores = np.empty(rows.shape[0], dtype=np.float32)
-            if self.fast_scan == "off":
-                decoded = self._decode(rows)
-                for query, start, stop in nonempty_spans(first, bounds):
-                    scores[start:stop] = pairwise_distances(
-                        queries[query : query + 1], decoded[start:stop], self.metric
-                    )[0]
-                return scores, rows, bounds
-            if self.fast_scan == "int8":
-                codes = self._codes_f32[rows]
-            else:
-                codes = self._decoded16[rows].astype(np.float32)
+            codes = self._codes_f32[rows]
             inverse = self._decoded_inv_norms[rows]
             norms = (self._unit_norms_sq if self.metric == "angular" else self._decoded_norms)[rows]
             for query, start, stop in nonempty_spans(first, bounds):
                 span = slice(start, stop)
-                scores[span] = self._fast_scores(
+                scores[span] = self._code_scores(
                     queries[query], codes[span], inverse[span], norms[span]
                 )
             return scores, rows, bounds
@@ -179,7 +133,5 @@ class IVFSQ8Index(IVFFlatIndex):
             return base
         # SQ8 keeps one byte per dimension plus the per-dimension affine
         # parameters (the float32 code shadow is a BLAS artifact, see
-        # ``_build``); the float16 variant's decoded shadow is a real
-        # structure choice and is charged.
-        shadow = self._decoded16.size * 2 if self._decoded16 is not None else 0
-        return int(base + self._codes.size + 2 * self._codes.shape[1] * 4 + shadow)
+        # ``_build``).
+        return int(base + self._codes.size + 2 * self._codes.shape[1] * 4)

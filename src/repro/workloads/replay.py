@@ -360,7 +360,6 @@ class WorkloadReplayer:
         samples_ms = self._latency_samples_ms(
             cost_model, profile, trace, latency_us, self.workload.num_queries
         )
-        result.latencies_ms = samples_ms
         breakdown["latency_p50_ms"] = float(np.percentile(samples_ms, 50))
         breakdown["latency_p99_ms"] = float(np.percentile(samples_ms, 99))
 

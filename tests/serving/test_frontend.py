@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import http.client
 import json
+import socket
 import threading
 import time
 
@@ -184,6 +185,28 @@ def test_error_status_codes(frontend):
     assert (
         request(frontend, "POST", "/collections/c/index", {"index_type": "BOGUS"})[0] == 400
     )
+
+
+@pytest.mark.parametrize("length", ["-1", "99999999999999999999", "twelve"])
+def test_a_bad_content_length_gets_400_and_a_closed_connection(frontend, length):
+    # Bytes after the head would parse as a second request if the server
+    # kept the connection open.
+    follower = b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+    head = f"POST /collections HTTP/1.1\r\nHost: test\r\nContent-Length: {length}\r\n\r\n"
+    start = time.monotonic()
+    received = b""
+    with socket.create_connection(("127.0.0.1", frontend.port), timeout=1.0) as sock:
+        sock.sendall(head.encode("ascii") + follower)
+        try:
+            while chunk := sock.recv(65536):
+                received += chunk
+        except ConnectionResetError:  # closed with the follower unread
+            pass
+    assert time.monotonic() - start < 1.0
+    assert received.startswith(b"HTTP/1.1 400 ")
+    assert received.count(b"HTTP/1.1 ") == 1
+    assert "Content-Length" in json.loads(received.partition(b"\r\n\r\n")[2])["error"]
+    assert request(frontend, "GET", "/healthz")[0] == 200
 
 
 def test_queued_request_past_deadline_gets_504():

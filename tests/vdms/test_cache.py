@@ -24,12 +24,10 @@ from hypothesis import strategies as st
 
 from repro.vdms.cache import (
     CACHE_POLICIES,
-    CacheBackend,
     CachedResult,
     LRUCacheBackend,
     TieredQueryCache,
     canonical_filter_key,
-    make_backend,
     queries_digest,
     request_cache_key,
 )
@@ -154,14 +152,17 @@ class TestRequestCacheKey:
 
 
 class TestLRUCacheBackend:
-    def test_registry_and_protocol(self):
+    def test_tiers_are_lru_backends(self):
         assert set(CACHE_POLICIES) == {"none", "lru"}
-        backend = make_backend("lru", 4)
-        assert isinstance(backend, CacheBackend)
-        with pytest.raises(ValueError):
-            make_backend("galactic", 4)
+        cache = TieredQueryCache(4)
+        tiers = (cache._results, cache._plans)
+        assert all(isinstance(tier, LRUCacheBackend) for tier in tiers)
+        assert tiers[0] is not tiers[1]
+        assert cache.capacity == tiers[0].capacity == tiers[1].capacity == 4
         with pytest.raises(ValueError):
             LRUCacheBackend(0)
+        with pytest.raises(ValueError):
+            TieredQueryCache(0)
 
     def test_eviction_order_and_recency_refresh(self):
         backend = LRUCacheBackend(2)
@@ -174,8 +175,6 @@ class TestLRUCacheBackend:
         assert backend.get("c") == 3
         assert backend.evictions == 1
         assert len(backend) == 2
-        backend.clear()
-        assert len(backend) == 0
 
     def test_discard_drops_only_the_value_it_names(self):
         backend = LRUCacheBackend(2)
@@ -223,7 +222,7 @@ class TestTieredQueryCache:
         )
 
     def test_version_bump_always_misses(self):
-        cache = TieredQueryCache("lru", 8)
+        cache = TieredQueryCache(8)
         key = ("digest", 5, None)
         cache.put_result(0, key, self.make_value())
         assert cache.get_result(0, key) is not None
@@ -233,7 +232,7 @@ class TestTieredQueryCache:
         assert cache.get_plan(4, ("tag", "eq", 1)) is None
 
     def test_stats_count_hits_and_misses(self):
-        cache = TieredQueryCache("lru", 8)
+        cache = TieredQueryCache(8)
         key = ("digest", 5, None)
         assert cache.get_result(0, key) is None
         cache.put_result(0, key, self.make_value())
@@ -243,10 +242,9 @@ class TestTieredQueryCache:
         assert cache.stats.result_hit_ratio == 0.5
 
     def test_tiers_do_not_evict_each_other(self):
-        cache = TieredQueryCache("lru", 2)
+        cache = TieredQueryCache(2)
         cache.put_plan(0, ("tag", "eq", 1), "plan")
         for i in range(4):
             cache.put_result(0, ("digest", i, None), self.make_value())
         assert cache.get_plan(0, ("tag", "eq", 1)) == "plan"
-        cache.clear()
-        assert len(cache) == 0
+        assert len(cache) == 3  # two results, one plan

@@ -81,18 +81,13 @@ class SeedIVFFlat(IVFFlatIndex):
 
 
 class SeedIVFSQ8(SeedIVFFlat, IVFSQ8Index):
-    def _fast_candidate_scores(self, query, candidate_positions):
-        if self.fast_scan == "off":
-            return None
+    def _approximate_scores(self, query, candidate_positions):
         query = np.asarray(query, dtype=np.float32)
         if self.metric == "angular":
             norm = float(np.linalg.norm(query))
             query = query / np.float32(norm if norm != 0.0 else 1.0)
-        if self.fast_scan == "int8":
-            dots = self._codes_f32[candidate_positions] @ (query * self._code_scales)
-            dots += np.float32(query @ self._minimums)
-        else:
-            dots = self._decoded16[candidate_positions].astype(np.float32) @ query
+        dots = self._codes_f32[candidate_positions] @ (query * self._code_scales)
+        dots += np.float32(query @ self._minimums)
         if self.metric == "ip":
             return -dots
         query_norm = np.float32(query @ query)
@@ -102,13 +97,6 @@ class SeedIVFSQ8(SeedIVFFlat, IVFSQ8Index):
         else:
             scores = query_norm - 2.0 * dots + self._decoded_norms[candidate_positions]
         return np.maximum(scores, 0.0, out=scores).astype(np.float32, copy=False)
-
-    def _approximate_scores(self, query_row, candidate_positions):
-        scores = self._fast_candidate_scores(query_row, candidate_positions)
-        if scores is None:
-            decoded = self._decode(candidate_positions)
-            scores = pairwise_distances(query_row[None, :], decoded, self.metric)[0]
-        return scores
 
     def _score_candidates(self, queries, candidates, top_k, stats):
         num_queries = queries.shape[0]
@@ -255,9 +243,7 @@ def masks():
 #: (index type, build parameters) of every variant the family ships.
 VARIANTS = [
     ("IVF_FLAT", {}),
-    ("IVF_SQ8", {"fast_scan": "int8"}),
-    ("IVF_SQ8", {"fast_scan": "float16"}),
-    ("IVF_SQ8", {"fast_scan": "off"}),
+    ("IVF_SQ8", {}),
     ("IVF_PQ", {"pq_m": 4, "pq_nbits": 4}),
     ("SCANN", {"reorder_k": 12}),  # below most candidate counts
     ("SCANN", {"reorder_k": 500}),  # above every candidate count

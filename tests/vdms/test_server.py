@@ -157,12 +157,12 @@ class TestTenantIsolation:
 
     def test_rebuild_applies_every_build_parameter(self, server):
         collection = server.create_collection("c", 8, "l2")
-        _fill(collection, _corpus(1), "IVF_SQ8", {"nlist": 4, "nprobe": 4, "fast_scan": "int8"})
-        server.create_index("c", "IVF_SQ8", {"nlist": 4, "nprobe": 4, "fast_scan": "float16"})
+        _fill(collection, _corpus(1), "IVF_SQ8", {"nlist": 4, "nprobe": 4})
+        server.create_index("c", "IVF_SQ8", {"nlist": 2, "nprobe": 4})
         indexes = [index for shard in collection.shards for index in shard.indexes.values()]
         assert indexes
-        assert all(index.fast_scan == "float16" for index in indexes)
-        assert all(index._decoded16 is not None for index in indexes)
+        assert all(index.nlist == 2 for index in indexes)
+        assert all(index._centroids.shape[0] == 2 for index in indexes)
 
 
 class TestConcurrentSearch:
