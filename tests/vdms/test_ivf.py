@@ -245,6 +245,9 @@ VARIANTS = [
     ("IVF_FLAT", {}),
     ("IVF_SQ8", {}),
     ("IVF_PQ", {"pq_m": 4, "pq_nbits": 4}),
+    # One-dimensional subspaces, and more codewords asked for than rows.
+    ("IVF_PQ", {"pq_m": 16, "pq_nbits": 8}),
+    ("SCANN", {"reorder_k": 1}),  # a shortlist shorter than every k > 1
     ("SCANN", {"reorder_k": 12}),  # below most candidate counts
     ("SCANN", {"reorder_k": 500}),  # above every candidate count
 ]
