@@ -19,7 +19,7 @@ from repro.bo.pareto import (
     pareto_front,
     pareto_ranks,
 )
-from repro.bo.acquisition import expected_improvement, probability_of_feasibility, upper_confidence_bound
+from repro.bo.acquisition import expected_improvement, probability_of_feasibility
 from repro.bo.ehvi import greedy_qehvi_scores, monte_carlo_ehvi, monte_carlo_qehvi
 
 __all__ = [
@@ -38,5 +38,4 @@ __all__ = [
     "pareto_ranks",
     "probability_of_feasibility",
     "uniform_samples",
-    "upper_confidence_bound",
 ]

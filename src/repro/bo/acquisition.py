@@ -11,19 +11,13 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats
 
-__all__ = [
-    "expected_improvement",
-    "probability_of_feasibility",
-    "upper_confidence_bound",
-]
+__all__ = ["expected_improvement", "probability_of_feasibility"]
 
 
 def expected_improvement(
     mean: np.ndarray,
     std: np.ndarray,
     best_observed: float,
-    *,
-    xi: float = 0.0,
 ) -> np.ndarray:
     """Expected improvement over ``best_observed`` (maximization).
 
@@ -33,13 +27,11 @@ def expected_improvement(
         Posterior mean and standard deviation at the candidate points.
     best_observed:
         Incumbent objective value.
-    xi:
-        Optional exploration margin.
     """
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     std = np.maximum(std, 1e-12)
-    improvement = mean - best_observed - xi
+    improvement = mean - best_observed
     z = improvement / std
     value = improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
     return np.maximum(value, 0.0)
@@ -58,10 +50,3 @@ def probability_of_feasibility(
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
     return stats.norm.cdf((mean - threshold) / std)
-
-
-def upper_confidence_bound(mean: np.ndarray, std: np.ndarray, *, beta: float = 2.0) -> np.ndarray:
-    """GP-UCB acquisition (maximization)."""
-    if beta < 0:
-        raise ValueError("beta must be non-negative")
-    return np.asarray(mean, dtype=float) + beta * np.asarray(std, dtype=float)

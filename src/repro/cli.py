@@ -925,7 +925,12 @@ def _command_serve(args: argparse.Namespace) -> int:
         signal.signal(signal.SIGTERM, lambda *_: frontend.request_drain())
         signal.signal(signal.SIGINT, lambda *_: frontend.request_drain())
 
-    frontend.start()
+    try:
+        frontend.start()
+    except DurabilityError as error:
+        # Close the collections recovered before the one that failed.
+        frontend.drain()
+        _fail(f"--data-dir {args.data_dir!r}: cannot recover its collections: {error}")
     for name in frontend.recovered_collections:
         collection = frontend.backend.get_collection(name)
         report = collection.recovery_report
@@ -1090,9 +1095,12 @@ def _command_recover(args: argparse.Namespace) -> int:
             )
     reports = []
     for name in names:
-        collection = Collection.recover(
-            fs.join(args.data_dir, name), auto_maintenance=False
-        )
+        # A failure leaves nothing open: each earlier collection was closed after its report.
+        directory = fs.join(args.data_dir, name)
+        try:
+            collection = Collection.recover(directory, auto_maintenance=False)
+        except DurabilityError as error:
+            _fail(f"--data-dir {args.data_dir!r}: cannot recover {directory!r}: {error}")
         report = collection.recovery_report
         reports.append(
             {

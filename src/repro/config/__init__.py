@@ -13,7 +13,6 @@ is built by :func:`build_milvus_space`.
 """
 
 from repro.config.parameters import (
-    BoolParameter,
     CategoricalParameter,
     FloatParameter,
     IntParameter,
@@ -30,7 +29,6 @@ from repro.config.milvus_space import (
 )
 
 __all__ = [
-    "BoolParameter",
     "CategoricalParameter",
     "Configuration",
     "ConfigurationSpace",

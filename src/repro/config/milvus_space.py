@@ -179,11 +179,7 @@ def _system_parameter_specs() -> list[Parameter]:
     ]
 
 
-def build_milvus_space(
-    index_types: tuple[str, ...] = INDEX_TYPES,
-    *,
-    name: str = "milvus-27d",
-) -> ConfigurationSpace:
+def build_milvus_space(index_types: tuple[str, ...] = INDEX_TYPES) -> ConfigurationSpace:
     """Build the holistic tuning space (index type + index params + system params).
 
     Parameters
@@ -192,8 +188,6 @@ def build_milvus_space(
         The index types to expose as choices.  The default exposes every
         index type of Table I; restricting the tuple is how the
         "per-index-type tuning" ablation builds its smaller spaces.
-    name:
-        Space name, used only for display.
 
     Examples
     --------
@@ -223,7 +217,7 @@ def build_milvus_space(
     parameters: list[Parameter] = [index_parameter]
     parameters.extend(_index_parameter_specs())
     parameters.extend(_system_parameter_specs())
-    return ConfigurationSpace(parameters, name=name)
+    return ConfigurationSpace(parameters, name="milvus-27d")
 
 
 def parameters_for_index(index_type: str) -> tuple[str, ...]:

@@ -21,7 +21,6 @@ __all__ = [
     "FloatParameter",
     "IntParameter",
     "CategoricalParameter",
-    "BoolParameter",
 ]
 
 
@@ -287,10 +286,3 @@ class CategoricalParameter(Parameter):
 
     def grid(self, resolution: int) -> list[Any]:
         return list(self.choices)
-
-
-class BoolParameter(CategoricalParameter):
-    """A boolean parameter, expressed as a two-choice categorical."""
-
-    def __init__(self, name: str, default: bool = False) -> None:
-        super().__init__(name=name, choices=[False, True], default=bool(default))

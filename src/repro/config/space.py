@@ -264,25 +264,6 @@ class ConfigurationSpace:
         }
         return Configuration(self, values)
 
-    def decode_many(self, matrix: np.ndarray) -> list[Configuration]:
-        """Decode an ``(n, d)`` array into a list of configurations."""
-        matrix = np.asarray(matrix, dtype=float)
-        if matrix.ndim != 2:
-            raise ValueError("expected a 2-D array of unit-hypercube points")
-        return [self.decode(row) for row in matrix]
-
-    # -- restricted views ----------------------------------------------------
-
-    def subspace(self, names: Sequence[str], name: str | None = None) -> "ConfigurationSpace":
-        """Return a space restricted to the given parameter names (in that order)."""
-        missing = [n for n in names if n not in self._parameters]
-        if missing:
-            raise KeyError(f"unknown parameters: {missing}")
-        return ConfigurationSpace(
-            [self._parameters[n] for n in names],
-            name=name or f"{self.name}/subspace",
-        )
-
     def index_of(self, name: str) -> int:
         """Return the position of a parameter within the encoding vector."""
         return self._positions[name]

@@ -19,15 +19,9 @@ from repro.core.tuner import TuningReport
 __all__ = ["cost_effectiveness_objective", "CostComparison", "compare_cost_vs_speed"]
 
 
-def cost_effectiveness_objective(
-    *, recall_constraint: float | None = None, price_per_gib_second: float = 1.0
-) -> ObjectiveSpec:
+def cost_effectiveness_objective(*, recall_constraint: float | None = None) -> ObjectiveSpec:
     """An objective that maximizes QP$ (queries per dollar) and recall."""
-    return ObjectiveSpec(
-        speed_metric="qp$",
-        recall_constraint=recall_constraint,
-        price_per_gib_second=price_per_gib_second,
-    )
+    return ObjectiveSpec(speed_metric="qp$", recall_constraint=recall_constraint)
 
 
 @dataclass(frozen=True)

@@ -26,6 +26,11 @@ import numpy as np
 
 __all__ = ["CusumDriftDetector"]
 
+#: Floor of the reference standard deviation, relative to the absolute
+#: reference mean (the deterministic replayer often yields identical repeated
+#: observations, whose raw standard deviation is zero).
+_MIN_RELATIVE_STD = 0.02
+
 
 class CusumDriftDetector:
     """Two-sided multivariate CUSUM detector on performance observations.
@@ -41,10 +46,6 @@ class CusumDriftDetector:
     warmup:
         Observations used to build the reference window after each
         :meth:`reset`.
-    min_relative_std:
-        Floor of the reference standard deviation, relative to the absolute
-        reference mean (the deterministic replayer often yields identical
-        repeated observations, whose raw standard deviation is zero).
 
     Examples
     --------
@@ -66,7 +67,6 @@ class CusumDriftDetector:
         threshold: float = 6.0,
         drift: float = 0.5,
         warmup: int = 4,
-        min_relative_std: float = 0.02,
     ) -> None:
         if threshold <= 0:
             raise ValueError("threshold must be positive")
@@ -77,7 +77,6 @@ class CusumDriftDetector:
         self.threshold = float(threshold)
         self.drift = float(drift)
         self.warmup = int(warmup)
-        self.min_relative_std = float(min_relative_std)
         self._reference: list[np.ndarray] = []
         self._mean: np.ndarray | None = None
         self._std: np.ndarray | None = None
@@ -126,7 +125,7 @@ class CusumDriftDetector:
             if len(self._reference) >= self.warmup:
                 window = np.vstack(self._reference)
                 self._mean = window.mean(axis=0)
-                floor = np.maximum(self.min_relative_std * np.abs(self._mean), 1e-9)
+                floor = np.maximum(_MIN_RELATIVE_STD * np.abs(self._mean), 1e-9)
                 self._std = np.maximum(window.std(axis=0), floor)
                 self._upper = np.zeros_like(self._mean)
                 self._lower = np.zeros_like(self._mean)

@@ -123,10 +123,6 @@ class ObservationHistory:
                 seen.append(observation.index_type)
         return seen
 
-    def for_index_type(self, index_type: str) -> list[Observation]:
-        """Observations evaluated with the given index type."""
-        return [o for o in self._observations if o.index_type == index_type]
-
     def successful(self) -> list[Observation]:
         """Observations whose evaluation did not fail."""
         return [o for o in self._observations if not o.failed]
@@ -144,13 +140,12 @@ class ObservationHistory:
         values = np.array([o.objectives() for o in successful], dtype=float)
         return values.min(axis=0)
 
-    def objective_matrix(self, observations: Iterable[Observation] | None = None) -> np.ndarray:
+    def objective_matrix(self) -> np.ndarray:
         """Objective matrix ``(n, 2)`` with failure replacement applied."""
-        observations = list(observations if observations is not None else self._observations)
-        if not observations:
+        if not self._observations:
             return np.empty((0, 2), dtype=float)
         replacement = self.worst_objectives()
-        rows = [replacement if o.failed else o.objectives() for o in observations]
+        rows = [replacement if o.failed else o.objectives() for o in self._observations]
         return np.vstack(rows)
 
     # -- Pareto machinery ---------------------------------------------------------------
@@ -209,16 +204,6 @@ class ObservationHistory:
         if not eligible:
             return None
         return max(eligible, key=lambda o: o.speed)
-
-    def best_balanced(self) -> Observation | None:
-        """The observation realizing :meth:`balanced_point` over the whole history."""
-        target = self.balanced_point()
-        if target is None:
-            return None
-        for observation in self.successful():
-            if np.allclose(observation.objectives(), target):
-                return observation
-        return None
 
     def contains_configuration(self, configuration: dict[str, Any]) -> bool:
         """Whether an identical configuration has already been evaluated."""

@@ -296,25 +296,18 @@ class OnlineReport:
             return None
         return max(candidates, key=lambda r: r.score)
 
-    def time_to_recover(self, phase: int, *, fraction: float | None = None) -> int | None:
+    def time_to_recover(self, phase: int) -> int | None:
         """Evaluations from phase start until the service score recovers.
 
-        Recovery means reaching ``fraction`` (default: the settings'
-        ``recovery_fraction``) of the best service score observed *within the
-        phase* — the in-hindsight post-drift optimum, which makes warm and
-        cold re-tuning directly comparable.  ``None`` when the phase saw no
-        successful evaluation.
+        Recovery means reaching the settings' ``recovery_fraction`` of the
+        best service score observed *within the phase* — the in-hindsight
+        post-drift optimum, which makes warm and cold re-tuning directly
+        comparable.  ``None`` when the phase saw no successful evaluation.
         """
-        fraction = self.settings.recovery_fraction if fraction is None else float(fraction)
-        records = self.phase_records(phase)
         best = self.phase_best(phase)
         if best is None or best.score <= 0.0:
             return None
-        threshold = fraction * best.score
-        for position, record in enumerate(records, start=1):
-            if not record.failed and record.score >= threshold:
-                return position
-        return None
+        return self.time_to_reach_score(phase, self.settings.recovery_fraction * best.score)
 
     def time_to_reach_score(self, phase: int, threshold: float) -> int | None:
         """Evaluations from phase start until the service score reaches ``threshold``.

@@ -151,21 +151,10 @@ class TuningReport:
             floor = max(floor, float(self.objective.recall_constraint))
         return self.history.best(recall_floor=floor)
 
-    def best_configuration(self, *, recall_floor: float = 0.0) -> dict[str, Any] | None:
-        """Configuration of :meth:`best_observation`."""
-        best = self.best_observation(recall_floor=recall_floor)
+    def best_configuration(self) -> dict[str, Any] | None:
+        """Configuration of :meth:`best_observation` (no extra recall floor)."""
+        best = self.best_observation()
         return None if best is None else dict(best.configuration)
-
-    def parameter_trace(self, names: list[str] | None = None) -> dict[str, list[Any]]:
-        """Per-iteration values of selected parameters (Figure 11 data)."""
-        if not len(self.history):
-            return {}
-        names = names or list(self.history[0].configuration.keys())
-        trace: dict[str, list[Any]] = {name: [] for name in names}
-        for observation in self.history:
-            for name in names:
-                trace[name].append(observation.configuration.get(name))
-        return trace
 
 
 class VDTuner:

@@ -62,7 +62,6 @@ def masked_brute_force_neighbors(
     metric: str = "angular",
     *,
     mask: np.ndarray,
-    batch_size: int = 256,
 ) -> np.ndarray:
     """Exact ``top_k`` neighbours restricted to the rows ``mask`` allows.
 
@@ -74,7 +73,7 @@ def masked_brute_force_neighbors(
 
     Parameters
     ----------
-    vectors / queries / top_k / metric / batch_size:
+    vectors / queries / top_k / metric:
         As in :func:`brute_force_neighbors`.
     mask:
         Boolean allow-mask over the base rows (``True`` = eligible).
@@ -89,9 +88,7 @@ def masked_brute_force_neighbors(
     if allowed.size == 0:
         return result
     keep = int(min(top_k, allowed.size))
-    subset = brute_force_neighbors(
-        vectors[allowed], queries, keep, metric, batch_size=batch_size
-    )
+    subset = brute_force_neighbors(vectors[allowed], queries, keep, metric)
     result[:, :keep] = allowed[subset]
     return result
 

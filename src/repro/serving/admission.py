@@ -263,11 +263,6 @@ class AdmissionController:
             else:
                 state.queue_depth = depth
 
-    def tenant_names(self) -> list[str]:
-        """Names of every tenant with an admission ledger (sorted)."""
-        with self._lock:
-            return sorted(self._tenants)
-
     def _tenant_locked(self, name: str) -> _TenantState:
         state = self._tenants.get(name)
         if state is None:
@@ -327,11 +322,6 @@ class AdmissionController:
         return future
 
     # -- introspection ------------------------------------------------------------
-
-    @property
-    def current_queue_depth(self) -> int:
-        """Requests currently waiting for a worker (approximate under races)."""
-        return self._total_queued
 
     @property
     def draining(self) -> bool:

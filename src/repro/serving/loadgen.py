@@ -644,7 +644,6 @@ def measure_saturation(
     *,
     threads: int = 4,
     duration_seconds: float = 1.5,
-    dimension: int | None = None,
     top_k: int = 10,
     use_cache: bool = False,
     seed: int = 0,
@@ -654,13 +653,13 @@ def measure_saturation(
     Runs ``threads`` back-to-back request loops for ``duration_seconds`` and
     returns served requests per second.  Being closed-loop it cannot
     overload the server — which is exactly why the number it returns is the
-    capacity the open-loop phases should be scaled against.
+    capacity the open-loop phases should be scaled against.  The query
+    dimension is the collection's, read from the server.
     """
     if threads < 1:
         raise ValueError("threads must be >= 1")
-    resolved = dimension if dimension is not None else _resolve_dimension(url, collection)
     rng = np.random.default_rng(seed)
-    queries = rng.normal(size=(256, resolved)).astype(np.float32)
+    queries = rng.normal(size=(256, _resolve_dimension(url, collection))).astype(np.float32)
     served = 0
     lock = threading.Lock()
     deadline = time.monotonic() + float(duration_seconds)

@@ -31,7 +31,7 @@ from repro.vdms.cache import (
     request_cache_key,
 )
 from repro.vdms.cost_model import CollectionProfile
-from repro.vdms.distance import METRICS, masked_scan_mode
+from repro.vdms.distance import METRICS
 from repro.vdms.durability import (
     CheckpointReport,
     DurabilityManager,
@@ -578,9 +578,9 @@ class Collection:
         dropping.  ``"auto"`` resolves per segment via
         :data:`~repro.vdms.request.AUTO_PRE_FILTER_SELECTIVITY`.
 
-        The plan also explains how a pre-filter masked exact scan applies
-        the mask (``scan_mode``, :func:`~repro.vdms.distance.masked_scan_mode`):
-        the scan decides it from the same mask.
+        How a pre-filter masked exact scan applies the mask is the scan's own
+        decision (:func:`~repro.vdms.distance.masked_topk`); the plan does
+        not record it.
         """
         rows = view.index.size
         mask = self._allow_mask(request_filter, view.attributes, rows)
@@ -600,7 +600,6 @@ class Collection:
             allowed_rows=allowed,
             live_rows=rows,
             indexed=view.indexed,
-            scan_mode=masked_scan_mode(allowed, rows),
         )
 
     def _plan_snapshots(

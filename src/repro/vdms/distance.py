@@ -58,7 +58,6 @@ __all__ = [
     "METRICS",
     "QueryOperand",
     "ScanOperand",
-    "masked_scan_mode",
     "masked_topk",
     "normalize_rows",
     "pairwise_distances",
@@ -76,19 +75,9 @@ METRICS: tuple[str, ...] = ("l2", "ip", "angular")
 #: full-matrix GEMM over the cached operand with disallowed columns masked
 #: to ``+inf`` afterwards.  Gathering rows costs a copy per scan and forfeits
 #: the cached float64 view; once most rows pass the filter the dense scan is
-#: cheaper despite scoring rows the mask will discard.  The decision is
-#: :func:`masked_scan_mode`'s.
+#: cheaper despite scoring rows the mask will discard.  :func:`masked_topk`
+#: makes the decision.
 MASK_DENSE_SCAN_SELECTIVITY = 0.5
-
-
-def masked_scan_mode(allowed: int, rows: int) -> str:
-    """How a masked scan allowing ``allowed`` of ``rows`` rows applies its mask.
-
-    ``"dense"`` at or above :data:`MASK_DENSE_SCAN_SELECTIVITY`, else
-    ``"select"``.  :func:`masked_topk` decides with it, and the planner
-    records the same decision in ``SegmentPlan.scan_mode`` to explain it.
-    """
-    return "dense" if rows and allowed / rows >= MASK_DENSE_SCAN_SELECTIVITY else "select"
 
 
 def normalize_rows(matrix: np.ndarray) -> np.ndarray:
@@ -135,8 +124,8 @@ class ScanOperand:
     results are bit-identical with or without the cache.
 
     Lazy materialization is idempotent (both racers compute the same arrays
-    from the same immutable input), so the benign first-use race under the
-    concurrent query scheduler needs no lock.
+    from the same immutable input), so the benign first-use race between
+    callers' threads searching concurrently needs no lock.
     """
 
     __slots__ = ("vectors", "_vectors64", "_norms64")
@@ -541,9 +530,9 @@ def pairwise_distances_blocked(
     elif out.shape != shape or out.dtype != np.float32:
         raise ValueError("out must be a float32 (queries, rows) matrix")
     if shape[0] <= query_block and shape[1] <= row_block:
-        # Nothing to block: one tile is the plain scan.  The IVF family scores
-        # one small candidate list per (query, segment) through this call, so
-        # the tile bookkeeping below would be a measurable share of it.
+        # Nothing to block: one tile is the plain scan.  The dense masked scan
+        # of a small segment lands here, and the tile bookkeeping below would
+        # be a measurable share of it.
         return _scan_tile(queries, operand, metric, out)
     groups = _tile_groups([operand], row_block, metric != "ip")
     for start in range(0, shape[0], query_block):
@@ -600,21 +589,15 @@ def masked_topk(
     allow_mask: np.ndarray,
     top_k: int,
     metric: str,
-    *,
-    scan_mode: str | None = None,
-) -> tuple[np.ndarray, np.ndarray, str]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Masked exact scan: top-k among the rows ``allow_mask`` permits.
 
-    Below the selectivity crossover the allowed rows are gathered with
-    ``np.flatnonzero`` + index-select *before* the GEMM; at or above it the
-    scan goes dense over the cached operand and disallowed columns are masked
-    to ``+inf`` after the fact.  Both modes produce bit-identical
+    Below :data:`MASK_DENSE_SCAN_SELECTIVITY` the allowed rows are gathered
+    with ``np.flatnonzero`` + index-select *before* the GEMM; at or above it
+    the scan goes dense over the cached operand and disallowed columns are
+    masked to ``+inf`` after the fact.  Both modes produce bit-identical
     ``(positions, ordered_distances)`` — per-pair values are shape-independent
-    and ``allowed_positions`` ascend, so position tie-breaks coincide —
-    and the chosen mode is returned for stats/plan explanation.
-
-    ``scan_mode`` forces ``"select"``/``"dense"``; ``None`` decides from
-    the mask (:func:`masked_scan_mode`).
+    and ``allowed_positions`` ascend, so position tie-breaks coincide.
     """
     operand = _as_operand(operand, metric)
     allow_mask = np.asarray(allow_mask, dtype=bool)
@@ -622,20 +605,14 @@ def masked_topk(
     allowed_positions = np.flatnonzero(allow_mask)
     if allowed_positions.size == 0:
         empty = np.empty((queries.shape[0], 0))
-        return empty.astype(np.int64), empty.astype(np.float32), "select"
-    if scan_mode is None:
-        scan_mode = masked_scan_mode(allowed_positions.size, allow_mask.size)
-    if scan_mode == "select":
+        return empty.astype(np.int64), empty.astype(np.float32)
+    if allowed_positions.size / allow_mask.size < MASK_DENSE_SCAN_SELECTIVITY:
         distances = pairwise_distances(queries, operand.take(allowed_positions), metric)
         local_positions, ordered = top_k_select(distances, top_k)
-        return allowed_positions[local_positions], ordered, "select"
-    if scan_mode != "dense":
-        raise ValueError(f"unknown scan_mode {scan_mode!r}")
+        return allowed_positions[local_positions], ordered
     distances = pairwise_distances_blocked(queries, operand, metric)
     distances[:, ~allow_mask] = np.inf
-    keep = min(int(top_k), int(allowed_positions.size))
-    positions, ordered = top_k_select(distances, keep)
-    return positions, ordered, "dense"
+    return top_k_select(distances, min(int(top_k), int(allowed_positions.size)))
 
 
 def top_k_select(distances: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray]:

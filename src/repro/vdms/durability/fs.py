@@ -142,12 +142,6 @@ class FileSystem(abc.ABC):
         """Join path components (POSIX separators on every backend)."""
         return posixpath.join(*(str(part) for part in parts))
 
-    def array_bytes(self, array: np.ndarray) -> bytes:
-        """Serialize an array to ``.npy`` bytes (the exchange format)."""
-        buffer = io.BytesIO()
-        np.lib.format.write_array(buffer, np.ascontiguousarray(array), allow_pickle=False)
-        return buffer.getvalue()
-
 
 # -- the real thing ---------------------------------------------------------------
 

@@ -119,7 +119,6 @@ class DurabilityManager:
         *,
         sync_policy: str = "always",
         generation: int = 0,
-        wal: WriteAheadLog | None = None,
     ) -> None:
         self.fs = fs
         self.data_dir = str(data_dir)
@@ -127,9 +126,7 @@ class DurabilityManager:
         self.store = SegmentStore(fs, self.data_dir)
         self.generation = int(generation)
         self.stats = DurabilityStats()
-        self._wal = wal or WriteAheadLog(
-            fs, self.store.wal_path(self.generation), sync_policy=sync_policy
-        )
+        self._wal = WriteAheadLog(fs, self.store.wal_path(self.generation), sync_policy=sync_policy)
         #: ``(shard_id, segment_id)`` → (content fingerprint, file names);
         #: used to skip rewriting unchanged segments on consecutive
         #: checkpoints.

@@ -423,9 +423,10 @@ class VectorIndex(ABC):
         """Pre-filter execution: a masked exact scan over the allowed rows.
 
         Delegates to :func:`repro.vdms.distance.masked_topk`: below the
-        selectivity crossover (:func:`~repro.vdms.distance.masked_scan_mode`,
-        the decision the planner explains) the allowed rows are gathered
-        before the GEMM, above it the scan goes dense over the cached operand
+        selectivity crossover
+        (:data:`~repro.vdms.distance.MASK_DENSE_SCAN_SELECTIVITY`, which the
+        scan checks on the mask itself) the allowed rows are gathered before
+        the GEMM, above it the scan goes dense over the cached operand
         (bit-identical either way).  Charged work is one full-precision distance per
         (query, allowed row) in both modes — the dense mode's extra scored
         rows are an implementation detail of the same logical masked scan,
@@ -434,7 +435,7 @@ class VectorIndex(ABC):
         filtered directly (the IVF family) override this with a cheaper
         filtered candidate scan.
         """
-        positions, ordered, _ = masked_topk(queries, self._operand, allow_mask, top_k, self.metric)
+        positions, ordered = masked_topk(queries, self._operand, allow_mask, top_k, self.metric)
         stats = SearchStats(
             queries.shape[0], distance_evaluations=np.count_nonzero(allow_mask), segments_searched=1
         )

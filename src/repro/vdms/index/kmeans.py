@@ -14,6 +14,9 @@ import numpy as np
 
 __all__ = ["KMeansResult", "kmeans"]
 
+#: Relative inertia improvement below which Lloyd iteration stops.
+_TOLERANCE = 1e-4
+
 
 @dataclass
 class KMeansResult:
@@ -78,7 +81,6 @@ def kmeans(
     *,
     max_iterations: int = 12,
     seed: int = 0,
-    tolerance: float = 1e-4,
 ) -> KMeansResult:
     """Cluster ``vectors`` into ``k`` groups with Lloyd's algorithm.
 
@@ -92,8 +94,6 @@ def kmeans(
         Upper bound on Lloyd iterations.
     seed:
         Seed for the seeding and empty-cluster re-assignment randomness.
-    tolerance:
-        Relative inertia improvement below which iteration stops.
     """
     vectors = np.asarray(vectors, dtype=np.float32)
     if vectors.ndim != 2 or vectors.shape[0] == 0:
@@ -130,7 +130,7 @@ def kmeans(
             new_centroids[empty] = vectors[replacements]
         centroids = new_centroids.astype(np.float32)
 
-        if previous_inertia - inertia <= tolerance * max(previous_inertia, 1e-12):
+        if previous_inertia - inertia <= _TOLERANCE * max(previous_inertia, 1e-12):
             break
         previous_inertia = inertia
 

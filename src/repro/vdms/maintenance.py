@@ -50,6 +50,13 @@ from repro.vdms.index.base import BuildStats
 
 __all__ = ["MaintenanceReport", "MaintenanceWorker"]
 
+#: Seconds the worker waits for a notification before checking whether its
+#: collection is still alive.
+_POLL_INTERVAL = 0.05
+
+#: Seconds :meth:`MaintenanceWorker.stop` waits for the thread to exit.
+_STOP_TIMEOUT = 5.0
+
 
 @dataclass
 class MaintenanceReport:
@@ -115,9 +122,8 @@ class MaintenanceWorker:
     deterministic shutdown in tests and long-lived servers.
     """
 
-    def __init__(self, collection, *, poll_interval: float = 0.05) -> None:
+    def __init__(self, collection) -> None:
         self._collection = weakref.ref(collection)
-        self.poll_interval = float(poll_interval)
         self._wakeup = threading.Event()
         self._stopped = threading.Event()
         self._passes = 0
@@ -125,11 +131,6 @@ class MaintenanceWorker:
             target=self._loop, name="repro-maintenance", daemon=True
         )
         self._thread.start()
-
-    @property
-    def passes_completed(self) -> int:
-        """Maintenance passes the worker has finished so far."""
-        return self._passes
 
     @property
     def is_alive(self) -> bool:
@@ -140,11 +141,11 @@ class MaintenanceWorker:
         """Signal that a mutation landed and maintenance may have work."""
         self._wakeup.set()
 
-    def stop(self, timeout: float = 5.0) -> None:
+    def stop(self) -> None:
         """Stop the worker and join its thread."""
         self._stopped.set()
         self._wakeup.set()
-        self._thread.join(timeout=timeout)
+        self._thread.join(timeout=_STOP_TIMEOUT)
 
     def join_idle(self, timeout: float = 5.0) -> None:
         """Block until a maintenance pass started after this call completes.
@@ -164,7 +165,7 @@ class MaintenanceWorker:
             # collection must not have its lock taken every poll interval
             # forever.  The poll timeout exists solely so a garbage-collected
             # collection lets the thread exit promptly.
-            notified = self._wakeup.wait(timeout=self.poll_interval)
+            notified = self._wakeup.wait(timeout=_POLL_INTERVAL)
             if self._stopped.is_set():
                 return
             collection = self._collection()

@@ -271,14 +271,6 @@ class SegmentPlan:
         Whether the segment is served by its per-segment index (``False``
         means a brute-force scan, where pre-filtering is always used — a
         masked scan strictly dominates scanning everything and dropping).
-    scan_mode:
-        How a ``"pre"`` masked exact scan applies the mask: ``"select"``
-        gathers the allowed rows (``np.flatnonzero`` + index-select) before
-        the GEMM, ``"dense"`` scans the segment's cached operand and masks
-        the disallowed columns to ``+inf`` afterwards.  The plan's
-        explanation of the decision the scan itself makes
-        (:func:`repro.vdms.distance.masked_scan_mode`); both modes are
-        bit-identical, this is purely a throughput decision.
     """
 
     shard_id: int
@@ -288,7 +280,6 @@ class SegmentPlan:
     allowed_rows: int
     live_rows: int
     indexed: bool
-    scan_mode: str = "select"
 
 
 @dataclass(frozen=True)

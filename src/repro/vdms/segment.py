@@ -202,19 +202,9 @@ class Segment:
         return self._live_cache
 
     @property
-    def live_vectors(self) -> np.ndarray:
-        """Vectors of the live rows."""
-        return self.live_view()[0]
-
-    @property
     def live_ids(self) -> np.ndarray:
         """External ids of the live rows."""
         return self.live_view()[1]
-
-    @property
-    def live_attributes(self) -> dict[str, np.ndarray]:
-        """Attribute columns of the live rows (aligned with ``live_ids``)."""
-        return self.live_view()[2]
 
     def exact_index(self, metric: str) -> FlatIndex:
         """Cached :class:`~repro.vdms.index.flat.FlatIndex` over the live rows.
@@ -470,39 +460,33 @@ class SegmentManager:
 
     # -- compaction -------------------------------------------------------------
 
-    def compact(
-        self, *, trigger_ratio: float | None = None, target_rows: int | None = None
-    ) -> CompactionResult:
+    def compact(self) -> CompactionResult:
         """Compact tombstoned and undersized sealed segments.
 
         Candidate selection:
 
-        * every non-growing segment whose tombstone ratio reaches
-          ``trigger_ratio`` (default: the system configuration's
-          ``compaction_trigger_ratio``) is rewritten — its tombstoned rows
-          are physically dropped;
-        * undersized sealed segments (fewer than half of ``target_rows``
-          live rows) join the pass when a tombstoned candidate is being
-          rewritten anyway, or when merging them actually reduces the
-          segment count — a lone undersized tail segment is left alone, so
-          repeated maintenance passes converge instead of rewriting it
-          forever.
+        * every non-growing segment whose tombstone ratio reaches the system
+          configuration's ``compaction_trigger_ratio`` is rewritten — its
+          tombstoned rows are physically dropped;
+        * undersized sealed segments (fewer than half of the sealed-segment
+          row capacity in live rows) join the pass when a tombstoned
+          candidate is being rewritten anyway, or when merging them actually
+          reduces the segment count — a lone undersized tail segment is left
+          alone, so repeated maintenance passes converge instead of
+          rewriting it forever.
 
         The live rows of all candidates are concatenated in segment-id order
-        and repartitioned into sealed segments of ``target_rows`` rows (the
-        final remainder stays a smaller sealed segment).  The live
+        and repartitioned into sealed segments of that capacity (the final
+        remainder stays a smaller sealed segment).  The live
         ``(id, vector)`` multiset is preserved exactly; growing segments and
         unflushed buffers are never touched.
         """
-        if trigger_ratio is None:
-            trigger_ratio = self.system_config.compaction_trigger_ratio
-        if target_rows is None:
-            target_rows = self.system_config.sealed_segment_rows(self.dimension)
-        target_rows = max(1, int(target_rows))
+        trigger_ratio = self.system_config.compaction_trigger_ratio
+        target_rows = self.system_config.sealed_segment_rows(self.dimension)
 
         sealed = [s for s in self._segments if s.state is not SegmentState.GROWING]
         tombstoned = [
-            s for s in sealed if s.num_tombstones and s.tombstone_ratio >= float(trigger_ratio)
+            s for s in sealed if s.num_tombstones and s.tombstone_ratio >= trigger_ratio
         ]
         tombstoned_ids = {s.segment_id for s in tombstoned}
         undersized = [
@@ -587,11 +571,6 @@ class SegmentManager:
     def sealed_segments(self) -> list[Segment]:
         """Sealed (indexable) segments, invalidated ones included."""
         return [s for s in self._segments if s.state is not SegmentState.GROWING]
-
-    @property
-    def invalidated_segments(self) -> list[Segment]:
-        """Sealed segments whose index was invalidated by deletes."""
-        return [s for s in self._segments if s.state is SegmentState.INVALIDATED]
 
     @property
     def growing_segments(self) -> list[Segment]:

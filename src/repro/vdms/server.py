@@ -124,17 +124,6 @@ class VectorDBServer:
         self._collections.clear()
         return config
 
-    def clear_tenant_config(self, tenant: str) -> None:
-        """Drop a tenant's configuration override (it reverts to the default).
-
-        The tenant's collection, if any, is closed so the caller rebuilds it
-        under the default configuration.
-        """
-        if self._tenant_configs.pop(tenant, None) is not None:
-            collection = self._collections.pop(tenant, None)
-            if collection is not None:
-                collection.close()
-
     def cost_model(self, tenant: str | None = None) -> CostModel:
         """A cost model bound to a tenant's (or the default) configuration."""
         config = self._system_config if tenant is None else self.system_config_for(tenant)

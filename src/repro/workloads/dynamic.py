@@ -53,7 +53,7 @@ from typing import Any, ClassVar, Mapping, Sequence
 
 import numpy as np
 
-from repro.config import Configuration, ConfigurationSpace
+from repro.config import Configuration
 from repro.datasets.dataset import Dataset, DatasetSpec
 from repro.datasets.ground_truth import brute_force_neighbors, masked_brute_force_neighbors
 from repro.vdms.request import AttributeFilter
@@ -425,7 +425,6 @@ def make_filtered_workload(
     rng: np.random.Generator,
     *,
     suffix: str = "filter_shift",
-    guarantee_top_k: bool = True,
 ) -> tuple[Dataset, SearchWorkload]:
     """Attach a real attribute predicate matching a ``selectivity`` fraction.
 
@@ -438,14 +437,13 @@ def make_filtered_workload(
     post-filter per ``filter_strategy``/``overfetch_factor``), and recall is
     measured against the matching subset.
 
-    ``guarantee_top_k`` keeps at least ``top_k`` matching rows so the
-    drifted workload never degenerates to an all-padded result.
+    At least ``top_k`` rows match, so the drifted workload never
+    degenerates to an all-padded result.
     """
     if not 0.0 < selectivity <= 1.0:
         raise ValueError("selectivity must lie in (0, 1]")
     num_vectors = dataset.num_vectors
-    floor = dataset.top_k if guarantee_top_k else 1
-    num_matching = min(num_vectors, max(floor, int(round(selectivity * num_vectors))))
+    num_matching = min(num_vectors, max(dataset.top_k, int(round(selectivity * num_vectors))))
     matching = rng.choice(num_vectors, size=num_matching, replace=False)
     # Non-matching rows spread over several buckets, so the column looks
     # like a genuine categorical payload rather than a boolean.
@@ -570,7 +568,6 @@ class DynamicWorkload:
         events: Sequence[DriftEvent] = (),
         *,
         workload: SearchWorkload | None = None,
-        concurrency: int = 10,
         seed: int = 0,
     ) -> None:
         self.events = sorted(events, key=lambda e: e.at_step)
@@ -578,7 +575,7 @@ class DynamicWorkload:
         if len(set(steps)) != len(steps):
             raise ValueError("drift events must fire at distinct steps")
         self.seed = int(seed)
-        base_workload = workload or SearchWorkload.from_dataset(dataset, concurrency=concurrency)
+        base_workload = workload or SearchWorkload.from_dataset(dataset)
         self._phases: list[WorkloadPhase] = [
             WorkloadPhase(
                 index=0, name="baseline", start_step=1, dataset=dataset, workload=base_workload
@@ -589,11 +586,6 @@ class DynamicWorkload:
     def num_phases(self) -> int:
         """Number of phases on the timeline (events + 1)."""
         return len(self.events) + 1
-
-    @property
-    def phase_boundaries(self) -> list[int]:
-        """1-based start step of every phase."""
-        return [1] + [event.at_step for event in self.events]
 
     def phase(self, index: int) -> WorkloadPhase:
         """Materialize (and cache) the phase with the given index."""
@@ -632,10 +624,6 @@ class DynamicWorkload:
                 index = position
         return index
 
-    def phase_at(self, step: int) -> WorkloadPhase:
-        """The phase active at a 1-based evaluation step."""
-        return self.phase(self.phase_index_at(step))
-
 
 class DynamicTuningEnvironment(VDMSTuningEnvironment):
     """A tuning environment whose workload drifts as evaluations are spent.
@@ -671,14 +659,10 @@ class DynamicTuningEnvironment(VDMSTuningEnvironment):
         self,
         dynamic: DynamicWorkload,
         *,
-        space: ConfigurationSpace | None = None,
-        noise: float = 0.0,
         seed: int = 0,
     ) -> None:
         base = dynamic.phase(0)
-        super().__init__(
-            base.dataset, workload=base.workload, space=space, noise=noise, seed=seed
-        )
+        super().__init__(base.dataset, workload=base.workload, seed=seed)
         self.dynamic = dynamic
         self._phase_index = 0
         self._steps = 0

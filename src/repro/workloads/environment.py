@@ -69,7 +69,6 @@ class VDMSTuningEnvironment:
         *,
         workload: SearchWorkload | None = None,
         space: ConfigurationSpace | None = None,
-        concurrency: int = 10,
         noise: float = 0.0,
         seed: int = 0,
         dataset_scale: float = 1.0,
@@ -78,7 +77,7 @@ class VDMSTuningEnvironment:
         if isinstance(dataset, str):
             dataset = load_dataset(dataset, scale=dataset_scale)
         self.dataset = dataset
-        self.workload = workload or SearchWorkload.from_dataset(dataset, concurrency=concurrency)
+        self.workload = workload or SearchWorkload.from_dataset(dataset)
         self.space = space or build_milvus_space()
         self.noise = float(noise)
         # Whether replays of search_threads > 1 configurations drive the
@@ -301,14 +300,3 @@ class VDMSTuningEnvironment:
         self._history.clear()
         self._replay_seconds = 0.0
         self._recommendation_seconds = 0.0
-
-    def best_result(self, *, recall_floor: float = 0.0, speed_metric: str = "qps") -> EvaluationResult | None:
-        """The best successful result with recall at or above ``recall_floor``."""
-        eligible = [
-            record.result
-            for record in self._history
-            if not record.result.failed and record.result.recall >= recall_floor
-        ]
-        if not eligible:
-            return None
-        return max(eligible, key=lambda r: r.objective_values(speed_metric)[0])

@@ -95,9 +95,7 @@ class SearchWorkload:
         """Number of queries in the batch."""
         return int(self.queries.shape[0])
 
-    def popularity_indices(
-        self, num_requests: int | None = None, *, seed: int = 0
-    ) -> np.ndarray:
+    def popularity_indices(self, num_requests: int | None = None) -> np.ndarray:
         """Deterministic Zipf-resampled request stream over the query pool.
 
         Returns the query-pool indexes of ``num_requests`` requests (the
@@ -105,8 +103,8 @@ class SearchWorkload:
         the identity — every query once, in order, exactly the historical
         replay.  With ``s > 0``, pool position ``i`` (0-based) is drawn
         i.i.d. with probability proportional to ``(i + 1) ** -s``: the
-        front of the pool becomes the hot set.  The draw is seeded, so the
-        same workload always replays the same stream.
+        front of the pool becomes the hot set.  The draw has a fixed seed, so
+        the same workload always replays the same stream.
         """
         pool = self.num_queries
         num_requests = pool if num_requests is None else int(num_requests)
@@ -118,7 +116,7 @@ class SearchWorkload:
             return np.arange(num_requests, dtype=np.int64) % max(1, pool)
         weights = np.arange(1, pool + 1, dtype=np.float64) ** -float(self.popularity_skew)
         weights /= weights.sum()
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(0)
         return rng.choice(pool, size=num_requests, p=weights).astype(np.int64)
 
     @classmethod

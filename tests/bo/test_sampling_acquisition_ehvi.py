@@ -3,11 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.bo.acquisition import (
-    expected_improvement,
-    probability_of_feasibility,
-    upper_confidence_bound,
-)
+from repro.bo.acquisition import expected_improvement, probability_of_feasibility
 from repro.bo.ehvi import monte_carlo_ehvi
 from repro.bo.sampling import latin_hypercube, uniform_samples
 
@@ -75,16 +71,6 @@ class TestProbabilityOfFeasibility:
         rng = np.random.default_rng(5)
         values = probability_of_feasibility(rng.normal(size=20), rng.uniform(0.01, 1, 20), 0.0)
         assert np.all((values >= 0) & (values <= 1))
-
-
-class TestUCB:
-    def test_adds_scaled_std(self):
-        value = upper_confidence_bound(np.array([1.0]), np.array([0.5]), beta=2.0)
-        assert value[0] == pytest.approx(2.0)
-
-    def test_negative_beta_rejected(self):
-        with pytest.raises(ValueError):
-            upper_confidence_bound(np.array([1.0]), np.array([0.5]), beta=-1.0)
 
 
 class TestMonteCarloEHVI:

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 from repro.config.parameters import (
-    BoolParameter,
     CategoricalParameter,
     FloatParameter,
     IntParameter,
@@ -147,15 +146,3 @@ class TestCategoricalParameter:
     def test_grid_returns_all_choices(self):
         parameter = CategoricalParameter("c", choices=["a", "b", "c"])
         assert parameter.grid(100) == ["a", "b", "c"]
-
-
-class TestBoolParameter:
-    def test_choices_and_default(self):
-        parameter = BoolParameter("flag", default=True)
-        assert parameter.default is True
-        assert parameter.validate(False)
-
-    def test_unit_round_trip(self):
-        parameter = BoolParameter("flag")
-        assert parameter.from_unit(parameter.to_unit(True)) is True
-        assert parameter.from_unit(parameter.to_unit(False)) is False

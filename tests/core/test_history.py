@@ -48,10 +48,6 @@ class TestContainer:
     def test_index_types_first_seen_order(self, history):
         assert history.index_types() == ["HNSW", "IVF_FLAT", "SCANN"]
 
-    def test_for_index_type(self, history):
-        assert len(history.for_index_type("HNSW")) == 2
-        assert history.for_index_type("FLAT") == []
-
     def test_successful_excludes_failures(self, history):
         assert len(history.successful()) == 4
 
@@ -117,11 +113,6 @@ class TestSelection:
     def test_best_ignores_failures(self, history):
         # The failed observation has recall 0.5; even with a low floor it is skipped.
         best = history.best(recall_floor=0.0)
-        assert not best.failed
-
-    def test_best_balanced_returns_an_observation(self, history):
-        best = history.best_balanced()
-        assert best is not None
         assert not best.failed
 
     def test_contains_configuration(self, history):

@@ -4,7 +4,7 @@ import pytest
 
 from repro.config.milvus_space import INDEX_TYPES
 from repro.core.objectives import ObjectiveSpec
-from repro.core.tuner import TuningReport, VDTuner, VDTunerSettings
+from repro.core.tuner import VDTuner, VDTunerSettings
 
 
 def small_settings(iterations=12, **overrides):
@@ -117,18 +117,6 @@ class TestReport:
         _, _, report = completed_run
         configuration = report.best_configuration()
         assert configuration is None or "index_type" in configuration
-
-    def test_parameter_trace_lengths(self, completed_run):
-        _, _, report = completed_run
-        trace = report.parameter_trace(["nlist", "graceful_time"])
-        assert len(trace["nlist"]) == len(report.history)
-        assert len(trace["graceful_time"]) == len(report.history)
-
-    def test_empty_report_parameter_trace(self):
-        from repro.core.history import ObservationHistory
-
-        report = TuningReport(history=ObservationHistory())
-        assert report.parameter_trace() == {}
 
 
 class TestVariants:

@@ -617,6 +617,27 @@ class TestDurableCommands:
         )
         assert "'missing'" in message and "no durable state" in message
 
+    def empty_wal_data_dir(self, tmp_path):
+        """A data dir whose one collection lost everything but an empty WAL."""
+        data_dir = tmp_path / "data"
+        (data_dir / "broken").mkdir(parents=True)
+        (data_dir / "broken" / "wal-000000.log").write_bytes(b"")
+        return data_dir
+
+    def test_recover_reports_an_unrecoverable_collection(self, tmp_path):
+        data_dir = self.empty_wal_data_dir(tmp_path)
+        message = self.exit_message(["recover", "--data-dir", str(data_dir)])
+        assert "--data-dir" in message and str(data_dir) in message
+
+    def test_serve_reports_an_unrecoverable_collection(self, tmp_path, monkeypatch):
+        import signal
+
+        # Keep the test process's own SIGTERM/SIGINT handlers.
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        data_dir = self.empty_wal_data_dir(tmp_path)
+        message = self.exit_message(["serve", "--data-dir", str(data_dir), "--port", "0"])
+        assert "--data-dir" in message and str(data_dir) in message
+
     def test_recover_prints_a_report_table(self, tmp_path, capsys):
         data_dir = self.fixture_data_dir(tmp_path)
         assert main(["recover", "--data-dir", str(data_dir)]) == 0

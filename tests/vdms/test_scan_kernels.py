@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.vdms import distance
 from repro.vdms.collection import Collection
 from repro.vdms.distance import (
     MASK_DENSE_SCAN_SELECTIVITY,
@@ -131,9 +132,30 @@ class TestQueryOperand:
             QueryOperand(np.zeros((1, 4), dtype=np.float32), "cosine")
 
 
+@pytest.fixture
+def dense_scans(monkeypatch):
+    """Count the masked scans that go dense: only that path calls the blocked kernel."""
+    calls = []
+    blocked = distance.pairwise_distances_blocked
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return blocked(*args, **kwargs)
+
+    monkeypatch.setattr(distance, "pairwise_distances_blocked", counted)
+    return calls
+
+
+def _masked_topk_with_mode(dense_scans, *args):
+    """``masked_topk``'s result and the mode it took, ``"select"`` or ``"dense"``."""
+    before = len(dense_scans)
+    positions, ordered = masked_topk(*args)
+    return positions, ordered, "dense" if len(dense_scans) > before else "select"
+
+
 class TestMaskedScanModes:
     @pytest.mark.parametrize("metric", METRICS)
-    def test_select_and_dense_modes_bit_identical(self, metric):
+    def test_select_and_dense_modes_bit_identical(self, metric, dense_scans):
         stored, queries = _corpus(metric)
         rng = np.random.default_rng(1)
         operand = ScanOperand.prepare(stored, metric)
@@ -141,40 +163,35 @@ class TestMaskedScanModes:
             mask = rng.random(stored.shape[0]) < selectivity
             if not mask.any():
                 mask[0] = True
-            select_pos, select_ord, mode_a = masked_topk(
-                queries, operand, mask, 10, metric, scan_mode="select"
+            positions, ordered, mode = _masked_topk_with_mode(
+                dense_scans, queries, operand, mask, 10, metric
             )
-            dense_pos, dense_ord, mode_b = masked_topk(
-                queries, operand, mask, 10, metric, scan_mode="dense"
-            )
-            assert (mode_a, mode_b) == ("select", "dense")
-            assert np.array_equal(select_pos, dense_pos)
-            assert np.array_equal(select_ord, dense_ord)
-            # Both agree with the seed approach: full scan, then drop.
+            assert mode == ("dense" if selectivity >= MASK_DENSE_SCAN_SELECTIVITY else "select")
+            # Either mode agrees with the seed approach: full scan, then drop.
             full = pairwise_distances(queries, stored, metric)
             full[:, ~mask] = np.inf
             keep = min(10, int(np.count_nonzero(mask)))
             ref_pos, ref_ord = top_k_select(full, keep)
-            assert np.array_equal(select_pos, ref_pos)
-            assert np.array_equal(select_ord, ref_ord)
+            assert np.array_equal(positions, ref_pos)
+            assert np.array_equal(ordered, ref_ord)
 
-    def test_auto_mode_follows_crossover(self):
+    def test_auto_mode_follows_crossover(self, dense_scans):
         stored, queries = _corpus("l2")
         operand = ScanOperand.prepare(stored, "l2")
         sparse = np.zeros(stored.shape[0], dtype=bool)
         sparse[:5] = True
-        _, _, mode = masked_topk(queries, operand, sparse, 3, "l2")
+        _, _, mode = _masked_topk_with_mode(dense_scans, queries, operand, sparse, 3, "l2")
         assert mode == "select"
         dense = np.ones(stored.shape[0], dtype=bool)
-        _, _, mode = masked_topk(queries, operand, dense, 3, "l2")
+        _, _, mode = _masked_topk_with_mode(dense_scans, queries, operand, dense, 3, "l2")
         assert mode == "dense"
         assert 0.0 < MASK_DENSE_SCAN_SELECTIVITY <= 1.0
 
-    def test_empty_mask_returns_empty(self):
+    def test_empty_mask_returns_empty(self, dense_scans):
         stored, queries = _corpus("l2")
         operand = ScanOperand.prepare(stored, "l2")
-        positions, ordered, mode = masked_topk(
-            queries, operand, np.zeros(stored.shape[0], dtype=bool), 5, "l2"
+        positions, ordered, mode = _masked_topk_with_mode(
+            dense_scans, queries, operand, np.zeros(stored.shape[0], dtype=bool), 5, "l2"
         )
         assert positions.shape == (queries.shape[0], 0)
         assert ordered.shape == (queries.shape[0], 0)
@@ -278,40 +295,17 @@ class TestOperandLifecycle:
         colors = rng.integers(0, 3, 300)
         queries = rng.standard_normal((4, 16)).astype(np.float32)
         collection = _build_collection("l2", vectors, ids, colors)
-        # One low-selectivity filter (select mode) and one high (dense mode).
+        # One low-selectivity filter and one that allows every row.
         for op, value in (("eq", 1), ("ge", 0)):
             request = SearchRequest(
                 queries=queries, top_k=8, filter=AttributeFilter("color", op, value)
             )
-            plan = collection.plan_search(request)
-            modes = {segment.scan_mode for segment in plan.segments}
-            if op == "ge":
-                assert modes == {"dense"}
             result = collection.search(request, use_cache=False)
             matching = ids[
                 colors >= value if op == "ge" else colors == value
             ]
             returned = result.ids[result.ids >= 0]
             assert np.isin(returned, matching).all()
-
-    def test_planned_scan_mode_is_the_mode_the_scan_takes(self):
-        rng = np.random.default_rng(19)
-        vectors = rng.standard_normal((300, 16)).astype(np.float32)
-        colors = rng.integers(0, 3, 300)
-        queries = rng.standard_normal((3, 16)).astype(np.float32)
-        collection = _build_collection("l2", vectors, np.arange(300, dtype=np.int64), colors)
-        collection.insert(vectors[:40], np.arange(300, 340), attributes={"color": colors[:40]})
-        snapshots = [shard.snapshot("l2") for shard in collection.shards]
-        modes = set()
-        for op, value in (("eq", 1), ("ge", 1), ("ge", 0), ("lt", 2), ("eq", 7)):
-            request = SearchRequest(queries, 5, filter=AttributeFilter("color", op, value))
-            _, shard_plans = collection._plan_snapshots(request, snapshots)
-            for views, planned in zip(snapshots, shard_plans):
-                for view, (mask, segment_plan) in zip(views, planned):
-                    _, _, mode = masked_topk(queries, view.index._operand, mask, 5, "l2")
-                    assert segment_plan.scan_mode == mode
-                    modes.add(mode)
-        assert modes == {"select", "dense"}
 
 
 class TestZeroCopySnapshots:

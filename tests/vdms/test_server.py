@@ -294,17 +294,6 @@ class TestTenantConfigs:
         assert set(overrides) == {"a"}
         assert overrides["a"].graceful_time == 50
 
-    def test_clear_tenant_config_reverts_to_default(self):
-        server = VectorDBServer()
-        server.apply_system_config({"graceful_time": 50}, tenant="a")
-        server.create_collection("a", 8)
-        server.clear_tenant_config("a")
-        assert server.system_config_for("a").graceful_time == (
-            server.system_config.graceful_time
-        )
-        # The tenant's collection was closed so it rebuilds under the default.
-        assert not server.has_collection("a")
-
     def test_drop_collection_clears_the_override(self):
         server = VectorDBServer()
         server.apply_system_config({"graceful_time": 50}, tenant="a")

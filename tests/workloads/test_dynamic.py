@@ -7,6 +7,7 @@ import pytest
 
 from repro.workloads.dynamic import (
     DRIFT_EVENT_TYPES,
+    FILTER_FIELD,
     DataChurnEvent,
     DynamicTuningEnvironment,
     DynamicWorkload,
@@ -14,6 +15,7 @@ from repro.workloads.dynamic import (
     QPSBurstEvent,
     QueryShiftEvent,
     make_drift_event,
+    make_filtered_workload,
 )
 from repro.workloads.workload import SearchWorkload
 from tests.conftest import make_tiny_dataset
@@ -101,6 +103,15 @@ class TestDriftEventSemantics:
         assert matched.size < dataset.num_vectors
         assert matched.min() >= 0 and matched.max() < dataset.num_vectors
 
+    def test_filtered_workload_always_matches_top_k_rows(self, dataset, workload):
+        # A selectivity that rounds to zero matching rows still matches top_k
+        # of them, so every query has a full ground-truth row.
+        drifted, new_workload = make_filtered_workload(
+            dataset, workload, 1e-6, np.random.default_rng(4)
+        )
+        assert np.count_nonzero(drifted.attributes[FILTER_FIELD] == 0) == dataset.top_k
+        assert not (new_workload.ground_truth == -1).any()
+
 
 class TestDynamicWorkload:
     def test_phase_zero_is_the_base_workload(self, dataset):
@@ -117,7 +128,6 @@ class TestDynamicWorkload:
         ]
         dynamic = DynamicWorkload(dataset, events, seed=0)
         assert [e.at_step for e in dynamic.events] == [10, 20]
-        assert dynamic.phase_boundaries == [1, 10, 20]
         assert dynamic.phase(1).name == "query_shift"
         # Phase 2 composes: the burst applies on top of the shifted queries.
         phase2 = dynamic.phase(2)

@@ -40,16 +40,6 @@ class TestEvaluation:
         assert tiny_environment.num_evaluations == 0
         assert tiny_environment.elapsed_replay_seconds == 0.0
 
-    def test_best_result_respects_recall_floor(self, tiny_environment, milvus_space):
-        tiny_environment.evaluate(default_configuration(milvus_space, index_type="FLAT"))
-        tiny_environment.evaluate(default_configuration(milvus_space, index_type="IVF_PQ"))
-        best = tiny_environment.best_result(recall_floor=0.99)
-        assert best is not None
-        assert best.recall >= 0.99
-
-    def test_best_result_none_when_no_eligible(self, tiny_environment):
-        assert tiny_environment.best_result() is None
-
     def test_environment_from_dataset_name(self):
         environment = VDMSTuningEnvironment("glove-small")
         assert environment.dataset.name == "glove-small"
