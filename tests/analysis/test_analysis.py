@@ -78,6 +78,13 @@ class TestImprovement:
         assert report.speed_improvement == pytest.approx((900 - 800) / 800)
         assert report.recall_improvement == pytest.approx((0.96 - 0.9) / 0.9)
 
+    def test_default_speed_is_qps_not_cost_effectiveness(self, history):
+        default = self._default_result(qps=800, recall=0.9)
+        assert default.cost_effectiveness != pytest.approx(800.0)
+        report = improvement_over_default(history, default)
+        assert report.default_speed == pytest.approx(800.0)
+        assert report.default_recall == pytest.approx(0.9)
+
     def test_no_improvement_when_default_dominates(self):
         h = ObservationHistory()
         h.add(make_observation(1, "HNSW", qps=100, recall=0.5))

@@ -46,6 +46,11 @@ class TestExpectedImprovement:
         value = expected_improvement(np.array([12.0]), np.array([1e-9]), best_observed=10.0)
         assert value[0] == pytest.approx(2.0, abs=1e-6)
 
+    def test_at_the_incumbent_equals_std_times_the_normal_density_at_zero(self):
+        # No exploration margin: a mean equal to the incumbent has z = 0.
+        value = expected_improvement(np.array([10.0]), np.array([2.0]), best_observed=10.0)
+        assert value[0] == pytest.approx(2.0 / np.sqrt(2.0 * np.pi))
+
     def test_uncertainty_increases_ei_below_incumbent(self):
         low = expected_improvement(np.array([9.0]), np.array([0.1]), best_observed=10.0)
         high = expected_improvement(np.array([9.0]), np.array([3.0]), best_observed=10.0)

@@ -66,6 +66,18 @@ class TestDetection:
         assert detector.update([100.0, 0.95]) is False
         assert any(detector.update([90.0, 0.95]) for _ in range(8))
 
+    def test_reference_std_floor_is_two_percent_of_the_mean(self):
+        detector = self.make(threshold=1.0, drift=0.5)
+        for _ in range(3):
+            detector.update([100.0, 0.95])
+        # A 1% shift is half a floored std: exactly the drift allowance, so
+        # the cumulative sums never grow.
+        assert not any(detector.update([99.0, 0.95]) for _ in range(20))
+        assert detector.statistic == 0.0
+        # A 4% shift is two floored stds: 1.5 per step over the allowance.
+        assert detector.update([96.0, 0.95])
+        assert detector.statistic == pytest.approx(1.5)
+
     def test_statistic_grows_with_shift(self):
         detector = self.make(threshold=1e9)
         for _ in range(3):

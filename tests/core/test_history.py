@@ -93,6 +93,11 @@ class TestObjectives:
         # The most balanced non-dominated point normalizes closest to equal ratios.
         assert balanced[0] in (200.0, 250.0, 300.0)
 
+    def test_balanced_point_of_one_index_type(self, history):
+        # IVF_FLAT's only successful observation is its own front.
+        assert np.allclose(history.balanced_point("IVF_FLAT"), [200.0, 0.99])
+        assert history.balanced_point("FLAT") is None
+
     def test_balanced_point_empty(self):
         assert ObservationHistory().balanced_point() is None
 

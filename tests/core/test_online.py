@@ -8,7 +8,14 @@ import numpy as np
 import pytest
 
 from repro.core.history import Observation, ObservationHistory
-from repro.core.online import OnlineTuner, OnlineTunerSettings, decay_history
+from repro.core.objectives import ObjectiveSpec
+from repro.core.online import (
+    OnlineReport,
+    OnlineTuner,
+    OnlineTunerSettings,
+    StepRecord,
+    decay_history,
+)
 from repro.workloads.dynamic import (
     DynamicTuningEnvironment,
     DynamicWorkload,
@@ -109,6 +116,44 @@ class TestOnlineTunerSettings:
     def test_invalid_settings_rejected(self, kwargs):
         with pytest.raises(ValueError):
             OnlineTunerSettings(**kwargs)
+
+
+class TestRecoveryTimes:
+    @staticmethod
+    def report(recovery_fraction):
+        #: (phase, speed, recall, failed) per step; phase 1 never succeeds.
+        steps = [
+            (0, 100.0, 1.0, False),
+            (0, 5000.0, 1.0, True),
+            (0, 950.0, 1.0, False),
+            (0, 1000.0, 1.0, False),
+            (1, 800.0, 1.0, True),
+        ]
+        records = [
+            StepRecord(
+                step=step, phase=phase, mode="tune", index_type="HNSW", configuration={},
+                speed=speed, recall=recall, failed=failed, replay_seconds=float(step),
+            )
+            for step, (phase, speed, recall, failed) in enumerate(steps)
+        ]
+        return OnlineReport(
+            records=records,
+            phase_log=[(0, 0), (1, 4)],
+            detections=[4],
+            retunes=[],
+            history=ObservationHistory(),
+            settings=OnlineTunerSettings(recovery_fraction=recovery_fraction),
+            objective=ObjectiveSpec(),
+        )
+
+    def test_time_to_recover_reaches_the_settings_fraction_of_the_phase_best(self):
+        # 90% of the phase best (1000) is first reached by the third evaluation;
+        # the failed 5000 in between scores zero.
+        report = self.report(recovery_fraction=0.9)
+        assert report.time_to_recover(0) == 3
+        assert report.time_to_recover(0) == report.time_to_reach_score(0, 900.0)
+        assert self.report(recovery_fraction=0.1).time_to_recover(0) == 1
+        assert report.time_to_recover(1) is None
 
 
 @pytest.fixture(scope="module")

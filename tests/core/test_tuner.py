@@ -118,6 +118,12 @@ class TestReport:
         configuration = report.best_configuration()
         assert configuration is None or "index_type" in configuration
 
+    def test_best_configuration_is_the_best_observations(self, completed_run):
+        _, _, report = completed_run
+        best = report.best_observation()
+        assert best is not None
+        assert report.best_configuration() == dict(best.configuration)
+
 
 class TestVariants:
     def test_restricted_index_type_space(self):

@@ -3,7 +3,11 @@
 import numpy as np
 import pytest
 
-from repro.datasets.ground_truth import brute_force_neighbors, recall_at_k
+from repro.datasets.ground_truth import (
+    brute_force_neighbors,
+    masked_brute_force_neighbors,
+    recall_at_k,
+)
 
 
 class TestBruteForceNeighbors:
@@ -43,6 +47,44 @@ class TestBruteForceNeighbors:
         small_batches = brute_force_neighbors(vectors, queries, top_k=3, metric="l2", batch_size=4)
         one_batch = brute_force_neighbors(vectors, queries, top_k=3, metric="l2", batch_size=1000)
         assert np.array_equal(small_batches, one_batch)
+
+
+class TestMaskedBruteForceNeighbors:
+    def test_matches_brute_force_over_the_allowed_rows(self):
+        rng = np.random.default_rng(4)
+        vectors = rng.normal(size=(80, 6)).astype(np.float32)
+        queries = rng.normal(size=(7, 6)).astype(np.float32)
+        mask = rng.random(80) < 0.4
+        allowed = np.flatnonzero(mask)
+        neighbours = masked_brute_force_neighbors(vectors, queries, 5, "l2", mask=mask)
+        subset = brute_force_neighbors(vectors[allowed], queries, top_k=5, metric="l2")
+        # Positions refer to the full array, not to the allowed subset.
+        assert np.array_equal(neighbours, allowed[subset])
+        assert mask[neighbours].all()
+
+    def test_pads_with_minus_one_when_the_mask_allows_fewer_rows(self):
+        rng = np.random.default_rng(5)
+        vectors = rng.normal(size=(20, 4)).astype(np.float32)
+        queries = rng.normal(size=(3, 4)).astype(np.float32)
+        mask = np.zeros(20, dtype=bool)
+        mask[[2, 11]] = True
+        neighbours = masked_brute_force_neighbors(vectors, queries, 5, "angular", mask=mask)
+        assert neighbours.shape == (3, 5)
+        assert np.array_equal(np.sort(neighbours[:, :2], axis=1), np.tile([2, 11], (3, 1)))
+        assert np.all(neighbours[:, 2:] == -1)
+
+    def test_empty_mask_returns_only_padding(self):
+        vectors = np.ones((6, 3), dtype=np.float32)
+        neighbours = masked_brute_force_neighbors(
+            vectors, vectors[:2], 4, "l2", mask=np.zeros(6, dtype=bool)
+        )
+        assert neighbours.shape == (2, 4)
+        assert np.all(neighbours == -1)
+
+    def test_mask_must_have_one_entry_per_base_row(self):
+        vectors = np.zeros((6, 3), dtype=np.float32)
+        with pytest.raises(ValueError):
+            masked_brute_force_neighbors(vectors, vectors, 2, "l2", mask=np.ones(5, dtype=bool))
 
 
 class TestRecallAtK:

@@ -117,6 +117,16 @@ class TestKMeans:
         many = kmeans(points, 8, seed=1)
         assert many.inertia < few.inertia
 
+    def test_stops_once_inertia_stops_improving(self):
+        points = make_blobs()
+        result = kmeans(points, 3, seed=1, max_iterations=50)
+        # Well-separated blobs settle long before the iteration cap ...
+        assert result.iterations < 50
+        # ... and a cap at the iteration it stopped on changes nothing.
+        capped = kmeans(points, 3, seed=1, max_iterations=result.iterations)
+        assert np.array_equal(capped.assignments, result.assignments)
+        assert np.array_equal(capped.centroids, result.centroids)
+
     def test_distance_evaluations_counted(self):
         points = make_blobs()
         result = kmeans(points, 3, seed=0, max_iterations=5)

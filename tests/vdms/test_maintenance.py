@@ -345,6 +345,20 @@ class TestMaintenanceModes:
             collection.stop_maintenance()
         assert collection.maintenance_worker is None
 
+    def test_stop_joins_the_worker_thread(self):
+        vectors, _ = make_corpus()
+        collection = make_collection(
+            vectors, maintenance_mode="background", compaction_trigger_ratio=0.05
+        )
+        try:
+            collection.delete(np.arange(0, 200, dtype=np.int64))
+            worker = collection.maintenance_worker
+            assert worker is not None and worker.is_alive
+            worker.stop()
+            assert not worker.is_alive
+        finally:
+            collection.stop_maintenance()
+
     def test_auto_maintenance_false_never_triggers(self):
         vectors, _ = make_corpus()
         collection = Collection(

@@ -24,6 +24,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.datasets.ground_truth import masked_brute_force_neighbors
 from repro.vdms import distance
 from repro.vdms.collection import Collection
 from repro.vdms.distance import (
@@ -306,6 +307,36 @@ class TestOperandLifecycle:
             ]
             returned = result.ids[result.ids >= 0]
             assert np.isin(returned, matching).all()
+
+    def test_masked_scans_of_every_segment_match_the_masked_oracle(self, dense_scans):
+        rng = np.random.default_rng(19)
+        vectors = rng.standard_normal((340, 16)).astype(np.float32)
+        colors = rng.integers(0, 3, 340)
+        queries = rng.standard_normal((3, 16)).astype(np.float32)
+        # No index: every segment takes the masked exact scan.
+        collection = Collection(
+            "kernels",
+            dimension=16,
+            metric="l2",
+            system_config=SystemConfig(shard_num=2, segment_max_size=64),
+            auto_maintenance=False,
+        )
+        collection.insert(vectors, np.arange(340), attributes={"color": colors})
+        collection.flush()
+        allowed = {
+            ("eq", 1): colors == 1,
+            ("ge", 1): colors >= 1,
+            ("ge", 0): colors >= 0,
+            ("lt", 2): colors < 2,
+            ("eq", 7): colors == 7,
+        }
+        for (op, value), mask in allowed.items():
+            request = SearchRequest(queries, 5, filter=AttributeFilter("color", op, value))
+            result = collection.search(request, use_cache=False)
+            expected = masked_brute_force_neighbors(vectors, queries, 5, "l2", mask=mask)
+            assert np.array_equal(result.ids, expected), (op, value)
+        # The one-third filter gathers rows; the two-thirds ones scan dense.
+        assert dense_scans
 
 
 class TestZeroCopySnapshots:
