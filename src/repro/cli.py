@@ -22,13 +22,14 @@ the drift via CUSUM on the served metrics and re-tunes warm-started
 (``--cold-restart`` disables the warm start).  ``scenario-matrix`` sweeps
 {drift x severity x tuner} and persists per-phase Pareto metrics to JSON.
 
-``evaluate`` accepts ``--shards S --routing-policy hash|range
---search-threads T`` to serve the replay through the sharded scatter-gather
-engine and the per-request query scheduler, whose shard tasks are
-event-simulated over T workers (measured concurrent QPS), e.g.::
+``evaluate --set NAME=VALUE`` overrides any parameter of the default
+configuration; ``--set shard_num=S --set search_threads=T`` serves the
+replay through the sharded scatter-gather engine and the per-request query
+scheduler, whose shard tasks are event-simulated over T workers (measured
+concurrent QPS), e.g.::
 
     python -m repro.cli evaluate --dataset glove-small --index-type IVF_FLAT \
-        --shards 4 --search-threads 4 --set segment_max_size=125
+        --set shard_num=4 --set search_threads=4 --set segment_max_size=125
 
 ``tune``, ``compare`` and ``tune-online`` accept ``--batch-size Q --workers N``
 to switch the tuners to the batch-parallel engine: joint q-EHVI suggestion
@@ -114,28 +115,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(evaluate)
     evaluate.add_argument("--index-type", default="AUTOINDEX", choices=list(INDEX_TYPES))
     evaluate.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="S",
-        help="shard the collection into S hash/range partitions (shard_num)",
-    )
-    evaluate.add_argument(
-        "--routing-policy",
-        default=None,
-        choices=["hash", "range"],
-        help="row-to-shard routing policy (with --shards)",
-    )
-    evaluate.add_argument(
-        "--search-threads",
-        type=int,
-        default=None,
-        metavar="T",
-        help="serve the workload with a T-thread query scheduler and report "
-        "the measured concurrent QPS (default 1: serial search with the "
-        "analytic concurrency model)",
-    )
-    evaluate.add_argument(
         "--filter-selectivity",
         type=float,
         default=None,
@@ -146,27 +125,13 @@ def build_parser() -> argparse.ArgumentParser:
         "to pin the execution strategy",
     )
     evaluate.add_argument(
-        "--cache-policy",
-        default=None,
-        choices=["none", "lru"],
-        help="query-result/plan cache policy (cache_policy); lru serves "
-        "repeated requests from the tiered cache and reports the hit ratio",
-    )
-    evaluate.add_argument(
-        "--cache-capacity",
-        type=int,
-        default=None,
-        metavar="N",
-        help="entries kept per cache tier (cache_capacity, with --cache-policy lru)",
-    )
-    evaluate.add_argument(
         "--popularity-skew",
         type=float,
         default=None,
         metavar="S",
         help="replay a Zipf(s=S) popularity-skewed request stream instead of "
         "one pass over the query pool (hot queries repeat; pair with "
-        "--cache-policy lru to see the cache pay off)",
+        "--set cache_policy=lru to see the cache pay off)",
     )
     evaluate.add_argument(
         "--set",
@@ -224,15 +189,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune_online.add_argument("--drift-step", type=int, default=None,
                              help="evaluation step the drift fires at (default: 60%% of --steps)")
-    tune_online.add_argument(
-        "--filter-selectivity",
-        type=float,
-        default=None,
-        metavar="S",
-        help="target selectivity of the filter_shift drift (fraction of the "
-        "corpus the emitted attribute predicate matches, in (0.1, 1)); "
-        "overrides --severity and requires --drift filter",
-    )
     tune_online.add_argument("--tuner", default="vdtuner", help="tuner registry name")
     tune_online.add_argument("--json", action="store_true",
                              help="print the full online report summary as JSON")
@@ -383,25 +339,14 @@ def _validate_batch_options(args: argparse.Namespace) -> None:
         )
 
 
-def _validate_evaluate_args(args: argparse.Namespace, dataset, overrides: dict) -> None:
-    """Reject contradictory ``evaluate`` flags with actionable messages."""
-    if args.search_threads is not None and args.search_threads < 1:
-        _fail(
-            f"--search-threads must be >= 1 (got {args.search_threads}); "
-            "use 1 for serial search with the analytic concurrency model"
-        )
+def _validate_evaluate_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range ``evaluate`` workload flags with actionable messages."""
     if args.filter_selectivity is not None and not 0.0 < args.filter_selectivity <= 1.0:
         _fail(
             f"--filter-selectivity must lie in (0, 1] (got {args.filter_selectivity}); "
             "it is the fraction of the corpus the attribute filter matches — "
             "use 1.0 for a filter every row satisfies, or drop the flag for "
             "unfiltered search"
-        )
-    if args.filter_selectivity is None and "filter_strategy" in overrides:
-        print(
-            "note: --set filter_strategy has no effect without --filter-selectivity; "
-            "unfiltered searches never consult the filter planner",
-            file=sys.stderr,
         )
     if args.popularity_skew is not None and (
         not math.isfinite(args.popularity_skew) or args.popularity_skew < 0.0
@@ -411,70 +356,33 @@ def _validate_evaluate_args(args: argparse.Namespace, dataset, overrides: dict) 
             "0 replays every query once, larger values concentrate the stream "
             "on the hot queries"
         )
-    if args.cache_capacity is not None and args.cache_capacity < 1:
-        _fail(
-            f"--cache-capacity must be >= 1 (got {args.cache_capacity}); "
-            "every cache tier needs room for at least one entry"
-        )
-    effective_policy = (
-        args.cache_policy
-        if args.cache_policy is not None
-        else overrides.get("cache_policy", "none")
-    )
-    if args.cache_capacity is not None and effective_policy == "none":
-        print(
-            "note: --cache-capacity has no effect without --cache-policy lru; "
-            "the cache is disabled by default",
-            file=sys.stderr,
-        )
-    if args.popularity_skew and effective_policy == "none":
-        print(
-            "note: --popularity-skew replays a skewed stream but nothing "
-            "memoizes it; add --cache-policy lru to serve repeats from cache",
-            file=sys.stderr,
-        )
-    effective_shards = args.shards if args.shards is not None else overrides.get("shard_num", 1)
-    if args.shards is not None:
-        if args.shards < 1:
-            _fail(f"--shards must be >= 1 (got {args.shards})")
-        if args.shards > dataset.num_vectors:
-            _fail(
-                f"--shards {args.shards} exceeds the {dataset.num_vectors} rows of "
-                f"dataset {dataset.name!r}; every shard needs at least one row"
-            )
-    if args.routing_policy is not None and int(effective_shards) == 1:
-        print(
-            "note: --routing-policy has no effect with a single shard; "
-            "pass --shards S > 1 to partition the collection",
-            file=sys.stderr,
-        )
 
 
-def _tune_online_severity(args: argparse.Namespace) -> float:
-    """Resolve the drift severity, honouring ``--filter-selectivity``.
-
-    The filter_shift event matches a ``max(0.05, 1 - 0.9 * severity)``
-    fraction of the corpus, so a requested selectivity ``S`` maps back to
-    ``severity = (1 - S) / 0.9``.
-    """
-    if args.filter_selectivity is None:
-        return args.severity
-    if args.drift.lower() not in ("filter", "selectivity", "filter_shift"):
-        _fail(
-            f"--filter-selectivity only applies to the filter_shift drift "
-            f"(got --drift {args.drift}); pass --drift filter, or use "
-            "--severity to scale other drift families"
+def _note_inert_settings(args: argparse.Namespace, overrides: dict, configuration) -> None:
+    """Point out settings the configuration that runs never consults."""
+    notes = []
+    if args.filter_selectivity is None and "filter_strategy" in overrides:
+        notes.append(
+            "--set filter_strategy has no effect without --filter-selectivity; "
+            "unfiltered searches never consult the filter planner"
         )
-    selectivity = args.filter_selectivity
-    if not 0.1 <= selectivity < 1.0:
-        _fail(
-            f"--filter-selectivity must lie in [0.1, 1) for tune-online "
-            f"(got {selectivity}): the filter_shift severity mapping "
-            "(1 - S) / 0.9 only reaches that range — 0.1 is the lowest "
-            "selectivity a severity of 1.0 produces, and a filter matching "
-            "everything (1.0) is no drift at all (use --drift none)"
+    if "routing_policy" in overrides and configuration["shard_num"] == 1:
+        notes.append(
+            "--set routing_policy has no effect with a single shard; "
+            "add --set shard_num=S with S > 1 to partition the collection"
         )
-    return (1.0 - selectivity) / 0.9
+    if "cache_capacity" in overrides and configuration["cache_policy"] == "none":
+        notes.append(
+            "--set cache_capacity has no effect without --set cache_policy=lru; "
+            "the cache is disabled by default"
+        )
+    if args.popularity_skew and configuration["cache_policy"] == "none":
+        notes.append(
+            "--popularity-skew replays a skewed stream but nothing memoizes it; "
+            "add --set cache_policy=lru to serve repeats from cache"
+        )
+    for note in notes:
+        print(f"note: {note}", file=sys.stderr)
 
 
 def _validate_tune_online_args(args: argparse.Namespace, drift_step: int) -> None:
@@ -505,15 +413,15 @@ def _parse_overrides(pairs: Sequence[str], space) -> dict:
     overrides = {}
     for pair in pairs:
         if "=" not in pair:
-            raise SystemExit(f"invalid override {pair!r}; expected NAME=VALUE")
+            _fail(f"--set {pair!r} is not an override; expected NAME=VALUE")
         name, raw_value = pair.split("=", 1)
         if name not in space:
-            raise SystemExit(f"unknown parameter {name!r}")
+            _fail(f"--set {pair!r} names unknown parameter {name!r}")
         parameter = space[name]
         try:
             value = type(parameter.default)(raw_value) if not isinstance(parameter.default, str) else raw_value
         except ValueError as error:
-            raise SystemExit(f"cannot parse value for {name!r}: {error}") from None
+            _fail(f"--set {pair!r}: cannot parse the value for {name!r}: {error}")
         overrides[name] = value
     return overrides
 
@@ -522,7 +430,7 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     space = build_milvus_space()
     environment = VDMSTuningEnvironment(args.dataset, space=space, seed=args.seed)
     overrides = _parse_overrides(args.overrides, space)
-    _validate_evaluate_args(args, environment.dataset, overrides)
+    _validate_evaluate_args(args)
     if args.filter_selectivity is not None:
         import numpy as np
 
@@ -542,15 +450,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
         environment.set_workload(
             dataclass_replace(environment.workload, popularity_skew=args.popularity_skew)
         )
-    for name, value in (
-        ("shard_num", args.shards),
-        ("routing_policy", args.routing_policy),
-        ("search_threads", args.search_threads),
-        ("cache_policy", args.cache_policy),
-        ("cache_capacity", args.cache_capacity),
-    ):
-        if value is not None:
-            overrides.setdefault(name, value)
     try:
         configuration = default_configuration(
             space, index_type=args.index_type, overrides=overrides
@@ -558,9 +457,10 @@ def _command_evaluate(args: argparse.Namespace) -> int:
         SystemConfig.from_mapping(dict(configuration))
     except (ValueError, InvalidConfigurationError) as error:
         _fail(
-            f"the combined configuration is invalid: {error}; "
+            f"the configuration is invalid: {error}; "
             "check --set overrides against the documented parameter ranges"
         )
+    _note_inert_settings(args, overrides, configuration)
     result = environment.evaluate(configuration)
     rows = [
         ["index type", args.index_type],
@@ -705,13 +605,14 @@ def _command_tune_online(args: argparse.Namespace) -> int:
             max(args.retune_budget + 5, round(0.6 * max(1, steps))), max(1, steps)
         )
     _validate_tune_online_args(args, drift_step)
-    severity = _tune_online_severity(args)
     events = []
     if args.drift.lower() not in ("none", "static"):
         try:
-            events.append(make_drift_event(args.drift, at_step=drift_step, severity=severity))
+            events.append(
+                make_drift_event(args.drift, at_step=drift_step, severity=args.severity)
+            )
         except KeyError as error:
-            raise SystemExit(str(error)) from None
+            _fail(f"--drift: {error.args[0]}")
     dynamic = DynamicWorkload(load_dataset(args.dataset), events, seed=args.seed)
     environment = DynamicTuningEnvironment(dynamic, seed=args.seed)
     settings = OnlineTunerSettings(
@@ -750,7 +651,7 @@ def _command_tune_online(args: argparse.Namespace) -> int:
         )
     title = (
         f"online tuning on {args.dataset} "
-        f"({args.drift} severity {round(severity, 3)} at step {drift_step}, "
+        f"({args.drift} severity {args.severity} at step {drift_step}, "
         f"{'warm' if settings.warm_start else 'cold'} re-tuning)"
     )
     print(
@@ -869,9 +770,12 @@ def _command_serve(args: argparse.Namespace) -> int:
         from repro.vdms.server import VectorDBServer
 
         durability_mode = args.durability_mode or "wal+checkpoint"
-        backend = VectorDBServer(
-            SystemConfig(durability_mode=durability_mode), data_dir=args.data_dir
-        )
+        try:
+            backend = VectorDBServer(
+                SystemConfig(durability_mode=durability_mode), data_dir=args.data_dir
+            )
+        except OSError as error:
+            _fail(f"--data-dir {args.data_dir!r} cannot be created: {error}")
     tenants = ()
     if args.tenant_config is not None:
         tenants = tuple(_load_tenant_specs(args.tenant_config).values())
@@ -1174,6 +1078,8 @@ def _command_loadgen(args: argparse.Namespace) -> int:
             use_cache=not args.no_cache,
             seed=args.seed,
         )
+    except ValueError as error:
+        _fail(f"--url {args.url!r}: {error}")
     except (ConnectionError, OSError, RuntimeError) as error:
         _fail(
             f"cannot drive {args.url}: {error}; "

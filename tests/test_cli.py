@@ -55,13 +55,77 @@ class TestEvaluateCommand:
         assert exit_code == 0
         assert "IVF_FLAT" in capsys.readouterr().out
 
+    def exit_message(self, argv) -> str:
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        code = excinfo.value.code
+        assert isinstance(code, str) and code.startswith("error:")
+        return code
+
     def test_invalid_override_format_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--set", "nprobe"])
+        message = self.exit_message(["evaluate", "--set", "nprobe"])
+        assert "'nprobe'" in message and "NAME=VALUE" in message
 
     def test_unknown_override_parameter_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["evaluate", "--set", "bogus=3"])
+        message = self.exit_message(["evaluate", "--set", "bogus=3"])
+        assert "'bogus'" in message and "unknown parameter" in message
+
+    def test_unparsable_override_value_rejected(self):
+        message = self.exit_message(["evaluate", "--set", "shard_num=abc"])
+        assert "'shard_num'" in message and "'abc'" in message
+
+    def test_evaluate_sharded_cached_configuration_end_to_end(self, capsys):
+        exit_code = main(
+            [
+                "evaluate", "--dataset", "glove-small",
+                "--set", "shard_num=2",
+                "--set", "search_threads=4",
+                "--set", "cache_policy=lru",
+            ]
+        )
+        output = capsys.readouterr().out
+        assert exit_code == 0
+        rows = dict(
+            (cell.strip() for cell in line.split(" | "))
+            for line in output.splitlines()
+            if " | " in line
+        )
+        assert rows["shards"] == "2"
+        assert rows["search threads"] == "4"
+        assert rows["cache policy"] == "lru"
+
+    def test_routing_policy_with_a_single_shard_notes(self, capsys):
+        exit_code = main(["evaluate", "--set", "routing_policy=range"])
+        assert exit_code == 0
+        err = capsys.readouterr().err
+        assert "note: --set routing_policy has no effect with a single shard" in err
+
+    def test_routing_policy_with_several_shards_has_no_note(self, capsys):
+        exit_code = main(
+            ["evaluate", "--set", "shard_num=4", "--set", "routing_policy=range"]
+        )
+        assert exit_code == 0
+        assert "note:" not in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["evaluate", "--shards", "4"],
+            ["evaluate", "--routing-policy", "range"],
+            ["evaluate", "--search-threads", "4"],
+            ["evaluate", "--cache-policy", "lru"],
+            ["evaluate", "--cache-capacity", "64"],
+            ["tune-online", "--drift", "filter", "--filter-selectivity", "0.2"],
+        ],
+        ids=lambda argv: argv[-2],
+    )
+    def test_configuration_alias_flags_are_gone(self, argv, capsys):
+        # Each configuration value has one way in: --set NAME=VALUE
+        # (or --severity for the filter drift).
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {argv[-2]}" in capsys.readouterr().err
 
     def test_evaluate_filtered_search_end_to_end(self, capsys):
         exit_code = main(
@@ -195,8 +259,11 @@ class TestTuneOnlineCommand:
         assert not args.cold_restart
 
     def test_unknown_drift_rejected(self):
-        with pytest.raises(SystemExit):
-            main(["tune-online", "--drift", "comet", "--steps", "6"])
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune-online", "--drift", "comet", "--steps", "6", "--retune-budget", "3"])
+        message = excinfo.value.code
+        assert isinstance(message, str) and message.startswith("error:")
+        assert "--drift" in message and "'comet'" in message
 
     def test_tune_online_end_to_end(self, capsys):
         exit_code = main(
@@ -278,45 +345,6 @@ class TestTuneOnlineCommand:
         assert summary["warm_start"] is False
         assert summary["total_steps"] == 14
 
-    def test_filter_selectivity_requires_filter_drift(self):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["tune-online", "--drift", "shift", "--filter-selectivity", "0.2",
-                 "--steps", "10", "--retune-budget", "4"]
-            )
-        assert "--drift filter" in str(excinfo.value)
-
-    @pytest.mark.parametrize("selectivity", ["0.05", "1.0"])
-    def test_filter_selectivity_out_of_tune_online_range(self, selectivity):
-        with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["tune-online", "--drift", "filter", "--filter-selectivity", selectivity,
-                 "--steps", "10", "--retune-budget", "4"]
-            )
-        assert "--filter-selectivity" in str(excinfo.value)
-
-    def test_filter_selectivity_maps_to_severity(self, capsys):
-        exit_code = main(
-            [
-                "tune-online",
-                "--drift",
-                "filter",
-                "--filter-selectivity",
-                "0.2",
-                "--steps",
-                "12",
-                "--retune-budget",
-                "4",
-                "--drift-step",
-                "8",
-                "--json",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        summary = json.loads(output)
-        assert [p["phase"] for p in summary["phases"]] == [0, 1]
-
     def test_static_workload_never_drifts(self, capsys):
         exit_code = main(
             ["tune-online", "--drift", "none", "--steps", "10",
@@ -370,23 +398,16 @@ class TestFlagValidation:
         )
         return code
 
-    def test_evaluate_rejects_zero_search_threads(self):
+    @pytest.mark.parametrize(
+        "override",
+        ["search_threads=0", "shard_num=999999", "cache_capacity=0", "routing_policy=bogus"],
+    )
+    def test_evaluate_rejects_out_of_range_override(self, override):
         message = self.exit_message(
-            ["evaluate", "--dataset", "glove-small", "--search-threads", "0"]
+            ["evaluate", "--dataset", "glove-small", "--set", override]
         )
-        assert "--search-threads" in message and "serial" in message
-
-    def test_evaluate_rejects_more_shards_than_rows(self):
-        message = self.exit_message(
-            ["evaluate", "--dataset", "glove-small", "--shards", "999999"]
-        )
-        assert "--shards" in message and "rows" in message
-
-    def test_evaluate_rejects_out_of_range_override(self):
-        message = self.exit_message(
-            ["evaluate", "--dataset", "glove-small", "--set", "search_threads=0"]
-        )
-        assert "search_threads" in message and "--set" in message
+        name, value = override.split("=")
+        assert f"'{name}'" in message and value in message and "--set" in message
 
     def test_tune_online_rejects_budget_larger_than_steps(self):
         message = self.exit_message(
@@ -479,6 +500,12 @@ class TestServingCommands:
         assert "--duration" in self.exit_message(["loadgen", "--duration", "0"])
         assert "--top-k" in self.exit_message(["loadgen", "--top-k", "0"])
         assert "--deadline-ms" in self.exit_message(["loadgen", "--deadline-ms", "-5"])
+
+    def test_loadgen_rejects_a_non_http_url(self):
+        message = self.exit_message(
+            ["loadgen", "--url", "ftp://x", "--qps", "1", "--duration", "0.1"]
+        )
+        assert "--url" in message and "'ftp://x'" in message
 
     def test_loadgen_reports_unreachable_server(self):
         message = self.exit_message(
@@ -581,6 +608,13 @@ class TestDurableCommands:
         target.write_text("oops")
         message = self.exit_message(["serve", "--data-dir", str(target)])
         assert "--data-dir" in message and "is a file" in message
+
+    def test_serve_data_dir_that_cannot_be_created(self, tmp_path):
+        blocker = tmp_path / "f"
+        blocker.write_text("")
+        target = blocker / "sub"
+        message = self.exit_message(["serve", "--data-dir", str(target), "--port", "0"])
+        assert "--data-dir" in message and str(target) in message
 
     def test_serve_durability_off_contradicts_data_dir(self, tmp_path):
         message = self.exit_message(
