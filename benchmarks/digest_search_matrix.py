@@ -27,7 +27,13 @@ shards of 20 full IVF_FLAT segments of ``RUN_SEGMENT_ROWS`` rows each
 in one shard smaller than ``nlist`` —, a growing tail, copied rows across
 segments, and ``q = 8``, ``top_k = 10`` requests unfiltered and
 ``cat == c`` (about a tenth of the rows), before and after a delete
-tombstones rows.  It prints one digest
+tombstones rows.  The last section, ``TOTAL HNSW tuning regime``, builds
+HNSW indexes directly through the public index API (``create_index``,
+``build``, ``search``) at the segment sizes a ``tune_loop`` run searches
+(``TUNING_ROWS``), over the graph degrees and beam widths its tuner tries and
+batches of 64 and 130 queries, on rows with copies and a zero row; it hashes
+ids, distance bytes and every query's row of ``stats.per_query`` (its
+``graph_hops`` and ``distance_evaluations`` among them).  It prints one digest
 per cell and a ``TOTAL <index type>`` line over each type's cells; a change
 to a query path that claims bit-identity (the fused scan of a run of
 FLAT-served segments did, the array-walking HNSW search did, the
@@ -44,6 +50,7 @@ from dataclasses import astuple
 import numpy as np
 
 from repro.vdms import AttributeFilter, Collection, SearchRequest, SystemConfig
+from repro.vdms.index import create_index
 
 DIMENSION = 16
 ROWS = 710  # 600 indexed, then 110: four freshly sealed segments and a 10-row growing tail
@@ -214,6 +221,46 @@ def digest_shard_runs() -> str:
     return total.hexdigest()
 
 
+#: The tuning-regime section: segment sizes a ``tune_loop`` run searches, the
+#: (``hnsw_m``, ``ef_search``) pairs, the batch sizes (a full block of 64 and
+#: three blocks with a short tail) and the widths hashed in each cell.
+TUNING_DIMENSION = 32
+TUNING_ROWS = (423, 1102)
+TUNING_GRAPHS = tuple((hnsw_m, ef_search) for hnsw_m in (4, 16, 48) for ef_search in (72, 250))
+TUNING_BATCHES = (64, 130)
+TUNING_WIDTHS = (10, 100)
+
+
+def digest_tuning_regime() -> str:
+    """The ``TOTAL HNSW tuning regime`` section (see the module docstring)."""
+    total = hashlib.sha256()
+    for metric in ("angular", "l2", "ip"):
+        for rows in TUNING_ROWS:
+            rng = np.random.default_rng(31 + rows)
+            vectors = rng.normal(size=(rows, TUNING_DIMENSION)).astype(np.float32)
+            copies = rows // 10
+            vectors[rows - copies :] = vectors[:copies]
+            vectors[rows // 3] = 0.0
+            queries = rng.normal(size=(max(TUNING_BATCHES), TUNING_DIMENSION)).astype(np.float32)
+            queries[:8] = vectors[rng.integers(0, rows, size=8)]  # on stored (copied) rows
+            for hnsw_m, ef_search in TUNING_GRAPHS:
+                index = create_index("HNSW", metric, hnsw_m=hnsw_m, ef_search=ef_search)
+                index.build(vectors)
+                cell = hashlib.sha256()
+                for q in TUNING_BATCHES:
+                    for top_k in TUNING_WIDTHS:
+                        ids, distances, stats = index.search(queries[:q], top_k)
+                        cell.update(np.ascontiguousarray(ids).tobytes())
+                        cell.update(str(ids.dtype).encode())
+                        cell.update(np.ascontiguousarray(distances).tobytes())
+                        cell.update(str(distances.dtype).encode())
+                        cell.update(stats.per_query.tobytes())
+                digest = cell.hexdigest()
+                total.update(digest.encode())
+                print(f"{metric:8s} rows={rows:<5d} hnsw_m={hnsw_m:<2d} ef_search={ef_search:<3d} {digest[:16]}")
+    return total.hexdigest()
+
+
 def main() -> None:
     for index_type in INDEX_TYPES:
         print("TOTAL", index_type, digest_index_type(index_type))
@@ -222,6 +269,7 @@ def main() -> None:
     for index_type in INDEX_TYPES:
         print("TOTAL", index_type, "filtered", digest_index_type(index_type, filtered=True))
     print("TOTAL IVF_FLAT shard runs", digest_shard_runs())
+    print("TOTAL HNSW tuning regime", digest_tuning_regime())
 
 
 if __name__ == "__main__":
