@@ -9,7 +9,7 @@ baseline (EI over a weighted-sum objective) and by VDTuner's constraint model
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy.special import ndtr
 
 __all__ = ["expected_improvement", "probability_of_feasibility"]
 
@@ -33,7 +33,10 @@ def expected_improvement(
     std = np.maximum(std, 1e-12)
     improvement = mean - best_observed
     z = improvement / std
-    value = improvement * stats.norm.cdf(z) + std * stats.norm.pdf(z)
+    # The standard normal CDF and PDF: ``scipy.stats.norm``'s own
+    # expressions, without importing ``scipy.stats`` with ``repro``.
+    density = np.exp(-(z**2) / 2.0) / np.sqrt(2 * np.pi)
+    value = improvement * ndtr(z) + std * density
     return np.maximum(value, 0.0)
 
 
@@ -49,4 +52,4 @@ def probability_of_feasibility(
     """
     mean = np.asarray(mean, dtype=float)
     std = np.maximum(np.asarray(std, dtype=float), 1e-12)
-    return stats.norm.cdf((mean - threshold) / std)
+    return ndtr((mean - threshold) / std)

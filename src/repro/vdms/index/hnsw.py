@@ -7,6 +7,11 @@ degree), ``ef_construction`` (neighbour quality at build time) and
 ``ef_search`` (beam width) exactly as in the real system.  Walks are
 independent per query, so the queries of a block walk in rounds and a round's
 hops are scored as one tile: one gather and one finish instead of one per hop.
+A large block keeps each walk's results as one sorted row of int64 keys and
+advances every row of the block with a few array calls per round; the heap
+walk stays for small blocks, for a block's last walkers and for the walks the
+rows cannot follow (ties at a row's boundary, non-finite or ``-0.0`` scores).
+Both give the same ids, distance bytes and counted work.
 
 Construction uses a cell-accelerated neighbour selection instead of the
 incremental insert of the original paper: nodes of a layer are grouped with
@@ -22,7 +27,8 @@ the tuner exploits.
 
 from __future__ import annotations
 
-from heapq import heappop, heappush, heapreplace
+from heapq import heapify, heappop, heappush, heapreplace
+from itertools import islice
 
 import numpy as np
 
@@ -30,7 +36,49 @@ from repro.vdms.distance import DEFAULT_QUERY_BLOCK, QueryOperand, pairwise_dist
 from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
 from repro.vdms.index.kmeans import kmeans
 
-__all__ = ["HNSWIndex"]
+__all__ = ["HNSWIndex", "padded_layer"]
+
+#: A block of queries walks on key rows from this many queries, and a walk
+#: on the rows hands its last walkers to the heap once fewer than
+#: ``HANDOVER`` remain.  A round of the rows costs about a hundred NumPy calls
+#: whatever its width, a heap round a few microseconds per walker: measured on
+#: the graphs of a tuning run, the rows win from about 30 queries up.  Handing
+#: over also converts each row to heaps, so it waits for fewer walkers.
+ROW_BLOCK = 32
+HANDOVER = 16
+#: Unexpanded keys a walker looks at in one step once its first has no
+#: unvisited neighbour.
+LOOKAHEAD = 8
+#: Pads a key row after its last key: above every key, and odd, so it reads
+#: as expanded.
+_PAD = np.iinfo(np.int64).max
+_LOW31 = 0x7FFFFFFF
+
+
+def padded_layer(adjacency: list[np.ndarray]) -> np.ndarray:
+    """The bottom layer's stored form: node ``i``'s neighbours in order in row
+    ``i`` of a ``(nodes + 1, degree)`` int64 array, padded with the sentinel
+    id ``nodes`` (the last row is all padding)."""
+    nodes = len(adjacency)
+    sizes = np.array([adjacent.size for adjacent in adjacency], dtype=np.int64)
+    layer = np.full((nodes + 1, max(1, int(sizes.max(initial=0)))), nodes, dtype=np.int64)
+    if nodes:
+        layer[:nodes][np.arange(layer.shape[1]) < sizes[:, None]] = np.concatenate(adjacency)
+    return layer
+
+
+def _ordered(distances: np.ndarray) -> np.ndarray:
+    """float32 distances as int64 in the same order: the bits of a
+    non-negative value, ``-1 - magnitude`` bits for a negative one (so
+    ``-0.0`` is ``-1``, below ``+0.0``)."""
+    bits = distances.view(np.int32)
+    return (bits ^ ((bits >> 31) & _LOW31)).astype(np.int64)
+
+
+def _unkey(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The nodes and float32 distances of ``keys`` (padding decodes to junk)."""
+    ordered = (keys >> 32).astype(np.int32)
+    return (keys & 0xFFFFFFFF) >> 1, (ordered ^ ((ordered >> 31) & _LOW31)).view(np.float32)
 
 
 class HNSWIndex(VectorIndex):
@@ -57,9 +105,9 @@ class HNSWIndex(VectorIndex):
         if self.ef_construction < 1:
             raise ValueError("ef_construction must be >= 1")
         self.ef_search = self.checked_search_params(ef_search=ef_search)["ef_search"]
-        #: Neighbour arrays per layer.  Every node is in the bottom layer, so
-        #: it is a list indexed by position; the sparse upper layers are dicts.
-        self._layers: list[list[np.ndarray] | dict[int, np.ndarray]] = []
+        #: Neighbours per layer.  Every node is in the bottom layer, so it is
+        #: one :func:`padded_layer` array; the sparse upper layers are dicts.
+        self._layers: list[np.ndarray | dict[int, np.ndarray]] = []
         self._entry_point: int = 0
         self._build_distance_evaluations = 0
 
@@ -175,7 +223,7 @@ class HNSWIndex(VectorIndex):
             degree = 2 * self.hnsw_m if level == 0 else self.hnsw_m
             graph = self._layer_graph(members, vectors, degree)
             if level == 0:
-                graph = [graph[node] for node in range(members.size)]
+                graph = padded_layer(list(graph.values()))
             self._layers.append(graph)
         top_members = layer_members[-1]
         self._entry_point = int(top_members[0])
@@ -206,18 +254,17 @@ class HNSWIndex(VectorIndex):
         stats = SearchStats(num_queries, segments_searched=1)
         # Per-call scratch, never index state: admission workers and any
         # other caller threads search one index concurrently.  Kept in the
-        # negative so a hop's mask is one gather, not a gather and an invert.
-        unvisited = np.empty((min(num_queries, DEFAULT_QUERY_BLOCK), len(self._layers[0])), dtype=bool)
+        # negative so a hop's mask is one gather, not a gather and an invert;
+        # the last column answers the bottom layer's padding and stays False.
+        unvisited = np.empty((min(num_queries, DEFAULT_QUERY_BLOCK), self._layers[0].shape[0]), dtype=bool)
         for first in range(0, num_queries, DEFAULT_QUERY_BLOCK):
             prepared = QueryOperand(queries[first : first + DEFAULT_QUERY_BLOCK], self.metric)
-            # A view: the block's walks charge their rows of ``stats``.
+            # Views: the block's walks charge their rows of ``stats`` and
+            # fill their rows of the output.
             block = SearchStats.from_rows(stats.per_query[first : first + DEFAULT_QUERY_BLOCK])
             starts = self._descend(prepared, block)
-            found = self._beam(prepared, starts, ef, unvisited[: len(starts)], block)
-            for query, results in enumerate(found, first):
-                keep = sorted((-negated, node) for negated, node in results)[:top_k]
-                positions[query, : len(keep)] = [node for _, node in keep]
-                distances[query, : len(keep)] = [distance for distance, _ in keep]
+            rows = slice(first, first + len(starts))
+            self._beam(prepared, starts, ef, unvisited[: len(starts)], block, positions[rows], distances[rows])
         return positions, distances, stats
 
     def _descend(self, prepared: QueryOperand, stats: SearchStats) -> list[int]:
@@ -253,46 +300,255 @@ class HNSWIndex(VectorIndex):
         return current
 
     def _beam(
-        self, prepared: QueryOperand, starts: list[int], ef: int, unvisited: np.ndarray, stats: SearchStats
-    ) -> list[list[tuple[float, int]]]:
+        self,
+        prepared: QueryOperand,
+        starts: list[int],
+        ef: int,
+        unvisited: np.ndarray,
+        stats: SearchStats,
+        positions: np.ndarray,
+        distances: np.ndarray,
+    ) -> None:
         """Best-first search of the bottom layer from ``starts``, one walk per
-        query of the block; returns each query's result heap (negated
-        distances).  ``unvisited`` is the block's ``(queries, rows)`` scratch.
-        Each walk's hops and evaluations are counted per round and charged to
-        its row of ``stats`` at the end."""
+        query of the block, into the block's rows of the output
+        (``positions`` and ``distances``, pre-filled with ``-1`` and
+        ``inf``).  ``unvisited`` is the block's ``(queries, rows + 1)``
+        scratch.  A block of ``ROW_BLOCK`` queries or more walks on key rows
+        (:meth:`_walk_rows`); the heap (:meth:`_walk_heaps`) walks a smaller
+        block, finishes the rows' last walkers and walks again the queries
+        the rows cannot follow.  Each walk's hops and evaluations are charged
+        to its row of ``stats``."""
+        unvisited.fill(True)
+        unvisited[:, -1] = False
+        graph_hops = np.zeros(len(starts), dtype=np.int64)
+        distance_evaluations = np.zeros(len(starts), dtype=np.int64)
+        if len(starts) >= ROW_BLOCK:
+            walks, parts, restarts = self._walk_rows(
+                prepared, starts, ef, unvisited, graph_hops, distance_evaluations, positions, distances
+            )
+        else:
+            walks, parts, restarts = {}, [], range(len(starts))
+        for query in restarts:
+            unvisited[query, starts[query]] = False
+            walks[query] = [[], [], unvisited[query], unvisited.shape[1] - 2, 0, 0]
+            parts.append(np.array([starts[query]]))
+        self._walk_heaps(prepared, ef, walks, parts)
+        top_k = positions.shape[1]
+        for query, (_, results, _, _, hops, evaluations) in walks.items():
+            graph_hops[query] += hops
+            distance_evaluations[query] += evaluations
+            keep = sorted((-negated, node) for negated, node in results)[:top_k]
+            positions[query, : len(keep)] = [node for _, node in keep]
+            distances[query, : len(keep)] = [distance for distance, _ in keep]
+        stats.add("graph_hops", graph_hops)
+        stats.add("distance_evaluations", distance_evaluations)
+
+    def _walk_rows(
+        self,
+        prepared: QueryOperand,
+        starts: list[int],
+        ef: int,
+        unvisited: np.ndarray,
+        graph_hops: np.ndarray,
+        distance_evaluations: np.ndarray,
+        positions: np.ndarray,
+        distances: np.ndarray,
+    ) -> tuple[dict[int, list], list[np.ndarray], list[int]]:
+        """The walks of a block as sorted key rows, advanced for every walker
+        at once, until fewer than ``HANDOVER`` walk.  Fills the output rows
+        of the walks that end here and returns the rest: the heap states
+        and next nodes of the walkers handed over, and the queries to walk
+        again from their start.
+
+        A walk's results are one row of ``ef`` int64 keys
+        ``(ordered distance bits << 32) | (node << 1) | expanded``
+        (:func:`_ordered`): the row's nodes are distinct, so sorting keys is
+        sorting ``(distance, node)``, the heap's pop order.  A round scores
+        every walker's fresh nodes (one GEMV per query, as on the heap),
+        admits those strictly under the row's worst (every one while the row
+        is under-full), merges them in with one stable sort of the block and
+        keeps ``ef`` keys, then expands each walker's first unexpanded key
+        that has an unvisited neighbour.
+
+        Dropping the keys past ``ef`` is exact while the merged row's
+        ``ef``-th and ``(ef + 1)``-th distances differ: the heap then keeps
+        the same ``ef`` nodes, and every node it evicts lies strictly above
+        every later worst, so the pop that would reach one is the pop that
+        ends the walk.  A walker whose round meets a tie there, a non-finite
+        score or ``-0.0`` (the heap compares it equal to ``+0.0``; its key
+        sorts it below) is dropped and walked again on the heap.
+        """
+        bottom = self._layers[0]
+        stride = bottom.shape[0]
+        scratch = unvisited.reshape(-1)  # a view: the scratch is C-contiguous
+        found = np.full(positions.shape, _PAD, dtype=np.int64)
+        # The walkers on key rows: their queries, offsets into ``scratch``,
+        # rows (``ef`` keys, then padding that a merge fills and a look-ahead
+        # window reads), unvisited counts, and the fresh nodes each scores
+        # next (``counts`` of them, end to end).
+        walkers = np.arange(len(starts))
+        bases = walkers * stride
+        keys = np.full((walkers.size, ef + max(bottom.shape[1], 1 + LOOKAHEAD)), _PAD, dtype=np.int64)
+        unseen = np.full(walkers.size, stride - 2, dtype=np.int64)
+        nodes = np.array(starts, dtype=np.int64)
+        counts = np.ones(walkers.size, dtype=np.int64)
+        scratch[bases + nodes] = False
+        restarts = []
+        while walkers.size >= HANDOVER:
+            scores = prepared.gather_scan_runs(walkers.tolist(), counts.tolist(), self._operand, nodes)
+            distance_evaluations[walkers] += counts
+            ordered = _ordered(scores)
+            owner = np.repeat(np.arange(walkers.size), counts)
+            dropped = None
+            if not np.isfinite(scores).all() or (ordered == -1).any():
+                dropped = np.zeros(walkers.size, dtype=bool)
+                dropped[owner[~np.isfinite(scores) | (ordered == -1)]] = True
+            admit = ordered < (keys[:, ef - 1] >> 32)[owner]
+            taken = np.bincount(owner[admit], minlength=walkers.size)
+            widest = int(taken.max())
+            if widest:
+                # The merge, in place: admitted keys after each row's ``ef``,
+                # one sort, then the columns past ``ef`` back to padding.
+                merged = keys[:, : ef + widest]
+                merged[:, ef:][np.arange(widest) < taken[:, None]] = (ordered[admit] << 32) | (nodes[admit] << 1)
+                merged.sort(axis=1, kind="stable")
+                boundary = merged[:, ef]
+                tie = (boundary != _PAD) & (boundary >> 32 == merged[:, ef - 1] >> 32)
+                if tie.any():
+                    dropped = tie if dropped is None else dropped | tie
+                merged[:, ef:] = _PAD
+            unexpanded = (keys[:, :ef] & 1) == 0
+            pending = unexpanded.sum(axis=1)
+            spent = unseen == 0
+            if dropped is not None or spent.any():
+                # Walkers leave before expanding: a dropped one to walk again
+                # on the heap, and one that has visited every row after
+                # counting each unexpanded key as a hop that scores nothing.
+                if dropped is None:
+                    dropped = np.zeros(walkers.size, dtype=bool)
+                spent &= ~dropped
+                graph_hops[walkers[spent]] += pending[spent]
+                found[walkers[spent]] = keys[spent, : found.shape[1]]
+                for query in walkers[dropped].tolist():
+                    restarts.append(query)
+                    graph_hops[query] = distance_evaluations[query] = 0
+                    unvisited[query, :-1] = True
+                stay = ~(dropped | spent)
+                walkers, bases, keys, unseen = walkers[stay], bases[stay], keys[stay], unseen[stay]
+                unexpanded, pending = unexpanded[stay], pending[stay]
+            # Expansion: each walker's first unexpanded key, then for those
+            # whose key has no unvisited neighbour the keys after it, a
+            # window of ``LOOKAHEAD`` at a time, up to the first that has
+            # one.  Nothing is marked visited in between, so a window finds
+            # the key the heap expands; every key passed over is a hop.
+            everyone = np.arange(walkers.size)
+            column = unexpanded.argmax(axis=1)
+            head = keys[everyone, column]
+            opened = (head & 1) == 0
+            neighbours = bottom[np.where(opened, (head >> 1) & _LOW31, stride - 1)]
+            places = bases[:, None] + neighbours
+            fresh = scratch.take(places)
+            keys[everyone, column] = head | opened
+            graph_hops[walkers] += opened
+            pending -= opened
+            hit = fresh.any(axis=1)
+            won = np.flatnonzero(hit)
+            mask = fresh[won]
+            scratch[places[won][mask]] = False
+            gained = mask.sum(axis=1)
+            unseen[won] -= gained
+            moved, fresh_runs, fresh_counts = [won], [neighbours[won][mask]], [gained]
+            seeking = np.flatnonzero(~hit & (pending > 0))
+            start = column[seeking] + 1
+            while seeking.size:
+                rows = seeking[:, None]
+                columns = start[:, None] + np.arange(LOOKAHEAD)
+                looked = keys[rows, columns]
+                unopened = (looked & 1) == 0
+                neighbours = bottom[np.where(unopened, (looked >> 1) & _LOW31, stride - 1)].reshape(-1)
+                places = (bases[rows] + neighbours.reshape(seeking.size, -1)).reshape(-1)
+                # The unvisited neighbours, flat in (walker, key, neighbour)
+                # order: a walker's first is on the key it expands.
+                hits = np.flatnonzero(scratch.take(places))
+                cells = hits // bottom.shape[1]
+                owners = cells // LOOKAHEAD
+                lead = np.ones(hits.size, dtype=bool)
+                lead[1:] = owners[1:] != owners[:-1]
+                won = owners[lead]
+                first = np.full(seeking.size, LOOKAHEAD)
+                first[won] = cells[lead] - won * LOOKAHEAD
+                opened = unopened & (np.arange(LOOKAHEAD) <= first[:, None])
+                keys[rows, columns] = looked | opened
+                hops = opened.sum(axis=1)
+                graph_hops[walkers[seeking]] += hops
+                pending[seeking] -= hops
+                picked = cells - owners * LOOKAHEAD == first[owners]
+                chosen = hits[picked]
+                scratch[places[chosen]] = False
+                gained = np.bincount(owners[picked], minlength=seeking.size)[won]
+                unseen[seeking[won]] -= gained
+                moved.append(seeking[won])
+                fresh_runs.append(neighbours[chosen])
+                fresh_counts.append(gained)
+                going = (first == LOOKAHEAD) & (pending[seeking] > 0)
+                seeking, start = seeking[going], start[going] + LOOKAHEAD
+            going = np.concatenate(moved)
+            if going.size < walkers.size:
+                ended = np.ones(walkers.size, dtype=bool)
+                ended[going] = False
+                found[walkers[ended]] = keys[ended, : found.shape[1]]
+            walkers, bases, keys, unseen = walkers[going], bases[going], keys[going], unseen[going]
+            nodes, counts = np.concatenate(fresh_runs), np.concatenate(fresh_counts)
+        real = found != _PAD
+        found_nodes, found_distances = _unkey(found)
+        positions[real] = found_nodes[real]
+        distances[real] = found_distances[real]
+        # The handover: a row's keys are its result heap, its unexpanded keys
+        # its candidates (sorted, so already a heap).
+        walks, parts, stop = {}, [], 0
+        for query, row, left, size in zip(walkers.tolist(), keys[:, :ef], unseen.tolist(), counts.tolist()):
+            row = row[row != _PAD]
+            row_nodes, row_distances = _unkey(row)
+            pending = (row & 1) == 0
+            results = list(zip((-row_distances).tolist(), row_nodes.tolist()))
+            heapify(results)
+            candidates = list(zip(row_distances[pending].tolist(), row_nodes[pending].tolist()))
+            walks[query] = [candidates, results, unvisited[query], left, 0, 0]
+            start, stop = stop, stop + size
+            parts.append(nodes[start:stop])
+        return walks, parts, restarts
+
+    def _walk_heaps(
+        self,
+        prepared: QueryOperand,
+        ef: int,
+        walks: dict[int, list],
+        parts: list[np.ndarray],
+    ) -> None:
+        """The heap walk: ``walks`` maps a query to its candidate min-heap,
+        result max-heap (negated distances), row of the ``unvisited``
+        scratch, count of rows left unvisited, hops and evaluations; each
+        scores its entry of ``parts`` first.  Walks advance in rounds like
+        the key rows' and end in place."""
         operand = self._operand
         bottom = self._layers[0]
-        unvisited.fill(True)
-        # Per query: candidate min-heap, result max-heap, its row of the
-        # scratch, and how many rows it has yet to visit.
-        walks = []
-        for unvisited_row, start in zip(unvisited, starts):
-            unvisited_row[start] = False
-            walks.append([[], [], unvisited_row, len(bottom) - 1])
-        owners = list(range(len(starts)))
-        parts = [np.array([start]) for start in starts]
-        graph_hops = [0] * len(starts)
-        distance_evaluations = [0] * len(starts)
+        owners, sizes = list(walks), [part.size for part in parts]
         while owners:
-            if len(owners) == 1:
-                # A round of one walk is that walk's own scan.
-                nodes = parts[0]
-                scores = prepared.gather_scan(owners[0], operand, nodes).tolist()
-            else:
-                nodes = np.concatenate(parts)
-                scores = prepared.gather_scan_runs(owners, [part.size for part in parts], operand, nodes).tolist()
-            nodes = nodes.tolist()
-            walking, fresh_parts, stop = [], [], 0
-            for query, part in zip(owners, parts):
-                start, stop = stop, stop + part.size
-                distance_evaluations[query] += part.size
+            # One walk's part is scored as it is: a copy per round is a
+            # measurable share of a one-query search.
+            nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
+            scores = prepared.gather_scan_runs(owners, sizes, operand, nodes).tolist()
+            scored = zip(scores, nodes.tolist())
+            walking, fresh_parts, fresh_sizes = [], [], []
+            for query, size in zip(owners, sizes):
                 walk = walks[query]
-                candidates, results, unvisited_row, unseen = walk
+                candidates, results, unvisited_row, unseen, _, _ = walk
+                walk[5] += size
                 worst = -results[0][0] if results else None
                 # The sequential admission rule, in adjacency order: an
                 # under-full heap takes every neighbour, a full one only a
                 # neighbour strictly under its worst.
-                for distance, node in zip(scores[start:stop], nodes[start:stop]):
+                for distance, node in islice(scored, size):
                     if len(results) < ef:
                         heappush(candidates, (distance, node))
                         heappush(results, (-distance, node))
@@ -319,17 +575,16 @@ class HNSWIndex(VectorIndex):
                         walk[3] = unseen - fresh.size
                         walking.append(query)
                         fresh_parts.append(fresh)
+                        fresh_sizes.append(fresh.size)
                         break
-                graph_hops[query] += hops
-            owners, parts = walking, fresh_parts
-        stats.add("graph_hops", graph_hops)
-        stats.add("distance_evaluations", distance_evaluations)
-        return [walk[1] for walk in walks]
+                walk[4] += hops
+            owners, parts, sizes = walking, fresh_parts, fresh_sizes
 
     def memory_bytes(self) -> int:
         if not self._layers:
             return 0
         bottom, *upper = self._layers
-        edges = sum(adjacent.size for adjacent in bottom)
+        nodes = bottom.shape[0] - 1
+        edges = int(np.count_nonzero(bottom[:nodes] != nodes))
         edges += sum(adjacent.size for layer in upper for adjacent in layer.values())
-        return int(edges * 8 + sum(len(layer) for layer in self._layers) * 8)
+        return int(edges * 8 + (nodes + sum(len(layer) for layer in upper)) * 8)

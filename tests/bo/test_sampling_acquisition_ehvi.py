@@ -1,7 +1,13 @@
 """Unit tests for sampling and acquisition functions."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.bo.acquisition import expected_improvement, probability_of_feasibility
 from repro.bo.ehvi import monte_carlo_ehvi
@@ -60,6 +66,31 @@ class TestExpectedImprovement:
         rng = np.random.default_rng(4)
         values = expected_improvement(rng.normal(size=50), rng.uniform(0.01, 2, 50), 0.5)
         assert np.all(values >= 0)
+
+
+class TestNormalWithoutScipyStats:
+    """The acquisition functions compute the standard normal CDF and PDF
+    without ``scipy.stats``; the values are ``scipy.stats.norm``'s bit for bit."""
+
+    def test_values_equal_scipy_stats_norm(self):
+        z = np.linspace(-8.0, 8.0, 100_001)
+        mean, std = 1.5 * z + 0.25, np.full(z.shape, 1.5)
+        improvement = mean - 0.25
+        scaled = improvement / std
+        expected = np.maximum(improvement * stats.norm.cdf(scaled) + std * stats.norm.pdf(scaled), 0.0)
+        assert expected_improvement(mean, std, best_observed=0.25).tobytes() == expected.tobytes()
+        feasible = probability_of_feasibility(z, np.ones_like(z), threshold=0.0)
+        assert feasible.tobytes() == stats.norm.cdf(z).tobytes()
+
+    def test_import_repro_leaves_scipy_stats_unloaded(self):
+        source = Path(__file__).resolve().parents[2] / "src"
+        environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, repro; print('scipy.stats' in sys.modules)"],
+            env=environment, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestProbabilityOfFeasibility:

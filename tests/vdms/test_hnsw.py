@@ -15,8 +15,16 @@ from repro.datasets.ground_truth import brute_force_neighbors, recall_at_k
 from repro.vdms.distance import pairwise_distances
 from repro.vdms.index.autoindex import AutoIndex
 from repro.vdms.index.base import SearchStats
-from repro.vdms.index.hnsw import HNSWIndex
+from repro.vdms.index.hnsw import HANDOVER, ROW_BLOCK, HNSWIndex, padded_layer
 from repro.vdms.index.kmeans import kmeans
+
+
+def bottom_layer(index):
+    """The bottom layer in the seed's form: node ``i``'s neighbour array at
+    position ``i`` of a list, without the stored form's padding."""
+    padded = index._layers[0]
+    nodes = padded.shape[0] - 1
+    return [adjacent[adjacent != nodes] for adjacent in padded[:nodes]]
 
 
 @pytest.fixture(scope="module")
@@ -37,14 +45,14 @@ class TestGraphStructure:
         vectors, _, _ = corpus
         index = HNSWIndex(metric="angular", hnsw_m=8, ef_construction=64, ef_search=32, seed=0)
         index.build(vectors)
-        assert len(index._layers[0]) == vectors.shape[0]
+        assert len(bottom_layer(index)) == vectors.shape[0]
 
     def test_degree_bounded_by_twice_m_on_bottom_layer(self, corpus):
         vectors, _, _ = corpus
         m = 6
         index = HNSWIndex(metric="angular", hnsw_m=m, ef_construction=64, ef_search=32, seed=0)
         index.build(vectors)
-        degrees = [len(neighbours) for neighbours in index._layers[0]]
+        degrees = [len(neighbours) for neighbours in bottom_layer(index)]
         assert max(degrees) <= 2 * m
         assert min(degrees) >= 1
 
@@ -52,7 +60,7 @@ class TestGraphStructure:
         vectors, _, _ = corpus
         index = HNSWIndex(metric="angular", hnsw_m=8, ef_construction=64, ef_search=32, seed=0)
         index.build(vectors)
-        bottom = set(range(len(index._layers[0])))
+        bottom = set(range(len(bottom_layer(index))))
         for layer in index._layers[1:]:
             assert set(layer) <= bottom
 
@@ -160,8 +168,7 @@ class SeedSearchHNSW(HNSWIndex):
                 improved = True
         return current
 
-    def _beam_search(self, query, start, ef, top_k, stats):
-        layer = self._layers[0]
+    def _beam_search(self, query, start, ef, top_k, stats, layer):
         start_distance = float(self._distance_to(query, np.array([start]))[0])
         stats.add("distance_evaluations", 1)
         visited = {start}
@@ -202,13 +209,14 @@ class SeedSearchHNSW(HNSWIndex):
         num_queries = queries.shape[0]
         positions = np.full((num_queries, top_k), -1, dtype=np.int64)
         distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
+        bottom = bottom_layer(self)
         for query_index in range(num_queries):
             query = queries[query_index]
             query_stats = SearchStats(1, segments_searched=1)
             entry = self._entry_point
             for level in range(len(self._layers) - 1, 0, -1):
                 entry = self._greedy_descent(query, entry, self._layers[level], query_stats)
-            found_positions, found_distances = self._beam_search(query, entry, ef, top_k, query_stats)
+            found_positions, found_distances = self._beam_search(query, entry, ef, top_k, query_stats, bottom)
             positions[query_index, : found_positions.size] = found_positions
             distances[query_index, : found_positions.size] = found_distances
             stats.accumulate(query_stats)
@@ -341,7 +349,7 @@ def forced_tie_index():
     index = HNSWIndex(metric="l2", hnsw_m=2, ef_construction=1, ef_search=2)
     index.build(vectors)
     adjacency = [[1, 3], [0, 2, 4], [1, 5, 6], [0], [1], [2], [2]]
-    index._layers = [[np.array(adjacent, dtype=np.int64) for adjacent in adjacency]]
+    index._layers = [padded_layer([np.array(adjacent, dtype=np.int64) for adjacent in adjacency])]
     index._entry_point = 0
     return index, np.zeros(2, dtype=np.float32)
 
@@ -361,7 +369,7 @@ class TestSeedEquivalence:
                 metric=metric, hnsw_m=hnsw_m, ef_construction=ef_construction, ef_search=ef_search
             )
             index.build(vectors)
-            layers = [dict(enumerate(index._layers[0])), *index._layers[1:]]  # the seed's form
+            layers = [dict(enumerate(bottom_layer(index))), *index._layers[1:]]  # the seed's form
             edges = sum(adjacent.size for layer in layers for adjacent in layer.values())
             assert index.memory_bytes() == edges * 8 + sum(len(layer) for layer in layers) * 8
             for top_k in (1, 10, 37, rows + 5):
@@ -440,26 +448,28 @@ class TestSeedEquivalence:
     def test_walks_of_very_different_lengths(self, metric, ef_search):
         # Queries sitting on stored rows beside far-away ones: the walks of a
         # block stop in very different rounds, so late rounds hold one or two
-        # queries.  ef_search 400 >= rows: every walk exhausts the graph.
+        # queries, on key rows and then on the heap.  ef_search 400 >= rows:
+        # every walk exhausts the graph.
         vectors, _ = matrix_corpus(300, True)
         rng = np.random.default_rng(43)
-        queries = np.empty((24, 25), dtype=np.float32)
-        queries[::2] = vectors[rng.integers(0, 300, size=12)]
-        queries[1::2] = 40.0 * rng.normal(size=(12, 25))
+        queries = np.empty((48, 25), dtype=np.float32)
+        queries[::2] = vectors[rng.integers(0, 300, size=24)]
+        queries[1::2] = 40.0 * rng.normal(size=(24, 25))
         index = HNSWIndex(metric=metric, hnsw_m=6, ef_construction=64, ef_search=ef_search)
         index.build(vectors)
         for top_k in (1, 10):
             _, _, stats = assert_same_search(index, queries, top_k)
         if ef_search >= 300:
             # Exhausted: every node a walk scored it also expanded.
-            assert stats.graph_hops >= stats.distance_evaluations > 24 * 200
+            assert stats.graph_hops >= stats.distance_evaluations > 48 * 200
 
     def test_concurrent_searches_share_no_scratch(self):
         vectors, _ = matrix_corpus(300, False, dimension=16)
         index = HNSWIndex(metric="angular", hnsw_m=8, ef_construction=64, ef_search=32)
         index.build(vectors)
         rng = np.random.default_rng(17)
-        batches = [rng.normal(size=(12, 16)).astype(np.float32) for _ in range(8)]
+        # 40 queries: each search walks on key rows, then on the heap.
+        batches = [rng.normal(size=(40, 16)).astype(np.float32) for _ in range(8)]
         serial = [index.search(batch, 10) for batch in batches]
         concurrent = [None] * len(batches)
 
@@ -484,6 +494,103 @@ class TestSeedEquivalence:
             assert astuple(stats) == astuple(got[2])
 
 
+def record_walks(monkeypatch):
+    """Wrap ``HNSWIndex._walk_rows``: each call's ``(block size, walkers
+    handed over, queries walked again from their start)`` is appended to the
+    returned list."""
+    calls = []
+    walk_rows = HNSWIndex._walk_rows
+
+    def recording(self, prepared, starts, *args):
+        walks, parts, restarts = walk_rows(self, prepared, starts, *args)
+        calls.append((len(starts), len(walks), list(restarts)))
+        return walks, parts, restarts
+
+    monkeypatch.setattr(HNSWIndex, "_walk_rows", recording)
+    return calls
+
+
+class TestKeyRowExits:
+    """The key-row walk hands a query to the heap walk only where it must:
+    a non-finite or ``-0.0`` score, a tie at the row's boundary, or fewer
+    than ``HANDOVER`` walkers left; a block of fewer than ``ROW_BLOCK``
+    queries never starts on the rows.  Results stay the seed's either way."""
+
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("metric", ["angular", "l2", "ip"])
+    def test_non_finite_and_zero_query_rows(self, metric, monkeypatch):
+        vectors, _ = matrix_corpus(600, True)
+        rng = np.random.default_rng(47)
+        queries = rng.normal(size=(70, 25)).astype(np.float32)
+        queries[::9] = vectors[rng.integers(0, 600, size=8)]
+        queries[3] = np.nan
+        queries[10] = np.inf
+        queries[17] = -np.inf
+        queries[24] = 0.0
+        queries[31, 5] = np.nan
+        queries[66] = np.inf  # in the second block, which starts below HANDOVER
+        index = HNSWIndex(metric=metric, hnsw_m=16, ef_construction=128, ef_search=72)
+        index.build(vectors)
+        calls = record_walks(monkeypatch)
+        for top_k in (1, 10, 72):
+            assert_same_search(index, queries, top_k)
+        # The first block walks on key rows; its NaN and infinite rows go
+        # back to the heap.  The 6-query second block walks on the heap alone.
+        assert [size for size, _, _ in calls] == [64, 64, 64]
+        for _, _, restarts in calls:
+            assert {3, 10, 17, 31} <= set(restarts)
+
+    def test_signed_zero_scores(self, monkeypatch):
+        # Query 0 is 0.25 on the first axis.  Row 7 is orthogonal to it: an
+        # inner product of +0.0, an ip distance of -0.0.  Row 3 has the
+        # smallest negative subnormal there: a product too small for float32,
+        # a distance of +0.0.  The heap compares the two equal and orders
+        # them by node (3, then 7); their keys order -0.0 first.  With ef at
+        # least the row count no row ever fills, so no boundary tie sends the
+        # walk back: only the -0.0 score does.
+        rng = np.random.default_rng(67)
+        vectors = rng.normal(size=(60, 25)).astype(np.float32)
+        vectors[7, 0] = 0.0
+        vectors[3, 0] = -np.nextafter(np.float32(0), np.float32(1))
+        queries = rng.normal(size=(64, 25)).astype(np.float32)
+        queries[0] = 0.0
+        queries[0, 0] = 0.25
+        index = HNSWIndex(metric="ip", hnsw_m=8, ef_construction=64, ef_search=60)
+        index.build(vectors)
+        calls = record_walks(monkeypatch)
+        ids, distances, _ = assert_same_search(index, queries, 60)
+        zeros = ids[0][distances[0] == 0].tolist()
+        assert zeros == [3, 7]
+        assert np.signbit(distances[0][distances[0] == 0]).tolist() == [False, True]
+        assert calls[0][2] == [0]
+
+    def test_distinct_rows_stay_on_key_rows(self, monkeypatch):
+        # Without ties and with finite, non-zero scores no walk goes back to
+        # the heap, and the heap takes over only the last walkers.
+        vectors, _ = matrix_corpus(700, False)
+        queries = np.random.default_rng(59).normal(size=(64, 25)).astype(np.float32)
+        index = HNSWIndex(metric="l2", hnsw_m=8, ef_construction=64, ef_search=48)
+        index.build(vectors)
+        calls = record_walks(monkeypatch)
+        assert_same_search(index, queries, 10)
+        assert len(calls) == 1
+        size, handed_over, restarts = calls[0]
+        assert size == 64 and restarts == []
+        assert handed_over < HANDOVER
+
+    def test_small_blocks_walk_on_the_heap_alone(self, monkeypatch):
+        vectors, _ = matrix_corpus(700, False)
+        queries = np.random.default_rng(61).normal(size=(ROW_BLOCK, 25)).astype(np.float32)
+        index = HNSWIndex(metric="angular", hnsw_m=8, ef_construction=64, ef_search=48)
+        index.build(vectors)
+        calls = record_walks(monkeypatch)
+        for q in (1, 2, HANDOVER, ROW_BLOCK - 1):
+            assert_same_search(index, queries[:q], 10)
+        assert calls == []
+        assert_same_search(index, queries, 10)
+        assert [size for size, _, _ in calls] == [ROW_BLOCK]
+
+
 #: (hnsw_m, ef_construction): degree 1 at two rows; a probe of one cell; the
 #: defaults; a cap of 96 that keeps 300 rows on the all-pairs branch; a probe of
 #: every cell at 300 rows (the cell's own members twice in its pool).
@@ -504,17 +611,18 @@ def seed_built(index):
 def assert_same_graph(index, seed):
     """Layer count, key order, every neighbour array, entry point, accounting."""
     graph, seed_graph = graph_of(index), graph_of(seed)
-    assert isinstance(graph._layers[0], list)
+    padded = graph._layers[0]
+    assert padded.dtype == np.int64 and (padded[-1] == padded.shape[0] - 1).all()  # the sentinel row
     layers, seed_layers = (
-        [dict(enumerate(built._layers[0])), *built._layers[1:]] for built in (graph, seed_graph)
+        [dict(enumerate(bottom_layer(built))), *built._layers[1:]] for built in (graph, seed_graph)
     )
     assert len(layers) == len(seed_layers)
-    for layer, seed_layer in zip(layers, seed_layers):
+    for level, (layer, seed_layer) in enumerate(zip(layers, seed_layers)):
         assert list(layer) == list(seed_layer)  # the upper layers' key order
         for adjacent, seed_adjacent in zip(layer.values(), seed_layer.values()):
             assert adjacent.dtype == seed_adjacent.dtype == np.int64
             assert adjacent.tolist() == seed_adjacent.tolist()  # values and order
-            assert adjacent.base is None  # owns its memory
+            assert level == 0 or adjacent.base is None  # an upper layer's owns its memory
     assert graph._entry_point == seed_graph._entry_point
     assert astuple(index.build_stats) == astuple(seed.build_stats)
     assert index.memory_bytes() == seed.memory_bytes()
@@ -523,7 +631,7 @@ def assert_same_graph(index, seed):
 def cell_accelerated_levels(graph):
     """Levels of a built graph large enough for the cell-accelerated branch."""
     levels = set()
-    for level, layer in enumerate(graph._layers):
+    for level, layer in enumerate([bottom_layer(graph), *graph._layers[1:]]):
         degree = max(1, min(2 * graph.hnsw_m if level == 0 else graph.hnsw_m, len(layer) - 1))
         if len(layer) > max(256, 4 * degree):
             levels.add(level)
