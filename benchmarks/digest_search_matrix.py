@@ -2,13 +2,13 @@
 
     PYTHONPATH=<checkout>/src python benchmarks/digest_search_matrix.py
 
-Not a pytest file.  It uses only the public ``Collection`` API, so the same
-file runs on any two checkouts: copy it next to an older one and diff the
-output.  It hashes ids, distances (bytes and dtype), ``stats`` and
-``shard_stats`` of searches over {angular, l2, ip} x {1, 3 shards} x {auto,
-permuted ids} x {distinct, duplicated rows straddling segments} x q in {1, 33,
-70} x k in {1, 10, 37, > rows}, on snapshots holding built, tombstoned,
-freshly sealed and growing segments — once per index type in ``INDEX_TYPES``:
+Not a pytest file.  It uses only public APIs (``Collection``; the last
+section ``create_index``), so the same file runs on any two checkouts: copy
+it next to an older one and diff the output.  It hashes ids, distances (bytes
+and dtype), ``stats`` and ``shard_stats`` of searches over {angular, l2, ip} x
+{1, 3 shards} x {auto, permuted ids} x {distinct, duplicated rows straddling
+segments} x q in {1, 33, 70} x k in {1, 10, 37, > rows}, on snapshots holding
+built, tombstoned, freshly sealed and growing segments — once per index type in ``INDEX_TYPES``:
 the exact scan, the two graph indexes and the inverted-file family.  The
 family's cells also hash filtered requests (an ``eq`` filter under
 ``filter_strategy`` pre and post) and, at three requests per (q, k), run a

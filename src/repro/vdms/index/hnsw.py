@@ -323,12 +323,12 @@ class HNSWIndex(VectorIndex):
         graph_hops = np.zeros(len(starts), dtype=np.int64)
         distance_evaluations = np.zeros(len(starts), dtype=np.int64)
         if len(starts) >= ROW_BLOCK:
-            walks, parts, restarts = self._walk_rows(
+            walks, parts, from_start = self._walk_rows(
                 prepared, starts, ef, unvisited, graph_hops, distance_evaluations, positions, distances
             )
         else:
-            walks, parts, restarts = {}, [], range(len(starts))
-        for query in restarts:
+            walks, parts, from_start = {}, [], range(len(starts))
+        for query in from_start:
             unvisited[query, starts[query]] = False
             walks[query] = [[], [], unvisited[query], unvisited.shape[1] - 2, 0, 0]
             parts.append(np.array([starts[query]]))

@@ -84,7 +84,8 @@ class TestNormalWithoutScipyStats:
 
     def test_import_repro_leaves_scipy_stats_unloaded(self):
         source = Path(__file__).resolve().parents[2] / "src"
-        environment = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))}
+        path = os.pathsep.join(filter(None, [str(source), os.environ.get("PYTHONPATH")]))
+        environment = {**os.environ, "PYTHONPATH": path}
         result = subprocess.run(
             [sys.executable, "-c", "import sys, repro; print('scipy.stats' in sys.modules)"],
             env=environment, capture_output=True, text=True, timeout=120,
