@@ -59,15 +59,16 @@ objective — and exits non-zero if any tenant misses its floor.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
+from dataclasses import replace as dataclass_replace
 from typing import Sequence
 
 from repro.analysis.reporting import format_table
 from repro.analysis.tradeoff import DEFAULT_SACRIFICES, speed_vs_sacrifice_curve, tradeoff_ability
-from repro.baselines import make_tuner
+from repro.baselines import TUNER_REGISTRY, make_tuner
 from repro.config import build_milvus_space, default_configuration
 from repro.config.milvus_space import INDEX_TYPES
 from repro.core import ObjectiveSpec, VDTuner, VDTunerSettings
@@ -86,6 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="VDTuner reproduction: evaluate, tune and compare VDMS configurations.",
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
+    tuner_names = ["vdtuner", *sorted(TUNER_REGISTRY)]
 
     def add_common(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--dataset", default="glove-small", choices=sorted(DATASET_NAMES))
@@ -162,6 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--tuners",
         nargs="+",
         default=["vdtuner", "random", "opentuner", "ottertune", "qehvi"],
+        choices=tuner_names,
         help="tuner registry names",
     )
 
@@ -189,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     tune_online.add_argument("--drift-step", type=int, default=None,
                              help="evaluation step the drift fires at (default: 60%% of --steps)")
-    tune_online.add_argument("--tuner", default="vdtuner", help="tuner registry name")
+    tune_online.add_argument("--tuner", default="vdtuner", choices=tuner_names,
+                             help="tuner registry name")
     tune_online.add_argument("--json", action="store_true",
                              help="print the full online report summary as JSON")
     add_drift_options(tune_online)
@@ -206,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
     matrix.add_argument("--severities", nargs="+", type=float, default=[0.35, 0.7],
                         help="severities to sweep")
     matrix.add_argument("--tuners", nargs="+", default=["vdtuner", "random"],
-                        help="tuners to sweep")
+                        choices=tuner_names, help="tuners to sweep")
     matrix.add_argument("--steps", type=int, default=None,
                         help="total online evaluation budget per cell")
     matrix.add_argument("--retune-budget", type=int, default=None,
@@ -273,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
                               help="shared evaluation budget across all tenants "
                               "(default: the sum of per-tenant steps, i.e. no "
                               "contention)")
-    tune_tenants.add_argument("--tuner", default="vdtuner",
+    tune_tenants.add_argument("--tuner", default="vdtuner", choices=tuner_names,
                               help="tuner registry name used for every tenant")
     tune_tenants.add_argument("--attained-penalty", type=float, default=4.0,
                               metavar="F",
@@ -325,36 +329,41 @@ def _fail(message: str) -> "SystemExit":
     raise SystemExit(f"error: {message}")
 
 
+#: Settings fields whose flag is not ``--`` plus the field name in dashes.
+_FLAG_OF_FIELD = {
+    "workers": "--serve-workers",
+    "drain_timeout_seconds": "--drain-timeout",
+    "total_steps": "--steps",
+    "num_iterations": "--iterations",
+    "duration_seconds": "--duration",
+    "selectivity": "--filter-selectivity",
+}
+
+
+def _built(factory, *args, **kwargs):
+    """Call ``factory``; its ``ValueError`` becomes an ``error:`` naming the flag.
+
+    The settings a command builds check their own fields, and each message
+    they raise starts with the offending field's name.
+    """
+    try:
+        return factory(*args, **kwargs)
+    except ValueError as error:
+        field = str(error).split(" ", 1)[0]
+        _fail(f"{_FLAG_OF_FIELD.get(field, '--' + field.replace('_', '-'))}: {error}")
+
+
 def _validate_batch_options(args: argparse.Namespace) -> None:
     """Reject contradictory batch/worker flags before any work starts."""
-    if getattr(args, "batch_size", 1) < 1:
+    if args.batch_size < 1:
         _fail(
             f"--batch-size must be >= 1 (got {args.batch_size}); "
             "use 1 for the paper's sequential loop"
         )
-    if getattr(args, "workers", 1) < 1:
+    if args.workers < 1:
         _fail(
             f"--workers must be >= 1 (got {args.workers}); "
             "use 1 for in-process evaluation"
-        )
-
-
-def _validate_evaluate_args(args: argparse.Namespace) -> None:
-    """Reject out-of-range ``evaluate`` workload flags with actionable messages."""
-    if args.filter_selectivity is not None and not 0.0 < args.filter_selectivity <= 1.0:
-        _fail(
-            f"--filter-selectivity must lie in (0, 1] (got {args.filter_selectivity}); "
-            "it is the fraction of the corpus the attribute filter matches — "
-            "use 1.0 for a filter every row satisfies, or drop the flag for "
-            "unfiltered search"
-        )
-    if args.popularity_skew is not None and (
-        not math.isfinite(args.popularity_skew) or args.popularity_skew < 0.0
-    ):
-        _fail(
-            f"--popularity-skew must be a finite value >= 0 (got {args.popularity_skew}); "
-            "0 replays every query once, larger values concentrate the stream "
-            "on the hot queries"
         )
 
 
@@ -385,28 +394,14 @@ def _note_inert_settings(args: argparse.Namespace, overrides: dict, configuratio
         print(f"note: {note}", file=sys.stderr)
 
 
-def _validate_tune_online_args(args: argparse.Namespace, drift_step: int) -> None:
-    """Reject contradictory ``tune-online`` flags with actionable messages."""
-    if args.steps < 1:
-        _fail(f"--steps must be >= 1 (got {args.steps})")
-    if args.retune_budget < 1:
-        _fail(f"--retune-budget must be >= 1 (got {args.retune_budget})")
+def _check_retune_budget(args: argparse.Namespace) -> None:
+    """Reject a tuning episode longer than the whole online run."""
     if args.retune_budget > args.steps:
         _fail(
             f"--retune-budget {args.retune_budget} exceeds --steps {args.steps}; "
             "the first tuning episode could never finish — lower the budget or "
             "raise the step count"
         )
-    if not 0.0 < args.severity <= 1.0:
-        _fail(f"--severity must lie in (0, 1] (got {args.severity})")
-    drifting = args.drift.lower() not in ("none", "static")
-    if drifting and not 1 <= drift_step <= args.steps:
-        _fail(
-            f"--drift-step {drift_step} is outside the run's 1..{args.steps} step "
-            "range; the drift would never fire — move it inside the budget or "
-            "use --drift none"
-        )
-    _validate_batch_options(args)
 
 
 def _parse_overrides(pairs: Sequence[str], space) -> dict:
@@ -430,13 +425,13 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     space = build_milvus_space()
     environment = VDMSTuningEnvironment(args.dataset, space=space, seed=args.seed)
     overrides = _parse_overrides(args.overrides, space)
-    _validate_evaluate_args(args)
     if args.filter_selectivity is not None:
         import numpy as np
 
         from repro.workloads.dynamic import make_filtered_workload
 
-        drifted, filtered = make_filtered_workload(
+        drifted, filtered = _built(
+            make_filtered_workload,
             environment.dataset,
             environment.workload,
             args.filter_selectivity,
@@ -445,10 +440,8 @@ def _command_evaluate(args: argparse.Namespace) -> int:
         )
         environment.set_workload(filtered, dataset=drifted)
     if args.popularity_skew is not None:
-        from dataclasses import replace as dataclass_replace
-
         environment.set_workload(
-            dataclass_replace(environment.workload, popularity_skew=args.popularity_skew)
+            _built(dataclass_replace, environment.workload, popularity_skew=args.popularity_skew)
         )
     try:
         configuration = default_configuration(
@@ -503,31 +496,26 @@ def _command_evaluate(args: argparse.Namespace) -> int:
 
 
 def _make_evaluator(args: argparse.Namespace, environment: VDMSTuningEnvironment):
-    """Build the process-pool evaluator requested by --workers (or None)."""
-    if getattr(args, "workers", 1) <= 1:
-        return None
+    """The --workers process pool as a context manager; ``None`` in-process."""
+    if args.workers <= 1:
+        return contextlib.nullcontext()
     from repro.parallel import BatchEvaluator
 
     return BatchEvaluator.from_environment(environment, num_workers=args.workers)
 
 
 def _command_tune(args: argparse.Namespace) -> int:
-    if args.iterations < 1:
-        _fail(f"--iterations must be >= 1 (got {args.iterations})")
-    _validate_batch_options(args)
-    environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
-    objective = ObjectiveSpec(
+    settings = _built(VDTunerSettings, num_iterations=args.iterations, seed=args.seed)
+    objective = _built(
+        ObjectiveSpec,
         speed_metric="qp$" if args.cost_aware else "qps",
         recall_constraint=args.recall_constraint,
     )
-    settings = VDTunerSettings(num_iterations=args.iterations, seed=args.seed)
+    _validate_batch_options(args)
+    environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
     tuner = VDTuner(environment, settings=settings, objective=objective)
-    evaluator = _make_evaluator(args, environment)
-    try:
+    with _make_evaluator(args, environment) as evaluator:
         report = tuner.run(batch_size=args.batch_size, evaluator=evaluator)
-    finally:
-        if evaluator is not None:
-            evaluator.close()
     best = report.best_observation(recall_floor=args.recall_floor)
     if best is None:
         print("no configuration satisfied the requested recall floor", file=sys.stderr)
@@ -548,30 +536,25 @@ def _command_tune(args: argparse.Namespace) -> int:
 
 
 def _command_compare(args: argparse.Namespace) -> int:
-    if args.iterations < 1:
-        _fail(f"--iterations must be >= 1 (got {args.iterations})")
+    settings = _built(VDTunerSettings, num_iterations=args.iterations, seed=args.seed)
     _validate_batch_options(args)
     curves = {}
     abilities = {}
     # One worker pool serves every tuner: the pool depends only on the
     # dataset and workload, which are identical across the comparison, so
     # the dataset is shipped to each worker once rather than once per tuner.
-    evaluator = None
-    try:
-        for name in args.tuners:
-            environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
-            if evaluator is None:
-                evaluator = _make_evaluator(args, environment)
-            settings = VDTunerSettings(num_iterations=args.iterations, seed=args.seed)
+    # The evaluator starts its pool on the first batch it evaluates.
+    environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
+    with _make_evaluator(args, environment) as evaluator:
+        for index, name in enumerate(args.tuners):
+            if index:
+                environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
             tuner = make_tuner(name, environment, seed=args.seed, settings=settings)
             report = tuner.run(
                 args.iterations, batch_size=args.batch_size, evaluator=evaluator
             )
             curves[name] = speed_vs_sacrifice_curve(report.history)
             abilities[name] = tradeoff_ability(report.history)
-    finally:
-        if evaluator is not None:
-            evaluator.close()
     rows = [
         [name]
         + [round(curves[name][s], 1) for s in DEFAULT_SACRIFICES]
@@ -597,40 +580,42 @@ def _command_tune_online(args: argparse.Namespace) -> int:
     )
     from repro.datasets.registry import load_dataset
 
-    steps = args.steps
-    if args.drift_step is not None:
-        drift_step = args.drift_step
-    else:
-        drift_step = min(
-            max(args.retune_budget + 5, round(0.6 * max(1, steps))), max(1, steps)
-        )
-    _validate_tune_online_args(args, drift_step)
-    events = []
-    if args.drift.lower() not in ("none", "static"):
-        try:
-            events.append(
-                make_drift_event(args.drift, at_step=drift_step, severity=args.severity)
-            )
-        except KeyError as error:
-            _fail(f"--drift: {error.args[0]}")
-    dynamic = DynamicWorkload(load_dataset(args.dataset), events, seed=args.seed)
-    environment = DynamicTuningEnvironment(dynamic, seed=args.seed)
-    settings = OnlineTunerSettings(
-        total_steps=steps,
-        retune_budget=min(args.retune_budget, steps),
+    settings = _built(
+        OnlineTunerSettings,
+        total_steps=args.steps,
+        retune_budget=args.retune_budget,
         warm_start=not args.cold_restart,
         detector_threshold=4.0,
         detector_warmup=2,
         batch_size=args.batch_size,
         seed=args.seed,
     )
-    evaluator = _make_evaluator(args, environment)
-    online = OnlineTuner(environment, tuner=args.tuner, settings=settings, evaluator=evaluator)
-    try:
+    _check_retune_budget(args)
+    _validate_batch_options(args)
+    drift_step = args.drift_step
+    if drift_step is None:
+        drift_step = min(max(args.retune_budget + 5, round(0.6 * args.steps)), args.steps)
+    events = []
+    if args.drift.lower() not in ("none", "static"):
+        if not 1 <= drift_step <= args.steps:
+            _fail(
+                f"--drift-step {drift_step} is outside the run's 1..{args.steps} step "
+                "range; the drift would never fire — move it inside the budget or "
+                "use --drift none"
+            )
+        try:
+            events.append(
+                _built(make_drift_event, args.drift, at_step=drift_step, severity=args.severity)
+            )
+        except KeyError as error:
+            _fail(f"--drift: {error.args[0]}")
+    dynamic = DynamicWorkload(load_dataset(args.dataset), events, seed=args.seed)
+    environment = DynamicTuningEnvironment(dynamic, seed=args.seed)
+    with _make_evaluator(args, environment) as evaluator:
+        online = OnlineTuner(
+            environment, tuner=args.tuner, settings=settings, evaluator=evaluator
+        )
         report = online.run()
-    finally:
-        if evaluator is not None:
-            evaluator.close()
     summary = report.summary()
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))
@@ -670,8 +655,22 @@ def _command_tune_online(args: argparse.Namespace) -> int:
 
 
 def _command_scenario_matrix(args: argparse.Namespace) -> int:
+    from repro.core.online import OnlineTunerSettings
     from repro.experiments.scenario_matrix import run_scenario_matrix, save_matrix
+    from repro.workloads.dynamic import make_drift_event
 
+    # The sweep runs for minutes: build what it would build from each flag
+    # before the first cell starts.
+    given = {"total_steps": args.steps, "retune_budget": args.retune_budget}
+    _built(OnlineTunerSettings, **{k: v for k, v in given.items() if v is not None})
+    try:
+        for drift in args.drifts:
+            for severity in args.severities:
+                make_drift_event(drift, at_step=1, severity=severity)
+    except KeyError as error:
+        _fail(f"--drifts: {error.args[0]}")
+    except ValueError as error:
+        _fail(f"--severities: {error}")
     matrix = run_scenario_matrix(
         args.dataset,
         drifts=args.drifts,
@@ -710,20 +709,7 @@ def _command_scenario_matrix(args: argparse.Namespace) -> int:
 
 
 def _validate_serve_args(args: argparse.Namespace) -> None:
-    """Reject invalid ``serve`` flags before binding the socket."""
-    if not 0 <= args.port <= 65_535:
-        _fail(f"--port must lie in [0, 65535] (got {args.port}); 0 binds an ephemeral port")
-    if args.queue_depth < 1:
-        _fail(f"--queue-depth must be >= 1 (got {args.queue_depth})")
-    if args.serve_workers < 1:
-        _fail(f"--serve-workers must be >= 1 (got {args.serve_workers})")
-    if args.default_deadline_ms is not None and not args.default_deadline_ms > 0:
-        _fail(
-            f"--default-deadline-ms must be positive (got {args.default_deadline_ms}); "
-            "drop the flag to serve without a default deadline"
-        )
-    if not args.drain_timeout > 0:
-        _fail(f"--drain-timeout must be positive (got {args.drain_timeout})")
+    """Reject a ``--data-dir`` / ``--durability-mode`` pair before binding the socket."""
     if args.data_dir is not None:
         if os.path.isfile(args.data_dir):
             _fail(
@@ -741,17 +727,17 @@ def _validate_serve_args(args: argparse.Namespace) -> None:
             f"--durability-mode {args.durability_mode} requires --data-dir: "
             "the write-ahead log needs a directory to live in"
         )
-    if args.tenant_config is not None and not os.path.isfile(args.tenant_config):
-        _fail(
-            f"--tenant-config {args.tenant_config!r} does not exist; "
-            "point it at a JSON file mapping tenant names to specs"
-        )
 
 
 def _load_tenant_specs(path: str):
     """Parse a ``--tenant-config`` file, mapping errors onto actionable exits."""
     from repro.serving import load_tenant_config
 
+    if not os.path.isfile(path):
+        _fail(
+            f"--tenant-config {path!r} does not exist; "
+            "point it at a JSON file mapping tenant names to specs"
+        )
     try:
         return load_tenant_config(path)
     except (OSError, ValueError) as error:
@@ -765,6 +751,20 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.serving import ServingConfig, ServingFrontend
 
     _validate_serve_args(args)
+    tenants = ()
+    if args.tenant_config is not None:
+        tenants = tuple(_load_tenant_specs(args.tenant_config).values())
+    config = _built(
+        ServingConfig,
+        host=args.host,
+        port=args.port,
+        queue_depth=args.queue_depth,
+        workers=args.serve_workers,
+        default_deadline_ms=args.default_deadline_ms,
+        drain_timeout_seconds=args.drain_timeout,
+        data_dir=args.data_dir,
+        tenants=tenants,
+    )
     backend = None
     if args.data_dir is not None:
         from repro.vdms.server import VectorDBServer
@@ -776,23 +776,9 @@ def _command_serve(args: argparse.Namespace) -> int:
             )
         except OSError as error:
             _fail(f"--data-dir {args.data_dir!r} cannot be created: {error}")
-    tenants = ()
-    if args.tenant_config is not None:
-        tenants = tuple(_load_tenant_specs(args.tenant_config).values())
     try:
-        frontend = ServingFrontend(
-            backend=backend,
-            config=ServingConfig(
-                host=args.host,
-                port=args.port,
-                queue_depth=args.queue_depth,
-                workers=args.serve_workers,
-                default_deadline_ms=args.default_deadline_ms,
-                drain_timeout_seconds=args.drain_timeout,
-                data_dir=args.data_dir,
-                tenants=tenants,
-            ),
-        )
+        # With the settings built, only registering the tenants can fail here.
+        frontend = ServingFrontend(backend=backend, config=config)
     except (ValueError, DurabilityError) as error:
         _fail(f"--tenant-config {args.tenant_config!r}: {error}")
     for spec in tenants:
@@ -863,58 +849,28 @@ def _command_serve(args: argparse.Namespace) -> int:
     return 0 if drained else 1
 
 
-def _validate_tune_tenants_args(args: argparse.Namespace) -> None:
-    """Reject contradictory ``tune-tenants`` flags with actionable messages."""
-    if args.steps < 1:
-        _fail(f"--steps must be >= 1 (got {args.steps})")
-    if args.retune_budget < 1:
-        _fail(f"--retune-budget must be >= 1 (got {args.retune_budget})")
-    if args.retune_budget > args.steps:
-        _fail(
-            f"--retune-budget {args.retune_budget} exceeds --steps {args.steps}: "
-            "an episode cannot evaluate more configurations than the tenant "
-            "has steps"
-        )
-    if args.budget is not None and args.budget < 1:
-        _fail(
-            f"--budget must be >= 1 (got {args.budget}); drop the flag to give "
-            "every tenant its full per-tenant budget"
-        )
-    if not args.attained_penalty >= 1.0:
-        _fail(
-            f"--attained-penalty must be >= 1 (got {args.attained_penalty}); "
-            "1 treats attained and unattained tenants alike"
-        )
-    if not os.path.isfile(args.tenant_config):
-        _fail(
-            f"--tenant-config {args.tenant_config!r} does not exist; "
-            "point it at a JSON file mapping tenant names to specs"
-        )
-
-
 def _command_tune_tenants(args: argparse.Namespace) -> int:
     from repro.core.multi_tenant import MultiTenantTuner, TenantTunerSpec
     from repro.core.online import OnlineTunerSettings
     from repro.datasets import load_dataset
 
-    _validate_tune_tenants_args(args)
     tenant_specs = _load_tenant_specs(args.tenant_config)
+    settings = _built(
+        OnlineTunerSettings, total_steps=args.steps, retune_budget=args.retune_budget
+    )
+    _check_retune_budget(args)
     dataset = load_dataset(args.dataset)
     specs = [
         TenantTunerSpec(
             tenant=spec,
             environment=VDMSTuningEnvironment(dataset, seed=args.seed + index),
-            settings=OnlineTunerSettings(
-                total_steps=args.steps,
-                retune_budget=args.retune_budget,
-                seed=args.seed + index,
-            ),
+            settings=dataclass_replace(settings, seed=args.seed + index),
             tuner=args.tuner,
         )
         for index, spec in enumerate(tenant_specs.values())
     ]
-    tuner = MultiTenantTuner(
-        specs, budget=args.budget, attained_penalty=args.attained_penalty
+    tuner = _built(
+        MultiTenantTuner, specs, budget=args.budget, attained_penalty=args.attained_penalty
     )
     report = tuner.run()
     attained_all = all(report.attained.values())
@@ -966,14 +922,10 @@ def _command_recover(args: argparse.Namespace) -> int:
     from repro.vdms.collection import Collection
     from repro.vdms.durability import DurabilityManager, OsFileSystem
 
-    if os.path.isfile(args.data_dir):
-        _fail(
-            f"--data-dir {args.data_dir!r} is a file, not a directory; "
-            "pass the directory a durable `serve --data-dir` wrote"
-        )
     if not os.path.isdir(args.data_dir):
+        problem = "is a file, not a directory" if os.path.isfile(args.data_dir) else "does not exist"
         _fail(
-            f"--data-dir {args.data_dir!r} does not exist; "
+            f"--data-dir {args.data_dir!r} {problem}; "
             "pass the directory a durable `serve --data-dir` wrote"
         )
     fs = OsFileSystem()
@@ -1048,36 +1000,22 @@ def _command_recover(args: argparse.Namespace) -> int:
     return 0
 
 
-def _validate_loadgen_args(args: argparse.Namespace) -> None:
-    """Reject invalid ``loadgen`` flags before opening connections."""
-    if not args.qps > 0:
-        _fail(f"--qps must be positive (got {args.qps})")
-    if not args.duration > 0:
-        _fail(f"--duration must be positive (got {args.duration})")
-    if args.top_k < 1:
-        _fail(f"--top-k must be >= 1 (got {args.top_k})")
-    if args.deadline_ms is not None and not args.deadline_ms > 0:
-        _fail(
-            f"--deadline-ms must be positive (got {args.deadline_ms}); "
-            "drop the flag to send requests without deadlines"
-        )
-
-
 def _command_loadgen(args: argparse.Namespace) -> int:
-    from repro.serving import run_load
+    from repro.serving import LoadGenerator
 
-    _validate_loadgen_args(args)
+    generator = _built(
+        LoadGenerator,
+        args.url,
+        args.collection,
+        qps=args.qps,
+        duration_seconds=args.duration,
+        top_k=args.top_k,
+        deadline_ms=args.deadline_ms,
+        use_cache=not args.no_cache,
+        seed=args.seed,
+    )
     try:
-        report = run_load(
-            args.url,
-            args.collection,
-            qps=args.qps,
-            duration_seconds=args.duration,
-            top_k=args.top_k,
-            deadline_ms=args.deadline_ms,
-            use_cache=not args.no_cache,
-            seed=args.seed,
-        )
+        report = generator.run()
     except ValueError as error:
         _fail(f"--url {args.url!r}: {error}")
     except (ConnectionError, OSError, RuntimeError) as error:

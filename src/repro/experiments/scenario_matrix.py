@@ -51,8 +51,8 @@ def _online_settings(
     batch_size: int,
     seed: int,
 ) -> OnlineTunerSettings:
-    total = int(total_steps or max(24, scale.tuning_iterations))
-    budget = int(retune_budget or max(6, total // 4))
+    total = int(max(24, scale.tuning_iterations) if total_steps is None else total_steps)
+    budget = int(max(6, total // 4) if retune_budget is None else retune_budget)
     return OnlineTunerSettings(
         total_steps=total,
         retune_budget=min(budget, total),

@@ -390,6 +390,8 @@ class LoadGenerator:
             raise ValueError("duration_seconds must be positive")
         if top_k < 1:
             raise ValueError("top_k must be >= 1")
+        if deadline_ms is not None and not deadline_ms > 0:
+            raise ValueError("deadline_ms must be positive when set")
         if max_client_threads < 1:
             raise ValueError("max_client_threads must be >= 1")
         self.url = url.rstrip("/")

@@ -644,9 +644,9 @@ class _Handler(BaseHTTPRequestHandler):
             queries = queries[None, :]
         if queries.ndim != 2 or queries.shape[0] == 0:
             raise _HTTPError(400, "'queries' must be a non-empty 2-D array of rows")
+        if not np.isfinite(queries).all():
+            raise _HTTPError(400, "'queries' must hold finite numbers")
         top_k = int(body.get("top_k", 10))
-        if top_k < 1:
-            raise _HTTPError(400, "'top_k' must be >= 1")
         use_cache = bool(body.get("use_cache", True))
         deadline_ms = body.get("deadline_ms")
         if deadline_ms is not None and not float(deadline_ms) > 0:
@@ -675,8 +675,8 @@ class _Handler(BaseHTTPRequestHandler):
         distances = result.distances
         finite = np.isfinite(distances)
         if not finite.all():
-            # The ``inf`` padding of an under-full row (and the distances of
-            # a NaN query) have no JSON number: encode them as ``null``.
+            # The ``inf`` padding of an under-full row has no JSON number:
+            # encode it as ``null``.
             distances = distances.astype(object)
             distances[~finite] = None
         return 200, {

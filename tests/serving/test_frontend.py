@@ -185,6 +185,10 @@ def test_error_status_codes(frontend):
     assert (
         request(frontend, "POST", "/collections/c/index", {"index_type": "BOGUS"})[0] == 400
     )
+    request(frontend, "POST", "/collections/c/insert", {"vectors": [[1.0] * 4] * 3})
+    request(frontend, "POST", "/collections/c/flush", {})
+    nan_query = {"queries": [[float("nan"), 1.0, 1.0, 1.0]]}
+    assert request(frontend, "POST", "/collections/c/search", nan_query)[0] == 400
 
 
 @pytest.mark.parametrize("length", ["-1", "99999999999999999999", "twelve"])
@@ -647,13 +651,6 @@ def test_under_full_search_response_is_strict_json(loaded):
         assert payload["ids"][row][300:] == [-1] * 10
         assert payload["distances"][row][300:] == [None] * 10
         assert payload["distances"][row][:300] == reference.distances[row, :300].tolist()
-    # A NaN query has no finite distance at all.
-    status, raw = raw_request(
-        frontend, "POST", "/collections/demo/search",
-        {"queries": [[float("nan")] * 12], "top_k": 3},
-    )
-    assert status == 200
-    assert strict_json(raw)["distances"] == [[None] * 3]
 
 
 def test_no_route_can_emit_a_non_json_body(frontend, monkeypatch):

@@ -399,6 +399,33 @@ class TestFlagValidation:
         return code
 
     @pytest.mark.parametrize(
+        ("argv", "flag"),
+        [
+            (["tune", "--recall-constraint", "0"], "--recall-constraint"),
+            (["tune", "--recall-constraint", "2"], "--recall-constraint"),
+            (["scenario-matrix", "--severities", "2"], "--severities"),
+            (["scenario-matrix", "--drifts", "comet"], "--drifts"),
+            (["scenario-matrix", "--steps", "0", "--tuners", "random",
+              "--drifts", "query_shift", "--severities", "0.5"], "--steps"),
+            (["scenario-matrix", "--retune-budget", "0", "--tuners", "random",
+              "--drifts", "query_shift", "--severities", "0.5"], "--retune-budget"),
+            (["compare", "--tuners", "bogus"], "--tuners"),
+            (["tune-online", "--tuner", "bogus"], "--tuner"),
+            (["scenario-matrix", "--tuners", "bogus"], "--tuners"),
+            (["tune-tenants", "--tenant-config", "{config}", "--tuner", "bogus"], "--tuner"),
+        ],
+    )
+    def test_rejects_a_bad_value_naming_its_flag(self, argv, flag, tmp_path, capsys):
+        config = tmp_path / "tenants.json"
+        config.write_text('{"a": {}}', encoding="utf-8")
+        with pytest.raises(SystemExit) as excinfo:
+            main([str(config) if arg == "{config}" else arg for arg in argv])
+        code = excinfo.value.code
+        err = capsys.readouterr().err
+        assert code not in (0, None) and "Traceback" not in err
+        assert flag in (code if isinstance(code, str) else err)
+
+    @pytest.mark.parametrize(
         "override",
         ["search_threads=0", "shard_num=999999", "cache_capacity=0", "routing_policy=bogus"],
     )
