@@ -33,7 +33,14 @@ HNSW indexes directly through the public index API (``create_index``,
 (``TUNING_ROWS``), over the graph degrees and beam widths its tuner tries and
 batches of 64 and 130 queries, on rows with copies and a zero row; it hashes
 ids, distance bytes and every query's row of ``stats.per_query`` (its
-``graph_hops`` and ``distance_evaluations`` among them).  It prints one digest
+``graph_hops`` and ``distance_evaluations`` among them).  The last section,
+``TOTAL HNSW shard runs``, searches one-shard collections through
+``Collection.search`` at the shapes a ``tune_loop`` replay meets
+(``SHARD_RUN_LAYOUTS``: three HNSW segments of 1 100 rows at ``ef_search``
+250, seven of 178 at 342, five AUTOINDEX segments of 241), each beside a
+growing tail, with rows copied across segments, a zero row and batches of 64
+and 130 queries; at ``top_k = 180`` the 178-row members are narrower than the
+request.  It prints one digest
 per cell and a ``TOTAL <index type>`` line over each type's cells; a change
 to a query path that claims bit-identity (the fused scan of a run of
 FLAT-served segments did, the array-walking HNSW search did, the
@@ -261,6 +268,56 @@ def digest_tuning_regime() -> str:
     return total.hexdigest()
 
 
+#: The HNSW shard-runs section: (index type, build parameters, rows per sealed
+#: segment, sealed segments) and the ``SystemConfig`` that seals at those rows
+#: (``rows_per_megabyte(32)`` is 8: ``segment_max_size`` ×
+#: ``segment_seal_proportion`` × 8 rows), then the widths hashed per batch.
+SHARD_RUN_LAYOUTS = (
+    ("HNSW", {"hnsw_m": 16, "ef_search": 250}, 1100, 3, {"segment_max_size": 550, "segment_seal_proportion": 0.25}),
+    ("HNSW", {"hnsw_m": 24, "ef_search": 342}, 178, 7, {"segment_max_size": 89, "segment_seal_proportion": 0.25}),
+    ("AUTOINDEX", {}, 241, 5, {"segment_max_size": 241, "segment_seal_proportion": 0.125}),
+)
+SHARD_RUN_WIDTHS = (10, 180)
+
+
+def digest_hnsw_shard_runs() -> str:
+    """The ``TOTAL HNSW shard runs`` section (see the module docstring)."""
+    total = hashlib.sha256()
+    for metric in ("angular", "l2", "ip"):
+        for index_type, params, rows, segments, sizing in SHARD_RUN_LAYOUTS:
+            rng = np.random.default_rng([41, rows, len(metric)])
+            sealed = rows * segments
+            vectors = rng.normal(size=(sealed + 10, TUNING_DIMENSION)).astype(np.float32)
+            # Copies of the first segment's rows in every later one: ties across members.
+            targets = rng.choice(np.arange(rows, sealed), size=4 * segments, replace=False)
+            vectors[targets] = vectors[rng.integers(0, rows, size=targets.size)]
+            vectors[rows // 2] = 0.0
+            config = SystemConfig(shard_num=1, insert_buf_size=512, **sizing)
+            collection = Collection("hnsw-runs", TUNING_DIMENSION, metric=metric,
+                                    system_config=config, auto_maintenance=False)
+            collection.insert(vectors[:sealed])
+            collection.flush()
+            collection.create_index(index_type, params)
+            collection.insert(vectors[sealed:])
+            collection.flush()  # a growing tail, served exactly
+            queries = rng.normal(size=(max(TUNING_BATCHES), TUNING_DIMENSION)).astype(np.float32)
+            queries[:8] = vectors[targets[:8]]  # on copied rows
+            cell = hashlib.sha256()
+            for q in TUNING_BATCHES:
+                for top_k in SHARD_RUN_WIDTHS:
+                    result = collection.search(queries[:q], top_k)
+                    cell.update(np.ascontiguousarray(result.ids).tobytes())
+                    cell.update(str(result.ids.dtype).encode())
+                    cell.update(np.ascontiguousarray(result.distances).tobytes())
+                    cell.update(str(result.distances.dtype).encode())
+                    cell.update(repr(astuple(result.stats)).encode())
+            digest = cell.hexdigest()
+            total.update(digest.encode())
+            views = [view.index.size for view in collection.shards[0].snapshot(metric)]
+            print(f"{metric:8s} {index_type:9s} views={views} {digest[:16]}")
+    return total.hexdigest()
+
+
 def main() -> None:
     for index_type in INDEX_TYPES:
         print("TOTAL", index_type, digest_index_type(index_type))
@@ -270,6 +327,7 @@ def main() -> None:
         print("TOTAL", index_type, "filtered", digest_index_type(index_type, filtered=True))
     print("TOTAL IVF_FLAT shard runs", digest_shard_runs())
     print("TOTAL HNSW tuning regime", digest_tuning_regime())
+    print("TOTAL HNSW shard runs", digest_hnsw_shard_runs())
 
 
 if __name__ == "__main__":
