@@ -511,6 +511,9 @@ def _command_tune(args: argparse.Namespace) -> int:
         speed_metric="qp$" if args.cost_aware else "qps",
         recall_constraint=args.recall_constraint,
     )
+    # Read only once the loop is over: checked before it starts.
+    if not 0.0 <= args.recall_floor <= 1.0:
+        _fail(f"--recall-floor: recall_floor must lie in [0, 1] (got {args.recall_floor})")
     _validate_batch_options(args)
     environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
     tuner = VDTuner(environment, settings=settings, objective=objective)
@@ -655,14 +658,12 @@ def _command_tune_online(args: argparse.Namespace) -> int:
 
 
 def _command_scenario_matrix(args: argparse.Namespace) -> int:
-    from repro.core.online import OnlineTunerSettings
-    from repro.experiments.scenario_matrix import run_scenario_matrix, save_matrix
+    from repro.experiments.scenario_matrix import matrix_drift_step, run_scenario_matrix, save_matrix
     from repro.workloads.dynamic import make_drift_event
 
     # The sweep runs for minutes: build what it would build from each flag
-    # before the first cell starts.
-    given = {"total_steps": args.steps, "retune_budget": args.retune_budget}
-    _built(OnlineTunerSettings, **{k: v for k, v in given.items() if v is not None})
+    # (its settings and their drift step) before the first cell starts.
+    _built(matrix_drift_step, total_steps=args.steps, retune_budget=args.retune_budget)
     try:
         for drift in args.drifts:
             for severity in args.severities:

@@ -30,6 +30,7 @@ from repro.workloads.dynamic import (
 __all__ = [
     "DRIFT_SCENARIOS",
     "MATRIX_TUNERS",
+    "matrix_drift_step",
     "run_scenario",
     "run_scenario_matrix",
     "save_matrix",
@@ -64,12 +65,42 @@ def _online_settings(
     )
 
 
-def _default_drift_step(settings: OnlineTunerSettings) -> int:
-    """Fire 60% through the run, after the first episode is serving."""
-    return max(
-        settings.retune_budget + settings.detector_warmup + 2,
-        round(0.6 * settings.total_steps),
+def _drift_step(settings: OnlineTunerSettings, drift_step: int | None = None) -> int:
+    """The step the drift fires at: ``drift_step``, by default 60% through the
+    run and after the first episode is serving.  A drift at or past the last
+    step would leave a cell measuring no drift, so that is a ``ValueError``."""
+    if drift_step is None:
+        drift_step = max(
+            settings.retune_budget + settings.detector_warmup + 2,
+            round(0.6 * settings.total_steps),
+        )
+    step = int(drift_step)
+    if step >= settings.total_steps:
+        raise ValueError(
+            f"total_steps must exceed the drift step ({settings.total_steps} steps, "
+            f"drift at step {step}): the drift would fire after the run ends"
+        )
+    return step
+
+
+def matrix_drift_step(
+    scale: ExperimentScale | None = None,
+    *,
+    total_steps: int | None = None,
+    retune_budget: int | None = None,
+) -> int:
+    """The drift step :func:`run_scenario_matrix` gives every cell;
+    ``ValueError`` when the settings are invalid or the drift would fire
+    after the run ends.  Checks a sweep before it starts."""
+    settings = _online_settings(
+        scale or current_scale(),
+        total_steps=total_steps,
+        retune_budget=retune_budget,
+        warm_start=True,
+        batch_size=1,
+        seed=0,
     )
+    return _drift_step(settings)
 
 
 def run_scenario(
@@ -93,7 +124,8 @@ def run_scenario(
 
     The scenario is one drift event of the given family and severity, fired
     at ``drift_step`` (default: 60% through the run, late enough that the
-    first tuning episode has finished and the incumbent is being served).
+    first tuning episode has finished and the incumbent is being served;
+    ``ValueError`` unless it falls before ``total_steps``).
     ``dynamic`` optionally supplies a pre-built (and possibly already
     materialized) timeline for exactly that scenario, so sweeps can share one
     ground-truth computation across tuners; it must match the
@@ -109,7 +141,7 @@ def run_scenario(
         batch_size=batch_size,
         seed=seed,
     )
-    step = int(drift_step or _default_drift_step(settings))
+    step = _drift_step(settings, drift_step)
     event = make_drift_event(drift, at_step=step, severity=severity)
     if dynamic is None:
         dynamic = DynamicWorkload(load_dataset(dataset_name), [event], seed=seed)
@@ -157,7 +189,9 @@ def run_scenario_matrix(
     """Sweep {drift x severity x tuner} and collect every cell's summary.
 
     Returns a JSON-able dict with one entry per cell under ``"cells"`` plus
-    the sweep axes, suitable for :func:`save_matrix`.
+    the sweep axes, suitable for :func:`save_matrix`.  Every cell's drift
+    fires at :func:`matrix_drift_step`, which must fall before
+    ``total_steps`` (``ValueError`` before any cell runs).
     """
     scale = scale or current_scale()
     settings = _online_settings(
@@ -168,7 +202,7 @@ def run_scenario_matrix(
         batch_size=batch_size,
         seed=seed,
     )
-    drift_step = _default_drift_step(settings)
+    drift_step = _drift_step(settings)
     cells: list[dict[str, Any]] = []
     for drift in drifts:
         for severity in severities:

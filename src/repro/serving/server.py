@@ -611,6 +611,11 @@ class _Handler(BaseHTTPRequestHandler):
         if "vectors" not in body:
             raise _HTTPError(400, "insert requires 'vectors' (list of rows)")
         vectors = np.asarray(body["vectors"], dtype=np.float32)
+        # Checked here, not in ``Collection.insert``: recovery replays a
+        # log's inserts through that, and a log written before this check
+        # must still recover.
+        if not np.isfinite(vectors).all():
+            raise _HTTPError(400, "'vectors' must hold finite numbers")
         ids = None
         if body.get("ids") is not None:
             ids = np.asarray(body["ids"], dtype=np.int64)

@@ -8,6 +8,7 @@ import pytest
 
 from repro.experiments.scenario_matrix import (
     DRIFT_SCENARIOS,
+    matrix_drift_step,
     run_scenario,
     run_scenario_matrix,
     save_matrix,
@@ -44,6 +45,39 @@ class TestRunScenario:
         )
         assert cell["drift"] == "data_churn"
         assert cell["tuner"] == "random"
+
+
+class TestDriftStep:
+    """A cell whose drift would fire after its last step is refused, not run."""
+
+    @pytest.mark.parametrize("drift_step", (3, 4))
+    def test_a_drift_at_or_past_the_last_step_is_refused(self, drift_step):
+        with pytest.raises(ValueError, match="total_steps must exceed the drift step"):
+            run_scenario(
+                "glove-small", "query_shift", 0.5, "random",
+                total_steps=3, retune_budget=1, drift_step=drift_step, seed=0,
+            )
+
+    def test_a_zero_drift_step_is_not_replaced_by_the_default(self):
+        # Step 0 reaches the drift event's own check instead of becoming the
+        # default step, which would fire after this 3-step run ends.
+        with pytest.raises(ValueError, match="at_step must be >= 1"):
+            run_scenario(
+                "glove-small", "query_shift", 0.5, "random",
+                total_steps=3, retune_budget=1, drift_step=0, seed=0,
+            )
+
+    def test_a_matrix_whose_default_drift_fires_after_the_run_is_refused(self):
+        # retune budget 3 + detector warm-up 2 + 2 = step 7 of a 3-step run.
+        with pytest.raises(ValueError, match=r"3 steps, drift at step 7"):
+            run_scenario_matrix(
+                "glove-small", drifts=("query_shift",), severities=(0.5,),
+                tuners=("random",), total_steps=3, seed=0,
+            )
+
+    def test_the_matrix_drift_step_fires_inside_the_run(self):
+        assert matrix_drift_step(total_steps=12, retune_budget=4) == 8
+        assert matrix_drift_step(total_steps=8, retune_budget=1) == 5
 
 
 class TestScenarioMatrix:

@@ -189,6 +189,12 @@ def test_error_status_codes(frontend):
     request(frontend, "POST", "/collections/c/flush", {})
     nan_query = {"queries": [[float("nan"), 1.0, 1.0, 1.0]]}
     assert request(frontend, "POST", "/collections/c/search", nan_query)[0] == 400
+    for bad in (float("nan"), float("inf"), -float("inf")):
+        rows = {"vectors": [[1.0] * 4, [bad, 1.0, 1.0, 1.0], [2.0] * 4]}
+        assert request(frontend, "POST", "/collections/c/insert", rows)[0] == 400
+    # Nothing of a refused insert is stored: the three rows answer a wide search.
+    status, body = request(frontend, "POST", "/collections/c/search", {"queries": [[1.0] * 4], "top_k": 5})
+    assert status == 200 and sorted(body["ids"][0][:3]) == [0, 1, 2] and body["ids"][0][3:] == [-1, -1]
 
 
 @pytest.mark.parametrize("length", ["-1", "99999999999999999999", "twelve"])

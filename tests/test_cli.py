@@ -403,12 +403,18 @@ class TestFlagValidation:
         [
             (["tune", "--recall-constraint", "0"], "--recall-constraint"),
             (["tune", "--recall-constraint", "2"], "--recall-constraint"),
+            (["tune", "--recall-floor", "2"], "--recall-floor"),
+            (["tune", "--recall-floor", "-0.1"], "--recall-floor"),
+            (["tune", "--recall-floor", "nan"], "--recall-floor"),
             (["scenario-matrix", "--severities", "2"], "--severities"),
             (["scenario-matrix", "--drifts", "comet"], "--drifts"),
             (["scenario-matrix", "--steps", "0", "--tuners", "random",
               "--drifts", "query_shift", "--severities", "0.5"], "--steps"),
             (["scenario-matrix", "--retune-budget", "0", "--tuners", "random",
               "--drifts", "query_shift", "--severities", "0.5"], "--retune-budget"),
+            # The default drift step (7) falls after a 3-step run ends.
+            (["scenario-matrix", "--steps", "3", "--tuners", "random",
+              "--drifts", "query_shift", "--severities", "0.5"], "--steps"),
             (["compare", "--tuners", "bogus"], "--tuners"),
             (["tune-online", "--tuner", "bogus"], "--tuner"),
             (["scenario-matrix", "--tuners", "bogus"], "--tuners"),
