@@ -67,8 +67,9 @@ def _online_settings(
 
 def _drift_step(settings: OnlineTunerSettings, drift_step: int | None = None) -> int:
     """The step the drift fires at: ``drift_step``, by default 60% through the
-    run and after the first episode is serving.  A drift at or past the last
-    step would leave a cell measuring no drift, so that is a ``ValueError``."""
+    run and after the first episode is serving.  Steps count from 1, and a
+    drift at or past the last step leaves a cell no step to detect or recover
+    from it, so that is a ``ValueError``."""
     if drift_step is None:
         drift_step = max(
             settings.retune_budget + settings.detector_warmup + 2,
@@ -78,7 +79,7 @@ def _drift_step(settings: OnlineTunerSettings, drift_step: int | None = None) ->
     if step >= settings.total_steps:
         raise ValueError(
             f"total_steps must exceed the drift step ({settings.total_steps} steps, "
-            f"drift at step {step}): the drift would fire after the run ends"
+            f"drift at step {step}): no step would be left to detect or recover from it"
         )
     return step
 

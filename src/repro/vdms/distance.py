@@ -43,7 +43,10 @@ further: their coarse GEMMs land side by side under one finish
 GEMVs land side by side per query (:meth:`QueryOperand.gather_products`),
 and one finish (:meth:`QueryOperand.finish_runs`) and one select serve the
 whole run.  Every product is still the call its own segment search issues:
-what a run pays per segment is that segment's gather and its GEMVs.
+what a run pays per segment is that segment's gather and its GEMVs.  A
+shard's run of graphs walks its segments' queries in the same rounds: a
+round's rows are gathered from each segment's own operand, numbered as one
+by an :class:`OperandUnion` (:meth:`QueryOperand.gather_scan_parts`).
 """
 
 from __future__ import annotations
@@ -56,6 +59,7 @@ import numpy as np
 __all__ = [
     "MASK_DENSE_SCAN_SELECTIVITY",
     "METRICS",
+    "OperandUnion",
     "QueryOperand",
     "ScanOperand",
     "masked_topk",
@@ -192,6 +196,26 @@ class ScanOperand:
         if self._norms64 is not None:
             sub._norms64 = self._norms64[positions]
         return sub
+
+
+class OperandUnion:
+    """Several :class:`ScanOperand` numbered as one, their rows left in place.
+
+    Operand ``k``'s row ``i`` is position ``starts[k] + i``; positions
+    between operands may go unused.  Only the squared norms are laid end to
+    end (``size`` of them): a gather reads each operand's own cached float64
+    rows (:meth:`QueryOperand.gather_scan_parts`), so a union costs its
+    positions' norms, not its rows' vectors.
+    """
+
+    __slots__ = ("operands", "starts", "norms64")
+
+    def __init__(self, operands: Sequence[ScanOperand], starts: Sequence[int], size: int) -> None:
+        self.operands = list(operands)
+        self.starts = [int(start) for start in starts]
+        self.norms64 = np.zeros(size)
+        for operand, start in zip(self.operands, self.starts):
+            self.norms64[start : start + operand.shape[0]] = operand.norms64
 
 
 def _as_operand(vectors: np.ndarray | ScanOperand, metric: str) -> ScanOperand:
@@ -363,19 +387,85 @@ class QueryOperand:
         """The GEMVs of :meth:`gather_scan_runs`, written where the caller wants them.
 
         One gather of ``operand``'s cached float64 rows at ``positions``, then
-        query ``rows[i]``'s product over the next ``counts[i]`` of them — the
-        call :meth:`gather_scan` issues — into ``out[0, starts[i]:starts[i] +
-        counts[i]]``.  A fused run of inverted-file segments lays each query's
-        products from every segment side by side and finishes them once.
+        query ``rows[i]``'s product over the next ``counts[i]`` of them into
+        ``out[0, starts[i]:starts[i] + counts[i]]``.  A fused run of
+        inverted-file segments lays each query's products from every segment
+        side by side and finishes them once.
         """
         gathered = operand.vectors64.take(positions, axis=0)
-        stop = 0
-        for row, count, start in zip(rows, counts, starts):
-            begin, stop = stop, stop + count
+        self._products(rows, counts, gathered, accumulate(counts, initial=0), out[0], starts)
+
+    def _products(
+        self,
+        rows: Iterable[int],
+        counts: Iterable[int],
+        gathered: np.ndarray,
+        begins: Iterable[int],
+        out: np.ndarray,
+        starts: Iterable[int],
+    ) -> None:
+        """Query ``rows[i]``'s product with ``gathered[begins[i]:][:counts[i]]``
+        into the flat ``out[starts[i]:][:counts[i]]``, one GEMV per query.
+
+        ``np.dot`` of the C-contiguous ``(m, d)`` rows and the ``(d,)`` query
+        (as the method, which skips the function's dispatch) is the one-query
+        dgemv that ``query @ rows.T`` with the query as a ``(1, d)`` row
+        issues (:meth:`gather_scan`, :func:`_scan_tile`), so the products are
+        that call's bit for bit, at about half the call overhead.
+        """
+        queries = self.queries64
+        for row, count, begin, start in zip(rows, counts, begins, starts):
             if count:
-                np.matmul(
-                    self.queries64[row : row + 1], gathered[begin:stop].T, out=out[:, start : start + count]
-                )
+                gathered[begin : begin + count].dot(queries[row], out=out[start : start + count])
+
+    def gather_scan_parts(
+        self,
+        rows: Sequence[int],
+        counts: Sequence[int],
+        union: "OperandUnion",
+        owners: np.ndarray,
+        positions: np.ndarray,
+    ) -> np.ndarray:
+        """:meth:`gather_scan_runs` over several operands numbered as one
+        (``union``): query ``rows[i]`` is scored against the rows of operand
+        ``owners[i]`` at its next ``counts[i]`` of ``positions``.
+
+        A stable sort by operand keeps each query's run whole and in order,
+        so each operand's rows are gathered once, from its own cached float64
+        rows, and each query's GEMV reads its run where the sort put it.
+        Each product is the one :meth:`gather_scan` issues on the query's own
+        operand, so the values are that call's bit for bit; the per-pair
+        finish runs once.
+        """
+        total = positions.shape[0]
+        if not total:
+            return np.empty(0, dtype=np.float32)
+        order = np.argsort(np.repeat(owners, counts), kind="stable")
+        ordered = positions[order]
+        gathered = np.empty((total, self.queries64.shape[1]))
+        stop = 0
+        sizes = np.bincount(owners, weights=counts, minlength=len(union.operands)).astype(np.int64).tolist()
+        for operand, base, size in zip(union.operands, union.starts, sizes):
+            start, stop = stop, stop + size
+            if size:
+                # In range by construction: "clip" spares the buffered copy "raise" makes.
+                np.take(operand.vectors64, ordered[start:stop] - base, axis=0, out=gathered[start:stop], mode="clip")
+        where = np.empty(total, dtype=np.int64)
+        where[order] = np.arange(total)
+        starts = np.cumsum(counts) - counts
+        begins = where[np.minimum(starts, total - 1)]
+        products = np.empty((1, total), dtype=np.float64)
+        self._products(rows, counts, gathered, begins.tolist(), products[0], starts.tolist())
+        vector_norms = None if self.norms64 is None else union.norms64[positions]
+        return self.finish_runs(products, rows, counts, vector_norms)
+
+    def repeated(self, times: int) -> "QueryOperand":
+        """The batch ``times`` over, end to end: row ``c * q + i`` is row ``i``."""
+        copy = QueryOperand.__new__(QueryOperand)
+        copy.metric = self.metric
+        copy.queries64 = np.tile(self.queries64, (times, 1))
+        copy.norms64 = None if self.norms64 is None else np.tile(self.norms64, (times, 1))
+        return copy
 
     def finish_runs(
         self,

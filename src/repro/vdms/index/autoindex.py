@@ -8,10 +8,12 @@ in Table I of the paper (the tuner can pick it, but cannot adjust it).
 
 from __future__ import annotations
 
+from typing import Any, Mapping, Sequence
+
 import numpy as np
 
 from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
-from repro.vdms.index.hnsw import HNSWIndex
+from repro.vdms.index.hnsw import HNSWIndex, search_graphs
 
 __all__ = ["AutoIndex"]
 
@@ -46,6 +48,20 @@ class AutoIndex(VectorIndex):
         # index was built on the same prepared vectors, so its internal ids
         # coincide with positions in this index.
         return self._inner._search(queries, top_k)
+
+    @classmethod
+    def search_run(
+        cls,
+        run: Sequence[VectorIndex],
+        queries: np.ndarray,
+        top_k: int,
+        options: Sequence[Mapping[str, Any]] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+        """The run's inner graphs walked as one, ids read from each member
+        (:func:`~repro.vdms.index.hnsw.search_graphs`) where that pays;
+        otherwise each member's search and a merge."""
+        found = search_graphs(run, [index._inner for index in run], queries, top_k, options)
+        return super().search_run(run, queries, top_k, options) if found is None else found
 
     def memory_bytes(self) -> int:
         return self._inner.memory_bytes()

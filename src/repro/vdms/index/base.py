@@ -349,6 +349,13 @@ class VectorIndex(ABC):
                 positions, distances, stats = self._search_postfiltered(
                     queries, top_k, allow_mask, overfetch_factor
                 )
+        return self._answer(positions, distances, stats, top_k)
+
+    def _answer(
+        self, positions: np.ndarray, distances: np.ndarray, stats: SearchStats, top_k: int
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+        """:meth:`search`'s result from stored ``positions`` (``-1`` for
+        none): their ids, padded to ``top_k``."""
         ids = np.where(positions >= 0, self._ids[np.clip(positions, 0, self.size - 1)], -1)
         return (*pad_to_top_k(ids, distances, top_k), stats)
 

@@ -11,7 +11,12 @@ A large block keeps each walk's results as one sorted row of int64 keys and
 advances every row of the block with a few array calls per round; the heap
 walk stays for small blocks, for a block's last walkers and for the walks the
 rows cannot follow (ties at a row's boundary, non-finite or ``-0.0`` scores).
-Both give the same ids, distance bytes and counted work.
+Both give the same ids, distance bytes and counted work.  A shard's run of
+graphs walks the same way: each graph descends its own upper layers, then the
+walkers of every graph — one per (graph, query) — advance in the same rounds
+over the graphs' bottom layers stacked as one, each scored against its own
+graph's rows, so a round's NumPy calls serve the whole run
+(:func:`search_graphs`).
 
 Construction uses a cell-accelerated neighbour selection instead of the
 incremental insert of the original paper: nodes of a layer are grouped with
@@ -29,14 +34,21 @@ from __future__ import annotations
 
 from heapq import heapify, heappop, heappush, heapreplace
 from itertools import islice
+from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.vdms.distance import DEFAULT_QUERY_BLOCK, QueryOperand, pairwise_distances
-from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex
+from repro.vdms.distance import (
+    DEFAULT_QUERY_BLOCK,
+    DEFAULT_ROW_BLOCK,
+    OperandUnion,
+    QueryOperand,
+    pairwise_distances,
+)
+from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex, merge_results
 from repro.vdms.index.kmeans import kmeans
 
-__all__ = ["HNSWIndex", "padded_layer"]
+__all__ = ["HNSWIndex", "padded_layer", "search_graphs"]
 
 #: A block of queries walks on key rows from this many queries, and a walk
 #: on the rows hands its last walkers to the heap once fewer than
@@ -49,6 +61,18 @@ HANDOVER = 16
 #: Unexpanded keys a walker looks at in one step once its first has no
 #: unvisited neighbour.
 LOOKAHEAD = 8
+#: A shard's run of graphs walks as one from this many walkers — (graph,
+#: query) pairs — up, the width from which a block walks on key rows, and
+#: only for more than one query; below, each graph searches alone.  Measured
+#: on the run shapes of a tuning loop (2-7 graphs of 178-1 100 rows): under
+#: ``ROW_BLOCK`` walkers every walk is on the heap either way and the union
+#: costs as much as it saves (×0.8-1.3 of the graphs' own searches); from
+#: it up the union walks on rows while its graphs alone might not
+#: (×0.5-0.85).  A one-query request never builds a union.
+RUN_WALKERS = ROW_BLOCK
+#: Most rows one walk over a run's graphs spans: its union layer and scratch
+#: stay linear in them, as an inverted-file run's candidate tiles do.
+RUN_ROWS = 4 * DEFAULT_ROW_BLOCK
 #: Pads a key row after its last key: above every key, and odd, so it reads
 #: as expanded.
 _PAD = np.iinfo(np.int64).max
@@ -237,35 +261,24 @@ class HNSWIndex(VectorIndex):
 
     def _search(self, queries: np.ndarray, top_k: int) -> tuple[np.ndarray, np.ndarray, SearchStats]:
         """Greedy descent through the upper layers, then a best-first beam
-        search of width ``ef`` on the bottom layer, a block of queries at a time.
+        search of width ``ef`` on the bottom layer, a block of queries at a
+        time: the walk of a run of this one graph (:meth:`_Run.walk`)."""
+        positions, distances, stats = _Run([self]).walk(queries, top_k)
+        return positions[0], distances[0], stats[0]
 
-        The walks of a block advance in rounds: every query still walking
-        offers the rows it has to score next, one gather of cached float64
-        rows and one finish score them all
-        (:meth:`QueryOperand.gather_scan_runs`), and each query reads its own
-        slice.  Walks never read each other's state, so a query's hops,
-        admissions, results and counted work (its row of ``stats``) are the
-        ones it has alone.
-        """
-        ef = max(self.ef_search, top_k)
-        num_queries = queries.shape[0]
-        positions = np.full((num_queries, top_k), -1, dtype=np.int64)
-        distances = np.full((num_queries, top_k), np.inf, dtype=np.float32)
-        stats = SearchStats(num_queries, segments_searched=1)
-        # Per-call scratch, never index state: admission workers and any
-        # other caller threads search one index concurrently.  Kept in the
-        # negative so a hop's mask is one gather, not a gather and an invert;
-        # the last column answers the bottom layer's padding and stays False.
-        unvisited = np.empty((min(num_queries, DEFAULT_QUERY_BLOCK), self._layers[0].shape[0]), dtype=bool)
-        for first in range(0, num_queries, DEFAULT_QUERY_BLOCK):
-            prepared = QueryOperand(queries[first : first + DEFAULT_QUERY_BLOCK], self.metric)
-            # Views: the block's walks charge their rows of ``stats`` and
-            # fill their rows of the output.
-            block = SearchStats.from_rows(stats.per_query[first : first + DEFAULT_QUERY_BLOCK])
-            starts = self._descend(prepared, block)
-            rows = slice(first, first + len(starts))
-            self._beam(prepared, starts, ef, unvisited[: len(starts)], block, positions[rows], distances[rows])
-        return positions, distances, stats
+    @classmethod
+    def search_run(
+        cls,
+        run: Sequence[VectorIndex],
+        queries: np.ndarray,
+        top_k: int,
+        options: Sequence[Mapping[str, Any]] | None = None,
+    ) -> tuple[np.ndarray, np.ndarray, SearchStats]:
+        """The run's graphs walked as one (:func:`search_graphs`) where that
+        pays; otherwise, and for a filtered run, each member's search and a
+        merge.  See :meth:`VectorIndex.search_run`."""
+        found = search_graphs(run, run, queries, top_k, options)
+        return super().search_run(run, queries, top_k, options) if found is None else found
 
     def _descend(self, prepared: QueryOperand, stats: SearchStats) -> list[int]:
         """Greedy walk of every query of a block to a local minimum within
@@ -299,47 +312,208 @@ class HNSWIndex(VectorIndex):
                         moved.append(query)
         return current
 
+    def memory_bytes(self) -> int:
+        if not self._layers:
+            return 0
+        bottom, *upper = self._layers
+        nodes = bottom.shape[0] - 1
+        edges = int(np.count_nonzero(bottom[:nodes] != nodes))
+        edges += sum(adjacent.size for layer in upper for adjacent in layer.values())
+        return int(edges * 8 + (nodes + sum(len(layer) for layer in upper)) * 8)
+
+
+def search_graphs(
+    run: Sequence[VectorIndex],
+    graphs: Sequence[HNSWIndex],
+    queries: np.ndarray,
+    top_k: int,
+    options: Sequence[Mapping[str, Any]] | None,
+) -> tuple[np.ndarray, np.ndarray, SearchStats] | None:
+    """A shard's run of graph indexes searched as one walk, or ``None`` where
+    the run goes to the base :meth:`VectorIndex.search_run`.
+
+    ``run`` holds the indexes the shard searches and ``graphs`` the HNSW
+    graphs that answer them: the indexes themselves, or the graph an
+    AUTOINDEX keeps.  Each graph descends its own upper layers, then the
+    walkers of every graph advance in the same rounds (:class:`_Run`), a
+    union of at most ``RUN_ROWS`` rows at a time.  Each member's walks,
+    results and counted work are the ones its own search has; its positions
+    become ids through its own index and the members' lists go through the
+    base path's :func:`merge_results`, so the answer is the base path's.
+
+    The base path takes a run of one, a filtered member, a member with fewer
+    rows than ``top_k`` (its search clamps ``top_k``, and with it ``ef``),
+    graphs that differ in metric, beam width or dimension, and a run of
+    fewer than ``RUN_WALKERS`` walkers, where building a union does not pay.
+    """
+    if (
+        len(run) < 2
+        or (options is not None and any(option.get("allow_mask") is not None for option in options))
+        or len(queries) < 2
+        or len(run) * len(queries) < RUN_WALKERS
+        or any(index.size < top_k for index in run)
+        or len({(graph.metric, graph.ef_search, graph.dimension) for graph in graphs}) > 1
+    ):
+        return None
+    prepared, top_k = run[0]._checked_request(queries, top_k)
+    pieces, rows = [[]], 0
+    for number, graph in enumerate(graphs):
+        if pieces[-1] and rows + graph.size > RUN_ROWS:
+            pieces.append([])
+            rows = 0
+        pieces[-1].append(number)
+        rows += graph.size
+    results = []
+    for piece in pieces:
+        walked = _Run([graphs[number] for number in piece]).walk(prepared, top_k)
+        results.extend(
+            run[number]._answer(positions, distances, stats, top_k)
+            for number, positions, distances, stats in zip(piece, *walked)
+        )
+    return merge_results(results, top_k)
+
+
+class _Run:
+    """Graphs whose walks advance together: one graph's, or a shard's run.
+
+    Their bottom layers are one block-diagonal graph over global node ids:
+    graph ``g``'s node ``i`` is ``tops[g] + i`` and its padding id (the
+    sentinel of :func:`padded_layer`) is ``pads[g]``, so ``layer`` stacks
+    every graph's padded bottom layer with its ids shifted by its top and its
+    rows widened with its own padding id.  A run of one graph is its own
+    layer.  The union is per call, a copy of the graphs' bottom layers; the
+    vectors are not copied, each graph's rows are gathered from its own
+    cached operand (an :class:`OperandUnion`).
+
+    A walker is one (graph, query) pair of a block of queries, graph-major.
+    Its ``unvisited`` scratch covers its own graph's rows and padding cell,
+    so a block's scratch is ``queries × layer rows`` booleans: linear in the
+    run's rows.  Walker ``w`` reads the cell of global id ``n`` at
+    ``bases[w] + n``.
+    """
+
+    def __init__(self, graphs: Sequence[HNSWIndex]) -> None:
+        self.graphs = graphs
+        layers = [graph._layers[0] for graph in graphs]
+        heights = np.array([layer.shape[0] for layer in layers], dtype=np.int64)
+        self.tops = np.cumsum(heights) - heights
+        self.pads = self.tops + heights - 1
+        if len(layers) == 1:
+            self.operand = graphs[0]._operand
+            self.layer = layers[0]
+        else:
+            self.operand = OperandUnion([graph._operand for graph in graphs], self.tops, int(heights.sum()))
+            self.layer = np.empty((int(heights.sum()), max(layer.shape[1] for layer in layers)), dtype=np.int64)
+            for layer, top, pad in zip(layers, self.tops.tolist(), self.pads.tolist()):
+                block = self.layer[top : pad + 1]
+                np.add(layer, top, out=block[:, : layer.shape[1]])
+                block[:, layer.shape[1] :] = pad
+        # Each walker's graph, top and padding id: set per block by :meth:`walk`.
+        self.owner = self.walker_tops = self.walker_pads = np.empty(0, dtype=np.int64)
+
+    def walk(
+        self, queries: np.ndarray, top_k: int
+    ) -> tuple[np.ndarray, np.ndarray, list[SearchStats]]:
+        """Each graph's search of the prepared ``queries``: its positions,
+        distances and counted work, stacked graph by graph.
+
+        Per block of ``DEFAULT_QUERY_BLOCK`` queries every graph descends its
+        own upper layers (:meth:`HNSWIndex._descend`), then every walker of
+        the block searches the bottom layers (:meth:`_beam`).  Walks never
+        read each other's state, so a walker's hops, admissions, results and
+        counted work are the ones its graph's search of its query has alone.
+        """
+        graphs = self.graphs
+        members, num_queries = len(graphs), queries.shape[0]
+        ef = max(graphs[0].ef_search, top_k)
+        positions = np.full((members, num_queries, top_k), -1, dtype=np.int64)
+        distances = np.full((members, num_queries, top_k), np.inf, dtype=np.float32)
+        stats = [SearchStats(num_queries, segments_searched=1) for _ in graphs]
+        # Per-call scratch, never index state: admission workers and any
+        # other caller threads search one index concurrently.
+        scratch = np.empty(min(num_queries, DEFAULT_QUERY_BLOCK) * self.layer.shape[0], dtype=bool)
+        for first in range(0, num_queries, DEFAULT_QUERY_BLOCK):
+            prepared = QueryOperand(queries[first : first + DEFAULT_QUERY_BLOCK], graphs[0].metric)
+            width = prepared.queries64.shape[0]
+            rows = slice(first, first + width)
+            starts = []
+            for graph, top, record in zip(graphs, self.tops.tolist(), stats):
+                # A view: the descent charges its rows of ``stats``.
+                entered = graph._descend(prepared, SearchStats.from_rows(record.per_query[rows]))
+                starts.extend(top + node for node in entered)
+            # Small ints: a stable sort of a round's nodes by graph is a radix sort.
+            self.owner = np.repeat(np.arange(members, dtype=np.min_scalar_type(members - 1)), width)
+            self.walker_tops, self.walker_pads = self.tops[self.owner], self.pads[self.owner]
+            # Walker (g, i) owns the cells from ``width·tops[g] + i·(rows + 1)``.
+            bases = (width - 1) * self.walker_tops + np.tile(np.arange(width), members) * (
+                self.walker_pads - self.walker_tops + 1
+            )
+            walked = SearchStats(members * width)
+            found = np.full((members * width, top_k), -1, dtype=np.int64)
+            found_distances = np.full((members * width, top_k), np.inf, dtype=np.float32)
+            self._beam(
+                prepared if members == 1 else prepared.repeated(members),
+                starts, ef, scratch[: width * self.layer.shape[0]], bases, walked, found, found_distances,
+            )
+            np.subtract(found, self.walker_tops[:, None], out=found, where=found >= 0)
+            positions[:, rows] = found.reshape(members, width, top_k)
+            distances[:, rows] = found_distances.reshape(members, width, top_k)
+            for record, walker_rows in zip(stats, walked.per_query.reshape(members, width, -1)):
+                record.per_query[rows] += walker_rows
+        return positions, distances, stats
+
+    def score(self, prepared: QueryOperand, walkers: list[int], counts: list[int], nodes: np.ndarray) -> np.ndarray:
+        """Flat distances from each walker's query to its graph's rows at its
+        next ``counts`` of ``nodes`` (global ids, end to end): one GEMV per
+        walker and one finish, as a graph's own search scores them."""
+        if len(self.graphs) == 1:
+            return prepared.gather_scan_runs(walkers, counts, self.operand, nodes)
+        return prepared.gather_scan_parts(walkers, counts, self.operand, self.owner[walkers], nodes)
+
     def _beam(
         self,
         prepared: QueryOperand,
         starts: list[int],
         ef: int,
-        unvisited: np.ndarray,
+        scratch: np.ndarray,
+        bases: np.ndarray,
         stats: SearchStats,
         positions: np.ndarray,
         distances: np.ndarray,
     ) -> None:
-        """Best-first search of the bottom layer from ``starts``, one walk per
-        query of the block, into the block's rows of the output
-        (``positions`` and ``distances``, pre-filled with ``-1`` and
-        ``inf``).  ``unvisited`` is the block's ``(queries, rows + 1)``
-        scratch.  A block of ``ROW_BLOCK`` queries or more walks on key rows
+        """Best-first search of the bottom layers from ``starts``, one walk
+        per walker of the block, into the walkers' rows of the output
+        (``positions`` as global ids and ``distances``, pre-filled with
+        ``-1`` and ``inf``).  ``scratch`` is the block's ``unvisited`` cells.
+        A block of ``ROW_BLOCK`` walkers or more walks on key rows
         (:meth:`_walk_rows`); the heap (:meth:`_walk_heaps`) walks a smaller
-        block, finishes the rows' last walkers and walks again the queries
+        block, finishes the rows' last walkers and walks again the walkers
         the rows cannot follow.  Each walk's hops and evaluations are charged
         to its row of ``stats``."""
-        unvisited.fill(True)
-        unvisited[:, -1] = False
+        scratch.fill(True)
+        scratch[bases + self.walker_pads] = False
         graph_hops = np.zeros(len(starts), dtype=np.int64)
         distance_evaluations = np.zeros(len(starts), dtype=np.int64)
         if len(starts) >= ROW_BLOCK:
             walks, parts, from_start = self._walk_rows(
-                prepared, starts, ef, unvisited, graph_hops, distance_evaluations, positions, distances
+                prepared, starts, ef, scratch, bases, graph_hops, distance_evaluations, positions, distances
             )
         else:
             walks, parts, from_start = {}, [], range(len(starts))
-        for query in from_start:
-            unvisited[query, starts[query]] = False
-            walks[query] = [[], [], unvisited[query], unvisited.shape[1] - 2, 0, 0]
-            parts.append(np.array([starts[query]]))
+        offsets, sizes = bases.tolist(), (self.walker_pads - self.walker_tops).tolist()
+        for walker in from_start:
+            base = offsets[walker]
+            scratch[base + starts[walker]] = False
+            walks[walker] = [[], [], scratch[base:], sizes[walker] - 1, 0, 0]
+            parts.append(np.array([starts[walker]]))
         self._walk_heaps(prepared, ef, walks, parts)
         top_k = positions.shape[1]
-        for query, (_, results, _, _, hops, evaluations) in walks.items():
-            graph_hops[query] += hops
-            distance_evaluations[query] += evaluations
+        for walker, (_, results, _, _, hops, evaluations) in walks.items():
+            graph_hops[walker] += hops
+            distance_evaluations[walker] += evaluations
             keep = sorted((-negated, node) for negated, node in results)[:top_k]
-            positions[query, : len(keep)] = [node for _, node in keep]
-            distances[query, : len(keep)] = [distance for distance, _ in keep]
+            positions[walker, : len(keep)] = [node for _, node in keep]
+            distances[walker, : len(keep)] = [distance for distance, _ in keep]
         stats.add("graph_hops", graph_hops)
         stats.add("distance_evaluations", distance_evaluations)
 
@@ -348,7 +522,8 @@ class HNSWIndex(VectorIndex):
         prepared: QueryOperand,
         starts: list[int],
         ef: int,
-        unvisited: np.ndarray,
+        scratch: np.ndarray,
+        offsets: np.ndarray,
         graph_hops: np.ndarray,
         distance_evaluations: np.ndarray,
         positions: np.ndarray,
@@ -357,7 +532,7 @@ class HNSWIndex(VectorIndex):
         """The walks of a block as sorted key rows, advanced for every walker
         at once, until fewer than ``HANDOVER`` walk.  Fills the output rows
         of the walks that end here and returns the rest: the heap states
-        and next nodes of the walkers handed over, and the queries to walk
+        and next nodes of the walkers handed over, and the walkers to walk
         again from their start.
 
         A walk's results are one row of ``ef`` int64 keys
@@ -378,24 +553,22 @@ class HNSWIndex(VectorIndex):
         score or ``-0.0`` (the heap compares it equal to ``+0.0``; its key
         sorts it below) is dropped and walked again on the heap.
         """
-        bottom = self._layers[0]
-        stride = bottom.shape[0]
-        scratch = unvisited.reshape(-1)  # a view: the scratch is C-contiguous
+        bottom = self.layer
         found = np.full(positions.shape, _PAD, dtype=np.int64)
-        # The walkers on key rows: their queries, offsets into ``scratch``,
+        # The walkers on key rows: their numbers, bases into ``scratch``,
         # rows (``ef`` keys, then padding that a merge fills and a look-ahead
         # window reads), unvisited counts, and the fresh nodes each scores
         # next (``counts`` of them, end to end).
         walkers = np.arange(len(starts))
-        bases = walkers * stride
+        bases = offsets
         keys = np.full((walkers.size, ef + max(bottom.shape[1], 1 + LOOKAHEAD)), _PAD, dtype=np.int64)
-        unseen = np.full(walkers.size, stride - 2, dtype=np.int64)
+        unseen = self.walker_pads - self.walker_tops - 1
         nodes = np.array(starts, dtype=np.int64)
         counts = np.ones(walkers.size, dtype=np.int64)
         scratch[bases + nodes] = False
         restarts = []
         while walkers.size >= HANDOVER:
-            scores = prepared.gather_scan_runs(walkers.tolist(), counts.tolist(), self._operand, nodes)
+            scores = self.score(prepared, walkers.tolist(), counts.tolist(), nodes)
             distance_evaluations[walkers] += counts
             ordered = _ordered(scores)
             owner = np.repeat(np.arange(walkers.size), counts)
@@ -429,10 +602,11 @@ class HNSWIndex(VectorIndex):
                 spent &= ~dropped
                 graph_hops[walkers[spent]] += pending[spent]
                 found[walkers[spent]] = keys[spent, : found.shape[1]]
-                for query in walkers[dropped].tolist():
-                    restarts.append(query)
-                    graph_hops[query] = distance_evaluations[query] = 0
-                    unvisited[query, :-1] = True
+                for walker in walkers[dropped].tolist():
+                    restarts.append(walker)
+                    graph_hops[walker] = distance_evaluations[walker] = 0
+                    base = int(offsets[walker])
+                    scratch[base + int(self.walker_tops[walker]) : base + int(self.walker_pads[walker])] = True
                 stay = ~(dropped | spent)
                 walkers, bases, keys, unseen = walkers[stay], bases[stay], keys[stay], unseen[stay]
                 unexpanded, pending = unexpanded[stay], pending[stay]
@@ -442,10 +616,11 @@ class HNSWIndex(VectorIndex):
             # one.  Nothing is marked visited in between, so a window finds
             # the key the heap expands; every key passed over is a hop.
             everyone = np.arange(walkers.size)
+            pads = self.walker_pads[walkers]
             column = unexpanded.argmax(axis=1)
             head = keys[everyone, column]
             opened = (head & 1) == 0
-            neighbours = bottom[np.where(opened, (head >> 1) & _LOW31, stride - 1)]
+            neighbours = bottom[np.where(opened, (head >> 1) & _LOW31, pads)]
             places = bases[:, None] + neighbours
             fresh = scratch.take(places)
             keys[everyone, column] = head | opened
@@ -465,7 +640,7 @@ class HNSWIndex(VectorIndex):
                 columns = start[:, None] + np.arange(LOOKAHEAD)
                 looked = keys[rows, columns]
                 unopened = (looked & 1) == 0
-                neighbours = bottom[np.where(unopened, (looked >> 1) & _LOW31, stride - 1)].reshape(-1)
+                neighbours = bottom[np.where(unopened, (looked >> 1) & _LOW31, pads[rows])].reshape(-1)
                 places = (bases[rows] + neighbours.reshape(seeking.size, -1)).reshape(-1)
                 # The unvisited neighbours, flat in (walker, key, neighbour)
                 # order: a walker's first is on the key it expands.
@@ -506,14 +681,14 @@ class HNSWIndex(VectorIndex):
         # The handover: a row's keys are its result heap, its unexpanded keys
         # its candidates (sorted, so already a heap).
         walks, parts, stop = {}, [], 0
-        for query, row, left, size in zip(walkers.tolist(), keys[:, :ef], unseen.tolist(), counts.tolist()):
+        for walker, row, left, size in zip(walkers.tolist(), keys[:, :ef], unseen.tolist(), counts.tolist()):
             row = row[row != _PAD]
             row_nodes, row_distances = _unkey(row)
             pending = (row & 1) == 0
             results = list(zip((-row_distances).tolist(), row_nodes.tolist()))
             heapify(results)
             candidates = list(zip(row_distances[pending].tolist(), row_nodes[pending].tolist()))
-            walks[query] = [candidates, results, unvisited[query], left, 0, 0]
+            walks[walker] = [candidates, results, scratch[int(offsets[walker]) :], left, 0, 0]
             start, stop = stop, stop + size
             parts.append(nodes[start:stop])
         return walks, parts, restarts
@@ -525,23 +700,22 @@ class HNSWIndex(VectorIndex):
         walks: dict[int, list],
         parts: list[np.ndarray],
     ) -> None:
-        """The heap walk: ``walks`` maps a query to its candidate min-heap,
-        result max-heap (negated distances), row of the ``unvisited``
-        scratch, count of rows left unvisited, hops and evaluations; each
+        """The heap walk: ``walks`` maps a walker to its candidate min-heap,
+        result max-heap (negated distances), ``unvisited`` cells (from its
+        base on), count of rows left unvisited, hops and evaluations; each
         scores its entry of ``parts`` first.  Walks advance in rounds like
         the key rows' and end in place."""
-        operand = self._operand
-        bottom = self._layers[0]
+        bottom = self.layer
         owners, sizes = list(walks), [part.size for part in parts]
         while owners:
             # One walk's part is scored as it is: a copy per round is a
             # measurable share of a one-query search.
             nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            scores = prepared.gather_scan_runs(owners, sizes, operand, nodes).tolist()
+            scores = self.score(prepared, owners, sizes, nodes).tolist()
             scored = zip(scores, nodes.tolist())
             walking, fresh_parts, fresh_sizes = [], [], []
-            for query, size in zip(owners, sizes):
-                walk = walks[query]
+            for walker, size in zip(owners, sizes):
+                walk = walks[walker]
                 candidates, results, unvisited_row, unseen, _, _ = walk
                 walk[5] += size
                 worst = -results[0][0] if results else None
@@ -573,18 +747,9 @@ class HNSWIndex(VectorIndex):
                     if fresh.size:
                         unvisited_row[fresh] = False
                         walk[3] = unseen - fresh.size
-                        walking.append(query)
+                        walking.append(walker)
                         fresh_parts.append(fresh)
                         fresh_sizes.append(fresh.size)
                         break
                 walk[4] += hops
             owners, parts, sizes = walking, fresh_parts, fresh_sizes
-
-    def memory_bytes(self) -> int:
-        if not self._layers:
-            return 0
-        bottom, *upper = self._layers
-        nodes = bottom.shape[0] - 1
-        edges = int(np.count_nonzero(bottom[:nodes] != nodes))
-        edges += sum(adjacent.size for layer in upper for adjacent in layer.values())
-        return int(edges * 8 + (nodes + sum(len(layer) for layer in upper)) * 8)

@@ -48,7 +48,7 @@ class TestRunScenario:
 
 
 class TestDriftStep:
-    """A cell whose drift would fire after its last step is refused, not run."""
+    """A cell whose drift fires at or after its last step is refused, not run."""
 
     @pytest.mark.parametrize("drift_step", (3, 4))
     def test_a_drift_at_or_past_the_last_step_is_refused(self, drift_step):

@@ -173,11 +173,12 @@ class TestTuneCommand:
             "FLAT", "IVF_FLAT", "IVF_SQ8", "IVF_PQ", "HNSW", "SCANN", "AUTOINDEX",
         }
 
-    def test_tune_unreachable_recall_floor_fails(self, capsys):
-        exit_code = main(
-            ["tune", "--dataset", "glove-small", "--iterations", "8", "--recall-floor", "1.1"]
-        )
-        assert exit_code == 1
+    def test_tune_unreachable_recall_floor_fails(self, monkeypatch):
+        # No recall exceeds 1, so the floor is refused before any tuning runs.
+        monkeypatch.setattr("repro.cli.VDTuner.run", lambda *args, **kwargs: pytest.fail("the loop ran"))
+        with pytest.raises(SystemExit) as excinfo:
+            main(["tune", "--dataset", "glove-small", "--iterations", "8", "--recall-floor", "1.1"])
+        assert str(excinfo.value.code).startswith("error: --recall-floor: ")
 
 
 class TestCompareCommand:

@@ -15,7 +15,7 @@ from repro.datasets.ground_truth import brute_force_neighbors, recall_at_k
 from repro.vdms.distance import pairwise_distances
 from repro.vdms.index.autoindex import AutoIndex
 from repro.vdms.index.base import SearchStats
-from repro.vdms.index.hnsw import HANDOVER, ROW_BLOCK, HNSWIndex, padded_layer
+from repro.vdms.index.hnsw import HANDOVER, ROW_BLOCK, HNSWIndex, _Run, padded_layer
 from repro.vdms.index.kmeans import kmeans
 
 
@@ -495,18 +495,18 @@ class TestSeedEquivalence:
 
 
 def record_walks(monkeypatch):
-    """Wrap ``HNSWIndex._walk_rows``: each call's ``(block size, walkers
-    handed over, queries walked again from their start)`` is appended to the
-    returned list."""
+    """Wrap ``_Run._walk_rows``, the key-row walk of every HNSW search: each
+    call's ``(block size, walkers handed over, walkers walked again from
+    their start)`` is appended to the returned list."""
     calls = []
-    walk_rows = HNSWIndex._walk_rows
+    walk_rows = _Run._walk_rows
 
     def recording(self, prepared, starts, *args):
         walks, parts, restarts = walk_rows(self, prepared, starts, *args)
         calls.append((len(starts), len(walks), list(restarts)))
         return walks, parts, restarts
 
-    monkeypatch.setattr(HNSWIndex, "_walk_rows", recording)
+    monkeypatch.setattr(_Run, "_walk_rows", recording)
     return calls
 
 

@@ -39,7 +39,8 @@ from repro.vdms import (
     SystemConfig,
     VectorDBServer,
 )
-from repro.vdms.index import INDEX_REGISTRY, FlatIndex, IVFFlatIndex
+from repro.vdms.index import INDEX_REGISTRY, AutoIndex, FlatIndex, IVFFlatIndex
+from repro.vdms.index.hnsw import _Run
 from repro.vdms.segment import SegmentManager, SegmentState
 
 #: At this dimension the 64 MB / 0.25 segment config seals ~170-row
@@ -387,18 +388,17 @@ def built_indexes(collection):
 
 def reachable_indexes(collection) -> Counter:
     """What a collection is entitled to hold: one built index per indexed
-    segment, plus the exact FLAT view a segment caches once it was searched
-    (or recovered) unindexed."""
-    return Counter(
-        {
-            IVFFlatIndex: len(built_indexes(collection)),
-            FlatIndex: sum(
-                segment._exact_cache is not None
-                for shard in collection.shards
-                for segment in shard.segments.segments
-            ),
-        }
+    segment (and the graph an AUTOINDEX keeps), plus the exact FLAT view a
+    segment caches once it was searched (or recovered) unindexed."""
+    built = built_indexes(collection)
+    held = Counter(type(index) for index in built)
+    held.update(type(index._inner) for index in built if isinstance(index, AutoIndex))
+    held[FlatIndex] += sum(
+        segment._exact_cache is not None
+        for shard in collection.shards
+        for segment in shard.segments.segments
     )
+    return held
 
 
 class TestIndexLifetime:
@@ -490,6 +490,50 @@ class TestIndexLifetime:
                 collection.delete(np.arange(cycle, start, 9, dtype=np.int64))
             collection.search(queries, TOP_K)
             collection.search(filtered)
+            uncollected = Counter(
+                type(obj) for obj in gc.get_objects() if type(obj) in set(INDEX_REGISTRY.values())
+            )
+            assert uncollected - baseline == reachable_indexes(collection)
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("index_type", ["HNSW", "AUTOINDEX"])
+    def test_graph_runs_free_replaced_indexes_without_the_collector(self, index_type, monkeypatch):
+        # The same census for a shard's graphs walked as one: the per-call
+        # union of their bottom layers must not keep a replaced graph alive.
+        unions = []
+        init = _Run.__init__
+
+        def recording(run, graphs):
+            init(run, graphs)
+            unions.append(len(graphs))
+
+        monkeypatch.setattr(_Run, "__init__", recording)
+        baseline = index_census()
+        vectors, _ = make_corpus()
+        queries = np.random.default_rng(13).normal(size=(40, DIMENSION)).astype(np.float32)
+        server = VectorDBServer(
+            SystemConfig(
+                shard_num=2,
+                maintenance_mode="inline",
+                compaction_trigger_ratio=0.05,
+                **SEGMENT_CONFIG,
+            )
+        )
+        gc.disable()
+        try:
+            collection = server.create_collection("churn", DIMENSION, "l2")
+            collection.insert(vectors[:800])
+            collection.flush()
+            collection.create_index(index_type, {"hnsw_m": 4, "ef_search": 16})
+            for cycle in range(3):
+                collection.search(queries, TOP_K)
+                start = 800 + 100 * cycle
+                collection.insert(vectors[start : start + 100])
+                collection.flush()
+                collection.delete(np.arange(cycle, start, 9, dtype=np.int64))
+            collection.search(queries, TOP_K)
+            assert max(unions) > 1
             uncollected = Counter(
                 type(obj) for obj in gc.get_objects() if type(obj) in set(INDEX_REGISTRY.values())
             )

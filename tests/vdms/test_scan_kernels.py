@@ -9,7 +9,8 @@ the reference kernel (the determinism contract in
   shapes (including degenerate 1-row tiles);
 - :class:`ScanOperand` caching and gathering (``take``) never change a bit;
 - :class:`QueryOperand` (the query side prepared once for many hops) scores
-  gathered rows with the bits of a one-query kernel call;
+  gathered rows with the bits of a one-query kernel call, from one operand
+  or from each query's own among several;
 - cached norms survive the segment lifecycle (seal -> tombstone ->
   compaction) with searches bit-identical to a freshly built collection;
 - masked scans agree between gather-then-GEMM and dense-scan-then-mask;
@@ -30,6 +31,7 @@ from repro.vdms.collection import Collection
 from repro.vdms.distance import (
     MASK_DENSE_SCAN_SELECTIVITY,
     METRICS,
+    OperandUnion,
     QueryOperand,
     ScanOperand,
     masked_topk,
@@ -127,6 +129,60 @@ class TestQueryOperand:
                 reference = pairwise_distances(queries[row][None, :], operand.take(positions), metric)[0]
                 assert hop.dtype == reference.dtype == np.float32
                 assert hop.tobytes() == reference.tobytes()
+
+    @pytest.mark.parametrize("dimension", [1, 2, 3, 32, 100, 128])
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_gather_products_match_one_query_kernel_calls(self, metric, dimension):
+        # Each query's GEMV (an ``ndarray.dot`` of its gathered rows) is the
+        # product, and after the finish the distance, of one kernel call on
+        # that query and ``operand.take`` of its rows — for runs of 0, 1 and
+        # many rows, written at the offsets asked for.
+        stored, queries = _corpus(metric, rows=60, dim=dimension)
+        stored[7] = stored[3]
+        queries[2] = stored[3]
+        operand = ScanOperand.prepare(stored, metric)
+        prepared = QueryOperand(queries, metric)
+        rng = np.random.default_rng(dimension)
+        counts = [0, 1, 23, 0, 1, 60, 2]
+        runs = [rng.integers(0, 60, size=count) for count in counts]
+        positions = np.concatenate(runs)
+        starts = np.cumsum([0] + counts[:-1]) + np.arange(len(counts))  # a gap after each run
+        products = np.full((1, int(starts[-1]) + counts[-1] + 1), np.nan)
+        prepared.gather_products(range(len(counts)), counts, operand, positions, products, starts.tolist())
+        flat = prepared.gather_scan_runs(range(len(counts)), counts, operand, positions)
+        stop = 0
+        for row, (run, start) in enumerate(zip(runs, starts.tolist())):
+            begin, stop = stop, stop + run.size
+            taken = operand.take(run)
+            product = prepared.queries64[row : row + 1] @ taken.vectors64.T
+            assert products[0, start : start + run.size].tobytes() == product[0].tobytes()
+            reference = pairwise_distances(queries[row][None, :], taken, metric)[0]
+            assert flat[begin:stop].tobytes() == reference.tobytes()
+        assert np.isnan(products[0, starts[1:] - 1]).all()  # the gaps stay unwritten
+
+    @pytest.mark.parametrize("metric", METRICS)
+    def test_gather_scan_parts_match_each_operands_own_scan(self, metric):
+        # Three operands numbered as one with gaps between them; queries
+        # owning runs of each, in mixed order and in operand order.
+        rng = np.random.default_rng(5)
+        operands = []
+        for rows in (40, 7, 25):
+            stored, _ = _corpus(metric, rows=rows, dim=32, seed=rows)
+            operands.append(ScanOperand.prepare(stored, metric))
+        union = OperandUnion(operands, [0, 45, 52], 80)
+        _, queries = _corpus(metric, dim=32)
+        prepared = QueryOperand(queries, metric)
+        for owners in ([2, 0, 1, 0, 2, 1, 0], [0, 0, 1, 1, 1, 2, 2]):
+            counts = [3, 0, 7, 1, 12, 2, 5]
+            runs = [rng.integers(0, operands[owner].shape[0], size=count) for owner, count in zip(owners, counts)]
+            positions = np.concatenate([run + union.starts[owner] for owner, run in zip(owners, runs)])
+            flat = prepared.gather_scan_parts(range(len(owners)), counts, union, np.array(owners), positions)
+            stop = 0
+            for row, (owner, run) in enumerate(zip(owners, runs)):
+                begin, stop = stop, stop + run.size
+                reference = pairwise_distances(queries[row][None, :], operands[owner].take(run), metric)[0]
+                assert flat[begin:stop].tobytes() == reference.tobytes()
+            assert stop == flat.size
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError):

@@ -21,6 +21,7 @@ that nobody can tell it from the per-segment path:
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import astuple
 
 import numpy as np
@@ -28,7 +29,8 @@ import pytest
 
 from repro.vdms import Collection
 from repro.vdms.index import INDEX_REGISTRY, create_index
-from repro.vdms.index.base import COUNTERS, SearchStats
+from repro.vdms.index.base import COUNTERS, SearchStats, VectorIndex
+from repro.vdms.index.hnsw import HNSWIndex, _Run
 from repro.vdms.request import AUTO_PRE_FILTER_SELECTIVITY, SearchPlan, SegmentPlan
 from repro.vdms.sharding import SegmentView, merge_topk
 
@@ -256,3 +258,152 @@ def test_each_query_counts_what_it_costs_searched_alone(index_type, strategy, me
             assert stats.slice(query, query + 1) == alone, (query, alone)
             totals += alone.per_query[0]
         assert astuple(stats) == (queries.shape[0], *totals.tolist())
+
+
+# -- graph runs: a shard's HNSW / AUTOINDEX segments walked as one -----------------
+
+GRAPH_PARAMS = {"HNSW": {"hnsw_m": 6, "ef_search": 24}, "AUTOINDEX": {}}
+
+
+def graph_run(index_type, metric, sizes, seed=0):
+    """Built graph indexes of ``sizes`` rows under distinct permuted ids; a
+    fifth of the later members' rows copy first-member rows, and one is zero."""
+    rng = np.random.default_rng([seed, len(sizes), len(index_type), len(metric)])
+    ends = np.cumsum(sizes)
+    vectors = rng.normal(size=(ends[-1], DIMENSION)).astype(np.float32)
+    copies = rng.choice(np.arange(sizes[0], ends[-1]), size=(ends[-1] - sizes[0]) // 5, replace=False)
+    vectors[copies] = vectors[rng.integers(0, sizes[0], size=copies.size)]
+    vectors[sizes[0] + 1] = 0.0
+    ids = rng.permutation(ends[-1] * 3)[: ends[-1]]
+    run = []
+    for start, stop in zip(ends - np.asarray(sizes), ends):
+        index = create_index(index_type, metric=metric, **GRAPH_PARAMS[index_type])
+        index.build(vectors[start:stop], ids[start:stop])
+        run.append(index)
+    return run, vectors
+
+
+def graph_queries(vectors, num_queries, seed=9):
+    """Random queries, then queries on copied rows, a zero one and non-finite ones."""
+    queries = np.random.default_rng([seed, num_queries]).normal(size=(num_queries, DIMENSION)).astype(np.float32)
+    special = [vectors[0], vectors[1], vectors[2], np.zeros(DIMENSION), np.full(DIMENSION, np.inf)]
+    special.append(np.where(np.arange(DIMENSION) == 3, np.nan, 1.0))
+    for row, vector in zip(range(0, num_queries, 5), special):
+        queries[row] = vector
+    return queries
+
+
+@pytest.fixture
+def unions(monkeypatch):
+    """The graph count of every union a search builds (one graph is no union)."""
+    built = []
+    init = _Run.__init__
+
+    def recording(self, graphs):
+        init(self, graphs)
+        if len(graphs) > 1:
+            built.append(len(graphs))
+
+    monkeypatch.setattr(_Run, "__init__", recording)
+    return built
+
+
+@pytest.fixture
+def rewalks(monkeypatch):
+    """The walkers each key-row walk over a union hands back to the heap to
+    walk again from their start (a non-finite score, a boundary tie)."""
+    restarted = []
+    walk_rows = _Run._walk_rows
+
+    def recording(self, *args):
+        walks, parts, restarts = walk_rows(self, *args)
+        if len(self.graphs) > 1:
+            restarted.extend(restarts)
+        return walks, parts, restarts
+
+    monkeypatch.setattr(_Run, "_walk_rows", recording)
+    return restarted
+
+
+def assert_same_run(got, expected):
+    """Ids, distance bytes and dtype, and every query's counted work."""
+    assert got[0].dtype == expected[0].dtype and np.array_equal(got[0], expected[0])
+    assert got[1].dtype == expected[1].dtype and got[1].tobytes() == expected[1].tobytes()
+    assert np.array_equal(got[2].per_query, expected[2].per_query)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("num_queries", (1, 31, 64, 130))
+@pytest.mark.parametrize("metric", ("angular", "l2", "ip"))
+@pytest.mark.parametrize("index_type", sorted(GRAPH_PARAMS))
+def test_a_graph_run_equals_the_base_run(index_type, metric, num_queries, unions, rewalks):
+    # Ragged members; the 15-row one is narrower than top_k 20, which sends
+    # the whole run to the base path.
+    run, vectors = graph_run(index_type, metric, (37, 120, 64, 15, 90))
+    queries = graph_queries(vectors, num_queries)
+    for top_k in (1, 10, 20):
+        got = type(run[0]).search_run(run, queries, top_k)
+        assert_same_run(got, VectorIndex.search_run(run, queries, top_k))
+    # One union per call where the run walks as one: not for a one-query
+    # request, nor at top_k 20.  Its infinite and NaN queries' walkers left
+    # the key rows to walk again on the heap.
+    assert unions == ([] if num_queries == 1 else [len(run)] * 2)
+    assert (len(rewalks) > 0) == (num_queries > 1)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("index_type", sorted(GRAPH_PARAMS))
+def test_a_graph_run_falls_back_where_it_must(index_type, unions):
+    run, vectors = graph_run(index_type, "l2", (40, 50, 60))
+    queries = graph_queries(vectors, 16)
+    cases = {
+        # 3 x 8 walkers: below RUN_WALKERS.
+        "small": (run, queries[:8], None),
+        "filtered": (run, queries, [{"allow_mask": np.ones(index.size, dtype=bool)} for index in run]),
+        "one member": (run[:1], queries, None),
+    }
+    for case, (members, batch, options) in cases.items():
+        got = type(run[0]).search_run(members, batch, 5, options)
+        assert_same_run(got, VectorIndex.search_run(members, batch, 5, options))
+        assert unions == [], case
+    if index_type == "HNSW":
+        # A member searched with another beam width.
+        run[1].set_search_params(ef_search=40)
+        assert_same_run(HNSWIndex.search_run(run, queries, 5), VectorIndex.search_run(run, queries, 5))
+        assert unions == []
+        run[1].set_search_params(ef_search=GRAPH_PARAMS["HNSW"]["ef_search"])
+    assert_same_run(type(run[0]).search_run(run, queries, 5), VectorIndex.search_run(run, queries, 5))
+    assert unions == [3]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_long_graph_run_is_cut_into_unions_of_bounded_rows(monkeypatch, unions):
+    monkeypatch.setattr("repro.vdms.index.hnsw.RUN_ROWS", 100)
+    run, vectors = graph_run("HNSW", "angular", (40, 50, 60, 30, 30, 30, 200, 20))
+    queries = graph_queries(vectors, 40)
+    assert_same_run(HNSWIndex.search_run(run, queries, 5), VectorIndex.search_run(run, queries, 5))
+    # 40 + 50 | 60 + 30 | 30 + 30 | 200 alone | 20: the single ones are no union.
+    assert unions == [2, 2, 2]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+def test_a_forty_member_run_keeps_its_scratch_linear_in_rows():
+    # A walker's scratch covers its own graph's rows: a block's is
+    # ``queries x rows`` bytes, where a (walkers, rows) one would take
+    # 64 x 40 x 16 040 bytes (41 MB) here.  What else a call holds is the
+    # bottom-layer union and, per walker, a few kilobytes of key rows and
+    # gathered neighbours per round.
+    run, vectors = graph_run("HNSW", "l2", (400,) * 40)
+    queries = graph_queries(vectors, 64)
+    HNSWIndex.search_run(run, queries, 10)  # warm: lazy caches, imports
+    tracemalloc.start()
+    try:
+        HNSWIndex.search_run(run, queries, 10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    rows = sum(index._layers[0].shape[0] for index in run)
+    walkers = len(run) * queries.shape[0]
+    layer = rows * max(index._layers[0].shape[1] for index in run) * 8
+    bound = 2 * layer + queries.shape[0] * rows + 4096 * walkers
+    assert peak < bound < walkers * rows / 2
