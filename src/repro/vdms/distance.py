@@ -444,12 +444,13 @@ class QueryOperand:
         ordered = positions[order]
         gathered = np.empty((total, self.queries64.shape[1]))
         stop = 0
-        sizes = np.bincount(owners, weights=counts, minlength=len(union.operands)).astype(np.int64).tolist()
-        for operand, base, size in zip(union.operands, union.starts, sizes):
+        sizes = np.bincount(owners, weights=counts, minlength=len(union.operands)).astype(np.int64)
+        for operand, base, size in zip(union.operands, union.starts, sizes.tolist()):
             start, stop = stop, stop + size
             if size:
                 # In range by construction: "clip" spares the buffered copy "raise" makes.
-                np.take(operand.vectors64, ordered[start:stop] - base, axis=0, out=gathered[start:stop], mode="clip")
+                part = ordered[start:stop] - base
+                np.take(operand.vectors64, part, axis=0, out=gathered[start:stop], mode="clip")
         where = np.empty(total, dtype=np.int64)
         where[order] = np.arange(total)
         starts = np.cumsum(counts) - counts

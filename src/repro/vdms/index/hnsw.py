@@ -403,7 +403,8 @@ class _Run:
             self.layer = layers[0]
         else:
             self.operand = OperandUnion([graph._operand for graph in graphs], self.tops, int(heights.sum()))
-            self.layer = np.empty((int(heights.sum()), max(layer.shape[1] for layer in layers)), dtype=np.int64)
+            degree = max(layer.shape[1] for layer in layers)
+            self.layer = np.empty((int(heights.sum()), degree), dtype=np.int64)
             for layer, top, pad in zip(layers, self.tops.tolist(), self.pads.tolist()):
                 block = self.layer[top : pad + 1]
                 np.add(layer, top, out=block[:, : layer.shape[1]])
@@ -430,7 +431,9 @@ class _Run:
         distances = np.full((members, num_queries, top_k), np.inf, dtype=np.float32)
         stats = [SearchStats(num_queries, segments_searched=1) for _ in graphs]
         # Per-call scratch, never index state: admission workers and any
-        # other caller threads search one index concurrently.
+        # other caller threads search one index concurrently.  Kept in the
+        # negative so a hop's mask is one gather, not a gather and an invert;
+        # each walker's padding cell stays False.
         scratch = np.empty(min(num_queries, DEFAULT_QUERY_BLOCK) * self.layer.shape[0], dtype=bool)
         for first in range(0, num_queries, DEFAULT_QUERY_BLOCK):
             prepared = QueryOperand(queries[first : first + DEFAULT_QUERY_BLOCK], graphs[0].metric)
@@ -462,7 +465,9 @@ class _Run:
                 record.per_query[rows] += walker_rows
         return positions, distances, stats
 
-    def score(self, prepared: QueryOperand, walkers: list[int], counts: list[int], nodes: np.ndarray) -> np.ndarray:
+    def score(
+        self, prepared: QueryOperand, walkers: list[int], counts: list[int], nodes: np.ndarray
+    ) -> np.ndarray:
         """Flat distances from each walker's query to its graph's rows at its
         next ``counts`` of ``nodes`` (global ids, end to end): one GEMV per
         walker and one finish, as a graph's own search scores them."""
@@ -606,7 +611,8 @@ class _Run:
                     restarts.append(walker)
                     graph_hops[walker] = distance_evaluations[walker] = 0
                     base = int(offsets[walker])
-                    scratch[base + int(self.walker_tops[walker]) : base + int(self.walker_pads[walker])] = True
+                    top, pad = int(self.walker_tops[walker]), int(self.walker_pads[walker])
+                    scratch[base + top : base + pad] = True
                 stay = ~(dropped | spent)
                 walkers, bases, keys, unseen = walkers[stay], bases[stay], keys[stay], unseen[stay]
                 unexpanded, pending = unexpanded[stay], pending[stay]
