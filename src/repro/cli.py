@@ -191,7 +191,8 @@ def build_parser() -> argparse.ArgumentParser:
         "qps_burst/burst, filter_shift/filter, or none",
     )
     tune_online.add_argument("--drift-step", type=int, default=None,
-                             help="evaluation step the drift fires at (default: 60%% of --steps)")
+                             help="evaluation step the drift fires at, before the last one "
+                                  "(default: 60%% of --steps, after the first re-tune)")
     tune_online.add_argument("--tuner", default="vdtuner", choices=tuner_names,
                              help="tuner registry name")
     tune_online.add_argument("--json", action="store_true",
@@ -334,6 +335,7 @@ _FLAG_OF_FIELD = {
     "workers": "--serve-workers",
     "drain_timeout_seconds": "--drain-timeout",
     "total_steps": "--steps",
+    "at_step": "--drift-step",
     "num_iterations": "--iterations",
     "duration_seconds": "--duration",
     "selectivity": "--filter-selectivity",
@@ -582,6 +584,7 @@ def _command_tune_online(args: argparse.Namespace) -> int:
         make_drift_event,
     )
     from repro.datasets.registry import load_dataset
+    from repro.experiments.scenario_matrix import drift_step_of
 
     settings = _built(
         OnlineTunerSettings,
@@ -595,23 +598,17 @@ def _command_tune_online(args: argparse.Namespace) -> int:
     )
     _check_retune_budget(args)
     _validate_batch_options(args)
-    drift_step = args.drift_step
-    if drift_step is None:
-        drift_step = min(max(args.retune_budget + 5, round(0.6 * args.steps)), args.steps)
     events = []
     if args.drift.lower() not in ("none", "static"):
-        if not 1 <= drift_step <= args.steps:
-            _fail(
-                f"--drift-step {drift_step} is outside the run's 1..{args.steps} step "
-                "range; the drift would never fire — move it inside the budget or "
-                "use --drift none"
-            )
         try:
-            events.append(
-                _built(make_drift_event, args.drift, at_step=drift_step, severity=args.severity)
-            )
+            kind = make_drift_event(args.drift, at_step=1).name
         except KeyError as error:
             _fail(f"--drift: {error.args[0]}")
+        try:
+            drift_step = drift_step_of(settings, args.drift_step)
+        except ValueError as error:
+            _fail(f"{'--steps' if args.drift_step is None else '--drift-step'}: {error}")
+        events.append(_built(make_drift_event, kind, at_step=drift_step, severity=args.severity))
     dynamic = DynamicWorkload(load_dataset(args.dataset), events, seed=args.seed)
     environment = DynamicTuningEnvironment(dynamic, seed=args.seed)
     with _make_evaluator(args, environment) as evaluator:
@@ -637,10 +634,10 @@ def _command_tune_online(args: argparse.Namespace) -> int:
                 phase["detection_delay"] if phase["detection_delay"] is not None else "-",
             ]
         )
+    drift = f"{args.drift} severity {args.severity} at step {drift_step}" if events else args.drift
     title = (
         f"online tuning on {args.dataset} "
-        f"({args.drift} severity {args.severity} at step {drift_step}, "
-        f"{'warm' if settings.warm_start else 'cold'} re-tuning)"
+        f"({drift}, {'warm' if settings.warm_start else 'cold'} re-tuning)"
     )
     print(
         format_table(

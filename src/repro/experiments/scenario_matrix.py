@@ -30,6 +30,7 @@ from repro.workloads.dynamic import (
 __all__ = [
     "DRIFT_SCENARIOS",
     "MATRIX_TUNERS",
+    "drift_step_of",
     "matrix_drift_step",
     "run_scenario",
     "run_scenario_matrix",
@@ -65,7 +66,7 @@ def _online_settings(
     )
 
 
-def _drift_step(settings: OnlineTunerSettings, drift_step: int | None = None) -> int:
+def drift_step_of(settings: OnlineTunerSettings, drift_step: int | None = None) -> int:
     """The step the drift fires at: ``drift_step``, by default 60% through the
     run and after the first episode is serving.  Steps count from 1, and a
     drift at or past the last step leaves a cell no step to detect or recover
@@ -101,7 +102,7 @@ def matrix_drift_step(
         batch_size=1,
         seed=0,
     )
-    return _drift_step(settings)
+    return drift_step_of(settings)
 
 
 def run_scenario(
@@ -142,7 +143,7 @@ def run_scenario(
         batch_size=batch_size,
         seed=seed,
     )
-    step = _drift_step(settings, drift_step)
+    step = drift_step_of(settings, drift_step)
     event = make_drift_event(drift, at_step=step, severity=severity)
     if dynamic is None:
         dynamic = DynamicWorkload(load_dataset(dataset_name), [event], seed=seed)
@@ -203,7 +204,7 @@ def run_scenario_matrix(
         batch_size=batch_size,
         seed=seed,
     )
-    drift_step = _drift_step(settings)
+    drift_step = drift_step_of(settings)
     cells: list[dict[str, Any]] = []
     for drift in drifts:
         for severity in severities:

@@ -35,6 +35,8 @@ from urllib.parse import urlsplit
 
 import numpy as np
 
+from repro.vdms.request import MAX_TOP_K
+
 __all__ = [
     "LoadGenerator",
     "LoadReport",
@@ -388,8 +390,8 @@ class LoadGenerator:
             raise ValueError("qps must be positive")
         if not duration_seconds > 0:
             raise ValueError("duration_seconds must be positive")
-        if top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        if not 1 <= top_k <= MAX_TOP_K:
+            raise ValueError(f"top_k must be in 1..{MAX_TOP_K}")
         if deadline_ms is not None and not deadline_ms > 0:
             raise ValueError("deadline_ms must be positive when set")
         if max_client_threads < 1:
@@ -487,8 +489,8 @@ class TenantLoadProfile:
             raise ValueError("collection must be non-empty")
         if not self.qps > 0:
             raise ValueError("qps must be positive")
-        if self.top_k < 1:
-            raise ValueError("top_k must be >= 1")
+        if not 1 <= self.top_k <= MAX_TOP_K:
+            raise ValueError(f"top_k must be in 1..{MAX_TOP_K}")
         if self.popularity_skew < 0:
             raise ValueError("popularity_skew must be >= 0")
         if self.query_pool < 1:

@@ -176,7 +176,23 @@ class Collection:
         value per row, categoricals as integer codes); they are routed,
         sealed, tombstoned and compacted together with their rows and are
         what :class:`~repro.vdms.request.AttributeFilter` predicates read.
+        Every value must be finite: a NaN or infinite row is stored but no
+        search can return it.
         """
+        vectors = np.asarray(vectors, dtype=np.float32)
+        if not np.isfinite(vectors).all():
+            raise ValueError("vectors must hold finite numbers")
+        return self._insert_rows(vectors, ids, attributes)
+
+    def _insert_rows(
+        self,
+        vectors: np.ndarray,
+        ids: np.ndarray | None,
+        attributes: Mapping[str, np.ndarray] | None,
+    ) -> int:
+        """:meth:`insert` without its finiteness check: recovery replays a
+        logged batch through this, so a log written before the check still
+        recovers."""
         vectors = np.asarray(vectors, dtype=np.float32)
         if vectors.ndim == 1:
             vectors = vectors[None, :]

@@ -45,8 +45,8 @@ and one finish (:meth:`QueryOperand.finish_runs`) and one select serve the
 whole run.  Every product is still the call its own segment search issues:
 what a run pays per segment is that segment's gather and its GEMVs.  A
 shard's run of graphs walks its segments' queries in the same rounds: a
-round's rows are gathered from each segment's own operand, numbered as one
-by an :class:`OperandUnion` (:meth:`QueryOperand.gather_scan_parts`).
+round's rows are gathered at once from one copy of the segments' cached rows
+(:meth:`ScanOperand.stack`).
 """
 
 from __future__ import annotations
@@ -59,7 +59,6 @@ import numpy as np
 __all__ = [
     "MASK_DENSE_SCAN_SELECTIVITY",
     "METRICS",
-    "OperandUnion",
     "QueryOperand",
     "ScanOperand",
     "masked_topk",
@@ -197,25 +196,24 @@ class ScanOperand:
             sub._norms64 = self._norms64[positions]
         return sub
 
+    @classmethod
+    def stack(cls, operands: Sequence["ScanOperand"], starts: Sequence[int], size: int) -> "ScanOperand":
+        """``size`` rows numbered as one: operand ``k``'s row ``i`` is row
+        ``starts[k] + i``, and rows no operand fills are zero.
 
-class OperandUnion:
-    """Several :class:`ScanOperand` numbered as one, their rows left in place.
-
-    Operand ``k``'s row ``i`` is position ``starts[k] + i``; positions
-    between operands may go unused.  Only the squared norms are laid end to
-    end (``size`` of them): a gather reads each operand's own cached float64
-    rows (:meth:`QueryOperand.gather_scan_parts`), so a union costs its
-    positions' norms, not its rows' vectors.
-    """
-
-    __slots__ = ("operands", "starts", "norms64")
-
-    def __init__(self, operands: Sequence[ScanOperand], starts: Sequence[int], size: int) -> None:
-        self.operands = list(operands)
-        self.starts = [int(start) for start in starts]
-        self.norms64 = np.zeros(size)
-        for operand, start in zip(self.operands, self.starts):
-            self.norms64[start : start + operand.shape[0]] = operand.norms64
+        A copy of the operands' cached float64 rows and squared norms, so a
+        row gathered from the stack is an exact copy of the one its own
+        operand gives and scores bit for bit alike.  Only the float64 rows are
+        held (they are ``vectors`` too: the float32 values, exactly), so a
+        stack costs ``size × d × 8`` bytes and its norms.
+        """
+        stacked = cls.__new__(cls)
+        stacked.vectors = stacked._vectors64 = np.zeros((size, operands[0].shape[1]))
+        stacked._norms64 = np.zeros(size)
+        for operand, start in zip(operands, starts):
+            rows = slice(start, start + operand.shape[0])
+            stacked._vectors64[rows], stacked._norms64[rows] = operand.vectors64, operand.norms64
+        return stacked
 
 
 def _as_operand(vectors: np.ndarray | ScanOperand, metric: str) -> ScanOperand:
@@ -417,48 +415,6 @@ class QueryOperand:
         for row, count, begin, start in zip(rows, counts, begins, starts):
             if count:
                 gathered[begin : begin + count].dot(queries[row], out=out[start : start + count])
-
-    def gather_scan_parts(
-        self,
-        rows: Sequence[int],
-        counts: Sequence[int],
-        union: "OperandUnion",
-        owners: np.ndarray,
-        positions: np.ndarray,
-    ) -> np.ndarray:
-        """:meth:`gather_scan_runs` over several operands numbered as one
-        (``union``): query ``rows[i]`` is scored against the rows of operand
-        ``owners[i]`` at its next ``counts[i]`` of ``positions``.
-
-        A stable sort by operand keeps each query's run whole and in order,
-        so each operand's rows are gathered once, from its own cached float64
-        rows, and each query's GEMV reads its run where the sort put it.
-        Each product is the one :meth:`gather_scan` issues on the query's own
-        operand, so the values are that call's bit for bit; the per-pair
-        finish runs once.
-        """
-        total = positions.shape[0]
-        if not total:
-            return np.empty(0, dtype=np.float32)
-        order = np.argsort(np.repeat(owners, counts), kind="stable")
-        ordered = positions[order]
-        gathered = np.empty((total, self.queries64.shape[1]))
-        stop = 0
-        sizes = np.bincount(owners, weights=counts, minlength=len(union.operands)).astype(np.int64)
-        for operand, base, size in zip(union.operands, union.starts, sizes.tolist()):
-            start, stop = stop, stop + size
-            if size:
-                # In range by construction: "clip" spares the buffered copy "raise" makes.
-                part = ordered[start:stop] - base
-                np.take(operand.vectors64, part, axis=0, out=gathered[start:stop], mode="clip")
-        where = np.empty(total, dtype=np.int64)
-        where[order] = np.arange(total)
-        starts = np.cumsum(counts) - counts
-        begins = where[np.minimum(starts, total - 1)]
-        products = np.empty((1, total), dtype=np.float64)
-        self._products(rows, counts, gathered, begins.tolist(), products[0], starts.tolist())
-        vector_norms = None if self.norms64 is None else union.norms64[positions]
-        return self.finish_runs(products, rows, counts, vector_norms)
 
     def repeated(self, times: int) -> "QueryOperand":
         """The batch ``times`` over, end to end: row ``c * q + i`` is row ``i``."""

@@ -515,7 +515,7 @@ def recover_collection(
                 for name, column in record.arrays.items()
                 if name.startswith(_ATTR_PREFIX)
             }
-            collection.insert(
+            collection._insert_rows(
                 record.arrays["vectors"], record.arrays["ids"], attributes or None
             )
         elif record.op == "delete":

@@ -41,8 +41,8 @@ import numpy as np
 from repro.vdms.distance import (
     DEFAULT_QUERY_BLOCK,
     DEFAULT_ROW_BLOCK,
-    OperandUnion,
     QueryOperand,
+    ScanOperand,
     pairwise_distances,
 )
 from repro.vdms.index.base import BuildStats, SearchStats, VectorIndex, merge_results
@@ -381,9 +381,10 @@ class _Run:
     sentinel of :func:`padded_layer`) is ``pads[g]``, so ``layer`` stacks
     every graph's padded bottom layer with its ids shifted by its top and its
     rows widened with its own padding id.  A run of one graph is its own
-    layer.  The union is per call, a copy of the graphs' bottom layers; the
-    vectors are not copied, each graph's rows are gathered from its own
-    cached operand (an :class:`OperandUnion`).
+    layer.  The union is per call, a copy of the graphs' bottom layers and
+    of their cached float64 rows and norms, numbered the same way with a zero
+    row at each padding id (:meth:`ScanOperand.stack`), so a round's rows
+    are one gather whichever graphs they come from.
 
     A walker is one (graph, query) pair of a block of queries, graph-major.
     Its ``unvisited`` scratch covers its own graph's rows and padding cell,
@@ -402,15 +403,15 @@ class _Run:
             self.operand = graphs[0]._operand
             self.layer = layers[0]
         else:
-            self.operand = OperandUnion([graph._operand for graph in graphs], self.tops, int(heights.sum()))
+            self.operand = ScanOperand.stack([graph._operand for graph in graphs], self.tops, int(heights.sum()))
             degree = max(layer.shape[1] for layer in layers)
             self.layer = np.empty((int(heights.sum()), degree), dtype=np.int64)
             for layer, top, pad in zip(layers, self.tops.tolist(), self.pads.tolist()):
                 block = self.layer[top : pad + 1]
                 np.add(layer, top, out=block[:, : layer.shape[1]])
                 block[:, layer.shape[1] :] = pad
-        # Each walker's graph, top and padding id: set per block by :meth:`walk`.
-        self.owner = self.walker_tops = self.walker_pads = np.empty(0, dtype=np.int64)
+        # Each walker's top and padding id: set per block by :meth:`walk`.
+        self.walker_tops = self.walker_pads = np.empty(0, dtype=np.int64)
 
     def walk(
         self, queries: np.ndarray, top_k: int
@@ -444,9 +445,8 @@ class _Run:
                 # A view: the descent charges its rows of ``stats``.
                 entered = graph._descend(prepared, SearchStats.from_rows(record.per_query[rows]))
                 starts.extend(top + node for node in entered)
-            # Small ints: a stable sort of a round's nodes by graph is a radix sort.
-            self.owner = np.repeat(np.arange(members, dtype=np.min_scalar_type(members - 1)), width)
-            self.walker_tops, self.walker_pads = self.tops[self.owner], self.pads[self.owner]
+            owner = np.repeat(np.arange(members), width)
+            self.walker_tops, self.walker_pads = self.tops[owner], self.pads[owner]
             # Walker (g, i) owns the cells from ``width·tops[g] + i·(rows + 1)``.
             bases = (width - 1) * self.walker_tops + np.tile(np.arange(width), members) * (
                 self.walker_pads - self.walker_tops + 1
@@ -464,16 +464,6 @@ class _Run:
             for record, walker_rows in zip(stats, walked.per_query.reshape(members, width, -1)):
                 record.per_query[rows] += walker_rows
         return positions, distances, stats
-
-    def score(
-        self, prepared: QueryOperand, walkers: list[int], counts: list[int], nodes: np.ndarray
-    ) -> np.ndarray:
-        """Flat distances from each walker's query to its graph's rows at its
-        next ``counts`` of ``nodes`` (global ids, end to end): one GEMV per
-        walker and one finish, as a graph's own search scores them."""
-        if len(self.graphs) == 1:
-            return prepared.gather_scan_runs(walkers, counts, self.operand, nodes)
-        return prepared.gather_scan_parts(walkers, counts, self.operand, self.owner[walkers], nodes)
 
     def _beam(
         self,
@@ -573,7 +563,7 @@ class _Run:
         scratch[bases + nodes] = False
         restarts = []
         while walkers.size >= HANDOVER:
-            scores = self.score(prepared, walkers.tolist(), counts.tolist(), nodes)
+            scores = prepared.gather_scan_runs(walkers.tolist(), counts.tolist(), self.operand, nodes)
             distance_evaluations[walkers] += counts
             ordered = _ordered(scores)
             owner = np.repeat(np.arange(walkers.size), counts)
@@ -717,7 +707,7 @@ class _Run:
             # One walk's part is scored as it is: a copy per round is a
             # measurable share of a one-query search.
             nodes = parts[0] if len(parts) == 1 else np.concatenate(parts)
-            scores = self.score(prepared, owners, sizes, nodes).tolist()
+            scores = prepared.gather_scan_runs(owners, sizes, self.operand, nodes).tolist()
             scored = zip(scores, nodes.tolist())
             walking, fresh_parts, fresh_sizes = [], [], []
             for walker, size in zip(owners, sizes):

@@ -52,6 +52,7 @@ __all__ = [
     "ATTRIBUTE_MISSING",
     "AUTO_PRE_FILTER_SELECTIVITY",
     "FILTER_STRATEGIES",
+    "MAX_TOP_K",
     "AttributeFilter",
     "SearchRequest",
     "SegmentPlan",
@@ -64,6 +65,11 @@ __all__ = [
 #: rejects every predicate — the same NULL semantics as a missing column —
 #: so untagged rows can never match a filter, whatever its operator.
 ATTRIBUTE_MISSING = np.iinfo(np.int64).min
+
+#: The largest ``top_k`` a search accepts, Milvus's own limit: an answer is
+#: ``queries × top_k`` ids and distances, so an unbounded ``top_k`` lets one
+#: request ask for any amount of memory.
+MAX_TOP_K = 16_384
 
 #: Filter-execution strategies accepted by ``filter_strategy``.
 FILTER_STRATEGIES: tuple[str, ...] = ("auto", "pre", "post")
@@ -206,6 +212,8 @@ class SearchRequest:
         object.__setattr__(self, "top_k", int(self.top_k))
         if self.top_k <= 0:
             raise ValueError("top_k must be positive")
+        if self.top_k > MAX_TOP_K:
+            raise ValueError(f"top_k must be at most {MAX_TOP_K}, got {self.top_k}")
         if self.filter_strategy is not None and self.filter_strategy not in FILTER_STRATEGIES:
             raise ValueError(
                 f"filter_strategy must be one of {FILTER_STRATEGIES}, got {self.filter_strategy!r}"

@@ -182,6 +182,9 @@ def test_error_status_codes(frontend):
         request(frontend, "POST", "/collections/c/search", {"queries": [[1.0] * 4], "top_k": 0})[0]
         == 400
     )
+    huge = {"queries": [[1.0] * 4], "top_k": 10**9}
+    status, body = request(frontend, "POST", "/collections/c/search", huge)
+    assert status == 400 and "top_k must be at most 16384" in body["error"]
     assert (
         request(frontend, "POST", "/collections/c/index", {"index_type": "BOGUS"})[0] == 400
     )

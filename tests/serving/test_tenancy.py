@@ -243,6 +243,7 @@ class TestTenantLoadProfile:
             {"collection": ""},
             {"collection": "a", "qps": 0.0},
             {"collection": "a", "qps": 5.0, "top_k": 0},
+            {"collection": "a", "qps": 5.0, "top_k": 16_385},
             {"collection": "a", "qps": 5.0, "popularity_skew": -0.1},
             {"collection": "a", "qps": 5.0, "query_pool": 0},
             {"collection": "a", "qps": 5.0, "deadline_ms": 0.0},

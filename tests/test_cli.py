@@ -416,6 +416,12 @@ class TestFlagValidation:
             # The default drift step (7) falls after a 3-step run ends.
             (["scenario-matrix", "--steps", "3", "--tuners", "random",
               "--drifts", "query_shift", "--severities", "0.5"], "--steps"),
+            # A drift at the last step leaves no step to detect or recover from it.
+            (["tune-online", "--steps", "6", "--retune-budget", "2", "--drift-step", "6"], "--drift-step"),
+            (["tune-online", "--steps", "6", "--retune-budget", "2", "--drift-step", "0"], "--drift-step"),
+            # The default drift step (2 + 2 + 2 = 6) falls on a 6-step run's last step.
+            (["tune-online", "--steps", "6", "--retune-budget", "2"], "--steps"),
+            (["loadgen", "--qps", "1", "--duration", "0.1", "--top-k", "16385"], "--top-k"),
             (["compare", "--tuners", "bogus"], "--tuners"),
             (["tune-online", "--tuner", "bogus"], "--tuner"),
             (["scenario-matrix", "--tuners", "bogus"], "--tuners"),

@@ -681,6 +681,37 @@ class TestDurabilityManager:
         with pytest.raises(ValueError):
             Collection("c", DIMENSION, filesystem=CrashPointFS())
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_insert_is_refused_before_the_log(self, bad):
+        fs = CrashPointFS()
+        collection = durable_collection(fs)
+        collection.insert(make_rows(4))
+        collection.flush()
+        rows = make_rows(5, seed=3)
+        rows[2, 7] = bad
+        with pytest.raises(ValueError, match="finite"):
+            collection.insert(rows)
+        collection.flush()
+        assert collection.num_rows == 4
+        assert collection.durability.stats.records_appended == 4  # create, insert, two flushes
+        collection.close()
+        records, _ = WriteAheadLog.read(fs, "/data/c/wal-000000.log")
+        assert [record.op for record in records] == ["create", "insert", "flush", "flush"]
+
+    def test_a_logged_non_finite_row_still_recovers(self):
+        # A log written before inserts were checked holds the row as it came.
+        fs = CrashPointFS()
+        collection = durable_collection(fs)
+        rows = make_rows(5)
+        rows[1, 0] = np.nan
+        collection.durability.log_insert(np.arange(5, dtype=np.int64), rows, {})
+        collection.durability.log_flush()
+        collection.close()
+        recovered = Collection.recover("/data/c", filesystem=fs, auto_maintenance=False)
+        assert recovered.num_rows == 5
+        assert recovered.recovery_report.wal_records_replayed == 2
+        recovered.close()
+
 
 class TestRecovery:
     def populated(self, fs: CrashPointFS, **overrides) -> Collection:

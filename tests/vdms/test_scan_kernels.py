@@ -10,7 +10,7 @@ the reference kernel (the determinism contract in
 - :class:`ScanOperand` caching and gathering (``take``) never change a bit;
 - :class:`QueryOperand` (the query side prepared once for many hops) scores
   gathered rows with the bits of a one-query kernel call, from one operand
-  or from each query's own among several;
+  or from a stack of several, each query against its own;
 - cached norms survive the segment lifecycle (seal -> tombstone ->
   compaction) with searches bit-identical to a freshly built collection;
 - masked scans agree between gather-then-GEMM and dense-scan-then-mask;
@@ -31,7 +31,6 @@ from repro.vdms.collection import Collection
 from repro.vdms.distance import (
     MASK_DENSE_SCAN_SELECTIVITY,
     METRICS,
-    OperandUnion,
     QueryOperand,
     ScanOperand,
     masked_topk,
@@ -161,22 +160,24 @@ class TestQueryOperand:
         assert np.isnan(products[0, starts[1:] - 1]).all()  # the gaps stay unwritten
 
     @pytest.mark.parametrize("metric", METRICS)
-    def test_gather_scan_parts_match_each_operands_own_scan(self, metric):
-        # Three operands numbered as one with gaps between them; queries
-        # owning runs of each, in mixed order and in operand order.
+    def test_gathers_from_a_stack_match_each_operands_own_scan(self, metric):
+        # Three ragged operands stacked as one with zero rows between them;
+        # queries owning runs of each, in mixed order and in operand order.
         rng = np.random.default_rng(5)
         operands = []
         for rows in (40, 7, 25):
             stored, _ = _corpus(metric, rows=rows, dim=32, seed=rows)
             operands.append(ScanOperand.prepare(stored, metric))
-        union = OperandUnion(operands, [0, 45, 52], 80)
+        starts = [0, 45, 52]
+        stacked = ScanOperand.stack(operands, starts, 80)
+        assert stacked.vectors64.shape == (80, 32) and not stacked.vectors64[40:45].any()
         _, queries = _corpus(metric, dim=32)
         prepared = QueryOperand(queries, metric)
         for owners in ([2, 0, 1, 0, 2, 1, 0], [0, 0, 1, 1, 1, 2, 2]):
             counts = [3, 0, 7, 1, 12, 2, 5]
             runs = [rng.integers(0, operands[owner].shape[0], size=count) for owner, count in zip(owners, counts)]
-            positions = np.concatenate([run + union.starts[owner] for owner, run in zip(owners, runs)])
-            flat = prepared.gather_scan_parts(range(len(owners)), counts, union, np.array(owners), positions)
+            positions = np.concatenate([run + starts[owner] for owner, run in zip(owners, runs)])
+            flat = prepared.gather_scan_runs(range(len(owners)), counts, stacked, positions)
             stop = 0
             for row, (owner, run) in enumerate(zip(owners, runs)):
                 begin, stop = stop, stop + run.size

@@ -1,7 +1,8 @@
 """A search the collection rejects is rejected before it touches the cache.
 
 - ``SearchRequest`` takes one query vector or a 2-D batch; a scalar or a
-  3-D array raises ``ValueError`` when the request is made.
+  3-D array raises ``ValueError`` when the request is made, and so does a
+  ``top_k`` above ``MAX_TOP_K`` (an answer is ``queries × top_k`` wide).
 - ``Collection.search_many`` checks every request's query dimension before
   any cache lookup, so a rejected call counts no result miss (the serving
   front-end's ``/stats`` after a 400 is pinned in
@@ -14,6 +15,7 @@ import numpy as np
 import pytest
 
 from repro.vdms import Collection, SearchRequest, SystemConfig
+from repro.vdms.request import MAX_TOP_K
 
 
 @pytest.mark.parametrize(
@@ -29,6 +31,18 @@ def test_a_request_takes_one_vector_or_a_2d_batch(queries):
 def test_one_vector_is_promoted_and_an_empty_batch_is_kept():
     assert SearchRequest(np.zeros(8), 3).queries.shape == (1, 8)
     assert SearchRequest(np.zeros((0, 8)), 3).queries.shape == (0, 8)
+
+
+def test_top_k_is_bounded_before_any_work():
+    assert SearchRequest(np.zeros(8), MAX_TOP_K).top_k == MAX_TOP_K == 16_384
+    collection = cached_collection()
+    for top_k in (MAX_TOP_K + 1, 10**6):
+        with pytest.raises(ValueError, match="top_k must be at most 16384"):
+            collection.search(np.zeros((1, 8)), top_k)
+    assert collection.query_cache.stats.result_misses == 0
+    # A bound at the limit answers with its rows, padded like any wide search.
+    result = collection.search(np.zeros((1, 8)), MAX_TOP_K)
+    assert result.ids.shape == (1, MAX_TOP_K) and (result.ids[0, 64:] == -1).all()
 
 
 def cached_collection():
