@@ -7,10 +7,11 @@ from conftest import register_report
 
 from repro.analysis.reporting import format_table
 from repro.experiments.ablation import figure11_parameter_convergence
+from repro.experiments.runner import run_tuner
 
 
-def test_figure11_parameter_convergence(benchmark, scale, comparison_runs):
-    geo_run = comparison_runs["geo-radius-small"]["vdtuner"]
+def test_figure11_parameter_convergence(benchmark, scale):
+    geo_run = run_tuner("vdtuner", "geo-radius-small", scale=scale)
     traces = benchmark.pedantic(
         lambda: figure11_parameter_convergence(
             "geo-radius-small", scale=scale, report=geo_run.report

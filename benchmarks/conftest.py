@@ -1,12 +1,12 @@
-"""Shared machinery for the benchmark harness.
+"""Shared machinery for the pytest benchmarks.
 
-Every benchmark regenerates one table or figure of the paper.  The expensive
-tuning runs are shared across benchmark files through session-scoped
-fixtures, and every benchmark registers a plain-text table with
-:func:`register_report`; the tables are printed together at the end of the
-pytest session (and written to ``benchmarks/results/``), so
-``pytest benchmarks/ --benchmark-only`` produces the same rows/series the
-paper reports.
+The paper's claims, tables and headline figures are judged by
+``paper_scoreboard.py``, a plain script.  The pytest benchmarks here cover
+the remaining figures and the subsystem studies: every benchmark registers a
+plain-text table with :func:`register_report`; the tables are printed
+together at the end of the pytest session (and written to
+``benchmarks/results/``).  Figures 9 and 10 share their ablation runs
+through a session-scoped fixture.
 
 Scale: the default "fast" scale keeps the whole suite in tens of minutes;
 ``VDTUNER_FULL=1`` switches to paper-scale iteration counts.
@@ -14,13 +14,10 @@ Scale: the default "fast" scale keeps the whole suite in tens of minutes;
 
 from __future__ import annotations
 
-import os
 from pathlib import Path
 
 import pytest
 
-from repro.experiments.comparison import PAPER_DATASETS
-from repro.experiments.runner import PAPER_TUNERS, run_tuner_comparison
 from repro.experiments.settings import current_scale
 
 _REPORTS: list[tuple[str, str]] = []
@@ -53,25 +50,8 @@ def scale():
 
 
 @pytest.fixture(scope="session")
-def comparison_runs(scale):
-    """All paper tuners run on every Table III dataset (shared by several benches)."""
-    runs = {}
-    for dataset_name in PAPER_DATASETS:
-        runs[dataset_name] = run_tuner_comparison(
-            dataset_name, tuners=PAPER_TUNERS, scale=scale
-        )
-    return runs
-
-
-@pytest.fixture(scope="session")
-def glove_comparison(comparison_runs):
-    """The GloVe-stand-in comparison used by Figure 7 and Table VI."""
-    return comparison_runs["glove-small"]
-
-
-@pytest.fixture(scope="session")
 def ablation_reports(scale):
-    """VDTuner component-ablation runs shared by Figures 8, 9 and 10."""
+    """VDTuner component-ablation runs shared by Figures 9 and 10."""
     from repro.experiments.ablation import figure8_ablation
 
     budget = figure8_ablation("glove-small", component="budget_allocation", scale=scale)

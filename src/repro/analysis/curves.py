@@ -1,9 +1,9 @@
 """Optimization curves and sample/time efficiency (Figure 7).
 
 The paper compares tuners by the best search speed found so far as a
-function of (a) the number of evaluated configurations and (b) the simulated
-tuning time, restricted to configurations whose recall satisfies the user's
-floor.
+function of (a) the number of evaluated configurations and (b) the tuning
+time (simulated replay plus wall-clock recommendation), restricted to
+configurations whose recall satisfies the user's floor.
 """
 
 from __future__ import annotations
@@ -49,12 +49,13 @@ def time_to_reach(
     *,
     recall_floor: float = 0.0,
 ) -> float | None:
-    """Simulated tuning seconds needed to reach the target speed.
+    """Tuning seconds needed to reach the target speed.
 
-    The clock charged per iteration is the replay time of every evaluation up
-    to and including the one that reached the target, plus the tuner's
-    recommendation time prorated per iteration — the same accounting as the
-    paper's tuning-time comparison.
+    The clock charged is the simulated replay time of every evaluation up to
+    and including the one that reached the target, plus the tuner's
+    wall-clock recommendation time prorated per iteration — the same
+    accounting as the paper's tuning-time comparison.  The wall-clock part
+    makes the result vary from run to run.
     """
     iteration = iterations_to_reach(report.history, target_speed, recall_floor=recall_floor)
     if iteration is None:

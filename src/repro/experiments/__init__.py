@@ -19,7 +19,6 @@ from repro.experiments.motivation import (
 from repro.experiments.comparison import (
     figure6_speed_vs_sacrifice,
     figure7_optimization_curves,
-    table4_improvement,
     table6_overhead,
 )
 from repro.experiments.ablation import (
@@ -64,7 +63,6 @@ __all__ = [
     "run_tuner",
     "run_tuner_comparison",
     "scalability_larger_dataset",
-    "table4_improvement",
     "table5_best_configurations",
     "table6_overhead",
 ]

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from repro.config.milvus_space import INDEX_PARAMETERS
-from repro.experiments.runner import run_tuner
+from repro.experiments.runner import TunerRun, run_tuner
 from repro.experiments.settings import ExperimentScale, current_scale
 
 __all__ = ["table5_best_configurations", "BestConfigurationRow"]
@@ -42,12 +42,18 @@ def table5_best_configurations(
     *,
     recall_floor: float = 0.85,
     scale: ExperimentScale | None = None,
+    runs: dict[str, TunerRun] | None = None,
 ) -> dict[str, BestConfigurationRow]:
-    """Run VDTuner per dataset and report the recommended index + parameters."""
+    """Report VDTuner's recommended index + parameters per dataset.
+
+    ``runs`` maps dataset names to VDTuner runs already made; every other
+    dataset gets a run of its own.
+    """
     scale = scale or current_scale()
+    runs = runs or {}
     rows: dict[str, BestConfigurationRow] = {}
     for dataset_name in dataset_names:
-        run = run_tuner("vdtuner", dataset_name, scale=scale)
+        run = runs.get(dataset_name) or run_tuner("vdtuner", dataset_name, scale=scale)
         best = run.report.best_observation(recall_floor=recall_floor) or run.report.best_observation()
         if best is None:
             continue

@@ -1,4 +1,4 @@
-"""Tuner-comparison experiments (Table IV, Figure 6, Figure 7, Table VI)."""
+"""Tuner-comparison experiments (Figure 6, Figure 7, Table VI)."""
 
 from __future__ import annotations
 
@@ -7,13 +7,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.curves import best_so_far_curve, iterations_to_reach, time_to_reach
-from repro.analysis.improvement import ImprovementReport, improvement_over_default
 from repro.analysis.tradeoff import DEFAULT_SACRIFICES, speed_vs_sacrifice_curve, tradeoff_ability
-from repro.experiments.runner import PAPER_TUNERS, TunerRun, run_tuner, run_tuner_comparison
+from repro.experiments.runner import PAPER_TUNERS, TunerRun, run_tuner_comparison
 from repro.experiments.settings import ExperimentScale, current_scale
 
 __all__ = [
-    "table4_improvement",
     "figure6_speed_vs_sacrifice",
     "figure7_optimization_curves",
     "table6_overhead",
@@ -24,20 +22,6 @@ __all__ = [
 
 #: Datasets of Table III used throughout the comparison experiments.
 PAPER_DATASETS: tuple[str, ...] = ("glove-small", "keyword-match-small", "geo-radius-small")
-
-
-def table4_improvement(
-    dataset_names: tuple[str, ...] = PAPER_DATASETS,
-    *,
-    scale: ExperimentScale | None = None,
-) -> dict[str, ImprovementReport]:
-    """Improvement of VDTuner over the default configuration per dataset (Table IV)."""
-    scale = scale or current_scale()
-    reports: dict[str, ImprovementReport] = {}
-    for dataset_name in dataset_names:
-        run = run_tuner("vdtuner", dataset_name, scale=scale)
-        reports[dataset_name] = improvement_over_default(run.report.history, run.default_result)
-    return reports
 
 
 @dataclass
@@ -57,10 +41,11 @@ def figure6_speed_vs_sacrifice(
     tuners: tuple[str, ...] = PAPER_TUNERS,
     sacrifices: tuple[float, ...] = DEFAULT_SACRIFICES,
     scale: ExperimentScale | None = None,
+    runs: dict[str, TunerRun] | None = None,
 ) -> Figure6Result:
     """Best speed per recall sacrifice for every tuner (one Figure 6 panel)."""
     scale = scale or current_scale()
-    runs = run_tuner_comparison(dataset_name, tuners=tuners, scale=scale)
+    runs = runs or run_tuner_comparison(dataset_name, tuners=tuners, scale=scale)
     curves = {
         name: speed_vs_sacrifice_curve(run.report.history, sacrifices) for name, run in runs.items()
     }

@@ -91,7 +91,12 @@ from repro.vdms.request import AttributeFilter, SearchRequest
 from repro.vdms.server import VectorDBServer
 from repro.vdms.system_config import SystemConfig
 
-__all__ = ["ServingConfig", "ServingFrontend"]
+__all__ = ["MAX_BODY_BYTES", "ServingConfig", "ServingFrontend"]
+
+#: The longest request body the front-end reads.  A longer declared body is
+#: answered 413 without reading a byte of it.  Far above any search, and
+#: above an insert of 100k rows of 64 dimensions as JSON.
+MAX_BODY_BYTES = 2**28
 
 
 @dataclass(frozen=True)
@@ -472,6 +477,10 @@ class _Handler(BaseHTTPRequestHandler):
             # is ever parsed as the next request.
             self.close_connection = True
             raise _HTTPError(400, f"invalid Content-Length {header!r}")
+        if length > MAX_BODY_BYTES:
+            # Unread, the body's bytes would parse as the next request.
+            self.close_connection = True
+            raise _HTTPError(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
         if length == 0:
             return {}
         raw = self.rfile.read(length)
@@ -644,8 +653,6 @@ class _Handler(BaseHTTPRequestHandler):
             queries = queries[None, :]
         if queries.ndim != 2 or queries.shape[0] == 0:
             raise _HTTPError(400, "'queries' must be a non-empty 2-D array of rows")
-        if not np.isfinite(queries).all():
-            raise _HTTPError(400, "'queries' must hold finite numbers")
         top_k = int(body.get("top_k", 10))
         use_cache = bool(body.get("use_cache", True))
         deadline_ms = body.get("deadline_ms")

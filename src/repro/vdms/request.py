@@ -52,6 +52,7 @@ __all__ = [
     "ATTRIBUTE_MISSING",
     "AUTO_PRE_FILTER_SELECTIVITY",
     "FILTER_STRATEGIES",
+    "MAX_ANSWER_CELLS",
     "MAX_TOP_K",
     "AttributeFilter",
     "SearchRequest",
@@ -70,6 +71,12 @@ ATTRIBUTE_MISSING = np.iinfo(np.int64).min
 #: ``queries × top_k`` ids and distances, so an unbounded ``top_k`` lets one
 #: request ask for any amount of memory.
 MAX_TOP_K = 16_384
+
+#: The largest answer a search accepts, in ``queries × top_k`` cells: a
+#: batch of many queries at a legal ``top_k`` can still ask for gigabytes of
+#: ids and distances.  Far above any replay, load generator or benchmark
+#: request (tens of queries at ``top_k`` 10).
+MAX_ANSWER_CELLS = 2**24
 
 #: Filter-execution strategies accepted by ``filter_strategy``.
 FILTER_STRATEGIES: tuple[str, ...] = ("auto", "pre", "post")
@@ -169,9 +176,10 @@ class SearchRequest:
     ----------
     queries:
         Query vectors, shape ``(q, d)`` (a single vector is promoted; any
-        other shape raises ``ValueError``).
+        other shape, and a NaN or infinite value, raises ``ValueError``).
     top_k:
-        Requested result width per query.
+        Requested result width per query, at most :data:`MAX_TOP_K` and at
+        most :data:`MAX_ANSWER_CELLS` over ``q``.
     filter:
         Optional :class:`AttributeFilter`; ``None`` searches unfiltered.
     filter_strategy:
@@ -214,6 +222,13 @@ class SearchRequest:
             raise ValueError("top_k must be positive")
         if self.top_k > MAX_TOP_K:
             raise ValueError(f"top_k must be at most {MAX_TOP_K}, got {self.top_k}")
+        if queries.shape[0] * self.top_k > MAX_ANSWER_CELLS:
+            raise ValueError(
+                f"queries x top_k must be at most {MAX_ANSWER_CELLS}, "
+                f"got {queries.shape[0]} x {self.top_k}"
+            )
+        if not np.isfinite(queries).all():
+            raise ValueError("queries must hold finite numbers")
         if self.filter_strategy is not None and self.filter_strategy not in FILTER_STRATEGIES:
             raise ValueError(
                 f"filter_strategy must be one of {FILTER_STRATEGIES}, got {self.filter_strategy!r}"

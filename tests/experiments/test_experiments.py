@@ -98,8 +98,9 @@ class TestRunnerAndComparison:
 
     def test_figure6_curves_for_each_tuner(self, small_comparison):
         result = figure6_speed_vs_sacrifice(
-            "glove-small", tuners=("vdtuner", "random"), scale=TEST_SCALE
+            "glove-small", scale=TEST_SCALE, runs=small_comparison
         )
+        assert result.runs is small_comparison
         assert set(result.curves) == {"vdtuner", "random"}
         for curve in result.curves.values():
             speeds = list(curve.values())

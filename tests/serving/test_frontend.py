@@ -18,7 +18,7 @@ import numpy as np
 import pytest
 
 from repro.serving import ServingConfig, ServingFrontend
-from repro.serving.server import _Handler
+from repro.serving.server import MAX_BODY_BYTES, _Handler
 from repro.vdms.server import VectorDBServer
 
 
@@ -191,13 +191,26 @@ def test_error_status_codes(frontend):
     request(frontend, "POST", "/collections/c/insert", {"vectors": [[1.0] * 4] * 3})
     request(frontend, "POST", "/collections/c/flush", {})
     nan_query = {"queries": [[float("nan"), 1.0, 1.0, 1.0]]}
-    assert request(frontend, "POST", "/collections/c/search", nan_query)[0] == 400
+    status, body = request(frontend, "POST", "/collections/c/search", nan_query)
+    assert status == 400 and "finite" in body["error"]
     for bad in (float("nan"), float("inf"), -float("inf")):
         rows = {"vectors": [[1.0] * 4, [bad, 1.0, 1.0, 1.0], [2.0] * 4]}
         assert request(frontend, "POST", "/collections/c/insert", rows)[0] == 400
     # Nothing of a refused insert is stored: the three rows answer a wide search.
     status, body = request(frontend, "POST", "/collections/c/search", {"queries": [[1.0] * 4], "top_k": 5})
     assert status == 200 and sorted(body["ids"][0][:3]) == [0, 1, 2] and body["ids"][0][3:] == [-1, -1]
+    # A body declared longer than the cap is refused unread, and the
+    # connection closes so none of its bytes parse as a request.
+    conn = http.client.HTTPConnection("127.0.0.1", frontend.port, timeout=5.0)
+    try:
+        conn.putrequest("POST", "/collections/c/insert")
+        conn.putheader("Content-Length", str(MAX_BODY_BYTES + 1))
+        conn.endheaders()
+        response = conn.getresponse()
+        assert response.status == 413 and response.getheader("Connection") == "close"
+        assert str(MAX_BODY_BYTES) in json.loads(response.read())["error"]
+    finally:
+        conn.close()
 
 
 @pytest.mark.parametrize("length", ["-1", "99999999999999999999", "twelve"])

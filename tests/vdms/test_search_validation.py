@@ -1,8 +1,9 @@
 """A search the collection rejects is rejected before it touches the cache.
 
 - ``SearchRequest`` takes one query vector or a 2-D batch; a scalar or a
-  3-D array raises ``ValueError`` when the request is made, and so does a
-  ``top_k`` above ``MAX_TOP_K`` (an answer is ``queries × top_k`` wide).
+  3-D array raises ``ValueError`` when the request is made, and so do a
+  NaN or infinite query, a ``top_k`` above ``MAX_TOP_K`` and an answer of
+  more than ``MAX_ANSWER_CELLS`` (an answer is ``queries × top_k`` wide).
 - ``Collection.search_many`` checks every request's query dimension before
   any cache lookup, so a rejected call counts no result miss (the serving
   front-end's ``/stats`` after a 400 is pinned in
@@ -15,7 +16,7 @@ import numpy as np
 import pytest
 
 from repro.vdms import Collection, SearchRequest, SystemConfig
-from repro.vdms.request import MAX_TOP_K
+from repro.vdms.request import MAX_ANSWER_CELLS, MAX_TOP_K
 
 
 @pytest.mark.parametrize(
@@ -40,6 +41,11 @@ def test_top_k_is_bounded_before_any_work():
         with pytest.raises(ValueError, match="top_k must be at most 16384"):
             collection.search(np.zeros((1, 8)), top_k)
     assert collection.query_cache.stats.result_misses == 0
+    # Many queries at a legal top_k are refused too, before any allocation.
+    with pytest.raises(ValueError, match=f"queries x top_k must be at most {MAX_ANSWER_CELLS}"):
+        collection.search(np.zeros((20_000, 8)), 16_384)
+    assert collection.query_cache.stats.result_misses == 0
+    assert SearchRequest(np.zeros((MAX_ANSWER_CELLS // MAX_TOP_K, 8)), MAX_TOP_K).top_k == MAX_TOP_K
     # A bound at the limit answers with its rows, padded like any wide search.
     result = collection.search(np.zeros((1, 8)), MAX_TOP_K)
     assert result.ids.shape == (1, MAX_TOP_K) and (result.ids[0, 64:] == -1).all()
@@ -59,6 +65,11 @@ def test_rejected_requests_count_no_cache_miss():
     collection = cached_collection()
     for queries in (np.zeros((1, 5)), np.zeros(9), np.zeros((3, 7))):
         with pytest.raises(ValueError, match="dimension 8"):
+            collection.search(queries, 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        queries = np.zeros((3, 8))
+        queries[1, 4] = bad
+        with pytest.raises(ValueError, match="finite"):
             collection.search(queries, 3)
     good = SearchRequest(np.zeros((1, 8)), 3)
     with pytest.raises(ValueError, match="dimension 8"):
