@@ -54,6 +54,4 @@ def ablation_reports(scale):
     """VDTuner component-ablation runs shared by Figures 9 and 10."""
     from repro.experiments.ablation import figure8_ablation
 
-    budget = figure8_ablation("glove-small", component="budget_allocation", scale=scale)
-    surrogate = figure8_ablation("glove-small", component="surrogate", scale=scale)
-    return {"budget_allocation": budget, "surrogate": surrogate}
+    return figure8_ablation("glove-small", scale=scale)

@@ -59,37 +59,39 @@ class AblationResult:
 def figure8_ablation(
     dataset_name: str = "glove-small",
     *,
-    component: str = "budget_allocation",
     sacrifices: tuple[float, ...] = DEFAULT_SACRIFICES,
     scale: ExperimentScale | None = None,
-) -> AblationResult:
-    """Ablate one VDTuner component.
+) -> dict[str, AblationResult]:
+    """Ablate each of VDTuner's two components against one full VDTuner run.
 
-    ``component`` selects the ablation: ``"budget_allocation"`` compares the
-    successive-abandon strategy against plain round robin (Figure 8a);
-    ``"surrogate"`` compares the polling surrogate against the native GP
-    surrogate (Figure 8b).
+    ``"budget_allocation"`` compares the successive-abandon strategy against
+    plain round robin (Figure 8a); ``"surrogate"`` compares the polling
+    surrogate against the native GP surrogate (Figure 8b).  The full run is
+    both ``successive_abandon`` and ``polling_surrogate``.
     """
     scale = scale or current_scale()
-    if component == "budget_allocation":
-        variants = {
-            "successive_abandon": dict(use_successive_abandon=True),
-            "round_robin": dict(use_successive_abandon=False),
-        }
-    elif component == "surrogate":
-        variants = {
-            "polling_surrogate": dict(use_polling_surrogate=True),
-            "native_surrogate": dict(use_polling_surrogate=False),
-        }
-    else:
-        raise ValueError("component must be 'budget_allocation' or 'surrogate'")
-    reports = {
-        name: _run_variant(dataset_name, scale, **overrides) for name, overrides in variants.items()
+    full = _run_variant(dataset_name, scale)
+    variants = {
+        "budget_allocation": {
+            "successive_abandon": full,
+            "round_robin": _run_variant(dataset_name, scale, use_successive_abandon=False),
+        },
+        "surrogate": {
+            "polling_surrogate": full,
+            "native_surrogate": _run_variant(dataset_name, scale, use_polling_surrogate=False),
+        },
     }
-    curves = {name: speed_vs_sacrifice_curve(r.history, sacrifices) for name, r in reports.items()}
-    return AblationResult(
-        dataset_name=dataset_name, sacrifices=sacrifices, variant_curves=curves, reports=reports
-    )
+    return {
+        component: AblationResult(
+            dataset_name=dataset_name,
+            sacrifices=sacrifices,
+            variant_curves={
+                name: speed_vs_sacrifice_curve(r.history, sacrifices) for name, r in reports.items()
+            },
+            reports=reports,
+        )
+        for component, reports in variants.items()
+    }
 
 
 def figure9_score_dynamics(

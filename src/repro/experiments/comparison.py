@@ -8,8 +8,7 @@ import numpy as np
 
 from repro.analysis.curves import best_so_far_curve, iterations_to_reach, time_to_reach
 from repro.analysis.tradeoff import DEFAULT_SACRIFICES, speed_vs_sacrifice_curve, tradeoff_ability
-from repro.experiments.runner import PAPER_TUNERS, TunerRun, run_tuner_comparison
-from repro.experiments.settings import ExperimentScale, current_scale
+from repro.experiments.runner import TunerRun
 
 __all__ = [
     "figure6_speed_vs_sacrifice",
@@ -37,15 +36,11 @@ class Figure6Result:
 
 def figure6_speed_vs_sacrifice(
     dataset_name: str,
+    runs: dict[str, TunerRun],
     *,
-    tuners: tuple[str, ...] = PAPER_TUNERS,
     sacrifices: tuple[float, ...] = DEFAULT_SACRIFICES,
-    scale: ExperimentScale | None = None,
-    runs: dict[str, TunerRun] | None = None,
 ) -> Figure6Result:
-    """Best speed per recall sacrifice for every tuner (one Figure 6 panel)."""
-    scale = scale or current_scale()
-    runs = runs or run_tuner_comparison(dataset_name, tuners=tuners, scale=scale)
+    """Best speed per recall sacrifice for every tuner of ``runs`` (one Figure 6 panel)."""
     curves = {
         name: speed_vs_sacrifice_curve(run.report.history, sacrifices) for name, run in runs.items()
     }
@@ -72,16 +67,12 @@ class Figure7Result:
 
 
 def figure7_optimization_curves(
-    dataset_name: str = "glove-small",
+    dataset_name: str,
+    runs: dict[str, TunerRun],
     *,
-    tuners: tuple[str, ...] = PAPER_TUNERS,
     recall_floors: tuple[float, ...] = (0.9, 0.925, 0.95, 0.975, 0.99),
-    scale: ExperimentScale | None = None,
-    runs: dict[str, TunerRun] | None = None,
 ) -> Figure7Result:
-    """Optimization curves and the sample/time efficiency derived from them."""
-    scale = scale or current_scale()
-    runs = runs or run_tuner_comparison(dataset_name, tuners=tuners, scale=scale)
+    """Optimization curves of ``runs`` and the sample/time efficiency derived from them."""
     curves: dict[float, dict[str, np.ndarray]] = {}
     iterations_needed: dict[float, dict[str, int | None]] = {}
     time_needed: dict[float, dict[str, float | None]] = {}
@@ -133,16 +124,8 @@ class OverheadRow:
         return 0.0 if total <= 0 else self.recommendation_seconds / total
 
 
-def table6_overhead(
-    dataset_name: str = "glove-small",
-    *,
-    tuners: tuple[str, ...] = PAPER_TUNERS,
-    scale: ExperimentScale | None = None,
-    runs: dict[str, TunerRun] | None = None,
-) -> dict[str, OverheadRow]:
-    """Tuning-time breakdown per method (Table VI)."""
-    scale = scale or current_scale()
-    runs = runs or run_tuner_comparison(dataset_name, tuners=tuners, scale=scale)
+def table6_overhead(runs: dict[str, TunerRun]) -> dict[str, OverheadRow]:
+    """Tuning-time breakdown per method of ``runs`` (Table VI)."""
     rows: dict[str, OverheadRow] = {}
     for name, run in runs.items():
         rows[name] = OverheadRow(

@@ -97,9 +97,7 @@ class TestRunnerAndComparison:
         assert PAPER_TUNERS == ("vdtuner", "random", "opentuner", "ottertune", "qehvi")
 
     def test_figure6_curves_for_each_tuner(self, small_comparison):
-        result = figure6_speed_vs_sacrifice(
-            "glove-small", scale=TEST_SCALE, runs=small_comparison
-        )
+        result = figure6_speed_vs_sacrifice("glove-small", small_comparison)
         assert result.runs is small_comparison
         assert set(result.curves) == {"vdtuner", "random"}
         for curve in result.curves.values():
@@ -108,7 +106,7 @@ class TestRunnerAndComparison:
 
     def test_figure7_reuses_existing_runs(self, small_comparison):
         result = figure7_optimization_curves(
-            "glove-small", recall_floors=(0.9,), scale=TEST_SCALE, runs=small_comparison
+            "glove-small", small_comparison, recall_floors=(0.9,)
         )
         assert 0.9 in result.curves
         for curve in result.curves[0.9].values():
@@ -116,7 +114,7 @@ class TestRunnerAndComparison:
         assert set(result.iterations_to_match_best_baseline[0.9]) == {"vdtuner", "random"}
 
     def test_table6_breakdown_totals(self, small_comparison):
-        rows = table6_overhead("glove-small", scale=TEST_SCALE, runs=small_comparison)
+        rows = table6_overhead(small_comparison)
         for row in rows.values():
             assert row.total_seconds == pytest.approx(
                 row.recommendation_seconds + row.replay_seconds
