@@ -31,12 +31,6 @@ contains:
 ``repro.baselines``
     Re-implementations of the baseline tuners the paper compares against.
 
-``repro.parallel``
-    The batch-parallel evaluation engine: a worker pool
-    (:class:`~repro.parallel.BatchEvaluator`) that replays joint q-EHVI
-    suggestion batches concurrently, with deterministic results and per-task
-    failure isolation.
-
 ``repro.analysis`` and ``repro.experiments``
     Metrics, attribution and the experiment harness that regenerates every
     table and figure of the paper's evaluation section.
@@ -60,7 +54,6 @@ from repro.core import (
 )
 from repro.baselines import make_tuner
 from repro.datasets import DatasetSpec, load_dataset
-from repro.parallel import BatchEvaluator
 from repro.vdms import VectorDBServer
 from repro.workloads import (
     DriftEvent,
@@ -75,7 +68,6 @@ from repro.workloads import (
 __version__ = "1.2.0"
 
 __all__ = [
-    "BatchEvaluator",
     "CategoricalParameter",
     "Configuration",
     "ConfigurationSpace",

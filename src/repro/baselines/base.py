@@ -102,15 +102,13 @@ class BaselineTuner(ABC):
             batch.append(configuration)
         return batch
 
-    def run(self, num_iterations: int, *, batch_size: int = 1, evaluator=None) -> TuningReport:
+    def run(self, num_iterations: int, *, batch_size: int = 1) -> TuningReport:
         """Run the tuner for ``num_iterations`` evaluations.
 
-        ``batch_size`` and ``evaluator`` mirror
-        :meth:`repro.core.tuner.VDTuner.run`: every pass calls
-        :meth:`suggest_batch` (one :meth:`_suggest` when ``batch_size`` is 1)
-        and evaluates the batch through
-        :meth:`~repro.workloads.environment.VDMSTuningEnvironment.evaluate_batch`
-        (concurrently when a :class:`repro.parallel.BatchEvaluator` is given),
+        ``batch_size`` mirrors :meth:`repro.core.tuner.VDTuner.run`: every
+        pass calls :meth:`suggest_batch` (one :meth:`_suggest` when
+        ``batch_size`` is 1) and evaluates the batch through
+        :meth:`~repro.workloads.environment.VDMSTuningEnvironment.evaluate_batch`,
         keeping the total evaluation budget identical.
         """
         num_iterations = int(num_iterations)
@@ -122,7 +120,7 @@ class BaselineTuner(ABC):
             elapsed = time.perf_counter() - started
             self._recommendation_seconds += elapsed
             self.environment.charge_recommendation_time(elapsed)
-            results = self.environment.evaluate_batch(batch, evaluator=evaluator)
+            results = self.environment.evaluate_batch(batch)
             for configuration, result in zip(batch, results):
                 self._record(configuration, result)
         return TuningReport(

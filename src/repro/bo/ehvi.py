@@ -10,7 +10,7 @@ current Pareto front (vectorized via
 two-objective Monte-Carlo estimators of Daulton et al. (2020):
 :func:`monte_carlo_ehvi` for single points, :func:`monte_carlo_qehvi` for
 joint batches, and :func:`greedy_qehvi_scores` for the sequential-greedy
-batch construction the batch-parallel engine uses.
+batch construction that batch mode uses.
 
 Randomness discipline: the two *top-level entry points*
 (:func:`monte_carlo_ehvi` and :func:`monte_carlo_qehvi`) fall back to a

@@ -31,12 +31,11 @@ concurrent QPS), e.g.::
     python -m repro.cli evaluate --dataset glove-small --index-type IVF_FLAT \
         --set shard_num=4 --set search_threads=4 --set segment_max_size=125
 
-``tune``, ``compare`` and ``tune-online`` accept ``--batch-size Q --workers N``
-to switch the tuners to the batch-parallel engine: joint q-EHVI suggestion
-batches evaluated concurrently on a pool of N worker processes (see
-:mod:`repro.parallel`; ``--workers 1`` evaluates in-process), e.g.::
+``tune``, ``compare`` and ``tune-online`` accept ``--batch-size Q`` to switch
+the tuners to joint q-EHVI suggestion batches, each replayed in-process and
+charged its longest replay on the tuning clock, e.g.::
 
-    python -m repro.cli tune --dataset glove-small --iterations 48 --batch-size 4 --workers 4
+    python -m repro.cli tune --dataset glove-small --iterations 48 --batch-size 4
 
 ``serve`` exposes a VDMS instance over JSON/HTTP with admission control
 (bounded queue, deadlines, load shedding, graceful drain on SIGTERM) and
@@ -59,7 +58,6 @@ objective — and exits non-zero if any tenant misses its floor.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import sys
@@ -102,15 +100,6 @@ def build_parser() -> argparse.ArgumentParser:
             help="suggest and evaluate Q configurations per tuning iteration using "
             "joint q-EHVI batches (default 1: the paper's sequential loop); the "
             "total evaluation budget is unchanged",
-        )
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help="evaluate each batch on a pool of N worker processes, each with its "
-            "own VDMS server over a shared read-only dataset (default 1: in-process); "
-            "results are deterministic and identical for any worker count",
         )
 
     evaluate = subparsers.add_parser("evaluate", help="replay the workload for one configuration")
@@ -356,16 +345,11 @@ def _built(factory, *args, **kwargs):
 
 
 def _validate_batch_options(args: argparse.Namespace) -> None:
-    """Reject contradictory batch/worker flags before any work starts."""
+    """Reject a batch size below one before any work starts."""
     if args.batch_size < 1:
         _fail(
             f"--batch-size must be >= 1 (got {args.batch_size}); "
             "use 1 for the paper's sequential loop"
-        )
-    if args.workers < 1:
-        _fail(
-            f"--workers must be >= 1 (got {args.workers}); "
-            "use 1 for in-process evaluation"
         )
 
 
@@ -497,15 +481,6 @@ def _command_evaluate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _make_evaluator(args: argparse.Namespace, environment: VDMSTuningEnvironment):
-    """The --workers process pool as a context manager; ``None`` in-process."""
-    if args.workers <= 1:
-        return contextlib.nullcontext()
-    from repro.parallel import BatchEvaluator
-
-    return BatchEvaluator.from_environment(environment, num_workers=args.workers)
-
-
 def _command_tune(args: argparse.Namespace) -> int:
     settings = _built(VDTunerSettings, num_iterations=args.iterations, seed=args.seed)
     objective = _built(
@@ -519,8 +494,7 @@ def _command_tune(args: argparse.Namespace) -> int:
     _validate_batch_options(args)
     environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
     tuner = VDTuner(environment, settings=settings, objective=objective)
-    with _make_evaluator(args, environment) as evaluator:
-        report = tuner.run(batch_size=args.batch_size, evaluator=evaluator)
+    report = tuner.run(batch_size=args.batch_size)
     best = report.best_observation(recall_floor=args.recall_floor)
     if best is None:
         print("no configuration satisfied the requested recall floor", file=sys.stderr)
@@ -545,21 +519,12 @@ def _command_compare(args: argparse.Namespace) -> int:
     _validate_batch_options(args)
     curves = {}
     abilities = {}
-    # One worker pool serves every tuner: the pool depends only on the
-    # dataset and workload, which are identical across the comparison, so
-    # the dataset is shipped to each worker once rather than once per tuner.
-    # The evaluator starts its pool on the first batch it evaluates.
-    environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
-    with _make_evaluator(args, environment) as evaluator:
-        for index, name in enumerate(args.tuners):
-            if index:
-                environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
-            tuner = make_tuner(name, environment, seed=args.seed, settings=settings)
-            report = tuner.run(
-                args.iterations, batch_size=args.batch_size, evaluator=evaluator
-            )
-            curves[name] = speed_vs_sacrifice_curve(report.history)
-            abilities[name] = tradeoff_ability(report.history)
+    for name in args.tuners:
+        environment = VDMSTuningEnvironment(args.dataset, seed=args.seed)
+        tuner = make_tuner(name, environment, seed=args.seed, settings=settings)
+        report = tuner.run(args.iterations, batch_size=args.batch_size)
+        curves[name] = speed_vs_sacrifice_curve(report.history)
+        abilities[name] = tradeoff_ability(report.history)
     rows = [
         [name]
         + [round(curves[name][s], 1) for s in DEFAULT_SACRIFICES]
@@ -611,11 +576,7 @@ def _command_tune_online(args: argparse.Namespace) -> int:
         events.append(_built(make_drift_event, kind, at_step=drift_step, severity=args.severity))
     dynamic = DynamicWorkload(load_dataset(args.dataset), events, seed=args.seed)
     environment = DynamicTuningEnvironment(dynamic, seed=args.seed)
-    with _make_evaluator(args, environment) as evaluator:
-        online = OnlineTuner(
-            environment, tuner=args.tuner, settings=settings, evaluator=evaluator
-        )
-        report = online.run()
+    report = OnlineTuner(environment, tuner=args.tuner, settings=settings).run()
     summary = report.summary()
     if args.json:
         print(json.dumps(summary, indent=2, sort_keys=True))

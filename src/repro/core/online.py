@@ -7,7 +7,7 @@ an alternation of two modes over a (possibly drifting) environment:
 ``tune``
     Spend a bounded re-tuning budget suggesting and evaluating configurations
     with any registered tuner (VDTuner or a baseline), optionally in q-EHVI
-    batches on a :class:`repro.parallel.BatchEvaluator` worker pool.
+    batches.
 
 ``serve``
     Deploy the incumbent (best known) configuration, re-measuring it every
@@ -393,10 +393,6 @@ class OnlineTuner:
     tuner_settings:
         VDTuner settings template for the episodes (iteration count is
         overridden by ``retune_budget``).
-    evaluator:
-        Optional :class:`repro.parallel.BatchEvaluator`; tuning episodes then
-        evaluate their q-EHVI batches on the worker pool, and the evaluator
-        follows the environment across drift events automatically.
 
     Examples
     --------
@@ -420,14 +416,12 @@ class OnlineTuner:
         settings: OnlineTunerSettings | None = None,
         objective: ObjectiveSpec | None = None,
         tuner_settings: VDTunerSettings | None = None,
-        evaluator=None,
     ) -> None:
         self.environment = environment
         self.tuner_name = tuner.lower()
         self.settings = settings or OnlineTunerSettings()
         self.objective = objective or ObjectiveSpec()
         self.tuner_settings = tuner_settings
-        self.evaluator = evaluator
         self._episodes = 0
         #: Upper bound on the next tuning batch (``None``: none), set by a
         #: scheduler that shares one evaluation budget among several loops.
@@ -592,7 +586,7 @@ class OnlineTuner:
                     q = len(batch)
                 else:
                     batch = tuner.suggest_batch(q)
-                results = self.environment.evaluate_batch(batch, evaluator=self.evaluator)
+                results = self.environment.evaluate_batch(batch)
                 for configuration, result in zip(batch, results):
                     record_step(configuration.to_dict(), result)
                     tuner._record(configuration, result)

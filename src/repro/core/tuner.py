@@ -172,14 +172,10 @@ class VDTuner:
     >>> best.speed > 0
     True
 
-    Batch-parallel mode suggests joint q-EHVI batches and evaluates them on a
-    worker pool (see :mod:`repro.parallel`)::
+    Batch mode suggests joint q-EHVI batches, charged on the tuning clock at
+    their longest replay::
 
-        from repro import BatchEvaluator
-        evaluator = BatchEvaluator.from_environment(environment, num_workers=4)
-        report = VDTuner(environment, settings=settings).run(
-            batch_size=4, evaluator=evaluator
-        )
+        report = VDTuner(environment, settings=settings).run(batch_size=4)
     """
 
     def __init__(
@@ -358,35 +354,26 @@ class VDTuner:
                 surrogate = surrogate.fantasized([configuration])
         return batch
 
-    def run(
-        self,
-        num_iterations: int | None = None,
-        *,
-        batch_size: int = 1,
-        evaluator=None,
-    ) -> TuningReport:
+    def run(self, num_iterations: int | None = None, *, batch_size: int = 1) -> TuningReport:
         """Run the tuning loop and return the report.
 
         One loop serves every mode: suggest a batch (:meth:`suggest_batch`),
         evaluate it through
         :meth:`~repro.workloads.environment.VDMSTuningEnvironment.evaluate_batch`,
-        record it.  With the default ``batch_size=1`` and no ``evaluator``
-        every batch holds one configuration — the paper's strictly sequential
-        Algorithm 1.  With ``batch_size=q > 1`` the batches are joint q-EHVI
-        suggestions, optionally evaluated concurrently on a
-        :class:`repro.parallel.BatchEvaluator` worker pool — the total
-        evaluation budget is unchanged, only the wall-clock shrinks.
+        record it.  With the default ``batch_size=1`` every batch holds one
+        configuration — the paper's strictly sequential Algorithm 1.  With
+        ``batch_size=q > 1`` the batches are joint q-EHVI suggestions, each
+        charged its longest replay on the tuning clock; the total evaluation
+        budget is unchanged.
         """
         budget = int(num_iterations or self.settings.num_iterations)
         batch_size = max(1, int(batch_size))
-        pooled = batch_size > 1 or evaluator is not None
         while len(self._history) < budget:
             q = batch_size
-            if pooled and len(self._training_history()) == 0:
+            if batch_size > 1 and len(self._training_history()) == 0:
                 # The per-index-type defaults (lines 1-5) have no sequential
-                # dependency at all, so a pooled run evaluates the whole sweep
-                # as one batch: the worker pool packs the heterogeneous
-                # replays far better than fixed-size chunks would.
+                # dependency at all, so a batch run evaluates the whole sweep
+                # as one batch rather than in fixed-size chunks.
                 q = len(self.index_types)
             q = min(q, budget - len(self._history))
             started = time.perf_counter()
@@ -394,7 +381,7 @@ class VDTuner:
             elapsed = time.perf_counter() - started
             self._recommendation_seconds += elapsed
             self.environment.charge_recommendation_time(elapsed)
-            results = self.environment.evaluate_batch(batch, evaluator=evaluator)
+            results = self.environment.evaluate_batch(batch)
             for configuration, result in zip(batch, results):
                 self._record(configuration, result)
         return TuningReport(

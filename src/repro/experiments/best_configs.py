@@ -46,15 +46,17 @@ def table5_best_configurations(
 ) -> dict[str, BestConfigurationRow]:
     """Report VDTuner's recommended index + parameters per dataset.
 
-    ``runs`` maps dataset names to VDTuner runs already made; every other
-    dataset gets a run of its own.
+    The best configuration is the fastest at ``recall_floor`` or above; a
+    dataset with no such configuration gets no row.  ``runs`` maps dataset
+    names to VDTuner runs already made; every other dataset gets a run of its
+    own.
     """
     scale = scale or current_scale()
     runs = runs or {}
     rows: dict[str, BestConfigurationRow] = {}
     for dataset_name in dataset_names:
         run = runs.get(dataset_name) or run_tuner("vdtuner", dataset_name, scale=scale)
-        best = run.report.best_observation(recall_floor=recall_floor) or run.report.best_observation()
+        best = run.report.best_observation(recall_floor=recall_floor)
         if best is None:
             continue
         relevant = INDEX_PARAMETERS.get(best.index_type, ())

@@ -54,14 +54,12 @@ def run_tuner(
     settings: VDTunerSettings | None = None,
     dataset_scale: float = 1.0,
     batch_size: int = 1,
-    workers: int = 1,
 ) -> TunerRun:
     """Run one tuner on one dataset and collect the standard artefacts.
 
-    ``batch_size`` switches the tuner to joint q-EHVI batch suggestions and
-    ``workers`` evaluates each batch on a :class:`repro.parallel.BatchEvaluator`
-    process pool.  The evaluation budget is the same in all modes; only the
-    wall-clock and the replay-clock accounting change.
+    ``batch_size`` switches the tuner to joint q-EHVI batch suggestions.  The
+    evaluation budget is the same in both modes; a batch is charged its
+    longest replay on the tuning clock.
     """
     scale = scale or current_scale()
     iterations = int(iterations or scale.tuning_iterations)
@@ -73,16 +71,7 @@ def run_tuner(
     if tuner_name.lower() == "vdtuner" and settings is None:
         settings = scale.vdtuner_settings(num_iterations=iterations, seed=seed)
     tuner = make_tuner(tuner_name, environment, objective=objective, seed=seed, settings=settings)
-    evaluator = None
-    if workers > 1:
-        from repro.parallel import BatchEvaluator
-
-        evaluator = BatchEvaluator.from_environment(environment, num_workers=workers)
-    try:
-        report = tuner.run(iterations, batch_size=batch_size, evaluator=evaluator)
-    finally:
-        if evaluator is not None:
-            evaluator.close()
+    report = tuner.run(iterations, batch_size=batch_size)
     return TunerRun(
         tuner_name=tuner_name.lower(),
         dataset_name=dataset_name,

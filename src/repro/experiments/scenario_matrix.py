@@ -116,7 +116,6 @@ def run_scenario(
     retune_budget: int | None = None,
     warm_start: bool = True,
     batch_size: int = 1,
-    evaluator=None,
     objective: ObjectiveSpec | None = None,
     scale: ExperimentScale | None = None,
     seed: int = 0,
@@ -159,7 +158,6 @@ def run_scenario(
         settings=settings,
         objective=objective,
         tuner_settings=tuner_settings,
-        evaluator=evaluator,
     )
     report = online.run()
     summary = report.summary()
@@ -184,7 +182,6 @@ def run_scenario_matrix(
     retune_budget: int | None = None,
     warm_start: bool = True,
     batch_size: int = 1,
-    evaluator=None,
     scale: ExperimentScale | None = None,
     seed: int = 0,
 ) -> dict[str, Any]:
@@ -224,7 +221,6 @@ def run_scenario_matrix(
                     retune_budget=retune_budget,
                     warm_start=warm_start,
                     batch_size=batch_size,
-                    evaluator=evaluator,
                     scale=scale,
                     seed=seed,
                     dynamic=dynamic,

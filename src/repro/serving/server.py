@@ -91,12 +91,18 @@ from repro.vdms.request import AttributeFilter, SearchRequest
 from repro.vdms.server import VectorDBServer
 from repro.vdms.system_config import SystemConfig
 
-__all__ = ["MAX_BODY_BYTES", "ServingConfig", "ServingFrontend"]
+__all__ = ["BODY_READ_SECONDS", "MAX_BODY_BYTES", "ServingConfig", "ServingFrontend"]
 
 #: The longest request body the front-end reads.  A longer declared body is
 #: answered 413 without reading a byte of it.  Far above any search, and
 #: above an insert of 100k rows of 64 dimensions as JSON.
 MAX_BODY_BYTES = 2**28
+
+#: How long the front-end waits for a request's whole body once its head has
+#: arrived.  A body still short at the deadline is answered 408 and the
+#: connection closed, so a stalled client cannot hold a handler thread.  The
+#: idle wait between keep-alive requests is not bounded.
+BODY_READ_SECONDS = 10.0
 
 
 @dataclass(frozen=True)
@@ -483,14 +489,40 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HTTPError(413, f"request body of {length} bytes exceeds {MAX_BODY_BYTES}")
         if length == 0:
             return {}
-        raw = self.rfile.read(length)
+        raw = self._read_body(length)
         try:
             payload = json.loads(raw)
         except json.JSONDecodeError as error:
             raise _HTTPError(400, f"request body is not valid JSON: {error}") from None
+        except RecursionError:
+            raise _HTTPError(400, "request body is nested too deeply") from None
         if not isinstance(payload, dict):
             raise _HTTPError(400, "request body must be a JSON object")
         return payload
+
+    def _read_body(self, length: int) -> bytes:
+        """The ``length`` body bytes, read within :data:`BODY_READ_SECONDS`."""
+        deadline = time.monotonic() + BODY_READ_SECONDS
+        parts, remaining = [], length
+        try:
+            while remaining:
+                self.connection.settimeout(max(deadline - time.monotonic(), 1e-3))
+                part = self.rfile.read1(remaining)
+                if not part:
+                    self.close_connection = True
+                    raise _HTTPError(400, f"request body ended {remaining} bytes short")
+                parts.append(part)
+                remaining -= len(part)
+                if remaining and time.monotonic() >= deadline:
+                    raise TimeoutError
+        except TimeoutError:
+            self.close_connection = True
+            raise _HTTPError(
+                408, f"request body not received within {BODY_READ_SECONDS} s"
+            ) from None
+        finally:
+            self.connection.settimeout(self.timeout)
+        return b"".join(parts)
 
     def _dispatch(self, method: str) -> None:
         frontend = self.server.frontend
@@ -500,7 +532,8 @@ class _Handler(BaseHTTPRequestHandler):
             status, payload = error.status, {"error": str(error)}
         except CollectionNotFoundError as error:
             status, payload = 404, {"error": str(error)}
-        except (VDMSError, ValueError, KeyError, TypeError) as error:
+        except (VDMSError, ValueError, KeyError, TypeError, OverflowError) as error:
+            # OverflowError: a client's number beyond what a field can hold.
             status, payload = 400, {"error": str(error)}
         except Exception as error:  # noqa: BLE001 - last-resort 500
             status, payload = 500, {"error": f"{type(error).__name__}: {error}"}

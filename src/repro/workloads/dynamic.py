@@ -632,7 +632,7 @@ class DynamicTuningEnvironment(VDMSTuningEnvironment):
     the Nth evaluation (1-based; ``evaluate`` is a batch of one) runs under
     the phase active at step N.  A batch is atomic — it is evaluated
     entirely under the phase active at its first step, matching one
-    concurrent replay round on a worker pool.  At every
+    concurrent replay round.  At every
     phase boundary the replayer is rebuilt and the result cache flushed
     (:meth:`~repro.workloads.environment.VDMSTuningEnvironment.set_workload`),
     so re-evaluating an old configuration reflects the drifted workload.
@@ -694,15 +694,10 @@ class DynamicTuningEnvironment(VDMSTuningEnvironment):
         self.phase_log.append((target, step))
 
     def evaluate_batch(
-        self,
-        configurations: Sequence[Configuration | Mapping[str, Any]],
-        *,
-        evaluator=None,
+        self, configurations: Sequence[Configuration | Mapping[str, Any]]
     ) -> list[EvaluationResult]:
         if len(configurations) == 0:
             return []
         self._advance_to_step(self._steps + 1)
         self._steps += len(configurations)
-        if evaluator is not None:
-            evaluator.sync_with(self)
-        return super().evaluate_batch(configurations, evaluator=evaluator)
+        return super().evaluate_batch(configurations)

@@ -57,7 +57,7 @@ class VDMSTuningEnvironment:
     1
     >>> environment.elapsed_replay_seconds == result.replay_seconds
     True
-    >>> # Batches evaluate in one call (optionally on a repro.parallel pool):
+    >>> # A batch evaluates in one call, charged its longest replay:
     >>> batch = [environment.default_configuration()] * 2
     >>> len(environment.evaluate_batch(batch))
     2
@@ -174,75 +174,29 @@ class VDMSTuningEnvironment:
         """
         return self.evaluate_batch([configuration])[0]
 
-    @staticmethod
-    def _makespan(replay_seconds: list[float], workers: int) -> float:
-        """Simulated wall-clock of replaying a batch on ``workers`` workers.
-
-        Greedy longest-processing-time assignment to the least-loaded worker;
-        with one worker this degenerates to the plain sum, so the sequential
-        and batch-parallel tuning clocks are directly comparable (Table VI
-        accounting extended to concurrent replay).
-        """
-        workers = max(1, int(workers))
-        if workers == 1:
-            return float(sum(replay_seconds))
-        loads = [0.0] * workers
-        for seconds in sorted(replay_seconds, reverse=True):
-            loads[loads.index(min(loads))] += float(seconds)
-        return max(loads)
-
     def evaluate_batch(
-        self,
-        configurations: Sequence[Configuration | Mapping[str, Any]],
-        *,
-        evaluator=None,
+        self, configurations: Sequence[Configuration | Mapping[str, Any]]
     ) -> list[EvaluationResult]:
-        """Evaluate a batch of configurations, optionally on a worker pool.
+        """Evaluate a batch of configurations in submission order.
 
-        The replays of cache-missing configurations run concurrently when a
-        :class:`repro.parallel.BatchEvaluator` is given (otherwise serially
-        in-process).  Results are returned — and recorded in the history — in
-        submission order regardless of worker scheduling, observation noise
-        is drawn in submission order from the environment's own generator,
-        and the replay clock is charged with the simulated *makespan* of the
-        batch on the evaluator's workers rather than the serial sum.  Given
-        the same seed, a batch evaluated with 1 worker and with N workers
-        therefore produces identical evaluation results, in identical order.
-        (The per-record clock fields do depend on the worker count — the
-        makespan shrinking with more workers is precisely the speedup the
-        accounting is designed to expose.)
+        A configuration repeated within the batch, or already in the result
+        cache, is replayed once.  Results are recorded in submission order,
+        and observation noise is drawn in that order from the environment's
+        own generator.  Each configuration has its own simulated replay
+        worker, so the tuning clock charges the batch its longest replay; a
+        batch of one charges exactly its own replay.
         """
         values_list = [dict(c) for c in configurations]
         keys = [self._cache_key(v) for v in values_list]
-        missing: dict[tuple, dict[str, Any]] = {}
         for key, values in zip(keys, values_list):
-            if key not in self._result_cache and key not in missing:
-                missing[key] = values
-
-        computed: dict[tuple, EvaluationResult] = {}
-        if missing:
-            if evaluator is not None and len(missing) > 1:
-                raw_results = evaluator.evaluate_many(list(missing.values()))
-            else:
-                raw_results = [self._replayer.replay(values) for values in missing.values()]
-            for key, result in zip(missing, raw_results):
+            if key not in self._result_cache:
+                result = self._replayer.replay(values)
                 if self.noise > 0.0:
                     result = self._with_noise(result)
-                computed[key] = result
-                # Worker-pool failures (crashed/OOM-killed worker, not a
-                # deterministic replay outcome) are not cached, so the
-                # configuration gets a fresh chance next time it comes up.
-                if "worker_error" not in result.breakdown:
-                    self._result_cache[key] = result
-
-        results = [
-            self._result_cache[key] if key in self._result_cache else computed[key]
-            for key in keys
-        ]
-        workers = getattr(evaluator, "num_workers", 1) if evaluator is not None else 1
-        self._replay_seconds += self._makespan(
-            [result.replay_seconds for result in results], workers
-        )
+                self._result_cache[key] = result
+        results = [self._result_cache[key] for key in keys]
+        if results:
+            self._replay_seconds += max(result.replay_seconds for result in results)
         for result in results:
             self._append_record(result)
         return results

@@ -7,7 +7,6 @@ import pytest
 
 from repro.baselines import make_tuner
 from repro.core.tuner import VDTuner, VDTunerSettings
-from repro.parallel import BatchEvaluator
 from repro.workloads.environment import VDMSTuningEnvironment
 from tests.conftest import make_tiny_dataset
 
@@ -22,6 +21,33 @@ def small_settings(iterations=12, **overrides):
     )
     values.update(overrides)
     return VDTunerSettings(**values)
+
+
+def batch_closing_clocks(environment):
+    """Each batch's ``(closing clock, longest replay)``, in order.
+
+    The records of one batch share the clock at which the batch closed, and
+    every batch moves the clock forward, so equal consecutive clocks mark one
+    batch.
+    """
+    batches: list[tuple[float, float]] = []
+    for record in environment.history:
+        clock, cost = record.elapsed_replay_seconds, record.result.replay_seconds
+        if batches and batches[-1][0] == clock:
+            batches[-1] = (clock, max(batches[-1][1], cost))
+        else:
+            batches.append((clock, cost))
+    return batches
+
+
+def assert_each_batch_charged_its_longest_replay(environment, sizes_at_most):
+    batches = batch_closing_clocks(environment)
+    assert len(batches) >= len(environment.history) / sizes_at_most
+    previous = 0.0
+    for clock, longest in batches:
+        assert clock == pytest.approx(previous + longest)
+        previous = clock
+    assert environment.elapsed_replay_seconds == pytest.approx(previous)
 
 
 @pytest.fixture(scope="module")
@@ -75,8 +101,7 @@ class TestSuggestBatch:
     def test_batched_run_completes_budget_and_matches_report_shape(self, dataset):
         environment = VDMSTuningEnvironment(dataset, seed=0)
         tuner = VDTuner(environment, settings=small_settings(iterations=14))
-        with BatchEvaluator.from_environment(environment, num_workers=2) as evaluator:
-            report = tuner.run(batch_size=4, evaluator=evaluator)
+        report = tuner.run(batch_size=4)
         assert len(report.history) == 14
         assert environment.num_evaluations == 14
         assert report.replay_seconds > 0
@@ -91,7 +116,7 @@ class TestSuggestBatch:
         assert initial_types == tuner.index_types
 
 
-    def test_pooled_default_sweep_is_one_batch_sequential_is_batches_of_one(self, dataset):
+    def test_batch_default_sweep_is_one_batch_sequential_is_batches_of_one(self, dataset):
         def sweep_clocks(**run_options):
             environment = VDMSTuningEnvironment(dataset, seed=0)
             tuner = VDTuner(environment, settings=small_settings())
@@ -102,6 +127,15 @@ class TestSuggestBatch:
         assert len(set(sweep_clocks(batch_size=2))) == 1
         sequential = sweep_clocks()
         assert sequential == sorted(set(sequential))
+
+    def test_batched_run_charges_each_batch_its_longest_replay(self, dataset):
+        environment = VDMSTuningEnvironment(dataset, seed=0)
+        tuner = VDTuner(environment, settings=small_settings(iterations=14))
+        report = tuner.run(batch_size=4)
+        # The opening sweep is one batch of every index type; later batches hold 4.
+        assert_each_batch_charged_its_longest_replay(environment, len(tuner.index_types))
+        assert report.replay_seconds == environment.elapsed_replay_seconds
+        assert report.replay_seconds < sum(o.result.replay_seconds for o in environment.history)
 
 
 class TestBaselineSuggestBatch:
@@ -129,3 +163,11 @@ class TestBaselineSuggestBatch:
         distances = np.linalg.norm(encoded[:, None, :] - encoded[None, :, :], axis=-1)
         off_diagonal = distances[~np.eye(4, dtype=bool)]
         assert off_diagonal.min() > 0.0
+
+    def test_baseline_batched_run_charges_each_batch_its_longest_replay(self, dataset):
+        environment = VDMSTuningEnvironment(dataset, seed=0)
+        tuner = make_tuner("random", environment, seed=0)
+        report = tuner.run(10, batch_size=4)
+        assert len(batch_closing_clocks(environment)) == 3  # 4 + 4 + 2
+        assert_each_batch_charged_its_longest_replay(environment, 4)
+        assert report.replay_seconds == environment.elapsed_replay_seconds

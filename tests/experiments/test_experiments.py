@@ -14,6 +14,7 @@ from repro.experiments import (
     figure7_optimization_curves,
     figure9_score_dynamics,
     run_tuner,
+    table5_best_configurations,
     table6_overhead,
 )
 from repro.experiments.runner import PAPER_TUNERS
@@ -112,6 +113,24 @@ class TestRunnerAndComparison:
         for curve in result.curves[0.9].values():
             assert len(curve) == 10
         assert set(result.iterations_to_match_best_baseline[0.9]) == {"vdtuner", "random"}
+
+    def test_table5_reports_the_fastest_configuration_at_the_floor(self, small_comparison):
+        run = small_comparison["vdtuner"]
+        successful = run.report.history.successful()
+        floor = max(o.recall for o in successful)
+        row = table5_best_configurations(
+            ("glove-small",), recall_floor=floor, runs={"glove-small": run}
+        )["glove-small"]
+        assert row.recall >= floor
+        assert row.speed == max(o.speed for o in successful if o.recall >= floor)
+
+    def test_table5_gives_no_row_without_a_configuration_at_the_floor(self, small_comparison):
+        run = small_comparison["vdtuner"]
+        floor = np.nextafter(max(o.recall for o in run.report.history.successful()), 2.0)
+        rows = table5_best_configurations(
+            ("glove-small",), recall_floor=floor, runs={"glove-small": run}
+        )
+        assert rows == {}
 
     def test_table6_breakdown_totals(self, small_comparison):
         rows = table6_overhead(small_comparison)

@@ -18,6 +18,7 @@ import numpy as np
 import pytest
 
 from repro.serving import ServingConfig, ServingFrontend
+from repro.serving import server as serving_server
 from repro.serving.server import MAX_BODY_BYTES, _Handler
 from repro.vdms.server import VectorDBServer
 
@@ -233,6 +234,106 @@ def test_a_bad_content_length_gets_400_and_a_closed_connection(frontend, length)
     assert received.count(b"HTTP/1.1 ") == 1
     assert "Content-Length" in json.loads(received.partition(b"\r\n\r\n")[2])["error"]
     assert request(frontend, "GET", "/healthz")[0] == 200
+
+
+def test_a_deeply_nested_body_gets_400(frontend):
+    request(frontend, "POST", "/collections", {"name": "c", "dimension": 4})
+    for body in (b"[" * 3000 + b"]" * 3000, b'{"queries": ' + b"[" * 3000 + b"]" * 3000 + b"}"):
+        conn = http.client.HTTPConnection("127.0.0.1", frontend.port, timeout=5.0)
+        try:
+            conn.request("POST", "/collections/c/search", body=body)
+            response = conn.getresponse()
+            assert response.status == 400
+            assert "nested too deeply" in json.loads(response.read())["error"]
+        finally:
+            conn.close()
+    assert request(frontend, "GET", "/healthz")[0] == 200
+
+
+@pytest.mark.parametrize(
+    "body",
+    [{"queries": [[10**400, 0.0, 0.0, 0.0]]}, {"queries": [[1.0] * 4], "deadline_ms": 10**400}],
+    ids=["query", "deadline"],
+)
+def test_a_number_beyond_any_float_gets_400(frontend, body):
+    request(frontend, "POST", "/collections", {"name": "c", "dimension": 4})
+    status, payload = request(frontend, "POST", "/collections/c/search", body)
+    assert status == 400 and "too large" in payload["error"]
+
+
+def test_a_body_that_ends_early_gets_400_and_a_closed_connection(frontend):
+    head = b"POST /collections HTTP/1.1\r\nHost: test\r\nContent-Length: 200\r\n\r\n"
+    received = b""
+    with socket.create_connection(("127.0.0.1", frontend.port), timeout=5.0) as sock:
+        sock.sendall(head + b'{"name": ')
+        sock.shutdown(socket.SHUT_WR)
+        while chunk := sock.recv(65536):
+            received += chunk
+    assert received.startswith(b"HTTP/1.1 400 ")
+    assert b"Connection: close" in received
+    assert "191 bytes short" in json.loads(received.partition(b"\r\n\r\n")[2])["error"]
+    assert request(frontend, "GET", "/healthz")[0] == 200
+
+
+def read_response(sock, first_byte: threading.Event) -> tuple[bytes, bool]:
+    """Everything the server sends until it closes, and whether it closed."""
+    received = b""
+    try:
+        while chunk := sock.recv(65536):
+            first_byte.set()
+            received += chunk
+    except TimeoutError:
+        return received, False
+    except ConnectionResetError:
+        pass
+    return received, True
+
+
+@pytest.mark.parametrize("trickle", [False, True], ids=["stalled", "trickled"])
+def test_a_body_short_of_its_length_gets_408_within_the_bound(frontend, monkeypatch, trickle):
+    # The client holds the socket open with the body unfinished: silent, or
+    # one byte at a time, never reaching the declared length in time.
+    bound = 0.5
+    monkeypatch.setattr(serving_server, "BODY_READ_SECONDS", bound)
+    head = b"POST /collections HTTP/1.1\r\nHost: test\r\nContent-Length: 200\r\n\r\n"
+    answered = threading.Event()
+    with socket.create_connection(("127.0.0.1", frontend.port), timeout=10.0) as sock:
+
+        def drip():
+            # Stops at the first byte of the answer: a byte sent after the
+            # server's close could reset the connection before it is read.
+            while not answered.wait(0.15):
+                try:
+                    sock.sendall(b" ")
+                except OSError:  # the server closed first
+                    return
+
+        start = time.monotonic()
+        sock.sendall(head + b'{"name": ')
+        if trickle:
+            threading.Thread(target=drip, daemon=True).start()
+        received, closed = read_response(sock, answered)
+        elapsed = time.monotonic() - start
+        answered.set()
+    assert received.startswith(b"HTTP/1.1 408 ")
+    assert closed and b"Connection: close" in received
+    assert bound <= elapsed < bound + 2.0
+    assert request(frontend, "GET", "/healthz")[0] == 200
+
+
+def test_an_idle_keep_alive_connection_outlives_the_body_bound(frontend, monkeypatch):
+    # Only the body read is bounded: a client may pause between requests.
+    monkeypatch.setattr(serving_server, "BODY_READ_SECONDS", 0.2)
+    conn = http.client.HTTPConnection("127.0.0.1", frontend.port, timeout=5.0)
+    try:
+        for _ in range(2):
+            conn.request("POST", "/collections", body=json.dumps({"name": "k", "dimension": 4}))
+            response = conn.getresponse()
+            assert response.status == 200 and not response.will_close
+            response.read()
+            time.sleep(0.6)
+    finally:
+        conn.close()
 
 
 def test_queued_request_past_deadline_gets_504():

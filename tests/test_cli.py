@@ -202,29 +202,7 @@ class TestCompareCommand:
 
 
 class TestBatchParallelFlags:
-    def test_tune_batch_parallel_end_to_end(self, capsys):
-        exit_code = main(
-            [
-                "tune",
-                "--dataset",
-                "glove-small",
-                "--iterations",
-                "12",
-                "--seed",
-                "0",
-                "--batch-size",
-                "4",
-                "--workers",
-                "2",
-                "--json",
-            ]
-        )
-        output = capsys.readouterr().out
-        assert exit_code == 0
-        configuration = json.loads(output)
-        assert "index_type" in configuration
-
-    def test_tune_batch_size_without_workers(self, capsys):
+    def test_tune_batch_size_end_to_end(self, capsys):
         exit_code = main(
             ["tune", "--dataset", "glove-small", "--iterations", "10",
              "--batch-size", "3", "--json"]
@@ -243,8 +221,6 @@ class TestBatchParallelFlags:
                 "--tuners",
                 "random",
                 "--batch-size",
-                "2",
-                "--workers",
                 "2",
             ]
         )
@@ -334,8 +310,6 @@ class TestTuneOnlineCommand:
                 "9",
                 "--cold-restart",
                 "--batch-size",
-                "2",
-                "--workers",
                 "2",
                 "--json",
             ]
@@ -473,21 +447,21 @@ class TestFlagValidation:
         )
         assert "--batch-size" in message
 
-    def test_tune_rejects_zero_workers(self):
-        message = self.exit_message(
-            ["tune", "--dataset", "glove-small", "--iterations", "2", "--workers", "0"]
-        )
-        assert "--workers" in message
-
-    def test_tune_rejects_the_parallel_backend_flag(self, capsys):
-        # The process pool is the one tuning executor: no backend to pick.
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tune", "--dataset", "glove-small", "--iterations", "2"],
+            ["compare", "--dataset", "glove-small", "--iterations", "2", "--tuners", "random"],
+            ["tune-online", "--steps", "4", "--retune-budget", "2"],
+        ],
+        ids=["tune", "compare", "tune-online"],
+    )
+    def test_the_workers_flag_is_gone(self, argv, capsys):
+        # A batch replays in-process: there is no worker pool to size.
         with pytest.raises(SystemExit) as excinfo:
-            main(
-                ["tune", "--dataset", "glove-small", "--iterations", "2",
-                 "--workers", "2", "--parallel-backend", "thread"]
-            )
+            main([*argv, "--workers", "2"])
         assert excinfo.value.code == 2
-        assert "unrecognized arguments: --parallel-backend thread" in capsys.readouterr().err
+        assert "unrecognized arguments: --workers 2" in capsys.readouterr().err
 
     def test_valid_drift_step_inside_budget_still_runs(self, capsys):
         assert main([

@@ -214,3 +214,18 @@ class TestDynamicTuningEnvironment:
         assert environment.steps_taken == 3
         environment.evaluate(environment.default_configuration())
         assert environment.current_phase.index == 1
+
+    def test_an_empty_batch_takes_no_step(self, dataset):
+        dynamic = DynamicWorkload(dataset, [QPSBurstEvent(at_step=2, severity=1.0)], seed=0)
+        environment = DynamicTuningEnvironment(dynamic, seed=0)
+        assert environment.evaluate_batch([]) == []
+        assert environment.steps_taken == 0
+        environment.evaluate(environment.default_configuration())
+        assert environment.current_phase.index == 0
+
+    def test_a_batch_is_charged_its_longest_replay(self, dataset):
+        dynamic = DynamicWorkload(dataset, [QPSBurstEvent(at_step=3, severity=1.0)], seed=0)
+        environment = DynamicTuningEnvironment(dynamic, seed=0)
+        batch = environment.space.sample_configurations(3, np.random.default_rng(4))
+        costs = [result.replay_seconds for result in environment.evaluate_batch(batch)]
+        assert environment.elapsed_replay_seconds == max(costs)
