@@ -71,16 +71,12 @@ def _censored_recovery(report, target: float) -> tuple[int, bool]:
     return recovered, False
 
 
-def test_online_drift_recovery(benchmark):
-    results = benchmark.pedantic(
-        lambda: {
-            (drift, seed): (_run(drift, seed, True), _run(drift, seed, False))
-            for drift in SCENARIOS
-            for seed in SEEDS
-        },
-        rounds=1,
-        iterations=1,
-    )
+def test_online_drift_recovery():
+    results = {
+        (drift, seed): (_run(drift, seed, True), _run(drift, seed, False))
+        for drift in SCENARIOS
+        for seed in SEEDS
+    }
 
     rows = []
     warm_total = 0

@@ -10,14 +10,19 @@ Figure 12, Figure 13 and Table V's ArXiv run are made once at that seed.  It
 prints one row per claim of the paper (the reproduced ratio, the paper's and
 a verdict), VDTuner's hypervolume over each baseline's per cell, the
 regenerated tables, one verdict line per reproduction condition, and batch
-mode's ratios per cell with their verdicts.  Everything printed is on the simulated tuning
-clock, so a run repeats byte for byte:
+mode's ratios per cell with their verdicts.  Then come Figures 1-3 (their
+own sweeps), Figures 9 and 10 (from Figure 8's runs), Figure 11 (from the
+geo-radius-small cell), Section V-D (Figure 8's full run against seven
+per-index-type tuners) and Section V-E (VDTuner and qEHVI on the larger
+dataset), with their conditions.  Everything printed is on the simulated
+tuning clock, so a run repeats byte for byte:
 
     PYTHONPATH=src python benchmarks/paper_scoreboard.py \\
         | diff - benchmarks/paper_scoreboard.expected
 
 Wall-clock values (Table VI's recommendation seconds, Figure 7's seconds to
-match) go to stderr and ``BENCH_paper.json`` only.  ``VDTUNER_FULL=1`` runs
+match, Section V-E's tuning speedup) go to stderr and ``BENCH_paper.json``
+only.  ``VDTUNER_FULL=1`` runs
 the paper-scale budgets, whose output is not the pinned one.
 """
 
@@ -33,14 +38,24 @@ from _record import record_bench
 from repro.analysis.improvement import improvement_over_default
 from repro.analysis.reporting import format_table
 from repro.bo.pareto import hypervolume_2d
+from repro.config.milvus_space import INDEX_TYPES
 from repro.experiments import (
     current_scale,
+    figure1_parameter_grid,
+    figure2_index_vs_system,
+    figure3_conflicting_objectives,
+    figure3_optimization_curves,
     figure6_speed_vs_sacrifice,
     figure7_optimization_curves,
     figure8_ablation,
+    figure9_score_dynamics,
+    figure10_sampling_quality,
+    figure11_parameter_convergence,
     figure12_user_preference,
     figure13_cost_effectiveness,
+    holistic_vs_individual,
     run_tuner_comparison,
+    scalability_larger_dataset,
     table5_best_configurations,
     table6_overhead,
 )
@@ -71,8 +86,8 @@ def reached(values) -> tuple[float, int, int]:
     return geometric_mean(hits), len(hits), len(values)
 
 
-def show(title, headers, rows) -> None:
-    print(format_table(headers, rows, title=title))
+def show(title, headers, rows, precision=3) -> None:
+    print(format_table(headers, rows, title=title, precision=precision))
     print()
 
 
@@ -121,6 +136,148 @@ def claim(name, summary, paper=None, note=""):
         verdict = "holds"
     paper = f"{paper:g}" if paper else "> 1"
     return [name, f"{ratio:.3f}{note}", f"{hits}/{cells}", paper, verdict]
+
+
+def verdicts(title, conditions) -> None:
+    show(title, ["condition", "inputs", "verdict"],
+         [[name, inputs, "holds" if ok else "fails"] for name, inputs, ok in conditions])
+
+
+def motivation_and_ablation_figures(scale, ablations, geo_report):
+    """Figures 1-3 and 9-11 and Sections V-D and V-E: prints their tables.
+
+    Figures 9 and 10 read Figure 8's full and native-surrogate runs, Figure 11
+    the geo-radius-small VDTuner cell at the scale's seed, and Section V-D's
+    holistic approach is Figure 8's full run.  Returns the reproduction
+    conditions and Section V-E's wall-clock tuning speedup.
+    """
+    grid = figure1_parameter_grid("glove-small", scale=scale)
+    columns = [f"{v:.2f}" if isinstance(v, float) else str(v) for v in grid.y_values]
+    for panel, matrix, precision in (("search speed (QPS)", grid.qps, 1), ("recall", grid.recall, 3)):
+        show(
+            f"Figure 1 (glove-small): {panel} per {grid.x_name} (rows) and {grid.y_name} (columns)",
+            [f"{grid.x_name} \\ {grid.y_name}", *columns],
+            [[str(x), *map(float, row)] for x, row in zip(grid.x_values, matrix)],
+            precision,
+        )
+    best_columns = grid.qps.argmax(axis=1).tolist()
+    progress("figure 1")
+
+    speeds = figure2_index_vs_system("glove-small", scale=scale)
+    index_types = sorted(next(iter(speeds.values())))
+    best_index = [max(per_index, key=per_index.get) for per_index in speeds.values()]
+    show(
+        "Figure 2 (glove-small): QPS of each index type under four system configurations",
+        ["system config", *index_types, "best index"],
+        [
+            [label, *(per_index[name] for name in index_types), best]
+            for (label, per_index), best in zip(speeds.items(), best_index)
+        ],
+        1,
+    )
+    objectives = figure3_conflicting_objectives(("glove-small", "geo-radius-small"), scale=scale)
+    for dataset, per_index in objectives.items():
+        show(
+            f"Figure 3 ({dataset}): normalized speed and recall per index type at the defaults",
+            ["index type", "normalized speed", "recall"],
+            [[name, speed, recall] for name, (speed, recall) in per_index.items()],
+        )
+    fastest = [max(p, key=lambda name: p[name][0]) for p in objectives.values()]
+    most_accurate = [max(p, key=lambda name: p[name][1]) for p in objectives.values()]
+    samples = 20 if scale.name == "full" else 8
+    curves = figure3_optimization_curves("glove-small", num_samples=samples, scale=scale)
+    show(
+        "Figure 3c (glove-small): best weighted performance after n uniform samples per index type",
+        ["index type", *(f"n={n}" for n in range(1, samples + 1))],
+        [[name, *map(float, curve)] for name, curve in curves.items()],
+    )
+    progress("figures 2 and 3")
+
+    full = ablations["budget_allocation"].reports["successive_abandon"]
+    weights = figure9_score_dynamics(full)
+    weighted = sorted(weights[0]) if weights else []
+    abandoned = ", ".join(f"{name} at {at}" for name, at in full.abandoned.items()) or "none"
+    show(
+        f"Figure 9 (glove-small, seed {scale.seed}): index-type score weights per iteration "
+        f"(0 = abandoned; abandoned: {abandoned})",
+        ["iteration", *weighted],
+        [[i, *(w.get(name, 0.0) for name in weighted)] for i, w in enumerate(weights, start=1)],
+    )
+    kept = [name for name in weighted if name not in full.abandoned]
+    for variant, points in figure10_sampling_quality(ablations["surrogate"].reports).items():
+        spread = np.std([point["recall"] for point in points]) if points else 0.0
+        show(
+            f"Figure 10 ({variant}, glove-small, seed {scale.seed}): sampled configurations "
+            f"and their Pareto rank (recall std {spread:.4f})",
+            ["index type", "QPS", "recall", "pareto rank"],
+            [
+                [p["index_type"], round(p["qps"], 1), p["recall"], p["pareto_rank"]]
+                for p in points
+            ],
+        )
+    traces = figure11_parameter_convergence(geo_report)
+    names = list(traces)
+    length = len(geo_report.history)
+    show(
+        f"Figure 11 (geo-radius-small, seed {scale.seed}): normalized parameter values per "
+        "iteration",
+        ["iteration", *names],
+        [[i + 1, *(float(traces[name][i]) for name in names)] for i in range(length)],
+    )
+    # The halves leave out the default sweep (one row per index type), which
+    # every run shares and which is not the tuner's choice.
+    tuned = {name: traces[name][len(INDEX_TYPES):] for name in names}
+    half = max(2, (length - len(INDEX_TYPES)) // 2)
+    early = float(np.mean([np.std(trace[:half]) for trace in tuned.values()]))
+    late = float(np.mean([np.std(trace[half:]) for trace in tuned.values()]))
+
+    approaches = holistic_vs_individual(ablations["budget_allocation"])
+    show(
+        f"Section V-D (glove-small, seed {scale.seed}): the holistic run against per-index-type "
+        "tuners that split its budget",
+        ["approach", "selected index", "best QPS", "recall"],
+        [
+            [approach, "-", "-", "-"] if best is None
+            else [approach, best.index_type, round(best.speed, 1), best.recall]
+            for approach, best in approaches.items()
+        ],
+    )
+    holistic, individual = (0.0 if o is None else o.speed for o in approaches.values())
+    fastest_type = "-" if approaches["individual"] is None else approaches["individual"].index_type
+    progress("section V-D")
+    larger = scalability_larger_dataset(scale=scale)
+    show(
+        f"Section V-E ({larger.dataset_name}): VDTuner against qEHVI at recall >= "
+        f"{larger.recall_floor} (tuning speedup on stderr)",
+        ["metric", "value"],
+        [
+            ["VDTuner best QPS", round(larger.vdtuner_best_speed, 1)],
+            ["qEHVI best QPS", round(larger.qehvi_best_speed, 1)],
+            ["speed improvement", f"{larger.speed_improvement:.1%}"],
+        ],
+    )
+    progress("section V-E")
+    conditions = [
+        ("Figure 1: the best seal proportion differs across segment sizes",
+         f"best columns {best_columns}", len(set(best_columns)) > 1),
+        ("Figure 2: the best index type differs across the system configurations",
+         ", ".join(best_index), len(set(best_index)) > 1),
+        ("Figure 3: the fastest index type is not the most accurate on each dataset",
+         "; ".join(f"{f} vs {a}" for f, a in zip(fastest, most_accurate)),
+         all(f != a for f, a in zip(fastest, most_accurate))),
+        ("Figure 3: the fastest index type changes across datasets",
+         ", ".join(fastest), len(set(fastest)) > 1),
+        ("Figure 9: abandonment keeps the per-type tuners' fastest index type",
+         f"kept {', '.join(kept)}; fastest {fastest_type}", fastest_type in kept),
+        ("Figure 11: after the default sweep, late-half mean std <= early-half",
+         f"{late:.3f} <= {early:.3f}", late <= early),
+        ("Section V-D: holistic best QPS >= 0.6 x individual",
+         f"{holistic:.1f} >= {0.6 * individual:.1f}", holistic >= 0.6 * individual),
+        (f"Section V-E: VDTuner's best QPS at recall >= {larger.recall_floor} >= qEHVI's",
+         f"{larger.vdtuner_best_speed:.1f} >= {larger.qehvi_best_speed:.1f}",
+         larger.vdtuner_best_speed >= larger.qehvi_best_speed),
+    ]
+    return conditions, larger.tuning_speedup
 
 
 def main() -> None:
@@ -363,11 +520,7 @@ def main() -> None:
         ("Table VI: recommendation share < 0.25 for every method",
          "shares on stderr", all(r.recommendation_share < 0.25 for r in table6.values())),
     ]
-    show(
-        f"Reproduction conditions (seed {scale.seed})",
-        ["condition", "inputs", "verdict"],
-        [[name, inputs, "holds" if ok else "fails"] for name, inputs, ok in conditions],
-    )
+    verdicts(f"Reproduction conditions (seed {scale.seed})", conditions)
 
     # Batch mode is kept only while its hypervolume holds on the geometric mean.
     batch_hv = [cell["batch"][0] for cell in cells.values()]
@@ -393,10 +546,14 @@ def main() -> None:
         ("Batch mode: tuning-clock speedup >= 2 in every cell",
          f"min {min(batch_clock):.3f}", min(batch_clock) >= 2.0),
     ]
-    show(
-        f"Batch mode conditions ({len(cells)} cells)",
-        ["condition", "inputs", "verdict"],
-        [[name, inputs, "holds" if ok else "fails"] for name, inputs, ok in batch_conditions],
+    verdicts(f"Batch mode conditions ({len(cells)} cells)", batch_conditions)
+
+    figure_conditions, tuning_speedup = motivation_and_ablation_figures(
+        scale, ablations, at_seed["geo-radius-small"]["figure6"].runs["vdtuner"].report
+    )
+    verdicts(
+        f"Reproduction conditions: Figures 1-3, 9 and 11, Sections V-D and V-E (seed {scale.seed})",
+        figure_conditions,
     )
 
     recommendation = {name: row.recommendation_seconds for name, row in table6.items()}
@@ -405,6 +562,7 @@ def main() -> None:
     }
     progress(f"table VI recommendation seconds {recommendation}")
     progress(f"figure 7 seconds to match {seconds_to_match}")
+    progress(f"section V-E tuning speedup over qEHVI {tuning_speedup}")
     record_bench(
         "paper",
         {
@@ -413,10 +571,13 @@ def main() -> None:
             "claims": {name: [*rest] for name, *rest in claims},
             "hypervolume_geomean": hv_mean,
             "hypervolume_min": {b: min(hv[b]) for b in BASELINES},
-            "conditions": {name: bool(ok) for name, _, ok in conditions + batch_conditions},
+            "conditions": {
+                name: bool(ok) for name, _, ok in conditions + batch_conditions + figure_conditions
+            },
             "batch": {"batch_size": BATCH_SIZE, **batch_summary},
             "table6_recommendation_seconds": recommendation,
             "figure7_seconds_to_match": seconds_to_match,
+            "section_v_e_tuning_speedup": tuning_speedup,
             "wall_seconds": round(time.perf_counter() - STARTED, 1),
         },
     )

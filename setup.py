@@ -2,9 +2,9 @@
 
 The project targets offline environments, so the dependency list is kept to
 the scientific-python floor (``numpy``/``scipy``); everything else — the VDMS
-substrate, the BO machinery, the parallel evaluation engine — is implemented
-in-repo.  Install with ``pip install -e .`` and drive the CLI through the
-``repro-tune`` console script (equivalent to ``python -m repro.cli``).
+substrate, the BO machinery, the serving front-end — is implemented in-repo.
+Install with ``pip install -e .`` and drive the CLI through the ``repro-tune``
+console script (equivalent to ``python -m repro.cli``).
 """
 
 import os
@@ -24,9 +24,8 @@ setup(
     version="1.2.0",
     description=(
         "Reproduction of VDTuner (ICDE 2024): multi-objective Bayesian "
-        "optimization for vector data management systems, with a "
-        "batch-parallel tuning engine and online continuous tuning under "
-        "workload drift"
+        "optimization for vector data management systems, with batch "
+        "suggestions and online continuous tuning under workload drift"
     ),
     long_description=_readme(),
     long_description_content_type="text/markdown",
@@ -40,7 +39,7 @@ setup(
         "scipy>=1.8",
     ],
     extras_require={
-        "test": ["pytest", "hypothesis", "pytest-benchmark", "pytest-cov"],
+        "test": ["pytest", "hypothesis", "pytest-cov"],
     },
     entry_points={
         "console_scripts": [

@@ -1,8 +1,12 @@
-"""Ablation experiments (Figures 8-11 and the holistic-vs-individual study)."""
+"""Ablation experiments (Figures 8-11 and the holistic-vs-individual study).
+
+Figure 8 makes its runs; Figures 9-11 and the holistic-vs-individual study
+derive from runs the caller passes in.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -10,7 +14,7 @@ from repro.analysis.tradeoff import DEFAULT_SACRIFICES, speed_vs_sacrifice_curve
 from repro.bo.pareto import pareto_ranks
 from repro.config import build_milvus_space
 from repro.config.milvus_space import INDEX_TYPES
-from repro.core.objectives import ObjectiveSpec
+from repro.core.history import Observation
 from repro.core.tuner import TuningReport, VDTuner
 from repro.experiments.settings import ExperimentScale, current_scale
 from repro.workloads.environment import VDMSTuningEnvironment
@@ -22,7 +26,6 @@ __all__ = [
     "figure11_parameter_convergence",
     "holistic_vs_individual",
     "AblationResult",
-    "SamplingQualityResult",
 ]
 
 
@@ -32,14 +35,11 @@ def _run_variant(
     *,
     use_successive_abandon: bool = True,
     use_polling_surrogate: bool = True,
-    iterations: int | None = None,
-    seed: int | None = None,
 ) -> TuningReport:
     settings = scale.vdtuner_settings(
-        num_iterations=int(iterations or scale.ablation_iterations),
+        num_iterations=scale.ablation_iterations,
         use_successive_abandon=use_successive_abandon,
         use_polling_surrogate=use_polling_surrogate,
-        seed=scale.seed if seed is None else seed,
     )
     environment = VDMSTuningEnvironment(dataset_name, seed=settings.seed)
     tuner = VDTuner(environment, settings=settings)
@@ -94,21 +94,13 @@ def figure8_ablation(
     }
 
 
-def figure9_score_dynamics(
-    dataset_name: str = "glove-small",
-    *,
-    scale: ExperimentScale | None = None,
-    report: TuningReport | None = None,
-) -> list[dict[str, float]]:
-    """Per-iteration index-type score *weights* (Figure 9).
+def figure9_score_dynamics(report: TuningReport) -> list[dict[str, float]]:
+    """Per-iteration index-type score *weights* of a VDTuner run (Figure 9).
 
     Each entry maps index type to its share of the total score at that
     iteration (0 for abandoned index types), which is exactly what the
     paper's stacked-weight plot shows.
     """
-    scale = scale or current_scale()
-    if report is None:
-        report = _run_variant(dataset_name, scale)
     weights: list[dict[str, float]] = []
     for snapshot in report.score_trace:
         shifted = {name: max(0.0, value) for name, value in snapshot.items()}
@@ -121,35 +113,12 @@ def figure9_score_dynamics(
     return weights
 
 
-@dataclass
-class SamplingQualityResult:
-    """Sampled configurations of the surrogate ablation (Figure 10)."""
-
-    dataset_name: str
-    samples: dict[str, list[dict]]
-
-
-def figure10_sampling_quality(
-    dataset_name: str = "glove-small",
-    *,
-    scale: ExperimentScale | None = None,
-    reports: dict[str, TuningReport] | None = None,
-) -> SamplingQualityResult:
-    """Every sampled configuration with its Pareto rank, per surrogate variant."""
-    scale = scale or current_scale()
-    if reports is None:
-        reports = {
-            "polling_surrogate": _run_variant(dataset_name, scale, use_polling_surrogate=True),
-            "native_surrogate": _run_variant(dataset_name, scale, use_polling_surrogate=False),
-        }
+def figure10_sampling_quality(reports: dict[str, TuningReport]) -> dict[str, list[dict]]:
+    """Every sampled configuration with its Pareto rank, per surrogate variant (Figure 10)."""
     samples: dict[str, list[dict]] = {}
     for name, report in reports.items():
         observations = report.history.successful()
-        if not observations:
-            samples[name] = []
-            continue
-        values = np.array([[o.speed, o.recall] for o in observations])
-        ranks = pareto_ranks(values)
+        ranks = pareto_ranks(np.array([[o.speed, o.recall] for o in observations]).reshape(-1, 2))
         samples[name] = [
             {
                 "index_type": o.index_type,
@@ -159,20 +128,15 @@ def figure10_sampling_quality(
             }
             for o, rank in zip(observations, ranks)
         ]
-    return SamplingQualityResult(dataset_name=dataset_name, samples=samples)
+    return samples
 
 
 def figure11_parameter_convergence(
-    dataset_name: str = "geo-radius-small",
+    report: TuningReport,
     *,
     parameters: tuple[str, ...] = ("nlist", "nprobe", "segment_seal_proportion", "graceful_time"),
-    scale: ExperimentScale | None = None,
-    report: TuningReport | None = None,
 ) -> dict[str, np.ndarray]:
-    """Normalized per-iteration values of selected parameters (Figure 11)."""
-    scale = scale or current_scale()
-    if report is None:
-        report = _run_variant(dataset_name, scale)
+    """Normalized per-iteration values of selected parameters of a run (Figure 11)."""
     space = build_milvus_space()
     traces: dict[str, np.ndarray] = {}
     for name in parameters:
@@ -182,50 +146,33 @@ def figure11_parameter_convergence(
     return traces
 
 
-def holistic_vs_individual(
-    dataset_name: str = "glove-small",
-    *,
-    scale: ExperimentScale | None = None,
-    iterations: int | None = None,
-) -> dict[str, dict]:
-    """Compare the holistic model against tuning each index type individually.
+def _balanced_best(report: TuningReport) -> Observation | None:
+    return report.best_observation(recall_floor=0.85) or report.best_observation()
 
-    Section V-D of the paper: the individual approach spends the same total
-    budget but splits it evenly across per-index-type tuners and then keeps
-    the best index type.  The comparison reports the selected index type and
-    best balanced configuration of both approaches.
+
+def holistic_vs_individual(budget_allocation: AblationResult) -> dict[str, Observation | None]:
+    """Compare Figure 8a's full VDTuner run against tuning each index type individually.
+
+    Section V-D of the paper: the individual approach spends the holistic
+    run's budget split evenly across per-index-type tuners and then keeps the
+    best index type.  The holistic run is ``budget_allocation``'s
+    ``successive_abandon`` report; the per-type tuners take its dataset, its
+    settings (seed included) and its objective.  Returns each approach's best
+    balanced observation (the fastest at recall >= 0.85, else the fastest).
     """
-    scale = scale or current_scale()
-    total_budget = int(iterations or scale.ablation_iterations)
-
-    holistic_report = _run_variant(dataset_name, scale, iterations=total_budget)
-    holistic_best = holistic_report.best_observation(recall_floor=0.85) or holistic_report.best_observation()
-
-    per_index_budget = max(3, total_budget // len(INDEX_TYPES))
-    individual_best = None
-    individual_reports: dict[str, TuningReport] = {}
+    holistic = budget_allocation.reports["successive_abandon"]
+    per_index_budget = max(3, len(holistic.history) // len(INDEX_TYPES))
+    settings = replace(holistic.settings, num_iterations=per_index_budget)
+    individual = []
     for index_type in INDEX_TYPES:
         space = build_milvus_space(index_types=(index_type,))
-        environment = VDMSTuningEnvironment(dataset_name, space=space, seed=scale.seed)
-        settings = scale.vdtuner_settings(num_iterations=per_index_budget, seed=scale.seed)
-        tuner = VDTuner(environment, settings=settings, objective=ObjectiveSpec(), space=space)
-        report = tuner.run(per_index_budget)
-        individual_reports[index_type] = report
-        candidate = report.best_observation(recall_floor=0.85) or report.best_observation()
-        if candidate is not None and (individual_best is None or candidate.speed > individual_best.speed):
-            individual_best = candidate
-
+        environment = VDMSTuningEnvironment(
+            budget_allocation.dataset_name, space=space, seed=settings.seed
+        )
+        tuner = VDTuner(environment, settings=settings, objective=holistic.objective, space=space)
+        individual.append(_balanced_best(tuner.run(per_index_budget)))
+    found = [observation for observation in individual if observation is not None]
     return {
-        "holistic": {
-            "best_index_type": None if holistic_best is None else holistic_best.index_type,
-            "best_speed": None if holistic_best is None else holistic_best.speed,
-            "best_recall": None if holistic_best is None else holistic_best.recall,
-            "report": holistic_report,
-        },
-        "individual": {
-            "best_index_type": None if individual_best is None else individual_best.index_type,
-            "best_speed": None if individual_best is None else individual_best.speed,
-            "best_recall": None if individual_best is None else individual_best.recall,
-            "reports": individual_reports,
-        },
+        "holistic": _balanced_best(holistic),
+        "individual": max(found, key=lambda observation: observation.speed, default=None),
     }

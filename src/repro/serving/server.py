@@ -452,6 +452,21 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, format: str, *args: Any) -> None:  # noqa: A002
         pass  # per-request lines on stderr would drown the load harness
 
+    def send_error(self, code: int, message: str | None = None, explain: str | None = None) -> None:
+        """``http.server``'s own refusals answer JSON, like every route.
+
+        The stdlib calls this for a malformed request line (400), a method
+        without a ``do_*`` handler (501) and an HTTP version it does not
+        speak (505); its default body is HTML.  Only a two-word request line
+        is HTTP/0.9, answered with a bare body; any other refused line gets a
+        status line and headers, which the stdlib omits when it could not
+        read the version.
+        """
+        if self.request_version == "HTTP/0.9" and len(self.requestline.split()) != 2:
+            self.request_version = self.protocol_version
+        self.close_connection = True
+        self._send_json(code, {"error": message or self.responses[code][0]})
+
     def _send_json(self, status: int, payload: dict[str, Any]) -> None:
         # ``allow_nan=False``: no route may emit the bare ``Infinity``/``NaN``
         # literals, which are not JSON (RFC 8259) — a stray one is a 500 here
@@ -636,16 +651,16 @@ class _Handler(BaseHTTPRequestHandler):
             raise _HTTPError(400, "create requires a non-empty string 'name'")
         if "dimension" not in body:
             raise _HTTPError(400, "create requires an integer 'dimension'")
-        dimension = int(body["dimension"])
+        dimension = body["dimension"]
         metric = str(body.get("metric", "angular"))
         auto_maintenance = bool(body.get("auto_maintenance", True))
-        frontend.execute(
+        collection = frontend.execute(
             lambda: frontend.backend.create_collection(
                 name, dimension, metric=metric, auto_maintenance=auto_maintenance
             ),
             tenant=name,
         )
-        return 200, {"name": name, "dimension": dimension, "metric": metric}
+        return 200, {"name": name, "dimension": collection.dimension, "metric": metric}
 
     def _insert(
         self, frontend: ServingFrontend, name: str, body: dict[str, Any]

@@ -17,6 +17,7 @@ on a consistent state while inserts, flushes and deletes land.
 from __future__ import annotations
 
 import copy
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
@@ -55,7 +56,32 @@ from repro.vdms.segment import Segment, SegmentState
 from repro.vdms.sharding import SegmentView, Shard, merge_topk, shard_assignments
 from repro.vdms.system_config import SystemConfig
 
-__all__ = ["Collection", "SearchResult"]
+__all__ = ["MAX_DIMENSION", "Collection", "SearchResult", "checked_spec"]
+
+#: The largest vector dimension a collection accepts, Milvus's own limit.
+MAX_DIMENSION = 32_768
+
+
+def checked_spec(dimension: Any, metric: str) -> int:
+    """``dimension`` as an ``int`` once it and ``metric`` are known good.
+
+    The dimension must be integral (``operator.index``: a fractional or
+    string dimension is refused, not truncated, and so is a bool) and in
+    ``1..MAX_DIMENSION``; the metric must be one of ``METRICS``.  Anything
+    else raises ``ValueError``.  A server checks a spec with this before it
+    destroys the durable state a new collection replaces.
+    """
+    if metric not in METRICS:
+        raise ValueError(f"unsupported metric {metric!r}")
+    try:
+        if isinstance(dimension, bool):
+            raise TypeError
+        value = operator.index(dimension)
+    except TypeError:
+        raise ValueError(f"dimension must be an integer, got {dimension!r}") from None
+    if not 1 <= value <= MAX_DIMENSION:
+        raise ValueError(f"dimension must be in 1..{MAX_DIMENSION}, got {value}")
+    return value
 
 
 @dataclass
@@ -110,12 +136,8 @@ class Collection:
         data_dir: str | None = None,
         filesystem: FileSystem | None = None,
     ) -> None:
-        if metric not in METRICS:
-            raise ValueError(f"unsupported metric {metric!r}")
-        if dimension <= 0:
-            raise ValueError("dimension must be positive")
+        self.dimension = checked_spec(dimension, metric)
         self.name = name
-        self.dimension = int(dimension)
         self.metric = metric
         self.system_config = system_config or SystemConfig()
         self.shard_num = max(1, int(self.system_config.shard_num))

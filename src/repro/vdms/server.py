@@ -13,7 +13,7 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.vdms.collection import Collection
+from repro.vdms.collection import Collection, checked_spec
 from repro.vdms.cost_model import CostModel
 from repro.vdms.durability import DurabilityManager, FileSystem, OsFileSystem
 from repro.vdms.errors import CollectionNotFoundError, DurabilityError
@@ -151,6 +151,7 @@ class VectorDBServer:
         any previous durable state under that name is destroyed first (use
         :meth:`recover_collection` to load existing state instead).
         """
+        checked_spec(dimension, metric)  # refuse a bad spec before destroying anything
         collection_dir: str | None = None
         if self.data_dir is not None:
             collection_dir = self._fs.join(self.data_dir, name)

@@ -144,7 +144,7 @@ class TestRunnerAndComparison:
 class TestAblationExperiments:
     def test_figure9_weights_sum_to_one(self):
         run = run_tuner("vdtuner", "glove-small", iterations=10, scale=TEST_SCALE)
-        weights = figure9_score_dynamics("glove-small", scale=TEST_SCALE, report=run.report)
+        weights = figure9_score_dynamics(run.report)
         assert len(weights) == 10 - 7  # one snapshot per tuning iteration
         for snapshot in weights:
             assert sum(snapshot.values()) == pytest.approx(1.0)

@@ -21,6 +21,7 @@ from repro.serving import ServingConfig, ServingFrontend
 from repro.serving import server as serving_server
 from repro.serving.server import MAX_BODY_BYTES, _Handler
 from repro.vdms.server import VectorDBServer
+from repro.vdms.system_config import SystemConfig
 
 
 def raw_request(frontend, method, path, body=None):
@@ -177,6 +178,10 @@ def test_error_status_codes(frontend):
     assert request(frontend, "DELETE", "/nope")[0] == 404
     assert request(frontend, "POST", "/collections", {"name": "x"})[0] == 400  # no dimension
     assert request(frontend, "POST", "/collections", {"dimension": 4})[0] == 400  # no name
+    # Only an integral dimension in 1..MAX_DIMENSION: none is truncated or coerced.
+    for dimension in (2.7, True, "8", 10**30):
+        status, body = request(frontend, "POST", "/collections", {"name": "x", "dimension": dimension})
+        assert status == 400 and "dimension" in body["error"], (dimension, body)
     request(frontend, "POST", "/collections", {"name": "c", "dimension": 4})
     assert request(frontend, "POST", "/collections/c/search", {})[0] == 400  # no queries
     assert (
@@ -212,6 +217,29 @@ def test_error_status_codes(frontend):
         assert str(MAX_BODY_BYTES) in json.loads(response.read())["error"]
     finally:
         conn.close()
+
+
+def test_a_refused_create_keeps_the_durable_collection_it_names(tmp_path):
+    # Create-or-replace destroys the old durable state; a refused spec must
+    # not get that far.
+    config = ServingConfig(queue_depth=16, workers=2, data_dir=str(tmp_path))
+    frontend = ServingFrontend(config=config).start()
+    try:
+        assert request(frontend, "POST", "/collections", {"name": "a", "dimension": 4})[0] == 200
+        rows = {"vectors": [[1.0] * 4, [2.0] * 4, [3.0] * 4]}
+        assert request(frontend, "POST", "/collections/a/insert", rows)[0] == 200
+        assert request(frontend, "POST", "/collections/a/flush", {})[0] == 200
+        for spec in ({"dimension": "abc"}, {"dimension": 2.7}, {"dimension": 0},
+                     {"dimension": 4, "metric": "bogus"}):
+            status, body = request(frontend, "POST", "/collections", {"name": "a", **spec})
+            assert status == 400, (spec, body)
+    finally:
+        frontend.drain()
+    fresh = VectorDBServer(SystemConfig(durability_mode="wal+checkpoint"), data_dir=str(tmp_path))
+    try:
+        assert fresh.recover_collection("a").num_rows == 3
+    finally:
+        fresh.shutdown()
 
 
 @pytest.mark.parametrize("length", ["-1", "99999999999999999999", "twelve"])

@@ -5,7 +5,8 @@ collection to search and an empty one to insert into and index receives raw requ
 ``Content-Length`` headers, bodies shorter or longer than declared) and JSON
 bodies of arbitrary shape (nested values, wrong types, NaN and infinities,
 huge numbers, non-object bodies) on every POST route.  Every response must be
-2xx or 4xx, and the connection must finish within a per-example bound.
+2xx or 4xx with a JSON object body, and the connection must finish within a
+per-example bound.
 Afterwards ``/healthz`` and a valid search still answer, so neither a handler
 thread nor an admission worker was lost.
 """
@@ -63,7 +64,10 @@ def post(path: str, body: bytes) -> bytes:
 
 
 def statuses(received: bytes) -> list[int]:
-    """The status of every response in ``received``, read head by head."""
+    """The status of every response in ``received``, read head by head.
+
+    Every response body must be a JSON object, protocol refusals included.
+    """
     found = []
     while received.startswith(b"HTTP/"):
         head, _, rest = received.partition(b"\r\n\r\n")
@@ -74,6 +78,7 @@ def statuses(received: bytes) -> list[int]:
             name, _, value = line.partition(b":")
             if name.strip().lower() == b"content-length":
                 length = int(value)
+        assert isinstance(json.loads(rest[:length]), dict), head + rest[:length]
         received = rest[length:]
     return found
 
@@ -210,6 +215,24 @@ def test_raw_requests_never_get_a_server_error(frontend, line, length, body):
         head += f"Content-Length: {length}\r\n".encode("latin-1")
     found, received = exchange(frontend, head + b"\r\n" + body)
     assert_no_server_error(found, received)
+
+
+@pytest.mark.parametrize(
+    "line, status",
+    [
+        (b'GET /"quoted" \\back\\slash HTTP/1.1', 400),  # four words
+        (b'PU"T /collections\\x HTTP/1.1', 501),
+        (b'GET /healthz HTTP/2"\\0', 400),  # an unparsable version
+        (b"GET /healthz HTTP/2.0", 505),
+        (b"GARBAGE", 400),  # one word
+    ],
+)
+def test_protocol_refusals_answer_a_json_error(frontend, line, status):
+    found, received = exchange(frontend, line + b"\r\nHost: fuzz\r\n\r\n")
+    assert found == [status], received
+    head, _, body = received.partition(b"\r\n\r\n")
+    assert b"Content-Type: application/json" in head and b"Connection: close" in head
+    assert json.loads(body)["error"]
 
 
 def test_the_server_answers_after_the_fuzz(frontend):

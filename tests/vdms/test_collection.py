@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.datasets.ground_truth import brute_force_neighbors, recall_at_k
-from repro.vdms.collection import Collection
+from repro.vdms.collection import MAX_DIMENSION, Collection
 from repro.vdms.errors import IndexBuildError, IndexNotBuiltError
 from repro.vdms.system_config import SystemConfig
 
@@ -37,6 +37,11 @@ class TestLifecycle:
             Collection("bad", dimension=0)
         with pytest.raises(ValueError):
             Collection("bad", dimension=4, metric="hamming")
+        with pytest.raises(ValueError, match="dimension must be an integer"):
+            Collection("bad", 2.7)  # refused, not truncated to 2
+        with pytest.raises(ValueError, match=f"dimension must be in 1..{MAX_DIMENSION}"):
+            Collection("bad", MAX_DIMENSION + 1)
+        assert Collection("c", np.int64(4)).dimension == 4
 
     def test_insert_assigns_sequential_ids(self, corpus):
         vectors, _, _ = corpus
